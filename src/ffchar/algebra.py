@@ -691,7 +691,8 @@ def monic_irreducible_count(q: int, k: int) -> int:
     for e in range(1, k + 1):
         if k % e == 0:
             total += mobius_small(e) * q ** (k // e)
-    assert total % k == 0
+    if total % k:
+        raise ArithmeticError(f"necklace sum {total} for q = {q} is not divisible by k = {k}")
     return total // k
 
 
@@ -753,62 +754,23 @@ def lex_least_irreducible(field: Field, d: int) -> Poly:
     return Poly(field, _least_irreducible_codes(field, d))
 
 
-_BATCH_ENUM_LIMIT = 4 * 10**6
-
-
 def irreducibles_up_to(field: Field, r: int) -> list[list[Poly]]:
     """[I_1, ..., I_r]: all monic irreducibles by degree, each list in code order.
 
-    Degrees with q^k within the batch budget come from the vectorized
-    max-factor-degree profile (irreducible iff the profile equals k); larger
-    degrees fall back to an early-exit distinct-degree screen.  Every |I_k|
-    is cross-checked against the necklace formula.
+    I_k is read straight off the multiplicative sieve in `vecpoly`: the slots
+    of the degree-k factor-degree profile that hold k.  The sieve checks
+    their number against the necklace formula.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
+    from .vecpoly import max_degree_profile_cached
+
     cache = field._irr_cache
     for k in range(len(cache) + 1, r + 1):
-        q = field.q
-        if k == 1:
-            found = [Poly.from_code(field, c) for c in monic_code_range(field, 1)]
-        elif q**k <= _BATCH_ENUM_LIMIT:
-            from .vecpoly import max_factor_degree_profile
-
-            profile = max_factor_degree_profile(field, k)
-            base = q**k
-            found = [Poly.from_code(field, base + int(j)) for j in np.nonzero(profile == k)[0]]
-        else:
-            found = []
-            for code in monic_code_range(field, k):
-                coeffs = _decode(field, code, k)
-                if _ddf_screen_irreducible(field, coeffs, k):
-                    found.append(Poly(field, coeffs))
-        expected = monic_irreducible_count(field.q, k)
-        if len(found) != expected:
-            raise AssertionError(
-                f"irreducible screen found {len(found)} of degree {k}, necklace formula says {expected}"
-            )
-        cache.append(found)
+        base = field.q**k
+        profile = max_degree_profile_cached(field, k)
+        cache.append([Poly.from_code(field, base + int(j)) for j in np.flatnonzero(profile == k)])
     return [list(cache[k - 1]) for k in range(1, r + 1)]
-
-
-def _decode(field: Field, code: int, degree: int) -> tuple[int, ...]:
-    q = field.q
-    out = []
-    for _ in range(degree + 1):
-        out.append(code % q)
-        code //= q
-    return tuple(out)
-
-
-def _ddf_screen_irreducible(F: Field, m: tuple[int, ...], k: int) -> bool:
-    """True iff m (monic, degree k >= 2) has no factor of degree <= k // 2."""
-    h = _ppowmod(F, _X, F.q, m)
-    for _ in range(k // 2):
-        if _pgcd(F, _psub(F, h, _X), m) != (1,):
-            return False
-        h = _ppowmod(F, h, F.q, m)
-    return True
 
 
 # ---------------------------------------------------------------------------

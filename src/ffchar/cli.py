@@ -1,13 +1,14 @@
 """Command-line surface: every check and experiment as a subcommand.
 
 Exit codes: 0 all checks passed, 1 a mathematical check exceeded its
-tolerance (a genuine anomaly at these scales), 2 usage error, 3 work budget
-exceeded.  Human output prints bound vs observed side by side with their
+tolerance (a genuine anomaly at these scales) or an internal invariant
+failed, 2 usage error, 3 work budget exceeded.  Human output prints bound vs observed side by side with their
 ratio; csv/json are machine-readable and contain no timestamps, so repeated
 runs are byte-identical regardless of --workers.
 
 Defaults for --workers, --format, --budget, --tol and --seed can be
-overridden by FFCHAR_* environment variables (handy in CI).
+overridden by FFCHAR_* environment variables (handy in CI); a value that
+does not parse is a usage error.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def _env(name: str, cast, fallback):
     try:
         return cast(raw)
     except ValueError:
-        return fallback
+        raise ValueError(f"FFCHAR_{name}={raw!r} is not a valid {cast.__name__}") from None
 
 
 def _emit(lines: list[str], out: Optional[str]):
@@ -536,13 +537,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (ArithmeticError, AssertionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MATH
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ must agree exactly:
   prod_{k<=r} (1 - z^k)^(-pi_k), computed in integer power-series arithmetic
   with pi_k from the necklace formula;
 * enumeration: classify every monic degree-d polynomial by its maximal
-  factor degree (vectorized batch sweep from `vecpoly`).
+  factor degree (the multiplicative sieve over F_q[t] from `vecpoly`).
 
 Character sums over the r-smooth slice are generated from factor multisets
 over I_1..I_r with a degree budget, never by filtering all of A_d, so the
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import mpmath
@@ -37,13 +36,12 @@ import numpy as np
 from .algebra import Field, irreducibles_up_to, monic_irreducible_count
 from .characters import CharSum, Character, _render_phase_counts
 from .residue import Modulus, NotAUnitError
-from .vecpoly import max_factor_degree_profile
+from .vecpoly import max_degree_profile_cached
 
 __all__ = [
     "smooth_count",
     "SmoothCountTable",
     "smooth_count_by_enumeration",
-    "max_degree_profile_cached",
     "smooth_char_sum",
     "smooth_dlog_histogram",
     "DickmanTable",
@@ -98,11 +96,6 @@ class SmoothCountTable:
     def build_by_enumeration(cls, field: Field, d_max: int, r: int) -> "SmoothCountTable":
         counts = tuple(smooth_count_by_enumeration(field, d, r) for d in range(d_max + 1))
         return cls(field.q, d_max, r, counts, "enumeration")
-
-
-@lru_cache(maxsize=64)
-def max_degree_profile_cached(field: Field, d: int) -> np.ndarray:
-    return max_factor_degree_profile(field, d)
 
 
 def smooth_count_by_enumeration(field: Field, d: int, r: int) -> int:

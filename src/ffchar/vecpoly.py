@@ -1,140 +1,109 @@
-"""Batched fixed-shape polynomial arithmetic over small fields.
+"""Batched polynomial arithmetic over small fields.
 
-All monic polynomials of degree d are processed as one coefficient matrix of
-shape (d, N): column j holds the lower coefficients (c_0, ..., c_{d-1}) of
-the polynomial with code q^d + j, the leading 1 being implicit.  Residues mod
-those moduli use the same (d, N) layout.  Every operation is exact integer
-work (mod-p arithmetic or exp/log table gathers), so batch results agree bit
-for bit with the scalar kernels in `algebra`.
+A monic polynomial of degree d is addressed by its slot j in [0, q^d): its
+code is q^d + j, so the slot spells its lower coefficients in base q.
+Coefficients travel as digit rows: an array whose row i holds c_i of every
+polynomial in a batch as an F_q element code.  Every operation is exact
+integer work (the field's vectorized mod-p arithmetic or exp/log table
+gathers), so batch results agree bit for bit with the scalar kernels in
+`algebra`.
 
 The payoff is `max_factor_degree_profile`: the largest irreducible-factor
-degree of every monic degree-d polynomial in one sweep, which powers both
-exhaustive smooth counting and irreducible enumeration.  It relies on the
-divisibility characterization: f is k-smooth iff every irreducible factor of
-f divides prod_{j<=k} (x^(q^j) - x), iff f divides that product raised to
-any power >= deg f.
+degree of every monic degree-d polynomial, by a multiplicative sieve (an
+Eratosthenes sieve over F_q[t]).  By unique factorization every reducible
+monic f of degree d is a product P*C with P irreducible of degree k < d and
+C monic of degree d - k.  Sieving k = 1..d-1 in ascending order writes k
+into the slot of every such product, so each slot ends with its largest
+factor degree, and the slots never written are exactly the irreducibles.
+I_k is read off the degree-k profile, so the profiles of every lower degree
+are kept in one cache (`max_degree_profile_cached`), which powers both
+exhaustive smooth counting and irreducible enumeration.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .algebra import Field
+from .algebra import Field, monic_irreducible_count
 
 __all__ = [
-    "monic_lower_coeffs",
-    "vec_modmul",
-    "vec_pow_q_mod",
     "max_factor_degree_profile",
+    "max_degree_profile_cached",
     "vadd_poly_codes",
 ]
 
+#: (P, C) products formed per sieve step; bounds its working memory
+_SIEVE_PAIRS = 1 << 15
 
-def monic_lower_coeffs(field: Field, d: int, start: int = 0, stop=None) -> np.ndarray:
-    """(d, N) matrix of lower coefficients of monic degree-d polys, code order."""
+_profiles: dict[tuple[Field, int], np.ndarray] = {}
+
+
+def _monic_rows(field: Field, slots: np.ndarray, width: int) -> np.ndarray:
+    """(width + 1, N) coefficients c_0..c_width of the monic polys in the given slots."""
     q = field.q
-    if stop is None:
-        stop = q**d
-    offsets = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((d, offsets.size), dtype=np.int64)
-    rem = offsets
-    for i in range(d):
+    out = np.ones((width + 1, slots.size), dtype=np.int64)
+    rem = slots
+    for i in range(width):
         out[i] = rem % q
         rem = rem // q
     return out
 
 
-def _conv_modp(p: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    da, db = A.shape[0], B.shape[0]
-    C = np.zeros((da + db - 1, A.shape[1]), dtype=np.int64)
-    for i in range(da):
-        Ai = A[i]
-        for j in range(db):
-            C[i + j] += Ai * B[j]
-    C %= p
-    return C
+def _mark_multiples(field: Field, out: np.ndarray, d: int, k: int, irr: np.ndarray) -> None:
+    """Write k into the slot of P*C for every P in I_k and monic C of degree d - k.
 
-
-def _conv_table(field: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    da, db = A.shape[0], B.shape[0]
-    C = np.zeros((da + db - 1, A.shape[1]), dtype=np.int64)
-    for i in range(da):
-        Ai = A[i]
-        for j in range(db):
-            C[i + j] = field.vadd(C[i + j], field.vmul(Ai, B[j]))
-    return C
-
-
-def vec_modmul(field: Field, A: np.ndarray, B: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """A*B mod (x^d + F) columnwise; A, B, F all of shape (d, N)."""
-    d = F.shape[0]
-    C = _conv_modp(field.p, A, B) if field.e == 1 else _conv_table(field, A, B)
-    for i in range(2 * d - 2, d - 1, -1):
-        c = C[i]
-        # x^i = x^(i-d) * (-F) mod modulus
-        red = field.vmul(c, F)  # (d, N) row-broadcast of c against F rows
-        for j in range(d):
-            C[i - d + j] = field.vsub(C[i - d + j], red[j])
-    return C[:d]
-
-
-def vec_pow_q_mod(field: Field, H: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """H^q mod (x^d + F) by square-and-multiply on the bits of q."""
-    q = field.q
-    bits = bin(q)[3:]  # q >= 2, leading bit consumed by initializing with H
-    R = H
-    for b in bits:
-        R = vec_modmul(field, R, R, F)
-        if b == "1":
-            R = vec_modmul(field, R, H, F)
-    return R
+    irr holds the slots of I_k.  Pairs (P, C) are formed a bounded block at a
+    time, so the working memory does not grow with q^d.
+    """
+    q, m = field.q, d - k
+    n_cof = q**m
+    step_c = min(n_cof, _SIEVE_PAIRS)
+    step_p = max(1, _SIEVE_PAIRS // step_c)
+    weights = q ** np.arange(d, dtype=np.int64)
+    for p0 in range(0, irr.size, step_p):
+        P = _monic_rows(field, irr[p0 : p0 + step_p], k)[:, :, None]
+        for c0 in range(0, n_cof, step_c):
+            C = _monic_rows(field, np.arange(c0, min(c0 + step_c, n_cof), dtype=np.int64), m)[:, None, :]
+            prod = np.zeros((d, P.shape[1], C.shape[2]), dtype=np.int64)
+            for i in range(k + 1):
+                for j in range(m + 1):
+                    if i + j < d:  # i + j == d is the implicit leading 1
+                        prod[i + j] = field.vadd(prod[i + j], field.vmul(P[i], C[j]))
+            out[np.tensordot(weights, prod, axes=1).ravel()] = k
 
 
 def max_factor_degree_profile(field: Field, d: int) -> np.ndarray:
     """Largest irreducible-factor degree of every monic degree-d poly.
 
     Returns an int8 array of length q^d in code order (entry j describes the
-    polynomial with code q^d + j).  Exhaustive and exact; the inner loop
-    discards columns as soon as their maximal factor degree is known.
+    polynomial with code q^d + j).  Exhaustive and exact: the multiplicative
+    sieve over the cached profiles of degrees 1..d-1, whose unwritten slots
+    are checked against the necklace count pi_d.
     """
-    q = field.q
     if d < 0:
         raise ValueError("degree must be >= 0")
     if d == 0:
         return np.zeros(1, dtype=np.int8)
-    if d == 1:
-        return np.ones(q, dtype=np.int8)
-    N = q**d
-    F = monic_lower_coeffs(field, d)
-    out = np.zeros(N, dtype=np.int8)
-    alive = np.arange(N, dtype=np.int64)
-    H = np.zeros((d, N), dtype=np.int64)
-    H[1] = 1  # the polynomial x
-    CUM = np.zeros((d, N), dtype=np.int64)
-    CUM[0] = 1
-    squarings = max(1, math.ceil(math.log2(d)))  # 2^squarings >= d
-    for k in range(1, d + 1):
-        H = vec_pow_q_mod(field, H, F)
-        HX = H.copy()
-        HX[1] = field.vsub(HX[1], np.int64(1))
-        CUM = vec_modmul(field, CUM, HX, F)
-        P = CUM
-        for _ in range(squarings):
-            P = vec_modmul(field, P, P, F)
-        done = ~P.any(axis=0)
-        if done.any():
-            out[alive[done]] = k
-            keep = ~done
-            alive = alive[keep]
-            F = F[:, keep]
-            H = H[:, keep]
-            CUM = CUM[:, keep]
-        if alive.size == 0:
-            break
-    assert alive.size == 0, "every polynomial has a maximal factor degree <= d"
+    out = np.full(field.q**d, d, dtype=np.int8)  # the sieve writes only k < d
+    for k in range(1, d):
+        _mark_multiples(field, out, d, k, np.flatnonzero(max_degree_profile_cached(field, k) == k))
+    found, expected = int(np.count_nonzero(out == d)), monic_irreducible_count(field.q, d)
+    if found != expected:
+        raise ArithmeticError(
+            f"sieve left {found} slots of degree {d} unwritten, necklace formula says pi_{d} = {expected}"
+        )
     return out
+
+
+def max_degree_profile_cached(field: Field, d: int) -> np.ndarray:
+    """`max_factor_degree_profile(field, d)`, computed once and kept read-only."""
+    key = (field, d)
+    profile = _profiles.get(key)
+    if profile is None:
+        profile = max_factor_degree_profile(field, d)
+        profile.flags.writeable = False
+        _profiles[key] = profile
+    return profile
 
 
 def vadd_poly_codes(field: Field, codes: np.ndarray, c: int, width: int) -> np.ndarray:

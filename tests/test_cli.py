@@ -141,3 +141,21 @@ def test_worker_flag_accepted(tmp_path):
     main(["density", "--q", "2", "--n", "6", "--d", "5", "--format", "json", "--out", str(a), "--workers", "1"])
     main(["density", "--q", "2", "--n", "6", "--d", "5", "--format", "json", "--out", str(b), "--workers", "8"])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_malformed_env_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("FFCHAR_WORKERS", "two")
+    assert main(["weil", "--q", "2", "--n", "3"]) == 2
+    assert "FFCHAR_WORKERS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [ArithmeticError, AssertionError])
+def test_kernel_failure_exits_math_without_traceback(monkeypatch, capsys, exc):
+    import ffchar.cli
+
+    def broken(*args, **kwargs):
+        raise exc("invariant broken")
+
+    monkeypatch.setattr(ffchar.cli, "verify_weil", broken)
+    assert main(["weil", "--q", "2", "--n", "3"]) == 1
+    assert capsys.readouterr().err == "error: invariant broken\n"

@@ -114,7 +114,7 @@ def test_smooth_sum_matches_filter_oracle():
 def test_smooth_sum_filter_oracle_q2_d10():
     # the deeper q=2 check: d up to 10 against the filter route
     m = Modulus.irreducible(F2, 13)
-    from ffchar.smooth import max_degree_profile_cached
+    from ffchar.vecpoly import max_degree_profile_cached
 
     prof = max_degree_profile_cached(F2, 10)
     hist_smooth, _ = smooth_dlog_histogram(m, 10, 4)
