@@ -274,14 +274,14 @@ def _grid_common(args, runner, label: str) -> int:
     cfg = _grid_cfg(args)
     res = runner(cfg)
     if not args.out:
-        rows = [CSV_HEADER] + [rec.csv_row() for rec in res.records]
-        if args.format == "json":
-            _emit([json.dumps(rec.to_json(), sort_keys=True) for rec in res.records], None)
-        else:
-            _emit(rows, None)
+        as_json = args.format == "json"
+        if not as_json:
+            sys.stdout.write(CSV_HEADER + "\n")
+        for csv_text, jsonl_text in res.texts(csv=not as_json, jsonl=as_json):
+            sys.stdout.write(jsonl_text if as_json else csv_text)
     if args.format == "human":
         K = res.max_implied_constant
-        print(f"{label}: {len(res.records)} records, max implied constant {K!r}", file=sys.stderr)
+        print(f"{label}: {res.n_records} records, max implied constant {K!r}", file=sys.stderr)
         if res.skipped:
             print(f"skipped combos: {res.skipped}", file=sys.stderr)
     if any(reason == "budget" for _, reason in res.skipped):

@@ -8,7 +8,15 @@ against the scale n q^(-r/2) q^d, whose observed multiplier (the "implied
 constant") is the scientifically interesting output.  Runs are deterministic
 given the config (including the sampling seed), persist rows to CSV with a
 fixed header plus a JSON-lines mirror carrying the raw sums, and checkpoint
-completed combos so an interrupted run resumes to byte-identical outputs.
+completed combos.
+
+Each combo's selected characters are kept as numpy columns (`ComboBlock`)
+and formatted as one CSV block and one JSONL block, each appended with a
+single write, before the combo's key is appended to the checkpoint.  A run
+killed at any point therefore leaves every checkpointed combo complete in
+both files, followed by at most one partial combo.  `--resume` cuts the
+checkpoint back to its last complete key and both files back to the rows of
+checkpointed combos, so the resumed run ends with byte-identical files.
 
 All heavy number crunching reduces to integer dlog histograms (worker count
 cannot change them) followed by DFTs, so worker counts never change any
@@ -23,7 +31,7 @@ import os
 import random
 import sys
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -37,6 +45,7 @@ __all__ = [
     "CSV_HEADER",
     "ExperimentConfig",
     "ComparisonRecord",
+    "ComboBlock",
     "GridRunResult",
     "run_main_theorem_grid",
     "run_corollary_grid",
@@ -93,55 +102,180 @@ class ComparisonRecord:
     a_sum: complex = 0j  # raw short sum A(d, chi)
     s_sum: complex = 0j  # raw smooth sum
 
-    def csv_row(self) -> str:
-        return ",".join(
-            [
-                str(self.q),
-                str(self.n),
-                self.Q,
-                self.chi,
-                str(self.d),
-                str(self.r),
-                repr(self.lhs),
-                repr(self.bound_core),
-                repr(self.implied_constant),
-                repr(self.short_norm),
-                repr(self.eps),
-                self.flags,
-            ]
-        )
 
-    def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "n": self.n,
-            "Q": self.Q,
-            "chi": self.chi,
-            "d": self.d,
-            "r": self.r,
-            "lhs": self.lhs,
-            "bound_core": self.bound_core,
-            "implied_constant": self.implied_constant,
-            "short_norm": self.short_norm,
-            "eps": self.eps,
-            "flags": self.flags,
-            "a_re": self.a_sum.real,
-            "a_im": self.a_sum.imag,
-            "s_re": self.s_sum.real,
-            "s_im": self.s_sum.imag,
-        }
+# JSON spells the non-finite floats differently from repr
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_texts(col: np.ndarray) -> tuple[list[str], list[str]]:
+    """repr of every value of a float column, and the same text as JSON spells it."""
+    texts = list(map(repr, col.tolist()))
+    if np.isfinite(col).all():
+        return texts, texts
+    return texts, [_JSON_NONFINITE.get(t, t) for t in texts]
+
+
+class _TextMemo:
+    """Float-column texts keyed by the column's bytes, kept for one block.
+
+    Consecutive blocks often repeat a column bit for bit: A(d, chi), and so
+    the short norms, are the same for every r of one d, and on the diagonal
+    r = d the smooth sums equal them.  Each such column is formatted once.
+    """
+
+    def __init__(self):
+        self.prev: dict[bytes, tuple[list[str], list[str]]] = {}
+        self.cur: dict[bytes, tuple[list[str], list[str]]] = {}
+
+    def next_block(self):
+        self.prev, self.cur = self.cur, {}
+
+    def __call__(self, col: np.ndarray) -> tuple[list[str], list[str]]:
+        key = col.tobytes()
+        hit = self.cur.get(key) or self.prev.get(key)
+        if hit is None:
+            hit = _float_texts(col)
+        self.cur[key] = hit
+        return hit
+
+
+@dataclass
+class ComboBlock:
+    """The records of one (q, n, d, r) combo, one numpy column per field.
+
+    Row i is the comparison for character chi[chi[i]]: raw sums a[i] (short)
+    and s[i] (smooth), lhs[i] = |a[i] - s[i]| and short[i] = |a[i]| / q^d.
+    Q and Q_json are the modulus text and its JSON spelling, computed once
+    per modulus.
+    """
+
+    q: int
+    n: int
+    Q: str
+    Q_json: str
+    d: int
+    r: int
+    flags: str  # "" or "out_of_range", shared by every row
+    corollary: bool  # rows whose short norm exceeds eps get "exceeds_eps"
+    bound_core: float
+    eps: float
+    chi: np.ndarray
+    a: np.ndarray
+    s: np.ndarray
+    lhs: np.ndarray
+    short: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.chi)
+
+    @property
+    def implied(self) -> np.ndarray:
+        return self.lhs / self.bound_core
+
+    def row_flags(self) -> list[str]:
+        if not self.corollary:
+            return [self.flags] * len(self)
+        exceeds = (self.flags + ";" if self.flags else "") + "exceeds_eps"
+        return [exceeds if x else self.flags for x in (self.short > self.eps).tolist()]
+
+    def texts(self, csv: bool = True, jsonl: bool = True, memo: Optional[_TextMemo] = None) -> tuple[str, str]:
+        """The block's CSV rows and JSONL lines ("" for a format not asked for).
+
+        Each per-row float is formatted once and shared by both texts; pass
+        the previous block's memo to reuse the columns the two share.  JSONL
+        keys follow the sorted order of json.dumps(..., sort_keys=True).
+        """
+        texts_of = memo if memo is not None else _TextMemo()
+        texts_of.next_block()
+        chis = [f"chi[{k}]" for k in self.chi.tolist()]
+        flags = self.row_flags()
+        lhs, lhs_j = texts_of(self.lhs)
+        ic, ic_j = texts_of(self.implied)
+        sn, sn_j = texts_of(self.short)
+        csv_text = jsonl_text = ""
+        if csv:
+            head = f"{self.q},{self.n},{self.Q},"
+            mid = f",{self.d},{self.r},"
+            bc, ep = repr(self.bound_core), repr(self.eps)
+            csv_text = "".join(
+                [f"{head}{c}{mid}{x},{bc},{i},{s},{ep},{f}\n" for c, x, i, s, f in zip(chis, lhs, ic, sn, flags)]
+            )
+        if jsonl:
+            a_im, a_re, s_im, s_re = (texts_of(col)[1] for col in (self.a.imag, self.a.real, self.s.imag, self.s.real))
+            flag_json = {f: json.dumps(f) for f in set(flags)}
+            head = f'{{"Q": {self.Q_json}, "a_im": '
+            mid = f', "bound_core": {json.dumps(self.bound_core)}, "chi": "'
+            tail = f'", "d": {self.d}, "eps": {json.dumps(self.eps)}, "flags": '
+            nqr = f', "n": {self.n}, "q": {self.q}, "r": {self.r}, "s_im": '
+            jsonl_text = "".join(
+                [
+                    f'{head}{ai}, "a_re": {ar}{mid}{c}{tail}{flag_json[f]}, "implied_constant": {i}, '
+                    f'"lhs": {x}{nqr}{si}, "s_re": {sr}, "short_norm": {s}}}\n'
+                    for ai, ar, c, f, i, x, si, sr, s in zip(a_im, a_re, chis, flags, ic_j, lhs_j, s_im, s_re, sn_j)
+                ]
+            )
+        return csv_text, jsonl_text
+
+    def records(self) -> list[ComparisonRecord]:
+        return [
+            ComparisonRecord(
+                q=self.q,
+                n=self.n,
+                Q=self.Q,
+                chi=f"chi[{k}]",
+                d=self.d,
+                r=self.r,
+                lhs=x,
+                bound_core=self.bound_core,
+                implied_constant=i,
+                short_norm=s,
+                eps=self.eps,
+                flags=f,
+                a_sum=a,
+                s_sum=sm,
+            )
+            for k, x, i, s, f, a, sm in zip(
+                self.chi.tolist(),
+                self.lhs.tolist(),
+                self.implied.tolist(),
+                self.short.tolist(),
+                self.row_flags(),
+                self.a.tolist(),
+                self.s.tolist(),
+            )
+        ]
 
 
 @dataclass
 class GridRunResult:
-    records: list[ComparisonRecord] = field(default_factory=list)
+    blocks: list[ComboBlock] = field(default_factory=list)
     skipped: list[tuple[str, str]] = field(default_factory=list)
     resumed: list[str] = field(default_factory=list)
 
     @property
+    def records(self) -> list[ComparisonRecord]:
+        """Every record of the run, built from the kept columns on each access."""
+        return [rec for block in self.blocks for rec in block.records()]
+
+    def texts(self, csv: bool = True, jsonl: bool = True) -> Iterator[tuple[str, str]]:
+        """Each block's CSV and JSONL text, in run order."""
+        memo = _TextMemo()
+        for block in self.blocks:
+            yield block.texts(csv, jsonl, memo)
+
+    @property
+    def n_records(self) -> int:
+        return sum(len(block) for block in self.blocks)
+
+    @property
     def max_implied_constant(self) -> float:
-        vals = [r.implied_constant for r in self.records if math.isfinite(r.implied_constant)]
-        return max(vals, default=0.0)
+        maxima = []
+        for block in self.blocks:
+            ic = block.implied
+            ic = ic[np.isfinite(ic)]
+            if ic.size:
+                maxima.append(float(ic.max()))
+        return max(maxima, default=0.0)
 
 
 def _combo_key(q: int, n: int, d: int, r: int) -> str:
@@ -153,45 +287,90 @@ def _combo_flags(q: int, n: int, d: int, r: int) -> str:
     return "" if in_range else "out_of_range"
 
 
+def _csv_row_key(line: str) -> str:
+    # Q holds no comma, so the nine fields after it split off from the right
+    head, _chi, d, r = line.rsplit(",", 9)[:4]
+    q, n = head.split(",", 2)[:2]
+    return _combo_key(int(q), int(n), int(d), int(r))
+
+
+def _jsonl_row_key(line: str) -> str:
+    row = json.loads(line)
+    return _combo_key(row["q"], row["n"], row["d"], row["r"])
+
+
+def _append(path: str, text: str) -> None:
+    with open(path, "a") as fh:
+        fh.write(text)
+
+
+def _cut_checkpoint(path: str) -> set[str]:
+    """Drop a torn last key from the checkpoint; return the complete keys."""
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        data = data[: data.rfind(b"\n") + 1]
+        fh.truncate(len(data))
+    return {line.strip() for line in data.decode().splitlines() if line.strip()}
+
+
+def _cut_to_done(path: str, start: int, done: set[str], row_key: Callable[[str], str]) -> None:
+    """Keep the longest run of complete rows after byte `start` whose combo is done."""
+    keep = start
+    with open(path, "rb+") as fh:
+        fh.seek(start)
+        for line in fh:
+            if not line.endswith(b"\n"):
+                break
+            try:
+                if row_key(line.decode()) not in done:
+                    break
+            except (ValueError, KeyError, TypeError):
+                break
+            keep += len(line)
+        fh.truncate(keep)
+
+
 class _Sink:
-    """Row persistence: CSV + JSONL appended per combo, checkpoint after."""
+    """Row persistence: per combo, one CSV block, one JSONL block, then its checkpoint key."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
+        self.memo = _TextMemo()
         self.done: set[str] = set()
         if cfg.resume and cfg.checkpoint and os.path.exists(cfg.checkpoint):
-            with open(cfg.checkpoint) as fh:
-                self.done = {line.strip() for line in fh if line.strip()}
-        fresh = not (cfg.resume and self.done)
+            self.done = _cut_checkpoint(cfg.checkpoint)
+        fresh = not self.done
         if cfg.out_csv:
             if fresh or not os.path.exists(cfg.out_csv):
                 with open(cfg.out_csv, "w") as fh:
                     fh.write(CSV_HEADER + "\n")
             else:
                 with open(cfg.out_csv) as fh:
-                    head = fh.readline().rstrip("\n")
-                if head != CSV_HEADER:
+                    head = fh.readline()
+                if head.rstrip("\n") != CSV_HEADER:
                     raise ValueError(f"existing CSV {cfg.out_csv} has a different header")
-        if cfg.out_json and fresh:
-            open(cfg.out_json, "w").close()
+                _cut_to_done(cfg.out_csv, len(head.encode()), self.done, _csv_row_key)
+        if cfg.out_json:
+            if fresh:
+                open(cfg.out_json, "w").close()
+            elif os.path.exists(cfg.out_json):
+                _cut_to_done(cfg.out_json, 0, self.done, _jsonl_row_key)
         if cfg.checkpoint and fresh:
             open(cfg.checkpoint, "w").close()
 
     def combo_done(self, key: str) -> bool:
         return key in self.done
 
-    def write_combo(self, key: str, records: list[ComparisonRecord]):
-        if self.cfg.out_csv:
-            with open(self.cfg.out_csv, "a") as fh:
-                for rec in records:
-                    fh.write(rec.csv_row() + "\n")
-        if self.cfg.out_json:
-            with open(self.cfg.out_json, "a") as fh:
-                for rec in records:
-                    fh.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
-        if self.cfg.checkpoint:
-            with open(self.cfg.checkpoint, "a") as fh:
-                fh.write(key + "\n")
+    def write_combo(self, key: str, block: ComboBlock):
+        cfg = self.cfg
+        if cfg.out_csv or cfg.out_json:
+            csv_text, jsonl_text = block.texts(bool(cfg.out_csv), bool(cfg.out_json), self.memo)
+            if cfg.out_csv:
+                _append(cfg.out_csv, csv_text)
+            if cfg.out_json:
+                _append(cfg.out_json, jsonl_text)
+        if cfg.checkpoint:
+            _append(cfg.checkpoint, key + "\n")
         self.done.add(key)
 
 
@@ -217,9 +396,11 @@ def _grid_run(cfg: ExperimentConfig, corollary: bool) -> GridRunResult:
     sink = _Sink(cfg)
     result = GridRunResult()
     for q in cfg.qs:
+        field_ = Field.of_order(q)
         for n in cfg.ns:
-            field_ = Field.of_order(q)
             modulus = Modulus.irreducible(field_, n)
+            Q = str(modulus.poly)
+            Q_json = json.dumps(Q)
             order = q**n - 1
             for d in cfg.ds:
                 for r in cfg.rs:
@@ -244,46 +425,35 @@ def _grid_run(cfg: ExperimentConfig, corollary: bool) -> GridRunResult:
                         continue
                     a_sums = all_char_sums_Ad(modulus, d, cfg.workers)
                     s_sums = all_smooth_char_sums(modulus, d, r)
-                    eps = epsilon_bound(q, d, r, n).value
-                    bound_core = n * q ** (-r / 2.0) * float(q**d)
-                    lhs_all = np.abs(a_sums - s_sums)
-                    short_all = np.abs(a_sums) / float(q**d)
-                    ranking = short_all if corollary else lhs_all
+                    # np.hypot, not np.abs: it matches Python's abs(complex) to
+                    # the last digit, so lhs is reproducible from the raw sums
+                    diff = a_sums - s_sums
+                    lhs_all = np.hypot(diff.real, diff.imag)
+                    short_all = np.hypot(a_sums.real, a_sums.imag) / float(q**d)
                     if corollary:
                         k_sel = [int(np.argmax(short_all[1:])) + 1]
                     else:
-                        k_sel = _select_indices(cfg, order, key, ranking)
-                    combo_records = []
-                    for k in k_sel:
-                        a_k = complex(a_sums[k])
-                        s_k = complex(s_sums[k])
-                        # plain-Python abs so persisted lhs is reproducible
-                        # from the persisted raw sums to the last digit
-                        lhs = abs(a_k - s_k)
-                        short = abs(a_k) / float(q**d)
-                        rec_flags = flags
-                        if corollary and short > eps:
-                            rec_flags = (rec_flags + ";" if rec_flags else "") + "exceeds_eps"
-                        combo_records.append(
-                            ComparisonRecord(
-                                q=q,
-                                n=n,
-                                Q=str(modulus.poly),
-                                chi=f"chi[{k}]",
-                                d=d,
-                                r=r,
-                                lhs=lhs,
-                                bound_core=bound_core,
-                                implied_constant=lhs / bound_core,
-                                short_norm=short,
-                                eps=eps,
-                                flags=rec_flags,
-                                a_sum=a_k,
-                                s_sum=s_k,
-                            )
-                        )
-                    sink.write_combo(key, combo_records)
-                    result.records.extend(combo_records)
+                        k_sel = _select_indices(cfg, order, key, lhs_all)
+                    sel = np.array(k_sel, dtype=np.int64)
+                    block = ComboBlock(
+                        q=q,
+                        n=n,
+                        Q=Q,
+                        Q_json=Q_json,
+                        d=d,
+                        r=r,
+                        flags=flags,
+                        corollary=corollary,
+                        bound_core=n * q ** (-r / 2.0) * float(q**d),
+                        eps=epsilon_bound(q, d, r, n).value,
+                        chi=sel,
+                        a=a_sums[sel],
+                        s=s_sums[sel],
+                        lhs=lhs_all[sel],
+                        short=short_all[sel],
+                    )
+                    sink.write_combo(key, block)
+                    result.blocks.append(block)
     return result
 
 

@@ -19,9 +19,10 @@ The Dickman function rho solves u rho(u) = int_{u-1}^u rho with rho = 1 on
 integrating rho(t-1)/t panel by panel.  The march is performed in mpmath
 working precision sized to u_max: each panel end multiplies relative error
 by roughly rho(m)/rho(m+1), so a double-precision march is garbage long
-before u = 30 (verified: negative values by u = 20).  Only the finished
-panel coefficients are stored, as doubles, which keeps evaluation cheap and
-accurate to ~1e-14 relative.
+before u = 30 (verified: negative values by u = 20).  Evaluation reads the
+finished panel coefficients as doubles, which keeps it cheap and accurate to
+~1e-14 relative.  Panels are marched on demand, only up to the one the
+largest requested u needs.
 """
 
 from __future__ import annotations
@@ -233,8 +234,81 @@ def all_smooth_char_sums(modulus: Modulus, d: int, r: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+class _PanelMarch:
+    """The mpmath march of rho's Chebyshev panels, advanced one panel at a time.
+
+    Every step runs at the working precision fixed by u_max, so marching k
+    panels gives the first k panels of a full march to u_max exactly.
+    """
+
+    def __init__(self, u_max: int, N: int):
+        # precision sized to the total decay: log10(1/rho(u_max)) ~ u log10 u
+        self.dps = max(50, 40 + int(1.7 * u_max * math.log10(max(u_max, 2))))
+        self.N = N
+        self.panels: list[list] = []  # mpmath coefficients of the panels marched so far
+        with mpmath.workdps(self.dps):
+            self.xs = [mpmath.cos(mpmath.pi * j / N) for j in range(N + 1)]
+            self.cosjk = [[mpmath.cos(mpmath.pi * j * k / N) for j in range(N + 1)] for k in range(N + 1)]
+
+    def _vals_to_coeffs(self, v):
+        N, one = self.N, mpmath.mpf(1)
+        c = []
+        for k in range(N + 1):
+            s = mpmath.mpf(0)
+            for j in range(N + 1):
+                w = one / 2 if j in (0, N) else one
+                s += w * v[j] * self.cosjk[k][j]
+            c.append(2 * s / N)
+        c[0] /= 2
+        c[N] /= 2
+        return c
+
+    @staticmethod
+    def _clenshaw(c, x):
+        b1 = b2 = mpmath.mpf(0)
+        for ck in reversed(c[1:]):
+            b1, b2 = 2 * x * b1 - b2 + ck, b1
+        return x * b1 - b2 + c[0]
+
+    def advance(self) -> np.ndarray:
+        """March the next panel; return its N + 2 coefficients as doubles."""
+        N = self.N
+        with mpmath.workdps(self.dps):
+            one = mpmath.mpf(1)
+            m = len(self.panels)
+            if m == 0:
+                cur = [one] + [mpmath.mpf(0)] * N  # rho = 1 on [0, 1]
+            else:
+                prev = self.panels[m - 1]
+                gv = []
+                for x in self.xs:
+                    t = m + (x + one) / 2
+                    gv.append(self._clenshaw(prev, 2 * (t - m) - 1) / t)  # rho(t-1) in [m-1, m] local coords
+                gc = self._vals_to_coeffs(gv)
+                anti = [mpmath.mpf(0)] * (N + 2)
+                anti[1] = (2 * gc[0] - gc[2]) / 2
+                for k in range(2, N + 1):
+                    anti[k] = (gc[k - 1] - (gc[k + 1] if k + 1 <= N else 0)) / (2 * k)
+                anti[N + 1] = gc[N] / (2 * (N + 1))
+                anti = [a / 2 for a in anti]  # dt = dx/2 on a unit panel
+                rho_m = self._clenshaw(prev, one)
+                g_left = self._clenshaw(anti, -one)
+                cur = [-a for a in anti]
+                cur[0] += rho_m + g_left
+            self.panels.append(cur)
+            out = np.zeros(N + 2, dtype=np.float64)
+            for k, ck in enumerate(cur):
+                out[k] = float(ck)
+        return out
+
+
 class DickmanTable:
-    """Unit panels of Chebyshev coefficients for rho on [0, u_max]."""
+    """Unit panels of Chebyshev coefficients for rho on [0, u_max].
+
+    Panels are marched on demand: rho(u) marches only up to panel floor(u),
+    at the precision u_max sets, so the table never marches panels no
+    caller has asked for.
+    """
 
     panel_length = 1.0
 
@@ -243,59 +317,26 @@ class DickmanTable:
             raise ValueError("u_max must be >= 1")
         self.u_max = int(u_max)
         self.degree = int(degree)
-        self.coeffs = self._march(self.u_max, self.degree)
+        self._march_state = _PanelMarch(self.u_max, self.degree)
+        self._panels: list[np.ndarray] = []
 
     @staticmethod
     def _march(u_max: int, N: int) -> np.ndarray:
-        # precision sized to the total decay: log10(1/rho(u_max)) ~ u log10 u
-        dps = max(50, 40 + int(1.7 * u_max * math.log10(max(u_max, 2))))
-        with mpmath.workdps(dps):
-            one = mpmath.mpf(1)
-            xs = [mpmath.cos(mpmath.pi * j / N) for j in range(N + 1)]
-            cosjk = [[mpmath.cos(mpmath.pi * j * k / N) for j in range(N + 1)] for k in range(N + 1)]
+        """All u_max panels at once, shape (u_max, N + 2)."""
+        march = _PanelMarch(u_max, N)
+        return np.array([march.advance() for _ in range(u_max)])
 
-            def vals_to_coeffs(v):
-                c = []
-                for k in range(N + 1):
-                    s = mpmath.mpf(0)
-                    for j in range(N + 1):
-                        w = one / 2 if j in (0, N) else one
-                        s += w * v[j] * cosjk[k][j]
-                    c.append(2 * s / N)
-                c[0] /= 2
-                c[N] /= 2
-                return c
+    def panel(self, m: int) -> np.ndarray:
+        """Coefficients of panel m (rho on [m, m + 1]), marching up to it if needed."""
+        if not 0 <= m < self.u_max:
+            raise ValueError(f"panel {m} outside the table range {self.u_max}")
+        while len(self._panels) <= m:
+            self._panels.append(self._march_state.advance())
+        return self._panels[m]
 
-            def clenshaw(c, x):
-                b1 = b2 = mpmath.mpf(0)
-                for ck in reversed(c[1:]):
-                    b1, b2 = 2 * x * b1 - b2 + ck, b1
-                return x * b1 - b2 + c[0]
-
-            panels = [[one] + [mpmath.mpf(0)] * N]  # rho = 1 on [0, 1]
-            for m in range(1, u_max):
-                prev = panels[m - 1]
-                gv = []
-                for x in xs:
-                    t = m + (x + one) / 2
-                    gv.append(clenshaw(prev, 2 * (t - m) - 1) / t)  # rho(t-1) in [m-1, m] local coords
-                gc = vals_to_coeffs(gv)
-                anti = [mpmath.mpf(0)] * (N + 2)
-                anti[1] = (2 * gc[0] - gc[2]) / 2
-                for k in range(2, N + 1):
-                    anti[k] = (gc[k - 1] - (gc[k + 1] if k + 1 <= N else 0)) / (2 * k)
-                anti[N + 1] = gc[N] / (2 * (N + 1))
-                anti = [a / 2 for a in anti]  # dt = dx/2 on a unit panel
-                rho_m = clenshaw(prev, one)
-                g_left = clenshaw(anti, -one)
-                cur = [-a for a in anti]
-                cur[0] += rho_m + g_left
-                panels.append(cur)
-            out = np.zeros((u_max, N + 2), dtype=np.float64)
-            for m, c in enumerate(panels):
-                for k, ck in enumerate(c):
-                    out[m, k] = float(ck)
-        return out
+    @property
+    def panels_marched(self) -> int:
+        return len(self._panels)
 
     def rho(self, u: float) -> float:
         if u < 0:
@@ -306,7 +347,7 @@ class DickmanTable:
             return 1.0
         m = min(int(math.floor(u)), self.u_max - 1)
         x = 2.0 * (u - m) - 1.0
-        return float(np.polynomial.chebyshev.chebval(x, self.coeffs[m]))
+        return float(np.polynomial.chebyshev.chebval(x, self.panel(m)))
 
     def rho_many(self, us) -> np.ndarray:
         return np.array([self.rho(float(u)) for u in np.atleast_1d(us)])

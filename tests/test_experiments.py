@@ -1,15 +1,20 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
-from ffchar.algebra import Field
+from ffchar import experiments
+from ffchar.algebra import Field, Poly
 from ffchar.characters import (
     character_by_index,
     character_sum_Ad,
     principal_character,
 )
+from ffchar.cli import main
 from ffchar.experiments import (
     CSV_HEADER,
+    ComboBlock,
     ExperimentConfig,
     run_corollary_grid,
     run_main_theorem_grid,
@@ -20,6 +25,42 @@ from ffchar.residue import Modulus
 from ffchar.smooth import smooth_char_sum, smooth_count
 
 F2 = Field.get(2)
+
+
+# -- per-record oracle for the block formatter --------------------------------
+
+
+def csv_row(rec) -> str:
+    fields = [rec.q, rec.n, rec.Q, rec.chi, rec.d, rec.r]
+    floats = [rec.lhs, rec.bound_core, rec.implied_constant, rec.short_norm, rec.eps]
+    return ",".join([str(x) for x in fields] + [repr(x) for x in floats] + [rec.flags])
+
+
+def json_line(rec) -> str:
+    doc = {
+        "q": rec.q,
+        "n": rec.n,
+        "Q": rec.Q,
+        "chi": rec.chi,
+        "d": rec.d,
+        "r": rec.r,
+        "lhs": rec.lhs,
+        "bound_core": rec.bound_core,
+        "implied_constant": rec.implied_constant,
+        "short_norm": rec.short_norm,
+        "eps": rec.eps,
+        "flags": rec.flags,
+        "a_re": rec.a_sum.real,
+        "a_im": rec.a_sum.imag,
+        "s_re": rec.s_sum.real,
+        "s_im": rec.s_sum.imag,
+    }
+    return json.dumps(doc, sort_keys=True)
+
+
+def oracle_texts(block) -> tuple[str, str]:
+    recs = block.records()
+    return "".join(csv_row(r) + "\n" for r in recs), "".join(json_line(r) + "\n" for r in recs)
 
 
 def small_cfg(tmp_path=None, **kw):
@@ -189,3 +230,157 @@ def test_config_validation():
         ExperimentConfig(qs=(), ns=(5,), ds=(3,), rs=(2,)).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(qs=(2,), ns=(5,), ds=(3,), rs=(2,), char_policy="bogus").validate()
+
+
+# -- columnar persistence -------------------------------------------------------
+
+
+def test_persisted_norms_are_python_abs_of_raw_sums(tmp_path):
+    res = run_main_theorem_grid(small_cfg(tmp_path))
+    for rec in res.records:
+        assert rec.lhs == abs(rec.a_sum - rec.s_sum)
+        assert rec.short_norm == abs(rec.a_sum) / 2**rec.d
+        assert rec.implied_constant == rec.lhs / rec.bound_core
+
+
+@pytest.mark.parametrize("runner", [run_main_theorem_grid, run_corollary_grid])
+def test_block_texts_match_per_record_oracle(tmp_path, runner):
+    res = runner(small_cfg(tmp_path, ns=(5, 6)))
+    assert res.blocks
+    for block in res.blocks:
+        assert block.texts() == oracle_texts(block)
+    csv_want = CSV_HEADER + "\n" + "".join(oracle_texts(b)[0] for b in res.blocks)
+    assert (tmp_path / "grid.csv").read_text() == csv_want
+    assert (tmp_path / "grid.jsonl").read_text() == "".join(oracle_texts(b)[1] for b in res.blocks)
+
+
+@pytest.mark.parametrize(
+    "bound_core, eps", [(3.0, 0.5), (math.inf, math.nan), (1e22, -0.0), (5e-324, math.inf)]
+)
+def test_block_texts_special_floats(bound_core, eps):
+    vals = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e22, 0.1, 2.5, 0.0])
+    a = np.empty(vals.size, dtype=np.complex128)
+    a.real, a.imag = vals, vals[::-1]
+    Q = "t^5+t^2+1"
+    for corollary in (False, True):
+        for flags in ("", "out_of_range"):
+            block = ComboBlock(
+                q=2,
+                n=5,
+                Q=Q,
+                Q_json=json.dumps(Q),
+                d=4,
+                r=3,
+                flags=flags,
+                corollary=corollary,
+                bound_core=bound_core,
+                eps=eps,
+                chi=np.arange(1, 10),
+                a=a,
+                s=np.conj(a[::-1]),
+                lhs=vals,
+                short=vals[::-1].copy(),
+            )
+            with np.errstate(all="ignore"):
+                assert block.texts() == oracle_texts(block)
+                assert block.texts(csv=False) == ("", oracle_texts(block)[1])
+                assert block.texts(jsonl=False) == (oracle_texts(block)[0], "")
+
+
+@pytest.mark.parametrize("cmd", ["main-thm", "corollary"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stdout_matches_out_file(tmp_path, capsys, cmd, fmt):
+    argv = [cmd, "--q", "2", "--n-list", "5,6", "--d", "3..5", "--r", "2..5", "--format", fmt]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "g.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    persisted = out if fmt == "csv" else tmp_path / "g.csv.jsonl"
+    assert stdout == persisted.read_text()
+
+
+def test_modulus_text_formatted_once_per_modulus(tmp_path, monkeypatch):
+    calls = []
+    real = Poly.__str__
+
+    def counting_str(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Poly, "__str__", counting_str)
+    # n > r throughout: Q is never in the smooth factor basis, whose non-unit
+    # check would format it for its error message
+    res = run_main_theorem_grid(small_cfg(tmp_path, ns=(6, 7)))
+    assert res.n_records > 100
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("policy", ["worst-case", "corollary"])
+def test_selection_ranks_on_persisted_values(policy):
+    cfg = small_cfg(None, qs=(3,), ns=(4,), ds=(2, 3, 4, 5), rs=(1, 2, 3))
+    every = run_main_theorem_grid(cfg)
+    if policy == "corollary":
+        chosen = run_corollary_grid(cfg)
+        column = "short"
+    else:
+        cfg.char_policy = "worst-case"
+        chosen = run_main_theorem_grid(cfg)
+        column = "lhs"
+    assert len(chosen.blocks) == len(every.blocks)
+    for pick, full in zip(chosen.blocks, every.blocks):
+        values = getattr(full, column)
+        # the chosen character is the first argmax of the persisted column
+        assert pick.chi.tolist() == [full.chi[int(np.argmax(values))]]
+        assert getattr(pick, column)[0] == values.max()
+
+
+class _Killed(Exception):
+    pass
+
+
+def _run_killed_at(cfg, monkeypatch, writes: int, half: bool):
+    """Run the grid, dying before write number `writes` (after half of it if `half`)."""
+    real = experiments._append
+    done = []
+
+    def append(path, text):
+        if len(done) == writes:
+            if half:
+                real(path, text[: len(text) // 2])
+            raise _Killed
+        done.append(path)
+        real(path, text)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(experiments, "_append", append)
+        with pytest.raises(_Killed):
+            run_main_theorem_grid(cfg)
+
+
+def test_resume_after_kill_at_every_write_point(tmp_path, monkeypatch):
+    full_dir = tmp_path / "full"
+    full_dir.mkdir()
+    res = run_main_theorem_grid(small_cfg(full_dir))
+    n_writes = 3 * len(res.blocks)
+    want = {name: (full_dir / name).read_bytes() for name in ("grid.csv", "grid.jsonl", "grid.ckpt")}
+    for writes in range(n_writes):
+        for half in (False, True):
+            run_dir = tmp_path / f"kill{writes}{'h' if half else ''}"
+            run_dir.mkdir()
+            _run_killed_at(small_cfg(run_dir), monkeypatch, writes, half)
+            resumed = run_main_theorem_grid(small_cfg(run_dir, resume=True))
+            assert len(resumed.resumed) == writes // 3
+            for name, data in want.items():
+                assert (run_dir / name).read_bytes() == data, (writes, half, name)
+
+
+def test_resume_cuts_rows_of_unfinished_combo(tmp_path, monkeypatch):
+    # killed after the second combo's CSV and JSONL blocks, before its key
+    _run_killed_at(small_cfg(tmp_path), monkeypatch, writes=5, half=False)
+    csv_lines = (tmp_path / "grid.csv").read_text().splitlines()
+    assert len(csv_lines) == 1 + 2 * 30  # 30 non-principal characters mod a degree-5 Q
+    experiments._Sink(small_cfg(tmp_path, resume=True))
+    assert (tmp_path / "grid.ckpt").read_text() == "q=2;n=5;d=3;r=2\n"
+    assert (tmp_path / "grid.csv").read_text().splitlines() == csv_lines[: 1 + 30]
+    assert len((tmp_path / "grid.jsonl").read_text().splitlines()) == 30

@@ -13,6 +13,7 @@ from ffchar.characters import (
 )
 from ffchar.residue import Modulus
 from ffchar.smooth import (
+    DickmanTable,
     SmoothCountTable,
     all_smooth_char_sums,
     default_dickman_table,
@@ -237,6 +238,21 @@ def test_rho_upper_bound_exp():
 def test_rho_rejects_negative():
     with pytest.raises(ValueError):
         dickman_rho(-0.5)
+
+
+def test_lazy_panels_equal_full_march():
+    full = DickmanTable._march(30, 16)
+    tab = DickmanTable(u_max=30)
+    assert tab.panels_marched == 0
+    assert tab.rho(2.5) > 0
+    assert tab.panels_marched == 3  # rho on [2, 3] needs panels 0, 1, 2 only
+    for u in (10.0, 16.7, 0.5, 29.99):
+        tab.rho(u)
+    assert tab.panels_marched == 30
+    for m in range(30):
+        assert np.array_equal(tab.panel(m), full[m])
+    with pytest.raises(ValueError):
+        tab.panel(30)
 
 
 def test_rho_extends_beyond_default():
