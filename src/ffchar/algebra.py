@@ -561,10 +561,7 @@ class Poly:
         return self._wrap(tuple(self.field.mul(c, inv) for c in self.coeffs))
 
     def derivative(self) -> "Poly":
-        F = self.field
-        out = [F.mul(c, i % F.p) for i, c in enumerate(self.coeffs) if i >= 1]
-        # i mod p is an F_p scalar; scalar codes 0..p-1 embed as field codes
-        return self._wrap(_trim(out))
+        return self._wrap(_derivative(self.field, self.coeffs))
 
     def evaluate(self, x: int) -> int:
         """Evaluate at the field element with code x (Horner)."""
@@ -838,6 +835,7 @@ def _factor_monic(F: Field, m: tuple[int, ...]) -> dict[tuple[int, ...], int]:
 
 
 def _derivative(F: Field, g):
+    # i mod p is an F_p scalar; scalar codes 0..p-1 embed as field codes
     out = [F.mul(c, i % F.p) for i, c in enumerate(g) if i >= 1]
     return _trim(out)
 
@@ -893,7 +891,7 @@ def _equal_degree_split(F: Field, g, k: int) -> list[tuple[int, ...]]:
             continue
         split = None
         for cand_code in itertools.count(q):  # degree >= 1 candidates
-            c = _decode_any(F, cand_code)
+            c = Poly.from_code(F, cand_code).coeffs
             if F.p == 2:
                 tr = _trace_map(F, c, m, k)
             else:
@@ -907,15 +905,6 @@ def _equal_degree_split(F: Field, g, k: int) -> list[tuple[int, ...]]:
         parts.append(split)
         parts.append(quo)
     return done
-
-
-def _decode_any(F: Field, code: int) -> tuple[int, ...]:
-    q = F.q
-    out = []
-    while code:
-        out.append(code % q)
-        code //= q
-    return tuple(out)
 
 
 def _trace_map(F: Field, c, m, k: int):

@@ -7,16 +7,18 @@ point enters only when a finished phase histogram is rendered to a complex
 number, so accumulated sums carry a provable error bound (emitted alongside
 each sum) instead of silent drift.
 
-Two evaluation routes coexist and are cross-checked in the tests:
+Every sum starts from one integer histogram over flat dlog indices,
+`dlog_histogram`: for all of A_d, or for its r-smooth slice, which keeps
+only the polynomials whose largest irreducible factor has degree <= r (read
+off the factor-degree profile of `vecpoly`).  Parallel workers merge chunk
+histograms by plain integer addition, so results are bit-identical for any
+worker count.  A histogram is then evaluated in one of two ways, which the
+tests cross-check:
 
-* per-character: exact phase histogram folded from the dlog histogram, then
+* one character: its exact phase counts, folded from the histogram, then
   a compensated (Kahan) rendering sum in a fixed order;
-* whole dual group at once (irreducible Q): the complex sums for every
-  character are the conjugate DFT of the integer dlog histogram.
-
-Both start from the same integer histograms, which parallel workers merge
-by plain integer addition, so results are bit-identical for any worker
-count.
+* the whole dual group at once (irreducible Q): the complex sums for every
+  character are the conjugate DFT of the histogram.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 
 from .algebra import Poly, enumerate_monic
 from .residue import Modulus, NotAUnitError
+from .vecpoly import max_degree_profile_cached
 
 __all__ = [
     "CharValue",
@@ -41,12 +44,16 @@ __all__ = [
     "characters_with_power_principal",
     "chi_eval",
     "character_sum_Ad",
+    "histogram_char_sum",
+    "dlog_histogram",
     "unit_dlog_histogram",
+    "flat_dlog_phases",
+    "render_phase_counts",
     "all_char_sums_Ad",
     "phase_to_complex",
 ]
 
-_COMPOSITE_HIST_LIMIT = 1 << 22
+_DENSE_HIST_LIMIT = 1 << 22  # largest unit-group order given a dense histogram
 
 _cos_sin_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -196,82 +203,85 @@ def chi_eval(chi: Character, f: Poly) -> CharValue:
 
 
 # ---------------------------------------------------------------------------
-# histograms over A_d
+# histograms over A_d and its r-smooth slices
 # ---------------------------------------------------------------------------
 
 
-def _flat_strides(orders: tuple[int, ...]) -> list[int]:
-    strides = [1] * len(orders)
-    for i in range(len(orders) - 2, -1, -1):
-        strides[i] = strides[i + 1] * max(orders[i + 1], 1)
-    return strides
+def _flat_dlogs(modulus: Modulus, d: int, start: int, stop: int) -> np.ndarray:
+    """Flat dlog of every f in the monic degree-d slice [start, stop); -1 for non-units."""
+    table = modulus.dlog_table
+    if modulus.is_irreducible and table.strategies[0] == "full-table":
+        return table.dlogs_of_monic_degree(d, start, stop)
+    return np.fromiter(
+        (table.flat_dlog(f) for f in enumerate_monic(modulus.field, d, start, stop)),
+        dtype=np.int64,
+        count=stop - start,
+    )
 
 
-def unit_dlog_histogram(modulus: Modulus, d: int, workers: int = 1) -> tuple[np.ndarray, int]:
-    """(histogram over flattened dlog indices, non-unit count) for f in A_d.
+def dlog_histogram(modulus: Modulus, d: int, r: Optional[int] = None, workers: int = 1) -> tuple[np.ndarray, int]:
+    """(histogram over flat dlog indices, non-unit count) for the r-smooth f in A_d.
 
-    The histogram has group_order entries; entry j counts the monic degree-d
-    polynomials whose reduction is the unit with flattened dlog j.  Cached
-    per (modulus, d); exact integers, so worker partitioning cannot change
+    r = None (or r >= d, where every f is r-smooth) takes all of A_d.  Entry
+    j of the histogram counts the polynomials whose reduction mod Q is the
+    unit with flat dlog j.  A_d is cut into chunks; each chunk's dlogs are
+    kept where the factor-degree profile is <= r and bincounted.  Cached per
+    (modulus, d, r); exact integers, so worker partitioning cannot change
     the result.
     """
-    key = ("hist", d)
+    if r is not None and r >= d:
+        r = None
+    key = ("hist", d, r)
     if key in modulus._hist_cache:
         return modulus._hist_cache[key]
-    units = modulus.unit_group
-    order = units.group_order
+    order = modulus.unit_group.group_order
+    if order > _DENSE_HIST_LIMIT:
+        raise ValueError(f"group order {order} too large for a dense histogram")
     total = modulus.field.q**d
-    if modulus.is_irreducible and modulus.dlog_table.strategies[0] == "full-table":
-        table = modulus.dlog_table
-        nchunks = max(1, min(workers * 4, total))
-        bounds = [total * i // nchunks for i in range(nchunks + 1)]
+    profile = None if r is None else max_degree_profile_cached(modulus.field, d)
+    nchunks = max(1, min(workers * 4, total))
+    bounds = [total * i // nchunks for i in range(nchunks + 1)]
 
-        def work(i):
-            vec = table.dlogs_of_monic_degree(d, bounds[i], bounds[i + 1])
-            nonunit = int((vec < 0).sum())
-            return np.bincount(vec[vec >= 0], minlength=order), nonunit
+    def work(i):
+        start, stop = bounds[i], bounds[i + 1]
+        vec = _flat_dlogs(modulus, d, start, stop)
+        if profile is not None:
+            vec = vec[profile[start:stop] <= r]
+        nonunit = int((vec < 0).sum())
+        return np.bincount(vec[vec >= 0], minlength=order), nonunit
 
-        if workers > 1 and nchunks > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(work, range(nchunks)))
-        else:
-            parts = [work(i) for i in range(nchunks)]
-        hist = np.zeros(order, dtype=np.int64)
-        nonunits = 0
-        for h, nu in parts:
-            hist += h
-            nonunits += nu
+    if workers > 1 and nchunks > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(work, range(nchunks)))
     else:
-        if order > _COMPOSITE_HIST_LIMIT:
-            raise ValueError(f"group order {order} too large for a dense histogram")
-        strides = _flat_strides(units.component_orders)
-        table = modulus.dlog_table
-        hist = np.zeros(order, dtype=np.int64)
-        nonunits = 0
-        for f in enumerate_monic(modulus.field, d):
-            try:
-                dl = table.dlog(f)
-            except NotAUnitError:
-                nonunits += 1
-                continue
-            if isinstance(dl, int):
-                dl = (dl,)
-            hist[sum(x * s for x, s in zip(dl, strides))] += 1
-        assert hist.sum() + nonunits == total
+        parts = [work(i) for i in range(nchunks)]
+    hist = np.zeros(order, dtype=np.int64)
+    nonunits = 0
+    for h, nu in parts:
+        hist += h
+        nonunits += nu
     modulus._hist_cache[key] = (hist, nonunits)
     return hist, nonunits
 
 
-def _phase_weights(chi: Character) -> np.ndarray:
-    """Phase index of chi at every flattened dlog index (exact ints)."""
+def unit_dlog_histogram(modulus: Modulus, d: int, workers: int = 1) -> tuple[np.ndarray, int]:
+    """`dlog_histogram` over all of A_d, checked to account for all q^d polynomials."""
+    hist, nonunits = dlog_histogram(modulus, d, workers=workers)
+    total = modulus.field.q**d
+    if int(hist.sum()) + nonunits != total:
+        raise ArithmeticError(
+            f"A_{d} histogram holds {int(hist.sum())} units + {nonunits} non-units, not q^d = {total}"
+        )
+    return hist, nonunits
+
+
+def flat_dlog_phases(chi: Character, flat: np.ndarray, power: int = 1) -> np.ndarray:
+    """Exact phase index of chi at (the unit with each flat dlog index)^power."""
     units = chi.modulus.unit_group
-    orders = units.component_orders
     M = units.exponent
-    strides = _flat_strides(orders)
-    idx = np.arange(units.group_order, dtype=np.int64)
-    total = np.zeros_like(idx)
-    for k, m, s in zip(chi.exponents, orders, strides):
-        comp = (idx // s) % max(m, 1)
+    total = np.zeros(flat.shape, dtype=np.int64)
+    for k, m, s in zip(chi.exponents, units.component_orders, units.flat_strides):
+        comp = ((flat // s) % max(m, 1)) * power % max(m, 1)
         total += (k * (M // m)) * comp
     return total % M
 
@@ -292,7 +302,7 @@ class CharSum:
         return abs(self.value)
 
 
-def _render_phase_counts(counts: np.ndarray, M: int) -> tuple[complex, float, int]:
+def render_phase_counts(counts: np.ndarray, M: int) -> tuple[complex, float, int]:
     """Kahan-compensated sum of counts[a] * zeta_M^a in fixed phase order."""
     cos_t, sin_t = _cos_sin(M)
     nz = np.nonzero(counts)[0]
@@ -314,22 +324,26 @@ def _render_phase_counts(counts: np.ndarray, M: int) -> tuple[complex, float, in
     return complex(re, im), err, n_terms
 
 
-def character_sum_Ad(chi: Character, d: int, workers: int = 1) -> CharSum:
-    """A(d, chi) = sum of chi(f) over monic f of degree exactly d.
+def histogram_char_sum(chi: Character, hist: np.ndarray) -> CharSum:
+    """sum of chi over the units a flat dlog histogram counts.
 
     Exact phase accumulation (integer histogram), rendered once with
     compensated summation; the bound on the rendering error is emitted with
     the sum.
     """
+    M = chi.value_order
+    phases = flat_dlog_phases(chi, np.arange(hist.size, dtype=np.int64))
+    counts = np.zeros(M, dtype=np.int64)
+    np.add.at(counts, phases, hist)
+    return CharSum(*render_phase_counts(counts, M))
+
+
+def character_sum_Ad(chi: Character, d: int, workers: int = 1) -> CharSum:
+    """A(d, chi) = sum of chi(f) over monic f of degree exactly d."""
     if d < 0:
         raise ValueError("degree must be >= 0")
     hist, _ = unit_dlog_histogram(chi.modulus, d, workers)
-    M = chi.value_order
-    phases = _phase_weights(chi)
-    counts = np.zeros(M, dtype=np.int64)
-    np.add.at(counts, phases, hist)
-    value, err, n_terms = _render_phase_counts(counts, M)
-    return CharSum(value, err, n_terms)
+    return histogram_char_sum(chi, hist)
 
 
 def all_char_sums_Ad(modulus: Modulus, d: int, workers: int = 1) -> np.ndarray:

@@ -24,10 +24,11 @@ from .algebra import irreducibles_up_to, monic_irreducible_count
 from .characters import (
     CharSum,
     Character,
-    _render_phase_counts,
     character_sum_Ad,
+    flat_dlog_phases,
+    render_phase_counts,
 )
-from .residue import Modulus, NotAUnitError
+from .residue import Modulus
 
 __all__ = [
     "LPolynomial",
@@ -183,45 +184,14 @@ def verify_weil(L: LPolynomial, tol: float = 1e-6) -> WeilReport:
 def _irreducible_dlogs(modulus: Modulus, k: int) -> np.ndarray:
     """Flattened dlogs of every P in I_k reduced mod Q; -1 where P divides Q.
 
-    Cached per modulus, since these drive both prime sums and smooth-sum
-    generation.
+    Cached per modulus, since these drive both prime and von Mangoldt sums.
     """
     key = ("irr_dlogs", k)
-    if key in modulus._hist_cache:
-        return modulus._hist_cache[key]
-    from .characters import _flat_strides
-
-    table = modulus.dlog_table
-    strides = _flat_strides(modulus.unit_group.component_orders)
-    I_k = irreducibles_up_to(modulus.field, k)[k - 1]
-    out = np.empty(len(I_k), dtype=np.int64)
-    for i, P in enumerate(I_k):
-        try:
-            dl = table.dlog(P)
-        except NotAUnitError:
-            out[i] = -1
-            continue
-        if isinstance(dl, int):
-            dl = (dl,)
-        out[i] = sum(x * s for x, s in zip(dl, strides))
-    modulus._hist_cache[key] = out
-    return out
-
-
-def _phases_from_flat(chi: Character, flat: np.ndarray, power: int = 1) -> np.ndarray:
-    """Exact phase of chi at (unit with flattened dlog index)^power, vectorized."""
-    from .characters import _flat_strides
-
-    units = chi.modulus.unit_group
-    orders = units.component_orders
-    M = units.exponent
-    strides = _flat_strides(orders)
-    total = np.zeros(flat.shape, dtype=np.int64)
-    for kexp, m, s in zip(chi.exponents, orders, strides):
-        comp = (flat // s) % max(m, 1)
-        comp = (comp * power) % max(m, 1)
-        total += (kexp * (M // m)) * comp
-    return total % M
+    if key not in modulus._hist_cache:
+        table = modulus.dlog_table
+        I_k = irreducibles_up_to(modulus.field, k)[k - 1]
+        modulus._hist_cache[key] = np.array([table.flat_dlog(P) for P in I_k], dtype=np.int64)
+    return modulus._hist_cache[key]
 
 
 @dataclass(frozen=True)
@@ -241,10 +211,10 @@ def prime_char_sum(chi: Character, k: int) -> PrimeCharSum:
     flat = _irreducible_dlogs(modulus, k)
     units = flat[flat >= 0]
     M = chi.value_order
-    phases = _phases_from_flat(chi, units)
+    phases = flat_dlog_phases(chi, units)
     counts = np.zeros(M, dtype=np.int64)
     np.add.at(counts, phases, 1)
-    value, err, n_terms = _render_phase_counts(counts, M)
+    value, err, n_terms = render_phase_counts(counts, M)
     q, n = modulus.field.q, modulus.n
     bound = (n + 1) * q ** (k / 2.0) / k
     return PrimeCharSum(value, bound, len(flat), err)
@@ -267,9 +237,9 @@ def von_mangoldt_sum(chi: Character, k: int) -> CharSum:
             continue
         flat = _irreducible_dlogs(modulus, ell)
         units = flat[flat >= 0]
-        phases = _phases_from_flat(chi, units, power=k // ell)
+        phases = flat_dlog_phases(chi, units, power=k // ell)
         np.add.at(counts, phases, ell)
-    value, err, n_terms = _render_phase_counts(counts, M)
+    value, err, n_terms = render_phase_counts(counts, M)
     return CharSum(value, err, n_terms)
 
 

@@ -22,15 +22,11 @@ import numpy as np
 
 from .algebra import Field, Poly
 from .characters import all_char_sums_Ad, unit_dlog_histogram
-from .intfact import FactoredInteger, factor_integer, is_prime, mobius
+from .intfact import FactoredInteger, factor_integer, mobius
 from .residue import Modulus, is_primitive
 from .smooth import dickman_rho
 
 __all__ = [
-    "FactoredInteger",
-    "factor_integer",
-    "is_prime",
-    "mobius",
     "EpsilonBound",
     "epsilon_bound",
     "best_epsilon_bound",

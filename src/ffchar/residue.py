@@ -28,7 +28,6 @@ __all__ = [
     "DlogTable",
     "NotAUnitError",
     "find_generator",
-    "dlog",
     "is_primitive",
     "is_primitive_via_dlog",
 ]
@@ -119,6 +118,11 @@ class UnitGroupView:
         self.component_orders = tuple(c.order for c in components)
         self.exponent = math.lcm(*(max(c.order, 1) for c in components))
         self.generators = tuple(c.generator for c in components)
+        # row-major strides: unit with component dlogs (x_i) has flat index sum x_i * s_i
+        strides = [1] * len(components)
+        for i in range(len(components) - 2, -1, -1):
+            strides[i] = strides[i + 1] * max(self.component_orders[i + 1], 1)
+        self.flat_strides = tuple(strides)
 
     def __repr__(self):
         return f"UnitGroupView({self.modulus!r}, order={self.group_order})"
@@ -228,6 +232,16 @@ class DlogTable:
         vals = tuple(self._component_dlog(i, f) for i in range(len(self.units.components)))
         return vals[0] if self.modulus.is_irreducible else vals
 
+    def flat_dlog(self, f: Poly) -> int:
+        """Flattened dlog index of the unit f (see `UnitGroupView.flat_strides`); -1 for non-units."""
+        try:
+            dl = self.dlog(f)
+        except NotAUnitError:
+            return -1
+        if isinstance(dl, int):
+            return dl
+        return sum(x * s for x, s in zip(dl, self.units.flat_strides))
+
     # -- vectorized enumeration support (irreducible, full-table only) ----
 
     def dlogs_of_monic_degree(self, d: int, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
@@ -268,11 +282,6 @@ class DlogTable:
             out[pos - start : pos - start + (lo1 - lo0)] = table[codes]
             pos += lo1 - lo0
         return out
-
-
-def dlog(x: Union[Poly, int], table: DlogTable) -> Union[int, tuple[int, ...]]:
-    """g^dlog(x) = x for the table's generator(s); NotAUnitError on non-units."""
-    return table.dlog(x)
 
 
 def is_primitive(x: Union[Poly, int], modulus: Modulus, fact: Optional[FactoredInteger] = None) -> bool:

@@ -10,9 +10,12 @@ must agree exactly:
 * enumeration: classify every monic degree-d polynomial by its maximal
   factor degree (the multiplicative sieve over F_q[t] from `vecpoly`).
 
-Character sums over the r-smooth slice are generated from factor multisets
-over I_1..I_r with a degree budget, never by filtering all of A_d, so the
-cost tracks N(d, r) instead of q^d.
+Character sums over the r-smooth slice come from the same chunked dlog
+histogram as A(d, chi) (`characters.dlog_histogram`), restricted to the
+slots whose factor-degree profile is <= r.  That costs q^d per (d, r), not
+N(d, r), but A_d already pays q^d and the profile is computed once per
+(field, d) and shared by every r and every modulus.  The histogram total is
+checked against N(d, r) from the generating function on every call.
 
 The Dickman function rho solves u rho(u) = int_{u-1}^u rho with rho = 1 on
 [0, 1].  Unit panels carry degree-16 Chebyshev expansions obtained by
@@ -29,19 +32,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import mpmath
 import numpy as np
 
-from .algebra import Field, irreducibles_up_to, monic_irreducible_count
-from .characters import CharSum, Character, _render_phase_counts
-from .residue import Modulus, NotAUnitError
+from .algebra import Field, monic_irreducible_count
+from .characters import CharSum, Character, dlog_histogram, histogram_char_sum
+from .residue import Modulus
 from .vecpoly import max_degree_profile_cached
 
 __all__ = [
     "smooth_count",
-    "SmoothCountTable",
     "smooth_count_by_enumeration",
     "smooth_char_sum",
     "smooth_dlog_histogram",
@@ -79,26 +81,6 @@ def smooth_count(q: int, d: int, r: int) -> int:
     return series[d]
 
 
-@dataclass(frozen=True)
-class SmoothCountTable:
-    """N(d, r) for d = 0..d_max at fixed r, tagged with how it was computed."""
-
-    q: int
-    d_max: int
-    r: int
-    counts: tuple[int, ...]
-    method: str  # "generating-function" | "enumeration"
-
-    @classmethod
-    def build(cls, q: int, d_max: int, r: int) -> "SmoothCountTable":
-        return cls(q, d_max, r, tuple(smooth_count(q, d, r) for d in range(d_max + 1)), "generating-function")
-
-    @classmethod
-    def build_by_enumeration(cls, field: Field, d_max: int, r: int) -> "SmoothCountTable":
-        counts = tuple(smooth_count_by_enumeration(field, d, r) for d in range(d_max + 1))
-        return cls(field.q, d_max, r, counts, "enumeration")
-
-
 def smooth_count_by_enumeration(field: Field, d: int, r: int) -> int:
     """Independent exhaustive count: classify every f in A_d by max factor degree."""
     if r < 1:
@@ -108,117 +90,37 @@ def smooth_count_by_enumeration(field: Field, d: int, r: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# smooth character sums by multiset generation
+# smooth character sums
 # ---------------------------------------------------------------------------
-
-
-def _smooth_factor_basis(modulus: Modulus, r: int):
-    """Irreducibles of degree <= r in canonical (degree, code) order.
-
-    Each entry is (degree, component-dlog tuple or None); None marks the
-    factors of Q itself, whose multiples are non-units.
-    """
-    key = ("smooth_basis", r)
-    if key in modulus._hist_cache:
-        return modulus._hist_cache[key]
-    table = modulus.dlog_table
-    basis = []
-    for level in irreducibles_up_to(modulus.field, r):
-        for P in level:
-            try:
-                dl = table.dlog(P)
-            except NotAUnitError:
-                basis.append((P.degree, None))
-                continue
-            basis.append((P.degree, (dl,) if isinstance(dl, int) else dl))
-    modulus._hist_cache[key] = basis
-    return basis
-
-
-def _visit_smooth_multisets(modulus: Modulus, d: int, r: int, visit: Callable):
-    """Call visit(component_dlogs | None) once per r-smooth monic f in A_d.
-
-    Factor multisets over the canonical basis with an exact degree budget;
-    None flags products sharing a factor with Q.  Iterative stack, so deep
-    bases cannot hit the recursion limit.
-    """
-    basis = _smooth_factor_basis(modulus, r)
-    orders = modulus.unit_group.component_orders
-    zero = tuple(0 for _ in orders)
-    if d == 0:
-        visit(zero)
-        return
-    # stack entries: (basis index, remaining budget, acc dlogs, unit flag)
-    stack = [(0, d, zero, True)]
-    while stack:
-        i, budget, acc, unit = stack.pop()
-        if budget == 0:
-            visit(acc if unit else None)
-            continue
-        if i >= len(basis):
-            continue
-        deg, dl = basis[i]
-        if deg > budget:
-            continue  # basis is degree-sorted: nothing later fits either
-        # multiplicity 0 branch first so multiplicities pop in ascending order
-        stack.append((i + 1, budget, acc, unit))
-        cur = acc
-        u = unit
-        for a in range(1, budget // deg + 1):
-            if dl is None:
-                u = False
-            else:
-                cur = tuple((x + y) % m for x, y, m in zip(cur, dl, orders))
-            stack.append((i + 1, budget - a * deg, cur, u))
 
 
 def smooth_char_sum(chi: Character, d: int, r: int) -> CharSum:
     """sum of chi(f) over r-smooth monic f of degree exactly d.
 
-    Exact phase accumulation over generated factor multisets; products that
-    share a factor with Q contribute chi(f) = 0 and are skipped.
+    Folded from the slice's dlog histogram; polynomials that share a factor
+    with Q have chi(f) = 0 and are counted apart there, as non-units.
     """
     if d < 0 or r < 1:
         raise ValueError("need d >= 0 and r >= 1")
-    M = chi.value_order
-    counts = np.zeros(M, dtype=np.int64)
-
-    def visit(dlogs):
-        if dlogs is None:
-            return
-        counts[chi.phase_of_dlog(dlogs)] += 1
-
-    _visit_smooth_multisets(chi.modulus, d, r, visit)
-    value, err, n_terms = _render_phase_counts(counts, M)
-    return CharSum(value, err, n_terms)
+    hist, _ = smooth_dlog_histogram(chi.modulus, d, r)
+    return histogram_char_sum(chi, hist)
 
 
 def smooth_dlog_histogram(modulus: Modulus, d: int, r: int) -> tuple[np.ndarray, int]:
     """(flattened-dlog histogram, non-unit count) over the r-smooth slice of A_d.
 
-    Cached; the histogram plays the same role for P(d, r) that
-    `unit_dlog_histogram` plays for A_d, so the bulk DFT path applies.
+    The slice of `dlog_histogram`, checked against the independent count
+    N(d, r) from the generating function; it plays the same role for P(d, r)
+    that `unit_dlog_histogram` plays for A_d, so the bulk DFT path applies.
     """
-    key = ("smooth_hist", d, r)
-    if key in modulus._hist_cache:
-        return modulus._hist_cache[key]
-    from .characters import _flat_strides
-
-    units = modulus.unit_group
-    strides = _flat_strides(units.component_orders)
-    hist = np.zeros(units.group_order, dtype=np.int64)
-    state = {"nonunits": 0}
-
-    def visit(dlogs):
-        if dlogs is None:
-            state["nonunits"] += 1
-            return
-        hist[sum(x * s for x, s in zip(dlogs, strides))] += 1
-
-    _visit_smooth_multisets(modulus, d, r, visit)
-    out = (hist, state["nonunits"])
-    modulus._hist_cache[key] = out
-    return out
+    expected = smooth_count(modulus.field.q, d, r)
+    hist, nonunits = dlog_histogram(modulus, d, r)
+    if int(hist.sum()) + nonunits != expected:
+        raise ArithmeticError(
+            f"{r}-smooth slice of A_{d} holds {int(hist.sum())} units + {nonunits} non-units, "
+            f"not N(d, r) = {expected}"
+        )
+    return hist, nonunits
 
 
 def all_smooth_char_sums(modulus: Modulus, d: int, r: int) -> np.ndarray:

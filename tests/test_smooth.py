@@ -3,18 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from ffchar.algebra import Field, enumerate_monic, is_smooth
+from ffchar import vecpoly
+from ffchar.algebra import Field, enumerate_monic, irreducibles_up_to, is_smooth, max_factor_degree
 from ffchar.characters import (
     all_characters,
     character_by_index,
     character_sum_Ad,
     chi_eval,
     principal_character,
+    unit_dlog_histogram,
 )
-from ffchar.residue import Modulus
+from ffchar.cli import main
+from ffchar.residue import Modulus, NotAUnitError
 from ffchar.smooth import (
     DickmanTable,
-    SmoothCountTable,
     all_smooth_char_sums,
     default_dickman_table,
     dickman_residual,
@@ -29,6 +31,60 @@ from ffchar.smooth import (
 F2 = Field.get(2)
 F3 = Field.get(3)
 F4 = Field.get(2, 2)
+
+# squarefree composites: t (t^2+t+1) over F_2, t (t+1) (t+2) over F_3
+COMPOSITES = [(F2, "t^3+t^2+t"), (F3, "t^3+2t")]
+
+
+def walker_histogram(modulus, d, r):
+    """Reference (flat dlog histogram, non-units) of the r-smooth slice of A_d.
+
+    Walks every factor multiset over I_1..I_r with an exact degree budget,
+    independently of the factor-degree profile, and adds up the component
+    dlogs of its factors.  Factors of Q make the product a non-unit.
+    """
+    table = modulus.dlog_table
+    units = modulus.unit_group
+    orders = units.component_orders
+    basis = []  # (degree, component dlogs or None for a factor of Q), degree-sorted
+    for level in irreducibles_up_to(modulus.field, r):
+        for P in level:
+            try:
+                dl = table.dlog(P)
+            except NotAUnitError:
+                basis.append((P.degree, None))
+                continue
+            basis.append((P.degree, (dl,) if isinstance(dl, int) else dl))
+    hist = np.zeros(units.group_order, dtype=np.int64)
+    nonunits = 0
+    # stack entries: (basis index, remaining budget, acc dlogs, unit flag)
+    stack = [(0, d, tuple(0 for _ in orders), True)]
+    while stack:
+        i, budget, acc, unit = stack.pop()
+        if budget == 0:
+            if unit:
+                hist[sum(x * s for x, s in zip(acc, units.flat_strides))] += 1
+            else:
+                nonunits += 1
+            continue
+        if i >= len(basis) or basis[i][0] > budget:
+            continue  # basis is degree-sorted: nothing later fits either
+        deg, dl = basis[i]
+        stack.append((i + 1, budget, acc, unit))
+        for a in range(1, budget // deg + 1):
+            if dl is None:
+                unit = False
+            else:
+                acc = tuple((x + y) % m for x, y, m in zip(acc, dl, orders))
+            stack.append((i + 1, budget - a * deg, acc, unit))
+    return hist, nonunits
+
+
+def assert_matches_walker(m, d, r):
+    hist, nonunits = smooth_dlog_histogram(m, d, r)
+    ref_hist, ref_nonunits = walker_histogram(m, d, r)
+    assert np.array_equal(hist, ref_hist), (m, d, r)
+    assert nonunits == ref_nonunits, (m, d, r)
 
 
 # -- exact counts --------------------------------------------------------
@@ -63,13 +119,11 @@ def test_generating_function_equals_enumeration_grid():
 
 
 def test_smooth_count_table_invariants():
-    tab = SmoothCountTable.build(2, 8, 3)
-    assert tab.counts[0] == 1
+    counts = [smooth_count(2, d, 3) for d in range(9)]
+    assert counts[0] == 1
     for d in range(9):
-        assert tab.counts[d] <= 2**d
-    tab_enum = SmoothCountTable.build_by_enumeration(F2, 8, 3)
-    assert tab.counts == tab_enum.counts
-    assert tab_enum.method == "enumeration"
+        assert counts[d] <= 2**d
+    assert counts == [smooth_count_by_enumeration(F2, d, 3) for d in range(9)]
     # nondecreasing in r at fixed d
     for d in range(9):
         vals = [smooth_count(2, d, r) for r in range(1, d + 2)]
@@ -98,7 +152,7 @@ def test_smooth_sum_equals_full_sum_when_r_geq_d():
 
 
 def test_smooth_sum_matches_filter_oracle():
-    # generated multisets vs literal filtering of A_d by is_smooth
+    # the histogram route vs literal filtering of A_d by is_smooth
     for field, n in [(F2, 4), (F3, 2)]:
         m = Modulus.irreducible(field, n)
         for chi in all_characters(m):
@@ -113,27 +167,76 @@ def test_smooth_sum_matches_filter_oracle():
 
 
 def test_smooth_sum_filter_oracle_q2_d10():
-    # the deeper q=2 check: d up to 10 against the filter route
+    # the deeper q=2 check: the production filter route against the walker
     m = Modulus.irreducible(F2, 13)
-    from ffchar.vecpoly import max_degree_profile_cached
-
-    prof = max_degree_profile_cached(F2, 10)
-    hist_smooth, _ = smooth_dlog_histogram(m, 10, 4)
-    # filter route: dlogs of A_10 restricted to profile <= 4
-    vec = m.dlog_table.dlogs_of_monic_degree(10)
-    mask = prof <= 4
-    brute = np.bincount(vec[mask & (vec >= 0)], minlength=2**13 - 1)
-    assert np.array_equal(hist_smooth, brute)
+    for r in (4, 7):
+        assert_matches_walker(m, 10, r)
 
 
 def test_smooth_histogram_matches_scalar_path():
     m = Modulus.irreducible(F2, 4)
+    assert_matches_walker(m, 5, 2)
     hist, nonunit = smooth_dlog_histogram(m, 5, 2)
     total = 0
     for f in enumerate_monic(F2, 5):
         if is_smooth(f, 2):
             total += 1
     assert hist.sum() + nonunit == total
+
+
+def test_smooth_histogram_matches_walker_q3_and_composites():
+    # q=3 with d >= n reduces the vector dlogs through base-p digit addition;
+    # the composites take the scalar flat-dlog route
+    moduli = [Modulus.irreducible(F3, 4)] + [Modulus.from_text(f, text) for f, text in COMPOSITES]
+    for m in moduli:
+        for d in range(7):
+            for r in range(1, d + 2):
+                assert_matches_walker(m, d, r)
+
+
+def test_smooth_sum_composite_matches_brute_force():
+    for field, text in COMPOSITES:
+        m = Modulus.from_text(field, text)
+        chars = list(all_characters(m))
+        for d in range(7):
+            polys = list(enumerate_monic(field, d))
+            top = [max_factor_degree(f) for f in polys]
+            for chi in chars:
+                vals = [chi_eval(chi, f).to_complex() for f in polys]
+                for r in range(1, d + 2):
+                    brute = sum(v for v, k in zip(vals, top) if k <= r)
+                    got = smooth_char_sum(chi, d, r)
+                    assert abs(got.value - brute) < 1e-9, (text, chi.label, d, r)
+
+
+def test_smooth_histogram_is_whole_histogram_when_r_geq_d():
+    for m in (Modulus.irreducible(F2, 5), Modulus.irreducible(F3, 3), Modulus.from_text(F3, "t^3+2t")):
+        for d in range(7):
+            whole_hist, whole_nonunits = unit_dlog_histogram(m, d)
+            for r in range(max(d, 1), d + 3):
+                hist, nonunits = smooth_dlog_histogram(m, d, r)
+                assert np.array_equal(hist, whole_hist)
+                assert nonunits == whole_nonunits
+
+
+def _corrupt_profile(monkeypatch, field, d):
+    """Plant a degree-d profile that calls t^d (really 1-smooth) irreducible."""
+    bad = vecpoly.max_degree_profile_cached(field, d).copy()
+    bad[0] = d
+    monkeypatch.setitem(vecpoly._profiles, (field, d), bad)
+
+
+def test_smooth_histogram_checks_slice_total(monkeypatch):
+    _corrupt_profile(monkeypatch, F2, 6)
+    with pytest.raises(ArithmeticError, match="N\\(d, r\\)"):
+        smooth_dlog_histogram(Modulus.irreducible(F2, 5), 6, 3)
+
+
+def test_main_thm_exits_1_on_corrupt_profile(monkeypatch, capsys, tmp_path):
+    _corrupt_profile(monkeypatch, F2, 6)
+    argv = ["main-thm", "--q", "2", "--n-list", "5", "--d", "6", "--r", "3", "--format", "csv"]
+    assert main(argv + ["--out", str(tmp_path / "grid.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_bulk_smooth_sums_match_per_character():
@@ -148,8 +251,6 @@ def test_bulk_smooth_sums_match_per_character():
 def test_mobius_like_m_series_identity():
     # prod_{deg P <= r} (1 - chi(P) z^deg P)^(-1) has k-th coefficient
     # equal to the smooth sum, checked by truncated formal expansion
-    from ffchar.algebra import irreducibles_up_to
-
     m = Modulus.irreducible(F2, 4)
     kmax, r = 8, 2
     for chi in all_characters(m):
