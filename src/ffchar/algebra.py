@@ -236,22 +236,6 @@ class Field:
             shift *= self.p
         return out
 
-    def vneg(self, a):
-        if self.e == 1:
-            return (-np.asarray(a)) % self.p
-        if self.p == 2:
-            return np.asarray(a)
-        out = np.zeros(np.asarray(a).shape, dtype=np.int64)
-        pa, shift = np.asarray(a), 1
-        for _ in range(self.e):
-            out += ((-pa) % self.p) * shift
-            pa = pa // self.p
-            shift *= self.p
-        return out
-
-    def vsub(self, a, b):
-        return self.vadd(a, self.vneg(b))
-
     def vmul(self, a, b):
         if self.e == 1:
             return (np.asarray(a, dtype=np.int64) * b) % self.p
@@ -263,9 +247,6 @@ class Field:
 
     def element(self, code: int) -> "FieldElement":
         return FieldElement(self, int(code) % self.q)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        return (FieldElement(self, c) for c in range(self.q))
 
     def __repr__(self):
         if self.e == 1:
@@ -510,14 +491,6 @@ class Poly:
             out = out * self.field.q + c
         return out
 
-    def coefficient_elements(self) -> tuple[FieldElement, ...]:
-        return tuple(FieldElement(self.field, c) for c in self.coeffs)
-
-    def leading_coefficient(self) -> FieldElement:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return FieldElement(self.field, self.coeffs[-1])
-
     # arithmetic
 
     def _wrap(self, coeffs) -> "Poly":
@@ -562,14 +535,6 @@ class Poly:
 
     def derivative(self) -> "Poly":
         return self._wrap(_derivative(self.field, self.coeffs))
-
-    def evaluate(self, x: int) -> int:
-        """Evaluate at the field element with code x (Horner)."""
-        F = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), c)
-        return acc
 
     def powmod(self, n: int, modulus: "Poly") -> "Poly":
         return self._wrap(_ppowmod(self.field, self.coeffs, n, modulus.coeffs))
@@ -825,13 +790,19 @@ def _factor_monic(F: Field, m: tuple[int, ...]) -> dict[tuple[int, ...], int]:
         gc = _pgcd(F, g, der)
         if len(gc) - 1 > 0:
             quo, rem = _pdivmod(F, g, gc)
-            assert not rem
+            _check_exact(rem, g, gc)
             stack.append((gc, mult))
             stack.append((quo, mult))
             continue
         for irr, cnt in _factor_squarefree(F, g).items():
             out[irr] = out.get(irr, 0) + cnt * mult
     return out
+
+
+def _check_exact(rem, num, den) -> None:
+    """Raise unless den divided num exactly (rem is the remainder)."""
+    if rem:
+        raise ArithmeticError(f"factorization step: {den} does not divide {num} (remainder {rem})")
 
 
 def _derivative(F: Field, g):
@@ -868,7 +839,7 @@ def _factor_squarefree(F: Field, m) -> dict[tuple[int, ...], int]:
             for irr in _equal_degree_split(F, g, k):
                 out[irr] = 1
             quo, r0 = _pdivmod(F, rem, g)
-            assert not r0
+            _check_exact(r0, rem, g)
             rem = quo
             h = _pmod(F, h, rem)
     return out
@@ -901,7 +872,7 @@ def _equal_degree_split(F: Field, g, k: int) -> list[tuple[int, ...]]:
                 split = gcd
                 break
         quo, r0 = _pdivmod(F, m, split)
-        assert not r0
+        _check_exact(r0, m, split)
         parts.append(split)
         parts.append(quo)
     return done

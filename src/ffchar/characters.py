@@ -17,8 +17,9 @@ tests cross-check:
 
 * one character: its exact phase counts, folded from the histogram, then
   a compensated (Kahan) rendering sum in a fixed order;
-* the whole dual group at once (irreducible Q): the complex sums for every
-  character are the conjugate DFT of the histogram.
+* the whole dual group at once (any squarefree Q): the complex sums for
+  every character are the conjugate n-dimensional DFT of the histogram,
+  reshaped to the component orders of the unit group.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .algebra import Poly, enumerate_monic
-from .residue import Modulus, NotAUnitError
+from . import residue
+from .algebra import Poly
+from .residue import Modulus
 from .vecpoly import max_degree_profile_cached
 
 __all__ = [
@@ -49,11 +51,13 @@ __all__ = [
     "unit_dlog_histogram",
     "flat_dlog_phases",
     "render_phase_counts",
+    "dual_group_sums",
     "all_char_sums_Ad",
+    "character_by_index",
     "phase_to_complex",
 ]
 
-_DENSE_HIST_LIMIT = 1 << 22  # largest unit-group order given a dense histogram
+HIST_CHUNK = 1 << 20  # most polynomials one histogram chunk holds
 
 _cos_sin_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -141,16 +145,6 @@ class Character:
         orders = self.modulus.unit_group.component_orders
         return Character(self.modulus, tuple((-k) % max(m, 1) for k, m in zip(self.exponents, orders)))
 
-    def phase_of_dlog(self, dlogs: Union[int, tuple[int, ...]]) -> int:
-        """Exact phase index of chi at a unit with the given component dlogs."""
-        if isinstance(dlogs, int):
-            dlogs = (dlogs,)
-        M = self.value_order
-        total = 0
-        for k, d, m in zip(self.exponents, dlogs, self.modulus.unit_group.component_orders):
-            total += k * d * (M // m)
-        return total % M
-
 
 def principal_character(modulus: Modulus) -> Character:
     return Character(modulus, tuple(0 for _ in modulus.unit_group.components))
@@ -192,14 +186,10 @@ def chi_eval(chi: Character, f: Poly) -> CharValue:
 
     Depends only on f mod Q (periodic extension to all of F_q[t]).
     """
-    modulus = chi.modulus
-    M = chi.value_order
-    table = modulus.dlog_table
-    try:
-        d = table.dlog(f)
-    except NotAUnitError:
-        return CharValue(M, None)
-    return CharValue(M, chi.phase_of_dlog(d))
+    flat = chi.modulus.dlog_table.flat_dlog(f)
+    if flat < 0:
+        return CharValue(chi.value_order, None)
+    return CharValue(chi.value_order, int(flat_dlog_phases(chi, np.array([flat]))[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -207,27 +197,17 @@ def chi_eval(chi: Character, f: Poly) -> CharValue:
 # ---------------------------------------------------------------------------
 
 
-def _flat_dlogs(modulus: Modulus, d: int, start: int, stop: int) -> np.ndarray:
-    """Flat dlog of every f in the monic degree-d slice [start, stop); -1 for non-units."""
-    table = modulus.dlog_table
-    if modulus.is_irreducible and table.strategies[0] == "full-table":
-        return table.dlogs_of_monic_degree(d, start, stop)
-    return np.fromiter(
-        (table.flat_dlog(f) for f in enumerate_monic(modulus.field, d, start, stop)),
-        dtype=np.int64,
-        count=stop - start,
-    )
-
-
 def dlog_histogram(modulus: Modulus, d: int, r: Optional[int] = None, workers: int = 1) -> tuple[np.ndarray, int]:
     """(histogram over flat dlog indices, non-unit count) for the r-smooth f in A_d.
 
     r = None (or r >= d, where every f is r-smooth) takes all of A_d.  Entry
     j of the histogram counts the polynomials whose reduction mod Q is the
-    unit with flat dlog j.  A_d is cut into chunks; each chunk's dlogs are
-    kept where the factor-degree profile is <= r and bincounted.  Cached per
-    (modulus, d, r); exact integers, so worker partitioning cannot change
-    the result.
+    unit with flat dlog j.  A_d is cut into chunks of at most `HIST_CHUNK`
+    polynomials; each chunk's dlogs are kept where the factor-degree profile
+    is <= r and bincounted.  `workers` chunks run at once, and their
+    histograms are added in chunk order as they finish.  Cached per
+    (modulus, d, r); exact integers, so the chunking and the worker count
+    cannot change the result.
     """
     if r is not None and r >= d:
         r = None
@@ -235,31 +215,31 @@ def dlog_histogram(modulus: Modulus, d: int, r: Optional[int] = None, workers: i
     if key in modulus._hist_cache:
         return modulus._hist_cache[key]
     order = modulus.unit_group.group_order
-    if order > _DENSE_HIST_LIMIT:
+    # below this bound every component has a full dlog table
+    if order > residue.FULL_TABLE_LIMIT:
         raise ValueError(f"group order {order} too large for a dense histogram")
+    table = modulus.dlog_table
     total = modulus.field.q**d
     profile = None if r is None else max_degree_profile_cached(modulus.field, d)
-    nchunks = max(1, min(workers * 4, total))
-    bounds = [total * i // nchunks for i in range(nchunks + 1)]
 
-    def work(i):
-        start, stop = bounds[i], bounds[i + 1]
-        vec = _flat_dlogs(modulus, d, start, stop)
+    def work(start):
+        stop = min(start + HIST_CHUNK, total)
+        vec = table.dlogs_of_monic_degree(d, start, stop)
         if profile is not None:
             vec = vec[profile[start:stop] <= r]
         nonunit = int((vec < 0).sum())
         return np.bincount(vec[vec >= 0], minlength=order), nonunit
 
-    if workers > 1 and nchunks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(work, range(nchunks)))
-    else:
-        parts = [work(i) for i in range(nchunks)]
     hist = np.zeros(order, dtype=np.int64)
     nonunits = 0
-    for h, nu in parts:
-        hist += h
-        nonunits += nu
+    starts = range(0, total, HIST_CHUNK)
+    step = max(workers, 1)
+    with ThreadPoolExecutor(max_workers=step) as pool:  # starts no thread when step == 1
+        run = pool.map if step > 1 else map
+        for i in range(0, len(starts), step):
+            for h, nu in run(work, starts[i : i + step]):
+                hist += h
+                nonunits += nu
     modulus._hist_cache[key] = (hist, nonunits)
     return hist, nonunits
 
@@ -346,21 +326,29 @@ def character_sum_Ad(chi: Character, d: int, workers: int = 1) -> CharSum:
     return histogram_char_sum(chi, hist)
 
 
-def all_char_sums_Ad(modulus: Modulus, d: int, workers: int = 1) -> np.ndarray:
-    """A(d, chi_k) for every character of an irreducible modulus, k-indexed.
+def dual_group_sums(modulus: Modulus, hist: np.ndarray) -> np.ndarray:
+    """sum of chi_k over the units a flat dlog histogram counts, for every k.
 
-    chi_k maps the generator to zeta_(N-1)^k, so the vector of sums is the
-    conjugate DFT of the dlog histogram.  Entry 0 is the principal sum, i.e.
-    the number of units in A_d.
+    The dual group of prod_i Z/m_i is prod_i Z/m_i again, and chi_k pairs
+    with the unit of flat dlog j through zeta^(sum_i k_i j_i / m_i); so the
+    sums are the conjugate n-dimensional DFT of the histogram reshaped to
+    the component orders.  Flat index k is the k-th character of
+    `all_characters` (`character_by_index`).
     """
-    if not modulus.is_irreducible:
-        raise ValueError("bulk character sums require an irreducible modulus")
+    orders = modulus.unit_group.component_orders
+    return np.conj(np.fft.fftn(hist.astype(np.float64).reshape(orders))).ravel()
+
+
+def all_char_sums_Ad(modulus: Modulus, d: int, workers: int = 1) -> np.ndarray:
+    """A(d, chi_k) for every character, k-indexed as `character_by_index`.
+
+    Entry 0 is the principal sum, i.e. the number of units in A_d.
+    """
     hist, _ = unit_dlog_histogram(modulus, d, workers)
-    return np.conj(np.fft.fft(hist.astype(np.float64)))
+    return dual_group_sums(modulus, hist)
 
 
 def character_by_index(modulus: Modulus, k: int) -> Character:
-    """chi_k for an irreducible modulus (exponent k on the single component)."""
-    if not modulus.is_irreducible:
-        raise ValueError("index form requires an irreducible modulus")
-    return Character(modulus, (k,))
+    """chi_k: the k-th character of `all_characters`, exponents k unravelled to the component orders."""
+    orders = modulus.unit_group.component_orders
+    return Character(modulus, tuple(int(x) for x in np.unravel_index(k, orders)))

@@ -72,6 +72,11 @@ def _emit(lines: list[str], out: Optional[str]):
         sys.stdout.write(text)
 
 
+def _csv_label(label: str) -> str:
+    """A character label as one CSV field: quoted when it lists several exponents."""
+    return f'"{label}"' if "," in label else label
+
+
 def _parse_range(text: str) -> tuple[int, ...]:
     """"4..8" or "4,5,8" or "6" -> tuple of ints."""
     text = text.strip()
@@ -106,9 +111,10 @@ def cmd_weil(args) -> int:
         ok &= rep.passed
         worst = max(worst, rep.max_deviation)
         jrecs.append(rep.to_json_record(ls[k].coeffs))
+        label = _csv_label(rep.chi_label)
         for root in rep.roots:
             rows.append(
-                f"chi[{k}],{root['re']!r},{root['im']!r},{root['modulus']!r},{root['class']},{rep.residuals!r}"
+                f"{label},{root['re']!r},{root['im']!r},{root['modulus']!r},{root['class']},{rep.residuals!r}"
             )
     if args.format == "csv":
         _emit(rows, args.out)
@@ -152,7 +158,7 @@ def cmd_primes_bound(args) -> int:
                 if err > 1e-6:
                     ok = False
                 ident = repr(err)
-            rows.append(f"{chi.label},{k},{mag!r},{got.bound!r},{ratio!r},{ident}")
+            rows.append(f"{_csv_label(chi.label)},{k},{mag!r},{got.bound!r},{ratio!r},{ident}")
     if args.format == "csv":
         _emit(rows, args.out)
     elif args.format == "json":

@@ -24,6 +24,8 @@ from .algebra import irreducibles_up_to, monic_irreducible_count
 from .characters import (
     CharSum,
     Character,
+    all_char_sums_Ad,
+    character_by_index,
     character_sum_Ad,
     flat_dlog_phases,
     render_phase_counts,
@@ -60,16 +62,26 @@ class LPolynomial:
     @property
     def degree(self) -> int:
         """Numerical degree: trailing coefficients under the zero threshold dropped."""
-        d = len(self.coeffs) - 1
-        while d > 0 and abs(self.coeffs[d]) < TRAILING_COEFF_TOL:
-            d -= 1
-        return d
+        return _numerical_degree(self.coeffs)
 
     def eval_at(self, z: complex) -> complex:
         acc = 0j
         for c in self.coeffs[::-1]:
             acc = acc * z + c
         return acc
+
+
+def _numerical_degree(coeffs: np.ndarray) -> int:
+    d = len(coeffs) - 1
+    while d > 0 and abs(coeffs[d]) < TRAILING_COEFF_TOL:
+        d -= 1
+    return d
+
+
+def _lpolynomial(chi: Character, coeffs: np.ndarray) -> LPolynomial:
+    """The L-polynomial of chi from A(0..n-1, chi): trim to the numerical degree, extract roots."""
+    roots, residual = _extract_inverse_roots(coeffs[: _numerical_degree(coeffs) + 1])
+    return LPolynomial(chi, coeffs, roots, residual)
 
 
 def _extract_inverse_roots(coeffs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -101,28 +113,18 @@ def build_lpolynomial(chi: Character, workers: int = 1) -> LPolynomial:
     coeffs = np.zeros(n, dtype=np.complex128)
     for m in range(n):
         coeffs[m] = character_sum_Ad(chi, m, workers).value
-    d = n - 1
-    while d > 0 and abs(coeffs[d]) < TRAILING_COEFF_TOL:
-        d -= 1
-    roots, residual = _extract_inverse_roots(coeffs[: d + 1])
-    return LPolynomial(chi, coeffs, roots, residual)
+    return _lpolynomial(chi, coeffs)
 
 
 def build_all_lpolynomials(modulus: Modulus, workers: int = 1) -> dict[int, LPolynomial]:
-    """Every non-principal chi_k of an irreducible modulus at once (DFT bulk path)."""
-    from .characters import all_char_sums_Ad, character_by_index
-
+    """Every non-principal chi_k (k as in `character_by_index`) at once (DFT bulk path)."""
     n = modulus.n
     order = modulus.unit_group.group_order
     rows = [all_char_sums_Ad(modulus, m, workers) for m in range(n)]
     out = {}
     for k in range(1, order):
         coeffs = np.array([rows[m][k] for m in range(n)], dtype=np.complex128)
-        d = n - 1
-        while d > 0 and abs(coeffs[d]) < TRAILING_COEFF_TOL:
-            d -= 1
-        roots, residual = _extract_inverse_roots(coeffs[: d + 1])
-        out[k] = LPolynomial(character_by_index(modulus, k), coeffs, roots, residual)
+        out[k] = _lpolynomial(character_by_index(modulus, k), coeffs)
     return out
 
 

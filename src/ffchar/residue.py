@@ -4,8 +4,8 @@ Q must be squarefree (irreducible or a squarefree composite); anything else
 is rejected at Modulus construction.  The unit group is a product of cyclic
 components, one per irreducible factor Q_i, of order q^(deg Q_i) - 1.  Each
 component gets a deterministic generator (least residue code that generates)
-and a discrete-log table, either a full lookup array or baby-step giant-step
-above a configurable size threshold.
+and a discrete-log table: a full lookup array when the component order is
+at most `FULL_TABLE_LIMIT`, baby-step giant-step above it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "NotAUnitError",
     "find_generator",
     "is_primitive",
-    "is_primitive_via_dlog",
 ]
 
 FULL_TABLE_LIMIT = 1 << 22  # component order above this switches to BSGS
@@ -156,22 +155,19 @@ def find_generator(modulus: Modulus) -> UnitGroupView:
 class DlogTable:
     """Discrete logs to the per-component generators.
 
-    strategy "full-table" stores g^i -> i for the whole component (numpy
-    int64, indexed by residue code); "baby-step-giant-step" stores only
-    sqrt(order) baby steps.  The choice is per component by order, with the
-    threshold overridable.
+    A component of order at most `FULL_TABLE_LIMIT` (read when the table is
+    built) gets a "full-table": g^i -> i for the whole component, a numpy
+    int64 array indexed by residue code.  A larger one gets
+    "baby-step-giant-step", which stores only sqrt(order) baby steps.
     """
 
-    def __init__(self, modulus: Modulus, strategy: Optional[str] = None, table_limit: int = FULL_TABLE_LIMIT):
+    def __init__(self, modulus: Modulus):
         self.modulus = modulus
         self.units = modulus.unit_group
         self._component_tables = []
         self.strategies = []
         for comp in self.units.components:
-            use_full = comp.order <= table_limit if strategy is None else (strategy == "full-table")
-            if strategy == "baby-step-giant-step":
-                use_full = False
-            if use_full:
+            if comp.order <= FULL_TABLE_LIMIT:
                 self._component_tables.append(("full-table", self._build_full(comp)))
             else:
                 self._component_tables.append(("baby-step-giant-step", self._build_bsgs(comp)))
@@ -189,7 +185,12 @@ class DlogTable:
         for i in range(comp.order):
             table[cur.code()] = i
             cur = (cur * comp.generator) % comp.poly
-        assert cur == Poly.one(field), "generator order mismatch"
+        # a generator fills every unit slot; a smaller power cycle revisits slots
+        filled = int(np.count_nonzero(table >= 0))
+        if filled != comp.order:
+            raise ArithmeticError(
+                f"{comp.generator} reaches {filled} of the {comp.order} units mod {comp.poly}: not a generator"
+            )
         return table
 
     def _build_bsgs(self, comp: UnitComponent):
@@ -211,9 +212,7 @@ class DlogTable:
         if r.is_zero:
             raise NotAUnitError(f"{residue} shares the factor {comp.poly} with the modulus")
         if kind == "full-table":
-            val = int(data[r.code()])
-            assert val >= 0
-            return val
+            return int(data[r.code()])
         m, baby, stride = data
         cur = r
         for i in range(m):
@@ -242,26 +241,38 @@ class DlogTable:
             return dl
         return sum(x * s for x, s in zip(dl, self.units.flat_strides))
 
-    # -- vectorized enumeration support (irreducible, full-table only) ----
+    # -- vectorized enumeration support (full tables only) ----------------
 
     def dlogs_of_monic_degree(self, d: int, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
-        """dlog of (f mod Q) for the monic degree-d stream slice [start, stop).
+        """Flat dlog of (f mod Q) for the monic degree-d stream slice [start, stop).
 
-        Requires an irreducible modulus with a full table.  Non-units (the
-        multiples of Q, possible once d >= n) come back as -1.
+        Requires a full table on every component.  Non-units (f sharing a
+        factor Q_i with Q) come back as -1.
         """
-        if not self.modulus.is_irreducible:
-            raise ValueError("vector dlogs require an irreducible modulus")
-        kind, table = self._component_tables[0]
-        if kind != "full-table":
-            raise ValueError("vector dlogs require the full-table strategy")
-        field = self.modulus.field
-        q, n = field.q, self.modulus.n
-        total = q**d
+        if "baby-step-giant-step" in self.strategies:
+            raise ValueError("vector dlogs require the full-table strategy on every component")
+        total = self.modulus.field.q**d
         if stop is None:
             stop = total
         if not 0 <= start <= stop <= total:
             raise ValueError("bad slice")
+        if len(self.strategies) == 1:
+            return self._component_dlogs(0, d, start, stop)
+        flat = np.zeros(stop - start, dtype=np.int64)
+        nonunit = np.zeros(stop - start, dtype=bool)
+        for i, s in enumerate(self.units.flat_strides):
+            x = self._component_dlogs(i, d, start, stop)
+            nonunit |= x < 0
+            flat += x * s
+        flat[nonunit] = -1
+        return flat
+
+    def _component_dlogs(self, idx: int, d: int, start: int, stop: int) -> np.ndarray:
+        """Component-idx dlog of (f mod Q_i) over the slice, -1 where Q_i divides f."""
+        table = self._component_tables[idx][1]
+        Qi = self.units.components[idx].poly
+        field = self.modulus.field
+        q, n = field.q, Qi.degree
         if d < n:
             base = q**d
             return table[base + start : base + stop]
@@ -270,14 +281,13 @@ class DlogTable:
         out = np.empty(stop - start, dtype=np.int64)
         low = np.arange(block, dtype=np.int64)
         pos = start
-        Q = self.modulus.poly
         while pos < stop:
             hi = pos // block  # index over the high coefficient part
             lo0 = pos - hi * block
             lo1 = min(block, lo0 + (stop - pos))
-            # high part polynomial: x^d + (digits of hi) * x^n, reduced mod Q
+            # high part polynomial: x^d + (digits of hi) * x^n, reduced mod Q_i
             head = Poly.from_code(field, q**d + hi * block)
-            rcode = (head % Q).code()
+            rcode = (head % Qi).code()
             codes = vadd_poly_codes(field, low[lo0:lo1], rcode, n)
             out[pos - start : pos - start + (lo1 - lo0)] = table[codes]
             pos += lo1 - lo0
@@ -303,14 +313,3 @@ def is_primitive(x: Union[Poly, int], modulus: Modulus, fact: Optional[FactoredI
         raise ValueError("fact must factor q^n - 1")
     one = Poly.one(modulus.field)
     return all(r.powmod(order // p, modulus.poly) != one for p in fact.primes)
-
-
-def is_primitive_via_dlog(x: Union[Poly, int], modulus: Modulus, fact: Optional[FactoredInteger] = None) -> bool:
-    """Equivalent test through the dlog: gcd(dlog(x), N-1) = 1."""
-    if not modulus.is_irreducible:
-        raise ValueError("primitivity is defined for irreducible moduli")
-    f = Poly.from_code(modulus.field, x) if isinstance(x, int) else x
-    if (f % modulus.poly).is_zero:
-        return False
-    order = modulus.field.q**modulus.n - 1
-    return math.gcd(modulus.dlog_table.dlog(f), order) == 1

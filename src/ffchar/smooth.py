@@ -38,7 +38,7 @@ import mpmath
 import numpy as np
 
 from .algebra import Field, monic_irreducible_count
-from .characters import CharSum, Character, dlog_histogram, histogram_char_sum
+from .characters import CharSum, Character, dlog_histogram, dual_group_sums, histogram_char_sum
 from .residue import Modulus
 from .vecpoly import max_degree_profile_cached
 
@@ -124,11 +124,9 @@ def smooth_dlog_histogram(modulus: Modulus, d: int, r: int) -> tuple[np.ndarray,
 
 
 def all_smooth_char_sums(modulus: Modulus, d: int, r: int) -> np.ndarray:
-    """Smooth-slice sums for every chi_k of an irreducible modulus (DFT bulk)."""
-    if not modulus.is_irreducible:
-        raise ValueError("bulk sums require an irreducible modulus")
+    """Smooth-slice sums for every chi_k, k-indexed as `character_by_index` (DFT bulk)."""
     hist, _ = smooth_dlog_histogram(modulus, d, r)
-    return np.conj(np.fft.fft(hist.astype(np.float64)))
+    return dual_group_sums(modulus, hist)
 
 
 # ---------------------------------------------------------------------------

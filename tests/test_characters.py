@@ -3,6 +3,7 @@ import random
 import mpmath
 import numpy as np
 
+from ffchar import characters
 from ffchar.algebra import Field, Poly, enumerate_monic
 from ffchar.characters import (
     all_char_sums_Ad,
@@ -19,6 +20,8 @@ from ffchar.residue import Modulus
 
 F2 = Field.get(2)
 F3 = Field.get(3)
+F4 = Field.of_order(4)
+COMPOSITES = [(F2, "t^3+t^2+t"), (F3, "t^3+2t"), (F4, "t^2+t"), (F2, "t^5+t^4+t^3+t")]
 
 
 def mkmod(field, text):
@@ -255,3 +258,36 @@ def test_composite_modulus_sums():
             brute = sum(chi_eval(chi, f).to_complex() for f in enumerate_monic(F2, d))
             s = character_sum_Ad(chi, d)
             assert abs(s.value - brute) < 1e-9
+
+
+def test_character_by_index_is_all_characters_order():
+    for field, text in COMPOSITES + [(F2, "t^4+t+1")]:
+        m = mkmod(field, text)
+        chars = list(all_characters(m))
+        assert len(chars) == m.unit_group.group_order
+        for k, chi in enumerate(chars):
+            assert character_by_index(m, k) == chi
+
+
+def test_bulk_fft_sums_match_exact_phase_path_on_composites():
+    for field, text in COMPOSITES[:3]:
+        m = mkmod(field, text)
+        chars = list(all_characters(m))
+        for d in range(7):
+            bulk = all_char_sums_Ad(m, d)
+            assert bulk.shape == (len(chars),)
+            for k, chi in enumerate(chars):
+                assert abs(bulk[k] - character_sum_Ad(chi, d).value) < 1e-8
+
+
+def test_histograms_chunk_and_worker_invariant(monkeypatch):
+    for field, text, d in [(F2, "t^5+t^2+1", 9), (F3, "t^3+2t", 6)]:
+        m = mkmod(field, text)
+        want = unit_dlog_histogram(m, d)
+        for chunk, workers in [(7, 1), (7, 3), (64, 2), (1, 4)]:
+            monkeypatch.setattr(characters, "HIST_CHUNK", chunk)
+            m._hist_cache.clear()
+            got = unit_dlog_histogram(m, d, workers=workers)
+            assert np.array_equal(got[0], want[0])
+            assert got[1] == want[1]
+

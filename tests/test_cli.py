@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -47,6 +48,33 @@ def test_weil_json_output(tmp_path):
 
 def test_primes_bound(capsys):
     assert main(["primes-bound", "--q", "2", "--n", "3", "--k", "6", "--identity"]) == 0
+
+
+def test_weil_composite_modulus(capsys):
+    assert main(["weil", "--q", "2", "--n", "3", "--Q", "t^3+t^2+t"]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+def test_primes_bound_composite_modulus(tmp_path):
+    out = tmp_path / "pb.csv"
+    argv = ["primes-bound", "--q", "3", "--n", "3", "--Q", "t^3+2t", "--k", "4", "--identity"]
+    assert main(argv + ["--format", "csv", "--out", str(out)]) == 0
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert rows[0] == ["chi", "k", "abs_sum", "bound", "ratio", "identity_err"]
+    assert all(len(row) == 6 for row in rows)
+    # unit group Z/2 x Z/2 x Z/2: characters chi[a,b,c], the principal one skipped
+    labels = sorted({row[0] for row in rows[1:]})
+    assert labels == [f"chi[{a},{b},{c}]" for a in range(2) for b in range(2) for c in range(2)][1:]
+
+
+def test_weil_composite_csv_labels(tmp_path):
+    out = tmp_path / "weil.csv"
+    argv = ["weil", "--q", "2", "--n", "5", "--Q", "t^5+t^4+t^3+t", "--format", "csv", "--out", str(out)]
+    assert main(argv) == 0
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert all(len(row) == 6 for row in rows)
+    # component orders (1, 1, 7): six non-principal characters chi[0,0,k]
+    assert sorted({row[0] for row in rows[1:]}) == [f"chi[0,0,{k}]" for k in range(1, 7)]
 
 
 def test_smooth_count_csv(tmp_path):

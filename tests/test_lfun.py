@@ -101,6 +101,20 @@ def test_bulk_lpolynomials_match_per_character():
         assert np.allclose(bulk[k].coeffs, single.coeffs, atol=1e-9)
 
 
+def test_bulk_lpolynomials_match_per_character_on_composites():
+    for field, text in [(F2, "t^5+t^4+t^3+t"), (Field.get(3), "t^4+t^3+t")]:
+        m = Modulus.from_text(field, text)
+        bulk = build_all_lpolynomials(m)
+        chars = list(all_characters(m))
+        assert sorted(bulk) == list(range(1, len(chars)))
+        for k, L in bulk.items():
+            assert L.chi == chars[k]
+            single = build_lpolynomial(chars[k])
+            assert np.allclose(L.coeffs, single.coeffs, atol=1e-9)
+            assert L.degree == single.degree
+            assert verify_weil(L).passed
+
+
 def test_coefficient_root_consistency():
     # expanding prod (1 - alpha_i z) reproduces the coefficients
     for field, n in [(F2, 4), (F2, 6), (F3, 3)]:

@@ -1,19 +1,33 @@
+import math
+
 import numpy as np
 import pytest
 
+from ffchar import residue
 from ffchar.algebra import Field, Poly, enumerate_monic
 from ffchar.intfact import factor_integer
 from ffchar.residue import (
     DlogTable,
     Modulus,
     NotAUnitError,
+    UnitComponent,
+    UnitGroupView,
     find_generator,
     is_primitive,
-    is_primitive_via_dlog,
 )
 
 F2 = Field.get(2)
 F3 = Field.get(3)
+F4 = Field.of_order(4)
+
+
+def is_primitive_via_dlog(x, modulus, fact=None):
+    """Oracle for `is_primitive` through the dlog: x != 0 mod Q and gcd(dlog(x), N-1) = 1."""
+    f = Poly.from_code(modulus.field, x) if isinstance(x, int) else x
+    if (f % modulus.poly).is_zero:
+        return False
+    order = modulus.field.q**modulus.n - 1
+    return math.gcd(modulus.dlog_table.dlog(f), order) == 1
 
 
 def test_generator_smallest_case():
@@ -100,10 +114,12 @@ def test_dlog_is_group_isomorphism():
                 assert logs[ab.code()] == (logs[a.code()] + logs[b.code()]) % order
 
 
-def test_bsgs_agrees_with_full_table():
+def test_bsgs_agrees_with_full_table(monkeypatch):
     m = Modulus.irreducible(F2, 6)
-    full = DlogTable(m, strategy="full-table")
-    bsgs = DlogTable(m, strategy="baby-step-giant-step")
+    full = DlogTable(m)
+    assert full.strategy == "full-table"
+    monkeypatch.setattr(residue, "FULL_TABLE_LIMIT", 62)  # just below the order 63
+    bsgs = DlogTable(m)
     assert bsgs.strategy == "baby-step-giant-step"
     for code in range(1, 2**6):
         f = Poly.from_code(F2, code)
@@ -151,6 +167,41 @@ def test_vector_dlogs_slicing():
         [t.dlogs_of_monic_degree(5, 0, 7), t.dlogs_of_monic_degree(5, 7, 32)]
     )
     assert np.array_equal(whole, parts)
+
+
+COMPOSITES = [(F2, "t^3+t^2+t"), (F3, "t^3+2t"), (F4, "t^2+t")]
+
+
+def test_vector_flat_dlogs_match_scalar_on_composites():
+    for F, text in COMPOSITES:
+        m = Modulus.from_text(F, text)
+        t = m.dlog_table
+        for d in range(m.n + 4):
+            vec = t.dlogs_of_monic_degree(d)
+            want = [t.flat_dlog(f) for f in enumerate_monic(F, d)]
+            assert vec.tolist() == want
+            mid = F.q**d // 3
+            parts = np.concatenate([t.dlogs_of_monic_degree(d, 0, mid), t.dlogs_of_monic_degree(d, mid)])
+            assert np.array_equal(parts, vec)
+
+
+def test_vector_dlogs_refuse_bsgs_components(monkeypatch):
+    monkeypatch.setattr(residue, "FULL_TABLE_LIMIT", 2)
+    m = Modulus.from_text(F2, "t^3+t^2+t")  # component orders 1 and 3
+    assert m.dlog_table.strategy == ("full-table", "baby-step-giant-step")
+    with pytest.raises(ValueError):
+        m.dlog_table.dlogs_of_monic_degree(4)
+
+
+def test_full_table_rejects_a_non_generator():
+    # t^3 has order 5 in the order-15 unit group mod t^4+t+1: g^15 = 1 holds,
+    # but its powers reach only 5 of the 15 units
+    m = Modulus.from_text(F2, "t^4+t+1")
+    g = Poly.from_string(F2, "t^3")
+    comp = UnitComponent(m.poly, 4, 15, factor_integer(15), g)
+    m.__dict__["unit_group"] = UnitGroupView(m, (comp,))
+    with pytest.raises(ArithmeticError, match="not a generator"):
+        DlogTable(m)
 
 
 def test_primitivity_generator_and_one():

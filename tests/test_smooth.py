@@ -248,6 +248,17 @@ def test_bulk_smooth_sums_match_per_character():
             assert abs(bulk[k] - got.value) < 1e-9
 
 
+def test_bulk_smooth_sums_match_per_character_on_composites():
+    for field, text in COMPOSITES:
+        m = Modulus.from_text(field, text)
+        chars = list(all_characters(m))
+        for d in range(7):
+            for r in range(1, d + 1):
+                bulk = all_smooth_char_sums(m, d, r)
+                for k, chi in enumerate(chars):
+                    assert abs(bulk[k] - smooth_char_sum(chi, d, r).value) < 1e-9
+
+
 def test_mobius_like_m_series_identity():
     # prod_{deg P <= r} (1 - chi(P) z^deg P)^(-1) has k-th coefficient
     # equal to the smooth sum, checked by truncated formal expansion
