@@ -10,10 +10,13 @@ each sum) instead of silent drift.
 Every sum starts from one integer histogram over flat dlog indices,
 `dlog_histogram`: for all of A_d, or for its r-smooth slice, which keeps
 only the polynomials whose largest irreducible factor has degree <= r (read
-off the factor-degree profile of `vecpoly`).  Parallel workers merge chunk
-histograms by plain integer addition, so results are bit-identical for any
-worker count.  A histogram is then evaluated in one of two ways, which the
-tests cross-check:
+off the factor-degree profile of `vecpoly`).  All of A_d with d >= deg Q
+is q^(d - deg Q) complete residue systems mod Q, so its histogram is the
+closed form q^(d - deg Q) in every entry and nothing is enumerated; the
+other histograms enumerate A_d.  Parallel workers merge chunk histograms by
+plain integer addition, so results are bit-identical for any worker count.
+A histogram is then evaluated in one of two ways, which the tests
+cross-check:
 
 * one character: its exact phase counts, folded from the histogram, then
   a compensated (Kahan) rendering sum in a fixed order;
@@ -202,12 +205,14 @@ def dlog_histogram(modulus: Modulus, d: int, r: Optional[int] = None, workers: i
 
     r = None (or r >= d, where every f is r-smooth) takes all of A_d.  Entry
     j of the histogram counts the polynomials whose reduction mod Q is the
-    unit with flat dlog j.  A_d is cut into chunks of at most `HIST_CHUNK`
-    polynomials; each chunk's dlogs are kept where the factor-degree profile
-    is <= r and bincounted.  `workers` chunks run at once, and their
-    histograms are added in chunk order as they finish.  Cached per
-    (modulus, d, r); exact integers, so the chunking and the worker count
-    cannot change the result.
+    unit with flat dlog j.  All of A_d with d >= deg Q is q^(d - deg Q)
+    complete residue systems mod Q, so that histogram is the closed form
+    q^(d - deg Q) in every entry.  Otherwise A_d is enumerated, cut into
+    chunks of at most `HIST_CHUNK` polynomials; each chunk's dlogs are kept
+    where the factor-degree profile is <= r and bincounted.  `workers`
+    chunks run at once, and their histograms are added in chunk order as
+    they finish.  Cached per (modulus, d, r); exact integers, so the
+    chunking and the worker count cannot change the result.
     """
     if r is not None and r >= d:
         r = None
@@ -218,8 +223,15 @@ def dlog_histogram(modulus: Modulus, d: int, r: Optional[int] = None, workers: i
     # below this bound every component has a full dlog table
     if order > residue.FULL_TABLE_LIMIT:
         raise ValueError(f"group order {order} too large for a dense histogram")
+    q, n = modulus.field.q, modulus.n
+    if r is None and d >= n:
+        # every block of q^n consecutive codes shares its high part, so it is a
+        # complete residue system mod Q: A_d hits each unit exactly q^(d-n) times
+        per_unit = q ** (d - n)
+        modulus._hist_cache[key] = (np.full(order, per_unit, dtype=np.int64), q**d - order * per_unit)
+        return modulus._hist_cache[key]
     table = modulus.dlog_table
-    total = modulus.field.q**d
+    total = q**d
     profile = None if r is None else max_degree_profile_cached(modulus.field, d)
 
     def work(start):

@@ -6,6 +6,19 @@ components, one per irreducible factor Q_i, of order q^(deg Q_i) - 1.  Each
 component gets a deterministic generator (least residue code that generates)
 and a discrete-log table: a full lookup array when the component order is
 at most `FULL_TABLE_LIMIT`, baby-step giant-step above it.
+
+The full table is built by digit doubling.  The first B = isqrt(N) + 1
+powers of g (N the component order) are stepped with scalar products.
+Multiplication by g^B mod Q_i is F_p-linear on the base-p digits of residue
+codes, so it is tabulated for every code at once
+(`vecpoly.linear_map_table`), and each later block of B powers is one
+gather from the block before it.  The build checks that the powers fill
+every unit slot and that the walk closes, g^N = 1 through the tabulated map.
+
+Reducing the monic degree-d stream mod Q_i is linear in the same way: the
+code of f is t^d + hi * t^n + lo, and the reduced head (t^d + hi * t^n) mod
+Q_i is computed for every block index hi of a slice in one pass per base-p
+digit of hi, then added to lo.
 """
 
 from __future__ import annotations
@@ -19,7 +32,7 @@ import numpy as np
 
 from .algebra import Field, Poly, factorize, lex_least_irreducible
 from .intfact import FactoredInteger, factor_integer
-from .vecpoly import vadd_poly_codes
+from .vecpoly import linear_map_table, linear_map_values, vadd_poly_codes
 
 __all__ = [
     "Modulus",
@@ -179,18 +192,30 @@ class DlogTable:
 
     def _build_full(self, comp: UnitComponent) -> np.ndarray:
         field = self.modulus.field
-        size = field.q**comp.degree
-        table = np.full(size, -1, dtype=np.int64)
+        N = comp.order
+        B = min(math.isqrt(N) + 1, N)
+        pw = np.empty(N, dtype=np.int64)  # pw[i] = code of g^i
         cur = Poly.one(field)
-        for i in range(comp.order):
-            table[cur.code()] = i
+        for i in range(B):
+            pw[i] = cur.code()
             cur = (cur * comp.generator) % comp.poly
+        # cur = g^B; x -> x * g^B mod Q_i is F_p-linear on the base-p digits of codes
+        images = [(Poly.from_code(field, field.p**k) * cur % comp.poly).code() for k in range(comp.degree * field.e)]
+        step = linear_map_table(field, images, comp.degree)
+        for s in range(B, N, B):
+            end = min(s + B, N)
+            pw[s:end] = step[pw[s - B : end - B]]
+        table = np.full(field.q**comp.degree, -1, dtype=np.int64)
+        table[pw] = np.arange(N, dtype=np.int64)
         # a generator fills every unit slot; a smaller power cycle revisits slots
         filled = int(np.count_nonzero(table >= 0))
-        if filled != comp.order:
+        if filled != N:
             raise ArithmeticError(
-                f"{comp.generator} reaches {filled} of the {comp.order} units mod {comp.poly}: not a generator"
+                f"{comp.generator} reaches {filled} of the {N} units mod {comp.poly}: not a generator"
             )
+        # the walk closes, g^(N - B + j) * g^B = g^j, only if every image it used was right
+        if not np.array_equal(step[pw[N - B :]], pw[:B]):
+            raise ArithmeticError(f"the tabulated map x -> x * g^{B} mod {comp.poly} does not close the power walk")
         return table
 
     def _build_bsgs(self, comp: UnitComponent):
@@ -276,22 +301,15 @@ class DlogTable:
         if d < n:
             base = q**d
             return table[base + start : base + stop]
-        # reduce blocks of q^n consecutive codes: they share the high part
+        # f = t^d + hi * t^n + lo with lo < q^n, so f mod Q_i = lo + head(hi), where
+        # head(hi) = (t^d + hi * t^n) mod Q_i is affine in the base-p digits of hi
         block = q**n
-        out = np.empty(stop - start, dtype=np.int64)
-        low = np.arange(block, dtype=np.int64)
-        pos = start
-        while pos < stop:
-            hi = pos // block  # index over the high coefficient part
-            lo0 = pos - hi * block
-            lo1 = min(block, lo0 + (stop - pos))
-            # high part polynomial: x^d + (digits of hi) * x^n, reduced mod Q_i
-            head = Poly.from_code(field, q**d + hi * block)
-            rcode = (head % Qi).code()
-            codes = vadd_poly_codes(field, low[lo0:lo1], rcode, n)
-            out[pos - start : pos - start + (lo1 - lo0)] = table[codes]
-            pos += lo1 - lo0
-        return out
+        hi, lo = np.divmod(np.arange(start, stop, dtype=np.int64), block)
+        hi0 = start // block
+        images = [(Poly.from_code(field, field.p**k * block) % Qi).code() for k in range((d - n) * field.e)]
+        heads = linear_map_values(field, np.arange(hi0, (stop - 1) // block + 1, dtype=np.int64), images, n)
+        heads = vadd_poly_codes(field, heads, (Poly.from_code(field, q**d) % Qi).code(), n)
+        return table[vadd_poly_codes(field, lo, heads[hi - hi0], n)]
 
 
 def is_primitive(x: Union[Poly, int], modulus: Modulus, fact: Optional[FactoredInteger] = None) -> bool:

@@ -18,9 +18,19 @@ factor degree, and the slots never written are exactly the irreducibles.
 I_k is read off the degree-k profile, so the profiles of every lower degree
 are kept in one cache (`max_degree_profile_cached`), which powers both
 exhaustive smooth counting and irreducible enumeration.
+
+Codes are also base-p digit vectors (each F_q coefficient is e base-p
+digits), and polynomial addition adds them digitwise mod p
+(`vadd_poly_codes`).  A map that is F_p-linear on them, such as
+multiplication by a fixed residue mod Q, is fixed by its images of the
+digit basis p^k: `linear_map_table` tabulates it for every code by doubling
+over the digit positions, and `linear_map_values` evaluates it on a batch.
 """
 
 from __future__ import annotations
+
+import functools
+from typing import Optional
 
 import numpy as np
 
@@ -30,6 +40,8 @@ __all__ = [
     "max_factor_degree_profile",
     "max_degree_profile_cached",
     "vadd_poly_codes",
+    "linear_map_table",
+    "linear_map_values",
 ]
 
 #: (P, C) products formed per sieve step; bounds its working memory
@@ -106,24 +118,78 @@ def max_degree_profile_cached(field: Field, d: int) -> np.ndarray:
     return profile
 
 
-def vadd_poly_codes(field: Field, codes: np.ndarray, c: int, width: int) -> np.ndarray:
-    """Coefficientwise sum of the polynomial with code c and each code in codes.
+@functools.cache
+def _digit_sum_table(p: int) -> tuple[int, Optional[np.ndarray]]:
+    """(g, T): T[x, y] is the digitwise sum mod p of x, y < p^g, the widest g with p^g <= 256.
 
-    width bounds the number of base-q coefficient slots touched.  For
+    (1, None) when p > 256: digits are then added one at a time.
+    """
+    g = 0
+    while p ** (g + 1) <= 256:
+        g += 1
+    if g == 0:
+        return 1, None
+    weights = p ** np.arange(g, dtype=np.int64)
+    digits = (np.arange(p**g, dtype=np.int64)[:, None] // weights) % p
+    table = ((digits[:, None, :] + digits[None, :, :]) % p) @ weights
+    table.flags.writeable = False
+    return g, table
+
+
+def vadd_poly_codes(field: Field, codes: np.ndarray, c, width: int) -> np.ndarray:
+    """Coefficientwise sum of the polynomials with codes c and codes.
+
+    c is one code or an array of codes broadcast against codes.  width
+    bounds the number of base-q coefficient slots touched.  For
     characteristic 2 this is a plain xor; otherwise base-p digits are added
-    mod p.
+    mod p, several digits per table lookup.
     """
     if field.p == 2:
         return np.bitwise_xor(codes, c)
     p = field.p
-    ndig = width * field.e
-    out = np.zeros_like(codes)
-    rem = codes
-    cc = c
+    g, table = _digit_sum_table(p)
+    out = np.zeros(np.broadcast(codes, c).shape, dtype=np.int64)
+    rem, cc = codes, c
     shift = 1
-    for _ in range(ndig):
-        out += ((rem % p + cc % p) % p) * shift
-        rem = rem // p
-        cc //= p
-        shift *= p
+    for lo in range(0, width * field.e, g):
+        step = p ** min(g, width * field.e - lo)
+        a, b = rem % step, cc % step
+        out += (table[a, b] if table is not None else (a + b) % p) * shift
+        rem, cc = rem // step, cc // step
+        shift *= step
+    return out
+
+
+def _digit_multiples(field: Field, code: int, width: int) -> np.ndarray:
+    """[a * code for a in F_p]: the code added to itself a times, coefficientwise."""
+    out = np.zeros(field.p, dtype=np.int64)
+    for a in range(1, field.p):
+        out[a] = vadd_poly_codes(field, out[a - 1], code, width)
+    return out
+
+
+def linear_map_table(field: Field, images: list[int], width: int) -> np.ndarray:
+    """L(x) for every code x in [0, p^len(images)), L an F_p-linear map on codes.
+
+    Codes are base-p digit vectors (width coefficient slots of e digits
+    each) and images[k] is the code of L(p^k).  The table doubles over the
+    digit positions, L[x + a*p^k] = L[x] + a*L(p^k) for x < p^k, so it
+    takes one pass per digit value and position over the part built so far
+    instead of one polynomial product per code.
+    """
+    out = np.zeros(1, dtype=np.int64)
+    for img in images:
+        out = np.concatenate([vadd_poly_codes(field, out, m, width) for m in _digit_multiples(field, img, width)])
+    return out
+
+
+def linear_map_values(field: Field, xs: np.ndarray, images: list[int], width: int) -> np.ndarray:
+    """L(x) for each code in xs, L given by images as in `linear_map_table`.
+
+    One pass over xs per digit position, so no array outgrows xs.
+    """
+    out = np.zeros(xs.shape, dtype=np.int64)
+    for k, img in enumerate(images):
+        digit = (xs // field.p**k) % field.p
+        out = vadd_poly_codes(field, out, _digit_multiples(field, img, width)[digit], width)
     return out

@@ -2,6 +2,7 @@ import random
 
 import mpmath
 import numpy as np
+import pytest
 
 from ffchar import characters
 from ffchar.algebra import Field, Poly, enumerate_monic
@@ -13,10 +14,13 @@ from ffchar.characters import (
     character_sum_Ad,
     characters_with_power_principal,
     chi_eval,
+    dlog_histogram,
     principal_character,
     unit_dlog_histogram,
 )
 from ffchar.residue import Modulus
+from ffchar.smooth import smooth_dlog_histogram
+from ffchar.vecpoly import max_degree_profile_cached
 
 F2 = Field.get(2)
 F3 = Field.get(3)
@@ -291,3 +295,66 @@ def test_histograms_chunk_and_worker_invariant(monkeypatch):
             assert np.array_equal(got[0], want[0])
             assert got[1] == want[1]
 
+
+# -- closed form at d >= deg Q against enumeration ------------------------
+
+
+def block_loop_dlogs(modulus, d):
+    """Oracle: flat dlog of every f in A_d (d >= deg Q) in code order, -1 for non-units.
+
+    Each block of q^n consecutive codes shares its head t^d + hi * t^n, which
+    is reduced mod Q once with scalar `%`; the block's residues are then
+    head + lo for every lo of degree < n.
+    """
+    F = modulus.field
+    q, n = F.q, modulus.n
+    flat_of = np.array([modulus.dlog_table.flat_dlog(Poly.from_code(F, c)) for c in range(q**n)])
+    out = []
+    for hi in range(q ** (d - n)):
+        head = Poly.from_code(F, q**d + hi * q**n) % modulus.poly
+        out.extend(flat_of[(Poly.from_code(F, lo) + head).code()] for lo in range(q**n))
+    return np.array(out, dtype=np.int64)
+
+
+def counted(flat, order):
+    """(histogram of the unit dlogs in flat, number of non-units)."""
+    return np.bincount(flat[flat >= 0], minlength=order), int((flat < 0).sum())
+
+
+def hist_moduli():
+    irreducible = [Modulus.irreducible(Field.of_order(q), n) for q, n in [(2, 4), (3, 3), (4, 2), (5, 2)]]
+    return irreducible + [mkmod(field, text) for field, text in COMPOSITES]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_closed_form_histogram_equals_enumeration(monkeypatch, workers):
+    monkeypatch.setattr(characters, "HIST_CHUNK", 7)
+    for m in hist_moduli():
+        q, n, order = m.field.q, m.n, m.unit_group.group_order
+        for d in (n, n + 1, n + 3):
+            hist, nonunits = unit_dlog_histogram(m, d, workers=workers)
+            assert np.array_equal(hist, np.full(order, q ** (d - n)))
+            assert nonunits == q**d - order * q ** (d - n)
+            want_hist, want_nonunits = counted(block_loop_dlogs(m, d), order)
+            assert np.array_equal(hist, want_hist), (str(m.poly), d)
+            assert nonunits == want_nonunits
+            # r >= d keeps every f: the smooth slice is the closed form too
+            for r in (d, d + 1):
+                s_hist, s_nonunits = smooth_dlog_histogram(m, d, r)
+                assert np.array_equal(s_hist, hist) and s_nonunits == nonunits
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_smooth_slices_at_and_above_n_match_enumeration(monkeypatch, workers):
+    # r < d still enumerates: chunks of 7 cut across the blocks of q^n codes.
+    # The profile is checked against scalar factorization in test_vecpoly.
+    monkeypatch.setattr(characters, "HIST_CHUNK", 7)
+    for m in hist_moduli():
+        for d in (m.n, m.n + 1, m.n + 3):
+            flat = block_loop_dlogs(m, d)
+            top = max_degree_profile_cached(m.field, d)
+            for r in range(1, d):
+                got = dlog_histogram(m, d, r, workers=workers)
+                want = counted(flat[top <= r], m.unit_group.group_order)
+                assert np.array_equal(got[0], want[0]), (str(m.poly), d, r)
+                assert got[1] == want[1]

@@ -21,6 +21,16 @@ F3 = Field.get(3)
 F4 = Field.of_order(4)
 
 
+def scalar_dlog_table(field, comp):
+    """Oracle for the doubling build: one product and one reduction per power g^i."""
+    table = np.full(field.q**comp.degree, -1, dtype=np.int64)
+    cur = Poly.one(field)
+    for i in range(comp.order):
+        table[cur.code()] = i
+        cur = (cur * comp.generator) % comp.poly
+    return table
+
+
 def is_primitive_via_dlog(x, modulus, fact=None):
     """Oracle for `is_primitive` through the dlog: x != 0 mod Q and gcd(dlog(x), N-1) = 1."""
     f = Poly.from_code(modulus.field, x) if isinstance(x, int) else x
@@ -201,6 +211,48 @@ def test_full_table_rejects_a_non_generator():
     comp = UnitComponent(m.poly, 4, 15, factor_integer(15), g)
     m.__dict__["unit_group"] = UnitGroupView(m, (comp,))
     with pytest.raises(ArithmeticError, match="not a generator"):
+        DlogTable(m)
+
+
+@pytest.mark.parametrize("q,ns", [(2, range(1, 9)), (3, range(1, 6)), (4, range(1, 5)), (5, range(1, 4)), (8, range(1, 4)), (9, range(1, 4))])
+def test_doubling_table_matches_scalar_walk(q, ns):
+    F = Field.of_order(q)
+    for n in ns:
+        m = Modulus.irreducible(F, n)
+        ((kind, table),) = m.dlog_table._component_tables
+        assert kind == "full-table"
+        assert np.array_equal(table, scalar_dlog_table(F, m.unit_group.components[0])), (q, n)
+
+
+def test_doubling_table_matches_scalar_walk_on_composite_components():
+    # linear factors give components of order 1 (F_2) and 2 (F_3)
+    for F, text in COMPOSITES:
+        m = Modulus.from_text(F, text)
+        for comp, (kind, table) in zip(m.unit_group.components, m.dlog_table._component_tables):
+            assert kind == "full-table"
+            assert np.array_equal(table, scalar_dlog_table(F, comp)), (text, str(comp.poly))
+
+
+def test_table_build_checks_the_tabulated_map(monkeypatch):
+    m = Modulus.irreducible(F2, 6)
+    g, N = m.unit_group.generators[0], 63
+    real = residue.linear_map_table
+
+    def corrupted(code):
+        def build(*args):
+            out = real(*args).copy()
+            out[code] = 0 if out[code] != 0 else 1
+            return out
+
+        return build
+
+    # g^0 = 1 is read by the block walk: its chain collapses onto the zero residue
+    monkeypatch.setattr(residue, "linear_map_table", corrupted(1))
+    with pytest.raises(ArithmeticError):
+        DlogTable(m)
+    # g^(N-1) is read only by the closing step g^(N-1) * g^B = g^(B-1)
+    monkeypatch.setattr(residue, "linear_map_table", corrupted(g.powmod(N - 1, m.poly).code()))
+    with pytest.raises(ArithmeticError, match="does not close"):
         DlogTable(m)
 
 

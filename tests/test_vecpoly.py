@@ -3,7 +3,13 @@ import pytest
 
 import ffchar.vecpoly as vecpoly
 from ffchar.algebra import Field, Poly, factorize, monic_irreducible_count
-from ffchar.vecpoly import max_degree_profile_cached, max_factor_degree_profile, vadd_poly_codes
+from ffchar.vecpoly import (
+    linear_map_table,
+    linear_map_values,
+    max_degree_profile_cached,
+    max_factor_degree_profile,
+    vadd_poly_codes,
+)
 
 F2 = Field.get(2)
 F3 = Field.get(3)
@@ -84,3 +90,29 @@ def test_vadd_poly_codes_matches_poly_add():
         for code, got in zip(codes, out):
             want = (Poly.from_code(F, int(code)) + cp).code()
             assert int(got) == want
+
+
+@pytest.mark.parametrize("q,width", [(2, 5), (3, 7), (4, 4), (5, 4), (9, 3), (25, 2), (257, 2)])
+def test_vadd_poly_codes_with_array_operand(q, width):
+    # digit groups per table lookup differ by p, and p = 257 adds one digit at a time
+    F = Field.of_order(q)
+    rng = np.random.default_rng(q)
+    codes = rng.integers(0, F.q**width, size=200, dtype=np.int64)
+    cs = rng.integers(0, F.q**width, size=200, dtype=np.int64)
+    out = vadd_poly_codes(F, codes, cs, width)
+    for a, b, got in zip(codes, cs, out):
+        assert int(got) == (Poly.from_code(F, int(a)) + Poly.from_code(F, int(b))).code()
+
+
+@pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (4, 3), (5, 3), (9, 2)])
+def test_linear_map_table_and_values_match_poly_products(q, n):
+    # x -> x * h mod Q, tabulated from the images of the digit basis p^k
+    F = Field.of_order(q)
+    Q = Poly.from_code(F, F.q**n + 1)
+    h = Poly.from_code(F, F.q**n // 3 + 2)
+    images = [(Poly.from_code(F, F.p**k) * h % Q).code() for k in range(n * F.e)]
+    table = linear_map_table(F, images, n)
+    want = [(Poly.from_code(F, x) * h % Q).code() for x in range(F.q**n)]
+    assert table.tolist() == want
+    xs = np.arange(F.q**n, dtype=np.int64)[::-7]
+    assert np.array_equal(linear_map_values(F, xs, images, n), table[xs])
