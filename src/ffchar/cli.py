@@ -345,8 +345,9 @@ def cmd_density(args) -> int:
 
 def cmd_sieve(args) -> int:
     """S_m congruence counts, T, and the character identity cross-check."""
-    rep = sieve_quantities(args.q, args.n, args.d, c1=args.c1, c2=args.c2, workers=args.workers)
-    dens = density_experiment(args.q, args.n, args.d, workers=args.workers)
+    modulus = _modulus(args)  # one dlog table and A_d histogram serve both reports
+    rep = sieve_quantities(args.q, args.n, args.d, Q=modulus, c1=args.c1, c2=args.c2, workers=args.workers)
+    dens = density_experiment(args.q, args.n, args.d, Q=modulus, workers=args.workers)
     ok = rep.T == dens.count and rep.char_identity_max_err <= 1e-6
     if args.format == "json":
         j = rep.to_json()

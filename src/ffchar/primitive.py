@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -71,6 +71,8 @@ def epsilon_bound(q: int, d: int, r: int, n: int, C2: float = 1.0, C3: float = 1
 
 def best_epsilon_bound(q: int, d: int, n: int, C2: float = 1.0, C3: float = 1.0) -> EpsilonBound:
     """Minimum of the bound over r = 1..d (the free smoothness parameter)."""
+    if d < 1:
+        raise ValueError(f"need d >= 1, got d = {d}")
     best = None
     for r in range(1, d + 1):
         cand = epsilon_bound(q, d, r, n, C2, C3)
@@ -216,6 +218,16 @@ def _primitive_count_over_Ad(modulus: Modulus, d: int, fact: FactoredInteger, wo
     return int(hist[coprime].sum())
 
 
+def _modulus_of(q: int, n: int, Q: Union[Poly, Modulus, None]) -> Modulus:
+    """The canonical degree-n modulus, or the given one (a built Modulus is reused)."""
+    if Q is None:
+        return Modulus.irreducible(Field.of_order(q), n)
+    modulus = Q if isinstance(Q, Modulus) else Modulus(Q)
+    if modulus.n != n:
+        raise ValueError("explicit Q must have degree n")
+    return modulus
+
+
 # ---------------------------------------------------------------------------
 # density experiment
 # ---------------------------------------------------------------------------
@@ -275,7 +287,7 @@ def density_experiment(
     q: int,
     n: int,
     d: int,
-    Q: Optional[Poly] = None,
+    Q: Union[Poly, Modulus, None] = None,
     C2: float = 1.0,
     C3: float = 1.0,
     workers: int = 1,
@@ -285,12 +297,10 @@ def density_experiment(
     The density and its target phi(N-1)/(N-1) stay exact rationals; the
     report pairs the observed deviation with the epsilon bound and with the
     exact character-sum bound 2^omega max |A(d, chi)| / q^d from the
-    indicator decomposition.
+    indicator decomposition.  Q given as a Modulus shares its dlog table
+    and histograms with the caller.
     """
-    field = Field.of_order(q)
-    modulus = Modulus.irreducible(field, n) if Q is None else Modulus(Q)
-    if modulus.n != n:
-        raise ValueError("explicit Q must have degree n")
+    modulus = _modulus_of(q, n, Q)
     order = q**n - 1
     fact = factor_integer(order)
     count = _primitive_count_over_Ad(modulus, d, fact, workers)
@@ -373,7 +383,7 @@ def sieve_quantities(
     q: int,
     n: int,
     d: int,
-    Q: Optional[Poly] = None,
+    Q: Union[Poly, Modulus, None] = None,
     c1: Optional[float] = None,
     c2: Optional[float] = None,
     workers: int = 1,
@@ -384,9 +394,9 @@ def sieve_quantities(
     the direct primitive count; each S_m is checked against the character
     identity S_m = (1/m) sum over chi with chi^m principal of A(d, chi).
     The sieve lower bound is evaluated only with caller-supplied constants.
+    Q is taken as in `density_experiment`.
     """
-    field = Field.of_order(q)
-    modulus = Modulus.irreducible(field, n) if Q is None else Modulus(Q)
+    modulus = _modulus_of(q, n, Q)
     order = q**n - 1
     fact = factor_integer(order)
     radical = fact.radical

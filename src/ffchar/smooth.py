@@ -24,8 +24,13 @@ working precision sized to u_max: each panel end multiplies relative error
 by roughly rho(m)/rho(m+1), so a double-precision march is garbage long
 before u = 30 (verified: negative values by u = 20).  Evaluation reads the
 finished panel coefficients as doubles, which keeps it cheap and accurate to
-~1e-14 relative.  Panels are marched on demand, only up to the one the
-largest requested u needs.
+~1e-14 relative.
+
+The default table (u_max = 30, degree 16) serves every u <= 30 and is a
+fixed constant: its panels ship in `dickman_panels`, bit for bit what the
+march gives, so no process marches them or imports mpmath.  The march runs
+only for a table beyond u = 30 (or of another degree), on demand, up to the
+panel the largest requested u needs.
 """
 
 from __future__ import annotations
@@ -34,11 +39,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import mpmath
 import numpy as np
 
+from . import dickman_panels
 from .algebra import Field, monic_irreducible_count
 from .characters import CharSum, Character, dlog_histogram, dual_group_sums, histogram_char_sum
+from .intfact import factor_integer
 from .residue import Modulus
 from .vecpoly import max_degree_profile_cached
 
@@ -63,6 +69,8 @@ __all__ = [
 
 def smooth_count(q: int, d: int, r: int) -> int:
     """Exact N(d, r) via integer power-series coefficient extraction."""
+    if q < 2 or factor_integer(q).omega != 1:
+        raise ValueError(f"q = {q} is not a prime power")
     if d < 0:
         raise ValueError("d must be >= 0")
     if r < 1:
@@ -138,10 +146,14 @@ class _PanelMarch:
     """The mpmath march of rho's Chebyshev panels, advanced one panel at a time.
 
     Every step runs at the working precision fixed by u_max, so marching k
-    panels gives the first k panels of a full march to u_max exactly.
+    panels gives the first k panels of a full march to u_max exactly.  This
+    is the only code that needs mpmath, so it is imported here, not with
+    the module.
     """
 
     def __init__(self, u_max: int, N: int):
+        import mpmath
+
         # precision sized to the total decay: log10(1/rho(u_max)) ~ u log10 u
         self.dps = max(50, 40 + int(1.7 * u_max * math.log10(max(u_max, 2))))
         self.N = N
@@ -151,6 +163,8 @@ class _PanelMarch:
             self.cosjk = [[mpmath.cos(mpmath.pi * j * k / N) for j in range(N + 1)] for k in range(N + 1)]
 
     def _vals_to_coeffs(self, v):
+        import mpmath
+
         N, one = self.N, mpmath.mpf(1)
         c = []
         for k in range(N + 1):
@@ -165,13 +179,15 @@ class _PanelMarch:
 
     @staticmethod
     def _clenshaw(c, x):
-        b1 = b2 = mpmath.mpf(0)
+        b1 = b2 = 0
         for ck in reversed(c[1:]):
             b1, b2 = 2 * x * b1 - b2 + ck, b1
         return x * b1 - b2 + c[0]
 
     def advance(self) -> np.ndarray:
         """March the next panel; return its N + 2 coefficients as doubles."""
+        import mpmath
+
         N = self.N
         with mpmath.workdps(self.dps):
             one = mpmath.mpf(1)
@@ -205,7 +221,8 @@ class _PanelMarch:
 class DickmanTable:
     """Unit panels of Chebyshev coefficients for rho on [0, u_max].
 
-    Panels are marched on demand: rho(u) marches only up to panel floor(u),
+    The (30, 16) table reads its panels from `dickman_panels`.  Any other
+    table marches them on demand: rho(u) marches only up to panel floor(u),
     at the precision u_max sets, so the table never marches panels no
     caller has asked for.
     """
@@ -214,11 +231,15 @@ class DickmanTable:
 
     def __init__(self, u_max: int = 30, degree: int = 16):
         if u_max < 1:
-            raise ValueError("u_max must be >= 1")
+            raise ValueError(f"u_max must be >= 1, got {u_max}")
         self.u_max = int(u_max)
         self.degree = int(degree)
-        self._march_state = _PanelMarch(self.u_max, self.degree)
-        self._panels: list[np.ndarray] = []
+        self._march_state: Optional[_PanelMarch] = None
+        if (self.u_max, self.degree) == (dickman_panels.U_MAX, dickman_panels.DEGREE):
+            self._panels = list(dickman_panels.PANELS)
+        else:
+            self._march_state = _PanelMarch(self.u_max, self.degree)
+            self._panels = []
 
     @staticmethod
     def _march(u_max: int, N: int) -> np.ndarray:
@@ -236,7 +257,8 @@ class DickmanTable:
 
     @property
     def panels_marched(self) -> int:
-        return len(self._panels)
+        """Panels this table has marched in mpmath; the shipped table marches none."""
+        return 0 if self._march_state is None else len(self._panels)
 
     def rho(self, u: float) -> float:
         if u < 0:
@@ -258,6 +280,8 @@ _default_table: Optional[DickmanTable] = None
 
 def default_dickman_table(u_max: int = 30) -> DickmanTable:
     global _default_table
+    if u_max < 1:
+        raise ValueError(f"u_max must be >= 1, got {u_max}")
     if _default_table is None or _default_table.u_max < u_max:
         _default_table = DickmanTable(u_max=max(u_max, 30))
     return _default_table

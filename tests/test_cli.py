@@ -187,3 +187,46 @@ def test_kernel_failure_exits_math_without_traceback(monkeypatch, capsys, exc):
     monkeypatch.setattr(ffchar.cli, "verify_weil", broken)
     assert main(["weil", "--q", "2", "--n", "3"]) == 1
     assert capsys.readouterr().err == "error: invariant broken\n"
+
+
+@pytest.mark.parametrize(
+    "argv,bad",
+    [
+        (["density", "--q", "2", "--n", "5", "--d", "0"], "d = 0"),
+        (["sieve", "--q", "2", "--n", "5", "--d", "0"], "d = 0"),
+        (["smooth-count", "--q", "6", "--d", "1..3"], "q = 6"),
+        (["dickman", "--u-max", "0"], "got 0"),
+    ],
+)
+def test_bad_input_is_usage_error_naming_the_value(capsys, argv, bad):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and bad in captured.err
+
+
+# recorded when `sieve` still built its modulus once per report
+SIEVE_Q2_N12_D9_JSON = (
+    '{"A": 512, "B_observed": "88/3", "B_observed_float": 29.333333333333332, "B_within_eps": true, '
+    '"Q": "t^12+t^3+1", "S": {"1": 512, "105": 11, "13": 48, "1365": 0, "15": 39, "195": 0, "21": 32, '
+    '"273": 8, "3": 200, "35": 20, "39": 14, "455": 0, "5": 96, "65": 0, "7": 72, "91": 8}, "T": 190, '
+    '"char_identity_max_err": 2.1316391561971976e-14, "d": 9, "eps": 1.714713394604422, '
+    '"eps_B": 877.933258037464, "lower_bound": null, "n": 12, "primitive_count_direct": 190, "q": 2, '
+    '"radical": 1365}\n'
+)
+
+
+def test_sieve_builds_one_dlog_table(monkeypatch, capsys):
+    from ffchar.residue import DlogTable
+
+    builds = []
+    real = DlogTable._build_full
+
+    def counted(self, comp):
+        builds.append(comp.order)
+        return real(self, comp)
+
+    monkeypatch.setattr(DlogTable, "_build_full", counted)
+    assert main(["sieve", "--q", "2", "--n", "12", "--d", "9", "--format", "json"]) == 0
+    assert builds == [2**12 - 1]
+    assert capsys.readouterr().out == SIEVE_Q2_N12_D9_JSON

@@ -1,0 +1,67 @@
+"""Independent oracles from installed packages: sympy's galoistools and hypothesis."""
+
+import random
+
+import pytest
+
+pytest.importorskip("sympy")
+pytest.importorskip("hypothesis")
+
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from sympy.polys.domains import ZZ  # noqa: E402
+from sympy.polys.galoistools import gf_factor, gf_irreducible_p  # noqa: E402
+
+from ffchar.algebra import Field, Poly, enumerate_monic, factorize, is_irreducible  # noqa: E402
+from ffchar.residue import Modulus  # noqa: E402
+
+
+def _oracle_polys(q: int) -> list[Poly]:
+    """Every monic f of degree <= D over F_q (q^D <= 729), plus random ones of degree <= 12, some non-monic."""
+    F = Field.get(q)
+    D = max(d for d in range(1, 10) if q**d <= 729)
+    polys = [f for d in range(1, D + 1) for f in enumerate_monic(F, d)]
+    rng = random.Random(q)
+    for _ in range(150):
+        d = rng.randrange(1, 13)
+        lead = rng.randrange(1, q)
+        polys.append(Poly(F, [rng.randrange(q) for _ in range(d)] + [lead]))
+    return polys
+
+
+def _galois(f: Poly) -> list[int]:
+    """Coefficients highest first, as galoistools writes them."""
+    return list(reversed(f.coeffs))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_factorize_matches_sympy_gf_factor(q):
+    for f in _oracle_polys(q):
+        lc, factors = gf_factor(_galois(f), q, ZZ)
+        got = factorize(f)
+        assert got.unit.code == int(lc) % q
+        assert sorted((_galois(g), m) for g, m in got.factors) == sorted(
+            ([int(c) % q for c in g], m) for g, m in factors
+        ), str(f)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_is_irreducible_matches_sympy(q):
+    for f in _oracle_polys(q):
+        if f.is_monic:
+            assert is_irreducible(f) == gf_irreducible_p(_galois(f), q, ZZ), str(f)
+
+
+# small irreducible moduli over F_2, F_3, F_4 and F_5: unit groups of order 127, 80, 63 and 124
+DLOG_MODULI = [Modulus.irreducible(Field.of_order(q), n) for q, n in ((2, 7), (3, 4), (4, 3), (5, 3))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(DLOG_MODULI), st.data())
+def test_dlog_of_a_product_is_the_sum_of_dlogs(m, data):
+    """dlog(f g) = dlog f + dlog g mod q^n - 1, for f and g of degree up to 2n - 1."""
+    q, n = m.field.q, m.n
+    f, g = (Poly.from_code(m.field, data.draw(st.integers(1, q ** (2 * n) - 1))) for _ in range(2))
+    assume(not (f % m.poly).is_zero and not (g % m.poly).is_zero)
+    table = m.dlog_table
+    assert table.dlog(f * g) == (table.dlog(f) + table.dlog(g)) % (q**n - 1)

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ffchar import vecpoly
+import ffchar
+from ffchar import dickman_panels, vecpoly
 from ffchar.algebra import Field, enumerate_monic, irreducibles_up_to, is_smooth, max_factor_degree
 from ffchar.characters import (
     all_characters,
@@ -31,6 +36,8 @@ from ffchar.smooth import (
 F2 = Field.get(2)
 F3 = Field.get(3)
 F4 = Field.get(2, 2)
+
+SRC = str(Path(ffchar.__file__).resolve().parents[1])
 
 # squarefree composites: t (t^2+t+1) over F_2, t (t+1) (t+2) over F_3
 COMPOSITES = [(F2, "t^3+t^2+t"), (F3, "t^3+2t")]
@@ -100,6 +107,14 @@ def test_smooth_count_trivial_when_r_geq_d():
 def test_smooth_count_small_example():
     # q=2, d=2, r=1: t^2, t(t+1), (t+1)^2
     assert smooth_count(2, 2, 1) == 3
+
+
+def test_smooth_count_rejects_a_q_that_is_not_a_prime_power():
+    for q in (6, 1, 0, -4):
+        with pytest.raises(ValueError, match=f"q = {q} is not a prime power"):
+            smooth_count(q, 3, 1)
+        with pytest.raises(ValueError, match=f"q = {q} "):
+            soundararajan_check(q, 3, 1)
 
 
 def test_smooth_count_matches_filter_oracle():
@@ -353,18 +368,58 @@ def test_rho_rejects_negative():
 
 
 def test_lazy_panels_equal_full_march():
-    full = DickmanTable._march(30, 16)
-    tab = DickmanTable(u_max=30)
+    # beyond u = 30 the table marches; the shipped (30, 16) table never does
+    full = DickmanTable._march(31, 16)
+    tab = DickmanTable(u_max=31)
     assert tab.panels_marched == 0
     assert tab.rho(2.5) > 0
     assert tab.panels_marched == 3  # rho on [2, 3] needs panels 0, 1, 2 only
-    for u in (10.0, 16.7, 0.5, 29.99):
+    for u in (10.0, 16.7, 0.5, 30.99):
         tab.rho(u)
-    assert tab.panels_marched == 30
-    for m in range(30):
+    assert tab.panels_marched == 31
+    for m in range(31):
         assert np.array_equal(tab.panel(m), full[m])
     with pytest.raises(ValueError):
+        tab.panel(31)
+
+
+def test_shipped_panels_are_the_march():
+    full = DickmanTable._march(30, 16)
+    tab = DickmanTable(u_max=30)
+    assert dickman_panels.PANELS.shape == (30, 18)
+    for m in range(30):
+        assert tab.panel(m).tobytes() == full[m].tobytes()
+    for u in (2.5, 16.0, 29.99):
+        tab.rho(u)
+    assert tab.panels_marched == 0
+    with pytest.raises(ValueError):
         tab.panel(30)
+
+
+def test_rho_up_to_thirty_runs_without_mpmath():
+    code = (
+        "import sys\n"
+        "import ffchar.cli\n"
+        "from ffchar.primitive import best_epsilon_bound\n"
+        "from ffchar.smooth import default_dickman_table\n"
+        "default_dickman_table().rho(16.0)\n"
+        "best_epsilon_bound(3, 16, 9)\n"
+        "assert 'mpmath' not in sys.modules\n"
+        "from ffchar.smooth import dickman_rho\n"
+        "dickman_rho(30.5)\n"
+        "assert 'mpmath' in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_dickman_table_rejects_u_max_below_one():
+    for u_max in (0, -3):
+        with pytest.raises(ValueError, match=f"got {u_max}"):
+            default_dickman_table(u_max)
+        with pytest.raises(ValueError, match=f"got {u_max}"):
+            DickmanTable(u_max=u_max)
 
 
 def test_rho_extends_beyond_default():
