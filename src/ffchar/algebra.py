@@ -37,6 +37,7 @@ __all__ = [
     "is_smooth",
     "max_factor_degree",
     "lex_least_irreducible",
+    "digit_sum_table",
 ]
 
 _EXTENSION_TABLE_LIMIT = 1 << 16  # q above this is out of scope
@@ -50,6 +51,14 @@ class Field:
     generator, built once at construction.  The defining polynomial is the
     least monic irreducible of degree e over F_p (least code), so every run
     constructs the same field.
+
+    An element of F_q is a polynomial over F_p of degree < e in u, the root
+    of the defining polynomial; its code spells the coefficients in base p.
+    The generator g is the least code whose powers g^((q-1)/l) mod the
+    defining polynomial (`Poly.powmod` over F_p) differ from 1 for every
+    prime l | q - 1.  Multiplication by g is F_p-linear on codes, so
+    `vecpoly.linear_map_table` tabulates it from the images of u^0..u^(e-1),
+    and the exp table walks that table from 1.
     """
 
     _registry: dict = {}
@@ -103,64 +112,28 @@ class Field:
 
     # -- extension-field tables ------------------------------------------
 
-    def _slow_mul(self, a: int, b: int) -> int:
-        """Bootstrap multiplication via base-p convolution mod defining_poly."""
-        p, e, mod = self.p, self.e, self.defining_poly
-        da = _digits(a, p, e)
-        db = _digits(b, p, e)
-        prod = [0] * (2 * e - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        for i in range(2 * e - 2, e - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(e):
-                    prod[i - e + j] = (prod[i - e + j] - c * mod[j]) % p
-        return sum(c * p**i for i, c in enumerate(prod[:e]))
-
     def _build_tables(self):
-        q = self.q
-        fi = factor_integer(q - 1)
-        gen = None
-        for cand in range(2, q):
-            if all(self._slow_pow(cand, (q - 1) // ell) != 1 for ell in fi.primes):
-                gen = cand
-                break
-        if gen is None:  # q - 1 == 1: F_2 only, handled as prime field
-            raise AssertionError("no multiplicative generator found")
-        exp = np.zeros(2 * (q - 1), dtype=np.int32)
-        log = np.full(q, -1, dtype=np.int64)
-        cur = 1
-        for i in range(q - 1):
-            exp[i] = cur
-            log[cur] = i
-            cur = self._slow_mul(cur, gen)
-        exp[q - 1 :] = exp[: q - 1]
-        self._exp = exp
-        self._log = log
-        self._gen = gen
-        if self.p != 2 and q <= 256:
-            codes = np.arange(q)
-            dig = np.stack(
-                [(codes // self.p**i) % self.p for i in range(self.e)]
-            )
-            summed = ((dig[:, :, None] + dig[:, None, :]) % self.p)
-            powers = np.array([self.p**i for i in range(self.e)])
-            self._addtab = np.tensordot(powers, summed, axes=(0, 0)).astype(np.int32)
-        else:
-            self._addtab = None
+        from .vecpoly import linear_map_table  # vecpoly builds on Field, so not at module level
 
-    def _slow_pow(self, a: int, n: int) -> int:
-        r = 1
-        while n:
-            if n & 1:
-                r = self._slow_mul(r, a)
-            a = self._slow_mul(a, a)
-            n >>= 1
-        return r
+        q, base = self.q, Field.get(self.p)
+        mod, one = Poly(base, self.defining_poly), Poly.one(base)
+        primes = factor_integer(q - 1).primes
+        for cand in range(2, q):
+            gen = Poly.from_code(base, cand)
+            if all(gen.powmod((q - 1) // ell, mod) != one for ell in primes):
+                break
+        else:  # impossible: the units of F_q form a cyclic group
+            raise ArithmeticError("no multiplicative generator found")
+        images = [(Poly.from_code(base, self.p**j) * gen % mod).code() for j in range(self.e)]
+        times_gen = linear_map_table(base, images, self.e).tolist()
+        walk = [1]
+        for _ in range(q - 2):
+            walk.append(times_gen[walk[-1]])
+        if times_gen[walk[-1]] != 1:
+            raise ArithmeticError(f"the powers of {cand} do not close after q - 1 = {q - 1} steps")
+        self._exp = np.array(walk * 2, dtype=np.int32)
+        self._log = np.full(q, -1, dtype=np.int64)
+        self._log[walk] = np.arange(q - 1)
 
     # -- scalar arithmetic on codes --------------------------------------
 
@@ -169,15 +142,12 @@ class Field:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        if self._addtab is not None:
-            return int(self._addtab[a, b])
-        p = self.p
+        g, table = digit_sum_table(self.p)  # p <= 256 whenever e > 1, so table is not None
+        step = self.p**g
         out, shift = 0, 1
-        for _ in range(self.e):
-            out += ((a + b) % p) * shift
-            a //= p
-            b //= p
-            shift *= p
+        while a or b:
+            out += int(table[a % step, b % step]) * shift
+            a, b, shift = a // step, b // step, shift * step
         return out
 
     def neg(self, a: int) -> int:
@@ -219,32 +189,6 @@ class Field:
             return 0 if n else 1
         return int(self._exp[(self._log[a] * n) % (self.q - 1)])
 
-    # -- vectorized arithmetic on numpy code arrays -----------------------
-
-    def vadd(self, a, b):
-        if self.e == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return np.bitwise_xor(a, b)
-        if self._addtab is not None:
-            return self._addtab[a, b]
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        pa, pb, shift = np.asarray(a), np.asarray(b), 1
-        for _ in range(self.e):
-            out += ((pa + pb) % self.p) * shift
-            pa, pb = pa // self.p, pb // self.p
-            shift *= self.p
-        return out
-
-    def vmul(self, a, b):
-        if self.e == 1:
-            return (np.asarray(a, dtype=np.int64) * b) % self.p
-        a = np.asarray(a)
-        b = np.asarray(b)
-        out = self._exp[self._log[a] + self._log[b]].astype(np.int64)
-        np.copyto(out, 0, where=(a == 0) | (b == 0))
-        return out
-
     def element(self, code: int) -> "FieldElement":
         return FieldElement(self, int(code) % self.q)
 
@@ -260,12 +204,23 @@ class Field:
         return self is other
 
 
-def _digits(code: int, base: int, width: int) -> list[int]:
-    out = []
-    for _ in range(width):
-        out.append(code % base)
-        code //= base
-    return out
+@lru_cache(maxsize=None)
+def digit_sum_table(p: int) -> tuple[int, Optional[np.ndarray]]:
+    """(g, T): T[x, y] is the digitwise sum mod p of x, y < p^g, the widest g with p^g <= 256.
+
+    (1, None) when p > 256: digits are then added one at a time.  The one
+    digit-add table behind `Field.add` and `vecpoly.vadd_poly_codes`.
+    """
+    g = 0
+    while p ** (g + 1) <= 256:
+        g += 1
+    if g == 0:
+        return 1, None
+    weights = p ** np.arange(g, dtype=np.int64)
+    digits = (np.arange(p**g, dtype=np.int64)[:, None] // weights) % p
+    table = ((digits[:, None, :] + digits[None, :, :]) % p) @ weights
+    table.flags.writeable = False
+    return g, table
 
 
 @dataclass(frozen=True)
@@ -278,7 +233,8 @@ class FieldElement:
     @property
     def rep(self) -> tuple[int, ...]:
         """Power-basis coordinates over F_p, constant coordinate first."""
-        return tuple(_digits(self.code, self.field.p, self.field.e))
+        coeffs = Poly.from_code(Field.get(self.field.p), self.code).coeffs
+        return coeffs + (0,) * (self.field.e - len(coeffs))
 
     def __add__(self, other):
         return FieldElement(self.field, self.field.add(self.code, other.code))

@@ -289,10 +289,6 @@ class CharSum:
     def __complex__(self):
         return self.value
 
-    @property
-    def magnitude(self) -> float:
-        return abs(self.value)
-
 
 def render_phase_counts(counts: np.ndarray, M: int) -> tuple[complex, float, int]:
     """Kahan-compensated sum of counts[a] * zeta_M^a in fixed phase order."""

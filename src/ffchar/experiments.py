@@ -36,10 +36,10 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .algebra import Field
-from .characters import all_char_sums_Ad, character_sum_Ad
+from .characters import all_char_sums_Ad
 from .primitive import epsilon_bound
 from .residue import Modulus
-from .smooth import all_smooth_char_sums, smooth_char_sum, smooth_count
+from .smooth import all_smooth_char_sums, smooth_count
 
 __all__ = [
     "CSV_HEADER",
@@ -49,8 +49,6 @@ __all__ = [
     "GridRunResult",
     "run_main_theorem_grid",
     "run_corollary_grid",
-    "verify_l_equals_m_times_n",
-    "LMNReport",
 ]
 
 CSV_HEADER = "q,n,Q,chi,d,r,lhs,bound_core,implied_constant,short_norm,eps,flags"
@@ -469,52 +467,3 @@ def run_corollary_grid(cfg: ExperimentConfig) -> GridRunResult:
     whenever the unknown O-constants exceed 1), never failed.
     """
     return _grid_run(cfg, corollary=True)
-
-
-@dataclass
-class LMNReport:
-    """Convolution identity check: full sums = smooth series x rough series."""
-
-    chi_label: str
-    r: int
-    k_max: int
-    errors: list[float]
-
-    @property
-    def max_error(self) -> float:
-        return max(self.errors, default=0.0)
-
-
-def verify_l_equals_m_times_n(chi, r: int, k_max: int) -> LMNReport:
-    """Coefficients of the smooth Euler factor times the rough one vs A(k, chi).
-
-    The rough series prod over deg P in (r, k_max] of (1 - chi(P) z^deg P)^(-1)
-    is expanded formally to degree k_max, convolved with the smooth-slice
-    coefficients, and compared against the full character sums.
-    """
-    from .algebra import irreducibles_up_to
-    from .characters import chi_eval
-
-    modulus = chi.modulus
-    field_ = modulus.field
-    m_coeffs = np.zeros(k_max + 1, dtype=np.complex128)
-    for k in range(k_max + 1):
-        m_coeffs[k] = smooth_char_sum(chi, k, r).value
-    n_coeffs = np.zeros(k_max + 1, dtype=np.complex128)
-    n_coeffs[0] = 1.0
-    if k_max > r:
-        for level in irreducibles_up_to(field_, k_max)[r:]:
-            for P in level:
-                v = chi_eval(chi, P).to_complex()
-                geom = np.zeros(k_max + 1, dtype=np.complex128)
-                acc = 1.0 + 0j
-                for j in range(0, k_max + 1, P.degree):
-                    geom[j] = acc
-                    acc *= v
-                n_coeffs = np.convolve(n_coeffs, geom)[: k_max + 1]
-    conv = np.convolve(m_coeffs, n_coeffs)[: k_max + 1]
-    errors = []
-    for k in range(k_max + 1):
-        a = character_sum_Ad(chi, k).value
-        errors.append(abs(conv[k] - a))
-    return LMNReport(chi.label, r, k_max, errors)

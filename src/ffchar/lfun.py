@@ -30,6 +30,7 @@ from .characters import (
     flat_dlog_phases,
     render_phase_counts,
 )
+from .intfact import factor_integer
 from .residue import Modulus
 
 __all__ = [
@@ -284,6 +285,8 @@ def mertens_product(q: int, k: int) -> MertensResult:
     and rendered to a double only at the end; returned with its ratio to
     e^gamma * k.
     """
+    if q < 2 or factor_integer(q).omega != 1:
+        raise ValueError(f"q = {q} is not a prime power")
     if k < 1:
         raise ValueError("k must be >= 1")
     num, den = 1, 1

@@ -96,9 +96,6 @@ class Modulus:
     def dlog_table(self) -> "DlogTable":
         return DlogTable(self)
 
-    def reduce(self, f: Poly) -> Poly:
-        return f % self.poly
-
     def __eq__(self, other):
         return isinstance(other, Modulus) and self.field is other.field and self.poly == other.poly
 
@@ -307,8 +304,8 @@ class DlogTable:
         hi, lo = np.divmod(np.arange(start, stop, dtype=np.int64), block)
         hi0 = start // block
         images = [(Poly.from_code(field, field.p**k * block) % Qi).code() for k in range((d - n) * field.e)]
-        heads = linear_map_values(field, np.arange(hi0, (stop - 1) // block + 1, dtype=np.int64), images, n)
-        heads = vadd_poly_codes(field, heads, (Poly.from_code(field, q**d) % Qi).code(), n)
+        his = np.arange(hi0, (stop - 1) // block + 1, dtype=np.int64)
+        heads = linear_map_values(field, his, images, n, (Poly.from_code(field, q**d) % Qi).code())
         return table[vadd_poly_codes(field, lo, heads[hi - hi0], n)]
 
 

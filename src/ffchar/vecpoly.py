@@ -2,11 +2,15 @@
 
 A monic polynomial of degree d is addressed by its slot j in [0, q^d): its
 code is q^d + j, so the slot spells its lower coefficients in base q.
-Coefficients travel as digit rows: an array whose row i holds c_i of every
-polynomial in a batch as an F_q element code.  Every operation is exact
-integer work (the field's vectorized mod-p arithmetic or exp/log table
-gathers), so batch results agree bit for bit with the scalar kernels in
-`algebra`.
+Codes are also base-p digit vectors (each F_q coefficient is e base-p
+digits), and polynomial addition adds them digitwise mod p
+(`vadd_poly_codes`).  A map that is F_p-linear on them, such as
+multiplication by a fixed polynomial, is fixed by its images of the digit
+basis p^k: `linear_map_table` tabulates it for every code by doubling over
+the digit positions, and `linear_map_values` evaluates it on a batch.  Both
+take one map, or a batch of maps given by an array of images per digit.
+Every operation is exact integer work, so batch results agree bit for bit
+with the scalar kernels in `algebra`.
 
 The payoff is `max_factor_degree_profile`: the largest irreducible-factor
 degree of every monic degree-d polynomial, by a multiplicative sieve (an
@@ -15,26 +19,18 @@ monic f of degree d is a product P*C with P irreducible of degree k < d and
 C monic of degree d - k.  Sieving k = 1..d-1 in ascending order writes k
 into the slot of every such product, so each slot ends with its largest
 factor degree, and the slots never written are exactly the irreducibles.
-I_k is read off the degree-k profile, so the profiles of every lower degree
-are kept in one cache (`max_degree_profile_cached`), which powers both
+The products come from digit doubling: code(P*C) is code(P*t^(d-k)) plus
+code(P*c) for c = C - t^(d-k), and c -> code(P*c) is F_p-linear.  I_k is
+read off the degree-k profile, so the profiles of every lower degree are
+kept in one cache (`max_degree_profile_cached`), which powers both
 exhaustive smooth counting and irreducible enumeration.
-
-Codes are also base-p digit vectors (each F_q coefficient is e base-p
-digits), and polynomial addition adds them digitwise mod p
-(`vadd_poly_codes`).  A map that is F_p-linear on them, such as
-multiplication by a fixed residue mod Q, is fixed by its images of the
-digit basis p^k: `linear_map_table` tabulates it for every code by doubling
-over the digit positions, and `linear_map_values` evaluates it on a batch.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import Optional
-
 import numpy as np
 
-from .algebra import Field, monic_irreducible_count
+from .algebra import Field, digit_sum_table, monic_irreducible_count
 
 __all__ = [
     "max_factor_degree_profile",
@@ -50,38 +46,33 @@ _SIEVE_PAIRS = 1 << 15
 _profiles: dict[tuple[Field, int], np.ndarray] = {}
 
 
-def _monic_rows(field: Field, slots: np.ndarray, width: int) -> np.ndarray:
-    """(width + 1, N) coefficients c_0..c_width of the monic polys in the given slots."""
-    q = field.q
-    out = np.ones((width + 1, slots.size), dtype=np.int64)
-    rem = slots
-    for i in range(width):
-        out[i] = rem % q
-        rem = rem // q
-    return out
-
-
 def _mark_multiples(field: Field, out: np.ndarray, d: int, k: int, irr: np.ndarray) -> None:
-    """Write k into the slot of P*C for every P in I_k and monic C of degree d - k.
+    """Write k into the slot of P*C for every P in I_k and monic C of degree m = d - k.
 
-    irr holds the slots of I_k.  Pairs (P, C) are formed a bounded block at a
-    time, so the working memory does not grow with q^d.
+    irr holds the slots of I_k.  slot(P*C) is slot(P)*q^m plus L_P(c),
+    added coefficientwise, for c = C - t^m: L_P(c) = code(P*c) is F_p-linear
+    in the m*e base-p digits of c, and L_P(u^l t^i) = code(P*u^l) * q^i.
+    For a block of P at a
+    time, each value of the high digits of c fixes an offset (its head), from
+    which L_P is tabulated over the low digits by doubling; so a step forms
+    about _SIEVE_PAIRS products and the working memory does not grow with q^d.
     """
-    q, m = field.q, d - k
-    n_cof = q**m
-    step_c = min(n_cof, _SIEVE_PAIRS)
-    step_p = max(1, _SIEVE_PAIRS // step_c)
-    weights = q ** np.arange(d, dtype=np.int64)
+    q, p, e, m = field.q, field.p, field.e, d - k
+    lo = 1  # low digits of c, tabulated at once
+    while lo < m * e and p ** (lo + 1) <= _SIEVE_PAIRS:
+        lo += 1
+    step_p = max(1, _SIEVE_PAIRS // p**lo)
+    # P -> P*u^l is F_p-linear too: the image of P's digit i*e + j is code(u^j * u^l) * q^i
+    times_u = [[field.mul(p ** (i % e), p**l) * q ** (i // e) for i in range((k + 1) * e)] for l in range(1, e)]
+    shifts = q ** np.arange(m, dtype=np.int64)[:, None, None]
     for p0 in range(0, irr.size, step_p):
-        P = _monic_rows(field, irr[p0 : p0 + step_p], k)[:, :, None]
-        for c0 in range(0, n_cof, step_c):
-            C = _monic_rows(field, np.arange(c0, min(c0 + step_c, n_cof), dtype=np.int64), m)[:, None, :]
-            prod = np.zeros((d, P.shape[1], C.shape[2]), dtype=np.int64)
-            for i in range(k + 1):
-                for j in range(m + 1):
-                    if i + j < d:  # i + j == d is the implicit leading 1
-                        prod[i + j] = field.vadd(prod[i + j], field.vmul(P[i], C[j]))
-            out[np.tensordot(weights, prod, axes=1).ravel()] = k
+        slots = irr[p0 : p0 + step_p]
+        codes = q**k + slots
+        by_u = np.stack([codes] + [linear_map_values(field, codes, images, k + 1) for images in times_u])
+        images = (shifts * by_u).reshape(m * e, slots.size)  # images[i*e + l] = code(P * u^l * t^i)
+        heads = linear_map_values(field, np.arange(p ** (m * e - lo), dtype=np.int64), images[lo:], d, slots * q**m)
+        for head in heads:
+            out[linear_map_table(field, images[:lo], d, head)] = k
 
 
 def max_factor_degree_profile(field: Field, d: int) -> np.ndarray:
@@ -118,24 +109,6 @@ def max_degree_profile_cached(field: Field, d: int) -> np.ndarray:
     return profile
 
 
-@functools.cache
-def _digit_sum_table(p: int) -> tuple[int, Optional[np.ndarray]]:
-    """(g, T): T[x, y] is the digitwise sum mod p of x, y < p^g, the widest g with p^g <= 256.
-
-    (1, None) when p > 256: digits are then added one at a time.
-    """
-    g = 0
-    while p ** (g + 1) <= 256:
-        g += 1
-    if g == 0:
-        return 1, None
-    weights = p ** np.arange(g, dtype=np.int64)
-    digits = (np.arange(p**g, dtype=np.int64)[:, None] // weights) % p
-    table = ((digits[:, None, :] + digits[None, :, :]) % p) @ weights
-    table.flags.writeable = False
-    return g, table
-
-
 def vadd_poly_codes(field: Field, codes: np.ndarray, c, width: int) -> np.ndarray:
     """Coefficientwise sum of the polynomials with codes c and codes.
 
@@ -147,7 +120,7 @@ def vadd_poly_codes(field: Field, codes: np.ndarray, c, width: int) -> np.ndarra
     if field.p == 2:
         return np.bitwise_xor(codes, c)
     p = field.p
-    g, table = _digit_sum_table(p)
+    g, table = digit_sum_table(p)
     out = np.zeros(np.broadcast(codes, c).shape, dtype=np.int64)
     rem, cc = codes, c
     shift = 1
@@ -160,36 +133,51 @@ def vadd_poly_codes(field: Field, codes: np.ndarray, c, width: int) -> np.ndarra
     return out
 
 
-def _digit_multiples(field: Field, code: int, width: int) -> np.ndarray:
-    """[a * code for a in F_p]: the code added to itself a times, coefficientwise."""
-    out = np.zeros(field.p, dtype=np.int64)
-    for a in range(1, field.p):
-        out[a] = vadd_poly_codes(field, out[a - 1], code, width)
+def _multiples(field: Field, codes, width: int) -> np.ndarray:
+    """out[a] = a * codes for every a in F_p, coefficientwise: shape (p,) + codes.shape."""
+    p = field.p
+    codes = np.asarray(codes, dtype=np.int64)
+    if p == 2:
+        return np.stack([np.zeros_like(codes), codes])
+    a = np.arange(p, dtype=np.int64).reshape((p,) + (1,) * codes.ndim)
+    out = np.zeros((p,) + codes.shape, dtype=np.int64)
+    rem, shift = codes, 1
+    for _ in range(width * field.e):
+        out += (a * (rem % p)) % p * shift
+        rem, shift = rem // p, shift * p
     return out
 
 
-def linear_map_table(field: Field, images: list[int], width: int) -> np.ndarray:
-    """L(x) for every code x in [0, p^len(images)), L an F_p-linear map on codes.
+def linear_map_table(field: Field, images, width: int, offset=0) -> np.ndarray:
+    """offset + L(x) for every code x in [0, p^len(images)), L an F_p-linear map on codes.
 
     Codes are base-p digit vectors (width coefficient slots of e digits
-    each) and images[k] is the code of L(p^k).  The table doubles over the
-    digit positions, L[x + a*p^k] = L[x] + a*L(p^k) for x < p^k, so it
-    takes one pass per digit value and position over the part built so far
-    instead of one polynomial product per code.
+    each) and images[k] is the code of L(p^k).  images[k] may also be an
+    array holding L(p^k) for a batch of maps, which are then tabulated side
+    by side: entry [x, ...] belongs to the map at [...], and offset may be
+    an array of that batch shape.  The table doubles over the digit
+    positions from T[0] = offset, T[x + a*p^k] = T[x] + a*L(p^k) for
+    x < p^k, so it takes one pass per digit position over the part built so
+    far instead of one polynomial product per code.
     """
-    out = np.zeros(1, dtype=np.int64)
-    for img in images:
-        out = np.concatenate([vadd_poly_codes(field, out, m, width) for m in _digit_multiples(field, img, width)])
+    images = np.asarray(images, dtype=np.int64)
+    mults = _multiples(field, images, width)
+    out = np.zeros((1,) + images.shape[1:], dtype=np.int64) + offset
+    for k in range(images.shape[0]):
+        added = vadd_poly_codes(field, out, mults[1:, k, None], width)
+        out = np.concatenate([out[None], added]).reshape((-1,) + out.shape[1:])
     return out
 
 
-def linear_map_values(field: Field, xs: np.ndarray, images: list[int], width: int) -> np.ndarray:
-    """L(x) for each code in xs, L given by images as in `linear_map_table`.
+def linear_map_values(field: Field, xs: np.ndarray, images, width: int, offset=0) -> np.ndarray:
+    """offset + L(x) for each code in xs, L and offset as in `linear_map_table`.
 
-    One pass over xs per digit position, so no array outgrows xs.
+    The result has shape xs.shape + images[k].shape.  One pass over xs per
+    digit position, so no array outgrows the result.
     """
-    out = np.zeros(xs.shape, dtype=np.int64)
-    for k, img in enumerate(images):
-        digit = (xs // field.p**k) % field.p
-        out = vadd_poly_codes(field, out, _digit_multiples(field, img, width)[digit], width)
+    images = np.asarray(images, dtype=np.int64)
+    mults = _multiples(field, images, width)
+    out = np.zeros(xs.shape + images.shape[1:], dtype=np.int64) + offset
+    for k in range(images.shape[0]):
+        out = vadd_poly_codes(field, out, mults[(xs // field.p**k) % field.p, k], width)
     return out

@@ -57,6 +57,29 @@ def long_division_mod(a: Poly, m: Poly) -> Poly:
     return Poly(F, rem)
 
 
+def schoolbook_field_mul(F: Field, a: int, b: int) -> int:
+    """Oracle F_q product: base-p convolution of two codes, reduced mod the defining polynomial."""
+    p, e, mod = F.p, F.e, F.defining_poly
+    da = [(a // p**i) % p for i in range(e)]
+    db = [(b // p**i) % p for i in range(e)]
+    prod = [0] * (2 * e - 1)
+    for i, ai in enumerate(da):
+        for j, bj in enumerate(db):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
+    for i in range(2 * e - 2, e - 1, -1):
+        c, prod[i] = prod[i], 0
+        for j in range(e):
+            prod[i - e + j] = (prod[i - e + j] - c * mod[j]) % p
+    return sum(c * p**i for i, c in enumerate(prod[:e]))
+
+
+def schoolbook_field_pow(F: Field, a: int, n: int) -> int:
+    out = 1
+    for _ in range(n):
+        out = schoolbook_field_mul(F, out, a)
+    return out
+
+
 # -- poly_mul_mod -------------------------------------------------------
 
 
@@ -99,7 +122,7 @@ def test_mul_mod_rejects_zero_modulus():
 
 def test_field_axioms_random_triples():
     rng = random.Random(3)
-    for F in ALL_FIELDS:
+    for F in ALL_FIELDS + [Field.get(3, 6)]:  # q = 729 > 256: Field.add takes two digit-table lookups
         for _ in range(80):
             a, b, c = (rng.randrange(F.q) for _ in range(3))
             assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
@@ -108,6 +131,30 @@ def test_field_axioms_random_triples():
             assert F.add(a, F.neg(a)) == 0
             if a:
                 assert F.mul(a, F.inv(a)) == 1
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 49])
+def test_field_mul_matches_schoolbook_oracle_on_every_pair(q):
+    F = Field.of_order(q)
+    for a in range(q):
+        for b in range(q):
+            assert F.mul(a, b) == schoolbook_field_mul(F, a, b)
+
+
+@pytest.mark.parametrize("q", [64, 81, 243, 256])
+def test_exp_log_tables_walk_the_least_generator(q):
+    F = Field.of_order(q)
+    g = int(F._exp[1])
+    cur = 1
+    for i in range(q - 1):
+        assert F._exp[i] == F._exp[q - 1 + i] == cur
+        assert F._log[cur] == i
+        cur = schoolbook_field_mul(F, cur, g)
+    assert cur == 1 and F._log[0] == -1
+    # every smaller candidate has an order below q - 1
+    primes = [ell for ell in range(2, q) if (q - 1) % ell == 0 and all(ell % m for m in range(2, ell))]
+    for c in range(2, g):
+        assert any(schoolbook_field_pow(F, c, (q - 1) // ell) == 1 for ell in primes)
 
 
 def test_frobenius_fixes_prime_field():

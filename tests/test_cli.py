@@ -196,6 +196,10 @@ def test_kernel_failure_exits_math_without_traceback(monkeypatch, capsys, exc):
         (["sieve", "--q", "2", "--n", "5", "--d", "0"], "d = 0"),
         (["smooth-count", "--q", "6", "--d", "1..3"], "q = 6"),
         (["dickman", "--u-max", "0"], "got 0"),
+        (["mertens", "--q", "6", "--k", "3"], "q = 6 is not a prime power"),
+        (["mertens", "--q", "0", "--k", "2"], "q = 0 is not a prime power"),
+        (["mertens", "--q", "1", "--k", "2"], "q = 1 is not a prime power"),
+        (["mertens", "--q", "-3", "--k", "2"], "q = -3 is not a prime power"),
     ],
 )
 def test_bad_input_is_usage_error_naming_the_value(capsys, argv, bad):

@@ -1,14 +1,16 @@
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from ffchar import experiments
-from ffchar.algebra import Field, Poly
+from ffchar.algebra import Field, Poly, irreducibles_up_to
 from ffchar.characters import (
     character_by_index,
     character_sum_Ad,
+    chi_eval,
     principal_character,
 )
 from ffchar.cli import main
@@ -18,7 +20,6 @@ from ffchar.experiments import (
     ExperimentConfig,
     run_corollary_grid,
     run_main_theorem_grid,
-    verify_l_equals_m_times_n,
 )
 from ffchar.lfun import prime_char_sum
 from ffchar.residue import Modulus
@@ -203,6 +204,55 @@ def test_corollary_grid(tmp_path):
         assert abs(rec.short_norm - best / 2**rec.d) < 1e-9
         if rec.d >= 5:  # d >= n: short sums vanish
             assert rec.short_norm < 1e-9
+
+
+# -- L = M * N: the full series is the smooth series times the rough one ----------
+
+
+@dataclass
+class LMNReport:
+    """Convolution identity check: full sums = smooth series x rough series."""
+
+    chi_label: str
+    r: int
+    k_max: int
+    errors: list[float]
+
+    @property
+    def max_error(self) -> float:
+        return max(self.errors, default=0.0)
+
+
+def verify_l_equals_m_times_n(chi, r: int, k_max: int) -> LMNReport:
+    """Coefficients of the smooth Euler factor times the rough one vs A(k, chi).
+
+    The rough series prod over deg P in (r, k_max] of (1 - chi(P) z^deg P)^(-1)
+    is expanded formally to degree k_max, convolved with the smooth-slice
+    coefficients, and compared against the full character sums.
+    """
+    modulus = chi.modulus
+    field_ = modulus.field
+    m_coeffs = np.zeros(k_max + 1, dtype=np.complex128)
+    for k in range(k_max + 1):
+        m_coeffs[k] = smooth_char_sum(chi, k, r).value
+    n_coeffs = np.zeros(k_max + 1, dtype=np.complex128)
+    n_coeffs[0] = 1.0
+    if k_max > r:
+        for level in irreducibles_up_to(field_, k_max)[r:]:
+            for P in level:
+                v = chi_eval(chi, P).to_complex()
+                geom = np.zeros(k_max + 1, dtype=np.complex128)
+                acc = 1.0 + 0j
+                for j in range(0, k_max + 1, P.degree):
+                    geom[j] = acc
+                    acc *= v
+                n_coeffs = np.convolve(n_coeffs, geom)[: k_max + 1]
+    conv = np.convolve(m_coeffs, n_coeffs)[: k_max + 1]
+    errors = []
+    for k in range(k_max + 1):
+        a = character_sum_Ad(chi, k).value
+        errors.append(abs(conv[k] - a))
+    return LMNReport(chi.label, r, k_max, errors)
 
 
 def test_lmn_convolution_identity():

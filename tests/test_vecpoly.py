@@ -15,18 +15,26 @@ F2 = Field.get(2)
 F3 = Field.get(3)
 F4 = Field.get(2, 2)
 F5 = Field.get(5)
+F8 = Field.get(2, 3)
+F9 = Field.get(3, 2)
+F101 = Field.get(101)
+F257 = Field.get(257)
 
 
-@pytest.mark.parametrize("F,d", [(F2, 6), (F3, 4), (F4, 3), (F5, 3)])
+# p = 2 with e = 3, odd p with e = 2, one digit per table lookup (p = 101) and
+# no digit-sum table (p = 257); above 4096 slots, 500 sampled slots are checked
+@pytest.mark.parametrize("F,d", [(F2, 6), (F3, 4), (F4, 3), (F5, 3), (F8, 4), (F9, 3), (F101, 3), (F257, 2)])
 def test_profile_matches_scalar_factorize(F, d):
     prof = max_factor_degree_profile(F, d)
-    for j in range(F.q**d):
-        f = Poly.from_code(F, F.q**d + j)
+    n = F.q**d
+    slots = range(n) if n <= 4096 else np.random.default_rng(F.q + d).integers(0, n, size=500)
+    for j in slots:
+        f = Poly.from_code(F, n + int(j))
         assert prof[j] == factorize(f).max_factor_degree()
 
 
 def test_profile_degree_counts_are_exhaustive():
-    for F, d_max in ((F2, 16), (F3, 10), (F4, 8)):
+    for F, d_max in ((F2, 16), (F3, 10), (F4, 8), (F8, 5), (F9, 4), (F257, 2)):
         for d in range(d_max + 1):
             prof = max_factor_degree_profile(F, d)
             assert prof.size == F.q**d
