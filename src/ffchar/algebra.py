@@ -134,6 +134,8 @@ class Field:
         self._exp = np.array(walk * 2, dtype=np.int32)
         self._log = np.full(q, -1, dtype=np.int64)
         self._log[walk] = np.arange(q - 1)
+        g, self._add_table = digit_sum_table(self.p)  # p <= 256 whenever e > 1, so the table exists
+        self._add_step = self.p**g
 
     # -- scalar arithmetic on codes --------------------------------------
 
@@ -142,8 +144,9 @@ class Field:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        g, table = digit_sum_table(self.p)  # p <= 256 whenever e > 1, so table is not None
-        step = self.p**g
+        if self.q <= self._add_step:
+            return int(self._add_table[a, b])
+        step, table = self._add_step, self._add_table
         out, shift = 0, 1
         while a or b:
             out += int(table[a % step, b % step]) * shift

