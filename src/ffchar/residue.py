@@ -7,13 +7,15 @@ component gets a deterministic generator (least residue code that generates)
 and a discrete-log table: a full lookup array when the component order is
 at most `FULL_TABLE_LIMIT`, baby-step giant-step above it.
 
-The full table is built by digit doubling.  The first B = isqrt(N) + 1
-powers of g (N the component order) are stepped with scalar products.
-Multiplication by g^B mod Q_i is F_p-linear on the base-p digits of residue
-codes, so it is tabulated for every code at once
-(`vecpoly.linear_map_table`), and each later block of B powers is one
-gather from the block before it.  The build checks that the powers fill
-every unit slot and that the walk closes, g^N = 1 through the tabulated map.
+The full table is built by digit doubling.  Multiplication by g mod Q_i
+is F_p-linear on the base-p digits of residue codes, so it is tabulated
+for every code at once (`vecpoly.linear_map_table`).  Walking 1 and the
+digit basis B = isqrt(N) + 1 steps through that table (N the component
+order) gives the first B powers of g and the images of multiplication by
+g^B, which is tabulated the same way; each later block of B powers is one
+gather from the block before it.  The build checks g^B against a scalar
+power, that the powers fill every unit slot and that the walk closes,
+g^N = 1 through the tabulated map.
 
 Reducing the monic degree-d stream mod Q_i is linear in the same way: the
 code of f is t^d + hi * t^n + lo, and the reduced head (t^d + hi * t^n) mod
@@ -191,14 +193,20 @@ class DlogTable:
         field = self.modulus.field
         N = comp.order
         B = min(math.isqrt(N) + 1, N)
+        # x -> x * g mod Q_i is F_p-linear on the base-p digits of codes
+        basis = field.p ** np.arange(comp.degree * field.e, dtype=np.int64)
+        images = [(Poly.from_code(field, int(b)) * comp.generator % comp.poly).code() for b in basis]
+        times_g = linear_map_table(field, images, comp.degree)
         pw = np.empty(N, dtype=np.int64)  # pw[i] = code of g^i
-        cur = Poly.one(field)
+        # walk 1 and the digit basis B steps: g^0..g^(B-1), then g^B and the images of x -> x * g^B
+        cur = np.concatenate([[1], basis])
         for i in range(B):
-            pw[i] = cur.code()
-            cur = (cur * comp.generator) % comp.poly
-        # cur = g^B; x -> x * g^B mod Q_i is F_p-linear on the base-p digits of codes
-        images = [(Poly.from_code(field, field.p**k) * cur % comp.poly).code() for k in range(comp.degree * field.e)]
-        step = linear_map_table(field, images, comp.degree)
+            pw[i] = cur[0]
+            cur = times_g[cur]
+        del times_g
+        if cur[0] != comp.generator.powmod(B, comp.poly).code():
+            raise ArithmeticError(f"the tabulated map x -> x * g mod {comp.poly} does not reach g^{B}")
+        step = linear_map_table(field, cur[1:], comp.degree)
         for s in range(B, N, B):
             end = min(s + B, N)
             pw[s:end] = step[pw[s - B : end - B]]

@@ -238,10 +238,14 @@ def test_table_build_checks_the_tabulated_map(monkeypatch):
     g, N = m.unit_group.generators[0], 63
     real = residue.linear_map_table
 
-    def corrupted(code):
+    def corrupted(code, calls=None):
+        seen = []
+
         def build(*args):
             out = real(*args).copy()
-            out[code] = 0 if out[code] != 0 else 1
+            seen.append(out)
+            if calls is None or len(seen) in calls:
+                out[code] = 0 if out[code] != 0 else 1
             return out
 
         return build
@@ -253,6 +257,10 @@ def test_table_build_checks_the_tabulated_map(monkeypatch):
     # g^(N-1) is read only by the closing step g^(N-1) * g^B = g^(B-1)
     monkeypatch.setattr(residue, "linear_map_table", corrupted(g.powmod(N - 1, m.poly).code()))
     with pytest.raises(ArithmeticError, match="does not close"):
+        DlogTable(m)
+    # the first table, x -> x * g, alone: its walk of 1 misses the scalar g^B
+    monkeypatch.setattr(residue, "linear_map_table", corrupted(1, calls={1}))
+    with pytest.raises(ArithmeticError, match="does not reach"):
         DlogTable(m)
 
 
