@@ -243,14 +243,14 @@ def test_table_build_checks_the_tabulated_map(monkeypatch):
 
         def build(*args):
             out = real(*args).copy()
-            seen.append(out)
+            seen.append(code)
             if calls is None or len(seen) in calls:
                 out[code] = 0 if out[code] != 0 else 1
             return out
 
         return build
 
-    # g^0 = 1 is read by the block walk: its chain collapses onto the zero residue
+    # g^0 = 1 is read by both walks: its chain collapses onto the zero residue
     monkeypatch.setattr(residue, "linear_map_table", corrupted(1))
     with pytest.raises(ArithmeticError):
         DlogTable(m)
