@@ -179,22 +179,23 @@ def cmd_smooth_count(args) -> int:
     """Exact N(d, r) with the q^d rho(d/r) prediction; optional enumeration check."""
     rows = ["d,r,N_exact,qd_rho,ratio,normalized_exponent"]
     ok = True
-    ds = _parse_range(args.d)
-    for d in ds:
-        rs = range(1, d + 1) if args.r is None else _parse_range(args.r)
-        for r in rs:
-            if r > d:
-                continue
-            rep = soundararajan_check(args.q, d, r)
-            rows.append(rep.csv_row())
-            if args.enum_check:
-                if args.q**d > args.budget:
-                    print(f"enum check skipped for d={d}: q^d exceeds budget", file=sys.stderr)
-                    return EXIT_BUDGET
-                got = smooth_count_by_enumeration(Field.of_order(args.q), d, r)
-                if got != rep.n_exact:
-                    print(f"MISMATCH at d={d}, r={r}: series {rep.n_exact} vs enumeration {got}", file=sys.stderr)
-                    ok = False
+    cells = [
+        (d, r) for d in _parse_range(args.d) for r in (range(1, d + 1) if args.r is None else _parse_range(args.r)) if r <= d
+    ]
+    if cells:
+        # one table for the largest u = d/r: a table grown one u at a time re-marches from panel 0
+        default_dickman_table(max(math.ceil(d / r) for d, r in cells))
+    for d, r in cells:
+        rep = soundararajan_check(args.q, d, r)
+        rows.append(rep.csv_row())
+        if args.enum_check:
+            if args.q**d > args.budget:
+                print(f"enum check skipped for d={d}: q^d exceeds budget", file=sys.stderr)
+                return EXIT_BUDGET
+            got = smooth_count_by_enumeration(Field.of_order(args.q), d, r)
+            if got != rep.n_exact:
+                print(f"MISMATCH at d={d}, r={r}: series {rep.n_exact} vs enumeration {got}", file=sys.stderr)
+                ok = False
     if args.format == "csv":
         _emit(rows, args.out)
     elif args.format == "json":

@@ -18,6 +18,13 @@ both files, followed by at most one partial combo.  `--resume` cuts the
 checkpoint back to its last complete key and both files back to the rows of
 checkpointed combos, so the resumed run ends with byte-identical files.
 
+Every float is written as its repr, the shortest text that reads back to
+the same double (JSON spells nan and the infinities NaN and Infinity).
+orjson writes a whole numpy column with those digits in one call; the few
+values whose repr takes exponent form or is not finite take repr itself
+(`_float_texts`).  The rows of a block are built by interleaving the
+column texts with the constant text between them and joining once.
+
 All heavy number crunching reduces to integer dlog histograms (worker count
 cannot change them) followed by DFTs, so worker counts never change any
 output byte.
@@ -106,9 +113,22 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _float_texts(col: np.ndarray) -> tuple[list[str], list[str]]:
-    """repr of every value of a float column, and the same text as JSON spells it."""
-    texts = list(map(repr, col.tolist()))
-    if np.isfinite(col).all():
+    """repr of every value of a float column, and the same text as JSON spells it.
+
+    orjson writes the whole column in one call with the shortest digits that
+    round-trip, the digits repr picks.  Its layout differs from repr only for
+    the values repr writes in exponent form (nonzero |x| < 1e-4, |x| >= 1e16)
+    and for the non-finite ones (orjson writes null); those take repr.
+    """
+    import orjson
+
+    col = np.ascontiguousarray(col)
+    out = orjson.dumps(col, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+    texts = out.decode().split(",") if out else []
+    finite, mag = np.isfinite(col), np.abs(col)
+    for i in np.flatnonzero(~finite | (mag >= 1e16) | ((mag < 1e-4) & (mag != 0))).tolist():
+        texts[i] = repr(float(col[i]))
+    if finite.all():
         return texts, texts
     return texts, [_JSON_NONFINITE.get(t, t) for t in texts]
 
@@ -135,6 +155,15 @@ class _TextMemo:
             hit = _float_texts(col)
         self.cur[key] = hit
         return hit
+
+
+def _interleave(n: int, *cols) -> str:
+    """n rows, each the given columns in order; a str column repeats on every row."""
+    k = len(cols)
+    parts = [""] * (k * n)
+    for j, col in enumerate(cols):
+        parts[j::k] = [col] * n if isinstance(col, str) else col
+    return "".join(parts)
 
 
 @dataclass
@@ -185,32 +214,31 @@ class ComboBlock:
         """
         texts_of = memo if memo is not None else _TextMemo()
         texts_of.next_block()
-        chis = [f"chi[{k}]" for k in self.chi.tolist()]
+        n = len(self)
+        chis = list(map(str, self.chi.tolist()))
         flags = self.row_flags()
         lhs, lhs_j = texts_of(self.lhs)
         ic, ic_j = texts_of(self.implied)
         sn, sn_j = texts_of(self.short)
         csv_text = jsonl_text = ""
         if csv:
-            head = f"{self.q},{self.n},{self.Q},"
-            mid = f",{self.d},{self.r},"
             bc, ep = repr(self.bound_core), repr(self.eps)
-            csv_text = "".join(
-                [f"{head}{c}{mid}{x},{bc},{i},{s},{ep},{f}\n" for c, x, i, s, f in zip(chis, lhs, ic, sn, flags)]
+            csv_text = _interleave(
+                n,
+                f"{self.q},{self.n},{self.Q},chi[", chis, f"],{self.d},{self.r},", lhs,
+                f",{bc},", ic, ",", sn, f",{ep},", flags, "\n",
             )
         if jsonl:
             a_im, a_re, s_im, s_re = (texts_of(col)[1] for col in (self.a.imag, self.a.real, self.s.imag, self.s.real))
             flag_json = {f: json.dumps(f) for f in set(flags)}
-            head = f'{{"Q": {self.Q_json}, "a_im": '
-            mid = f', "bound_core": {json.dumps(self.bound_core)}, "chi": "'
-            tail = f'", "d": {self.d}, "eps": {json.dumps(self.eps)}, "flags": '
-            nqr = f', "n": {self.n}, "q": {self.q}, "r": {self.r}, "s_im": '
-            jsonl_text = "".join(
-                [
-                    f'{head}{ai}, "a_re": {ar}{mid}{c}{tail}{flag_json[f]}, "implied_constant": {i}, '
-                    f'"lhs": {x}{nqr}{si}, "s_re": {sr}, "short_norm": {s}}}\n'
-                    for ai, ar, c, f, i, x, si, sr, s in zip(a_im, a_re, chis, flags, ic_j, lhs_j, s_im, s_re, sn_j)
-                ]
+            jsonl_text = _interleave(
+                n,
+                f'{{"Q": {self.Q_json}, "a_im": ', a_im, ', "a_re": ', a_re,
+                f', "bound_core": {json.dumps(self.bound_core)}, "chi": "chi[', chis,
+                f']", "d": {self.d}, "eps": {json.dumps(self.eps)}, "flags": ', [flag_json[f] for f in flags],
+                ', "implied_constant": ', ic_j, ', "lhs": ', lhs_j,
+                f', "n": {self.n}, "q": {self.q}, "r": {self.r}, "s_im": ', s_im, ', "s_re": ', s_re,
+                ', "short_norm": ', sn_j, "}\n",
             )
         return csv_text, jsonl_text
 

@@ -267,7 +267,10 @@ class DickmanTable:
             raise ValueError(f"u = {u} beyond the table range {self.u_max}")
         if u <= 1.0:
             return 1.0
-        m = min(int(math.floor(u)), self.u_max - 1)
+        # from u = 30 on, an integer u is read at the right end of panel u - 1,
+        # which every table reaching u has, so rho(u) does not depend on how
+        # far a table was marched
+        m = min(math.ceil(u) - 1 if u >= dickman_panels.U_MAX else math.floor(u), self.u_max - 1)
         x = 2.0 * (u - m) - 1.0
         return float(np.polynomial.chebyshev.chebval(x, self.panel(m)))
 

@@ -337,6 +337,38 @@ def test_block_texts_special_floats(bound_core, eps):
                 assert block.texts(jsonl=False) == (oracle_texts(block)[0], "")
 
 
+def check_float_texts(col: np.ndarray):
+    """_float_texts against the repr oracle, and its JSON spelling against json.dumps."""
+    vals = col.tolist()
+    texts, json_texts = experiments._float_texts(col)
+    assert texts == list(map(repr, vals))
+    assert json_texts == [json.dumps(x) for x in vals]
+
+
+def test_float_texts_match_repr_on_bit_patterns_and_edges():
+    bits = np.random.default_rng(20141224).integers(0, 2**64, size=2**18, dtype=np.uint64, endpoint=False)
+    check_float_texts(bits.view(np.float64))
+    # the +-50 neighbours of repr's layout switches and of 2^53
+    edges = []
+    for v in (1e-4, 1e-5, 1e15, 1e16, 2.0**53):
+        for toward in (0.0, math.inf):
+            x = v
+            for _ in range(50):
+                x = math.nextafter(x, toward)
+                edges.append(x)
+        edges.append(v)
+    edges = np.array(edges)
+    check_float_texts(np.concatenate([edges, -edges]))
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    check_float_texts(np.concatenate([powers, -powers]))
+    vals = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e22, 0.1])
+    a = np.empty(vals.size, dtype=np.complex128)
+    a.real, a.imag = vals[::-1], vals
+    assert not a.imag.flags.c_contiguous
+    check_float_texts(a.imag)
+    assert experiments._float_texts(np.array([])) == ([], [])
+
+
 @pytest.mark.parametrize("cmd", ["main-thm", "corollary"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_stdout_matches_out_file(tmp_path, capsys, cmd, fmt):

@@ -1,7 +1,10 @@
-"""Independent oracles from installed packages: sympy's galoistools and hypothesis."""
+"""Independent oracles from installed packages: sympy's galoistools, hypothesis and Python's repr."""
 
+import json
 import random
+import struct
 
+import numpy as np
 import pytest
 
 pytest.importorskip("sympy")
@@ -9,10 +12,12 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
 from sympy.polys.domains import ZZ  # noqa: E402
 from sympy.polys.galoistools import gf_factor, gf_irreducible_p  # noqa: E402
 
 from ffchar.algebra import Field, Poly, enumerate_monic, factorize, is_irreducible  # noqa: E402
+from ffchar.experiments import _float_texts  # noqa: E402
 from ffchar.residue import Modulus  # noqa: E402
 
 
@@ -65,3 +70,24 @@ def test_dlog_of_a_product_is_the_sum_of_dlogs(m, data):
     assume(not (f % m.poly).is_zero and not (g % m.poly).is_zero)
     table = m.dlog_table
     assert table.dlog(f * g) == (table.dlog(f) + table.dlog(g)) % (q**n - 1)
+
+
+# any float64 at all, and the values whose text is special
+FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]),
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e-4, 1e16]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.integers(0, 40), elements=FLOATS), st.booleans())
+def test_float_texts_match_repr(col, strided):
+    """Each float's CSV text is its repr, and its JSON text is json.dumps of it, for any column layout."""
+    if strided:
+        c = np.empty(col.size, dtype=np.complex128)
+        c.imag = col
+        col = c.imag
+    texts, json_texts = _float_texts(col)
+    assert texts == list(map(repr, col.tolist()))
+    assert json_texts == [json.dumps(x) for x in col.tolist()]

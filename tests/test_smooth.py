@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ffchar
-from ffchar import dickman_panels, vecpoly
+from ffchar import dickman_panels, smooth, vecpoly
 from ffchar.algebra import Field, enumerate_monic, irreducibles_up_to, is_smooth, max_factor_degree
 from ffchar.characters import (
     all_characters,
@@ -396,18 +396,56 @@ def test_shipped_panels_are_the_march():
         tab.panel(30)
 
 
+def test_panels_and_integer_rho_do_not_depend_on_table_size():
+    # a larger table marches at a higher precision to the same doubles, and
+    # an integer u >= 30 reads the same panel end in every table reaching it
+    small, large = DickmanTable(u_max=31), DickmanTable(u_max=33)
+    for m in range(31):
+        assert np.array_equal(small.panel(m), large.panel(m))
+    for m in range(30):
+        assert np.array_equal(small.panel(m), dickman_panels.PANELS[m])
+    for u in (29.0, 30.0, 31.0):
+        assert small.rho(u) == large.rho(u)
+    assert DickmanTable(u_max=30).rho(30.0) == large.rho(30.0)
+
+
+def test_smooth_count_builds_one_table_for_the_largest_u(monkeypatch, capsys):
+    built = []
+    init = DickmanTable.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.u_max)
+
+    monkeypatch.setattr(smooth, "_default_table", None)
+    monkeypatch.setattr(DickmanTable, "__init__", record)
+    assert main(["smooth-count", "--q", "2", "--d", "30..33", "--r", "1..2"]) == 0
+    assert built == [33]
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 1 + 4 * 2
+
+
 def test_rho_up_to_thirty_runs_without_mpmath():
+    # neither mpmath nor orjson is imported before the code that needs it runs
     code = (
         "import sys\n"
+        "import numpy as np\n"
         "import ffchar.cli\n"
         "from ffchar.primitive import best_epsilon_bound\n"
         "from ffchar.smooth import default_dickman_table\n"
         "default_dickman_table().rho(16.0)\n"
         "best_epsilon_bound(3, 16, 9)\n"
+        "assert ffchar.cli.main(['density', '--q', '2', '--n', '5', '--d', '4']) == 0\n"
         "assert 'mpmath' not in sys.modules\n"
+        "assert 'orjson' not in sys.modules\n"
         "from ffchar.smooth import dickman_rho\n"
         "dickman_rho(30.5)\n"
         "assert 'mpmath' in sys.modules\n"
+        "from ffchar.experiments import ComboBlock\n"
+        "col = np.array([0.5])\n"
+        "ComboBlock(2, 5, 't^5+t^2+1', '\"t^5+t^2+1\"', 4, 3, '', False, 1.0, 0.5,\n"
+        "           np.array([1]), col + 0j, col + 0j, col, col).texts()\n"
+        "assert 'orjson' in sys.modules\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
