@@ -27,7 +27,6 @@ __all__ = [
     "FieldElement",
     "Poly",
     "Factorization",
-    "poly_mul_mod",
     "enumerate_monic",
     "monic_code_range",
     "is_irreducible",
@@ -53,12 +52,12 @@ class Field:
     constructs the same field.
 
     An element of F_q is a polynomial over F_p of degree < e in u, the root
-    of the defining polynomial; its code spells the coefficients in base p.
-    The generator g is the least code whose powers g^((q-1)/l) mod the
-    defining polynomial (`Poly.powmod` over F_p) differ from 1 for every
-    prime l | q - 1.  Multiplication by g is F_p-linear on codes, so
-    `vecpoly.linear_map_table` tabulates it from the images of u^0..u^(e-1),
-    and the exp table walks that table from 1.
+    of the defining polynomial f; its code spells the coefficients in base p.
+    So F_q is the residue ring F_p[u]/(f), and its tables are that ring's
+    unit group as `residue` builds it for a modulus: g is the least code
+    that passes the power test (`residue.least_generator`), and the exp and
+    log tables are the digit-doubling walk of its powers
+    (`residue.power_tables`).
     """
 
     _registry: dict = {}
@@ -113,27 +112,11 @@ class Field:
     # -- extension-field tables ------------------------------------------
 
     def _build_tables(self):
-        from .vecpoly import linear_map_table  # vecpoly builds on Field, so not at module level
+        from .residue import least_generator, power_tables  # residue builds on Field, so not at module level
 
-        q, base = self.q, Field.get(self.p)
-        mod, one = Poly(base, self.defining_poly), Poly.one(base)
-        primes = factor_integer(q - 1).primes
-        for cand in range(2, q):
-            gen = Poly.from_code(base, cand)
-            if all(gen.powmod((q - 1) // ell, mod) != one for ell in primes):
-                break
-        else:  # impossible: the units of F_q form a cyclic group
-            raise ArithmeticError("no multiplicative generator found")
-        images = [(Poly.from_code(base, self.p**j) * gen % mod).code() for j in range(self.e)]
-        times_gen = linear_map_table(base, images, self.e).tolist()
-        walk = [1]
-        for _ in range(q - 2):
-            walk.append(times_gen[walk[-1]])
-        if times_gen[walk[-1]] != 1:
-            raise ArithmeticError(f"the powers of {cand} do not close after q - 1 = {q - 1} steps")
-        self._exp = np.array(walk * 2, dtype=np.int32)
-        self._log = np.full(q, -1, dtype=np.int64)
-        self._log[walk] = np.arange(q - 1)
+        mod = Poly(Field.get(self.p), self.defining_poly)
+        pw, self._log = power_tables(mod, least_generator(mod, factor_integer(self.q - 1)), self.q - 1)
+        self._exp = np.concatenate([pw, pw]).astype(np.int32)
         g, self._add_table = digit_sum_table(self.p)  # p <= 256 whenever e > 1, so the table exists
         self._add_step = self.p**g
 
@@ -154,17 +137,7 @@ class Field:
         return out
 
     def neg(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
-        p = self.p
-        out, shift = 0, 1
-        for _ in range(self.e):
-            out += ((-a) % p) * shift
-            a //= p
-            shift *= p
-        return out
+        return self.mul(a, self.p - 1)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -572,15 +545,6 @@ def _parse_poly(field: Field, text: str) -> Poly:
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-
-def poly_mul_mod(a: Poly, b: Poly, m: Poly) -> Poly:
-    """a*b reduced mod m; m must be nonconstant."""
-    if m.is_zero:
-        raise ZeroDivisionError("zero modulus")
-    if m.degree < 1:
-        raise ValueError("modulus must have degree >= 1")
-    return (a * b) % m
 
 
 def monic_code_range(field: Field, d: int) -> range:

@@ -44,9 +44,6 @@ __all__ = [
     "Character",
     "CharSum",
     "all_characters",
-    "principal_character",
-    "character_from_label",
-    "characters_with_power_principal",
     "chi_eval",
     "character_sum_Ad",
     "histogram_char_sum",
@@ -149,10 +146,6 @@ class Character:
         return Character(self.modulus, tuple((-k) % max(m, 1) for k, m in zip(self.exponents, orders)))
 
 
-def principal_character(modulus: Modulus) -> Character:
-    return Character(modulus, tuple(0 for _ in modulus.unit_group.components))
-
-
 def all_characters(modulus: Modulus) -> Iterator[Character]:
     """The full dual group, exactly once each, in exponent-product order."""
     orders = modulus.unit_group.component_orders
@@ -166,22 +159,6 @@ def all_characters(modulus: Modulus) -> Iterator[Character]:
             idx[i] = 0
         else:
             return
-
-
-def character_from_label(modulus: Modulus, label: str) -> Character:
-    body = label.strip()
-    if body.startswith("chi[") and body.endswith("]"):
-        body = body[4:-1]
-    return Character(modulus, tuple(int(tok) for tok in body.split(",")))
-
-
-def characters_with_power_principal(modulus: Modulus, m: int) -> list[Character]:
-    """All chi with chi^m principal; for cyclic groups these number gcd(m, N-1)."""
-    out = []
-    for chi in all_characters(modulus):
-        if chi.power(m).is_principal:
-            out.append(chi)
-    return out
 
 
 def chi_eval(chi: Character, f: Poly) -> CharValue:

@@ -1,12 +1,12 @@
 """Dickman rho's panels on [0, 30] as shipped constants.
 
 `PANELS[m]` holds the 18 degree-16 Chebyshev coefficients of rho on
-[m, m + 1], m = 0..29, bit for bit the doubles `DickmanTable._march(30, 16)`
+[m, m + 1], m = 0..29, bit for bit the doubles `smooth.march_dickman_panels(30)`
 rounds its 115-digit mpmath march to.  They are stored as the base64 of the
 little-endian float64 bytes, so every process that needs rho(u) for u <= 30
 reads them instead of marching them again.  Regenerate with
 
-    python -c "import base64, ffchar.smooth as s; print(base64.b64encode(s.DickmanTable._march(30, 16).astype('<f8').tobytes()).decode())"
+    python -c "import base64, ffchar.smooth as s; print(base64.b64encode(s.march_dickman_panels(30).astype('<f8').tobytes()).decode())"
 
 `tests/test_smooth.py` checks every panel against a fresh march.
 """

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Union
 
 # Exact for n < 3_317_044_064_679_887_385_961_981 (about 1.7 * 2^80).
@@ -133,10 +132,6 @@ class FactoredInteger:
 
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.prime_powers)
-
-    def phi_ratio(self) -> Fraction:
-        """phi(value)/value as an exact rational, i.e. prod (1 - 1/p)."""
-        return Fraction(self.phi, self.value)
 
     def squarefree_divisors(self) -> list[int]:
         """All divisors of the radical, ascending."""

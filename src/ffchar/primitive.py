@@ -164,7 +164,6 @@ def primitivity_indicator_check(modulus: Modulus, d: Optional[int] = None) -> In
             inner += np.exp(2j * np.pi * phases / order)
         rhs += (mu / m) * inner
     # direct predicate through the independent power test
-    table = modulus.dlog_table
     indicator = np.zeros(order, dtype=np.float64)
     gen = modulus.unit_group.generators[0]
     cur = Poly.one(field)

@@ -7,15 +7,20 @@ component gets a deterministic generator (least residue code that generates)
 and a discrete-log table: a full lookup array when the component order is
 at most `FULL_TABLE_LIMIT`, baby-step giant-step above it.
 
-The full table is built by digit doubling.  Multiplication by g mod Q_i
-is F_p-linear on the base-p digits of residue codes, so it is tabulated
-for every code at once (`vecpoly.linear_map_table`).  Walking 1 and the
-digit basis B = isqrt(N) + 1 steps through that table (N the component
-order) gives the first B powers of g and the images of multiplication by
-g^B, which is tabulated the same way; each later block of B powers is one
-gather from the block before it.  The build checks g^B against a scalar
-power, that the powers fill every unit slot and that the walk closes,
-g^N = 1 through the tabulated map.
+The full table is built by digit doubling (`power_tables`).  Multiplication
+by g mod Q_i is F_p-linear on the base-p digits of residue codes, so it is
+tabulated for every code at once (`vecpoly.linear_map_table`).  Walking 1
+and the digit basis B = isqrt(N) + 1 steps through that table (N the
+component order) gives the first B powers of g and the images of
+multiplication by g^B, which is tabulated the same way; each later block of
+B powers is one gather from the block before it.  The build checks g^B
+against a scalar power, that the powers fill every unit slot and that the
+walk closes, g^N = 1 through the tabulated map.
+
+The generator search (`least_generator`), its power test (`generates`) and
+the walk take Q_i, g and N, not a `Modulus`: `is_primitive` runs the same
+power test, and `Field` builds the exp/log tables of F_q = F_p[u]/(f) with
+the same search and walk over F_p.
 
 Reducing the monic degree-d stream mod Q_i is linear in the same way: the
 code of f is t^d + hi * t^n + lo, and the reduced head (t^d + hi * t^n) mod
@@ -43,6 +48,9 @@ __all__ = [
     "DlogTable",
     "NotAUnitError",
     "find_generator",
+    "generates",
+    "least_generator",
+    "power_tables",
     "is_primitive",
 ]
 
@@ -139,6 +147,64 @@ class UnitGroupView:
         return f"UnitGroupView({self.modulus!r}, order={self.group_order})"
 
 
+def generates(x: Poly, Qi: Poly, fact: FactoredInteger) -> bool:
+    """Power test: the residue x mod the irreducible Qi has the full order fact.value.
+
+    True iff x^(m/l) != 1 mod Qi for every prime l dividing m = fact.value.
+    """
+    one = Poly.one(Qi.field)
+    return all(x.powmod(fact.value // ell, Qi) != one for ell in fact.primes)
+
+
+def least_generator(Qi: Poly, fact: FactoredInteger) -> Poly:
+    """The least residue code that generates the units mod the irreducible Qi, of order fact.value."""
+    field = Qi.field
+    for code in range(1, field.q**Qi.degree):
+        x = Poly.from_code(field, code)
+        if generates(x, Qi, fact):
+            return x
+    raise ArithmeticError(f"no generator found mod {Qi}")  # cyclic group: impossible
+
+
+def power_tables(Qi: Poly, g: Poly, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(pw, log): pw[i] is the code of g^i mod Qi for i < N, and log[pw[i]] = i.
+
+    g must generate the N units mod the irreducible Qi; log has one entry per
+    residue code, -1 at zero.  The walk doubles over digits (module
+    docstring) and checks g^B against a scalar power, that the powers fill
+    every unit slot and that the walk closes.
+    """
+    field = Qi.field
+    B = min(math.isqrt(N) + 1, N)
+    # x -> x * g mod Qi is F_p-linear on the base-p digits of codes
+    basis = field.p ** np.arange(Qi.degree * field.e, dtype=np.int64)
+    images = [(Poly.from_code(field, int(b)) * g % Qi).code() for b in basis]
+    times_g = linear_map_table(field, images, Qi.degree)
+    pw = np.empty(N, dtype=np.int64)
+    # walk 1 and the digit basis B steps: g^0..g^(B-1), then g^B and the images of x -> x * g^B
+    cur = np.concatenate([[1], basis])
+    for i in range(B):
+        pw[i] = cur[0]
+        cur = times_g[cur]
+    del times_g
+    if cur[0] != g.powmod(B, Qi).code():
+        raise ArithmeticError(f"the tabulated map x -> x * g mod {Qi} does not reach g^{B}")
+    step = linear_map_table(field, cur[1:], Qi.degree)
+    for s in range(B, N, B):
+        end = min(s + B, N)
+        pw[s:end] = step[pw[s - B : end - B]]
+    log = np.full(field.q**Qi.degree, -1, dtype=np.int64)
+    log[pw] = np.arange(N, dtype=np.int64)
+    # a generator fills every unit slot; a smaller power cycle revisits slots
+    filled = int(np.count_nonzero(log >= 0))
+    if filled != N:
+        raise ArithmeticError(f"{g} reaches {filled} of the {N} units mod {Qi}: not a generator")
+    # the walk closes, g^(N - B + j) * g^B = g^j, only if every image it used was right
+    if not np.array_equal(step[pw[N - B :]], pw[:B]):
+        raise ArithmeticError(f"the tabulated map x -> x * g^{B} mod {Qi} does not close the power walk")
+    return pw, log
+
+
 def find_generator(modulus: Modulus) -> UnitGroupView:
     """Verified generator per component, deterministically the least one.
 
@@ -152,15 +218,7 @@ def find_generator(modulus: Modulus) -> UnitGroupView:
         ni = Qi.degree
         order = q**ni - 1
         fact = factor_integer(order) if order > 1 else FactoredInteger(1, ())
-        gen = None
-        for code in range(1, q**ni):
-            x = Poly.from_code(modulus.field, code)
-            if all(x.powmod(order // ell, Qi) != Poly.one(modulus.field) for ell in fact.primes):
-                gen = x
-                break
-        if gen is None:
-            raise AssertionError(f"no generator found mod {Qi}")  # cyclic group: impossible
-        comps.append(UnitComponent(Qi, ni, order, fact, gen))
+        comps.append(UnitComponent(Qi, ni, order, fact, least_generator(Qi, fact)))
     return UnitGroupView(modulus, tuple(comps))
 
 
@@ -190,38 +248,7 @@ class DlogTable:
         return self.strategies[0] if len(self.strategies) == 1 else tuple(self.strategies)
 
     def _build_full(self, comp: UnitComponent) -> np.ndarray:
-        field = self.modulus.field
-        N = comp.order
-        B = min(math.isqrt(N) + 1, N)
-        # x -> x * g mod Q_i is F_p-linear on the base-p digits of codes
-        basis = field.p ** np.arange(comp.degree * field.e, dtype=np.int64)
-        images = [(Poly.from_code(field, int(b)) * comp.generator % comp.poly).code() for b in basis]
-        times_g = linear_map_table(field, images, comp.degree)
-        pw = np.empty(N, dtype=np.int64)  # pw[i] = code of g^i
-        # walk 1 and the digit basis B steps: g^0..g^(B-1), then g^B and the images of x -> x * g^B
-        cur = np.concatenate([[1], basis])
-        for i in range(B):
-            pw[i] = cur[0]
-            cur = times_g[cur]
-        del times_g
-        if cur[0] != comp.generator.powmod(B, comp.poly).code():
-            raise ArithmeticError(f"the tabulated map x -> x * g mod {comp.poly} does not reach g^{B}")
-        step = linear_map_table(field, cur[1:], comp.degree)
-        for s in range(B, N, B):
-            end = min(s + B, N)
-            pw[s:end] = step[pw[s - B : end - B]]
-        table = np.full(field.q**comp.degree, -1, dtype=np.int64)
-        table[pw] = np.arange(N, dtype=np.int64)
-        # a generator fills every unit slot; a smaller power cycle revisits slots
-        filled = int(np.count_nonzero(table >= 0))
-        if filled != N:
-            raise ArithmeticError(
-                f"{comp.generator} reaches {filled} of the {N} units mod {comp.poly}: not a generator"
-            )
-        # the walk closes, g^(N - B + j) * g^B = g^j, only if every image it used was right
-        if not np.array_equal(step[pw[N - B :]], pw[:B]):
-            raise ArithmeticError(f"the tabulated map x -> x * g^{B} mod {comp.poly} does not close the power walk")
-        return table
+        return power_tables(comp.poly, comp.generator, comp.order)[1]
 
     def _build_bsgs(self, comp: UnitComponent):
         field = self.modulus.field
@@ -334,5 +361,4 @@ def is_primitive(x: Union[Poly, int], modulus: Modulus, fact: Optional[FactoredI
         fact = factor_integer(order)
     if fact.value != order:
         raise ValueError("fact must factor q^n - 1")
-    one = Poly.one(modulus.field)
-    return all(r.powmod(order // p, modulus.poly) != one for p in fact.primes)
+    return generates(r, modulus.poly, fact)

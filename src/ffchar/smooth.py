@@ -26,11 +26,11 @@ before u = 30 (verified: negative values by u = 20).  Evaluation reads the
 finished panel coefficients as doubles, which keeps it cheap and accurate to
 ~1e-14 relative.
 
-The default table (u_max = 30, degree 16) serves every u <= 30 and is a
-fixed constant: its panels ship in `dickman_panels`, bit for bit what the
-march gives, so no process marches them or imports mpmath.  The march runs
-only for a table beyond u = 30 (or of another degree), on demand, up to the
-panel the largest requested u needs.
+The default table (u_max = 30) serves every u <= 30 and is a fixed
+constant: its panels ship in `dickman_panels`, bit for bit what the march
+gives, so no process marches them or imports mpmath.  A table beyond u = 30
+marches all its panels once, at construction; callers build one table for
+the largest u they need.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ __all__ = [
     "smooth_char_sum",
     "smooth_dlog_histogram",
     "DickmanTable",
+    "march_dickman_panels",
     "dickman_rho",
     "default_dickman_table",
     "dickman_residual",
@@ -142,123 +143,83 @@ def all_smooth_char_sums(modulus: Modulus, d: int, r: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class _PanelMarch:
-    """The mpmath march of rho's Chebyshev panels, advanced one panel at a time.
+def march_dickman_panels(u_max: int) -> np.ndarray:
+    """rho's first u_max Chebyshev panels, marched in mpmath: shape (u_max, DEGREE + 2).
 
-    Every step runs at the working precision fixed by u_max, so marching k
-    panels gives the first k panels of a full march to u_max exactly.  This
-    is the only code that needs mpmath, so it is imported here, not with
-    the module.
+    Panel m + 1 integrates rho(t - 1) / t over panel m.  Every step runs at
+    the working precision u_max fixes, and the finished coefficients are
+    rounded to doubles.  This is the only code that needs mpmath, so it is
+    imported here, not with the module.
     """
+    import mpmath
 
-    def __init__(self, u_max: int, N: int):
-        import mpmath
+    N = dickman_panels.DEGREE
+    # precision sized to the total decay: log10(1/rho(u_max)) ~ u log10 u
+    dps = max(50, 40 + int(1.7 * u_max * math.log10(max(u_max, 2))))
 
-        # precision sized to the total decay: log10(1/rho(u_max)) ~ u log10 u
-        self.dps = max(50, 40 + int(1.7 * u_max * math.log10(max(u_max, 2))))
-        self.N = N
-        self.panels: list[list] = []  # mpmath coefficients of the panels marched so far
-        with mpmath.workdps(self.dps):
-            self.xs = [mpmath.cos(mpmath.pi * j / N) for j in range(N + 1)]
-            self.cosjk = [[mpmath.cos(mpmath.pi * j * k / N) for j in range(N + 1)] for k in range(N + 1)]
-
-    def _vals_to_coeffs(self, v):
-        import mpmath
-
-        N, one = self.N, mpmath.mpf(1)
-        c = []
-        for k in range(N + 1):
-            s = mpmath.mpf(0)
-            for j in range(N + 1):
-                w = one / 2 if j in (0, N) else one
-                s += w * v[j] * self.cosjk[k][j]
-            c.append(2 * s / N)
-        c[0] /= 2
-        c[N] /= 2
-        return c
-
-    @staticmethod
-    def _clenshaw(c, x):
+    def clenshaw(c, x):
         b1 = b2 = 0
         for ck in reversed(c[1:]):
             b1, b2 = 2 * x * b1 - b2 + ck, b1
         return x * b1 - b2 + c[0]
 
-    def advance(self) -> np.ndarray:
-        """March the next panel; return its N + 2 coefficients as doubles."""
-        import mpmath
-
-        N = self.N
-        with mpmath.workdps(self.dps):
-            one = mpmath.mpf(1)
-            m = len(self.panels)
-            if m == 0:
-                cur = [one] + [mpmath.mpf(0)] * N  # rho = 1 on [0, 1]
-            else:
-                prev = self.panels[m - 1]
+    out = np.zeros((u_max, N + 2), dtype=np.float64)
+    with mpmath.workdps(dps):
+        one = mpmath.mpf(1)
+        xs = [mpmath.cos(mpmath.pi * j / N) for j in range(N + 1)]
+        cosjk = [[mpmath.cos(mpmath.pi * j * k / N) for j in range(N + 1)] for k in range(N + 1)]
+        cur = [one] + [mpmath.mpf(0)] * N  # rho = 1 on [0, 1]
+        for m in range(u_max):
+            if m:
+                prev = cur
+                # rho(t - 1) / t at the Chebyshev nodes of [m, m + 1], then its coefficients
                 gv = []
-                for x in self.xs:
+                for x in xs:
                     t = m + (x + one) / 2
-                    gv.append(self._clenshaw(prev, 2 * (t - m) - 1) / t)  # rho(t-1) in [m-1, m] local coords
-                gc = self._vals_to_coeffs(gv)
+                    gv.append(clenshaw(prev, 2 * (t - m) - 1) / t)  # rho(t - 1) in [m - 1, m] local coords
+                gc = []
+                for k in range(N + 1):
+                    s = mpmath.mpf(0)
+                    for j in range(N + 1):
+                        w = one / 2 if j in (0, N) else one
+                        s += w * gv[j] * cosjk[k][j]
+                    gc.append(2 * s / N)
+                gc[0] /= 2
+                gc[N] /= 2
                 anti = [mpmath.mpf(0)] * (N + 2)
                 anti[1] = (2 * gc[0] - gc[2]) / 2
                 for k in range(2, N + 1):
                     anti[k] = (gc[k - 1] - (gc[k + 1] if k + 1 <= N else 0)) / (2 * k)
                 anti[N + 1] = gc[N] / (2 * (N + 1))
                 anti = [a / 2 for a in anti]  # dt = dx/2 on a unit panel
-                rho_m = self._clenshaw(prev, one)
-                g_left = self._clenshaw(anti, -one)
                 cur = [-a for a in anti]
-                cur[0] += rho_m + g_left
-            self.panels.append(cur)
-            out = np.zeros(N + 2, dtype=np.float64)
+                cur[0] += clenshaw(prev, one) + clenshaw(anti, -one)
             for k, ck in enumerate(cur):
-                out[k] = float(ck)
-        return out
+                out[m, k] = float(ck)
+    return out
 
 
 class DickmanTable:
     """Unit panels of Chebyshev coefficients for rho on [0, u_max].
 
-    The (30, 16) table reads its panels from `dickman_panels`.  Any other
-    table marches them on demand: rho(u) marches only up to panel floor(u),
-    at the precision u_max sets, so the table never marches panels no
-    caller has asked for.
+    The u_max = 30 table reads its panels from `dickman_panels`; any other
+    marches all of them at construction (`march_dickman_panels`).
     """
 
     panel_length = 1.0
 
-    def __init__(self, u_max: int = 30, degree: int = 16):
+    def __init__(self, u_max: int = 30):
         if u_max < 1:
             raise ValueError(f"u_max must be >= 1, got {u_max}")
         self.u_max = int(u_max)
-        self.degree = int(degree)
-        self._march_state: Optional[_PanelMarch] = None
-        if (self.u_max, self.degree) == (dickman_panels.U_MAX, dickman_panels.DEGREE):
-            self._panels = list(dickman_panels.PANELS)
-        else:
-            self._march_state = _PanelMarch(self.u_max, self.degree)
-            self._panels = []
-
-    @staticmethod
-    def _march(u_max: int, N: int) -> np.ndarray:
-        """All u_max panels at once, shape (u_max, N + 2)."""
-        march = _PanelMarch(u_max, N)
-        return np.array([march.advance() for _ in range(u_max)])
+        shipped = self.u_max == dickman_panels.U_MAX
+        self._panels = dickman_panels.PANELS if shipped else march_dickman_panels(self.u_max)
 
     def panel(self, m: int) -> np.ndarray:
-        """Coefficients of panel m (rho on [m, m + 1]), marching up to it if needed."""
+        """Coefficients of panel m (rho on [m, m + 1])."""
         if not 0 <= m < self.u_max:
             raise ValueError(f"panel {m} outside the table range {self.u_max}")
-        while len(self._panels) <= m:
-            self._panels.append(self._march_state.advance())
         return self._panels[m]
-
-    @property
-    def panels_marched(self) -> int:
-        """Panels this table has marched in mpmath; the shipped table marches none."""
-        return 0 if self._march_state is None else len(self._panels)
 
     def rho(self, u: float) -> float:
         if u < 0:
@@ -268,11 +229,11 @@ class DickmanTable:
         if u <= 1.0:
             return 1.0
         # from u = 30 on, an integer u is read at the right end of panel u - 1,
-        # which every table reaching u has, so rho(u) does not depend on how
-        # far a table was marched
+        # which every table reaching u has, so rho(u) does not depend on the
+        # table's size
         m = min(math.ceil(u) - 1 if u >= dickman_panels.U_MAX else math.floor(u), self.u_max - 1)
         x = 2.0 * (u - m) - 1.0
-        return float(np.polynomial.chebyshev.chebval(x, self.panel(m)))
+        return float(np.polynomial.chebyshev.chebval(x, self._panels[m]))
 
     def rho_many(self, us) -> np.ndarray:
         return np.array([self.rho(float(u)) for u in np.atleast_1d(us)])

@@ -135,16 +135,12 @@ def vadd_poly_codes(field: Field, codes: np.ndarray, c, width: int) -> np.ndarra
 
 def _multiples(field: Field, codes, width: int) -> np.ndarray:
     """out[a] = a * codes for every a in F_p, coefficientwise: shape (p,) + codes.shape."""
-    p = field.p
     codes = np.asarray(codes, dtype=np.int64)
-    if p == 2:  # 0 and codes: skips width*e digit passes, about 3x faster on the q=2 sieve
-        return np.stack([np.zeros_like(codes), codes])
-    a = np.arange(p, dtype=np.int64).reshape((p,) + (1,) * codes.ndim)
-    out = np.zeros((p,) + codes.shape, dtype=np.int64)
-    rem, shift = codes, 1
-    for _ in range(width * field.e):
-        out += (a * (rem % p)) % p * shift
-        rem, shift = rem // p, shift * p
+    out = np.stack([np.zeros_like(codes), codes])
+    while len(out) < field.p:  # doubling over a: out[m + j] = out[j] + m * codes for m = len(out)
+        m = len(out)
+        m_codes = vadd_poly_codes(field, out[-1], codes, width)
+        out = np.concatenate([out, m_codes[None], vadd_poly_codes(field, out[1 : field.p - m], m_codes, width)])
     return out
 
 

@@ -13,7 +13,6 @@ from ffchar.algebra import (
     lex_least_irreducible,
     max_factor_degree,
     monic_irreducible_count,
-    poly_mul_mod,
 )
 
 F2 = Field.get(2)
@@ -80,26 +79,26 @@ def schoolbook_field_pow(F: Field, a: int, n: int) -> int:
     return out
 
 
-# -- poly_mul_mod -------------------------------------------------------
+# -- products mod m -----------------------------------------------------
 
 
 def test_mul_mod_t_squared_example():
     t = Poly.t(F2)
     m = Poly.from_string(F2, "t^2+t+1")
-    assert poly_mul_mod(t, t, m) == Poly.from_string(F2, "t+1")
+    assert (t * t) % m == Poly.from_string(F2, "t+1")
 
 
 def test_mul_mod_identity_case():
     m = Poly.from_string(F2, "t^3+t+1")
     f = Poly.from_string(F2, "t^5+t^2+1")
-    assert poly_mul_mod(Poly.one(F2), f, m) == f % m
+    assert (Poly.one(F2) * f) % m == f % m
 
 
 def test_mul_mod_against_schoolbook_oracle():
     a = Poly.from_string(F2, "t^2+1")
     m = Poly.from_string(F2, "t^3+t+1")
     expected = long_division_mod(schoolbook_mul(a, a), m)
-    assert poly_mul_mod(a, a, m) == expected
+    assert (a * a) % m == expected
 
 
 def test_mul_mod_random_against_oracle():
@@ -109,12 +108,12 @@ def test_mul_mod_random_against_oracle():
             a = Poly.from_code(F, rng.randrange(0, F.q**5))
             b = Poly.from_code(F, rng.randrange(0, F.q**5))
             m = Poly.from_code(F, rng.randrange(F.q**3, 2 * F.q**3))
-            assert poly_mul_mod(a, b, m) == long_division_mod(schoolbook_mul(a, b), m)
+            assert (a * b) % m == long_division_mod(schoolbook_mul(a, b), m)
 
 
 def test_mul_mod_rejects_zero_modulus():
     with pytest.raises(ZeroDivisionError):
-        poly_mul_mod(Poly.one(F2), Poly.one(F2), Poly.zero(F2))
+        (Poly.one(F2) * Poly.one(F2)) % Poly.zero(F2)
 
 
 # -- field axioms -------------------------------------------------------

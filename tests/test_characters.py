@@ -10,12 +10,9 @@ from ffchar.characters import (
     all_char_sums_Ad,
     all_characters,
     character_by_index,
-    character_from_label,
     character_sum_Ad,
-    characters_with_power_principal,
     chi_eval,
     dlog_histogram,
-    principal_character,
     unit_dlog_histogram,
 )
 from ffchar.residue import Modulus
@@ -51,13 +48,7 @@ def test_character_count_equals_group_order():
 def test_characters_with_power_principal_counts():
     m = mkmod(F2, "t^4+t+1")  # N-1 = 15
     for div in (1, 3, 5, 15):
-        assert len(characters_with_power_principal(m, div)) == div
-
-
-def test_character_labels_roundtrip():
-    m = mkmod(F2, "t^4+t+1")
-    for chi in all_characters(m):
-        assert character_from_label(m, chi.label) == chi
+        assert sum(chi.power(div).is_principal for chi in all_characters(m)) == div
 
 
 def test_character_order_divides_group_order():
@@ -78,7 +69,7 @@ def test_chi_eval_zero_on_modulus():
 
 def test_principal_is_one_on_units():
     m = mkmod(F2, "t^3+t+1")
-    chi0 = principal_character(m)
+    chi0 = character_by_index(m, 0)
     for code in range(1, 8):
         v = chi_eval(chi0, Poly.from_code(F2, code))
         assert v.phase == 0
@@ -144,7 +135,7 @@ def test_power_residue_identity():
     m = mkmod(F2, "t^4+t+1")
     table = m.dlog_table
     for div in (1, 3, 5, 15):
-        chars = characters_with_power_principal(m, div)
+        chars = [chi for chi in all_characters(m) if chi.power(div).is_principal]
         for code in range(1, 16):
             x = Poly.from_code(F2, code)
             total = sum(chi_eval(chi, x).to_complex() for chi in chars)
@@ -158,7 +149,7 @@ def test_power_residue_identity():
 
 def test_principal_sum_counts_units():
     m = mkmod(F2, "t^4+t+1")
-    chi0 = principal_character(m)
+    chi0 = character_by_index(m, 0)
     for d in range(4):  # d < n: no multiples of Q
         s = character_sum_Ad(chi0, d)
         assert s.value == 2**d

@@ -11,7 +11,6 @@ from ffchar.characters import (
     character_by_index,
     character_sum_Ad,
     chi_eval,
-    principal_character,
 )
 from ffchar.cli import main
 from ffchar.experiments import (
@@ -107,7 +106,7 @@ def test_records_match_single_character_paths(tmp_path):
 def test_principal_lhs_identity():
     # principal character: both sums are plain unit counts, lhs = q^d - N(d, r)
     m = Modulus.irreducible(F2, 6)
-    chi0 = principal_character(m)
+    chi0 = character_by_index(m, 0)
     for d in (3, 4, 5):
         for r in (1, 2, 3):
             a = character_sum_Ad(chi0, d).value

@@ -80,17 +80,6 @@ def test_squarefree_divisors():
     assert fi.squarefree_divisors() == [1, 2, 3, 5, 6, 10, 15, 30]
 
 
-def test_phi_ratio_is_product_over_primes():
-    from fractions import Fraction
-
-    for n in (15, 63, 8191, 2**20 - 1):
-        fi = factor_integer(n)
-        prod = Fraction(1)
-        for p in fi.primes:
-            prod *= Fraction(p - 1, p)
-        assert fi.phi_ratio() == prod
-
-
 def test_bad_inputs():
     with pytest.raises(ValueError):
         factor_integer(0)

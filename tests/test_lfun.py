@@ -9,7 +9,6 @@ from ffchar.characters import (
     character_by_index,
     character_sum_Ad,
     chi_eval,
-    principal_character,
 )
 from ffchar.lfun import (
     build_all_lpolynomials,
@@ -62,7 +61,7 @@ def test_high_coefficients_vanish():
 def test_principal_rejected():
     m = Modulus.irreducible(F2, 3)
     with pytest.raises(ValueError):
-        build_lpolynomial(principal_character(m))
+        build_lpolynomial(character_by_index(m, 0))
 
 
 def test_weil_q2_degree4():
@@ -152,7 +151,7 @@ def test_euler_product_consistency_at_sample_point():
 def test_prime_char_sum_principal():
     # principal: pi_k minus 1 exactly when Q itself has degree k
     m = Modulus.irreducible(F2, 3)
-    chi0 = principal_character(m)
+    chi0 = character_by_index(m, 0)
     irr = irreducibles_up_to(F2, 4)
     for k in range(1, 5):
         got = prime_char_sum(chi0, k)
@@ -186,7 +185,7 @@ def test_prime_char_sum_bound_never_violated():
 def test_von_mangoldt_literal_oracle():
     # brute force: factor every f in A_k and apply the Lambda definition
     m = Modulus.irreducible(F2, 4)
-    for chi in [character_by_index(m, 1), character_by_index(m, 6), principal_character(m)]:
+    for chi in [character_by_index(m, 1), character_by_index(m, 6), character_by_index(m, 0)]:
         for k in range(1, 7):
             brute = 0j
             for f in enumerate_monic(F2, k):

@@ -72,6 +72,30 @@ def test_dlog_of_a_product_is_the_sum_of_dlogs(m, data):
     assert table.dlog(f * g) == (table.dlog(f) + table.dlog(g)) % (q**n - 1)
 
 
+def _poly(F: Field, data, max_degree: int) -> Poly:
+    """A nonzero polynomial of degree <= max_degree over F, not always monic."""
+    low = data.draw(st.lists(st.integers(0, F.q - 1), max_size=max_degree))
+    return Poly(F, low + [data.draw(st.integers(1, F.q - 1))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([4, 8, 9, 16, 25, 27]), st.data())
+def test_factorization_round_trip_over_extension_fields(q, data):
+    """factorize(f).product() == f, with distinct monic irreducible factors sorted by (degree, code).
+
+    f = a * b^k with k in {1, 2, p}, so repeated factors and p-th powers
+    (the derivative-free branch) come up as well as squarefree f.
+    """
+    F = Field.of_order(q)
+    k = data.draw(st.sampled_from([1, 2, F.p]))
+    f = _poly(F, data, 6) * _poly(F, data, 2) ** k
+    fac = factorize(f)
+    assert fac.product() == f
+    assert all(g.is_monic and is_irreducible(g) for g, _ in fac.factors)
+    keys = [(g.degree, g.code()) for g, _ in fac.factors]
+    assert keys == sorted(set(keys))
+
+
 # any float64 at all, and the values whose text is special
 FLOATS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),

