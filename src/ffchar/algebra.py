@@ -71,7 +71,6 @@ class Field:
         self.defining_poly: Optional[tuple[int, ...]] = defining_poly
         if e > 1:
             self._build_tables()
-        self._irr_cache: list[list["Poly"]] = []  # _irr_cache[k-1] = I_k
 
     @classmethod
     def get(cls, p: int, e: int = 1, defining_poly=None) -> "Field":
@@ -650,12 +649,11 @@ def irreducibles_up_to(field: Field, r: int) -> list[list[Poly]]:
         raise ValueError("r must be >= 1")
     from .vecpoly import max_degree_profile_cached
 
-    cache = field._irr_cache
-    for k in range(len(cache) + 1, r + 1):
-        base = field.q**k
-        profile = max_degree_profile_cached(field, k)
-        cache.append([Poly.from_code(field, base + int(j)) for j in np.flatnonzero(profile == k)])
-    return [list(cache[k - 1]) for k in range(1, r + 1)]
+    out = []
+    for k in range(1, r + 1):
+        slots = np.flatnonzero(max_degree_profile_cached(field, k) == k)
+        out.append([Poly.from_code(field, field.q**k + int(j)) for j in slots])
+    return out
 
 
 # ---------------------------------------------------------------------------

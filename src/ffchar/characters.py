@@ -191,6 +191,8 @@ def dlog_histogram(modulus: Modulus, d: int, r: Optional[int] = None, workers: i
     they finish.  Cached per (modulus, d, r); exact integers, so the
     chunking and the worker count cannot change the result.
     """
+    if d < 0:
+        raise ValueError(f"degree must be >= 0, got d = {d}")
     if r is not None and r >= d:
         r = None
     key = ("hist", d, r)
@@ -305,8 +307,6 @@ def histogram_char_sum(chi: Character, hist: np.ndarray) -> CharSum:
 
 def character_sum_Ad(chi: Character, d: int, workers: int = 1) -> CharSum:
     """A(d, chi) = sum of chi(f) over monic f of degree exactly d."""
-    if d < 0:
-        raise ValueError("degree must be >= 0")
     hist, _ = unit_dlog_histogram(chi.modulus, d, workers)
     return histogram_char_sum(chi, hist)
 

@@ -86,6 +86,13 @@ def _parse_range(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(","))
 
 
+def _prime_degrees(k: int) -> range:
+    """1..k, the prime degrees a command runs over; k < 1 would check nothing."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got k = {k}")
+    return range(1, k + 1)
+
+
 def _modulus(args) -> Modulus:
     field = Field.of_order(args.q)
     if getattr(args, "Q", None):
@@ -134,6 +141,7 @@ def cmd_weil(args) -> int:
 
 def cmd_primes_bound(args) -> int:
     """|sum over irreducibles of degree k of chi(P)| vs (n+1) q^(k/2) / k."""
+    degrees = _prime_degrees(args.k)
     modulus = _modulus(args)
     order = modulus.unit_group.group_order
     ls = build_all_lpolynomials(modulus, args.workers) if args.identity else {}
@@ -143,7 +151,7 @@ def cmd_primes_bound(args) -> int:
     ok = True
     for k_idx in range(1, order):
         chi = character_by_index(modulus, k_idx)
-        for k in range(1, args.k + 1):
+        for k in degrees:
             got = prime_char_sum(chi, k)
             mag = abs(got.value)
             ratio = mag / got.bound
@@ -383,7 +391,7 @@ def cmd_sieve(args) -> int:
 def cmd_mertens(args) -> int:
     """Partial Euler product over deg P <= k against e^gamma k."""
     rows = ["k,product,ratio"]
-    for k in range(1, args.k + 1):
+    for k in _prime_degrees(args.k):
         got = mertens_product(args.q, k)
         rows.append(f"{k},{got.product!r},{got.ratio!r}")
     if args.format in ("csv", "human"):

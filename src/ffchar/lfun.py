@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import irreducibles_up_to, monic_irreducible_count
+from .algebra import monic_irreducible_count
 from .characters import (
     CharSum,
     Character,
@@ -184,19 +184,6 @@ def verify_weil(L: LPolynomial, tol: float = 1e-6) -> WeilReport:
 # ---------------------------------------------------------------------------
 
 
-def _irreducible_dlogs(modulus: Modulus, k: int) -> np.ndarray:
-    """Flattened dlogs of every P in I_k reduced mod Q; -1 where P divides Q.
-
-    Cached per modulus, since these drive both prime and von Mangoldt sums.
-    """
-    key = ("irr_dlogs", k)
-    if key not in modulus._hist_cache:
-        table = modulus.dlog_table
-        I_k = irreducibles_up_to(modulus.field, k)[k - 1]
-        modulus._hist_cache[key] = np.array([table.flat_dlog(P) for P in I_k], dtype=np.int64)
-    return modulus._hist_cache[key]
-
-
 @dataclass(frozen=True)
 class PrimeCharSum:
     """sum_{P in I_k} chi(P) next to its proven bound (n+1) q^(k/2) / k."""
@@ -208,10 +195,8 @@ class PrimeCharSum:
 
 
 def prime_char_sum(chi: Character, k: int) -> PrimeCharSum:
-    if k < 1:
-        raise ValueError("k must be >= 1")
     modulus = chi.modulus
-    flat = _irreducible_dlogs(modulus, k)
+    flat = modulus.dlog_table.irreducible_dlogs(k)
     units = flat[flat >= 0]
     M = chi.value_order
     phases = flat_dlog_phases(chi, units)
@@ -238,7 +223,7 @@ def von_mangoldt_sum(chi: Character, k: int) -> CharSum:
     for ell in range(1, k + 1):
         if k % ell:
             continue
-        flat = _irreducible_dlogs(modulus, ell)
+        flat = modulus.dlog_table.irreducible_dlogs(ell)
         units = flat[flat >= 0]
         phases = flat_dlog_phases(chi, units, power=k // ell)
         np.add.at(counts, phases, ell)

@@ -4,8 +4,8 @@ Q must be squarefree (irreducible or a squarefree composite); anything else
 is rejected at Modulus construction.  The unit group is a product of cyclic
 components, one per irreducible factor Q_i, of order q^(deg Q_i) - 1.  Each
 component gets a deterministic generator (least residue code that generates)
-and a discrete-log table: a full lookup array when the component order is
-at most `FULL_TABLE_LIMIT`, baby-step giant-step above it.
+and a discrete-log table, a full lookup array over every residue code.  A
+component order above `FULL_TABLE_LIMIT` is refused.
 
 The full table is built by digit doubling (`power_tables`).  Multiplication
 by g mod Q_i is F_p-linear on the base-p digits of residue codes, so it is
@@ -39,7 +39,7 @@ import numpy as np
 
 from .algebra import Field, Poly, factorize, lex_least_irreducible
 from .intfact import FactoredInteger, factor_integer
-from .vecpoly import linear_map_table, linear_map_values, vadd_poly_codes
+from .vecpoly import linear_map_table, linear_map_values, max_degree_profile_cached, vadd_poly_codes
 
 __all__ = [
     "Modulus",
@@ -54,7 +54,7 @@ __all__ = [
     "is_primitive",
 ]
 
-FULL_TABLE_LIMIT = 1 << 22  # component order above this switches to BSGS
+FULL_TABLE_LIMIT = 1 << 22  # a component order above this is refused: no dlog table
 
 
 class NotAUnitError(ValueError):
@@ -225,68 +225,37 @@ def find_generator(modulus: Modulus) -> UnitGroupView:
 class DlogTable:
     """Discrete logs to the per-component generators.
 
-    A component of order at most `FULL_TABLE_LIMIT` (read when the table is
-    built) gets a "full-table": g^i -> i for the whole component, a numpy
-    int64 array indexed by residue code.  A larger one gets
-    "baby-step-giant-step", which stores only sqrt(order) baby steps.
+    Every component gets a full table, g^i -> i for the whole component: a
+    numpy int64 array indexed by residue code, -1 at zero (`power_tables`).
+    A component of order above `FULL_TABLE_LIMIT` (read when the table is
+    built) is refused with ValueError.
     """
 
     def __init__(self, modulus: Modulus):
         self.modulus = modulus
         self.units = modulus.unit_group
-        self._component_tables = []
-        self.strategies = []
         for comp in self.units.components:
-            if comp.order <= FULL_TABLE_LIMIT:
-                self._component_tables.append(("full-table", self._build_full(comp)))
-            else:
-                self._component_tables.append(("baby-step-giant-step", self._build_bsgs(comp)))
-            self.strategies.append(self._component_tables[-1][0])
-
-    @property
-    def strategy(self) -> str:
-        return self.strategies[0] if len(self.strategies) == 1 else tuple(self.strategies)
-
-    def _build_full(self, comp: UnitComponent) -> np.ndarray:
-        return power_tables(comp.poly, comp.generator, comp.order)[1]
-
-    def _build_bsgs(self, comp: UnitComponent):
-        field = self.modulus.field
-        m = math.isqrt(comp.order) + 1
-        baby = {}
-        cur = Poly.one(field)
-        for j in range(m):
-            baby.setdefault(cur.code(), j)
-            cur = (cur * comp.generator) % comp.poly
-        # giant stride g^(-m) mod Q_i
-        stride = comp.generator.powmod(comp.order - (m % comp.order), comp.poly)
-        return (m, baby, stride)
-
-    def _component_dlog(self, idx: int, residue: Poly) -> int:
-        comp = self.units.components[idx]
-        kind, data = self._component_tables[idx]
-        r = residue % comp.poly
-        if r.is_zero:
-            raise NotAUnitError(f"{residue} shares the factor {comp.poly} with the modulus")
-        if kind == "full-table":
-            return int(data[r.code()])
-        m, baby, stride = data
-        cur = r
-        for i in range(m):
-            j = baby.get(cur.code())
-            if j is not None:
-                return (i * m + j) % comp.order
-            cur = (cur * stride) % comp.poly
-        raise AssertionError("BSGS failed on a unit residue")
+            if comp.order > FULL_TABLE_LIMIT:
+                raise ValueError(
+                    f"unit group mod {comp.poly} has order {comp.order}, "
+                    f"above the dlog table limit {FULL_TABLE_LIMIT}"
+                )
+        self.logs = [power_tables(c.poly, c.generator, c.order)[1] for c in self.units.components]
+        self._irreducible_dlogs: dict[int, np.ndarray] = {}
 
     def dlog(self, x: Union[Poly, int]) -> Union[int, tuple[int, ...]]:
-        """Discrete log of the unit x; int for irreducible Q, tuple per component otherwise."""
+        """Discrete log of the unit x; int for irreducible Q, tuple per component otherwise.
+
+        Q is squarefree, so x is a unit exactly when no component residue is zero.
+        """
         f = Poly.from_code(self.modulus.field, x) if isinstance(x, int) else x
-        g = f.gcd(self.modulus.poly)
-        if g != Poly.one(self.modulus.field):
-            raise NotAUnitError(f"gcd({f}, {self.modulus.poly}) = {g} != 1")
-        vals = tuple(self._component_dlog(i, f) for i in range(len(self.units.components)))
-        return vals[0] if self.modulus.is_irreducible else vals
+        vals = []
+        for comp, log in zip(self.units.components, self.logs):
+            r = f % comp.poly
+            if r.is_zero:
+                raise NotAUnitError(f"{f} shares the factor {comp.poly} with the modulus")
+            vals.append(int(log[r.code()]))
+        return vals[0] if self.modulus.is_irreducible else tuple(vals)
 
     def flat_dlog(self, f: Poly) -> int:
         """Flattened dlog index of the unit f (see `UnitGroupView.flat_strides`); -1 for non-units."""
@@ -298,22 +267,19 @@ class DlogTable:
             return dl
         return sum(x * s for x, s in zip(dl, self.units.flat_strides))
 
-    # -- vectorized enumeration support (full tables only) ----------------
+    # -- vectorized enumeration ---------------------------------------------
 
     def dlogs_of_monic_degree(self, d: int, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
         """Flat dlog of (f mod Q) for the monic degree-d stream slice [start, stop).
 
-        Requires a full table on every component.  Non-units (f sharing a
-        factor Q_i with Q) come back as -1.
+        Non-units (f sharing a factor Q_i with Q) come back as -1.
         """
-        if "baby-step-giant-step" in self.strategies:
-            raise ValueError("vector dlogs require the full-table strategy on every component")
         total = self.modulus.field.q**d
         if stop is None:
             stop = total
         if not 0 <= start <= stop <= total:
             raise ValueError("bad slice")
-        if len(self.strategies) == 1:
+        if len(self.logs) == 1:
             return self._component_dlogs(0, d, start, stop)
         flat = np.zeros(stop - start, dtype=np.int64)
         nonunit = np.zeros(stop - start, dtype=bool)
@@ -324,9 +290,23 @@ class DlogTable:
         flat[nonunit] = -1
         return flat
 
+    def irreducible_dlogs(self, k: int) -> np.ndarray:
+        """Flat dlogs of the monic irreducibles of degree k, in code order; -1 where P divides Q.
+
+        I_k is the slots where the degree-k factor-degree profile holds k
+        (`vecpoly.max_degree_profile_cached`).  Cached per k, since these
+        drive both prime and von Mangoldt sums.
+        """
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got k = {k}")
+        if k not in self._irreducible_dlogs:
+            profile = max_degree_profile_cached(self.modulus.field, k)
+            self._irreducible_dlogs[k] = self.dlogs_of_monic_degree(k)[profile == k]
+        return self._irreducible_dlogs[k]
+
     def _component_dlogs(self, idx: int, d: int, start: int, stop: int) -> np.ndarray:
         """Component-idx dlog of (f mod Q_i) over the slice, -1 where Q_i divides f."""
-        table = self._component_tables[idx][1]
+        table = self.logs[idx]
         Qi = self.units.components[idx].poly
         field = self.modulus.field
         q, n = field.q, Qi.degree

@@ -200,6 +200,11 @@ def test_kernel_failure_exits_math_without_traceback(monkeypatch, capsys, exc):
         (["mertens", "--q", "0", "--k", "2"], "q = 0 is not a prime power"),
         (["mertens", "--q", "1", "--k", "2"], "q = 1 is not a prime power"),
         (["mertens", "--q", "-3", "--k", "2"], "q = -3 is not a prime power"),
+        (["density", "--q", "2", "--n", "5", "--d", "-1"], "d = -1"),
+        (["sieve", "--q", "2", "--n", "5", "--d", "-1"], "d = -1"),
+        (["indicator", "--q", "2", "--n", "4", "--d", "-1"], "d = -1"),
+        (["primes-bound", "--q", "2", "--n", "4", "--k", "0"], "k = 0"),
+        (["mertens", "--q", "2", "--k", "0"], "k = 0"),
     ],
 )
 def test_bad_input_is_usage_error_naming_the_value(capsys, argv, bad):
@@ -221,16 +226,16 @@ SIEVE_Q2_N12_D9_JSON = (
 
 
 def test_sieve_builds_one_dlog_table(monkeypatch, capsys):
-    from ffchar.residue import DlogTable
+    from ffchar import residue
 
     builds = []
-    real = DlogTable._build_full
+    real = residue.power_tables
 
-    def counted(self, comp):
-        builds.append(comp.order)
-        return real(self, comp)
+    def counted(Qi, g, N):
+        builds.append(N)
+        return real(Qi, g, N)
 
-    monkeypatch.setattr(DlogTable, "_build_full", counted)
+    monkeypatch.setattr(residue, "power_tables", counted)
     assert main(["sieve", "--q", "2", "--n", "12", "--d", "9", "--format", "json"]) == 0
     assert builds == [2**12 - 1]
     assert capsys.readouterr().out == SIEVE_Q2_N12_D9_JSON

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ffchar import residue
-from ffchar.algebra import Field, Poly, enumerate_monic
+from ffchar.algebra import Field, Poly, enumerate_monic, irreducibles_up_to
+from ffchar.cli import main
 from ffchar.intfact import factor_integer
 from ffchar.residue import (
     DlogTable,
@@ -14,6 +15,7 @@ from ffchar.residue import (
     UnitGroupView,
     find_generator,
     is_primitive,
+    power_tables,
 )
 
 F2 = Field.get(2)
@@ -124,18 +126,6 @@ def test_dlog_is_group_isomorphism():
                 assert logs[ab.code()] == (logs[a.code()] + logs[b.code()]) % order
 
 
-def test_bsgs_agrees_with_full_table(monkeypatch):
-    m = Modulus.irreducible(F2, 6)
-    full = DlogTable(m)
-    assert full.strategy == "full-table"
-    monkeypatch.setattr(residue, "FULL_TABLE_LIMIT", 62)  # just below the order 63
-    bsgs = DlogTable(m)
-    assert bsgs.strategy == "baby-step-giant-step"
-    for code in range(1, 2**6):
-        f = Poly.from_code(F2, code)
-        assert full.dlog(f) == bsgs.dlog(f)
-
-
 def test_composite_modulus_dlog_componentwise():
     # squarefree composite: t * (t^2+t+1)
     m = Modulus(Poly.from_string(F2, "t") * Poly.from_string(F2, "t^2+t+1"))
@@ -195,12 +185,34 @@ def test_vector_flat_dlogs_match_scalar_on_composites():
             assert np.array_equal(parts, vec)
 
 
-def test_vector_dlogs_refuse_bsgs_components(monkeypatch):
-    monkeypatch.setattr(residue, "FULL_TABLE_LIMIT", 2)
-    m = Modulus.from_text(F2, "t^3+t^2+t")  # component orders 1 and 3
-    assert m.dlog_table.strategy == ("full-table", "baby-step-giant-step")
-    with pytest.raises(ValueError):
-        m.dlog_table.dlogs_of_monic_degree(4)
+IRREDUCIBLES = [(F2, "t^4+t+1"), (F3, "t^3+2t+1"), (F4, "t^2+t+2")]
+
+
+def test_irreducible_dlogs_match_scalar_route():
+    # k from 1 to deg Q + 3: below, at and above the degree of the modulus
+    for F, text in COMPOSITES + IRREDUCIBLES:
+        m = Modulus.from_text(F, text)
+        t = m.dlog_table
+        irr = irreducibles_up_to(F, m.n + 3)
+        for k in range(1, m.n + 4):
+            got = t.irreducible_dlogs(k)
+            assert got.tolist() == [t.flat_dlog(P) for P in irr[k - 1]], (text, k)
+            assert t.irreducible_dlogs(k) is got  # cached per k
+
+
+def test_table_above_the_limit_is_refused(monkeypatch, capsys):
+    monkeypatch.setattr(residue, "FULL_TABLE_LIMIT", 14)  # just below the order 15 of t^4+t+1
+    m = Modulus.from_text(F2, "t^4+t+1")
+    with pytest.raises(ValueError, match="order 15"):
+        m.dlog_table
+    # one component too large refuses the whole table
+    with pytest.raises(ValueError, match="order 15"):
+        Modulus.from_text(F2, "t^5+t^2+t").dlog_table  # t * (t^4+t+1)
+    assert main(["primes-bound", "--q", "2", "--n", "4", "--k", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "order 15" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_full_table_rejects_a_non_generator():
@@ -219,17 +231,17 @@ def test_doubling_table_matches_scalar_walk(q, ns):
     F = Field.of_order(q)
     for n in ns:
         m = Modulus.irreducible(F, n)
-        ((kind, table),) = m.dlog_table._component_tables
-        assert kind == "full-table"
-        assert np.array_equal(table, scalar_dlog_table(F, m.unit_group.components[0])), (q, n)
+        (comp,) = m.unit_group.components
+        table = power_tables(comp.poly, comp.generator, comp.order)[1]
+        assert np.array_equal(table, scalar_dlog_table(F, comp)), (q, n)
 
 
 def test_doubling_table_matches_scalar_walk_on_composite_components():
     # linear factors give components of order 1 (F_2) and 2 (F_3)
     for F, text in COMPOSITES:
         m = Modulus.from_text(F, text)
-        for comp, (kind, table) in zip(m.unit_group.components, m.dlog_table._component_tables):
-            assert kind == "full-table"
+        for comp in m.unit_group.components:
+            table = power_tables(comp.poly, comp.generator, comp.order)[1]
             assert np.array_equal(table, scalar_dlog_table(F, comp)), (text, str(comp.poly))
 
 
