@@ -1,11 +1,11 @@
-"""Multiplicative characters modulo Q with exact root-of-unity values.
+"""Multiplicative characters modulo Q and their sums over dlog histograms.
 
 A character is determined by one exponent per cyclic component of the unit
-group; its value at a unit x is zeta_M^phase where M is the group exponent
-and the integer phase is computed exactly from discrete logs.  Floating
-point enters only when a finished phase histogram is rendered to a complex
-number, so accumulated sums carry a provable error bound (emitted alongside
-each sum) instead of silent drift.
+group: chi_k sends the unit with component dlogs (j_i) to
+zeta^(sum_i k_i j_i / m_i), m_i the component orders.  Characters are
+indexed by their exponents raveled to the component orders
+(`character_by_index`), and chi_k^e has the index of the exponents times e
+mod the component orders (`power_index`): exact integer arithmetic.
 
 Every sum starts from one integer histogram over flat dlog indices,
 `dlog_histogram`: for all of A_d, or for its r-smooth slice, which keeps
@@ -15,88 +15,37 @@ is q^(d - deg Q) complete residue systems mod Q, so its histogram is the
 closed form q^(d - deg Q) in every entry and nothing is enumerated; the
 other histograms enumerate A_d.  Parallel workers merge chunk histograms by
 plain integer addition, so results are bit-identical for any worker count.
-A histogram is then evaluated in one of two ways, which the tests
-cross-check:
 
-* one character: its exact phase counts, folded from the histogram, then
-  a compensated (Kahan) rendering sum in a fixed order;
-* the whole dual group at once (any squarefree Q): the complex sums for
-  every character are the conjugate n-dimensional DFT of the histogram,
-  reshaped to the component orders of the unit group.
+A histogram is then evaluated one way, for the whole dual group at once
+(any squarefree Q): the complex sums for every character are the conjugate
+n-dimensional DFT of the histogram, reshaped to the component orders
+(`dual_group_sums`).  The per-character route, exact phase counts rendered
+with compensated summation, is kept only as the tests' oracle.
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import residue
-from .algebra import Poly
 from .residue import Modulus
 from .vecpoly import max_degree_profile_cached
 
 __all__ = [
-    "CharValue",
     "Character",
-    "CharSum",
-    "all_characters",
-    "chi_eval",
-    "character_sum_Ad",
-    "histogram_char_sum",
     "dlog_histogram",
     "unit_dlog_histogram",
-    "flat_dlog_phases",
-    "render_phase_counts",
     "dual_group_sums",
     "all_char_sums_Ad",
     "character_by_index",
-    "phase_to_complex",
+    "power_index",
 ]
 
 HIST_CHUNK = 1 << 20  # most polynomials one histogram chunk holds
-
-_cos_sin_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _cos_sin(M: int) -> tuple[np.ndarray, np.ndarray]:
-    if M not in _cos_sin_cache:
-        ang = 2.0 * np.pi * np.arange(M) / M
-        _cos_sin_cache[M] = (np.cos(ang), np.sin(ang))
-    return _cos_sin_cache[M]
-
-
-def phase_to_complex(phase: int, M: int) -> complex:
-    """zeta_M^phase as a complex double."""
-    a = 2.0 * math.pi * (phase % M) / M
-    return complex(math.cos(a), math.sin(a))
-
-
-@dataclass(frozen=True)
-class CharValue:
-    """Either zero or an exact M-th root of unity, stored as a phase index."""
-
-    order: int
-    phase: Optional[int]  # None encodes the value 0
-
-    @property
-    def is_zero(self) -> bool:
-        return self.phase is None
-
-    def to_complex(self) -> complex:
-        if self.phase is None:
-            return 0j
-        return phase_to_complex(self.phase, self.order)
-
-    def __mul__(self, other: "CharValue") -> "CharValue":
-        if self.order != other.order:
-            raise ValueError("cannot multiply values of different orders")
-        if self.phase is None or other.phase is None:
-            return CharValue(self.order, None)
-        return CharValue(self.order, (self.phase + other.phase) % self.order)
 
 
 @dataclass(frozen=True)
@@ -115,61 +64,9 @@ class Character:
                 raise ValueError(f"exponent {k} out of range [0, {m})")
 
     @property
-    def value_order(self) -> int:
-        """M: all values are M-th roots of unity (the unit-group exponent)."""
-        return self.modulus.unit_group.exponent
-
-    @property
-    def is_principal(self) -> bool:
-        return all(k == 0 for k in self.exponents)
-
-    @property
-    def order(self) -> int:
-        """Least m >= 1 with chi^m principal."""
-        out = 1
-        for k, m in zip(self.exponents, self.modulus.unit_group.component_orders):
-            if k:
-                out = math.lcm(out, m // math.gcd(m, k))
-        return out
-
-    @property
     def label(self) -> str:
         inner = ",".join(str(k) for k in self.exponents)
         return f"chi[{inner}]"
-
-    def power(self, j: int) -> "Character":
-        orders = self.modulus.unit_group.component_orders
-        return Character(self.modulus, tuple((k * j) % max(m, 1) for k, m in zip(self.exponents, orders)))
-
-    def conjugate(self) -> "Character":
-        orders = self.modulus.unit_group.component_orders
-        return Character(self.modulus, tuple((-k) % max(m, 1) for k, m in zip(self.exponents, orders)))
-
-
-def all_characters(modulus: Modulus) -> Iterator[Character]:
-    """The full dual group, exactly once each, in exponent-product order."""
-    orders = modulus.unit_group.component_orders
-    idx = [0] * len(orders)
-    while True:
-        yield Character(modulus, tuple(idx))
-        for i in range(len(orders) - 1, -1, -1):
-            idx[i] += 1
-            if idx[i] < max(orders[i], 1):
-                break
-            idx[i] = 0
-        else:
-            return
-
-
-def chi_eval(chi: Character, f: Poly) -> CharValue:
-    """chi(f): zero when gcd(f, Q) != 1, else the exact root of unity.
-
-    Depends only on f mod Q (periodic extension to all of F_q[t]).
-    """
-    flat = chi.modulus.dlog_table.flat_dlog(f)
-    if flat < 0:
-        return CharValue(chi.value_order, None)
-    return CharValue(chi.value_order, int(flat_dlog_phases(chi, np.array([flat]))[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +95,7 @@ def dlog_histogram(modulus: Modulus, d: int, r: Optional[int] = None, workers: i
     key = ("hist", d, r)
     if key in modulus._hist_cache:
         return modulus._hist_cache[key]
-    order = modulus.unit_group.group_order
-    # below this bound every component has a full dlog table
-    if order > residue.FULL_TABLE_LIMIT:
-        raise ValueError(f"group order {order} too large for a dense histogram")
+    order = residue.dense_group_order(modulus)
     q, n = modulus.field.q, modulus.n
     if r is None and d >= n:
         # every block of q^n consecutive codes shares its high part, so it is a
@@ -246,79 +140,14 @@ def unit_dlog_histogram(modulus: Modulus, d: int, workers: int = 1) -> tuple[np.
     return hist, nonunits
 
 
-def flat_dlog_phases(chi: Character, flat: np.ndarray, power: int = 1) -> np.ndarray:
-    """Exact phase index of chi at (the unit with each flat dlog index)^power."""
-    units = chi.modulus.unit_group
-    M = units.exponent
-    total = np.zeros(flat.shape, dtype=np.int64)
-    for k, m, s in zip(chi.exponents, units.component_orders, units.flat_strides):
-        comp = ((flat // s) % max(m, 1)) * power % max(m, 1)
-        total += (k * (M // m)) * comp
-    return total % M
-
-
-@dataclass(frozen=True)
-class CharSum:
-    """A rendered character sum with its accumulation error bound."""
-
-    value: complex
-    err_bound: float
-    n_terms: int
-
-    def __complex__(self):
-        return self.value
-
-
-def render_phase_counts(counts: np.ndarray, M: int) -> tuple[complex, float, int]:
-    """Kahan-compensated sum of counts[a] * zeta_M^a in fixed phase order."""
-    cos_t, sin_t = _cos_sin(M)
-    nz = np.nonzero(counts)[0]
-    re = im = 0.0
-    cre = cim = 0.0
-    n_terms = 0
-    for a in nz:
-        c = float(counts[a])
-        n_terms += int(counts[a])
-        y = c * cos_t[a] - cre
-        t = re + y
-        cre = (t - re) - y
-        re = t
-        y = c * sin_t[a] - cim
-        t = im + y
-        cim = (t - im) - y
-        im = t
-    err = 1e-15 * max(n_terms, 1)
-    return complex(re, im), err, n_terms
-
-
-def histogram_char_sum(chi: Character, hist: np.ndarray) -> CharSum:
-    """sum of chi over the units a flat dlog histogram counts.
-
-    Exact phase accumulation (integer histogram), rendered once with
-    compensated summation; the bound on the rendering error is emitted with
-    the sum.
-    """
-    M = chi.value_order
-    phases = flat_dlog_phases(chi, np.arange(hist.size, dtype=np.int64))
-    counts = np.zeros(M, dtype=np.int64)
-    np.add.at(counts, phases, hist)
-    return CharSum(*render_phase_counts(counts, M))
-
-
-def character_sum_Ad(chi: Character, d: int, workers: int = 1) -> CharSum:
-    """A(d, chi) = sum of chi(f) over monic f of degree exactly d."""
-    hist, _ = unit_dlog_histogram(chi.modulus, d, workers)
-    return histogram_char_sum(chi, hist)
-
-
 def dual_group_sums(modulus: Modulus, hist: np.ndarray) -> np.ndarray:
     """sum of chi_k over the units a flat dlog histogram counts, for every k.
 
     The dual group of prod_i Z/m_i is prod_i Z/m_i again, and chi_k pairs
     with the unit of flat dlog j through zeta^(sum_i k_i j_i / m_i); so the
     sums are the conjugate n-dimensional DFT of the histogram reshaped to
-    the component orders.  Flat index k is the k-th character of
-    `all_characters` (`character_by_index`).
+    the component orders.  Flat index k is the character
+    `character_by_index(modulus, k)`.
     """
     orders = modulus.unit_group.component_orders
     return np.conj(np.fft.fftn(hist.astype(np.float64).reshape(orders))).ravel()
@@ -334,6 +163,17 @@ def all_char_sums_Ad(modulus: Modulus, d: int, workers: int = 1) -> np.ndarray:
 
 
 def character_by_index(modulus: Modulus, k: int) -> Character:
-    """chi_k: the k-th character of `all_characters`, exponents k unravelled to the component orders."""
+    """chi_k: the character whose exponents are k unravelled to the component orders."""
     orders = modulus.unit_group.component_orders
     return Character(modulus, tuple(int(x) for x in np.unravel_index(k, orders)))
+
+
+def power_index(modulus: Modulus, k: int | np.ndarray, e: int) -> int | np.ndarray:
+    """The index of chi_k^e, for an index or an array of indices k.
+
+    chi_k^e has the exponents of chi_k times e, mod the component orders;
+    for irreducible Q this is (e * k) mod (q^n - 1).
+    """
+    orders = modulus.unit_group.component_orders
+    exps = np.unravel_index(k, orders)
+    return np.ravel_multi_index(tuple(x * e % m for x, m in zip(exps, orders)), orders)

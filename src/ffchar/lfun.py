@@ -3,14 +3,20 @@
 The generating polynomial sum_m A(m, chi) z^m of a non-principal character
 mod Q (deg Q = n) has degree at most n-1; its inverse roots alpha_i, defined
 by the product form prod (1 - alpha_i z), all have modulus 1 or sqrt(q).
-This module builds the coefficients from exact character sums, extracts the
-inverse roots (companion-matrix eigenvalues of the reversed polynomial plus
-one Newton step each), and verifies the root-modulus dichotomy numerically.
+This module builds the coefficients from the DFT sums of every character
+at once, extracts the inverse roots (companion-matrix eigenvalues of the
+reversed polynomial plus one Newton step each), and verifies the
+root-modulus dichotomy numerically.
 
-Also here: character sums over irreducibles of fixed degree with their
-(n+1) q^(k/2) / k bound, von Mangoldt weighted sums (the logarithmic
-derivative route to the same bound), and the Mertens-style partial product
-over primes of bounded degree, accumulated in exact rational arithmetic.
+Also here: character sums over the irreducibles of degree k, with their
+(n+1) q^(k/2) / k bound, and von Mangoldt weighted sums (the logarithmic
+derivative route to the same bound).  Both are read off spectra: the
+degree-k spectrum is one DFT of the histogram of the dlogs of I_k, giving
+the prime sum of every character.  The von Mangoldt sum of chi over A_k is
+sum_{l | k} l * S_l(chi^(k/l)), with chi^(k/l) found by exact index
+arithmetic, so it needs no DFT of its own.  And the Mertens-style partial
+product over primes of bounded degree, accumulated in exact rational
+arithmetic.
 """
 
 from __future__ import annotations
@@ -21,28 +27,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import monic_irreducible_count
-from .characters import (
-    CharSum,
-    Character,
-    all_char_sums_Ad,
-    character_by_index,
-    character_sum_Ad,
-    flat_dlog_phases,
-    render_phase_counts,
-)
+from .characters import Character, all_char_sums_Ad, character_by_index, dual_group_sums, power_index
 from .intfact import factor_integer
 from .residue import Modulus
 
 __all__ = [
     "LPolynomial",
     "WeilReport",
-    "PrimeCharSum",
     "MertensResult",
-    "build_lpolynomial",
+    "lpolynomial",
     "build_all_lpolynomials",
     "verify_weil",
-    "prime_char_sum",
-    "von_mangoldt_sum",
+    "prime_sum_bound",
+    "prime_sum_spectrum",
+    "von_mangoldt_spectrum",
     "mertens_product",
     "inverse_root_power_sum",
     "TRAILING_COEFF_TOL",
@@ -79,7 +77,7 @@ def _numerical_degree(coeffs: np.ndarray) -> int:
     return d
 
 
-def _lpolynomial(chi: Character, coeffs: np.ndarray) -> LPolynomial:
+def lpolynomial(chi: Character, coeffs: np.ndarray) -> LPolynomial:
     """The L-polynomial of chi from A(0..n-1, chi): trim to the numerical degree, extract roots."""
     roots, residual = _extract_inverse_roots(coeffs[: _numerical_degree(coeffs) + 1])
     return LPolynomial(chi, coeffs, roots, residual)
@@ -106,17 +104,6 @@ def _extract_inverse_roots(coeffs: np.ndarray) -> tuple[np.ndarray, float]:
     return roots, residual
 
 
-def build_lpolynomial(chi: Character, workers: int = 1) -> LPolynomial:
-    """Coefficients by exact character sums for m = 0..n-1, then root extraction."""
-    if chi.is_principal:
-        raise ValueError("the principal character has no L-polynomial (it is not a polynomial)")
-    n = chi.modulus.n
-    coeffs = np.zeros(n, dtype=np.complex128)
-    for m in range(n):
-        coeffs[m] = character_sum_Ad(chi, m, workers).value
-    return _lpolynomial(chi, coeffs)
-
-
 def build_all_lpolynomials(modulus: Modulus, workers: int = 1) -> dict[int, LPolynomial]:
     """Every non-principal chi_k (k as in `character_by_index`) at once (DFT bulk path)."""
     n = modulus.n
@@ -125,7 +112,7 @@ def build_all_lpolynomials(modulus: Modulus, workers: int = 1) -> dict[int, LPol
     out = {}
     for k in range(1, order):
         coeffs = np.array([rows[m][k] for m in range(n)], dtype=np.complex128)
-        out[k] = _lpolynomial(character_by_index(modulus, k), coeffs)
+        out[k] = lpolynomial(character_by_index(modulus, k), coeffs)
     return out
 
 
@@ -184,51 +171,40 @@ def verify_weil(L: LPolynomial, tol: float = 1e-6) -> WeilReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrimeCharSum:
-    """sum_{P in I_k} chi(P) next to its proven bound (n+1) q^(k/2) / k."""
-
-    value: complex
-    bound: float
-    n_primes: int
-    err_bound: float
-
-
-def prime_char_sum(chi: Character, k: int) -> PrimeCharSum:
-    modulus = chi.modulus
-    flat = modulus.dlog_table.irreducible_dlogs(k)
-    units = flat[flat >= 0]
-    M = chi.value_order
-    phases = flat_dlog_phases(chi, units)
-    counts = np.zeros(M, dtype=np.int64)
-    np.add.at(counts, phases, 1)
-    value, err, n_terms = render_phase_counts(counts, M)
+def prime_sum_bound(modulus: Modulus, k: int) -> float:
+    """(n+1) q^(k/2) / k, the proven bound on |sum_{P in I_k} chi(P)| for non-principal chi."""
     q, n = modulus.field.q, modulus.n
-    bound = (n + 1) * q ** (k / 2.0) / k
-    return PrimeCharSum(value, bound, len(flat), err)
+    return (n + 1) * q ** (k / 2.0) / k
 
 
-def von_mangoldt_sum(chi: Character, k: int) -> CharSum:
-    """sum over monic f of degree k of Lambda(f) chi(f).
+def prime_sum_spectrum(modulus: Modulus, k: int) -> np.ndarray:
+    """sum_{P in I_k} chi_j(P) for every character j (`character_by_index` order).
+
+    One DFT of the histogram of the unit dlogs of the monic irreducibles of
+    degree k; a P dividing Q has chi(P) = 0 and is left out.
+    """
+    flat = modulus.dlog_table.irreducible_dlogs(k)
+    hist = np.bincount(flat[flat >= 0], minlength=modulus.unit_group.group_order)
+    return dual_group_sums(modulus, hist)
+
+
+def von_mangoldt_spectrum(modulus: Modulus, k: int, spectra: dict[int, np.ndarray]) -> np.ndarray:
+    """sum over monic f of degree k of Lambda(f) chi_j(f), for every character j.
 
     Lambda is supported on prime powers, so the sum runs over P^(k/l) for
-    l | k, P in I_l, each weighted by l = deg P; chi(P^e) carries the exact
-    phase e * phase(P).
+    l | k, P in I_l, each weighted by l = deg P.  chi(P^e) = chi^e(P), so
+    the l-term is l times the degree-l spectrum read at the index of
+    chi^(k/l).  spectra[l] must be `prime_sum_spectrum(modulus, l)` for
+    every l dividing k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    modulus = chi.modulus
-    M = chi.value_order
-    counts = np.zeros(M, dtype=np.int64)
+    idx = np.arange(modulus.unit_group.group_order)
+    out = np.zeros(idx.size, dtype=np.complex128)
     for ell in range(1, k + 1):
-        if k % ell:
-            continue
-        flat = modulus.dlog_table.irreducible_dlogs(ell)
-        units = flat[flat >= 0]
-        phases = flat_dlog_phases(chi, units, power=k // ell)
-        np.add.at(counts, phases, ell)
-    value, err, n_terms = render_phase_counts(counts, M)
-    return CharSum(value, err, n_terms)
+        if k % ell == 0:
+            out += ell * spectra[ell][power_index(modulus, idx, k // ell)]
+    return out
 
 
 def inverse_root_power_sum(L: LPolynomial, k: int) -> complex:

@@ -4,8 +4,14 @@ Q must be squarefree (irreducible or a squarefree composite); anything else
 is rejected at Modulus construction.  The unit group is a product of cyclic
 components, one per irreducible factor Q_i, of order q^(deg Q_i) - 1.  Each
 component gets a deterministic generator (least residue code that generates)
-and a discrete-log table, a full lookup array over every residue code.  A
-component order above `FULL_TABLE_LIMIT` is refused.
+and a discrete-log table, a full lookup array over every residue code.
+
+Every table, histogram and character-sum spectrum built from these logs is a
+dense array: over residue codes, over the whole unit group, or over the q^k
+monic polynomials of one degree.  One limit, `FULL_TABLE_LIMIT`, bounds them
+all.  `dense_group_order` refuses a unit group above it (each component
+order is at most the group order), and `DlogTable.irreducible_dlogs` refuses
+a degree k with q^k above it, before anything is allocated.
 
 The full table is built by digit doubling (`power_tables`).  Multiplication
 by g mod Q_i is F_p-linear on the base-p digits of residue codes, so it is
@@ -46,7 +52,7 @@ __all__ = [
     "UnitComponent",
     "UnitGroupView",
     "DlogTable",
-    "NotAUnitError",
+    "dense_group_order",
     "find_generator",
     "generates",
     "least_generator",
@@ -54,11 +60,7 @@ __all__ = [
     "is_primitive",
 ]
 
-FULL_TABLE_LIMIT = 1 << 22  # a component order above this is refused: no dlog table
-
-
-class NotAUnitError(ValueError):
-    """Raised when a discrete log is requested for a non-unit residue."""
+FULL_TABLE_LIMIT = 1 << 22  # the most entries a dense table, histogram or spectrum may hold
 
 
 class Modulus:
@@ -222,52 +224,35 @@ def find_generator(modulus: Modulus) -> UnitGroupView:
     return UnitGroupView(modulus, tuple(comps))
 
 
+def dense_group_order(modulus: Modulus) -> int:
+    """The order of the unit group mod Q, refused with ValueError above `FULL_TABLE_LIMIT`.
+
+    Dlog tables, dlog histograms and character-sum spectra are all dense
+    arrays over (a component of) the group; the limit is read at call time.
+    """
+    order = modulus.unit_group.group_order
+    if order > FULL_TABLE_LIMIT:
+        raise ValueError(
+            f"unit group mod {modulus.poly} has order {order}, above the dense table limit {FULL_TABLE_LIMIT}"
+        )
+    return order
+
+
 class DlogTable:
     """Discrete logs to the per-component generators.
 
     Every component gets a full table, g^i -> i for the whole component: a
     numpy int64 array indexed by residue code, -1 at zero (`power_tables`).
-    A component of order above `FULL_TABLE_LIMIT` (read when the table is
-    built) is refused with ValueError.
+    A unit group above `FULL_TABLE_LIMIT` is refused with ValueError before
+    any table is built (`dense_group_order`).
     """
 
     def __init__(self, modulus: Modulus):
+        dense_group_order(modulus)
         self.modulus = modulus
         self.units = modulus.unit_group
-        for comp in self.units.components:
-            if comp.order > FULL_TABLE_LIMIT:
-                raise ValueError(
-                    f"unit group mod {comp.poly} has order {comp.order}, "
-                    f"above the dlog table limit {FULL_TABLE_LIMIT}"
-                )
         self.logs = [power_tables(c.poly, c.generator, c.order)[1] for c in self.units.components]
         self._irreducible_dlogs: dict[int, np.ndarray] = {}
-
-    def dlog(self, x: Union[Poly, int]) -> Union[int, tuple[int, ...]]:
-        """Discrete log of the unit x; int for irreducible Q, tuple per component otherwise.
-
-        Q is squarefree, so x is a unit exactly when no component residue is zero.
-        """
-        f = Poly.from_code(self.modulus.field, x) if isinstance(x, int) else x
-        vals = []
-        for comp, log in zip(self.units.components, self.logs):
-            r = f % comp.poly
-            if r.is_zero:
-                raise NotAUnitError(f"{f} shares the factor {comp.poly} with the modulus")
-            vals.append(int(log[r.code()]))
-        return vals[0] if self.modulus.is_irreducible else tuple(vals)
-
-    def flat_dlog(self, f: Poly) -> int:
-        """Flattened dlog index of the unit f (see `UnitGroupView.flat_strides`); -1 for non-units."""
-        try:
-            dl = self.dlog(f)
-        except NotAUnitError:
-            return -1
-        if isinstance(dl, int):
-            return dl
-        return sum(x * s for x, s in zip(dl, self.units.flat_strides))
-
-    # -- vectorized enumeration ---------------------------------------------
 
     def dlogs_of_monic_degree(self, d: int, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
         """Flat dlog of (f mod Q) for the monic degree-d stream slice [start, stop).
@@ -295,10 +280,17 @@ class DlogTable:
 
         I_k is the slots where the degree-k factor-degree profile holds k
         (`vecpoly.max_degree_profile_cached`).  Cached per k, since these
-        drive both prime and von Mangoldt sums.
+        drive both prime and von Mangoldt sums.  A degree whose q^k monic
+        polynomials exceed `FULL_TABLE_LIMIT` is refused before the profile
+        or the dlog stream is allocated.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got k = {k}")
+        size = self.modulus.field.q**k
+        if size > FULL_TABLE_LIMIT:
+            raise ValueError(
+                f"degree k = {k} has q^k = {size} monic polynomials, above the dense table limit {FULL_TABLE_LIMIT}"
+            )
         if k not in self._irreducible_dlogs:
             profile = max_degree_profile_cached(self.modulus.field, k)
             self._irreducible_dlogs[k] = self.dlogs_of_monic_degree(k)[profile == k]

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import dickman_panels
 from .algebra import Field, monic_irreducible_count
-from .characters import CharSum, Character, dlog_histogram, dual_group_sums, histogram_char_sum
+from .characters import dlog_histogram, dual_group_sums
 from .intfact import factor_integer
 from .residue import Modulus
 from .vecpoly import max_degree_profile_cached
@@ -51,7 +51,6 @@ from .vecpoly import max_degree_profile_cached
 __all__ = [
     "smooth_count",
     "smooth_count_by_enumeration",
-    "smooth_char_sum",
     "smooth_dlog_histogram",
     "DickmanTable",
     "march_dickman_panels",
@@ -101,18 +100,6 @@ def smooth_count_by_enumeration(field: Field, d: int, r: int) -> int:
 # ---------------------------------------------------------------------------
 # smooth character sums
 # ---------------------------------------------------------------------------
-
-
-def smooth_char_sum(chi: Character, d: int, r: int) -> CharSum:
-    """sum of chi(f) over r-smooth monic f of degree exactly d.
-
-    Folded from the slice's dlog histogram; polynomials that share a factor
-    with Q have chi(f) = 0 and are counted apart there, as non-units.
-    """
-    if d < 0 or r < 1:
-        raise ValueError("need d >= 0 and r >= 1")
-    hist, _ = smooth_dlog_histogram(chi.modulus, d, r)
-    return histogram_char_sum(chi, hist)
 
 
 def smooth_dlog_histogram(modulus: Modulus, d: int, r: int) -> tuple[np.ndarray, int]:

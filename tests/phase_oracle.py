@@ -1,0 +1,290 @@
+"""The per-character phase route: the oracle the DFT sums are tested against.
+
+Production code gets every character sum from `characters.dual_group_sums`,
+one DFT of a dlog histogram for the whole dual group.  This module keeps the
+second route, one character at a time, so the tests can compare the two:
+
+* discrete logs of single polynomials by scalar reduction mod each factor
+  of Q and a lookup in that component's table (`dlog`, `flat_dlog`);
+* a character's value at a unit is zeta_M^phase, M the unit-group exponent,
+  with the integer phase computed exactly from the dlogs (`chi_eval`);
+* a sum over a dlog histogram folds its exact phase counts and renders them
+  once, with compensated (Kahan) summation in a fixed phase order, next to a
+  bound on the rendering error (`histogram_char_sum`);
+* from it: A(d, chi), smooth-slice sums, prime and von Mangoldt sums, and
+  L-polynomials, each for one character.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Iterator, Optional, Union
+
+import numpy as np
+
+from ffchar.algebra import Poly
+from ffchar.characters import Character, unit_dlog_histogram
+from ffchar.lfun import LPolynomial, lpolynomial, prime_sum_bound
+from ffchar.residue import DlogTable
+from ffchar.smooth import smooth_dlog_histogram
+
+# -- discrete logs of single polynomials ---------------------------------
+
+
+class NotAUnitError(ValueError):
+    """Raised when a discrete log is requested for a non-unit residue."""
+
+
+def dlog(table: DlogTable, x: Union[Poly, int]) -> Union[int, tuple[int, ...]]:
+    """Discrete log of the unit x; int for irreducible Q, tuple per component otherwise.
+
+    Q is squarefree, so x is a unit exactly when no component residue is zero.
+    """
+    f = Poly.from_code(table.modulus.field, x) if isinstance(x, int) else x
+    vals = []
+    for comp, log in zip(table.units.components, table.logs):
+        r = f % comp.poly
+        if r.is_zero:
+            raise NotAUnitError(f"{f} shares the factor {comp.poly} with the modulus")
+        vals.append(int(log[r.code()]))
+    return vals[0] if table.modulus.is_irreducible else tuple(vals)
+
+
+def flat_dlog(table: DlogTable, f: Poly) -> int:
+    """Flattened dlog index of the unit f (see `UnitGroupView.flat_strides`); -1 for non-units."""
+    try:
+        dl = dlog(table, f)
+    except NotAUnitError:
+        return -1
+    if isinstance(dl, int):
+        return dl
+    return sum(x * s for x, s in zip(dl, table.units.flat_strides))
+
+
+# -- characters one at a time --------------------------------------------
+
+
+def value_order(chi: Character) -> int:
+    """M: all values of chi are M-th roots of unity (the unit-group exponent)."""
+    return chi.modulus.unit_group.exponent
+
+
+def is_principal(chi: Character) -> bool:
+    return all(k == 0 for k in chi.exponents)
+
+
+def char_order(chi: Character) -> int:
+    """Least m >= 1 with chi^m principal."""
+    out = 1
+    for k, m in zip(chi.exponents, chi.modulus.unit_group.component_orders):
+        if k:
+            out = math.lcm(out, m // math.gcd(m, k))
+    return out
+
+
+def power(chi: Character, j: int) -> Character:
+    orders = chi.modulus.unit_group.component_orders
+    return Character(chi.modulus, tuple((k * j) % max(m, 1) for k, m in zip(chi.exponents, orders)))
+
+
+def all_characters(modulus) -> Iterator[Character]:
+    """The full dual group, exactly once each, in exponent-product order."""
+    orders = modulus.unit_group.component_orders
+    idx = [0] * len(orders)
+    while True:
+        yield Character(modulus, tuple(idx))
+        for i in range(len(orders) - 1, -1, -1):
+            idx[i] += 1
+            if idx[i] < max(orders[i], 1):
+                break
+            idx[i] = 0
+        else:
+            return
+
+
+def phase_to_complex(phase: int, M: int) -> complex:
+    """zeta_M^phase as a complex double."""
+    a = 2.0 * math.pi * (phase % M) / M
+    return complex(math.cos(a), math.sin(a))
+
+
+@dataclass(frozen=True)
+class CharValue:
+    """Either zero or an exact M-th root of unity, stored as a phase index."""
+
+    order: int
+    phase: Optional[int]  # None encodes the value 0
+
+    @property
+    def is_zero(self) -> bool:
+        return self.phase is None
+
+    def to_complex(self) -> complex:
+        if self.phase is None:
+            return 0j
+        return phase_to_complex(self.phase, self.order)
+
+    def __mul__(self, other: "CharValue") -> "CharValue":
+        if self.order != other.order:
+            raise ValueError("cannot multiply values of different orders")
+        if self.phase is None or other.phase is None:
+            return CharValue(self.order, None)
+        return CharValue(self.order, (self.phase + other.phase) % self.order)
+
+
+def flat_dlog_phases(chi: Character, flat: np.ndarray, power: int = 1) -> np.ndarray:
+    """Exact phase index of chi at (the unit with each flat dlog index)^power."""
+    units = chi.modulus.unit_group
+    M = units.exponent
+    total = np.zeros(flat.shape, dtype=np.int64)
+    for k, m, s in zip(chi.exponents, units.component_orders, units.flat_strides):
+        comp = ((flat // s) % max(m, 1)) * power % max(m, 1)
+        total += (k * (M // m)) * comp
+    return total % M
+
+
+def chi_eval(chi: Character, f: Poly) -> CharValue:
+    """chi(f): zero when gcd(f, Q) != 1, else the exact root of unity.
+
+    Depends only on f mod Q (periodic extension to all of F_q[t]).
+    """
+    flat = flat_dlog(chi.modulus.dlog_table, f)
+    if flat < 0:
+        return CharValue(value_order(chi), None)
+    return CharValue(value_order(chi), int(flat_dlog_phases(chi, np.array([flat]))[0]))
+
+
+# -- sums, one character at a time ---------------------------------------
+
+
+@dataclass(frozen=True)
+class CharSum:
+    """A rendered character sum with its accumulation error bound."""
+
+    value: complex
+    err_bound: float
+    n_terms: int
+
+    def __complex__(self):
+        return self.value
+
+
+_cos_sin_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _cos_sin(M: int) -> tuple[np.ndarray, np.ndarray]:
+    if M not in _cos_sin_cache:
+        ang = 2.0 * np.pi * np.arange(M) / M
+        _cos_sin_cache[M] = (np.cos(ang), np.sin(ang))
+    return _cos_sin_cache[M]
+
+
+def render_phase_counts(counts: np.ndarray, M: int) -> tuple[complex, float, int]:
+    """Kahan-compensated sum of counts[a] * zeta_M^a in fixed phase order."""
+    cos_t, sin_t = _cos_sin(M)
+    nz = np.nonzero(counts)[0]
+    re = im = 0.0
+    cre = cim = 0.0
+    n_terms = 0
+    for a in nz:
+        c = float(counts[a])
+        n_terms += int(counts[a])
+        y = c * cos_t[a] - cre
+        t = re + y
+        cre = (t - re) - y
+        re = t
+        y = c * sin_t[a] - cim
+        t = im + y
+        cim = (t - im) - y
+        im = t
+    err = 1e-15 * max(n_terms, 1)
+    return complex(re, im), err, n_terms
+
+
+def histogram_char_sum(chi: Character, hist: np.ndarray) -> CharSum:
+    """sum of chi over the units a flat dlog histogram counts.
+
+    Exact phase accumulation (integer histogram), rendered once with
+    compensated summation; the bound on the rendering error is emitted with
+    the sum.
+    """
+    M = value_order(chi)
+    phases = flat_dlog_phases(chi, np.arange(hist.size, dtype=np.int64))
+    counts = np.zeros(M, dtype=np.int64)
+    np.add.at(counts, phases, hist)
+    return CharSum(*render_phase_counts(counts, M))
+
+
+def character_sum_Ad(chi: Character, d: int, workers: int = 1) -> CharSum:
+    """A(d, chi) = sum of chi(f) over monic f of degree exactly d."""
+    hist, _ = unit_dlog_histogram(chi.modulus, d, workers)
+    return histogram_char_sum(chi, hist)
+
+
+def smooth_char_sum(chi: Character, d: int, r: int) -> CharSum:
+    """sum of chi(f) over r-smooth monic f of degree exactly d.
+
+    Folded from the slice's dlog histogram; polynomials that share a factor
+    with Q have chi(f) = 0 and are counted apart there, as non-units.
+    """
+    if d < 0 or r < 1:
+        raise ValueError("need d >= 0 and r >= 1")
+    hist, _ = smooth_dlog_histogram(chi.modulus, d, r)
+    return histogram_char_sum(chi, hist)
+
+
+@dataclass(frozen=True)
+class PrimeCharSum:
+    """sum_{P in I_k} chi(P) next to its proven bound (n+1) q^(k/2) / k."""
+
+    value: complex
+    bound: float
+    n_primes: int
+    err_bound: float
+
+
+def prime_char_sum(chi: Character, k: int) -> PrimeCharSum:
+    modulus = chi.modulus
+    flat = modulus.dlog_table.irreducible_dlogs(k)
+    units = flat[flat >= 0]
+    M = value_order(chi)
+    phases = flat_dlog_phases(chi, units)
+    counts = np.zeros(M, dtype=np.int64)
+    np.add.at(counts, phases, 1)
+    value, err, n_terms = render_phase_counts(counts, M)
+    return PrimeCharSum(value, prime_sum_bound(modulus, k), len(flat), err)
+
+
+def von_mangoldt_sum(chi: Character, k: int) -> CharSum:
+    """sum over monic f of degree k of Lambda(f) chi(f).
+
+    Lambda is supported on prime powers, so the sum runs over P^(k/l) for
+    l | k, P in I_l, each weighted by l = deg P; chi(P^e) carries the exact
+    phase e * phase(P).
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    modulus = chi.modulus
+    M = value_order(chi)
+    counts = np.zeros(M, dtype=np.int64)
+    for ell in range(1, k + 1):
+        if k % ell:
+            continue
+        flat = modulus.dlog_table.irreducible_dlogs(ell)
+        units = flat[flat >= 0]
+        phases = flat_dlog_phases(chi, units, power=k // ell)
+        np.add.at(counts, phases, ell)
+    value, err, n_terms = render_phase_counts(counts, M)
+    return CharSum(value, err, n_terms)
+
+
+def build_lpolynomial(chi: Character, workers: int = 1) -> LPolynomial:
+    """Coefficients by per-character sums for m = 0..n-1, then root extraction."""
+    if is_principal(chi):
+        raise ValueError("the principal character has no L-polynomial (it is not a polynomial)")
+    n = chi.modulus.n
+    coeffs = np.zeros(n, dtype=np.complex128)
+    for m in range(n):
+        coeffs[m] = character_sum_Ad(chi, m, workers).value
+    return lpolynomial(chi, coeffs)

@@ -11,16 +11,17 @@ import numpy as np
 import pytest
 
 from ffchar.algebra import Field
-from ffchar.characters import all_char_sums_Ad, character_by_index
+from ffchar.characters import all_char_sums_Ad
 from ffchar.cli import main as cli_main
 from ffchar.experiments import ExperimentConfig, run_main_theorem_grid
 from ffchar.lfun import (
     build_all_lpolynomials,
     inverse_root_power_sum,
     mertens_product,
-    prime_char_sum,
+    prime_sum_bound,
+    prime_sum_spectrum,
     verify_weil,
-    von_mangoldt_sum,
+    von_mangoldt_spectrum,
 )
 from ffchar.primitive import density_experiment, primitivity_indicator_check, sieve_quantities
 from ffchar.residue import Modulus
@@ -78,17 +79,18 @@ def test_criterion_3_prime_sum_bound_and_identity(moduli, lpolys):
     violations = 0
     for (q, n), m in moduli.items():
         order = m.unit_group.group_order
+        spectra = {k: prime_sum_spectrum(m, k) for k in range(1, 11)}
+        vm = {k: von_mangoldt_spectrum(m, k, spectra) for k in spectra}
         for k_idx in range(1, order):
-            chi = character_by_index(m, k_idx)
             L = lpolys[(q, n)][k_idx]
             for k in range(1, 11):
-                ps = prime_char_sum(chi, k)
-                ratio = abs(ps.value) / ps.bound
+                value, bound = spectra[k][k_idx], prime_sum_bound(m, k)
+                ratio = abs(value) / bound
                 worst_ratio = max(worst_ratio, ratio)
-                if abs(ps.value) > ps.bound:
+                if abs(value) > bound:
                     violations += 1
                 if k <= 10:
-                    err = abs(von_mangoldt_sum(chi, k).value + inverse_root_power_sum(L, k))
+                    err = abs(vm[k][k_idx] + inverse_root_power_sum(L, k))
                     worst_ident = max(worst_ident, err)
     ok = violations == 0 and worst_ident <= 1e-6
     report(

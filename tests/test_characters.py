@@ -8,16 +8,24 @@ from ffchar import characters
 from ffchar.algebra import Field, Poly, enumerate_monic
 from ffchar.characters import (
     all_char_sums_Ad,
-    all_characters,
     character_by_index,
-    character_sum_Ad,
-    chi_eval,
     dlog_histogram,
+    power_index,
     unit_dlog_histogram,
 )
 from ffchar.residue import Modulus
 from ffchar.smooth import smooth_dlog_histogram
 from ffchar.vecpoly import max_degree_profile_cached
+from phase_oracle import (
+    all_characters,
+    char_order,
+    character_sum_Ad,
+    chi_eval,
+    dlog,
+    flat_dlog,
+    is_principal,
+    power,
+)
 
 F2 = Field.get(2)
 F3 = Field.get(3)
@@ -36,7 +44,7 @@ def test_character_count_smallest():
     m = mkmod(F2, "t^2+t+1")
     chars = list(all_characters(m))
     assert len(chars) == 3
-    assert sum(c.is_principal for c in chars) == 1
+    assert sum(is_principal(c) for c in chars) == 1
 
 
 def test_character_count_equals_group_order():
@@ -48,14 +56,14 @@ def test_character_count_equals_group_order():
 def test_characters_with_power_principal_counts():
     m = mkmod(F2, "t^4+t+1")  # N-1 = 15
     for div in (1, 3, 5, 15):
-        assert sum(chi.power(div).is_principal for chi in all_characters(m)) == div
+        assert sum(is_principal(power(chi, div)) for chi in all_characters(m)) == div
 
 
 def test_character_order_divides_group_order():
     m = mkmod(F2, "t^4+t+1")
     for chi in all_characters(m):
-        assert 15 % chi.order == 0
-        assert chi.power(chi.order).is_principal
+        assert 15 % char_order(chi) == 0
+        assert is_principal(power(chi, char_order(chi)))
 
 
 # -- evaluation ----------------------------------------------------------
@@ -113,7 +121,7 @@ def test_orthogonality_sum_over_units():
     m = mkmod(F2, "t^4+t+1")
     for chi in all_characters(m):
         total = sum(chi_eval(chi, Poly.from_code(F2, c)).to_complex() for c in range(1, 16))
-        if chi.is_principal:
+        if is_principal(chi):
             assert abs(total - 15) < 1e-9
         else:
             assert abs(total) < 1e-9
@@ -135,11 +143,11 @@ def test_power_residue_identity():
     m = mkmod(F2, "t^4+t+1")
     table = m.dlog_table
     for div in (1, 3, 5, 15):
-        chars = [chi for chi in all_characters(m) if chi.power(div).is_principal]
+        chars = [chi for chi in all_characters(m) if is_principal(power(chi, div))]
         for code in range(1, 16):
             x = Poly.from_code(F2, code)
             total = sum(chi_eval(chi, x).to_complex() for chi in chars)
-            is_power = table.dlog(x) % div == 0  # cyclic group: m-th power iff m | dlog
+            is_power = dlog(table, x) % div == 0  # cyclic group: m-th power iff m | dlog
             want = div if is_power else 0
             assert abs(total - want) < 1e-9
 
@@ -169,7 +177,7 @@ def test_high_degree_sums_vanish():
     for n in range(2, 7):
         m = Modulus.irreducible(F2, n)
         for chi in all_characters(m):
-            if chi.is_principal:
+            if is_principal(chi):
                 continue
             for d in range(n, n + 3):
                 s = character_sum_Ad(chi, d)
@@ -264,6 +272,23 @@ def test_character_by_index_is_all_characters_order():
             assert character_by_index(m, k) == chi
 
 
+# irreducible moduli over F_2, F_3, F_4 and the composites of test_residue.py
+SPECTRUM_MODULI = [(F2, "t^4+t+1"), (F3, "t^3+2t+1"), (F4, "t^2+t+2"), (F2, "t^3+t^2+t"), (F3, "t^3+2t"), (F4, "t^2+t")]
+
+
+def test_power_index_is_the_oracle_power():
+    for field, text in SPECTRUM_MODULI:
+        m = mkmod(field, text)
+        order = m.unit_group.group_order
+        idx = np.arange(order)
+        for e in list(range(order + 2)) + [5 * order + 3]:
+            got = power_index(m, idx, e)
+            for j in range(order):
+                want = power(character_by_index(m, j), e)
+                assert character_by_index(m, int(got[j])) == want, (text, j, e)
+                assert power_index(m, j, e) == got[j]
+
+
 def test_bulk_fft_sums_match_exact_phase_path_on_composites():
     for field, text in COMPOSITES[:3]:
         m = mkmod(field, text)
@@ -299,7 +324,7 @@ def block_loop_dlogs(modulus, d):
     """
     F = modulus.field
     q, n = F.q, modulus.n
-    flat_of = np.array([modulus.dlog_table.flat_dlog(Poly.from_code(F, c)) for c in range(q**n)])
+    flat_of = np.array([flat_dlog(modulus.dlog_table, Poly.from_code(F, c)) for c in range(q**n)])
     out = []
     for hi in range(q ** (d - n)):
         head = Poly.from_code(F, q**d + hi * q**n) % modulus.poly

@@ -205,6 +205,7 @@ def test_kernel_failure_exits_math_without_traceback(monkeypatch, capsys, exc):
         (["indicator", "--q", "2", "--n", "4", "--d", "-1"], "d = -1"),
         (["primes-bound", "--q", "2", "--n", "4", "--k", "0"], "k = 0"),
         (["mertens", "--q", "2", "--k", "0"], "k = 0"),
+        (["primes-bound", "--q", "2", "--n", "4", "--k", "23"], "k = 23 has q^k = 8388608"),
     ],
 )
 def test_bad_input_is_usage_error_naming_the_value(capsys, argv, bad):

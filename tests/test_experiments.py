@@ -7,11 +7,7 @@ import pytest
 
 from ffchar import experiments
 from ffchar.algebra import Field, Poly, irreducibles_up_to
-from ffchar.characters import (
-    character_by_index,
-    character_sum_Ad,
-    chi_eval,
-)
+from ffchar.characters import character_by_index
 from ffchar.cli import main
 from ffchar.experiments import (
     CSV_HEADER,
@@ -20,9 +16,9 @@ from ffchar.experiments import (
     run_corollary_grid,
     run_main_theorem_grid,
 )
-from ffchar.lfun import prime_char_sum
 from ffchar.residue import Modulus
-from ffchar.smooth import smooth_char_sum, smooth_count
+from ffchar.smooth import smooth_count
+from phase_oracle import character_sum_Ad, chi_eval, prime_char_sum, smooth_char_sum
 
 F2 = Field.get(2)
 

@@ -4,25 +4,29 @@ import numpy as np
 import pytest
 
 from ffchar.algebra import Field, Poly, enumerate_monic, factorize, irreducibles_up_to
-from ffchar.characters import (
-    all_characters,
-    character_by_index,
-    character_sum_Ad,
-    chi_eval,
-)
+from ffchar.characters import character_by_index
 from ffchar.lfun import (
     build_all_lpolynomials,
-    build_lpolynomial,
     inverse_root_power_sum,
     mertens_product,
-    prime_char_sum,
+    prime_sum_spectrum,
     verify_weil,
-    von_mangoldt_sum,
+    von_mangoldt_spectrum,
 )
 from ffchar.residue import Modulus
+from phase_oracle import (
+    all_characters,
+    build_lpolynomial,
+    character_sum_Ad,
+    chi_eval,
+    is_principal,
+    prime_char_sum,
+    von_mangoldt_sum,
+)
 
 F2 = Field.get(2)
 F3 = Field.get(3)
+F4 = Field.of_order(4)
 
 
 def test_smallest_lpolynomial():
@@ -42,7 +46,7 @@ def test_smallest_lpolynomial():
 def test_constant_term_is_one():
     m = Modulus.irreducible(F2, 4)
     for chi in all_characters(m):
-        if chi.is_principal:
+        if is_principal(chi):
             continue
         L = build_lpolynomial(chi)
         assert abs(L.coeffs[0] - 1) < 1e-12
@@ -51,7 +55,7 @@ def test_constant_term_is_one():
 def test_high_coefficients_vanish():
     m = Modulus.irreducible(F2, 4)
     for chi in all_characters(m):
-        if chi.is_principal:
+        if is_principal(chi):
             continue
         for d in (4, 5, 6):
             s = character_sum_Ad(chi, d)
@@ -67,7 +71,7 @@ def test_principal_rejected():
 def test_weil_q2_degree4():
     m = Modulus.irreducible(F2, 4)  # t^4+t+1
     for chi in all_characters(m):
-        if chi.is_principal:
+        if is_principal(chi):
             continue
         rep = verify_weil(build_lpolynomial(chi), tol=1e-6)
         assert rep.passed
@@ -77,7 +81,7 @@ def test_weil_q2_degree4():
 def test_weil_q3_degree3():
     m = Modulus.irreducible(F3, 3)
     for chi in all_characters(m):
-        if chi.is_principal:
+        if is_principal(chi):
             continue
         rep = verify_weil(build_lpolynomial(chi), tol=1e-6)
         assert rep.passed
@@ -175,11 +179,28 @@ def test_prime_char_sum_bound_never_violated():
         for n in ns:
             m = Modulus.irreducible(field, n)
             for chi in all_characters(m):
-                if chi.is_principal:
+                if is_principal(chi):
                     continue
                 for k in range(1, 8):
                     got = prime_char_sum(chi, k)
                     assert abs(got.value) <= got.bound + 1e-9
+
+
+# irreducible moduli over F_2, F_3, F_4 and the composites of test_residue.py
+SPECTRUM_MODULI = [(F2, "t^4+t+1"), (F3, "t^3+2t+1"), (F4, "t^2+t+2"), (F2, "t^3+t^2+t"), (F3, "t^3+2t"), (F4, "t^2+t")]
+
+
+def test_prime_and_von_mangoldt_spectra_match_the_phase_oracle():
+    # every character, k from 1 to deg Q + 3: below, at and above the degree of the modulus
+    for field, text in SPECTRUM_MODULI:
+        m = Modulus.from_text(field, text)
+        ks = range(1, m.n + 4)
+        spectra = {k: prime_sum_spectrum(m, k) for k in ks}
+        for k in ks:
+            vm = von_mangoldt_spectrum(m, k, spectra)
+            for j, chi in enumerate(all_characters(m)):
+                assert abs(spectra[k][j] - prime_char_sum(chi, k).value) < 1e-9, (text, k, j)
+                assert abs(vm[j] - von_mangoldt_sum(chi, k).value) < 1e-9, (text, k, j)
 
 
 def test_von_mangoldt_literal_oracle():

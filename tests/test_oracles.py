@@ -19,6 +19,7 @@ from sympy.polys.galoistools import gf_factor, gf_irreducible_p  # noqa: E402
 from ffchar.algebra import Field, Poly, enumerate_monic, factorize, is_irreducible  # noqa: E402
 from ffchar.experiments import _float_texts  # noqa: E402
 from ffchar.residue import Modulus  # noqa: E402
+from phase_oracle import dlog  # noqa: E402
 
 
 def _oracle_polys(q: int) -> list[Poly]:
@@ -69,7 +70,7 @@ def test_dlog_of_a_product_is_the_sum_of_dlogs(m, data):
     f, g = (Poly.from_code(m.field, data.draw(st.integers(1, q ** (2 * n) - 1))) for _ in range(2))
     assume(not (f % m.poly).is_zero and not (g % m.poly).is_zero)
     table = m.dlog_table
-    assert table.dlog(f * g) == (table.dlog(f) + table.dlog(g)) % (q**n - 1)
+    assert dlog(table, f * g) == (dlog(table, f) + dlog(table, g)) % (q**n - 1)
 
 
 def _poly(F: Field, data, max_degree: int) -> Poly:

@@ -10,13 +10,13 @@ from ffchar.intfact import factor_integer
 from ffchar.residue import (
     DlogTable,
     Modulus,
-    NotAUnitError,
     UnitComponent,
     UnitGroupView,
     find_generator,
     is_primitive,
     power_tables,
 )
+from phase_oracle import NotAUnitError, dlog, flat_dlog
 
 F2 = Field.get(2)
 F3 = Field.get(3)
@@ -39,7 +39,7 @@ def is_primitive_via_dlog(x, modulus, fact=None):
     if (f % modulus.poly).is_zero:
         return False
     order = modulus.field.q**modulus.n - 1
-    return math.gcd(modulus.dlog_table.dlog(f), order) == 1
+    return math.gcd(dlog(modulus.dlog_table, f), order) == 1
 
 
 def test_generator_smallest_case():
@@ -98,17 +98,17 @@ def test_dlog_basics():
     m = Modulus.irreducible(F2, 4)  # order 15
     table = m.dlog_table
     g = m.unit_group.generators[0]
-    assert table.dlog(Poly.one(F2)) == 0
-    assert table.dlog(g) == 1
-    assert table.dlog(g.powmod(5, m.poly)) == 5
+    assert dlog(table, Poly.one(F2)) == 0
+    assert dlog(table, g) == 1
+    assert dlog(table, g.powmod(5, m.poly)) == 5
 
 
 def test_dlog_rejects_non_units():
     m = Modulus.irreducible(F2, 3)
     with pytest.raises(NotAUnitError):
-        m.dlog_table.dlog(m.poly)
+        dlog(m.dlog_table, m.poly)
     with pytest.raises(NotAUnitError):
-        m.dlog_table.dlog(Poly.zero(F2))
+        dlog(m.dlog_table, Poly.zero(F2))
 
 
 def test_dlog_is_group_isomorphism():
@@ -118,7 +118,7 @@ def test_dlog_is_group_isomorphism():
         t = m.dlog_table
         order = F.q**n - 1
         units = [Poly.from_code(F, c) for c in range(1, F.q**n)]
-        logs = {u.code(): t.dlog(u) for u in units}
+        logs = {u.code(): dlog(t, u) for u in units}
         assert sorted(logs.values()) == list(range(order))  # bijection
         for a in units[:6]:
             for b in units:
@@ -132,10 +132,10 @@ def test_composite_modulus_dlog_componentwise():
     assert m.kind == "squarefree-composite"
     table = m.dlog_table
     assert m.unit_group.component_orders == (1, 3)
-    val = table.dlog(Poly.one(F2))
+    val = dlog(table, Poly.one(F2))
     assert val == (0, 0)
     with pytest.raises(NotAUnitError):
-        table.dlog(Poly.t(F2))
+        dlog(table, Poly.t(F2))
 
 
 def test_vector_dlogs_match_scalar_below_n():
@@ -143,7 +143,7 @@ def test_vector_dlogs_match_scalar_below_n():
     t = m.dlog_table
     vec = t.dlogs_of_monic_degree(3)
     for j, f in enumerate(enumerate_monic(F2, 3)):
-        assert vec[j] == t.dlog(f)
+        assert vec[j] == dlog(t, f)
 
 
 def test_vector_dlogs_match_scalar_at_and_above_n():
@@ -156,7 +156,7 @@ def test_vector_dlogs_match_scalar_at_and_above_n():
             if r.is_zero:
                 assert vec[j] == -1
             else:
-                assert vec[j] == t.dlog(r)
+                assert vec[j] == dlog(t, r)
 
 
 def test_vector_dlogs_slicing():
@@ -178,7 +178,7 @@ def test_vector_flat_dlogs_match_scalar_on_composites():
         t = m.dlog_table
         for d in range(m.n + 4):
             vec = t.dlogs_of_monic_degree(d)
-            want = [t.flat_dlog(f) for f in enumerate_monic(F, d)]
+            want = [flat_dlog(t, f) for f in enumerate_monic(F, d)]
             assert vec.tolist() == want
             mid = F.q**d // 3
             parts = np.concatenate([t.dlogs_of_monic_degree(d, 0, mid), t.dlogs_of_monic_degree(d, mid)])
@@ -196,7 +196,7 @@ def test_irreducible_dlogs_match_scalar_route():
         irr = irreducibles_up_to(F, m.n + 3)
         for k in range(1, m.n + 4):
             got = t.irreducible_dlogs(k)
-            assert got.tolist() == [t.flat_dlog(P) for P in irr[k - 1]], (text, k)
+            assert got.tolist() == [flat_dlog(t, P) for P in irr[k - 1]], (text, k)
             assert t.irreducible_dlogs(k) is got  # cached per k
 
 
@@ -208,11 +208,19 @@ def test_table_above_the_limit_is_refused(monkeypatch, capsys):
     # one component too large refuses the whole table
     with pytest.raises(ValueError, match="order 15"):
         Modulus.from_text(F2, "t^5+t^2+t").dlog_table  # t * (t^4+t+1)
-    assert main(["primes-bound", "--q", "2", "--n", "4", "--k", "3"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and "order 15" in captured.err
-    assert "Traceback" not in captured.err
+    # every command that needs a dense array over the group stops at the same check
+    commands = [
+        ["density", "--q", "2", "--n", "4", "--d", "3"],
+        ["weil", "--q", "2", "--n", "4"],
+        ["primes-bound", "--q", "2", "--n", "4", "--k", "3"],
+    ]
+    errors = []
+    for argv in commands:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors == ["error: unit group mod t^4+t+1 has order 15, above the dense table limit 14\n"] * 3
 
 
 def test_full_table_rejects_a_non_generator():

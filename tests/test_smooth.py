@@ -10,15 +10,9 @@ import pytest
 import ffchar
 from ffchar import dickman_panels, smooth, vecpoly
 from ffchar.algebra import Field, enumerate_monic, irreducibles_up_to, is_smooth, max_factor_degree
-from ffchar.characters import (
-    all_characters,
-    character_by_index,
-    character_sum_Ad,
-    chi_eval,
-    unit_dlog_histogram,
-)
+from ffchar.characters import character_by_index, unit_dlog_histogram
 from ffchar.cli import main
-from ffchar.residue import Modulus, NotAUnitError
+from ffchar.residue import Modulus
 from ffchar.smooth import (
     DickmanTable,
     all_smooth_char_sums,
@@ -26,12 +20,12 @@ from ffchar.smooth import (
     dickman_residual,
     dickman_rho,
     march_dickman_panels,
-    smooth_char_sum,
     smooth_count,
     smooth_count_by_enumeration,
     smooth_dlog_histogram,
     soundararajan_check,
 )
+from phase_oracle import NotAUnitError, all_characters, character_sum_Ad, chi_eval, dlog, smooth_char_sum
 
 F2 = Field.get(2)
 F3 = Field.get(3)
@@ -57,7 +51,7 @@ def walker_histogram(modulus, d, r):
     for level in irreducibles_up_to(modulus.field, r):
         for P in level:
             try:
-                dl = table.dlog(P)
+                dl = dlog(table, P)
             except NotAUnitError:
                 basis.append((P.degree, None))
                 continue
