@@ -25,7 +25,6 @@ with compensated summation, is kept only as the tests' oracle.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,6 +41,7 @@ __all__ = [
     "dual_group_sums",
     "all_char_sums_Ad",
     "character_by_index",
+    "character_labels",
     "power_index",
 ]
 
@@ -65,8 +65,11 @@ class Character:
 
     @property
     def label(self) -> str:
-        inner = ",".join(str(k) for k in self.exponents)
-        return f"chi[{inner}]"
+        return _label(self.exponents)
+
+
+def _label(exponents) -> str:
+    return f"chi[{','.join(map(str, exponents))}]"
 
 
 # ---------------------------------------------------------------------------
@@ -117,16 +120,23 @@ def dlog_histogram(modulus: Modulus, d: int, r: Optional[int] = None, workers: i
 
     hist = np.zeros(order, dtype=np.int64)
     nonunits = 0
-    starts = range(0, total, HIST_CHUNK)
-    step = max(workers, 1)
-    with ThreadPoolExecutor(max_workers=step) as pool:  # starts no thread when step == 1
-        run = pool.map if step > 1 else map
-        for i in range(0, len(starts), step):
-            for h, nu in run(work, starts[i : i + step]):
-                hist += h
-                nonunits += nu
+    for h, nu in _run_chunks(work, range(0, total, HIST_CHUNK), workers):
+        hist += h
+        nonunits += nu
     modulus._hist_cache[key] = (hist, nonunits)
     return hist, nonunits
+
+
+def _run_chunks(work, starts: range, workers: int):
+    """work(start) for every start, in order; `workers` of them at once on threads when workers > 1."""
+    if workers <= 1:
+        yield from map(work, starts)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # only a threaded run pays for the import
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for i in range(0, len(starts), workers):
+            yield from pool.map(work, starts[i : i + workers])
 
 
 def unit_dlog_histogram(modulus: Modulus, d: int, workers: int = 1) -> tuple[np.ndarray, int]:
@@ -166,6 +176,13 @@ def character_by_index(modulus: Modulus, k: int) -> Character:
     """chi_k: the character whose exponents are k unravelled to the component orders."""
     orders = modulus.unit_group.component_orders
     return Character(modulus, tuple(int(x) for x in np.unravel_index(k, orders)))
+
+
+def character_labels(modulus: Modulus) -> list[str]:
+    """`character_by_index(modulus, k).label` for every k, in one pass."""
+    orders = modulus.unit_group.component_orders
+    exps = np.unravel_index(np.arange(modulus.unit_group.group_order), orders)
+    return [_label(e) for e in zip(*(x.tolist() for x in exps))]
 
 
 def power_index(modulus: Modulus, k: int | np.ndarray, e: int) -> int | np.ndarray:

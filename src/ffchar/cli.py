@@ -9,6 +9,10 @@ runs are byte-identical regardless of --workers.
 Defaults for --workers, --format, --budget, --tol and --seed can be
 overridden by FFCHAR_* environment variables (handy in CI); a value that
 does not parse is a usage error.
+
+`python -m ffchar.cli` and the `ffchar` script run `main()`, flush stdout
+and stderr, and leave through os._exit, skipping interpreter teardown:
+every output file is closed and every worker thread joined by then.
 """
 
 from __future__ import annotations
@@ -23,35 +27,13 @@ from typing import Optional
 import numpy as np
 
 from .algebra import Field, Poly
-from .characters import character_by_index
-from .experiments import (
-    CSV_HEADER,
-    ExperimentConfig,
-    run_corollary_grid,
-    run_main_theorem_grid,
-)
-from .lfun import (
-    build_all_lpolynomials,
-    inverse_root_power_sum,
-    mertens_product,
-    prime_sum_bound,
-    prime_sum_spectrum,
-    verify_weil,
-    von_mangoldt_spectrum,
-)
-from .primitive import density_experiment, primitivity_indicator_check, sieve_quantities
-from .residue import Modulus
-from .smooth import (
-    default_dickman_table,
-    dickman_residual,
-    smooth_count_by_enumeration,
-    soundararajan_check,
-)
 
 EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+PRIMES_BOUND_BLOCK = 4096  # characters whose primes-bound rows are formatted together
 
 
 def _env(name: str, cast, fallback):
@@ -94,7 +76,9 @@ def _prime_degrees(k: int) -> range:
     return range(1, k + 1)
 
 
-def _modulus(args) -> Modulus:
+def _modulus(args):
+    from .residue import Modulus
+
     field = Field.of_order(args.q)
     if getattr(args, "Q", None):
         return Modulus(Poly.from_string(field, args.Q))
@@ -108,6 +92,8 @@ def _modulus(args) -> Modulus:
 
 def cmd_weil(args) -> int:
     """Root-modulus dichotomy |alpha| in {1, sqrt q} for every non-principal chi."""
+    from .lfun import build_all_lpolynomials, verify_weil
+
     modulus = _modulus(args)
     ls = build_all_lpolynomials(modulus, args.workers)
     rows = ["chi,re,im,modulus,class,residual"]
@@ -142,35 +128,60 @@ def cmd_weil(args) -> int:
 
 def cmd_primes_bound(args) -> int:
     """|sum over irreducibles of degree k of chi(P)| vs (n+1) q^(k/2) / k."""
+    from .characters import character_labels
+    from .experiments import float_texts
+    from .lfun import (
+        build_all_lpolynomials,
+        inverse_root_power_sum,
+        prime_sum_bound,
+        prime_sum_spectrum,
+        von_mangoldt_spectrum,
+    )
+
     degrees = _prime_degrees(args.k)
     modulus = _modulus(args)
     order = modulus.unit_group.group_order
     ls = build_all_lpolynomials(modulus, args.workers) if args.identity else {}
     # one DFT per degree, largest first: a degree above the dense limit is refused before any is built
     spectra = {k: prime_sum_spectrum(modulus, k) for k in reversed(degrees)}
-    mags = {k: np.abs(spectra[k]).tolist() for k in degrees}
-    bounds = {k: prime_sum_bound(modulus, k) for k in degrees}
-    vm = {k: von_mangoldt_spectrum(modulus, k, spectra).tolist() for k in degrees} if args.identity else {}
+    # row (j - 1) * len(degrees) + (k - 1) is character j at degree k
+    bounds = np.array([prime_sum_bound(modulus, k) for k in degrees])
+    row_bounds = np.tile(bounds, order - 1)
+    mags = np.abs(np.stack([spectra[k][1:] for k in degrees], axis=1)).ravel()
+    ratios = mags / row_bounds
+    ok = not (mags > row_bounds + args.tol).any()
+    worst_ratio = float(ratios.max(initial=0.0))
+    errs = None
+    if args.identity:
+        errs = np.stack(
+            [
+                von_mangoldt_spectrum(modulus, k, spectra)[1:]
+                + np.array([inverse_root_power_sum(ls[j], k) for j in range(1, order)], dtype=np.complex128)
+                for k in degrees
+            ],
+            axis=1,
+        ).ravel()
+        # np.hypot, not np.abs: it matches Python's abs(complex) to the last digit
+        errs = np.hypot(errs.real, errs.imag)
+        worst_ident = float(errs.max(initial=0.0))
+        ok = ok and not (errs > 1e-6).any()
+    labels = [_csv_label(label) for label in character_labels(modulus)[1:]]
+    ks = [str(k) for k in degrees]
+    bound_texts = [repr(b) for b in bounds.tolist()]
     rows = ["chi,k,abs_sum,bound,ratio,identity_err"]
-    worst_ratio = 0.0
-    worst_ident = 0.0
-    ok = True
-    for j in range(1, order):
-        label = _csv_label(character_by_index(modulus, j).label)
-        for k in degrees:
-            mag, bound = mags[k][j], bounds[k]
-            ratio = mag / bound
-            worst_ratio = max(worst_ratio, ratio)
-            if mag > bound + args.tol:
-                ok = False
-            ident = ""
-            if args.identity:
-                err = abs(vm[k][j] + inverse_root_power_sum(ls[j], k))
-                worst_ident = max(worst_ident, err)
-                if err > 1e-6:
-                    ok = False
-                ident = repr(err)
-            rows.append(f"{label},{k},{mag!r},{bound!r},{ratio!r},{ident}")
+    # formatted a block of characters at a time, so only one block's column texts are alive
+    for lo in range(0, order - 1, PRIMES_BOUND_BLOCK):
+        hi = min(lo + PRIMES_BOUND_BLOCK, order - 1)
+        part = slice(lo * len(degrees), hi * len(degrees))
+        cols = zip(
+            (label for label in labels[lo:hi] for _ in degrees),
+            ks * (hi - lo),
+            bound_texts * (hi - lo),
+            float_texts(mags[part])[0],
+            float_texts(ratios[part])[0],
+            [""] * (part.stop - part.start) if errs is None else float_texts(errs[part])[0],
+        )
+        rows += [f"{label},{k},{mag},{bound},{ratio},{ident}" for label, k, bound, mag, ratio, ident in cols]
     if args.format == "csv":
         _emit(rows, args.out)
     elif args.format == "json":
@@ -189,6 +200,8 @@ def cmd_primes_bound(args) -> int:
 
 def cmd_smooth_count(args) -> int:
     """Exact N(d, r) with the q^d rho(d/r) prediction; optional enumeration check."""
+    from .smooth import default_dickman_table, smooth_count_by_enumeration, soundararajan_check
+
     rows = ["d,r,N_exact,qd_rho,ratio,normalized_exponent"]
     ok = True
     cells = [
@@ -219,6 +232,8 @@ def cmd_smooth_count(args) -> int:
 
 def cmd_dickman(args) -> int:
     """Dickman solver checks: closed form on [1,2], residuals, decay bound."""
+    from .smooth import default_dickman_table, dickman_residual
+
     table = default_dickman_table(args.u_max)
     us = np.linspace(1.0, 2.0, 1000)
     log_err = max(abs(table.rho(float(u)) - (1 - math.log(u))) for u in us)
@@ -265,7 +280,9 @@ def cmd_dickman(args) -> int:
     return EXIT_OK if ok else EXIT_MATH
 
 
-def _grid_cfg(args) -> ExperimentConfig:
+def _grid_cfg(args):
+    from .experiments import ExperimentConfig
+
     out_csv = out_json = checkpoint = None
     if args.out:
         out_csv = args.out
@@ -290,8 +307,9 @@ def _grid_cfg(args) -> ExperimentConfig:
 
 
 def _grid_common(args, runner, label: str) -> int:
-    cfg = _grid_cfg(args)
-    res = runner(cfg)
+    from .experiments import CSV_HEADER
+
+    res = runner(_grid_cfg(args))
     if not args.out:
         as_json = args.format == "json"
         if not as_json:
@@ -310,23 +328,27 @@ def _grid_common(args, runner, label: str) -> int:
 
 def cmd_main_thm(args) -> int:
     """Short sum vs smooth sum with the n q^(-r/2) q^d error scale."""
+    from .experiments import run_main_theorem_grid
+
     return _grid_common(args, run_main_theorem_grid, "main comparison grid")
 
 
 def cmd_corollary(args) -> int:
     """Normalized short sums against the epsilon bound, worst character per combo."""
+    from .experiments import run_corollary_grid
+
     return _grid_common(args, run_corollary_grid, "corollary grid")
 
 
 def cmd_density(args) -> int:
     """Primitive density in A_d vs phi(N-1)/(N-1) with exact bound checks."""
+    from .primitive import density_experiment, schedule_degree
+
     d = args.d
     if d is None:
         if args.eps is None:
             print("error: provide --d, or --eps (with --C) to derive it", file=sys.stderr)
             return EXIT_USAGE
-        from .primitive import schedule_degree
-
         d = schedule_degree(args.q, args.n, args.eps, args.C)
         print(f"schedule: eps={args.eps}, C={args.C} -> d={d}", file=sys.stderr)
     if args.q**d > args.budget:
@@ -358,6 +380,8 @@ def cmd_density(args) -> int:
 
 def cmd_sieve(args) -> int:
     """S_m congruence counts, T, and the character identity cross-check."""
+    from .primitive import density_experiment, sieve_quantities
+
     modulus = _modulus(args)  # one dlog table and A_d histogram serve both reports
     rep = sieve_quantities(args.q, args.n, args.d, Q=modulus, c1=args.c1, c2=args.c2, workers=args.workers)
     dens = density_experiment(args.q, args.n, args.d, Q=modulus, workers=args.workers)
@@ -394,6 +418,8 @@ def cmd_sieve(args) -> int:
 
 def cmd_mertens(args) -> int:
     """Partial Euler product over deg P <= k against e^gamma k."""
+    from .lfun import mertens_product
+
     rows = ["k,product,ratio"]
     for k in _prime_degrees(args.k):
         got = mertens_product(args.q, k)
@@ -407,6 +433,8 @@ def cmd_mertens(args) -> int:
 
 def cmd_indicator(args) -> int:
     """Character decomposition of the primitivity indicator, pointwise and over A_d."""
+    from .primitive import primitivity_indicator_check
+
     m = _modulus(args)
     rep = primitivity_indicator_check(m, d=args.d)
     ok = rep.max_unit_deviation <= 1e-9
@@ -568,5 +596,20 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_MATH
 
 
+def entry() -> None:
+    """Process entry: main(), flush, then exit without interpreter teardown.
+
+    A flush that fails (say, a closed pipe) falls back to the normal exit,
+    which reports it as usual.
+    """
+    rc = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        sys.exit(rc)
+    os._exit(rc)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -22,7 +22,7 @@ Every float is written as its repr, the shortest text that reads back to
 the same double (JSON spells nan and the infinities NaN and Infinity).
 orjson writes a whole numpy column with those digits in one call; the few
 values whose repr takes exponent form or is not finite take repr itself
-(`_float_texts`).  The rows of a block are built by interleaving the
+(`float_texts`).  The rows of a block are built by interleaving the
 column texts with the constant text between them and joining once.
 
 All heavy number crunching reduces to integer dlog histograms (worker count
@@ -54,6 +54,7 @@ __all__ = [
     "ComparisonRecord",
     "ComboBlock",
     "GridRunResult",
+    "float_texts",
     "run_main_theorem_grid",
     "run_corollary_grid",
 ]
@@ -112,7 +113,7 @@ class ComparisonRecord:
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _float_texts(col: np.ndarray) -> tuple[list[str], list[str]]:
+def float_texts(col: np.ndarray) -> tuple[list[str], list[str]]:
     """repr of every value of a float column, and the same text as JSON spells it.
 
     orjson writes the whole column in one call with the shortest digits that
@@ -152,7 +153,7 @@ class _TextMemo:
         key = col.tobytes()
         hit = self.cur.get(key) or self.prev.get(key)
         if hit is None:
-            hit = _float_texts(col)
+            hit = float_texts(col)
         self.cur[key] = hit
         return hit
 
@@ -429,6 +430,7 @@ def _grid_run(cfg: ExperimentConfig, corollary: bool) -> GridRunResult:
             Q_json = json.dumps(Q)
             order = q**n - 1
             for d in cfg.ds:
+                a_sums = None  # A(d, chi) for every chi, once per d and only if a combo of d runs
                 for r in cfg.rs:
                     if r > d:
                         continue
@@ -449,8 +451,10 @@ def _grid_run(cfg: ExperimentConfig, corollary: bool) -> GridRunResult:
                         )
                         result.skipped.append((key, "budget"))
                         continue
-                    a_sums = all_char_sums_Ad(modulus, d, cfg.workers)
-                    s_sums = all_smooth_char_sums(modulus, d, r)
+                    if a_sums is None:
+                        a_sums = all_char_sums_Ad(modulus, d, cfg.workers)
+                    # every f in A_d is r-smooth when r >= d: the same histogram, so the same sums
+                    s_sums = a_sums if r >= d else all_smooth_char_sums(modulus, d, r)
                     # np.hypot, not np.abs: it matches Python's abs(complex) to
                     # the last digit, so lhs is reproducible from the raw sums
                     diff = a_sums - s_sums

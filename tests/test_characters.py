@@ -9,6 +9,7 @@ from ffchar.algebra import Field, Poly, enumerate_monic
 from ffchar.characters import (
     all_char_sums_Ad,
     character_by_index,
+    character_labels,
     dlog_histogram,
     power_index,
     unit_dlog_histogram,
@@ -374,3 +375,10 @@ def test_smooth_slices_at_and_above_n_match_enumeration(monkeypatch, workers):
                 want = counted(flat[top <= r], m.unit_group.group_order)
                 assert np.array_equal(got[0], want[0]), (str(m.poly), d, r)
                 assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("q,Q", [(2, "t^5+t^2+1"), (3, "t^3+2t"), (2, "t^6+t^5+t^3+t")])
+def test_character_labels_match_character_by_index(q, Q):
+    m = Modulus(Poly.from_string(Field.get(q), Q))
+    order = m.unit_group.group_order
+    assert character_labels(m) == [character_by_index(m, k).label for k in range(order)]

@@ -1,9 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ffchar
 from ffchar.cli import main
+
+SRC = str(Path(ffchar.__file__).resolve().parents[1])
 
 
 def test_weil_exit_zero(capsys):
@@ -179,12 +186,13 @@ def test_malformed_env_is_usage_error(monkeypatch, capsys):
 
 @pytest.mark.parametrize("exc", [ArithmeticError, AssertionError])
 def test_kernel_failure_exits_math_without_traceback(monkeypatch, capsys, exc):
-    import ffchar.cli
+    import ffchar.lfun
 
     def broken(*args, **kwargs):
         raise exc("invariant broken")
 
-    monkeypatch.setattr(ffchar.cli, "verify_weil", broken)
+    # cmd_weil imports verify_weil when it runs, so the patch on its home module is what it sees
+    monkeypatch.setattr(ffchar.lfun, "verify_weil", broken)
     assert main(["weil", "--q", "2", "--n", "3"]) == 1
     assert capsys.readouterr().err == "error: invariant broken\n"
 
@@ -240,3 +248,35 @@ def test_sieve_builds_one_dlog_table(monkeypatch, capsys):
     assert main(["sieve", "--q", "2", "--n", "12", "--d", "9", "--format", "json"]) == 0
     assert builds == [2**12 - 1]
     assert capsys.readouterr().out == SIEVE_Q2_N12_D9_JSON
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        ("smooth-count --q 3 --d 1..6 --format csv", 0),
+        ("density --q 3 --n 5 --d 8 --format json --out density.json", 0),
+        ("main-thm --q 2 --n-list 5 --d 3..5 --r 2..5 --format csv --workers 2 --out grid.csv", 0),
+        ("primes-bound --q 2 --n 4 --k 3 --identity --format csv", 0),
+        ("density --q 2 --n 5 --d 0", 2),
+        ("density --q 2 --n 5 --d 12 --budget 100", 3),
+        ("main-thm --q 2 --n-list 5 --d 4 --r 2 --budget 3 --format human --out g.csv", 3),
+    ],
+)
+def test_module_entry_matches_in_process_main(tmp_path, monkeypatch, capsys, argv, code):
+    """python -m ffchar.cli, which leaves through os._exit, writes what main() writes and exits with its code."""
+    inproc, child = tmp_path / "inproc", tmp_path / "child"
+    inproc.mkdir()
+    child.mkdir()
+    monkeypatch.chdir(inproc)
+    assert main(argv.split()) == code
+    out, err = capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)  # block-buffered stdout: output left unflushed would be lost
+    proc = subprocess.run(
+        [sys.executable, "-m", "ffchar.cli", *argv.split()], cwd=child, env=env, capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    files = sorted(p.name for p in inproc.iterdir())
+    assert sorted(p.name for p in child.iterdir()) == files
+    for name in files:
+        assert (child / name).read_bytes() == (inproc / name).read_bytes(), name

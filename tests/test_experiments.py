@@ -333,9 +333,9 @@ def test_block_texts_special_floats(bound_core, eps):
 
 
 def check_float_texts(col: np.ndarray):
-    """_float_texts against the repr oracle, and its JSON spelling against json.dumps."""
+    """float_texts against the repr oracle, and its JSON spelling against json.dumps."""
     vals = col.tolist()
-    texts, json_texts = experiments._float_texts(col)
+    texts, json_texts = experiments.float_texts(col)
     assert texts == list(map(repr, vals))
     assert json_texts == [json.dumps(x) for x in vals]
 
@@ -361,7 +361,7 @@ def test_float_texts_match_repr_on_bit_patterns_and_edges():
     a.real, a.imag = vals[::-1], vals
     assert not a.imag.flags.c_contiguous
     check_float_texts(a.imag)
-    assert experiments._float_texts(np.array([])) == ([], [])
+    assert experiments.float_texts(np.array([])) == ([], [])
 
 
 @pytest.mark.parametrize("cmd", ["main-thm", "corollary"])

@@ -1,8 +1,11 @@
 """Independent oracles from installed packages: sympy's galoistools, hypothesis and Python's repr."""
 
 import json
+import os
 import random
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +19,15 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 from sympy.polys.domains import ZZ  # noqa: E402
 from sympy.polys.galoistools import gf_factor, gf_irreducible_p  # noqa: E402
 
+from ffchar import experiments  # noqa: E402
 from ffchar.algebra import Field, Poly, enumerate_monic, factorize, is_irreducible  # noqa: E402
-from ffchar.experiments import _float_texts  # noqa: E402
+from ffchar.experiments import (  # noqa: E402
+    CSV_HEADER,
+    ExperimentConfig,
+    float_texts,
+    run_corollary_grid,
+    run_main_theorem_grid,
+)
 from ffchar.residue import Modulus  # noqa: E402
 from phase_oracle import dlog  # noqa: E402
 
@@ -113,6 +123,62 @@ def test_float_texts_match_repr(col, strided):
         c = np.empty(col.size, dtype=np.complex128)
         c.imag = col
         col = c.imag
-    texts, json_texts = _float_texts(col)
+    texts, json_texts = float_texts(col)
     assert texts == list(map(repr, col.tolist()))
     assert json_texts == [json.dumps(x) for x in col.tolist()]
+
+
+GRID_FILES = ("grid.csv", "grid.csv.jsonl", "grid.csv.ckpt")
+
+
+def _grid_files(root: str, resume: bool = False, **grid) -> ExperimentConfig:
+    out = os.path.join(root, GRID_FILES[0])
+    return ExperimentConfig(out_csv=out, out_json=out + ".jsonl", checkpoint=out + ".ckpt", resume=resume, **grid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_resume_after_a_crash_at_any_byte_is_byte_identical(data):
+    """A run cut at any byte of its writes, then resumed, leaves the files of an uninterrupted run.
+
+    The grid writes each combo as a CSV block, a JSONL block and a checkpoint
+    key, in that order, so a crash leaves every file cut where the stream of
+    writes was cut; the last write may be torn at any byte.
+    """
+    q = data.draw(st.sampled_from([2, 3]))
+    n = data.draw(st.integers(2, 6 if q == 2 else 4))
+    d_lo = data.draw(st.integers(1, 6))
+    r_lo = data.draw(st.integers(1, 6))
+    grid = dict(
+        qs=(q,),
+        ns=(n,),
+        ds=tuple(range(d_lo, data.draw(st.integers(d_lo, 6)) + 1)),
+        rs=tuple(range(r_lo, data.draw(st.integers(r_lo, 6)) + 1)),
+        char_policy=data.draw(st.sampled_from(["all", "worst-case", "sample-k"])),
+        sample_k=3,
+        seed=data.draw(st.integers(0, 9)),
+    )
+    run = data.draw(st.sampled_from([run_main_theorem_grid, run_corollary_grid]))
+    writes = []
+    real = experiments._append
+
+    def logged(path, text):
+        writes.append((os.path.basename(path), text.encode()))
+        real(path, text)
+
+    with tempfile.TemporaryDirectory() as full, tempfile.TemporaryDirectory() as cut:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "_append", logged)
+            run(_grid_files(full, **grid))
+        want = {name: Path(full, name).read_bytes() for name in GRID_FILES}
+        left = data.draw(st.integers(0, sum(len(text) for _, text in writes)))
+        files = dict.fromkeys(GRID_FILES, b"")
+        files["grid.csv"] = (CSV_HEADER + "\n").encode()  # written before any combo
+        for name, text in writes:
+            files[name] += text[:left]
+            left -= min(left, len(text))
+        for name, content in files.items():
+            Path(cut, name).write_bytes(content)
+        run(_grid_files(cut, resume=True, **grid))
+        for name in GRID_FILES:
+            assert Path(cut, name).read_bytes() == want[name], name

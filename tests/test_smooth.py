@@ -412,11 +412,18 @@ def test_smooth_count_builds_one_table_for_the_largest_u(monkeypatch, capsys):
 
 
 def test_rho_up_to_thirty_runs_without_mpmath():
-    # neither mpmath nor orjson is imported before the code that needs it runs
+    # neither mpmath nor orjson is imported before the code that needs it runs, and
+    # smooth-count and a one-worker density load no module of another subcommand
     code = (
         "import sys\n"
         "import numpy as np\n"
         "import ffchar.cli\n"
+        "assert ffchar.cli.main(['smooth-count', '--q', '3', '--d', '1..6', '--format', 'csv']) == 0\n"
+        "loaded = {'ffchar.primitive', 'ffchar.experiments', 'ffchar.lfun', 'fractions', 'concurrent.futures'}\n"
+        "assert not loaded & set(sys.modules), loaded & set(sys.modules)\n"
+        "assert ffchar.cli.main(['density', '--q', '3', '--n', '5', '--d', '4', '--workers', '1']) == 0\n"
+        "loaded = {'ffchar.experiments', 'ffchar.lfun', 'concurrent.futures'}\n"
+        "assert not loaded & set(sys.modules), loaded & set(sys.modules)\n"
         "from ffchar.primitive import best_epsilon_bound\n"
         "from ffchar.smooth import default_dickman_table\n"
         "default_dickman_table().rho(16.0)\n"
