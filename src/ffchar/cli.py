@@ -2,9 +2,10 @@
 
 Exit codes: 0 all checks passed, 1 a mathematical check exceeded its
 tolerance (a genuine anomaly at these scales) or an internal invariant
-failed, 2 usage error, 3 work budget exceeded.  Human output prints bound vs observed side by side with their
-ratio; csv/json are machine-readable and contain no timestamps, so repeated
-runs are byte-identical regardless of --workers.
+failed, 2 usage error (an --out path that cannot be written among them),
+3 work budget exceeded.  Human output prints bound vs observed side by
+side with their ratio; csv/json are machine-readable and contain no
+timestamps, so repeated runs are byte-identical regardless of --workers.
 
 Defaults for --workers, --format, --budget, --tol and --seed can be
 overridden by FFCHAR_* environment variables (handy in CI); a value that
@@ -588,7 +589,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ArithmeticError, AssertionError) as exc:

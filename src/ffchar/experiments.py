@@ -11,19 +11,23 @@ fixed header plus a JSON-lines mirror carrying the raw sums, and checkpoint
 completed combos.
 
 Each combo's selected characters are kept as numpy columns (`ComboBlock`)
-and formatted as one CSV block and one JSONL block, each appended with a
-single write, before the combo's key is appended to the checkpoint.  A run
-killed at any point therefore leaves every checkpointed combo complete in
-both files, followed by at most one partial combo.  `--resume` cuts the
-checkpoint back to its last complete key and both files back to the rows of
-checkpointed combos, so the resumed run ends with byte-identical files.
+and written in chunks of at most `ROW_CHUNK` rows: each chunk is one append
+to the CSV and one to the JSONL file, and the combo's key is appended to
+the checkpoint only after its last chunk.  So no text of a whole combo is
+ever held in memory, and a run killed at any point leaves every
+checkpointed combo complete in both files, followed by at most some rows
+of one unfinished combo, the last of them possibly torn.  `--resume` cuts
+the checkpoint back to its last complete key and both files back to the
+rows of checkpointed combos, so the resumed run ends with byte-identical
+files.
 
 Every float is written as its repr, the shortest text that reads back to
 the same double (JSON spells nan and the infinities NaN and Infinity).
 orjson writes a whole numpy column with those digits in one call; the few
 values whose repr takes exponent form or is not finite take repr itself
-(`float_texts`).  The rows of a block are built by interleaving the
-column texts with the constant text between them and joining once.
+(`float_texts`).  Each column is formatted once per combo; the rows of a
+chunk are built by interleaving slices of the column texts with the
+constant text between them and joining once.
 
 All heavy number crunching reduces to integer dlog histograms (worker count
 cannot change them) followed by DFTs, so worker counts never change any
@@ -50,6 +54,7 @@ from .smooth import all_smooth_char_sums, smooth_count
 
 __all__ = [
     "CSV_HEADER",
+    "ROW_CHUNK",
     "ExperimentConfig",
     "ComparisonRecord",
     "ComboBlock",
@@ -60,6 +65,12 @@ __all__ = [
 ]
 
 CSV_HEADER = "q,n,Q,chi,d,r,lhs,bound_core,implied_constant,short_norm,eps,flags"
+
+# rows per written chunk.  At 512 rows a chunk's JSONL is about 190 kB, and
+# the allocator reuses the same memory chunk after chunk; the 3 MB text of
+# a whole 8,190-row combo would be mapped and released anew for every combo
+# (three times the page faults on the benchmark grid)
+ROW_CHUNK = 512
 
 
 @dataclass
@@ -158,12 +169,12 @@ class _TextMemo:
         return hit
 
 
-def _interleave(n: int, *cols) -> str:
-    """n rows, each the given columns in order; a str column repeats on every row."""
-    k = len(cols)
-    parts = [""] * (k * n)
+def _interleave(cols: tuple, lo: int, hi: int) -> str:
+    """Rows lo..hi-1, each the given columns in order; a str column repeats on every row."""
+    k, m = len(cols), hi - lo
+    parts = [""] * (k * m)
     for j, col in enumerate(cols):
-        parts[j::k] = [col] * n if isinstance(col, str) else col
+        parts[j::k] = [col] * m if isinstance(col, str) else col[lo:hi]
     return "".join(parts)
 
 
@@ -206,34 +217,35 @@ class ComboBlock:
         exceeds = (self.flags + ";" if self.flags else "") + "exceeds_eps"
         return [exceeds if x else self.flags for x in (self.short > self.eps).tolist()]
 
-    def texts(self, csv: bool = True, jsonl: bool = True, memo: Optional[_TextMemo] = None) -> tuple[str, str]:
-        """The block's CSV rows and JSONL lines ("" for a format not asked for).
+    def chunks(
+        self, csv: bool = True, jsonl: bool = True, memo: Optional[_TextMemo] = None
+    ) -> Iterator[tuple[str, str]]:
+        """The block's CSV rows and JSONL lines, at most ROW_CHUNK rows per pair.
 
-        Each per-row float is formatted once and shared by both texts; pass
-        the previous block's memo to reuse the columns the two share.  JSONL
-        keys follow the sorted order of json.dumps(..., sort_keys=True).
+        Each pair covers the same rows ("" for a format not asked for), and
+        their concatenation in order is the whole block.  Each per-row float
+        is formatted once per block and shared by both texts; pass the
+        previous block's memo to reuse the columns the two share.  JSONL keys
+        follow the sorted order of json.dumps(..., sort_keys=True).
         """
         texts_of = memo if memo is not None else _TextMemo()
         texts_of.next_block()
-        n = len(self)
         chis = list(map(str, self.chi.tolist()))
         flags = self.row_flags()
         lhs, lhs_j = texts_of(self.lhs)
         ic, ic_j = texts_of(self.implied)
         sn, sn_j = texts_of(self.short)
-        csv_text = jsonl_text = ""
+        csv_cols = jsonl_cols = ()
         if csv:
             bc, ep = repr(self.bound_core), repr(self.eps)
-            csv_text = _interleave(
-                n,
+            csv_cols = (
                 f"{self.q},{self.n},{self.Q},chi[", chis, f"],{self.d},{self.r},", lhs,
                 f",{bc},", ic, ",", sn, f",{ep},", flags, "\n",
             )
         if jsonl:
             a_im, a_re, s_im, s_re = (texts_of(col)[1] for col in (self.a.imag, self.a.real, self.s.imag, self.s.real))
             flag_json = {f: json.dumps(f) for f in set(flags)}
-            jsonl_text = _interleave(
-                n,
+            jsonl_cols = (
                 f'{{"Q": {self.Q_json}, "a_im": ', a_im, ', "a_re": ', a_re,
                 f', "bound_core": {json.dumps(self.bound_core)}, "chi": "chi[', chis,
                 f']", "d": {self.d}, "eps": {json.dumps(self.eps)}, "flags": ', [flag_json[f] for f in flags],
@@ -241,7 +253,10 @@ class ComboBlock:
                 f', "n": {self.n}, "q": {self.q}, "r": {self.r}, "s_im": ', s_im, ', "s_re": ', s_re,
                 ', "short_norm": ', sn_j, "}\n",
             )
-        return csv_text, jsonl_text
+        n = len(self)
+        for lo in range(0, n, ROW_CHUNK):
+            hi = min(lo + ROW_CHUNK, n)
+            yield _interleave(csv_cols, lo, hi), _interleave(jsonl_cols, lo, hi)
 
     def records(self) -> list[ComparisonRecord]:
         return [
@@ -285,10 +300,10 @@ class GridRunResult:
         return [rec for block in self.blocks for rec in block.records()]
 
     def texts(self, csv: bool = True, jsonl: bool = True) -> Iterator[tuple[str, str]]:
-        """Each block's CSV and JSONL text, in run order."""
+        """Every block's CSV and JSONL chunks (`ComboBlock.chunks`), in run order."""
         memo = _TextMemo()
         for block in self.blocks:
-            yield block.texts(csv, jsonl, memo)
+            yield from block.chunks(csv, jsonl, memo)
 
     @property
     def n_records(self) -> int:
@@ -358,7 +373,12 @@ def _cut_to_done(path: str, start: int, done: set[str], row_key: Callable[[str],
 
 
 class _Sink:
-    """Row persistence: per combo, one CSV block, one JSONL block, then its checkpoint key."""
+    """Row persistence: per combo, its chunks to CSV and JSONL, then its checkpoint key.
+
+    Each chunk is appended to each file with one write.  The key goes to
+    the checkpoint only after the combo's last chunk, so a checkpointed
+    combo is complete in both files and `--resume` can cut everything else.
+    """
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -391,11 +411,11 @@ class _Sink:
     def write_combo(self, key: str, block: ComboBlock):
         cfg = self.cfg
         if cfg.out_csv or cfg.out_json:
-            csv_text, jsonl_text = block.texts(bool(cfg.out_csv), bool(cfg.out_json), self.memo)
-            if cfg.out_csv:
-                _append(cfg.out_csv, csv_text)
-            if cfg.out_json:
-                _append(cfg.out_json, jsonl_text)
+            for csv_text, jsonl_text in block.chunks(bool(cfg.out_csv), bool(cfg.out_json), self.memo):
+                if cfg.out_csv:
+                    _append(cfg.out_csv, csv_text)
+                if cfg.out_json:
+                    _append(cfg.out_json, jsonl_text)
         if cfg.checkpoint:
             _append(cfg.checkpoint, key + "\n")
         self.done.add(key)

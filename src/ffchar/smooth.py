@@ -37,16 +37,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from . import dickman_panels
 from .algebra import Field, monic_irreducible_count
-from .characters import dlog_histogram, dual_group_sums
 from .intfact import factor_integer
-from .residue import Modulus
 from .vecpoly import max_degree_profile_cached
+
+if TYPE_CHECKING:
+    from .residue import Modulus
 
 __all__ = [
     "smooth_count",
@@ -109,6 +110,8 @@ def smooth_dlog_histogram(modulus: Modulus, d: int, r: int) -> tuple[np.ndarray,
     N(d, r) from the generating function; it plays the same role for P(d, r)
     that `unit_dlog_histogram` plays for A_d, so the bulk DFT path applies.
     """
+    from .characters import dlog_histogram  # imported here: counting smooth polynomials needs no modulus
+
     expected = smooth_count(modulus.field.q, d, r)
     hist, nonunits = dlog_histogram(modulus, d, r)
     if int(hist.sum()) + nonunits != expected:
@@ -121,6 +124,8 @@ def smooth_dlog_histogram(modulus: Modulus, d: int, r: int) -> tuple[np.ndarray,
 
 def all_smooth_char_sums(modulus: Modulus, d: int, r: int) -> np.ndarray:
     """Smooth-slice sums for every chi_k, k-indexed as `character_by_index` (DFT bulk)."""
+    from .characters import dual_group_sums
+
     hist, _ = smooth_dlog_histogram(modulus, d, r)
     return dual_group_sums(modulus, hist)
 

@@ -223,6 +223,21 @@ def test_bad_input_is_usage_error_naming_the_value(capsys, argv, bad):
     assert captured.err.startswith("error: ") and bad in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["main-thm", "--q", "2", "--n-list", "5", "--d", "3", "--r", "2"],
+        ["primes-bound", "--q", "2", "--n", "4", "--k", "2"],
+    ],
+)
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "g.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(out) in captured.err
+
+
 # recorded when `sieve` still built its modulus once per report
 SIEVE_Q2_N12_D9_JSON = (
     '{"A": 512, "B_observed": "88/3", "B_observed_float": 29.333333333333332, "B_within_eps": true, '

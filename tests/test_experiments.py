@@ -59,6 +59,12 @@ def oracle_texts(block) -> tuple[str, str]:
     return "".join(csv_row(r) + "\n" for r in recs), "".join(json_line(r) + "\n" for r in recs)
 
 
+def joined(chunks) -> tuple[str, str]:
+    """The whole CSV and JSONL texts of (csv, jsonl) chunk pairs."""
+    pairs = list(chunks)
+    return "".join(c for c, _ in pairs), "".join(j for _, j in pairs)
+
+
 def small_cfg(tmp_path=None, **kw):
     base = dict(
         qs=(2,),
@@ -293,7 +299,7 @@ def test_block_texts_match_per_record_oracle(tmp_path, runner):
     res = runner(small_cfg(tmp_path, ns=(5, 6)))
     assert res.blocks
     for block in res.blocks:
-        assert block.texts() == oracle_texts(block)
+        assert joined(block.chunks()) == oracle_texts(block)
     csv_want = CSV_HEADER + "\n" + "".join(oracle_texts(b)[0] for b in res.blocks)
     assert (tmp_path / "grid.csv").read_text() == csv_want
     assert (tmp_path / "grid.jsonl").read_text() == "".join(oracle_texts(b)[1] for b in res.blocks)
@@ -327,9 +333,48 @@ def test_block_texts_special_floats(bound_core, eps):
                 short=vals[::-1].copy(),
             )
             with np.errstate(all="ignore"):
-                assert block.texts() == oracle_texts(block)
-                assert block.texts(csv=False) == ("", oracle_texts(block)[1])
-                assert block.texts(jsonl=False) == (oracle_texts(block)[0], "")
+                assert joined(block.chunks()) == oracle_texts(block)
+                assert joined(block.chunks(csv=False)) == ("", oracle_texts(block)[1])
+                assert joined(block.chunks(jsonl=False)) == (oracle_texts(block)[0], "")
+
+
+def test_block_chunks_split_at_row_chunk_edges():
+    R = experiments.ROW_CHUNK
+    n = 2 * R + 1
+    rng = np.random.default_rng(7373)
+    vals = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3, n)
+    # values with repr's exponent form and non-finite values on both sides of each chunk edge
+    specials = [math.nan, math.inf, -math.inf, 1e-5, -3e17, 5e-324]
+    for j, edge in enumerate((0, R - 1, R, 2 * R - 1, 2 * R)):
+        vals[edge] = specials[j % len(specials)]
+        vals[(edge + 3) % n] = specials[(j + 3) % len(specials)]
+    a = np.empty(n, dtype=np.complex128)
+    a.real, a.imag = vals, vals[::-1]
+    Q = "t^13+t^4+t^3+t+1"
+    for corollary in (False, True):
+        block = ComboBlock(
+            q=2,
+            n=13,
+            Q=Q,
+            Q_json=json.dumps(Q),
+            d=10,
+            r=4,
+            flags="out_of_range" if corollary else "",
+            corollary=corollary,
+            bound_core=1e-5,
+            eps=math.inf,
+            chi=np.arange(1, n + 1),
+            a=a,
+            s=np.conj(a[::-1]),
+            lhs=vals,
+            short=vals[::-1].copy(),
+        )
+        with np.errstate(all="ignore"):
+            chunks = list(block.chunks())
+            want = oracle_texts(block)
+        assert joined(chunks) == want
+        assert [(c.count("\n"), j.count("\n")) for c, j in chunks] == [(R, R), (R, R), (1, 1)]
+        assert all(c.endswith("\n") and j.endswith("\n") for c, j in chunks)
 
 
 def check_float_texts(col: np.ndarray):
@@ -416,8 +461,11 @@ class _Killed(Exception):
     pass
 
 
-def _run_killed_at(cfg, monkeypatch, writes: int, half: bool):
-    """Run the grid, dying before write number `writes` (after half of it if `half`)."""
+def _run_killed_at(cfg, monkeypatch, writes: int, half: bool) -> list[str]:
+    """Run the grid, dying before write number `writes` (after half of it if `half`).
+
+    Returns the paths of the writes completed before the kill.
+    """
     real = experiments._append
     done = []
 
@@ -433,23 +481,42 @@ def _run_killed_at(cfg, monkeypatch, writes: int, half: bool):
         mp.setattr(experiments, "_append", append)
         with pytest.raises(_Killed):
             run_main_theorem_grid(cfg)
+    return done
+
+
+def _check_resume_after_kill_at_every_write_point(tmp_path, monkeypatch):
+    full_dir = tmp_path / "full"
+    full_dir.mkdir()
+    writes = []
+    real = experiments._append
+    with monkeypatch.context() as mp:
+        mp.setattr(experiments, "_append", lambda path, text: (writes.append(path), real(path, text)))
+        run_main_theorem_grid(small_cfg(full_dir))
+    want = {name: (full_dir / name).read_bytes() for name in ("grid.csv", "grid.jsonl", "grid.ckpt")}
+    for kill in range(len(writes)):
+        for half in (False, True):
+            run_dir = tmp_path / f"kill{kill}{'h' if half else ''}"
+            run_dir.mkdir()
+            done = _run_killed_at(small_cfg(run_dir), monkeypatch, kill, half)
+            resumed = run_main_theorem_grid(small_cfg(run_dir, resume=True))
+            # the combos resumed are those whose checkpoint key was written in full
+            assert len(resumed.resumed) == done.count(str(run_dir / "grid.ckpt"))
+            for name, data in want.items():
+                assert (run_dir / name).read_bytes() == data, (kill, half, name)
+    return writes
 
 
 def test_resume_after_kill_at_every_write_point(tmp_path, monkeypatch):
-    full_dir = tmp_path / "full"
-    full_dir.mkdir()
-    res = run_main_theorem_grid(small_cfg(full_dir))
-    n_writes = 3 * len(res.blocks)
-    want = {name: (full_dir / name).read_bytes() for name in ("grid.csv", "grid.jsonl", "grid.ckpt")}
-    for writes in range(n_writes):
-        for half in (False, True):
-            run_dir = tmp_path / f"kill{writes}{'h' if half else ''}"
-            run_dir.mkdir()
-            _run_killed_at(small_cfg(run_dir), monkeypatch, writes, half)
-            resumed = run_main_theorem_grid(small_cfg(run_dir, resume=True))
-            assert len(resumed.resumed) == writes // 3
-            for name, data in want.items():
-                assert (run_dir / name).read_bytes() == data, (writes, half, name)
+    writes = _check_resume_after_kill_at_every_write_point(tmp_path, monkeypatch)
+    # 30 rows per combo fit one chunk: a CSV write, a JSONL write, the key
+    assert len(writes) == 3 * writes.count(str(tmp_path / "full" / "grid.ckpt"))
+
+
+def test_resume_after_kill_between_chunks_of_a_combo(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "ROW_CHUNK", 7)
+    writes = _check_resume_after_kill_at_every_write_point(tmp_path, monkeypatch)
+    # 30 rows per combo: five chunks of at most 7 rows to each file, then the key
+    assert len(writes) == 11 * writes.count(str(tmp_path / "full" / "grid.ckpt"))
 
 
 def test_resume_cuts_rows_of_unfinished_combo(tmp_path, monkeypatch):

@@ -419,7 +419,8 @@ def test_rho_up_to_thirty_runs_without_mpmath():
         "import numpy as np\n"
         "import ffchar.cli\n"
         "assert ffchar.cli.main(['smooth-count', '--q', '3', '--d', '1..6', '--format', 'csv']) == 0\n"
-        "loaded = {'ffchar.primitive', 'ffchar.experiments', 'ffchar.lfun', 'fractions', 'concurrent.futures'}\n"
+        "loaded = {'ffchar.primitive', 'ffchar.experiments', 'ffchar.lfun', 'ffchar.residue', 'ffchar.characters',\n"
+        "          'fractions', 'concurrent.futures'}\n"
         "assert not loaded & set(sys.modules), loaded & set(sys.modules)\n"
         "assert ffchar.cli.main(['density', '--q', '3', '--n', '5', '--d', '4', '--workers', '1']) == 0\n"
         "loaded = {'ffchar.experiments', 'ffchar.lfun', 'concurrent.futures'}\n"
@@ -436,8 +437,8 @@ def test_rho_up_to_thirty_runs_without_mpmath():
         "assert 'mpmath' in sys.modules\n"
         "from ffchar.experiments import ComboBlock\n"
         "col = np.array([0.5])\n"
-        "ComboBlock(2, 5, 't^5+t^2+1', '\"t^5+t^2+1\"', 4, 3, '', False, 1.0, 0.5,\n"
-        "           np.array([1]), col + 0j, col + 0j, col, col).texts()\n"
+        "list(ComboBlock(2, 5, 't^5+t^2+1', '\"t^5+t^2+1\"', 4, 3, '', False, 1.0, 0.5,\n"
+        "                np.array([1]), col + 0j, col + 0j, col, col).chunks())\n"
         "assert 'orjson' in sys.modules\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC)
