@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,13 +27,11 @@ __all__ = [
     "FieldElement",
     "Poly",
     "Factorization",
-    "enumerate_monic",
     "monic_code_range",
     "is_irreducible",
     "irreducibles_up_to",
     "monic_irreducible_count",
     "factorize",
-    "is_smooth",
     "max_factor_degree",
     "lex_least_irreducible",
     "digit_sum_table",
@@ -553,20 +551,6 @@ def monic_code_range(field: Field, d: int) -> range:
     return range(field.q**d, 2 * field.q**d)
 
 
-def enumerate_monic(field: Field, d: int, start: int = 0, stop: Optional[int] = None) -> Iterator[Poly]:
-    """Stream the q^d monic polynomials of degree exactly d.
-
-    Lexicographic in the coefficient vector with the constant term varying
-    fastest; start/stop index into [0, q^d) so workers can partition the
-    stream and resume it.
-    """
-    r = monic_code_range(field, d)
-    lo = r.start + start
-    hi = r.stop if stop is None else r.start + stop
-    for code in range(lo, hi):
-        yield Poly.from_code(field, code)
-
-
 def monic_irreducible_count(q: int, k: int) -> int:
     """pi_k by the necklace formula (1/k) sum_{e|k} mu(e) q^(k/e)."""
     if k < 1:
@@ -813,11 +797,3 @@ def max_factor_degree(f: Poly) -> int:
     """Largest degree among the irreducible factors of nonzero f (0 for constants)."""
     return factorize(f).max_factor_degree()
 
-
-def is_smooth(f: Poly, r: int) -> bool:
-    """True iff every irreducible factor of monic nonzero f has degree <= r."""
-    if f.is_zero:
-        raise ValueError("is_smooth requires a nonzero polynomial")
-    if not f.is_monic:
-        raise ValueError("is_smooth requires a monic polynomial")
-    return max_factor_degree(f) <= r

@@ -3,9 +3,17 @@
 Exit codes: 0 all checks passed, 1 a mathematical check exceeded its
 tolerance (a genuine anomaly at these scales) or an internal invariant
 failed, 2 usage error (an --out path that cannot be written among them),
-3 work budget exceeded.  Human output prints bound vs observed side by
-side with their ratio; csv/json are machine-readable and contain no
-timestamps, so repeated runs are byte-identical regardless of --workers.
+3 work budget exceeded, 141 (128 + SIGPIPE, what a shell reports for a
+process a closed pipe killed) the reader closed stdout early, as `| head`
+does; the rest of the output is dropped and nothing goes to stderr.
+Human output prints bound vs observed side by side with their ratio;
+csv/json are machine-readable and contain no timestamps, so repeated runs
+are byte-identical regardless of --workers.
+
+Without --out, `main-thm` and `corollary` print the rows their --out file
+would hold (CSV for csv/human, the JSONL mirror for json) through the same
+writer, as each combo finishes; human adds a summary on stderr.  So a grid
+that fails part way has already printed the header and its finished combos.
 
 Defaults for --workers, --format, --budget, --tol and --seed can be
 overridden by FFCHAR_* environment variables (handy in CI); a value that
@@ -33,6 +41,7 @@ EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_PIPE = 141
 
 PRIMES_BOUND_BLOCK = 4096  # characters whose primes-bound rows are formatted together
 
@@ -289,6 +298,10 @@ def _grid_cfg(args):
         out_csv = args.out
         out_json = args.out + ".jsonl"
         checkpoint = args.out + ".ckpt"
+    elif args.format == "json":
+        out_json = sys.stdout
+    else:
+        out_csv = sys.stdout
     return ExperimentConfig(
         qs=(args.q,),
         ns=_parse_range(args.n_list),
@@ -308,15 +321,7 @@ def _grid_cfg(args):
 
 
 def _grid_common(args, runner, label: str) -> int:
-    from .experiments import CSV_HEADER
-
     res = runner(_grid_cfg(args))
-    if not args.out:
-        as_json = args.format == "json"
-        if not as_json:
-            sys.stdout.write(CSV_HEADER + "\n")
-        for csv_text, jsonl_text in res.texts(csv=not as_json, jsonl=as_json):
-            sys.stdout.write(jsonl_text if as_json else csv_text)
     if args.format == "human":
         K = res.max_implied_constant
         print(f"{label}: {res.n_records} records, max implied constant {K!r}", file=sys.stderr)
@@ -585,10 +590,23 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _silence_stdout() -> None:
+    """Point stdout at os.devnull: its reader has gone, so what is still buffered goes nowhere."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        # checked here, not by an argparse type: a default read from FFCHAR_WORKERS bypasses type
+        if args.workers < 1:
+            raise ValueError(f"--workers (or FFCHAR_WORKERS) must be >= 1, got {args.workers}")
         return args.fn(args)
+    except BrokenPipeError:
+        _silence_stdout()
+        return EXIT_PIPE
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -600,13 +618,17 @@ def main(argv: Optional[list[str]] = None) -> int:
 def entry() -> None:
     """Process entry: main(), flush, then exit without interpreter teardown.
 
-    A flush that fails (say, a closed pipe) falls back to the normal exit,
-    which reports it as usual.
+    A reader that closes stdout before the last flush gets exit 141, as one
+    that closes it mid-run does.  Any other failed flush falls back to the
+    normal exit, which reports it as usual.
     """
     rc = main()
     try:
         sys.stdout.flush()
         sys.stderr.flush()
+    except BrokenPipeError:
+        _silence_stdout()
+        rc = EXIT_PIPE
     except (OSError, ValueError):
         sys.exit(rc)
     os._exit(rc)

@@ -10,16 +10,18 @@ given the config (including the sampling seed), persist rows to CSV with a
 fixed header plus a JSON-lines mirror carrying the raw sums, and checkpoint
 completed combos.
 
-Each combo's selected characters are kept as numpy columns (`ComboBlock`)
-and written in chunks of at most `ROW_CHUNK` rows: each chunk is one append
-to the CSV and one to the JSONL file, and the combo's key is appended to
-the checkpoint only after its last chunk.  So no text of a whole combo is
-ever held in memory, and a run killed at any point leaves every
-checkpointed combo complete in both files, followed by at most some rows
-of one unfinished combo, the last of them possibly torn.  `--resume` cuts
-the checkpoint back to its last complete key and both files back to the
-rows of checkpointed combos, so the resumed run ends with byte-identical
-files.
+Each combo's selected characters become numpy columns (`ComboBlock`) that
+live only until the combo is written; the run keeps just its totals
+(`GridRunResult`).  A block is written in chunks of at most `ROW_CHUNK`
+rows: each chunk is one append to the CSV and one to the JSONL file, and
+the combo's key is appended to the checkpoint only after its last chunk.
+So no text of a whole combo is ever held in memory, and a run killed at
+any point leaves every checkpointed combo complete in both files, followed
+by at most some rows of one unfinished combo, the last of them possibly
+torn.  `--resume` cuts the checkpoint back to its last complete key and
+both files back to the rows of checkpointed combos, so the resumed run
+ends with byte-identical files.  An open text stream (stdout, say) in
+place of a CSV or JSONL path gets the same chunks, as each combo finishes.
 
 Every float is written as its repr, the shortest text that reads back to
 the same double (JSON spells nan and the infinities NaN and Infinity).
@@ -42,7 +44,7 @@ import os
 import random
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, TextIO, Union
 
 import numpy as np
 
@@ -56,7 +58,6 @@ __all__ = [
     "CSV_HEADER",
     "ROW_CHUNK",
     "ExperimentConfig",
-    "ComparisonRecord",
     "ComboBlock",
     "GridRunResult",
     "float_texts",
@@ -75,7 +76,12 @@ ROW_CHUNK = 512
 
 @dataclass
 class ExperimentConfig:
-    """Grid parameters plus execution and persistence knobs."""
+    """Grid parameters plus execution and persistence knobs.
+
+    out_csv and out_json each take a path, which the run appends to (and
+    `resume` cuts back to the checkpoint), or an open text stream, which
+    gets the rows as each combo finishes.
+    """
 
     qs: tuple[int, ...]
     ns: tuple[int, ...]
@@ -87,8 +93,8 @@ class ExperimentConfig:
     workers: int = 1
     budget: int = 10**7  # max enumerated polynomials per combo
     allow_out_of_range: bool = True
-    out_csv: Optional[str] = None
-    out_json: Optional[str] = None
+    out_csv: Union[str, TextIO, None] = None
+    out_json: Union[str, TextIO, None] = None
     checkpoint: Optional[str] = None
     resume: bool = False
 
@@ -100,24 +106,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown character policy {self.char_policy!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-
-
-@dataclass
-class ComparisonRecord:
-    q: int
-    n: int
-    Q: str
-    chi: str
-    d: int
-    r: int
-    lhs: float
-    bound_core: float
-    implied_constant: float
-    short_norm: float
-    eps: float
-    flags: str
-    a_sum: complex = 0j  # raw short sum A(d, chi)
-    s_sum: complex = 0j  # raw smooth sum
+        if self.char_policy == "sample-k" and self.sample_k < 1:
+            raise ValueError(f"--sample-k must be >= 1, got {self.sample_k}")
 
 
 # JSON spells the non-finite floats differently from repr
@@ -258,66 +248,22 @@ class ComboBlock:
             hi = min(lo + ROW_CHUNK, n)
             yield _interleave(csv_cols, lo, hi), _interleave(jsonl_cols, lo, hi)
 
-    def records(self) -> list[ComparisonRecord]:
-        return [
-            ComparisonRecord(
-                q=self.q,
-                n=self.n,
-                Q=self.Q,
-                chi=f"chi[{k}]",
-                d=self.d,
-                r=self.r,
-                lhs=x,
-                bound_core=self.bound_core,
-                implied_constant=i,
-                short_norm=s,
-                eps=self.eps,
-                flags=f,
-                a_sum=a,
-                s_sum=sm,
-            )
-            for k, x, i, s, f, a, sm in zip(
-                self.chi.tolist(),
-                self.lhs.tolist(),
-                self.implied.tolist(),
-                self.short.tolist(),
-                self.row_flags(),
-                self.a.tolist(),
-                self.s.tolist(),
-            )
-        ]
-
 
 @dataclass
 class GridRunResult:
-    blocks: list[ComboBlock] = field(default_factory=list)
+    """A run's totals; its rows went to the configured outputs as each combo finished."""
+
+    n_records: int = 0
+    max_implied_constant: float = 0.0  # over the finite implied constants written
     skipped: list[tuple[str, str]] = field(default_factory=list)
     resumed: list[str] = field(default_factory=list)
 
-    @property
-    def records(self) -> list[ComparisonRecord]:
-        """Every record of the run, built from the kept columns on each access."""
-        return [rec for block in self.blocks for rec in block.records()]
-
-    def texts(self, csv: bool = True, jsonl: bool = True) -> Iterator[tuple[str, str]]:
-        """Every block's CSV and JSONL chunks (`ComboBlock.chunks`), in run order."""
-        memo = _TextMemo()
-        for block in self.blocks:
-            yield from block.chunks(csv, jsonl, memo)
-
-    @property
-    def n_records(self) -> int:
-        return sum(len(block) for block in self.blocks)
-
-    @property
-    def max_implied_constant(self) -> float:
-        maxima = []
-        for block in self.blocks:
-            ic = block.implied
-            ic = ic[np.isfinite(ic)]
-            if ic.size:
-                maxima.append(float(ic.max()))
-        return max(maxima, default=0.0)
+    def add(self, block: ComboBlock) -> None:
+        self.n_records += len(block)
+        ic = block.implied
+        ic = ic[np.isfinite(ic)]
+        if ic.size:
+            self.max_implied_constant = max(self.max_implied_constant, float(ic.max()))
 
 
 def _combo_key(q: int, n: int, d: int, r: int) -> str:
@@ -344,6 +290,18 @@ def _jsonl_row_key(line: str) -> str:
 def _append(path: str, text: str) -> None:
     with open(path, "a") as fh:
         fh.write(text)
+
+
+def _is_stream(target) -> bool:
+    return hasattr(target, "write")
+
+
+def _write(target, text: str) -> None:
+    """Write text to an open stream, or append it to a path."""
+    if _is_stream(target):
+        target.write(text)
+    else:
+        _append(target, text)
 
 
 def _cut_checkpoint(path: str) -> set[str]:
@@ -375,9 +333,11 @@ def _cut_to_done(path: str, start: int, done: set[str], row_key: Callable[[str],
 class _Sink:
     """Row persistence: per combo, its chunks to CSV and JSONL, then its checkpoint key.
 
-    Each chunk is appended to each file with one write.  The key goes to
-    the checkpoint only after the combo's last chunk, so a checkpointed
-    combo is complete in both files and `--resume` can cut everything else.
+    Each chunk goes to each output with one write.  The key goes to the
+    checkpoint only after the combo's last chunk, so a checkpointed combo
+    is complete in both files and `--resume` can cut everything else.  A
+    stream output is written afresh: the CSV header, then the rows of every
+    combo this run computes.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -387,7 +347,9 @@ class _Sink:
         if cfg.resume and cfg.checkpoint and os.path.exists(cfg.checkpoint):
             self.done = _cut_checkpoint(cfg.checkpoint)
         fresh = not self.done
-        if cfg.out_csv:
+        if _is_stream(cfg.out_csv):
+            cfg.out_csv.write(CSV_HEADER + "\n")
+        elif cfg.out_csv:
             if fresh or not os.path.exists(cfg.out_csv):
                 with open(cfg.out_csv, "w") as fh:
                     fh.write(CSV_HEADER + "\n")
@@ -397,7 +359,7 @@ class _Sink:
                 if head.rstrip("\n") != CSV_HEADER:
                     raise ValueError(f"existing CSV {cfg.out_csv} has a different header")
                 _cut_to_done(cfg.out_csv, len(head.encode()), self.done, _csv_row_key)
-        if cfg.out_json:
+        if cfg.out_json and not _is_stream(cfg.out_json):
             if fresh:
                 open(cfg.out_json, "w").close()
             elif os.path.exists(cfg.out_json):
@@ -413,9 +375,9 @@ class _Sink:
         if cfg.out_csv or cfg.out_json:
             for csv_text, jsonl_text in block.chunks(bool(cfg.out_csv), bool(cfg.out_json), self.memo):
                 if cfg.out_csv:
-                    _append(cfg.out_csv, csv_text)
+                    _write(cfg.out_csv, csv_text)
                 if cfg.out_json:
-                    _append(cfg.out_json, jsonl_text)
+                    _write(cfg.out_json, jsonl_text)
         if cfg.checkpoint:
             _append(cfg.checkpoint, key + "\n")
         self.done.add(key)
@@ -503,7 +465,7 @@ def _grid_run(cfg: ExperimentConfig, corollary: bool) -> GridRunResult:
                         short=short_all[sel],
                     )
                     sink.write_combo(key, block)
-                    result.blocks.append(block)
+                    result.add(block)
     return result
 
 

@@ -12,7 +12,10 @@ second route, one character at a time, so the tests can compare the two:
   once, with compensated (Kahan) summation in a fixed phase order, next to a
   bound on the rendering error (`histogram_char_sum`);
 * from it: A(d, chi), smooth-slice sums, prime and von Mangoldt sums, and
-  L-polynomials, each for one character.
+  L-polynomials, each for one character;
+* the polynomials themselves one at a time: the monic stream of one degree
+  (`enumerate_monic`) and smoothness by factoring (`is_smooth`), for the
+  brute-force checks.
 """
 
 from __future__ import annotations
@@ -23,11 +26,36 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from ffchar.algebra import Poly
+from ffchar.algebra import Field, Poly, max_factor_degree, monic_code_range
 from ffchar.characters import Character, unit_dlog_histogram
 from ffchar.lfun import LPolynomial, lpolynomial, prime_sum_bound
 from ffchar.residue import DlogTable
 from ffchar.smooth import smooth_dlog_histogram
+
+# -- polynomials one at a time --------------------------------------------
+
+
+def enumerate_monic(field: Field, d: int, start: int = 0, stop: Optional[int] = None) -> Iterator[Poly]:
+    """Stream the q^d monic polynomials of degree exactly d.
+
+    Lexicographic in the coefficient vector with the constant term varying
+    fastest; start/stop index into [0, q^d).
+    """
+    r = monic_code_range(field, d)
+    lo = r.start + start
+    hi = r.stop if stop is None else r.start + stop
+    for code in range(lo, hi):
+        yield Poly.from_code(field, code)
+
+
+def is_smooth(f: Poly, r: int) -> bool:
+    """True iff every irreducible factor of monic nonzero f has degree <= r."""
+    if f.is_zero:
+        raise ValueError("is_smooth requires a nonzero polynomial")
+    if not f.is_monic:
+        raise ValueError("is_smooth requires a monic polynomial")
+    return max_factor_degree(f) <= r
+
 
 # -- discrete logs of single polynomials ---------------------------------
 

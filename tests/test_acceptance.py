@@ -31,6 +31,7 @@ from ffchar.smooth import (
     smooth_count,
     smooth_count_by_enumeration,
 )
+from grid_rows import jsonl_records
 
 WEIL_GRID = [(2, n) for n in range(2, 9)] + [(3, n) for n in range(2, 6)]
 
@@ -147,21 +148,22 @@ def main_grid(tmp_path_factory):
         out_json=str(base / "main.jsonl"),
         checkpoint=str(base / "main.ckpt"),
     )
-    return run_main_theorem_grid(cfg)
+    return run_main_theorem_grid(cfg), jsonl_records((base / "main.jsonl").read_text())
 
 
 def test_criterion_6_main_theorem_grid(main_grid):
-    res = main_grid
-    combos = {(rec.d, rec.r) for rec in res.records}
+    res, records = main_grid
+    combos = {(rec.d, rec.r) for rec in records}
     want_combos = {(d, r) for d in range(6, 11) for r in range(4, d + 1)}
     K = res.max_implied_constant
-    diag_ok = all(rec.lhs == 0.0 for rec in res.records if rec.r == rec.d)
-    n_records = len(res.records)
+    diag_ok = all(rec.lhs == 0.0 for rec in records if rec.r == rec.d)
+    n_records = len(records)
     ok = (
         combos == want_combos
-        and n_records == len(want_combos) * 8190
+        and n_records == res.n_records == len(want_combos) * 8190
         and math.isfinite(K)
         and K > 0
+        and K == max(rec.implied_constant for rec in records if math.isfinite(rec.implied_constant))
         and diag_ok
         and not res.skipped
     )

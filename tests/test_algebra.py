@@ -5,15 +5,14 @@ import pytest
 from ffchar.algebra import (
     Field,
     Poly,
-    enumerate_monic,
     factorize,
     irreducibles_up_to,
     is_irreducible,
-    is_smooth,
     lex_least_irreducible,
     max_factor_degree,
     monic_irreducible_count,
 )
+from phase_oracle import enumerate_monic, is_smooth
 
 F2 = Field.get(2)
 F3 = Field.get(3)

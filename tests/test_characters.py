@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ffchar import characters
-from ffchar.algebra import Field, Poly, enumerate_monic
+from ffchar.algebra import Field, Poly
 from ffchar.characters import (
     all_char_sums_Ad,
     character_by_index,
@@ -23,6 +23,7 @@ from phase_oracle import (
     character_sum_Ad,
     chi_eval,
     dlog,
+    enumerate_monic,
     flat_dlog,
     is_principal,
     power,

@@ -11,6 +11,14 @@ import ffchar
 from ffchar.cli import main
 
 SRC = str(Path(ffchar.__file__).resolve().parents[1])
+GRID = ["main-thm", "--q", "2", "--n-list", "5", "--d", "3", "--r", "2"]
+
+
+def run_cli(argv: list[str], cwd) -> subprocess.CompletedProcess:
+    """python -m ffchar.cli in a fresh process, its stdout and stderr as bytes."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "ffchar.cli", *argv], cwd=cwd, env=env, capture_output=True)
 
 
 def test_weil_exit_zero(capsys):
@@ -214,6 +222,11 @@ def test_kernel_failure_exits_math_without_traceback(monkeypatch, capsys, exc):
         (["primes-bound", "--q", "2", "--n", "4", "--k", "0"], "k = 0"),
         (["mertens", "--q", "2", "--k", "0"], "k = 0"),
         (["primes-bound", "--q", "2", "--n", "4", "--k", "23"], "k = 23 has q^k = 8388608"),
+        (["density", "--q", "2", "--n", "5", "--d", "3", "--workers", "0"], "--workers (or FFCHAR_WORKERS) must be >= 1, got 0"),
+        (["smooth-count", "--q", "2", "--d", "3", "--workers", "-2"], "--workers (or FFCHAR_WORKERS) must be >= 1, got -2"),
+        (GRID + ["--workers", "0"], "--workers (or FFCHAR_WORKERS) must be >= 1, got 0"),
+        (GRID + ["--policy", "sample-k", "--sample-k", "0"], "--sample-k must be >= 1, got 0"),
+        (GRID + ["--policy", "sample-k", "--sample-k", "-1"], "--sample-k must be >= 1, got -1"),
     ],
 )
 def test_bad_input_is_usage_error_naming_the_value(capsys, argv, bad):
@@ -221,6 +234,17 @@ def test_bad_input_is_usage_error_naming_the_value(capsys, argv, bad):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and bad in captured.err
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+@pytest.mark.parametrize("argv", [["density", "--q", "2", "--n", "5", "--d", "3"], GRID])
+def test_workers_below_one_from_env_is_usage_error(monkeypatch, capsys, argv, workers):
+    # argparse applies no type check to a default, so the value from the environment is checked on its own
+    monkeypatch.setenv("FFCHAR_WORKERS", workers)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --workers (or FFCHAR_WORKERS) must be >= 1, got {workers}\n"
 
 
 @pytest.mark.parametrize(
@@ -295,3 +319,30 @@ def test_module_entry_matches_in_process_main(tmp_path, monkeypatch, capsys, arg
     assert sorted(p.name for p in child.iterdir()) == files
     for name in files:
         assert (child / name).read_bytes() == (inproc / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("cmd", ["main-thm", "corollary"])
+def test_stdout_is_the_out_file_bytes(tmp_path, cmd):
+    """Without --out a grid prints the bytes its --out run writes: grid.csv for csv, its JSONL mirror for json."""
+    # n = 10: 1,023 rows per main-thm combo, so each combo spans more than one row chunk
+    argv = [cmd, "--q", "2", "--n-list", "5,10", "--d", "3..6", "--r", "2..6"]
+    files = run_cli(argv + ["--format", "csv", "--out", "grid.csv"], tmp_path)
+    assert (files.returncode, files.stdout, files.stderr) == (0, b"", b"")
+    for fmt, name in (("csv", "grid.csv"), ("json", "grid.csv.jsonl")):
+        printed = run_cli(argv + ["--format", fmt], tmp_path)
+        assert (printed.returncode, printed.stderr) == (0, b"")
+        assert printed.stdout == (tmp_path / name).read_bytes(), fmt
+
+
+def test_closed_stdout_exits_141_quietly(tmp_path):
+    """A reader that takes one line and closes the pipe ends the grid with exit 141 and nothing on stderr."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    argv = ["main-thm", "--q", "2", "--n-list", "13", "--d", "10", "--r", "4", "--format", "csv"]
+    with open(tmp_path / "err", "wb") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "ffchar.cli", *argv], env=env, stdout=subprocess.PIPE, stderr=err)
+        header = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+    assert header == b"q,n,Q,chi,d,r,lhs,bound_core,implied_constant,short_norm,eps,flags\n"
+    assert code == 141
+    assert (tmp_path / "err").read_bytes() == b""

@@ -1,6 +1,8 @@
+import io
 import json
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from ffchar.experiments import (
 )
 from ffchar.residue import Modulus
 from ffchar.smooth import smooth_count
+from grid_rows import jsonl_records
 from phase_oracle import character_sum_Ad, chi_eval, prime_char_sum, smooth_char_sum
 
 F2 = Field.get(2)
@@ -54,9 +57,60 @@ def json_line(rec) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def block_records(block) -> list[SimpleNamespace]:
+    """The block's rows one record at a time, each field a Python value."""
+    return [
+        SimpleNamespace(
+            q=block.q,
+            n=block.n,
+            Q=block.Q,
+            chi=f"chi[{k}]",
+            d=block.d,
+            r=block.r,
+            lhs=x,
+            bound_core=block.bound_core,
+            implied_constant=i,
+            short_norm=s,
+            eps=block.eps,
+            flags=f,
+            a_sum=a,
+            s_sum=sm,
+        )
+        for k, x, i, s, f, a, sm in zip(
+            block.chi.tolist(),
+            block.lhs.tolist(),
+            block.implied.tolist(),
+            block.short.tolist(),
+            block.row_flags(),
+            block.a.tolist(),
+            block.s.tolist(),
+        )
+    ]
+
+
 def oracle_texts(block) -> tuple[str, str]:
-    recs = block.records()
+    recs = block_records(block)
     return "".join(csv_row(r) + "\n" for r in recs), "".join(json_line(r) + "\n" for r in recs)
+
+
+def run_blocks(runner, cfg, monkeypatch) -> list[ComboBlock]:
+    """Run the grid and return the blocks it wrote, in order."""
+    blocks = []
+    real = experiments._Sink.write_combo
+
+    def keep(sink, key, block):
+        blocks.append(block)
+        real(sink, key, block)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(experiments._Sink, "write_combo", keep)
+        runner(cfg)
+    return blocks
+
+
+def written_records(tmp_path) -> list[SimpleNamespace]:
+    """The records of the run whose files small_cfg(tmp_path) named."""
+    return jsonl_records((tmp_path / "grid.jsonl").read_text())
 
 
 def joined(chunks) -> tuple[str, str]:
@@ -85,17 +139,17 @@ def small_cfg(tmp_path=None, **kw):
 
 
 def test_diagonal_lhs_exactly_zero(tmp_path):
-    res = run_main_theorem_grid(small_cfg(tmp_path))
-    diag = [rec for rec in res.records if rec.r == rec.d]
+    run_main_theorem_grid(small_cfg(tmp_path))
+    diag = [rec for rec in written_records(tmp_path) if rec.r == rec.d]
     assert diag
     for rec in diag:
         assert rec.lhs == 0.0
 
 
 def test_records_match_single_character_paths(tmp_path):
-    res = run_main_theorem_grid(small_cfg(tmp_path))
+    run_main_theorem_grid(small_cfg(tmp_path))
     m = Modulus.irreducible(F2, 5)
-    for rec in res.records[:40]:
+    for rec in written_records(tmp_path)[:40]:
         k = int(rec.chi[4:-1])
         chi = character_by_index(m, k)
         a = character_sum_Ad(chi, rec.d).value
@@ -121,9 +175,9 @@ def test_csv_format_and_json_mirror(tmp_path):
     res = run_main_theorem_grid(cfg)
     lines = (tmp_path / "grid.csv").read_text().splitlines()
     assert lines[0] == CSV_HEADER
-    assert len(lines) == 1 + len(res.records)
+    assert len(lines) == 1 + res.n_records
     jrecs = [json.loads(ln) for ln in (tmp_path / "grid.jsonl").read_text().splitlines()]
-    assert len(jrecs) == len(res.records)
+    assert len(jrecs) == res.n_records
     # lhs recomputed from the persisted raw sums matches to the last digit
     for jr in jrecs:
         lhs = abs(complex(jr["a_re"], jr["a_im"]) - complex(jr["s_re"], jr["s_im"]))
@@ -161,7 +215,8 @@ def test_worker_count_does_not_change_bytes(tmp_path):
 def test_budget_skips_with_notice(tmp_path, capsys):
     cfg = small_cfg(tmp_path, budget=10)
     res = run_main_theorem_grid(cfg)
-    assert res.records == []
+    assert res.n_records == 0
+    assert (tmp_path / "grid.csv").read_text() == CSV_HEADER + "\n"
     assert res.skipped
     assert all(reason == "budget" for _, reason in res.skipped)
     assert "exceeds budget" in capsys.readouterr().err
@@ -171,32 +226,39 @@ def test_out_of_range_flagging(tmp_path):
     cfg = small_cfg(tmp_path, ds=(4,), rs=(2, 4))
     res = run_main_theorem_grid(cfg)
     # 2 log_2(5) = 4.64: r = 2 and even r = d = 4 are below it
-    assert all(rec.flags == "out_of_range" for rec in res.records)
+    assert res.n_records == 2 * 30
+    assert all(rec.flags == "out_of_range" for rec in written_records(tmp_path))
     cfg2 = small_cfg(tmp_path, ds=(4,), rs=(2, 4), allow_out_of_range=False, resume=False)
     res2 = run_main_theorem_grid(cfg2)
-    assert res2.records == []
+    assert res2.n_records == 0
+    assert written_records(tmp_path) == []
     assert all(reason == "out_of_range" for _, reason in res2.skipped)
 
 
 def test_sample_policy_deterministic(tmp_path):
-    a = run_main_theorem_grid(small_cfg(tmp_path, char_policy="sample-k", sample_k=5, seed=42))
-    b = run_main_theorem_grid(small_cfg(None, char_policy="sample-k", sample_k=5, seed=42))
-    assert [r.chi for r in a.records] == [r.chi for r in b.records]
-    c = run_main_theorem_grid(small_cfg(None, char_policy="sample-k", sample_k=5, seed=7))
-    assert [r.chi for r in a.records] != [r.chi for r in c.records]
+    def streamed_chis(seed):
+        out = io.StringIO()
+        run_main_theorem_grid(small_cfg(None, char_policy="sample-k", sample_k=5, seed=seed, out_json=out))
+        return [r.chi for r in jsonl_records(out.getvalue())]
+
+    run_main_theorem_grid(small_cfg(tmp_path, char_policy="sample-k", sample_k=5, seed=42))
+    a = [r.chi for r in written_records(tmp_path)]
+    assert a == streamed_chis(42)
+    assert a != streamed_chis(7)
 
 
 def test_worst_case_policy_single_record_per_combo(tmp_path):
     res = run_main_theorem_grid(small_cfg(tmp_path, char_policy="worst-case"))
-    keys = {(r.d, r.r) for r in res.records}
-    assert len(res.records) == len(keys)
+    records = written_records(tmp_path)
+    keys = {(r.d, r.r) for r in records}
+    assert len(records) == len(keys) == res.n_records
 
 
 def test_corollary_grid(tmp_path):
     cfg = small_cfg(tmp_path, ds=(4, 5, 6, 7), rs=(3, 4, 5))
-    res = run_corollary_grid(cfg)
+    run_corollary_grid(cfg)
     m = Modulus.irreducible(F2, 5)
-    for rec in res.records:
+    for rec in written_records(tmp_path):
         # per combo: the exact max over all characters
         best = max(
             abs(character_sum_Ad(character_by_index(m, k), rec.d).value)
@@ -281,28 +343,31 @@ def test_config_validation():
         ExperimentConfig(qs=(), ns=(5,), ds=(3,), rs=(2,)).validate()
     with pytest.raises(ValueError):
         ExperimentConfig(qs=(2,), ns=(5,), ds=(3,), rs=(2,), char_policy="bogus").validate()
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="--sample-k"):
+            ExperimentConfig(qs=(2,), ns=(5,), ds=(3,), rs=(2,), char_policy="sample-k", sample_k=k).validate()
 
 
 # -- columnar persistence -------------------------------------------------------
 
 
 def test_persisted_norms_are_python_abs_of_raw_sums(tmp_path):
-    res = run_main_theorem_grid(small_cfg(tmp_path))
-    for rec in res.records:
+    run_main_theorem_grid(small_cfg(tmp_path))
+    for rec in written_records(tmp_path):
         assert rec.lhs == abs(rec.a_sum - rec.s_sum)
         assert rec.short_norm == abs(rec.a_sum) / 2**rec.d
         assert rec.implied_constant == rec.lhs / rec.bound_core
 
 
 @pytest.mark.parametrize("runner", [run_main_theorem_grid, run_corollary_grid])
-def test_block_texts_match_per_record_oracle(tmp_path, runner):
-    res = runner(small_cfg(tmp_path, ns=(5, 6)))
-    assert res.blocks
-    for block in res.blocks:
+def test_block_texts_match_per_record_oracle(tmp_path, monkeypatch, runner):
+    blocks = run_blocks(runner, small_cfg(tmp_path, ns=(5, 6)), monkeypatch)
+    assert blocks
+    for block in blocks:
         assert joined(block.chunks()) == oracle_texts(block)
-    csv_want = CSV_HEADER + "\n" + "".join(oracle_texts(b)[0] for b in res.blocks)
+    csv_want = CSV_HEADER + "\n" + "".join(oracle_texts(b)[0] for b in blocks)
     assert (tmp_path / "grid.csv").read_text() == csv_want
-    assert (tmp_path / "grid.jsonl").read_text() == "".join(oracle_texts(b)[1] for b in res.blocks)
+    assert (tmp_path / "grid.jsonl").read_text() == "".join(oracle_texts(b)[1] for b in blocks)
 
 
 @pytest.mark.parametrize(
@@ -439,18 +504,18 @@ def test_modulus_text_formatted_once_per_modulus(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("policy", ["worst-case", "corollary"])
-def test_selection_ranks_on_persisted_values(policy):
+def test_selection_ranks_on_persisted_values(monkeypatch, policy):
     cfg = small_cfg(None, qs=(3,), ns=(4,), ds=(2, 3, 4, 5), rs=(1, 2, 3))
-    every = run_main_theorem_grid(cfg)
+    every = run_blocks(run_main_theorem_grid, cfg, monkeypatch)
     if policy == "corollary":
-        chosen = run_corollary_grid(cfg)
+        chosen = run_blocks(run_corollary_grid, cfg, monkeypatch)
         column = "short"
     else:
         cfg.char_policy = "worst-case"
-        chosen = run_main_theorem_grid(cfg)
+        chosen = run_blocks(run_main_theorem_grid, cfg, monkeypatch)
         column = "lhs"
-    assert len(chosen.blocks) == len(every.blocks)
-    for pick, full in zip(chosen.blocks, every.blocks):
+    assert len(chosen) == len(every)
+    for pick, full in zip(chosen, every):
         values = getattr(full, column)
         # the chosen character is the first argmax of the persisted column
         assert pick.chi.tolist() == [full.chi[int(np.argmax(values))]]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ffchar.algebra import Field, Poly, enumerate_monic, factorize, irreducibles_up_to
+from ffchar.algebra import Field, Poly, factorize, irreducibles_up_to
 from ffchar.characters import character_by_index
 from ffchar.lfun import (
     build_all_lpolynomials,
@@ -19,6 +19,7 @@ from phase_oracle import (
     build_lpolynomial,
     character_sum_Ad,
     chi_eval,
+    enumerate_monic,
     is_principal,
     prime_char_sum,
     von_mangoldt_sum,

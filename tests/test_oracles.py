@@ -20,7 +20,7 @@ from sympy.polys.domains import ZZ  # noqa: E402
 from sympy.polys.galoistools import gf_factor, gf_irreducible_p  # noqa: E402
 
 from ffchar import experiments  # noqa: E402
-from ffchar.algebra import Field, Poly, enumerate_monic, factorize, is_irreducible  # noqa: E402
+from ffchar.algebra import Field, Poly, factorize, is_irreducible  # noqa: E402
 from ffchar.experiments import (  # noqa: E402
     CSV_HEADER,
     ExperimentConfig,
@@ -29,7 +29,7 @@ from ffchar.experiments import (  # noqa: E402
     run_main_theorem_grid,
 )
 from ffchar.residue import Modulus  # noqa: E402
-from phase_oracle import dlog  # noqa: E402
+from phase_oracle import dlog, enumerate_monic  # noqa: E402
 
 
 def _oracle_polys(q: int) -> list[Poly]:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ffchar.algebra import Field, Poly, enumerate_monic
+from ffchar.algebra import Field, Poly
 from ffchar.intfact import factor_integer
 from ffchar.primitive import (
     best_epsilon_bound,
@@ -14,7 +14,7 @@ from ffchar.primitive import (
     sieve_quantities,
 )
 from ffchar.residue import Modulus, is_primitive
-from phase_oracle import dlog
+from phase_oracle import dlog, enumerate_monic
 
 F2 = Field.get(2)
 

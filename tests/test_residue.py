@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ffchar import residue
-from ffchar.algebra import Field, Poly, enumerate_monic, irreducibles_up_to
+from ffchar.algebra import Field, Poly, irreducibles_up_to
 from ffchar.cli import main
 from ffchar.intfact import factor_integer
 from ffchar.residue import (
@@ -16,7 +16,7 @@ from ffchar.residue import (
     is_primitive,
     power_tables,
 )
-from phase_oracle import NotAUnitError, dlog, flat_dlog
+from phase_oracle import NotAUnitError, dlog, enumerate_monic, flat_dlog
 
 F2 = Field.get(2)
 F3 = Field.get(3)

@@ -9,7 +9,7 @@ import pytest
 
 import ffchar
 from ffchar import dickman_panels, smooth, vecpoly
-from ffchar.algebra import Field, enumerate_monic, irreducibles_up_to, is_smooth, max_factor_degree
+from ffchar.algebra import Field, irreducibles_up_to, max_factor_degree
 from ffchar.characters import character_by_index, unit_dlog_histogram
 from ffchar.cli import main
 from ffchar.residue import Modulus
@@ -25,7 +25,16 @@ from ffchar.smooth import (
     smooth_dlog_histogram,
     soundararajan_check,
 )
-from phase_oracle import NotAUnitError, all_characters, character_sum_Ad, chi_eval, dlog, smooth_char_sum
+from phase_oracle import (
+    NotAUnitError,
+    all_characters,
+    character_sum_Ad,
+    chi_eval,
+    dlog,
+    enumerate_monic,
+    is_smooth,
+    smooth_char_sum,
+)
 
 F2 = Field.get(2)
 F3 = Field.get(3)
