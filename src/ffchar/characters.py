@@ -93,6 +93,8 @@ def dlog_histogram(modulus: Modulus, d: int, r: Optional[int] = None, workers: i
     """
     if d < 0:
         raise ValueError(f"degree must be >= 0, got d = {d}")
+    if modulus.field.q**d > np.iinfo(np.int64).max:
+        raise ValueError(f"A_{d} holds q^d = {modulus.field.q**d} polynomials, too many for int64 counts")
     if r is not None and r >= d:
         r = None
     key = ("hist", d, r)

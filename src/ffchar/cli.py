@@ -27,11 +27,12 @@ every output file is closed and every worker thread joined by then.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -57,12 +58,18 @@ def _env(name: str, cast, fallback):
 
 
 def _emit(lines: list[str], out: Optional[str]):
-    text = "\n".join(lines) + ("\n" if lines else "")
+    _emit_texts(["\n".join(lines) + ("\n" if lines else "")], out)
+
+
+def _emit_texts(texts: Iterable[str], out: Optional[str]):
+    """Write each text to --out (or stdout) as it is made."""
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            for text in texts:
+                fh.write(text)
     else:
-        sys.stdout.write(text)
+        for text in texts:
+            sys.stdout.write(text)
 
 
 def _csv_label(label: str) -> str:
@@ -139,7 +146,7 @@ def cmd_weil(args) -> int:
 def cmd_primes_bound(args) -> int:
     """|sum over irreducibles of degree k of chi(P)| vs (n+1) q^(k/2) / k."""
     from .characters import character_labels
-    from .experiments import float_texts
+    from .experiments import float_texts, row_chunks
     from .lfun import (
         build_all_lpolynomials,
         inverse_root_power_sum,
@@ -175,27 +182,27 @@ def cmd_primes_bound(args) -> int:
         errs = np.hypot(errs.real, errs.imag)
         worst_ident = float(errs.max(initial=0.0))
         ok = ok and not (errs > 1e-6).any()
-    labels = [_csv_label(label) for label in character_labels(modulus)[1:]]
-    ks = [str(k) for k in degrees]
-    bound_texts = [repr(b) for b in bounds.tolist()]
-    rows = ["chi,k,abs_sum,bound,ratio,identity_err"]
-    # formatted a block of characters at a time, so only one block's column texts are alive
-    for lo in range(0, order - 1, PRIMES_BOUND_BLOCK):
-        hi = min(lo + PRIMES_BOUND_BLOCK, order - 1)
-        part = slice(lo * len(degrees), hi * len(degrees))
-        cols = zip(
-            (label for label in labels[lo:hi] for _ in degrees),
-            ks * (hi - lo),
-            bound_texts * (hi - lo),
-            float_texts(mags[part])[0],
-            float_texts(ratios[part])[0],
-            [""] * (part.stop - part.start) if errs is None else float_texts(errs[part])[0],
-        )
-        rows += [f"{label},{k},{mag},{bound},{ratio},{ident}" for label, k, bound, mag, ratio, ident in cols]
+
+    def row_texts():
+        """The CSV rows, a block of characters at a time, so only one block's column texts are alive."""
+        labels = [_csv_label(label) + "," for label in character_labels(modulus)[1:]]
+        # the degree and its bound cycle with the row
+        k_texts = [f"{k}," for k in degrees]
+        bound_texts = [f",{b!r}," for b in bounds.tolist()]
+        for lo in range(0, order - 1, PRIMES_BOUND_BLOCK):
+            hi = min(lo + PRIMES_BOUND_BLOCK, order - 1)
+            part = slice(lo * len(degrees), hi * len(degrees))
+            cols = (
+                [label for label in labels[lo:hi] for _ in degrees], k_texts * (hi - lo),
+                float_texts(mags[part])[0], bound_texts * (hi - lo), float_texts(ratios[part])[0], ",",
+                "" if errs is None else float_texts(errs[part])[0], "\n",
+            )
+            yield from row_chunks(cols, part.stop - part.start)
+
     if args.format == "csv":
-        _emit(rows, args.out)
+        _emit_texts(itertools.chain(["chi,k,abs_sum,bound,ratio,identity_err\n"], row_texts()), args.out)
     elif args.format == "json":
-        _emit([json.dumps({"rows": rows[1:]})], args.out)
+        _emit([json.dumps({"rows": [row for text in row_texts() for row in text.splitlines()]})], args.out)
     else:
         lines = [
             f"q={args.q} n={modulus.n}: prime-degree sums for {order - 1} characters, k <= {args.k}",
@@ -357,7 +364,8 @@ def cmd_density(args) -> int:
             return EXIT_USAGE
         d = schedule_degree(args.q, args.n, args.eps, args.C)
         print(f"schedule: eps={args.eps}, C={args.C} -> d={d}", file=sys.stderr)
-    if args.q**d > args.budget:
+    # at d >= n the A_d histogram has a closed form: only d < n enumerates the q^d polynomials
+    if d < args.n and args.q**d > args.budget:
         print(f"q^d = {args.q**d} exceeds the work budget {args.budget}", file=sys.stderr)
         return EXIT_BUDGET
     rep = density_experiment(args.q, args.n, d, C2=args.C2, C3=args.C3, workers=args.workers)

@@ -27,9 +27,13 @@ Every float is written as its repr, the shortest text that reads back to
 the same double (JSON spells nan and the infinities NaN and Infinity).
 orjson writes a whole numpy column with those digits in one call; the few
 values whose repr takes exponent form or is not finite take repr itself
-(`float_texts`).  Each column is formatted once per combo; the rows of a
-chunk are built by interleaving slices of the column texts with the
-constant text between them and joining once.
+(`float_texts`).  Each column is formatted once per combo, and a column
+that repeats the previous combo's bytes (the character indices, say) is
+not formatted again.  A block's rows come from one row layout
+(`row_chunks`): the text that is the same on every row of the block (q, n,
+Q, d, r, the bound, eps and, outside the corollary, the flags) is merged
+and laid out once for a chunk's worth of rows; each chunk copies that
+layout, fills in only the per-row columns and joins once.
 
 All heavy number crunching reduces to integer dlog histograms (worker count
 cannot change them) followed by DFTs, so worker counts never change any
@@ -51,7 +55,7 @@ import numpy as np
 from .algebra import Field
 from .characters import all_char_sums_Ad
 from .primitive import epsilon_bound
-from .residue import Modulus
+from .residue import Modulus, dense_group_order
 from .smooth import all_smooth_char_sums, smooth_count
 
 __all__ = [
@@ -61,6 +65,7 @@ __all__ = [
     "ComboBlock",
     "GridRunResult",
     "float_texts",
+    "row_chunks",
     "run_main_theorem_grid",
     "run_corollary_grid",
 ]
@@ -136,36 +141,67 @@ def float_texts(col: np.ndarray) -> tuple[list[str], list[str]]:
 
 
 class _TextMemo:
-    """Float-column texts keyed by the column's bytes, kept for one block.
+    """Column texts keyed by the column's dtype and bytes, kept for one block.
 
-    Consecutive blocks often repeat a column bit for bit: A(d, chi), and so
-    the short norms, are the same for every r of one d, and on the diagonal
-    r = d the smooth sums equal them.  Each such column is formatted once.
+    Consecutive blocks often repeat a column bit for bit: every combo of a
+    modulus writes the same character indices, A(d, chi), and so the short
+    norms, are the same for every r of one d, and on the diagonal r = d the
+    smooth sums equal them.  Each such column is formatted once.  A float
+    column gets its repr and JSON texts (`float_texts`), an integer column
+    its str texts, the same list twice.
     """
 
     def __init__(self):
-        self.prev: dict[bytes, tuple[list[str], list[str]]] = {}
-        self.cur: dict[bytes, tuple[list[str], list[str]]] = {}
+        self.prev: dict[tuple[str, bytes], tuple[list[str], list[str]]] = {}
+        self.cur: dict[tuple[str, bytes], tuple[list[str], list[str]]] = {}
 
     def next_block(self):
         self.prev, self.cur = self.cur, {}
 
     def __call__(self, col: np.ndarray) -> tuple[list[str], list[str]]:
-        key = col.tobytes()
+        # equal bytes need not be equal values: an int64 and a float64 column can share them
+        key = (col.dtype.str, col.tobytes())
         hit = self.cur.get(key) or self.prev.get(key)
         if hit is None:
-            hit = float_texts(col)
+            if col.dtype.kind == "f":
+                hit = float_texts(col)
+            else:
+                texts = list(map(str, col.tolist()))
+                hit = texts, texts
         self.cur[key] = hit
         return hit
 
 
-def _interleave(cols: tuple, lo: int, hi: int) -> str:
-    """Rows lo..hi-1, each the given columns in order; a str column repeats on every row."""
-    k, m = len(cols), hi - lo
-    parts = [""] * (k * m)
-    for j, col in enumerate(cols):
-        parts[j::k] = [col] * m if isinstance(col, str) else col[lo:hi]
-    return "".join(parts)
+def row_chunks(cols: tuple, n: int) -> Iterator[str]:
+    """Rows 0..n-1 of the given columns in order, at most ROW_CHUNK rows per text.
+
+    A str column is the same text on every row; a list column holds one text
+    per row.  Adjacent str columns are merged, and one chunk's worth of rows
+    is laid out once with the str texts in place; each chunk copies that
+    layout, fills the list columns by slice assignment and joins once.  No
+    columns give one "" per chunk.
+    """
+    merged: list = []
+    for col in cols:
+        if isinstance(col, str) and merged and isinstance(merged[-1], str):
+            merged[-1] += col
+        else:
+            merged.append(col)
+    k = len(merged)
+    rows = min(n, ROW_CHUNK)
+    layout = [""] * (k * rows)
+    fills = []
+    for j, col in enumerate(merged):
+        if isinstance(col, str):
+            layout[j::k] = [col] * rows
+        else:
+            fills.append((j, col))
+    for lo in range(0, n, ROW_CHUNK):
+        hi = min(lo + ROW_CHUNK, n)
+        parts = layout.copy() if hi - lo == rows else layout[: k * (hi - lo)]
+        for j, col in fills:
+            parts[j::k] = col[lo:hi]
+        yield "".join(parts)
 
 
 @dataclass
@@ -220,8 +256,9 @@ class ComboBlock:
         """
         texts_of = memo if memo is not None else _TextMemo()
         texts_of.next_block()
-        chis = list(map(str, self.chi.tolist()))
-        flags = self.row_flags()
+        chis = texts_of(self.chi)[0]
+        # one flags text for the whole block, a constant of the row layout, unless rows differ
+        flags = self.row_flags() if self.corollary else self.flags
         lhs, lhs_j = texts_of(self.lhs)
         ic, ic_j = texts_of(self.implied)
         sn, sn_j = texts_of(self.short)
@@ -234,19 +271,21 @@ class ComboBlock:
             )
         if jsonl:
             a_im, a_re, s_im, s_re = (texts_of(col)[1] for col in (self.a.imag, self.a.real, self.s.imag, self.s.real))
-            flag_json = {f: json.dumps(f) for f in set(flags)}
+            if self.corollary:
+                flag_json = {f: json.dumps(f) for f in set(flags)}
+                flags_j = [flag_json[f] for f in flags]
+            else:
+                flags_j = json.dumps(flags)
             jsonl_cols = (
                 f'{{"Q": {self.Q_json}, "a_im": ', a_im, ', "a_re": ', a_re,
                 f', "bound_core": {json.dumps(self.bound_core)}, "chi": "chi[', chis,
-                f']", "d": {self.d}, "eps": {json.dumps(self.eps)}, "flags": ', [flag_json[f] for f in flags],
+                f']", "d": {self.d}, "eps": {json.dumps(self.eps)}, "flags": ', flags_j,
                 ', "implied_constant": ', ic_j, ', "lhs": ', lhs_j,
                 f', "n": {self.n}, "q": {self.q}, "r": {self.r}, "s_im": ', s_im, ', "s_re": ', s_re,
                 ', "short_norm": ', sn_j, "}\n",
             )
         n = len(self)
-        for lo in range(0, n, ROW_CHUNK):
-            hi = min(lo + ROW_CHUNK, n)
-            yield _interleave(csv_cols, lo, hi), _interleave(jsonl_cols, lo, hi)
+        yield from zip(row_chunks(csv_cols, n), row_chunks(jsonl_cols, n))
 
 
 @dataclass
@@ -383,31 +422,34 @@ class _Sink:
         self.done.add(key)
 
 
-def _select_indices(cfg: ExperimentConfig, order: int, key: str, ranking: np.ndarray) -> list[int]:
-    """Character indices for a combo under the configured policy.
+def _select_indices(cfg: ExperimentConfig, order: int, key: str, ranking: np.ndarray) -> np.ndarray:
+    """Character indices for a combo under the configured policy, ascending int64.
 
     "all": every non-principal index.  "worst-case": the argmax of the
     ranking vector (exact, the dual group is fully enumerated at this
     scale).  "sample-k": a seeded deterministic sample.
     """
     if cfg.char_policy == "all":
-        return list(range(1, order))
+        return np.arange(1, order, dtype=np.int64)
     if cfg.char_policy == "worst-case":
-        k = int(np.argmax(ranking[1:])) + 1
-        return [k]
+        return np.array([np.argmax(ranking[1:]) + 1], dtype=np.int64)
     rng = random.Random(f"{cfg.seed}|{key}")
     count = min(cfg.sample_k, order - 1)
-    return sorted(rng.sample(range(1, order), count))
+    return np.array(sorted(rng.sample(range(1, order), count)), dtype=np.int64)
 
 
 def _grid_run(cfg: ExperimentConfig, corollary: bool) -> GridRunResult:
     cfg.validate()
+    # a q that is not a prime power, an n with no modulus or a unit group above
+    # the dense limit raises ValueError here, before the sink writes anything
+    moduli = {(q, n): Modulus.irreducible(Field.of_order(q), n) for q in cfg.qs for n in cfg.ns}
+    for modulus in moduli.values():
+        dense_group_order(modulus)
     sink = _Sink(cfg)
     result = GridRunResult()
     for q in cfg.qs:
-        field_ = Field.of_order(q)
         for n in cfg.ns:
-            modulus = Modulus.irreducible(field_, n)
+            modulus = moduli[q, n]
             Q = str(modulus.poly)
             Q_json = json.dumps(Q)
             order = q**n - 1
@@ -443,10 +485,9 @@ def _grid_run(cfg: ExperimentConfig, corollary: bool) -> GridRunResult:
                     lhs_all = np.hypot(diff.real, diff.imag)
                     short_all = np.hypot(a_sums.real, a_sums.imag) / float(q**d)
                     if corollary:
-                        k_sel = [int(np.argmax(short_all[1:])) + 1]
+                        sel = np.array([np.argmax(short_all[1:]) + 1], dtype=np.int64)
                     else:
-                        k_sel = _select_indices(cfg, order, key, lhs_all)
-                    sel = np.array(k_sel, dtype=np.int64)
+                        sel = _select_indices(cfg, order, key, lhs_all)
                     block = ComboBlock(
                         q=q,
                         n=n,

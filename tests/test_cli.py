@@ -5,9 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ffchar
+from ffchar.algebra import Field, Poly
 from ffchar.cli import main
 
 SRC = str(Path(ffchar.__file__).resolve().parents[1])
@@ -153,11 +155,14 @@ def test_indicator(capsys):
 
 
 def test_density_schedule_from_eps(capsys):
-    # the asymptotic schedule prescribes a large degree; the budget guard
-    # reports it and exits 3 instead of enumerating q^d polynomials
-    assert main(["density", "--q", "2", "--n", "6", "--eps", "0.05", "--C", "1.0"]) == 3
+    # the asymptotic schedule prescribes d = 38 >= n: the A_d histogram is a
+    # closed form, nothing is enumerated, so the budget does not apply
+    assert main(["density", "--q", "2", "--n", "6", "--eps", "0.05", "--C", "1.0"]) == 0
+    assert "schedule: eps=0.05, C=1.0 -> d=38" in capsys.readouterr().err
+    # below n the budget guard reports the q^d polynomials it would enumerate and exits 3
+    assert main(["density", "--q", "2", "--n", "22", "--eps", "0.05", "--C", "0.3", "--budget", "1000"]) == 3
     err = capsys.readouterr().err
-    assert "schedule:" in err and "budget" in err
+    assert "d=15" in err and "budget" in err
     # a generous budget paired with a tiny C keeps the run enumerable
     assert main(["density", "--q", "2", "--n", "6", "--eps", "0.05", "--C", "0.3"]) == 0
     assert main(["density", "--q", "2", "--n", "6"]) == 2  # neither --d nor --eps
@@ -227,6 +232,7 @@ def test_kernel_failure_exits_math_without_traceback(monkeypatch, capsys, exc):
         (GRID + ["--workers", "0"], "--workers (or FFCHAR_WORKERS) must be >= 1, got 0"),
         (GRID + ["--policy", "sample-k", "--sample-k", "0"], "--sample-k must be >= 1, got 0"),
         (GRID + ["--policy", "sample-k", "--sample-k", "-1"], "--sample-k must be >= 1, got -1"),
+        (["density", "--q", "2", "--n", "5", "--d", "63"], "q^d = 9223372036854775808 polynomials"),
     ],
 )
 def test_bad_input_is_usage_error_naming_the_value(capsys, argv, bad):
@@ -260,6 +266,85 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and str(out) in captured.err
+
+
+@pytest.mark.parametrize("cmd", ["main-thm", "corollary"])
+@pytest.mark.parametrize(
+    "grid,bad",
+    [
+        (["--q", "6", "--n-list", "5"], "q = 6 is not a prime power"),
+        # the second modulus is above the dense limit: refused before the first one's rows
+        (["--q", "2", "--n-list", "5,23"], "above the dense table limit"),
+    ],
+)
+def test_grid_usage_error_writes_nothing(tmp_path, monkeypatch, capsys, cmd, grid, bad):
+    monkeypatch.chdir(tmp_path)
+    argv = [cmd, *grid, "--d", "3", "--r", "2"]
+    for fmt in ("csv", "json", "human"):
+        for out in ([], ["--out", "grid.csv"]):
+            assert main(argv + ["--format", fmt, *out]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and bad in captured.err
+            assert list(tmp_path.iterdir()) == []
+
+
+def test_density_budget_counts_only_enumerated_polynomials(capsys):
+    """At d >= n the closed-form histogram enumerates none of the q^d polynomials, so no budget applies."""
+    argv = ["density", "--q", "3", "--n", "9", "--d", "16", "--format", "json"]
+    assert main(argv) == 0
+    free = capsys.readouterr().out
+    assert main(argv + ["--budget", "100000000"]) == 0
+    assert capsys.readouterr().out == free
+    # below n the enumerated q^d still counts against it
+    assert main(["density", "--q", "3", "--n", "9", "--d", "8", "--budget", "1000"]) == 3
+    assert "q^d = 6561 exceeds the work budget 1000" in capsys.readouterr().err
+
+
+def primes_bound_rows(q: int, Q: str, k: int, identity: bool) -> str:
+    """The primes-bound CSV one row at a time: per character, per degree, each value formatted on its own."""
+    from ffchar.characters import character_labels
+    from ffchar.lfun import (
+        build_all_lpolynomials,
+        inverse_root_power_sum,
+        prime_sum_bound,
+        prime_sum_spectrum,
+        von_mangoldt_spectrum,
+    )
+    from ffchar.residue import Modulus
+
+    modulus = Modulus(Poly.from_string(Field.of_order(q), Q))
+    spectra = {j: prime_sum_spectrum(modulus, j) for j in range(1, k + 1)}
+    ls = build_all_lpolynomials(modulus) if identity else {}
+    lines = ["chi,k,abs_sum,bound,ratio,identity_err"]
+    for c, label in enumerate(character_labels(modulus)[1:], start=1):
+        field = f'"{label}"' if "," in label else label
+        for j in range(1, k + 1):
+            mag, bound = float(np.abs(spectra[j][c])), prime_sum_bound(modulus, j)
+            err = ""
+            if identity:
+                err = repr(abs(complex(von_mangoldt_spectrum(modulus, j, spectra)[c]) + inverse_root_power_sum(ls[c], j)))
+            lines.append(f"{field},{j},{mag!r},{bound!r},{mag / bound!r},{err}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("identity", [False, True])
+def test_primes_bound_csv_matches_per_row_oracle(tmp_path, monkeypatch, capsys, identity):
+    from ffchar import cli, experiments
+
+    argv = ["primes-bound", "--q", "3", "--n", "3", "--Q", "t^3+2t", "--k", "6", "--format", "csv"]
+    argv += ["--identity"] * identity
+    want = primes_bound_rows(3, "t^3+2t", 6, identity)
+    assert '"chi[0,0,1]",1,' in want
+    # 7 characters x 6 degrees in blocks of 3 characters, written 5 rows at a time
+    for block, chunk in ((cli.PRIMES_BOUND_BLOCK, experiments.ROW_CHUNK), (3, 5)):
+        monkeypatch.setattr(cli, "PRIMES_BOUND_BLOCK", block)
+        monkeypatch.setattr(experiments, "ROW_CHUNK", chunk)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+        out = tmp_path / f"pb{block}.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_text() == want
 
 
 # recorded when `sieve` still built its modulus once per report
@@ -297,7 +382,7 @@ def test_sieve_builds_one_dlog_table(monkeypatch, capsys):
         ("main-thm --q 2 --n-list 5 --d 3..5 --r 2..5 --format csv --workers 2 --out grid.csv", 0),
         ("primes-bound --q 2 --n 4 --k 3 --identity --format csv", 0),
         ("density --q 2 --n 5 --d 0", 2),
-        ("density --q 2 --n 5 --d 12 --budget 100", 3),
+        ("density --q 2 --n 13 --d 12 --budget 100", 3),
         ("main-thm --q 2 --n-list 5 --d 4 --r 2 --budget 3 --format human --out g.csv", 3),
     ],
 )

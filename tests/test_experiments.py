@@ -442,6 +442,59 @@ def test_block_chunks_split_at_row_chunk_edges():
         assert all(c.endswith("\n") and j.endswith("\n") for c, j in chunks)
 
 
+def vals_block(vals: np.ndarray, chi: np.ndarray, corollary: bool = False, flags: str = "") -> ComboBlock:
+    """A block whose float columns are all drawn from vals."""
+    a = np.empty(vals.size, dtype=np.complex128)
+    a.real, a.imag = vals, vals[::-1]
+    Q = "t^13+t^4+t^3+t+1"
+    return ComboBlock(
+        q=2, n=13, Q=Q, Q_json=json.dumps(Q), d=10, r=4, flags=flags, corollary=corollary,
+        bound_core=3.5, eps=0.25, chi=chi, a=a, s=np.conj(a[::-1]), lhs=vals, short=vals[::-1].copy(),
+    )
+
+
+def test_text_memo_keys_int_and_float_columns_apart():
+    ints = np.arange(1, 9, dtype=np.int64)
+    floats = ints.view(np.float64)  # the same bytes: subnormals 5e-324, 1e-323, ...
+    memo = experiments._TextMemo()
+    memo.next_block()
+    assert memo(ints) == ([str(k) for k in range(1, 9)],) * 2
+    assert memo(floats) == ([repr(x) for x in floats.tolist()],) * 2
+    memo.next_block()
+    assert memo(floats)[0] == [repr(x) for x in floats.tolist()]
+    assert memo(ints)[0] == [str(k) for k in range(1, 9)]
+    # blocks in turn whose chi column has the bytes of the other block's float columns
+    n = 40
+    chi = np.arange(1, n + 1, dtype=np.int64)
+    for block in (vals_block(chi.view(np.float64), chi), vals_block(chi.view(np.float64).copy(), chi + 0)) * 2:
+        assert joined(block.chunks(memo=memo)) == oracle_texts(block)
+
+
+def test_short_block_after_full_blocks_matches_oracle():
+    """Blocks of ROW_CHUNK rows, of fewer, and of a full chunk plus a short one, through one memo."""
+    R = experiments.ROW_CHUNK
+    rng = np.random.default_rng(1412)
+    memo = experiments._TextMemo()
+    for n in (R, R, R - 1, 2 * R + 5, 3, 3, R + 1, 1):
+        vals = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 6, n)
+        for corollary, flags in ((False, ""), (True, "out_of_range"), (False, "out_of_range")):
+            block = vals_block(vals, np.arange(1, n + 1, dtype=np.int64), corollary, flags)
+            chunks = list(block.chunks(memo=memo))
+            assert joined(chunks) == oracle_texts(block)
+            rows = [min(R, n - lo) for lo in range(0, n, R)]
+            assert [(c.count("\n"), j.count("\n")) for c, j in chunks] == [(m, m) for m in rows]
+
+
+def test_row_chunks_layout():
+    R = experiments.ROW_CHUNK
+    n = R + 2
+    texts = [str(i) for i in range(n)]
+    chunks = list(experiments.row_chunks(("<", "", texts, "|", "-", texts, ">\n"), n))
+    assert chunks == ["".join(f"<{i}|-{i}>\n" for i in range(lo, min(lo + R, n))) for lo in (0, R)]
+    assert list(experiments.row_chunks((), n)) == ["", ""]
+    assert list(experiments.row_chunks(("x\n",), 0)) == []
+
+
 def check_float_texts(col: np.ndarray):
     """float_texts against the repr oracle, and its JSON spelling against json.dumps."""
     vals = col.tolist()
