@@ -36,6 +36,7 @@ from .vecpoly import max_degree_profile_cached
 
 __all__ = [
     "Character",
+    "check_int64_counts",
     "dlog_histogram",
     "unit_dlog_histogram",
     "dual_group_sums",
@@ -88,26 +89,22 @@ def dlog_histogram(modulus: Modulus, d: int, r: Optional[int] = None, workers: i
     chunks of at most `HIST_CHUNK` polynomials; each chunk's dlogs are kept
     where the factor-degree profile is <= r and bincounted.  `workers`
     chunks run at once, and their histograms are added in chunk order as
-    they finish.  Cached per (modulus, d, r); exact integers, so the
-    chunking and the worker count cannot change the result.
+    they finish.  Exact integers, so the chunking and the worker count
+    cannot change the result.  Nothing is kept: a caller that needs the
+    histogram twice passes it on.
     """
     if d < 0:
         raise ValueError(f"degree must be >= 0, got d = {d}")
-    if modulus.field.q**d > np.iinfo(np.int64).max:
-        raise ValueError(f"A_{d} holds q^d = {modulus.field.q**d} polynomials, too many for int64 counts")
+    check_int64_counts(modulus.field.q, d)
     if r is not None and r >= d:
         r = None
-    key = ("hist", d, r)
-    if key in modulus._hist_cache:
-        return modulus._hist_cache[key]
     order = residue.dense_group_order(modulus)
     q, n = modulus.field.q, modulus.n
     if r is None and d >= n:
         # every block of q^n consecutive codes shares its high part, so it is a
         # complete residue system mod Q: A_d hits each unit exactly q^(d-n) times
         per_unit = q ** (d - n)
-        modulus._hist_cache[key] = (np.full(order, per_unit, dtype=np.int64), q**d - order * per_unit)
-        return modulus._hist_cache[key]
+        return np.full(order, per_unit, dtype=np.int64), q**d - order * per_unit
     table = modulus.dlog_table
     total = q**d
     profile = None if r is None else max_degree_profile_cached(modulus.field, d)
@@ -125,8 +122,13 @@ def dlog_histogram(modulus: Modulus, d: int, r: Optional[int] = None, workers: i
     for h, nu in _run_chunks(work, range(0, total, HIST_CHUNK), workers):
         hist += h
         nonunits += nu
-    modulus._hist_cache[key] = (hist, nonunits)
     return hist, nonunits
+
+
+def check_int64_counts(q: int, d: int) -> None:
+    """Refuse a degree whose q^d polynomials int64 histogram counts cannot hold."""
+    if q**d > np.iinfo(np.int64).max:
+        raise ValueError(f"A_{d} holds q^d = {q**d} polynomials, too many for int64 counts")
 
 
 def _run_chunks(work, starts: range, workers: int):

@@ -217,9 +217,9 @@ def cmd_primes_bound(args) -> int:
 
 def cmd_smooth_count(args) -> int:
     """Exact N(d, r) with the q^d rho(d/r) prediction; optional enumeration check."""
-    from .smooth import default_dickman_table, smooth_count_by_enumeration, soundararajan_check
+    from .smooth import SoundararajanReport, default_dickman_table, smooth_count_by_enumeration, soundararajan_check
 
-    rows = ["d,r,N_exact,qd_rho,ratio,normalized_exponent"]
+    rows = [SoundararajanReport.CSV_HEADER]
     ok = True
     cells = [
         (d, r) for d in _parse_range(args.d) for r in (range(1, d + 1) if args.r is None else _parse_range(args.r)) if r <= d
@@ -394,16 +394,12 @@ def cmd_density(args) -> int:
 
 def cmd_sieve(args) -> int:
     """S_m congruence counts, T, and the character identity cross-check."""
-    from .primitive import density_experiment, sieve_quantities
+    from .primitive import sieve_quantities
 
-    modulus = _modulus(args)  # one dlog table and A_d histogram serve both reports
-    rep = sieve_quantities(args.q, args.n, args.d, Q=modulus, c1=args.c1, c2=args.c2, workers=args.workers)
-    dens = density_experiment(args.q, args.n, args.d, Q=modulus, workers=args.workers)
-    ok = rep.T == dens.count and rep.char_identity_max_err <= 1e-6
+    rep = sieve_quantities(args.q, args.n, args.d, c1=args.c1, c2=args.c2, workers=args.workers)
+    ok = rep.T == rep.primitive_count_direct and rep.char_identity_max_err <= 1e-6
     if args.format == "json":
-        j = rep.to_json()
-        j["primitive_count_direct"] = dens.count
-        _emit([json.dumps(j, sort_keys=True)], args.out)
+        _emit([json.dumps(rep.to_json(), sort_keys=True)], args.out)
     elif args.format == "csv":
         rows = ["m,S_m,A_over_m"]
         for m, v in sorted(rep.S.items()):
@@ -415,7 +411,7 @@ def cmd_sieve(args) -> int:
             [
                 f"q={rep.q} n={rep.n} d={rep.d} Q={rep.Q_text}, radical(N-1)={rep.radical}",
                 *(f"S_{m} = {v}  (A/m = {rep.A / m:.3f})" for m, v in sorted(rep.S.items())),
-                f"T = {rep.T}, direct primitive count = {dens.count}",
+                f"T = {rep.T}, direct primitive count = {rep.primitive_count_direct}",
                 f"max |S_m - (1/m) sum A(d,chi)| = {rep.char_identity_max_err:.3e} (tol 1e-6)",
                 f"B observed = {float(rep.B_observed)!r}, q^d eps = {rep.eps_B!r}, within: {rep.B_within_eps}",
                 *(

@@ -53,7 +53,7 @@ from typing import Callable, Iterator, Optional, TextIO, Union
 import numpy as np
 
 from .algebra import Field
-from .characters import all_char_sums_Ad
+from .characters import all_char_sums_Ad, check_int64_counts
 from .primitive import epsilon_bound
 from .residue import Modulus, dense_group_order
 from .smooth import all_smooth_char_sums, smooth_count
@@ -440,11 +440,15 @@ def _select_indices(cfg: ExperimentConfig, order: int, key: str, ranking: np.nda
 
 def _grid_run(cfg: ExperimentConfig, corollary: bool) -> GridRunResult:
     cfg.validate()
-    # a q that is not a prime power, an n with no modulus or a unit group above
-    # the dense limit raises ValueError here, before the sink writes anything
+    # a q that is not a prime power, an n with no modulus, a unit group above
+    # the dense limit or a combo within budget whose q^d int64 counts cannot
+    # hold raises ValueError here, before the sink writes anything
     moduli = {(q, n): Modulus.irreducible(Field.of_order(q), n) for q in cfg.qs for n in cfg.ns}
-    for modulus in moduli.values():
+    for (q, n), modulus in moduli.items():
         dense_group_order(modulus)
+        for d in cfg.ds:
+            if any(r <= d and _combo_work(q, n, d, r) <= cfg.budget for r in cfg.rs):
+                check_int64_counts(q, d)
     sink = _Sink(cfg)
     result = GridRunResult()
     for q in cfg.qs:
@@ -467,7 +471,7 @@ def _grid_run(cfg: ExperimentConfig, corollary: bool) -> GridRunResult:
                         print(f"skipping {key}: out of theorem range", file=sys.stderr)
                         result.skipped.append((key, "out_of_range"))
                         continue
-                    work = q**d + smooth_count(q, d, r)
+                    work = _combo_work(q, n, d, r)
                     if work > cfg.budget:
                         print(
                             f"skipping {key}: work estimate {work} exceeds budget {cfg.budget}",
@@ -508,6 +512,13 @@ def _grid_run(cfg: ExperimentConfig, corollary: bool) -> GridRunResult:
                     sink.write_combo(key, block)
                     result.add(block)
     return result
+
+
+def _combo_work(q: int, n: int, d: int, r: int) -> int:
+    """Polynomials a combo enumerates: none at d >= n, r >= d (the closed form), else q^d + N(d, r)."""
+    if d >= n and r >= d:
+        return 0
+    return q**d + smooth_count(q, d, r)
 
 
 def run_main_theorem_grid(cfg: ExperimentConfig) -> GridRunResult:

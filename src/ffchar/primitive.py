@@ -21,7 +21,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .algebra import Field, Poly
-from .characters import all_char_sums_Ad, unit_dlog_histogram
+from .characters import dual_group_sums, unit_dlog_histogram
 from .intfact import FactoredInteger, factor_integer, mobius
 from .residue import Modulus, is_primitive
 from .smooth import dickman_rho
@@ -105,8 +105,7 @@ class IndicatorReport:
 
     The principal character sums the unit count of A_d, which is q^d only
     while d < n; main_term uses the exact unit count so the decomposition
-    identity is exact for every d, and main_term_qd_form keeps the q^d shape
-    for the d < n regime.
+    identity is exact for every d.
     """
 
     q: int
@@ -120,7 +119,6 @@ class IndicatorReport:
     direct_count_Ad: Optional[int] = None
     unit_count_Ad: Optional[int] = None
     main_term: Optional[Fraction] = None  # unit_count * phi / (N-1)
-    main_term_qd_form: Optional[Fraction] = None  # q^d * phi / (N-1)
     correction: Optional[float] = None
 
     @property
@@ -128,12 +126,6 @@ class IndicatorReport:
         if self.d is None:
             return None
         return abs(float(self.main_term) + self.correction - self.direct_count_Ad)
-
-    @property
-    def decomposition_error_qd_form(self) -> Optional[float]:
-        if self.d is None:
-            return None
-        return abs(float(self.main_term_qd_form) + self.correction - self.direct_count_Ad)
 
 
 def primitivity_indicator_check(modulus: Modulus, d: Optional[int] = None) -> IndicatorReport:
@@ -183,8 +175,8 @@ def primitivity_indicator_check(modulus: Modulus, d: Optional[int] = None) -> In
     if d is None:
         return rep
     # decomposition summed over A_d
-    sums = all_char_sums_Ad(modulus, d)
     hist, _ = unit_dlog_histogram(modulus, d)
+    sums = dual_group_sums(modulus, hist)
     unit_count = int(hist.sum())
     total = 0j
     correction = 0j  # nonprincipal character contributions only
@@ -192,29 +184,30 @@ def primitivity_indicator_check(modulus: Modulus, d: Optional[int] = None) -> In
         mu = mobius(factor_integer(m))
         if mu == 0:
             continue
-        stride = order // m
-        inner = sum(sums[(i * stride) % order] for i in range(m))
+        inner = _sum_chi_m_principal(sums, m)
         total += (mu / m) * inner
         if m > 1:
             inner_np = inner - sums[0]  # drop the principal term
             correction += (mu / m) * inner_np
     rep.d = d
     rep.total_over_Ad = float(total.real)
-    rep.direct_count_Ad = _primitive_count_over_Ad(modulus, d, fact)
+    rep.direct_count_Ad = _primitive_count(hist)
     rep.unit_count_Ad = unit_count
     rep.main_term = Fraction(unit_count) * Fraction(fact.phi, order)
-    rep.main_term_qd_form = Fraction(field.q**d) * Fraction(fact.phi, order)
     rep.correction = float(correction.real)
     return rep
 
 
-def _primitive_count_over_Ad(modulus: Modulus, d: int, fact: FactoredInteger, workers: int = 1) -> int:
-    """|Q(d)|: primitive f in A_d, counted from the dlog histogram."""
-    hist, _ = unit_dlog_histogram(modulus, d, workers)
-    order = modulus.unit_group.group_order
-    js = np.arange(order, dtype=np.int64)
-    coprime = np.gcd(js, order) == 1
-    return int(hist[coprime].sum())
+def _primitive_count(hist: np.ndarray) -> int:
+    """|Q(d)|: the units a dlog histogram of a cyclic group counts at dlogs prime to its order."""
+    order = len(hist)
+    return int(hist[np.gcd(np.arange(order, dtype=np.int64), order) == 1].sum())
+
+
+def _sum_chi_m_principal(sums: np.ndarray, m: int) -> complex:
+    """`sums` over the m characters with chi^m principal (m | N-1): indices i (N-1)/m, i < m, left to right."""
+    stride = len(sums) // m
+    return sum(sums[i * stride] for i in range(m))
 
 
 def _modulus_of(q: int, n: int, Q: Union[Poly, Modulus, None]) -> Modulus:
@@ -297,18 +290,18 @@ def density_experiment(
     report pairs the observed deviation with the epsilon bound and with the
     exact character-sum bound 2^omega max |A(d, chi)| / q^d from the
     indicator decomposition.  Q given as a Modulus shares its dlog table
-    and histograms with the caller.
+    with the caller.
     """
     modulus = _modulus_of(q, n, Q)
     order = q**n - 1
     fact = factor_integer(order)
-    count = _primitive_count_over_Ad(modulus, d, fact, workers)
     hist, _ = unit_dlog_histogram(modulus, d, workers)
+    count = _primitive_count(hist)
     unit_count = int(hist.sum())
     density = Fraction(count, q**d)
     target = Fraction(fact.phi, order)
     deviation = abs(density - target)
-    sums = all_char_sums_Ad(modulus, d, workers)
+    sums = dual_group_sums(modulus, hist)
     max_norm = float(np.max(np.abs(sums[1:])) / q**d) if order > 1 else 0.0
     eb = best_epsilon_bound(q, d, n, C2, C3)
     omega = fact.omega
@@ -350,6 +343,7 @@ class SieveReport:
     radical: int
     S: dict[int, int]  # m | radical -> count of units with dlog = 0 mod m
     T: int  # units with gcd(dlog, radical) = 1
+    primitive_count_direct: int  # units with gcd(dlog, N-1) = 1
     A: int  # q^d
     B_observed: Fraction  # max_m |S_m - A/m|
     char_identity_max_err: float  # S_m vs (1/m) sum_{chi^m principal} A(d, chi)
@@ -367,6 +361,7 @@ class SieveReport:
             "radical": self.radical,
             "S": {str(m): v for m, v in self.S.items()},
             "T": self.T,
+            "primitive_count_direct": self.primitive_count_direct,
             "A": self.A,
             "B_observed": f"{self.B_observed.numerator}/{self.B_observed.denominator}",
             "B_observed_float": float(self.B_observed),
@@ -390,8 +385,9 @@ def sieve_quantities(
     """Exact S_m for every m dividing the radical of N-1, plus T, A, B.
 
     Gamma = A_d, U = dlog to the canonical generator, W = 1.  T must equal
-    the direct primitive count; each S_m is checked against the character
-    identity S_m = (1/m) sum over chi with chi^m principal of A(d, chi).
+    the direct primitive count, read off the same histogram; each S_m is
+    checked against the character identity S_m = (1/m) sum over chi with
+    chi^m principal of A(d, chi).
     The sieve lower bound is evaluated only with caller-supplied constants.
     Q is taken as in `density_experiment`.
     """
@@ -407,14 +403,8 @@ def sieve_quantities(
     T = int(hist[np.gcd(js, radical) == 1].sum())
     A = q**d
     B_obs = max(abs(Fraction(A, m) - S[m]) for m in S)
-    sums = all_char_sums_Ad(modulus, d, workers)
-    max_err = 0.0
-    for m in S:
-        stride = order // math.gcd(order, m)
-        # chi with chi^m principal: exponents k with k*m = 0 mod order
-        k_count = order // stride
-        ident = sum(sums[(i * stride) % order] for i in range(k_count)) / m
-        max_err = max(max_err, abs(ident - S[m]))
+    sums = dual_group_sums(modulus, hist)
+    max_err = max(abs(_sum_chi_m_principal(sums, m) / m - S[m]) for m in S)
     eb = best_epsilon_bound(q, d, n)
     lower = None
     if c1 is not None and c2 is not None:
@@ -428,6 +418,7 @@ def sieve_quantities(
         radical=radical,
         S=S,
         T=T,
+        primitive_count_direct=_primitive_count(hist),
         A=A,
         B_observed=B_obs,
         char_identity_max_err=float(max_err),

@@ -85,7 +85,6 @@ class Modulus:
         self.kind: str = (
             "irreducible" if len(self.irreducible_factors) == 1 else "squarefree-composite"
         )
-        self._hist_cache: dict = {}
 
     @classmethod
     def irreducible(cls, field: Field, n: int) -> "Modulus":
@@ -252,7 +251,6 @@ class DlogTable:
         self.modulus = modulus
         self.units = modulus.unit_group
         self.logs = [power_tables(c.poly, c.generator, c.order)[1] for c in self.units.components]
-        self._irreducible_dlogs: dict[int, np.ndarray] = {}
 
     def dlogs_of_monic_degree(self, d: int, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
         """Flat dlog of (f mod Q) for the monic degree-d stream slice [start, stop).
@@ -279,8 +277,7 @@ class DlogTable:
         """Flat dlogs of the monic irreducibles of degree k, in code order; -1 where P divides Q.
 
         I_k is the slots where the degree-k factor-degree profile holds k
-        (`vecpoly.max_degree_profile_cached`).  Cached per k, since these
-        drive both prime and von Mangoldt sums.  A degree whose q^k monic
+        (`vecpoly.max_degree_profile_cached`).  A degree whose q^k monic
         polynomials exceed `FULL_TABLE_LIMIT` is refused before the profile
         or the dlog stream is allocated.
         """
@@ -291,10 +288,8 @@ class DlogTable:
             raise ValueError(
                 f"degree k = {k} has q^k = {size} monic polynomials, above the dense table limit {FULL_TABLE_LIMIT}"
             )
-        if k not in self._irreducible_dlogs:
-            profile = max_degree_profile_cached(self.modulus.field, k)
-            self._irreducible_dlogs[k] = self.dlogs_of_monic_degree(k)[profile == k]
-        return self._irreducible_dlogs[k]
+        profile = max_degree_profile_cached(self.modulus.field, k)
+        return self.dlogs_of_monic_degree(k)[profile == k]
 
     def _component_dlogs(self, idx: int, d: int, start: int, stop: int) -> np.ndarray:
         """Component-idx dlog of (f mod Q_i) over the slice, -1 where Q_i divides f."""

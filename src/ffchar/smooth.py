@@ -198,8 +198,6 @@ class DickmanTable:
     marches all of them at construction (`march_dickman_panels`).
     """
 
-    panel_length = 1.0
-
     def __init__(self, u_max: int = 30):
         if u_max < 1:
             raise ValueError(f"u_max must be >= 1, got {u_max}")
@@ -292,11 +290,11 @@ class SoundararajanReport:
     normalized_exponent: Optional[float]  # log_q(ratio) * r^2 / (d log d)
     in_range: bool  # log_q(d log^2 d) <= r <= d
 
+    CSV_HEADER = "d,r,N_exact,qd_rho,ratio,normalized_exponent"  # the columns of csv_row
+
     def csv_row(self) -> str:
         ne = "" if self.normalized_exponent is None else repr(self.normalized_exponent)
         return f"{self.d},{self.r},{self.n_exact},{self.prediction!r},{self.ratio!r},{ne}"
-
-    CSV_HEADER = "d,r,N_exact,qd_rho,ratio,normalized_exponent"
 
 
 def soundararajan_check(q: int, d: int, r: int, table: Optional[DickmanTable] = None) -> SoundararajanReport:

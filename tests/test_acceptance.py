@@ -6,6 +6,7 @@ to see the per-criterion lines.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -185,7 +186,8 @@ def test_criterion_7_primitivity_indicator():
         rep = primitivity_indicator_check(m, d=d)
         worst_unit = max(worst_unit, rep.max_unit_deviation)
         worst_total = max(worst_total, abs(rep.total_over_Ad - rep.direct_count_Ad))
-        worst_decomp = max(worst_decomp, rep.decomposition_error_qd_form)
+        main_term_qd_form = Fraction(rep.q**rep.d) * Fraction(rep.phi, rep.group_order)
+        worst_decomp = max(worst_decomp, abs(float(main_term_qd_form) + rep.correction - rep.direct_count_Ad))
     ok = worst_unit <= 1e-9 and worst_total <= 1e-6 and worst_decomp <= 1e-6
     report(
         7,

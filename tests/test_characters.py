@@ -246,9 +246,7 @@ def test_bulk_fft_sums_match_exact_phase_path():
 def test_histograms_worker_invariant():
     m = Modulus.irreducible(F2, 5)
     for d in (3, 6):
-        m._hist_cache.clear()
         h1, nu1 = unit_dlog_histogram(m, d, workers=1)
-        m._hist_cache.clear()
         h8, nu8 = unit_dlog_histogram(m, d, workers=8)
         assert np.array_equal(h1, h8)
         assert nu1 == nu8
@@ -308,7 +306,6 @@ def test_histograms_chunk_and_worker_invariant(monkeypatch):
         want = unit_dlog_histogram(m, d)
         for chunk, workers in [(7, 1), (7, 3), (64, 2), (1, 4)]:
             monkeypatch.setattr(characters, "HIST_CHUNK", chunk)
-            m._hist_cache.clear()
             got = unit_dlog_histogram(m, d, workers=workers)
             assert np.array_equal(got[0], want[0])
             assert got[1] == want[1]

@@ -301,6 +301,77 @@ def test_density_budget_counts_only_enumerated_polynomials(capsys):
     assert "q^d = 6561 exceeds the work budget 1000" in capsys.readouterr().err
 
 
+def test_grid_budget_charges_only_enumerated_polynomials(capsys):
+    """A d >= n, r = d combo takes the closed-form histogram and enumerates nothing, so it is charged nothing."""
+    assert main("main-thm --q 2 --n-list 5 --d 24 --r 24 --format csv".split()) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 1 + 30  # the header, then one row per non-principal character
+    assert captured.err == ""
+    # r < d enumerates the smooth slice of A_24: still charged q^d + N(d, r)
+    assert main("main-thm --q 2 --n-list 5 --d 24 --r 23 --format csv".split()) == 3
+    assert "exceeds budget 10000000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", [[], ["--budget", str(10**24)]])
+def test_grid_refuses_int64_overflow_before_output(tmp_path, monkeypatch, capsys, budget):
+    monkeypatch.chdir(tmp_path)
+    argv = ["main-thm", "--q", "2", "--n-list", "5", "--d", "64", "--r", "64", "--format", "csv", *budget]
+    for out in ([], ["--out", "grid.csv"]):
+        assert main(argv + out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: A_64 holds q^d = 18446744073709551616 polynomials")
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv,q,d",
+    [
+        ("density --q 3 --n 7 --d 6 --format json", 3, 6),
+        ("sieve --q 2 --n 12 --d 9 --format json", 2, 9),
+        ("indicator --q 2 --n 8 --d 6", 2, 6),
+    ],
+)
+def test_primitive_subcommands_enumerate_Ad_once(monkeypatch, capsys, argv, q, d):
+    """One A_d histogram per report: its slices cover the q^d polynomials exactly once."""
+    from ffchar import primitive
+    from ffchar.residue import DlogTable
+
+    slices, hists = [], []
+    real_slice, real_hist = DlogTable.dlogs_of_monic_degree, primitive.unit_dlog_histogram
+
+    def counted_slice(self, deg, start=0, stop=None):
+        got = real_slice(self, deg, start, stop)
+        slices.append((deg, len(got)))
+        return got
+
+    def counted_hist(*args, **kwargs):
+        hists.append(args[1])
+        return real_hist(*args, **kwargs)
+
+    monkeypatch.setattr(DlogTable, "dlogs_of_monic_degree", counted_slice)
+    monkeypatch.setattr(primitive, "unit_dlog_histogram", counted_hist)
+    assert main(argv.split()) == 0
+    assert {deg for deg, _ in slices} == {d}
+    assert sum(size for _, size in slices) == q**d
+    assert hists == [d]
+
+
+def test_primes_bound_reads_each_degree_once(monkeypatch, capsys):
+    from ffchar.residue import DlogTable
+
+    degrees = []
+    real = DlogTable.irreducible_dlogs
+
+    def counted(self, k):
+        degrees.append(k)
+        return real(self, k)
+
+    monkeypatch.setattr(DlogTable, "irreducible_dlogs", counted)
+    assert main("primes-bound --q 2 --n 6 --k 6 --identity --format csv".split()) == 0
+    assert sorted(degrees) == [1, 2, 3, 4, 5, 6]
+
+
 def primes_bound_rows(q: int, Q: str, k: int, identity: bool) -> str:
     """The primes-bound CSV one row at a time: per character, per degree, each value formatted on its own."""
     from ffchar.characters import character_labels

@@ -215,10 +215,14 @@ def test_worker_count_does_not_change_bytes(tmp_path):
 def test_budget_skips_with_notice(tmp_path, capsys):
     cfg = small_cfg(tmp_path, budget=10)
     res = run_main_theorem_grid(cfg)
-    assert res.n_records == 0
-    assert (tmp_path / "grid.csv").read_text() == CSV_HEADER + "\n"
-    assert res.skipped
-    assert all(reason == "budget" for _, reason in res.skipped)
+    # every combo enumerates more than 10 polynomials but d = r = n = 5, which takes
+    # the closed-form histogram and is charged nothing
+    want = [f"q=2;n=5;d={d};r={r}" for d in (3, 4, 5) for r in (2, 3, 4, 5) if r <= d and (d, r) != (5, 5)]
+    assert res.skipped == [(key, "budget") for key in want]
+    assert res.n_records == 30
+    rows = (tmp_path / "grid.csv").read_text().splitlines()
+    assert rows[0] == CSV_HEADER and len(rows) == 31
+    assert all(row.split(",")[4:6] == ["5", "5"] for row in rows[1:])
     assert "exceeds budget" in capsys.readouterr().err
 
 

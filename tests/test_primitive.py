@@ -88,7 +88,8 @@ def test_indicator_qd_form_below_n():
         m = Modulus.irreducible(F2, n)
         rep = primitivity_indicator_check(m, d=d)
         assert rep.unit_count_Ad == 2**d
-        assert rep.decomposition_error_qd_form < 1e-6
+        main_term_qd_form = Fraction(rep.q**rep.d) * Fraction(rep.phi, rep.group_order)
+        assert abs(float(main_term_qd_form) + rep.correction - rep.direct_count_Ad) < 1e-6
 
 
 def test_indicator_direct_count_against_bruteforce():

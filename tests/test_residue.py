@@ -197,7 +197,6 @@ def test_irreducible_dlogs_match_scalar_route():
         for k in range(1, m.n + 4):
             got = t.irreducible_dlogs(k)
             assert got.tolist() == [flat_dlog(t, P) for P in irr[k - 1]], (text, k)
-            assert t.irreducible_dlogs(k) is got  # cached per k
 
 
 def test_table_above_the_limit_is_refused(monkeypatch, capsys):
