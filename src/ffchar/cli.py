@@ -44,7 +44,7 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_PIPE = 141
 
-PRIMES_BOUND_BLOCK = 4096  # characters whose primes-bound rows are formatted together
+CHAR_BLOCK = 4096  # characters whose weil or primes-bound rows are formatted together
 
 
 def _env(name: str, cast, fallback):
@@ -109,34 +109,53 @@ def _modulus(args):
 
 def cmd_weil(args) -> int:
     """Root-modulus dichotomy |alpha| in {1, sqrt q} for every non-principal chi."""
-    from .lfun import build_all_lpolynomials, verify_weil
+    from .characters import character_labels
+    from .experiments import float_texts, row_chunks
+    from .lfun import WEIL_CLASSES, inverse_roots, lpolynomial_coeffs, weil_classes
 
     modulus = _modulus(args)
-    ls = build_all_lpolynomials(modulus, args.workers)
-    rows = ["chi,re,im,modulus,class,residual"]
-    jrecs = []
-    worst = 0.0
-    ok = True
-    for k in sorted(ls):
-        rep = verify_weil(ls[k], args.tol)
-        ok &= rep.passed
-        worst = max(worst, rep.max_deviation)
-        jrecs.append(rep.to_json_record(ls[k].coeffs))
-        label = _csv_label(rep.chi_label)
-        for root in rep.roots:
-            rows.append(
-                f"{label},{root['re']!r},{root['im']!r},{root['modulus']!r},{root['class']},{rep.residuals!r}"
+    L = inverse_roots(lpolynomial_coeffs(modulus, args.workers))
+    roots = L.flat_roots()
+    mod, cls, dev = weil_classes(roots, args.q, args.tol)
+    ok = not (cls == WEIL_CLASSES.index("violation")).any()
+    labels = character_labels(modulus)[1:]
+    starts = np.concatenate(([0], np.cumsum(L.degree))).tolist()  # labels[c]'s roots: starts[c]:starts[c + 1]
+
+    def csv_rows():
+        """The CSV rows, a block of characters at a time, so only one block's column texts are alive."""
+        label_texts = np.array([_csv_label(label) + "," for label in labels], dtype=object)
+        class_texts = np.array([f",{c}," for c in WEIL_CLASSES], dtype=object)
+        residual_texts = np.array([t + "\n" for t in float_texts(L.residual)[0]], dtype=object)
+        for lo in range(0, len(labels), CHAR_BLOCK):
+            hi = min(lo + CHAR_BLOCK, len(labels))
+            part, degs = slice(starts[lo], starts[hi]), L.degree[lo:hi]
+            cols = (
+                np.repeat(label_texts[lo:hi], degs).tolist(), float_texts(roots.real[part])[0], ",",
+                float_texts(roots.imag[part])[0], ",", float_texts(mod[part])[0], class_texts[cls[part]].tolist(),
+                np.repeat(residual_texts[lo:hi], degs).tolist(),
             )
+            yield from row_chunks(cols, part.stop - part.start)
+
+    def json_lines():
+        pairs = np.stack([L.coeffs.real, L.coeffs.imag], axis=-1).tolist()
+        res, re, im, md, cl = (col.tolist() for col in (L.residual, roots.real, roots.imag, mod, cls))
+        for c, label in enumerate(labels):
+            recs = [
+                {"re": re[i], "im": im[i], "modulus": md[i], "class": WEIL_CLASSES[cl[i]]}
+                for i in range(starts[c], starts[c + 1])
+            ]
+            yield json.dumps({"chi": label, "coeffs": pairs[c], "residuals": res[c], "roots": recs}, sort_keys=True) + "\n"
+
     if args.format == "csv":
-        _emit(rows, args.out)
+        _emit_texts(itertools.chain(["chi,re,im,modulus,class,residual\n"], csv_rows()), args.out)
     elif args.format == "json":
-        _emit([json.dumps(r, sort_keys=True) for r in jrecs], args.out)
+        _emit_texts(json_lines(), args.out)
     else:
         _emit(
             [
-                f"q={args.q} n={modulus.n} Q={modulus.poly}: {len(ls)} non-principal characters",
+                f"q={args.q} n={modulus.n} Q={modulus.poly}: {len(labels)} non-principal characters",
                 f"root moduli allowed: 1 or sqrt(q)={math.sqrt(args.q):.6f}, tolerance {args.tol}",
-                f"max deviation observed: {worst:.3e}  ->  {'PASS' if ok else 'FAIL'}",
+                f"max deviation observed: {float(dev.max(initial=0.0)):.3e}  ->  {'PASS' if ok else 'FAIL'}",
             ],
             args.out,
         )
@@ -147,18 +166,12 @@ def cmd_primes_bound(args) -> int:
     """|sum over irreducibles of degree k of chi(P)| vs (n+1) q^(k/2) / k."""
     from .characters import character_labels
     from .experiments import float_texts, row_chunks
-    from .lfun import (
-        build_all_lpolynomials,
-        inverse_root_power_sum,
-        prime_sum_bound,
-        prime_sum_spectrum,
-        von_mangoldt_spectrum,
-    )
+    from .lfun import inverse_roots, lpolynomial_coeffs, prime_sum_bound, prime_sum_spectrum, von_mangoldt_spectrum
 
     degrees = _prime_degrees(args.k)
     modulus = _modulus(args)
     order = modulus.unit_group.group_order
-    ls = build_all_lpolynomials(modulus, args.workers) if args.identity else {}
+    roots = inverse_roots(lpolynomial_coeffs(modulus, args.workers)) if args.identity else None
     # one DFT per degree, largest first: a degree above the dense limit is refused before any is built
     spectra = {k: prime_sum_spectrum(modulus, k) for k in reversed(degrees)}
     # row (j - 1) * len(degrees) + (k - 1) is character j at degree k
@@ -171,12 +184,7 @@ def cmd_primes_bound(args) -> int:
     errs = None
     if args.identity:
         errs = np.stack(
-            [
-                von_mangoldt_spectrum(modulus, k, spectra)[1:]
-                + np.array([inverse_root_power_sum(ls[j], k) for j in range(1, order)], dtype=np.complex128)
-                for k in degrees
-            ],
-            axis=1,
+            [von_mangoldt_spectrum(modulus, k, spectra)[1:] + roots.power_sums(k) for k in degrees], axis=1
         ).ravel()
         # np.hypot, not np.abs: it matches Python's abs(complex) to the last digit
         errs = np.hypot(errs.real, errs.imag)
@@ -189,8 +197,8 @@ def cmd_primes_bound(args) -> int:
         # the degree and its bound cycle with the row
         k_texts = [f"{k}," for k in degrees]
         bound_texts = [f",{b!r}," for b in bounds.tolist()]
-        for lo in range(0, order - 1, PRIMES_BOUND_BLOCK):
-            hi = min(lo + PRIMES_BOUND_BLOCK, order - 1)
+        for lo in range(0, order - 1, CHAR_BLOCK):
+            hi = min(lo + CHAR_BLOCK, order - 1)
             part = slice(lo * len(degrees), hi * len(degrees))
             cols = (
                 [label for label in labels[lo:hi] for _ in degrees], k_texts * (hi - lo),
@@ -446,7 +454,7 @@ def cmd_indicator(args) -> int:
     from .primitive import primitivity_indicator_check
 
     m = _modulus(args)
-    rep = primitivity_indicator_check(m, d=args.d)
+    rep = primitivity_indicator_check(m, d=args.d, workers=args.workers)
     ok = rep.max_unit_deviation <= 1e-9
     if args.d is not None:
         ok = ok and rep.decomposition_error <= 1e-6

@@ -43,7 +43,6 @@ output byte.
 from __future__ import annotations
 
 import json
-import math
 import os
 import random
 import sys
@@ -54,7 +53,7 @@ import numpy as np
 
 from .algebra import Field
 from .characters import all_char_sums_Ad, check_int64_counts
-from .primitive import epsilon_bound
+from .primitive import epsilon_bound, in_theorem_range
 from .residue import Modulus, dense_group_order
 from .smooth import all_smooth_char_sums, smooth_count
 
@@ -111,6 +110,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown character policy {self.char_policy!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        # r = 0 is refused here, before the sink opens, for every d
+        if min(self.rs) < 1:
+            raise ValueError("r must be >= 1")
         if self.char_policy == "sample-k" and self.sample_k < 1:
             raise ValueError(f"--sample-k must be >= 1, got {self.sample_k}")
 
@@ -309,11 +311,6 @@ def _combo_key(q: int, n: int, d: int, r: int) -> str:
     return f"q={q};n={n};d={d};r={r}"
 
 
-def _combo_flags(q: int, n: int, d: int, r: int) -> str:
-    in_range = 2 * math.log(n, q) <= r <= d <= n
-    return "" if in_range else "out_of_range"
-
-
 def _csv_row_key(line: str) -> str:
     # Q holds no comma, so the nine fields after it split off from the right
     head, _chi, d, r = line.rsplit(",", 9)[:4]
@@ -466,7 +463,7 @@ def _grid_run(cfg: ExperimentConfig, corollary: bool) -> GridRunResult:
                     if sink.combo_done(key):
                         result.resumed.append(key)
                         continue
-                    flags = _combo_flags(q, n, d, r)
+                    flags = "" if in_theorem_range(q, d, r, n) else "out_of_range"
                     if flags and not cfg.allow_out_of_range:
                         print(f"skipping {key}: out of theorem range", file=sys.stderr)
                         result.skipped.append((key, "out_of_range"))
@@ -515,9 +512,12 @@ def _grid_run(cfg: ExperimentConfig, corollary: bool) -> GridRunResult:
 
 
 def _combo_work(q: int, n: int, d: int, r: int) -> int:
-    """Polynomials a combo enumerates: none at d >= n, r >= d (the closed form), else q^d + N(d, r)."""
-    if d >= n and r >= d:
-        return 0
+    """Polynomials a combo is charged for: q^d + N(d, r) at r < d, where the r-smooth slice is enumerated.
+
+    At r >= d the slice is A_d itself: q^d below deg Q, nothing at d >= n (the closed form).
+    """
+    if r >= d:
+        return q**d if d < n else 0
     return q**d + smooth_count(q, d, r)
 
 

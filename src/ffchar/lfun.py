@@ -3,10 +3,15 @@
 The generating polynomial sum_m A(m, chi) z^m of a non-principal character
 mod Q (deg Q = n) has degree at most n-1; its inverse roots alpha_i, defined
 by the product form prod (1 - alpha_i z), all have modulus 1 or sqrt(q).
-This module builds the coefficients from the DFT sums of every character
-at once, extracts the inverse roots (companion-matrix eigenvalues of the
-reversed polynomial plus one Newton step each), and verifies the
-root-modulus dichotomy numerically.
+Every non-principal L-polynomial is one row of a single coefficient array,
+whose column m is the DFT of the A_m histogram (`lpolynomial_coeffs`).  The
+rows are grouped by numerical degree; each group's inverse roots are the
+eigenvalues of its stacked companion matrices, one `np.linalg.eigvals` per
+degree (in blocks of `ROOT_BLOCK` rows), polished by one Newton step
+(`inverse_roots`).  `weil_classes` sorts the root moduli into 1, sqrt(q)
+and violations, and the root power sums feed the log-derivative identity.
+No object is built per character: the per-character `np.roots` route is
+kept only as the tests' oracle.
 
 Also here: character sums over the irreducibles of degree k, with their
 (n+1) q^(k/2) / k bound, and von Mangoldt weighted sums (the logarithmic
@@ -27,143 +32,121 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import monic_irreducible_count
-from .characters import Character, all_char_sums_Ad, character_by_index, dual_group_sums, power_index
+from .characters import all_char_sums_Ad, dual_group_sums, power_index
 from .intfact import factor_integer
 from .residue import Modulus
 
 __all__ = [
-    "LPolynomial",
-    "WeilReport",
+    "InverseRoots",
     "MertensResult",
-    "lpolynomial",
-    "build_all_lpolynomials",
-    "verify_weil",
+    "WEIL_CLASSES",
+    "lpolynomial_coeffs",
+    "inverse_roots",
+    "weil_classes",
     "prime_sum_bound",
     "prime_sum_spectrum",
     "von_mangoldt_spectrum",
     "mertens_product",
-    "inverse_root_power_sum",
     "TRAILING_COEFF_TOL",
 ]
 
 TRAILING_COEFF_TOL = 1e-9  # |A(m, chi)| below this counts as an exact zero
+# rows whose companion matrices one eigvals call takes: 2048 of degree 13 stack to 5.5 MB
+ROOT_BLOCK = 2048
 
 
-@dataclass
-class LPolynomial:
-    """Coefficients A(0..n-1, chi), extracted inverse roots, and a residual witness."""
-
-    chi: Character
-    coeffs: np.ndarray  # complex128, length n = deg Q
-    inverse_roots: np.ndarray  # complex128, with multiplicity
-    root_residual: float  # max |L(1/alpha_i)| over the roots
-
-    @property
-    def degree(self) -> int:
-        """Numerical degree: trailing coefficients under the zero threshold dropped."""
-        return _numerical_degree(self.coeffs)
-
-    def eval_at(self, z: complex) -> complex:
-        acc = 0j
-        for c in self.coeffs[::-1]:
-            acc = acc * z + c
-        return acc
+def lpolynomial_coeffs(modulus: Modulus, workers: int = 1) -> np.ndarray:
+    """A(m, chi_k) in row k-1, column m, for every non-principal chi_k and m < n = deg Q: one DFT per m."""
+    return np.stack([all_char_sums_Ad(modulus, m, workers)[1:] for m in range(modulus.n)], axis=1)
 
 
-def _numerical_degree(coeffs: np.ndarray) -> int:
-    d = len(coeffs) - 1
-    while d > 0 and abs(coeffs[d]) < TRAILING_COEFF_TOL:
-        d -= 1
-    return d
+@dataclass(frozen=True)
+class InverseRoots:
+    """The inverse roots of a stack of L-polynomials, one row each.
 
-
-def lpolynomial(chi: Character, coeffs: np.ndarray) -> LPolynomial:
-    """The L-polynomial of chi from A(0..n-1, chi): trim to the numerical degree, extract roots."""
-    roots, residual = _extract_inverse_roots(coeffs[: _numerical_degree(coeffs) + 1])
-    return LPolynomial(chi, coeffs, roots, residual)
-
-
-def _extract_inverse_roots(coeffs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Inverse roots of sum c_m z^m (c_0 = 1) with one Newton step of polish.
-
-    They are the eigenvalue-roots of the reversed polynomial
-    R(w) = sum_m c_m w^(D-m); residual reported as max |L(1/alpha)|.
+    Row i of `coeffs` has numerical degree degree[i]; its roots are
+    roots[i, :degree[i]] (the rest of the row is 0) and its residual, max
+    |L(1/alpha)| over them, is residual[i] (0.0 without roots).
     """
-    D = len(coeffs) - 1
-    if D <= 0:
-        return np.zeros(0, dtype=np.complex128), 0.0
-    rev = np.asarray(coeffs, dtype=np.complex128)  # already highest w power first
-    roots = np.roots(rev)
-    dcoef = rev[:-1] * np.arange(D, 0, -1)
-    vals = np.polyval(rev, roots)
-    dvals = np.polyval(dcoef, roots)
-    step = np.where(np.abs(dvals) > 1e-12, vals / np.where(dvals == 0, 1, dvals), 0)
-    roots = roots - step
-    lvals = np.abs(np.polyval(rev, roots)) / np.maximum(np.abs(roots) ** D, 1e-300)
-    residual = float(lvals.max(initial=0.0))
-    return roots, residual
+
+    coeffs: np.ndarray
+    degree: np.ndarray
+    roots: np.ndarray
+    residual: np.ndarray
+
+    def flat_roots(self) -> np.ndarray:
+        """Every row's roots, row after row."""
+        return self.roots[np.arange(self.roots.shape[1]) < self.degree[:, None]]
+
+    def power_sums(self, k: int) -> np.ndarray:
+        """sum_i alpha_i^k over each row's roots, 0 where it has none."""
+        out = np.zeros(len(self.degree), dtype=np.complex128)
+        for D, rows in _degree_groups(self.degree):
+            # the live roots only: padding zeros would regroup numpy's pairwise sum and move last bits
+            out[rows] = (self.roots[rows, :D] ** k).sum(axis=1)
+        return out
 
 
-def build_all_lpolynomials(modulus: Modulus, workers: int = 1) -> dict[int, LPolynomial]:
-    """Every non-principal chi_k (k as in `character_by_index`) at once (DFT bulk path)."""
-    n = modulus.n
-    order = modulus.unit_group.group_order
-    rows = [all_char_sums_Ad(modulus, m, workers) for m in range(n)]
-    out = {}
-    for k in range(1, order):
-        coeffs = np.array([rows[m][k] for m in range(n)], dtype=np.complex128)
-        out[k] = lpolynomial(character_by_index(modulus, k), coeffs)
-    return out
+def _degree_groups(degree: np.ndarray):
+    """(D, rows of degree D) for each positive degree D present, ascending, at most ROOT_BLOCK rows at a time."""
+    for D in np.unique(degree[degree > 0]).tolist():
+        rows = np.flatnonzero(degree == D)
+        for lo in range(0, len(rows), ROOT_BLOCK):
+            yield D, rows[lo : lo + ROOT_BLOCK]
 
 
-@dataclass
-class WeilReport:
-    """Root-modulus verdict: every inverse root near modulus 1 or sqrt(q)."""
+def inverse_roots(coeffs: np.ndarray) -> InverseRoots:
+    """Inverse roots of each row sum_m c_m z^m (c_0 = 1), with one Newton step of polish.
 
-    chi_label: str
-    q: int
-    tol: float
-    roots: list[dict]  # {re, im, modulus, class}
-    residuals: float
-    max_deviation: float
-
-    @property
-    def passed(self) -> bool:
-        return all(r["class"] != "violation" for r in self.roots)
-
-    def to_json_record(self, coeffs=None) -> dict:
-        rec = {
-            "chi": self.chi_label,
-            "roots": self.roots,
-            "residuals": self.residuals,
-        }
-        if coeffs is not None:
-            rec["coeffs"] = [[float(c.real), float(c.imag)] for c in coeffs]
-        return rec
-
-
-def verify_weil(L: LPolynomial, tol: float = 1e-6) -> WeilReport:
-    """Check each inverse root modulus against {1, sqrt(q)} at the given tolerance.
-
-    Violations are reported, never raised: at these scales they would signal
-    numerical failure of the root extraction, not of the mathematics.
+    Trimmed to its numerical degree D (trailing coefficients under
+    `TRAILING_COEFF_TOL` dropped), a row's inverse roots are the roots of
+    the reversed polynomial R(w) = sum_m c_m w^(D-m), the eigenvalues of its
+    companion matrix: one stacked `np.linalg.eigvals` per degree, in blocks
+    of at most `ROOT_BLOCK` rows to bound memory.  The Newton step and the
+    residual evaluate R and R' by Horner's rule, row by row.
     """
-    q = L.chi.modulus.field.q
-    sq = math.sqrt(q)
-    roots = []
-    max_dev = 0.0
-    for a in L.inverse_roots:
-        mod = abs(a)
-        dev = min(abs(mod - 1.0), abs(mod - sq))
-        max_dev = max(max_dev, dev)
-        if abs(mod - 1.0) <= tol:
-            cls = "unit"
-        elif abs(mod - sq) <= tol:
-            cls = "sqrt_q"
-        else:
-            cls = "violation"
-        roots.append({"re": float(a.real), "im": float(a.imag), "modulus": float(mod), "class": cls})
-    return WeilReport(L.chi.label, q, tol, roots, L.root_residual, max_dev)
+    live = ~(np.hypot(coeffs.real, coeffs.imag) < TRAILING_COEFF_TOL)
+    degree = (live * np.arange(coeffs.shape[1])).max(axis=1, initial=0)
+    roots = np.zeros((len(coeffs), max(coeffs.shape[1] - 1, 0)), dtype=np.complex128)
+    residual = np.zeros(len(coeffs))
+    for D, rows in _degree_groups(degree):
+        rev = coeffs[rows, : D + 1]  # highest w power first
+        companion = np.zeros((len(rows), D, D), dtype=np.complex128)
+        companion[:, 0, :] = -rev[:, 1:] / rev[:, :1]
+        companion[:, np.arange(1, D), np.arange(D - 1)] = 1
+        r = np.linalg.eigvals(companion)
+        vals, dvals = _horner(rev, r), _horner(rev[:, :-1] * np.arange(D, 0, -1), r)
+        r = r - np.where(np.abs(dvals) > 1e-12, vals / np.where(dvals == 0, 1, dvals), 0)
+        lvals = np.abs(_horner(rev, r)) / np.maximum(np.abs(r) ** D, 1e-300)
+        roots[rows, :D], residual[rows] = r, lvals.max(axis=1)
+    return InverseRoots(coeffs, degree, roots, residual)
+
+
+def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Row i of coeffs (highest power first) evaluated at each point of row i of z."""
+    acc = np.zeros_like(z)
+    for j in range(coeffs.shape[1]):
+        acc = acc * z + coeffs[:, j, None]
+    return acc
+
+
+WEIL_CLASSES = ("unit", "sqrt_q", "violation")
+
+
+def weil_classes(roots: np.ndarray, q: int, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(modulus, class, deviation) of each inverse root.
+
+    The class indexes `WEIL_CLASSES`: within tol of 1, else within tol of
+    sqrt(q), else a violation.  Violations are reported, never raised: at
+    these scales they would signal numerical failure of the root
+    extraction, not of the mathematics.  The deviation is the distance to
+    the nearer of 1 and sqrt(q).  np.hypot, not np.abs: it matches Python's
+    abs(complex) to the last digit.
+    """
+    mod = np.hypot(roots.real, roots.imag)
+    off_one, off_sqrt_q = np.abs(mod - 1.0), np.abs(mod - math.sqrt(q))
+    cls = np.where(off_one <= tol, 0, np.where(off_sqrt_q <= tol, 1, 2))
+    return mod, cls, np.minimum(off_one, off_sqrt_q)
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +188,6 @@ def von_mangoldt_spectrum(modulus: Modulus, k: int, spectra: dict[int, np.ndarra
         if k % ell == 0:
             out += ell * spectra[ell][power_index(modulus, idx, k // ell)]
     return out
-
-
-def inverse_root_power_sum(L: LPolynomial, k: int) -> complex:
-    """sum_i alpha_i^k over the extracted inverse roots."""
-    if L.inverse_roots.size == 0:
-        return 0j
-    return complex((L.inverse_roots**k).sum())
 
 
 # ---------------------------------------------------------------------------

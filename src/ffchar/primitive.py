@@ -29,6 +29,7 @@ from .smooth import dickman_rho
 __all__ = [
     "EpsilonBound",
     "epsilon_bound",
+    "in_theorem_range",
     "best_epsilon_bound",
     "schedule_degree",
     "IndicatorReport",
@@ -65,8 +66,12 @@ def epsilon_bound(q: int, d: int, r: int, n: int, C2: float = 1.0, C3: float = 1
     logd = math.log(d) if d > 1 else 0.0
     main = dickman_rho(d / r) * q ** (C2 * d * logd / (r * r))
     tail = C3 * n * q ** (-r / 2.0)
-    in_range = 2 * math.log(n, q) <= r <= d <= n
-    return EpsilonBound(main + tail, in_range, q, d, r, n, C2, C3)
+    return EpsilonBound(main + tail, in_theorem_range(q, d, r, n), q, d, r, n, C2, C3)
+
+
+def in_theorem_range(q: int, d: int, r: int, n: int) -> bool:
+    """2 log_q n <= r <= d <= n: the range of the main theorem."""
+    return 2 * math.log(n, q) <= r <= d <= n
 
 
 def best_epsilon_bound(q: int, d: int, n: int, C2: float = 1.0, C3: float = 1.0) -> EpsilonBound:
@@ -128,7 +133,7 @@ class IndicatorReport:
         return abs(float(self.main_term) + self.correction - self.direct_count_Ad)
 
 
-def primitivity_indicator_check(modulus: Modulus, d: Optional[int] = None) -> IndicatorReport:
+def primitivity_indicator_check(modulus: Modulus, d: Optional[int] = None, workers: int = 1) -> IndicatorReport:
     """Verify f(x) = sum_{m | N-1} mu(m)/m sum_{chi^m principal} chi(x) pointwise.
 
     The right side is summed as honest complex numbers (roots of unity from
@@ -175,7 +180,7 @@ def primitivity_indicator_check(modulus: Modulus, d: Optional[int] = None) -> In
     if d is None:
         return rep
     # decomposition summed over A_d
-    hist, _ = unit_dlog_histogram(modulus, d)
+    hist, _ = unit_dlog_histogram(modulus, d, workers)
     sums = dual_group_sums(modulus, hist)
     unit_count = int(hist.sum())
     total = 0j
@@ -202,6 +207,12 @@ def _primitive_count(hist: np.ndarray) -> int:
     """|Q(d)|: the units a dlog histogram of a cyclic group counts at dlogs prime to its order."""
     order = len(hist)
     return int(hist[np.gcd(np.arange(order, dtype=np.int64), order) == 1].sum())
+
+
+def _congruence_counts(hist: np.ndarray, divisors: list[int]) -> dict[int, int]:
+    """S_m for each m: the units a dlog histogram counts at dlogs divisible by m."""
+    js = np.arange(len(hist), dtype=np.int64)
+    return {m: int(hist[js % m == 0].sum()) for m in divisors}
 
 
 def _sum_chi_m_principal(sums: np.ndarray, m: int) -> complex:
@@ -342,7 +353,7 @@ class SieveReport:
     Q_text: str
     radical: int
     S: dict[int, int]  # m | radical -> count of units with dlog = 0 mod m
-    T: int  # units with gcd(dlog, radical) = 1
+    T: int  # sum over m | radical of mu(m) S_m: the units with gcd(dlog, radical) = 1
     primitive_count_direct: int  # units with gcd(dlog, N-1) = 1
     A: int  # q^d
     B_observed: Fraction  # max_m |S_m - A/m|
@@ -384,10 +395,11 @@ def sieve_quantities(
 ) -> SieveReport:
     """Exact S_m for every m dividing the radical of N-1, plus T, A, B.
 
-    Gamma = A_d, U = dlog to the canonical generator, W = 1.  T must equal
-    the direct primitive count, read off the same histogram; each S_m is
-    checked against the character identity S_m = (1/m) sum over chi with
-    chi^m principal of A(d, chi).
+    Gamma = A_d, U = dlog to the canonical generator, W = 1.  T is the
+    inclusion-exclusion sum over the S_m, sum_{m | radical} mu(m) S_m, and
+    must equal the direct primitive count, the units at dlogs prime to N-1
+    in the same histogram; each S_m is also checked against the character
+    identity S_m = (1/m) sum over chi with chi^m principal of A(d, chi).
     The sieve lower bound is evaluated only with caller-supplied constants.
     Q is taken as in `density_experiment`.
     """
@@ -396,11 +408,9 @@ def sieve_quantities(
     fact = factor_integer(order)
     radical = fact.radical
     hist, _ = unit_dlog_histogram(modulus, d, workers)
-    js = np.arange(order, dtype=np.int64)
-    S = {}
-    for m in fact.squarefree_divisors():
-        S[m] = int(hist[js % m == 0].sum())
-    T = int(hist[np.gcd(js, radical) == 1].sum())
+    S = _congruence_counts(hist, fact.squarefree_divisors())
+    # inclusion-exclusion: the units whose dlog no prime of the radical divides
+    T = sum(mobius(factor_integer(m)) * S[m] for m in S)
     A = q**d
     B_obs = max(abs(Fraction(A, m) - S[m]) for m in S)
     sums = dual_group_sums(modulus, hist)

@@ -13,6 +13,9 @@ second route, one character at a time, so the tests can compare the two:
   bound on the rendering error (`histogram_char_sum`);
 * from it: A(d, chi), smooth-slice sums, prime and von Mangoldt sums, and
   L-polynomials, each for one character;
+* an L-polynomial's inverse roots by `np.roots`, one character at a time,
+  with their Weil classes one root at a time (`lpolynomial`, `verify_weil`),
+  the oracle of `lfun.inverse_roots` and `lfun.weil_classes`;
 * the polynomials themselves one at a time: the monic stream of one degree
   (`enumerate_monic`) and smoothness by factoring (`is_smooth`), for the
   brute-force checks.
@@ -27,9 +30,9 @@ from typing import Iterator, Optional, Union
 import numpy as np
 
 from ffchar.algebra import Field, Poly, max_factor_degree, monic_code_range
-from ffchar.characters import Character, unit_dlog_histogram
-from ffchar.lfun import LPolynomial, lpolynomial, prime_sum_bound
-from ffchar.residue import DlogTable
+from ffchar.characters import Character, character_by_index, unit_dlog_histogram
+from ffchar.lfun import TRAILING_COEFF_TOL, lpolynomial_coeffs, prime_sum_bound
+from ffchar.residue import DlogTable, Modulus
 from ffchar.smooth import smooth_dlog_histogram
 
 # -- polynomials one at a time --------------------------------------------
@@ -307,6 +310,70 @@ def von_mangoldt_sum(chi: Character, k: int) -> CharSum:
     return CharSum(value, err, n_terms)
 
 
+# -- L-polynomials one character at a time ----------------------------------
+
+
+@dataclass
+class LPolynomial:
+    """Coefficients A(0..n-1, chi), extracted inverse roots, and a residual witness."""
+
+    chi: Character
+    coeffs: np.ndarray  # complex128, length n = deg Q
+    inverse_roots: np.ndarray  # complex128, with multiplicity
+    root_residual: float  # max |L(1/alpha_i)| over the roots
+
+    @property
+    def degree(self) -> int:
+        """Numerical degree: trailing coefficients under the zero threshold dropped."""
+        return _numerical_degree(self.coeffs)
+
+    def eval_at(self, z: complex) -> complex:
+        acc = 0j
+        for c in self.coeffs[::-1]:
+            acc = acc * z + c
+        return acc
+
+
+def _numerical_degree(coeffs: np.ndarray) -> int:
+    d = len(coeffs) - 1
+    while d > 0 and abs(coeffs[d]) < TRAILING_COEFF_TOL:
+        d -= 1
+    return d
+
+
+def lpolynomial(chi: Character, coeffs: np.ndarray) -> LPolynomial:
+    """The L-polynomial of chi from A(0..n-1, chi): trim to the numerical degree, extract roots."""
+    roots, residual = _extract_inverse_roots(coeffs[: _numerical_degree(coeffs) + 1])
+    return LPolynomial(chi, coeffs, roots, residual)
+
+
+def _extract_inverse_roots(coeffs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Inverse roots of sum c_m z^m (c_0 = 1) with one Newton step of polish.
+
+    They are the eigenvalue-roots of the reversed polynomial
+    R(w) = sum_m c_m w^(D-m); residual reported as max |L(1/alpha)|.
+    """
+    D = len(coeffs) - 1
+    if D <= 0:
+        return np.zeros(0, dtype=np.complex128), 0.0
+    rev = np.asarray(coeffs, dtype=np.complex128)  # already highest w power first
+    roots = np.roots(rev)
+    dcoef = rev[:-1] * np.arange(D, 0, -1)
+    vals = np.polyval(rev, roots)
+    dvals = np.polyval(dcoef, roots)
+    step = np.where(np.abs(dvals) > 1e-12, vals / np.where(dvals == 0, 1, dvals), 0)
+    roots = roots - step
+    lvals = np.abs(np.polyval(rev, roots)) / np.maximum(np.abs(roots) ** D, 1e-300)
+    residual = float(lvals.max(initial=0.0))
+    return roots, residual
+
+
+def build_all_lpolynomials(modulus: Modulus, workers: int = 1) -> dict[int, LPolynomial]:
+    """Every non-principal chi_k from the production coefficient rows, roots one character at a time."""
+    coeffs = lpolynomial_coeffs(modulus, workers)
+    return {k: lpolynomial(character_by_index(modulus, k), coeffs[k - 1]) for k in range(1, len(coeffs) + 1)}
+
+
 def build_lpolynomial(chi: Character, workers: int = 1) -> LPolynomial:
     """Coefficients by per-character sums for m = 0..n-1, then root extraction."""
     if is_principal(chi):
@@ -316,3 +383,56 @@ def build_lpolynomial(chi: Character, workers: int = 1) -> LPolynomial:
     for m in range(n):
         coeffs[m] = character_sum_Ad(chi, m, workers).value
     return lpolynomial(chi, coeffs)
+
+
+@dataclass
+class WeilReport:
+    """Root-modulus verdict: every inverse root near modulus 1 or sqrt(q)."""
+
+    chi_label: str
+    q: int
+    tol: float
+    roots: list[dict]  # {re, im, modulus, class}
+    residuals: float
+    max_deviation: float
+
+    @property
+    def passed(self) -> bool:
+        return all(r["class"] != "violation" for r in self.roots)
+
+    def to_json_record(self, coeffs=None) -> dict:
+        rec = {
+            "chi": self.chi_label,
+            "roots": self.roots,
+            "residuals": self.residuals,
+        }
+        if coeffs is not None:
+            rec["coeffs"] = [[float(c.real), float(c.imag)] for c in coeffs]
+        return rec
+
+
+def verify_weil(L: LPolynomial, tol: float = 1e-6) -> WeilReport:
+    """Check each inverse root modulus against {1, sqrt(q)} at the given tolerance, one root at a time."""
+    q = L.chi.modulus.field.q
+    sq = math.sqrt(q)
+    roots = []
+    max_dev = 0.0
+    for a in L.inverse_roots:
+        mod = abs(a)
+        dev = min(abs(mod - 1.0), abs(mod - sq))
+        max_dev = max(max_dev, dev)
+        if abs(mod - 1.0) <= tol:
+            cls = "unit"
+        elif abs(mod - sq) <= tol:
+            cls = "sqrt_q"
+        else:
+            cls = "violation"
+        roots.append({"re": float(a.real), "im": float(a.imag), "modulus": float(mod), "class": cls})
+    return WeilReport(L.chi.label, q, tol, roots, L.root_residual, max_dev)
+
+
+def inverse_root_power_sum(L: LPolynomial, k: int) -> complex:
+    """sum_i alpha_i^k over the extracted inverse roots."""
+    if L.inverse_roots.size == 0:
+        return 0j
+    return complex((L.inverse_roots**k).sum())

@@ -16,13 +16,14 @@ from ffchar.characters import all_char_sums_Ad
 from ffchar.cli import main as cli_main
 from ffchar.experiments import ExperimentConfig, run_main_theorem_grid
 from ffchar.lfun import (
-    build_all_lpolynomials,
-    inverse_root_power_sum,
+    WEIL_CLASSES,
+    inverse_roots,
+    lpolynomial_coeffs,
     mertens_product,
     prime_sum_bound,
     prime_sum_spectrum,
-    verify_weil,
     von_mangoldt_spectrum,
+    weil_classes,
 )
 from ffchar.primitive import density_experiment, primitivity_indicator_check, sieve_quantities
 from ffchar.residue import Modulus
@@ -49,19 +50,20 @@ def moduli():
 
 @pytest.fixture(scope="module")
 def lpolys(moduli):
-    return {key: build_all_lpolynomials(m) for key, m in moduli.items()}
+    return {key: inverse_roots(lpolynomial_coeffs(m)) for key, m in moduli.items()}
 
 
 def test_criterion_1_weil_roots(moduli, lpolys):
     worst = 0.0
     count = 0
-    for key, ls in lpolys.items():
-        for L in ls.values():
-            rep = verify_weil(L, tol=1e-6)
-            worst = max(worst, rep.max_deviation)
-            count += 1
-            if not rep.passed:
-                report(1, False, f"violation at {key}, {L.chi.label}")
+    for (q, n), L in lpolys.items():
+        _, cls, dev = weil_classes(L.flat_roots(), q, 1e-6)
+        worst = max(worst, float(dev.max(initial=0.0)))
+        count += len(L.degree)
+        # the character index of each root, kept where the root is a violation
+        bad = np.repeat(np.arange(1, len(L.degree) + 1), L.degree)[cls == WEIL_CLASSES.index("violation")]
+        if bad.size:
+            report(1, False, f"violation at {(q, n)}, chi index {int(bad[0])}")
     report(1, worst <= 1e-6, f"{count} characters, max root-modulus deviation {worst:.3e} (tol 1e-6)")
 
 
@@ -83,8 +85,8 @@ def test_criterion_3_prime_sum_bound_and_identity(moduli, lpolys):
         order = m.unit_group.group_order
         spectra = {k: prime_sum_spectrum(m, k) for k in range(1, 11)}
         vm = {k: von_mangoldt_spectrum(m, k, spectra) for k in spectra}
+        power_sums = {k: lpolys[(q, n)].power_sums(k) for k in spectra}
         for k_idx in range(1, order):
-            L = lpolys[(q, n)][k_idx]
             for k in range(1, 11):
                 value, bound = spectra[k][k_idx], prime_sum_bound(m, k)
                 ratio = abs(value) / bound
@@ -92,7 +94,7 @@ def test_criterion_3_prime_sum_bound_and_identity(moduli, lpolys):
                 if abs(value) > bound:
                     violations += 1
                 if k <= 10:
-                    err = abs(vm[k][k_idx] + inverse_root_power_sum(L, k))
+                    err = abs(vm[k][k_idx] + power_sums[k][k_idx - 1])
                     worst_ident = max(worst_ident, err)
     ok = violations == 0 and worst_ident <= 1e-6
     report(

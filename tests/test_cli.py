@@ -204,8 +204,8 @@ def test_kernel_failure_exits_math_without_traceback(monkeypatch, capsys, exc):
     def broken(*args, **kwargs):
         raise exc("invariant broken")
 
-    # cmd_weil imports verify_weil when it runs, so the patch on its home module is what it sees
-    monkeypatch.setattr(ffchar.lfun, "verify_weil", broken)
+    # cmd_weil imports weil_classes when it runs, so the patch on its home module is what it sees
+    monkeypatch.setattr(ffchar.lfun, "weil_classes", broken)
     assert main(["weil", "--q", "2", "--n", "3"]) == 1
     assert capsys.readouterr().err == "error: invariant broken\n"
 
@@ -312,6 +312,28 @@ def test_grid_budget_charges_only_enumerated_polynomials(capsys):
     assert "exceeds budget 10000000" in capsys.readouterr().err
 
 
+def test_grid_budget_at_r_equal_d_below_n(capsys):
+    """At r = d < n the smooth slice is A_d itself: the combo enumerates q^d = 4096 polynomials, and is charged that."""
+    argv = "main-thm --q 2 --n-list 13 --d 12 --r 12 --format csv".split()
+    assert main(argv + ["--budget", "4096"]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 1 + 8190
+    assert captured.err == ""
+    assert main(argv + ["--budget", "4095"]) == 3
+    assert "work estimate 4096 exceeds budget 4095" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dr", ["--d 3 --r 0", "--d 0 --r 0", "--d 3 --r 2,0"])
+def test_grid_refuses_r_below_one_before_output(tmp_path, monkeypatch, capsys, dr):
+    # r = 0 after a valid r as well: nothing is written before the refusal
+    monkeypatch.chdir(tmp_path)
+    argv = f"main-thm --q 2 --n-list 13 {dr} --format csv".split()
+    for out in ([], ["--out", "grid.csv"]):
+        assert main(argv + out) == 2
+        assert capsys.readouterr() == ("", "error: r must be >= 1\n")
+        assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("budget", [[], ["--budget", str(10**24)]])
 def test_grid_refuses_int64_overflow_before_output(tmp_path, monkeypatch, capsys, budget):
     monkeypatch.chdir(tmp_path)
@@ -357,6 +379,44 @@ def test_primitive_subcommands_enumerate_Ad_once(monkeypatch, capsys, argv, q, d
     assert hists == [d]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    ["density --q 2 --n 8 --d 6", "sieve --q 2 --n 8 --d 6", "indicator --q 2 --n 8 --d 6"],
+)
+def test_primitive_subcommands_pass_workers_to_the_histogram(monkeypatch, capsys, argv):
+    from ffchar import characters
+
+    seen = []
+    real = characters.dlog_histogram
+
+    def recorded(*args, **kwargs):
+        seen.append(kwargs["workers"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(characters, "dlog_histogram", recorded)
+    for workers in (1, 2):
+        assert main(argv.split() + ["--workers", str(workers)]) == 0
+    assert seen == [1, 2]
+
+
+def test_sieve_fails_when_a_congruence_count_is_off(monkeypatch, capsys):
+    """T is inclusion-exclusion over the S_m, so one wrong S_m shows up against the direct primitive count."""
+    from ffchar import primitive
+
+    real = primitive._congruence_counts
+
+    def off_by_one(hist, divisors):
+        S = real(hist, divisors)
+        S[3] += 1
+        return S
+
+    monkeypatch.setattr(primitive, "_congruence_counts", off_by_one)
+    rep = primitive.sieve_quantities(2, 8, 6)
+    assert rep.T == rep.primitive_count_direct - 1  # S_3 enters T with mu(3) = -1
+    assert main("sieve --q 2 --n 8 --d 6".split()) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
 def test_primes_bound_reads_each_degree_once(monkeypatch, capsys):
     from ffchar.residue import DlogTable
 
@@ -375,14 +435,9 @@ def test_primes_bound_reads_each_degree_once(monkeypatch, capsys):
 def primes_bound_rows(q: int, Q: str, k: int, identity: bool) -> str:
     """The primes-bound CSV one row at a time: per character, per degree, each value formatted on its own."""
     from ffchar.characters import character_labels
-    from ffchar.lfun import (
-        build_all_lpolynomials,
-        inverse_root_power_sum,
-        prime_sum_bound,
-        prime_sum_spectrum,
-        von_mangoldt_spectrum,
-    )
+    from ffchar.lfun import prime_sum_bound, prime_sum_spectrum, von_mangoldt_spectrum
     from ffchar.residue import Modulus
+    from phase_oracle import build_all_lpolynomials, inverse_root_power_sum
 
     modulus = Modulus(Poly.from_string(Field.of_order(q), Q))
     spectra = {j: prime_sum_spectrum(modulus, j) for j in range(1, k + 1)}
@@ -408,14 +463,79 @@ def test_primes_bound_csv_matches_per_row_oracle(tmp_path, monkeypatch, capsys, 
     want = primes_bound_rows(3, "t^3+2t", 6, identity)
     assert '"chi[0,0,1]",1,' in want
     # 7 characters x 6 degrees in blocks of 3 characters, written 5 rows at a time
-    for block, chunk in ((cli.PRIMES_BOUND_BLOCK, experiments.ROW_CHUNK), (3, 5)):
-        monkeypatch.setattr(cli, "PRIMES_BOUND_BLOCK", block)
+    for block, chunk in ((cli.CHAR_BLOCK, experiments.ROW_CHUNK), (3, 5)):
+        monkeypatch.setattr(cli, "CHAR_BLOCK", block)
         monkeypatch.setattr(experiments, "ROW_CHUNK", chunk)
         assert main(argv) == 0
         assert capsys.readouterr().out == want
         out = tmp_path / f"pb{block}.csv"
         assert main(argv + ["--out", str(out)]) == 0
         assert out.read_text() == want
+
+
+# sha256 of stdout: a change to any root, residual, class or power sum shows here
+ROOT_DIGESTS = {
+    "weil --q 2 --n 8 --format csv": "44d4c1f04104468281bc70064e84cf7a6e14aaeec742a5f59e53c8554aa5fc1d",
+    "weil --q 2 --n 8 --format json": "8eb2c65672cc87a51a827988e82249a3cf418a47cf2d0ce5c31d7773d379f537",
+    "weil --q 2 --n 8 --format human": "aec3635c731e87203b6a17a3ca1d772f03dd99852a67f8cd55510e114e08ba87",
+    "primes-bound --q 2 --n 8 --k 6 --identity --format csv": "261865c424b79108a2da95d0e8823789ae23a5eeb4d1ae3e8b862d8fc6923562",
+    "primes-bound --q 2 --n 8 --k 6 --identity --format json": "e0e519d8720bf89142ffe8b715fe658d988ef4d2e64c8a9440dc8c420840fc34",
+    "weil --q 3 --n 4 --format csv": "9af73a4a3ceeb5241eb5320ae0943b89d5fee5f75bddde2f0f81369e16c44c83",
+    "weil --q 3 --n 4 --format json": "4eb4c3f51c515f9cd3e2e33073f9164484cfe0ff9e1d92b51c30c3782e816a8b",
+    "weil --q 3 --n 4 --format human": "4433573746e7868d661a8f7c47e6f9f27733b84725881f6faf5ba6cf4c27139e",
+    "primes-bound --q 3 --n 4 --k 6 --identity --format csv": "96e89b956c1eb95b2c1ca8b474c721b34d92c91728575ce35111ad9b5919110c",
+    "primes-bound --q 3 --n 4 --k 6 --identity --format json": "24907a4535be4af67d68054c38e25bafec528b79929d882b1847c012c359e502",
+    "weil --q 4 --n 3 --format csv": "655a1b3d513257f5063c8da7aa11aeacd0a24d4f64559e69c0f4d10c1c5c9680",
+    "weil --q 4 --n 3 --format json": "844d7c8288de4fb8a08d947f206acd2b0d1d34fb4c1c7058672867a16194017e",
+    "weil --q 4 --n 3 --format human": "fd28c65649250e60630154dc4ba7af787fa9a950d0f107b64ed2064d3ce31623",
+    "primes-bound --q 4 --n 3 --k 6 --identity --format csv": "f6413537492afc501a9de47aacae6b77348a4176515675d258875141ca1d87a7",
+    "primes-bound --q 4 --n 3 --k 6 --identity --format json": "8611a0aa1afaf29a5a70ecbe0cebbbd312d9ecfaabe2a65503af10432ff74a45",
+    "weil --q 9 --n 2 --format csv": "d6e52feb35f54cbb48a5ea5f495ad5c680cb1317ced74e5f3a4122246820bdbf",
+    "weil --q 9 --n 2 --format json": "1559b6dc9816ca63ad81e27d9a3426df374756fbee9ef10a46433e10d9c2948f",
+    "weil --q 9 --n 2 --format human": "2e9cd50c28299278741365c9ab2b31113f819b26a1b7846f638c64701b48aef8",
+    "primes-bound --q 9 --n 2 --k 6 --identity --format csv": "f02cdd871e361ce569f68fc76adac711e6f47f00ed87c6f5526f166723662497",
+    "primes-bound --q 9 --n 2 --k 6 --identity --format json": "f5f90751624a9cedac9c70fbb5c5ff456c662d6df24de69d9bf2991285f4ed1f",
+    "weil --q 2 --n 12 --format csv": "0593a1a125b70ec64334e0bc335f032e873ed49b436089e4cd455723014edddc",
+    "weil --q 2 --n 12 --format json": "fedd8230695c8092dbf184f09d4bf2c2fdbc6734848644293d8b32301e089c24",
+    "weil --q 2 --n 12 --format human": "e199e2faf5376350ea3b05393d2eaeb47e1b66e2c7a1d2f4e86992cae99b0cb2",
+    "primes-bound --q 2 --n 12 --k 6 --identity --format csv": "fee36e834fcb9bba8066b426010c776803688b1aa083e2e3207552b123ca9e7a",
+    "primes-bound --q 2 --n 12 --k 6 --identity --format json": "769ccad5da6ea3ace1fa995f5528b2198a5e95b7dc4cd1c843d7f18b2249edc2",
+    "weil --q 2 --n 6 --Q t^6+t^5+t^3+t --format csv": "87ad0c1b8d3893f7edd6209672cc2a2a3e2fc5cbcfc57add2fca0be141f7cb50",
+    "weil --q 2 --n 6 --Q t^6+t^5+t^3+t --format json": "dbcea5f3bacd7aad78723f11031a57812374edb845f7c0c0782067232b31ef30",
+    "weil --q 2 --n 6 --Q t^6+t^5+t^3+t --format human": "b875de202a35e16bdebd24969a27e8c7e054b63ef88a96a0963482f1f5dd882b",
+    "primes-bound --q 2 --n 6 --Q t^6+t^5+t^3+t --k 6 --identity --format csv": "612a2e2819fbe1ebf56d2b5b2772331effe2f4e4e53a36961b85b550d813ffcd",
+    "primes-bound --q 2 --n 6 --Q t^6+t^5+t^3+t --k 6 --identity --format json": "97d9d0a12727b659db7daa9e07d1acaec0209545317c4cd1e3bbaf8142d91936",
+    "weil --q 3 --n 3 --Q t^3+2t --format csv": "dfe58ce08d803fd0109ed528c3276f52684b70ec8e1e0141dc239c20c0004311",
+    "weil --q 3 --n 3 --Q t^3+2t --format json": "aa964afa231fedcca2a53d861f6a7d6d88bc0a0457e8d8f4cbf8bdcb9b9a8eab",
+    "weil --q 3 --n 3 --Q t^3+2t --format human": "6faad64b17409befa582cb610fb122825d4f2b9a251f32a2bbdfda325df57d81",
+    "primes-bound --q 3 --n 3 --Q t^3+2t --k 6 --identity --format csv": "301cf0687150912e5884b893402943ff35e65c1dee912d95fd045ff4133ed57b",
+    "primes-bound --q 3 --n 3 --Q t^3+2t --k 6 --identity --format json": "15f546ec791223a360a5f8179fce5f6e4a6b281c0c09fb6a91a8a55c7d90827f",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ROOT_DIGESTS))
+def test_weil_and_identity_stdout_digests(capsys, argv):
+    import hashlib
+
+    assert main(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == ROOT_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_weil_rows_across_block_and_chunk_edges(tmp_path, monkeypatch, capsys, fmt):
+    import hashlib
+
+    from ffchar import cli, experiments
+
+    argv = f"weil --q 2 --n 6 --Q t^6+t^5+t^3+t --format {fmt}"
+    # 14 characters of 5 roots in blocks of 3 characters, written 4 rows at a time
+    monkeypatch.setattr(cli, "CHAR_BLOCK", 3)
+    monkeypatch.setattr(experiments, "ROW_CHUNK", 4)
+    assert main(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == ROOT_DIGESTS[argv]
+    out = tmp_path / "weil.out"
+    assert main(argv.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ROOT_DIGESTS[argv]
 
 
 # recorded when `sieve` still built its modulus once per report

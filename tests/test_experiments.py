@@ -215,14 +215,15 @@ def test_worker_count_does_not_change_bytes(tmp_path):
 def test_budget_skips_with_notice(tmp_path, capsys):
     cfg = small_cfg(tmp_path, budget=10)
     res = run_main_theorem_grid(cfg)
-    # every combo enumerates more than 10 polynomials but d = r = n = 5, which takes
-    # the closed-form histogram and is charged nothing
-    want = [f"q=2;n=5;d={d};r={r}" for d in (3, 4, 5) for r in (2, 3, 4, 5) if r <= d and (d, r) != (5, 5)]
+    # every combo enumerates more than 10 polynomials but two: d = r = 3 enumerates
+    # only A_3 (8 polynomials), and d = r = n = 5 takes the closed-form histogram
+    runs = [(3, 3), (5, 5)]
+    want = [f"q=2;n=5;d={d};r={r}" for d in (3, 4, 5) for r in (2, 3, 4, 5) if r <= d and (d, r) not in runs]
     assert res.skipped == [(key, "budget") for key in want]
-    assert res.n_records == 30
+    assert res.n_records == 2 * 30
     rows = (tmp_path / "grid.csv").read_text().splitlines()
-    assert rows[0] == CSV_HEADER and len(rows) == 31
-    assert all(row.split(",")[4:6] == ["5", "5"] for row in rows[1:])
+    assert rows[0] == CSV_HEADER and len(rows) == 1 + 2 * 30
+    assert [row.split(",")[4:6] for row in rows[1::30]] == [["3", "3"], ["5", "5"]]
     assert "exceeds budget" in capsys.readouterr().err
 
 

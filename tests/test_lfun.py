@@ -3,25 +3,32 @@ import math
 import numpy as np
 import pytest
 
+import ffchar.lfun
 from ffchar.algebra import Field, Poly, factorize, irreducibles_up_to
 from ffchar.characters import character_by_index
 from ffchar.lfun import (
-    build_all_lpolynomials,
-    inverse_root_power_sum,
+    WEIL_CLASSES,
+    inverse_roots,
+    lpolynomial_coeffs,
     mertens_product,
     prime_sum_spectrum,
-    verify_weil,
     von_mangoldt_spectrum,
+    weil_classes,
 )
 from ffchar.residue import Modulus
 from phase_oracle import (
+    LPolynomial,
+    _extract_inverse_roots,
     all_characters,
+    build_all_lpolynomials,
     build_lpolynomial,
     character_sum_Ad,
     chi_eval,
     enumerate_monic,
+    inverse_root_power_sum,
     is_principal,
     prime_char_sum,
+    verify_weil,
     von_mangoldt_sum,
 )
 
@@ -69,68 +76,128 @@ def test_principal_rejected():
         build_lpolynomial(character_by_index(m, 0))
 
 
+def weil_verdict(m: Modulus) -> tuple[bool, float]:
+    """(no violation, max deviation) of every inverse root of every non-principal chi mod m."""
+    _, cls, dev = weil_classes(inverse_roots(lpolynomial_coeffs(m)).flat_roots(), m.field.q, 1e-6)
+    return not (cls == WEIL_CLASSES.index("violation")).any(), float(dev.max(initial=0.0))
+
+
 def test_weil_q2_degree4():
-    m = Modulus.irreducible(F2, 4)  # t^4+t+1
-    for chi in all_characters(m):
-        if is_principal(chi):
-            continue
-        rep = verify_weil(build_lpolynomial(chi), tol=1e-6)
-        assert rep.passed
-        assert rep.max_deviation < 1e-6
+    passed, worst = weil_verdict(Modulus.irreducible(F2, 4))  # t^4+t+1
+    assert passed
+    assert worst < 1e-6
 
 
 def test_weil_q3_degree3():
-    m = Modulus.irreducible(F3, 3)
-    for chi in all_characters(m):
-        if is_principal(chi):
-            continue
-        rep = verify_weil(build_lpolynomial(chi), tol=1e-6)
-        assert rep.passed
+    assert weil_verdict(Modulus.irreducible(F3, 3))[0]
 
 
 def test_weil_vacuous_on_degree_zero():
-    from ffchar.lfun import LPolynomial
+    L = inverse_roots(np.array([[1.0 + 0j, 1e-12, 0j]]))
+    assert L.degree.tolist() == [0] and L.roots.tolist() == [[0j, 0j]]
+    assert L.flat_roots().size == 0 and L.residual.tolist() == [0.0] and L.power_sums(3).tolist() == [0j]
+    mod, cls, dev = weil_classes(L.flat_roots(), 2, 1e-6)
+    assert mod.size == cls.size == dev.size == 0
 
-    m = Modulus.irreducible(F2, 2)
-    chi = character_by_index(m, 1)
-    L = LPolynomial(chi, np.array([1.0 + 0j]), np.zeros(0, dtype=np.complex128), 0.0)
-    assert verify_weil(L).passed
+
+def test_weil_classes_match_the_per_root_oracle():
+    # roots placed on, near and off the two circles, classified one root at a time by the oracle
+    q, tol = 3, 1e-6
+    radii = [1.0, 1 + 5e-7, 1 - 2e-6, math.sqrt(q), math.sqrt(q) + 9e-7, math.sqrt(q) - 3e-6, 0.5, 2.0]
+    roots = np.array([r * np.exp(1j * (0.3 + i)) for i, r in enumerate(radii)])
+    chi = character_by_index(Modulus.irreducible(F3, 2), 1)
+    oracle = verify_weil(LPolynomial(chi, np.ones(1, dtype=np.complex128), roots, 0.0), tol)
+    mod, cls, dev = weil_classes(roots, q, tol)
+    assert [WEIL_CLASSES[c] for c in cls.tolist()] == [r["class"] for r in oracle.roots]
+    assert [WEIL_CLASSES[c] for c in cls.tolist()] == ["unit", "unit", "violation", "sqrt_q", "sqrt_q"] + ["violation"] * 3
+    assert mod.tolist() == [r["modulus"] for r in oracle.roots]
+    assert float(dev.max()) == oracle.max_deviation
 
 
 def test_bulk_lpolynomials_match_per_character():
     m = Modulus.irreducible(F2, 5)
-    bulk = build_all_lpolynomials(m)
+    coeffs = lpolynomial_coeffs(m)
+    assert coeffs.shape == (30, 5)
     for k in (1, 7, 19, 30):
         single = build_lpolynomial(character_by_index(m, k))
-        assert np.allclose(bulk[k].coeffs, single.coeffs, atol=1e-9)
+        assert np.allclose(coeffs[k - 1], single.coeffs, atol=1e-9)
 
 
 def test_bulk_lpolynomials_match_per_character_on_composites():
     for field, text in [(F2, "t^5+t^4+t^3+t"), (Field.get(3), "t^4+t^3+t")]:
         m = Modulus.from_text(field, text)
-        bulk = build_all_lpolynomials(m)
+        coeffs = lpolynomial_coeffs(m)
         chars = list(all_characters(m))
-        assert sorted(bulk) == list(range(1, len(chars)))
-        for k, L in bulk.items():
-            assert L.chi == chars[k]
+        assert len(coeffs) == len(chars) - 1
+        degrees = inverse_roots(coeffs).degree
+        for k in range(1, len(chars)):
             single = build_lpolynomial(chars[k])
-            assert np.allclose(L.coeffs, single.coeffs, atol=1e-9)
-            assert L.degree == single.degree
-            assert verify_weil(L).passed
+            assert np.allclose(coeffs[k - 1], single.coeffs, atol=1e-9)
+            assert degrees[k - 1] == single.degree
+        assert weil_verdict(m)[0]
+
+
+# the moduli whose weil and primes-bound --identity output digests tests/test_cli.py pins
+DIGEST_MODULI = [(F2, None, 8), (F3, None, 4), (F4, None, 3), (Field.of_order(9), None, 2), (F2, None, 12),
+                 (F2, "t^6+t^5+t^3+t", 6), (F3, "t^3+2t", 3)]
+
+
+@pytest.mark.parametrize("field,text,n", DIGEST_MODULI)
+def test_inverse_roots_bit_identical_to_the_per_character_oracle(field, text, n):
+    # the same coefficient rows, roots by one np.roots per character against one eigvals per degree
+    m = Modulus.from_text(field, text) if text else Modulus.irreducible(field, n)
+    oracle = build_all_lpolynomials(m)
+    L = inverse_roots(lpolynomial_coeffs(m))
+    flat, residual = L.flat_roots(), L.residual
+    starts = np.concatenate(([0], np.cumsum(L.degree)))
+    assert len(oracle) == len(L.degree) == m.unit_group.group_order - 1
+    for k, single in oracle.items():
+        assert L.degree[k - 1] == single.degree
+        assert flat[starts[k - 1] : starts[k]].tobytes() == single.inverse_roots.tobytes()
+        assert residual[k - 1 : k].tobytes() == np.float64(single.root_residual).tobytes()
+    for j in range(1, 7):
+        want = np.array([inverse_root_power_sum(oracle[k], j) for k in sorted(oracle)], dtype=np.complex128)
+        assert L.power_sums(j).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block", [2048, 7])
+def test_inverse_roots_group_mixed_degrees_bit_identically(monkeypatch, block):
+    # synthetic rows of every numerical degree 0..8, their tails below the zero threshold;
+    # blocks of 7 rows split every degree group
+    monkeypatch.setattr(ffchar.lfun, "ROOT_BLOCK", block)
+    rng = np.random.default_rng(7)
+    n, rows = 9, 300
+    coeffs = rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))
+    coeffs[:, 0] = 1
+    degree = np.arange(rows) % n
+    for i, d in enumerate(degree.tolist()):
+        coeffs[i, d + 1 :] *= 1e-11
+    L = inverse_roots(coeffs)
+    assert L.degree.tolist() == degree.tolist()
+    flat, residual = L.flat_roots(), L.residual
+    starts = np.concatenate(([0], np.cumsum(degree)))
+    sums = L.power_sums(5)
+    for i, d in enumerate(degree.tolist()):
+        roots, res = _extract_inverse_roots(coeffs[i, : d + 1])
+        assert flat[starts[i] : starts[i + 1]].tobytes() == roots.tobytes()
+        assert residual[i] == res
+        assert sums[i] == (complex((roots**5).sum()) if d else 0j)
 
 
 def test_coefficient_root_consistency():
     # expanding prod (1 - alpha_i z) reproduces the coefficients
     for field, n in [(F2, 4), (F2, 6), (F3, 3)]:
         m = Modulus.irreducible(field, n)
-        for k in range(1, m.unit_group.group_order):
-            L = build_lpolynomial(character_by_index(m, k))
+        L = inverse_roots(lpolynomial_coeffs(m))
+        flat = L.flat_roots()
+        starts = np.concatenate(([0], np.cumsum(L.degree)))
+        for i, coeffs in enumerate(L.coeffs):
             poly = np.array([1.0 + 0j])
-            for a in L.inverse_roots:
+            for a in flat[starts[i] : starts[i + 1]]:
                 poly = np.convolve(poly, np.array([1.0, -a]))
             want = np.zeros(n, dtype=np.complex128)
             want[: len(poly)] = poly
-            assert np.max(np.abs(want - L.coeffs)) < 1e-6
+            assert np.max(np.abs(want - coeffs)) < 1e-6
 
 
 def test_euler_product_consistency_at_sample_point():
@@ -222,12 +289,13 @@ def test_von_mangoldt_literal_oracle():
 def test_von_mangoldt_equals_root_power_sums():
     for field, n in [(F2, 4), (F2, 6), (F3, 3)]:
         m = Modulus.irreducible(field, n)
+        roots = inverse_roots(lpolynomial_coeffs(m))
+        sums = {k: roots.power_sums(k) for k in range(1, 9)}
         for k_idx in range(1, m.unit_group.group_order):
             chi = character_by_index(m, k_idx)
-            L = build_lpolynomial(chi)
             for k in range(1, 9):
                 lhs = von_mangoldt_sum(chi, k).value
-                rhs = -inverse_root_power_sum(L, k)
+                rhs = -sums[k][k_idx - 1]
                 assert abs(lhs - rhs) < 1e-6
                 assert abs(lhs) <= (n - 1) * field.q ** (k / 2.0) + 1e-6
 
