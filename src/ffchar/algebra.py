@@ -20,11 +20,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .intfact import factor_integer, is_prime
+from .intfact import factor_integer, is_prime, mobius
 
 __all__ = [
     "Field",
-    "FieldElement",
     "Poly",
     "Factorization",
     "monic_code_range",
@@ -32,7 +31,6 @@ __all__ = [
     "irreducibles_up_to",
     "monic_irreducible_count",
     "factorize",
-    "max_factor_degree",
     "lex_least_irreducible",
     "digit_sum_table",
 ]
@@ -71,30 +69,17 @@ class Field:
             self._build_tables()
 
     @classmethod
-    def get(cls, p: int, e: int = 1, defining_poly=None) -> "Field":
+    def get(cls, p: int, e: int = 1) -> "Field":
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if e < 1:
             raise ValueError("extension degree must be >= 1")
         if p**e > _EXTENSION_TABLE_LIMIT:
             raise ValueError(f"q = {p}**{e} exceeds the supported bound 2^16")
-        key = (p, e, tuple(defining_poly) if defining_poly else None)
+        key = (p, e)
         if key not in cls._registry:
-            if e == 1:
-                fld = cls(p, 1, None, _token=cls._registry)
-            else:
-                base = cls.get(p, 1)
-                if defining_poly is None:
-                    mod = _least_irreducible_codes(base, e)
-                else:
-                    mod = tuple(int(c) % p for c in defining_poly)
-                    fpoly = Poly(base, mod)
-                    if fpoly.degree != e or not fpoly.is_monic:
-                        raise ValueError("defining polynomial must be monic of degree e")
-                    if not is_irreducible(fpoly):
-                        raise ValueError("defining polynomial is not irreducible over F_p")
-                fld = cls(p, e, mod, _token=cls._registry)
-            cls._registry[key] = fld
+            mod = _least_irreducible_codes(cls.get(p, 1), e) if e > 1 else None
+            cls._registry[key] = cls(p, e, mod, _token=cls._registry)
         return cls._registry[key]
 
     @classmethod
@@ -162,9 +147,6 @@ class Field:
             return 0 if n else 1
         return int(self._exp[(self._log[a] * n) % (self.q - 1)])
 
-    def element(self, code: int) -> "FieldElement":
-        return FieldElement(self, int(code) % self.q)
-
     def __repr__(self):
         if self.e == 1:
             return f"Field(p={self.p})"
@@ -194,41 +176,6 @@ def digit_sum_table(p: int) -> tuple[int, Optional[np.ndarray]]:
     table = ((digits[:, None, :] + digits[None, :, :]) % p) @ weights
     table.flags.writeable = False
     return g, table
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A single element of F_q, wrapping its integer code."""
-
-    field: Field
-    code: int
-
-    @property
-    def rep(self) -> tuple[int, ...]:
-        """Power-basis coordinates over F_p, constant coordinate first."""
-        coeffs = Poly.from_code(Field.get(self.field.p), self.code).coeffs
-        return coeffs + (0,) * (self.field.e - len(coeffs))
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.code, other.code))
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.code, other.code))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.code))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.code, other.code))
-
-    def inv(self):
-        return FieldElement(self.field, self.field.inv(self.code))
-
-    def __pow__(self, n: int):
-        return FieldElement(self.field, self.field.pow(self.code, n))
-
-    def __bool__(self):
-        return self.code != 0
 
 
 # ---------------------------------------------------------------------------
@@ -375,16 +322,8 @@ class Poly:
     # constructors
 
     @classmethod
-    def zero(cls, field: Field) -> "Poly":
-        return cls(field, ())
-
-    @classmethod
     def one(cls, field: Field) -> "Poly":
         return cls(field, (1,))
-
-    @classmethod
-    def t(cls, field: Field) -> "Poly":
-        return cls(field, (0, 1))
 
     @classmethod
     def from_code(cls, field: Field, code: int) -> "Poly":
@@ -558,28 +497,10 @@ def monic_irreducible_count(q: int, k: int) -> int:
     total = 0
     for e in range(1, k + 1):
         if k % e == 0:
-            total += mobius_small(e) * q ** (k // e)
+            total += mobius(e) * q ** (k // e)
     if total % k:
         raise ArithmeticError(f"necklace sum {total} for q = {q} is not divisible by k = {k}")
     return total // k
-
-
-@lru_cache(maxsize=None)
-def mobius_small(n: int) -> int:
-    """Mobius for small machine ints (divisor lattice work)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    res, m, p = 1, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            res = -res
-        p += 1
-    if m > 1:
-        res = -res
-    return res
 
 
 def is_irreducible(f: Poly) -> bool:
@@ -650,18 +571,7 @@ class Factorization:
     """Multiset of monic irreducible factors with multiplicities, plus the unit."""
 
     factors: tuple[tuple[Poly, int], ...]  # sorted by (degree, code)
-    unit: FieldElement
-
-    def product(self) -> Poly:
-        field = self.unit.field
-        out = Poly(field, (self.unit.code,))
-        for f, mult in self.factors:
-            out = out * f**mult
-        return out
-
-    def max_factor_degree(self) -> int:
-        """0 for constants."""
-        return max((f.degree for f, _ in self.factors), default=0)
+    unit: int  # code of the leading coefficient
 
 
 def factorize(f: Poly) -> Factorization:
@@ -673,7 +583,7 @@ def factorize(f: Poly) -> Factorization:
     work = f.monic().coeffs
     raw = _factor_monic(F, work)
     polys = sorted(((Poly(F, c), m) for c, m in raw.items()), key=lambda t: (t[0].degree, t[0].code()))
-    return Factorization(tuple(polys), FieldElement(F, unit))
+    return Factorization(tuple(polys), unit)
 
 
 def _factor_monic(F: Field, m: tuple[int, ...]) -> dict[tuple[int, ...], int]:
@@ -791,9 +701,4 @@ def _trace_map(F: Field, c, m, k: int):
         cur = _pmulmod(F, cur, cur, m)
         total = _padd(F, total, cur)
     return total
-
-
-def max_factor_degree(f: Poly) -> int:
-    """Largest degree among the irreducible factors of nonzero f (0 for constants)."""
-    return factorize(f).max_factor_degree()
 

@@ -2,9 +2,9 @@
 
 A character is determined by one exponent per cyclic component of the unit
 group: chi_k sends the unit with component dlogs (j_i) to
-zeta^(sum_i k_i j_i / m_i), m_i the component orders.  Characters are
-indexed by their exponents raveled to the component orders
-(`character_by_index`), and chi_k^e has the index of the exponents times e
+zeta^(sum_i k_i j_i / m_i), m_i the component orders.  A character's
+index is its exponents raveled to the component orders (row-major, as
+`np.ravel_multi_index`), and chi_k^e has the index of the exponents times e
 mod the component orders (`power_index`): exact integer arithmetic.
 
 Every sum starts from one integer histogram over flat dlog indices,
@@ -25,7 +25,6 @@ with compensated summation, is kept only as the tests' oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -35,42 +34,16 @@ from .residue import Modulus
 from .vecpoly import max_degree_profile_cached
 
 __all__ = [
-    "Character",
     "check_int64_counts",
     "dlog_histogram",
     "unit_dlog_histogram",
     "dual_group_sums",
     "all_char_sums_Ad",
-    "character_by_index",
     "character_labels",
     "power_index",
 ]
 
 HIST_CHUNK = 1 << 20  # most polynomials one histogram chunk holds
-
-
-@dataclass(frozen=True)
-class Character:
-    """A multiplicative character mod Q, one exponent per unit-group component."""
-
-    modulus: Modulus
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        orders = self.modulus.unit_group.component_orders
-        if len(self.exponents) != len(orders):
-            raise ValueError("one exponent per unit-group component required")
-        for k, m in zip(self.exponents, orders):
-            if not 0 <= k < max(m, 1):
-                raise ValueError(f"exponent {k} out of range [0, {m})")
-
-    @property
-    def label(self) -> str:
-        return _label(self.exponents)
-
-
-def _label(exponents) -> str:
-    return f"chi[{','.join(map(str, exponents))}]"
 
 
 # ---------------------------------------------------------------------------
@@ -160,15 +133,15 @@ def dual_group_sums(modulus: Modulus, hist: np.ndarray) -> np.ndarray:
     The dual group of prod_i Z/m_i is prod_i Z/m_i again, and chi_k pairs
     with the unit of flat dlog j through zeta^(sum_i k_i j_i / m_i); so the
     sums are the conjugate n-dimensional DFT of the histogram reshaped to
-    the component orders.  Flat index k is the character
-    `character_by_index(modulus, k)`.
+    the component orders.  Flat index k is the character whose exponents
+    are k unravelled to the component orders.
     """
     orders = modulus.unit_group.component_orders
     return np.conj(np.fft.fftn(hist.astype(np.float64).reshape(orders))).ravel()
 
 
 def all_char_sums_Ad(modulus: Modulus, d: int, workers: int = 1) -> np.ndarray:
-    """A(d, chi_k) for every character, k-indexed as `character_by_index`.
+    """A(d, chi_k) for every character, k-indexed as `dual_group_sums`.
 
     Entry 0 is the principal sum, i.e. the number of units in A_d.
     """
@@ -176,17 +149,11 @@ def all_char_sums_Ad(modulus: Modulus, d: int, workers: int = 1) -> np.ndarray:
     return dual_group_sums(modulus, hist)
 
 
-def character_by_index(modulus: Modulus, k: int) -> Character:
-    """chi_k: the character whose exponents are k unravelled to the component orders."""
-    orders = modulus.unit_group.component_orders
-    return Character(modulus, tuple(int(x) for x in np.unravel_index(k, orders)))
-
-
 def character_labels(modulus: Modulus) -> list[str]:
-    """`character_by_index(modulus, k).label` for every k, in one pass."""
+    """The label chi[k_1,...,k_s] of every index k, its exponents unravelled, in one pass."""
     orders = modulus.unit_group.component_orders
     exps = np.unravel_index(np.arange(modulus.unit_group.group_order), orders)
-    return [_label(e) for e in zip(*(x.tolist() for x in exps))]
+    return [f"chi[{','.join(map(str, e))}]" for e in zip(*(x.tolist() for x in exps))]
 
 
 def power_index(modulus: Modulus, k: int | np.ndarray, e: int) -> int | np.ndarray:

@@ -15,10 +15,6 @@ would hold (CSV for csv/human, the JSONL mirror for json) through the same
 writer, as each combo finishes; human adds a summary on stderr.  So a grid
 that fails part way has already printed the header and its finished combos.
 
-Defaults for --workers, --format, --budget, --tol and --seed can be
-overridden by FFCHAR_* environment variables (handy in CI); a value that
-does not parse is a usage error.
-
 `python -m ffchar.cli` and the `ffchar` script run `main()`, flush stdout
 and stderr, and leave through os._exit, skipping interpreter teardown:
 every output file is closed and every worker thread joined by then.
@@ -45,16 +41,6 @@ EXIT_BUDGET = 3
 EXIT_PIPE = 141
 
 CHAR_BLOCK = 4096  # characters whose weil or primes-bound rows are formatted together
-
-
-def _env(name: str, cast, fallback):
-    raw = os.environ.get(f"FFCHAR_{name}")
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ValueError(f"FFCHAR_{name}={raw!r} is not a valid {cast.__name__}") from None
 
 
 def _emit(lines: list[str], out: Optional[str]):
@@ -94,12 +80,11 @@ def _prime_degrees(k: int) -> range:
 
 
 def _modulus(args):
-    from .residue import Modulus
+    """The modulus of --q and --n, or the --Q polynomial, which must have degree --n."""
+    from .residue import modulus_of
 
-    field = Field.of_order(args.q)
-    if getattr(args, "Q", None):
-        return Modulus(Poly.from_string(field, args.Q))
-    return Modulus.irreducible(field, args.n)
+    Q = Poly.from_string(Field.of_order(args.q), args.Q) if args.Q else None
+    return modulus_of(args.q, args.n, Q)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +303,7 @@ def _grid_cfg(args):
     else:
         out_csv = sys.stdout
     return ExperimentConfig(
-        qs=(args.q,),
+        q=args.q,
         ns=_parse_range(args.n_list),
         ds=_parse_range(args.d),
         rs=_parse_range(args.r),
@@ -438,10 +423,10 @@ def cmd_mertens(args) -> int:
     """Partial Euler product over deg P <= k against e^gamma k."""
     from .lfun import mertens_product
 
-    rows = ["k,product,ratio"]
-    for k in _prime_degrees(args.k):
-        got = mertens_product(args.q, k)
-        rows.append(f"{k},{got.product!r},{got.ratio!r}")
+    degrees = _prime_degrees(args.k)
+    # largest k first: a k whose exact product is too large is refused before any product is formed
+    got = {k: mertens_product(args.q, k) for k in reversed(degrees)}
+    rows = ["k,product,ratio"] + [f"{k},{got[k].product!r},{got[k].ratio!r}" for k in degrees]
     if args.format in ("csv", "human"):
         _emit(rows, args.out)
     else:
@@ -504,13 +489,13 @@ def _add_common(p, n_required=True):
     if n_required:
         p.add_argument("--n", type=int, required=True, help="modulus degree")
     p.add_argument("--Q", type=str, default=None, help="explicit modulus polynomial (text form)")
-    p.add_argument("--tol", type=float, default=_env("TOL", float, 1e-6))
+    p.add_argument("--tol", type=float, default=1e-6)
     _add_exec(p)
 
 
 def _add_exec(p):
-    p.add_argument("--workers", type=int, default=_env("WORKERS", int, 1))
-    p.add_argument("--format", choices=("human", "json", "csv"), default=_env("FORMAT", str, "human"))
+    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--format", choices=("human", "json", "csv"), default="human")
     p.add_argument("--out", type=str, default=None, help="write output to this path")
 
 
@@ -537,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=str, required=True, help="degree or range, e.g. 8 or 4..8")
     p.add_argument("--r", type=str, default=None, help="smoothness bound(s); default 1..d")
     p.add_argument("--enum-check", action="store_true", help="cross-check by exhaustive enumeration")
-    p.add_argument("--budget", type=int, default=_env("BUDGET", int, 10**7))
+    p.add_argument("--budget", type=int, default=10**7)
     _add_exec(p)
     p.set_defaults(fn=cmd_smooth_count)
 
@@ -557,8 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--r", type=str, required=True, help="smoothness bounds, e.g. 4..10")
         p.add_argument("--policy", choices=("all", "worst-case", "sample-k"), default="all")
         p.add_argument("--sample-k", type=int, default=8)
-        p.add_argument("--seed", type=int, default=_env("SEED", int, 0))
-        p.add_argument("--budget", type=int, default=_env("BUDGET", int, 10**7))
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--budget", type=int, default=10**7)
         p.add_argument("--strict-range", action="store_true", help="skip combos outside the theorem range")
         p.add_argument("--resume", action="store_true")
         _add_exec(p)
@@ -572,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", type=float, default=1.0, help="schedule constant (no value asserted)")
     p.add_argument("--C2", type=float, default=1.0, help="constant in the smooth error exponent")
     p.add_argument("--C3", type=float, default=1.0, help="constant on the n q^(-r/2) term")
-    p.add_argument("--budget", type=int, default=_env("BUDGET", int, 10**7))
+    p.add_argument("--budget", type=int, default=10**7)
     _add_exec(p)
     p.set_defaults(fn=cmd_density)
 
@@ -612,9 +597,8 @@ def _silence_stdout() -> None:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        # checked here, not by an argparse type: a default read from FFCHAR_WORKERS bypasses type
         if args.workers < 1:
-            raise ValueError(f"--workers (or FFCHAR_WORKERS) must be >= 1, got {args.workers}")
+            raise ValueError(f"--workers must be >= 1, got {args.workers}")
         return args.fn(args)
     except BrokenPipeError:
         _silence_stdout()

@@ -87,7 +87,7 @@ class ExperimentConfig:
     gets the rows as each combo finishes.
     """
 
-    qs: tuple[int, ...]
+    q: int
     ns: tuple[int, ...]
     ds: tuple[int, ...]
     rs: tuple[int, ...]
@@ -103,7 +103,7 @@ class ExperimentConfig:
     resume: bool = False
 
     def validate(self):
-        for name in ("qs", "ns", "ds", "rs"):
+        for name in ("ns", "ds", "rs"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
         if self.char_policy not in ("all", "worst-case", "sample-k"):
@@ -440,74 +440,72 @@ def _grid_run(cfg: ExperimentConfig, corollary: bool) -> GridRunResult:
     # a q that is not a prime power, an n with no modulus, a unit group above
     # the dense limit or a combo within budget whose q^d int64 counts cannot
     # hold raises ValueError here, before the sink writes anything
-    moduli = {(q, n): Modulus.irreducible(Field.of_order(q), n) for q in cfg.qs for n in cfg.ns}
-    for (q, n), modulus in moduli.items():
+    q = cfg.q
+    field = Field.of_order(q)
+    moduli = {n: Modulus.irreducible(field, n) for n in cfg.ns}
+    for n, modulus in moduli.items():
         dense_group_order(modulus)
         for d in cfg.ds:
             if any(r <= d and _combo_work(q, n, d, r) <= cfg.budget for r in cfg.rs):
                 check_int64_counts(q, d)
     sink = _Sink(cfg)
     result = GridRunResult()
-    for q in cfg.qs:
-        for n in cfg.ns:
-            modulus = moduli[q, n]
-            Q = str(modulus.poly)
-            Q_json = json.dumps(Q)
-            order = q**n - 1
-            for d in cfg.ds:
-                a_sums = None  # A(d, chi) for every chi, once per d and only if a combo of d runs
-                for r in cfg.rs:
-                    if r > d:
-                        continue
-                    key = _combo_key(q, n, d, r)
-                    if sink.combo_done(key):
-                        result.resumed.append(key)
-                        continue
-                    flags = "" if in_theorem_range(q, d, r, n) else "out_of_range"
-                    if flags and not cfg.allow_out_of_range:
-                        print(f"skipping {key}: out of theorem range", file=sys.stderr)
-                        result.skipped.append((key, "out_of_range"))
-                        continue
-                    work = _combo_work(q, n, d, r)
-                    if work > cfg.budget:
-                        print(
-                            f"skipping {key}: work estimate {work} exceeds budget {cfg.budget}",
-                            file=sys.stderr,
-                        )
-                        result.skipped.append((key, "budget"))
-                        continue
-                    if a_sums is None:
-                        a_sums = all_char_sums_Ad(modulus, d, cfg.workers)
-                    # every f in A_d is r-smooth when r >= d: the same histogram, so the same sums
-                    s_sums = a_sums if r >= d else all_smooth_char_sums(modulus, d, r)
-                    # np.hypot, not np.abs: it matches Python's abs(complex) to
-                    # the last digit, so lhs is reproducible from the raw sums
-                    diff = a_sums - s_sums
-                    lhs_all = np.hypot(diff.real, diff.imag)
-                    short_all = np.hypot(a_sums.real, a_sums.imag) / float(q**d)
-                    if corollary:
-                        sel = np.array([np.argmax(short_all[1:]) + 1], dtype=np.int64)
-                    else:
-                        sel = _select_indices(cfg, order, key, lhs_all)
-                    block = ComboBlock(
-                        q=q,
-                        n=n,
-                        Q=Q,
-                        Q_json=Q_json,
-                        d=d,
-                        r=r,
-                        flags=flags,
-                        corollary=corollary,
-                        bound_core=n * q ** (-r / 2.0) * float(q**d),
-                        eps=epsilon_bound(q, d, r, n).value,
-                        chi=sel,
-                        a=a_sums[sel],
-                        s=s_sums[sel],
-                        lhs=lhs_all[sel],
-                        short=short_all[sel],
-                    )
-                    sink.write_combo(key, block)
-                    result.add(block)
+    for n in cfg.ns:
+        modulus = moduli[n]
+        Q = str(modulus.poly)
+        Q_json = json.dumps(Q)
+        order = q**n - 1
+        for d in cfg.ds:
+            a_sums = None  # A(d, chi) for every chi, once per d and only if a combo of d runs
+            for r in cfg.rs:
+                if r > d:
+                    continue
+                key = _combo_key(q, n, d, r)
+                if sink.combo_done(key):
+                    result.resumed.append(key)
+                    continue
+                flags = "" if in_theorem_range(q, d, r, n) else "out_of_range"
+                if flags and not cfg.allow_out_of_range:
+                    print(f"skipping {key}: out of theorem range", file=sys.stderr)
+                    result.skipped.append((key, "out_of_range"))
+                    continue
+                work = _combo_work(q, n, d, r)
+                if work > cfg.budget:
+                    print(f"skipping {key}: work estimate {work} exceeds budget {cfg.budget}", file=sys.stderr)
+                    result.skipped.append((key, "budget"))
+                    continue
+                if a_sums is None:
+                    a_sums = all_char_sums_Ad(modulus, d, cfg.workers)
+                # every f in A_d is r-smooth when r >= d: the same histogram, so the same sums
+                s_sums = a_sums if r >= d else all_smooth_char_sums(modulus, d, r, cfg.workers)
+                # np.hypot, not np.abs: it matches Python's abs(complex) to
+                # the last digit, so lhs is reproducible from the raw sums
+                diff = a_sums - s_sums
+                lhs_all = np.hypot(diff.real, diff.imag)
+                short_all = np.hypot(a_sums.real, a_sums.imag) / float(q**d)
+                if corollary:
+                    sel = np.array([np.argmax(short_all[1:]) + 1], dtype=np.int64)
+                else:
+                    sel = _select_indices(cfg, order, key, lhs_all)
+                block = ComboBlock(
+                    q=q,
+                    n=n,
+                    Q=Q,
+                    Q_json=Q_json,
+                    d=d,
+                    r=r,
+                    flags=flags,
+                    corollary=corollary,
+                    bound_core=n * q ** (-r / 2.0) * float(q**d),
+                    eps=epsilon_bound(q, d, r, n).value,
+                    chi=sel,
+                    a=a_sums[sel],
+                    s=s_sums[sel],
+                    lhs=lhs_all[sel],
+                    short=short_all[sel],
+                )
+                sink.write_combo(key, block)
+                result.add(block)
     return result
 
 

@@ -161,7 +161,7 @@ def prime_sum_bound(modulus: Modulus, k: int) -> float:
 
 
 def prime_sum_spectrum(modulus: Modulus, k: int) -> np.ndarray:
-    """sum_{P in I_k} chi_j(P) for every character j (`character_by_index` order).
+    """sum_{P in I_k} chi_j(P) for every character j, j-indexed as `dual_group_sums`.
 
     One DFT of the histogram of the unit dlogs of the monic irreducibles of
     degree k; a P dividing Q has chi(P) = 0 and is left out.
@@ -195,6 +195,8 @@ def von_mangoldt_spectrum(modulus: Modulus, k: int, spectra: dict[int, np.ndarra
 # ---------------------------------------------------------------------------
 
 _EULER_GAMMA = float(np.euler_gamma)
+# most bits the exact Mertens numerator may hold: q = 2, k = 24 (3.4e7 bits) takes about a minute
+MERTENS_BITS_LIMIT = 1 << 24
 
 
 def _big_ratio_to_float(num: int, den: int) -> float:
@@ -220,15 +222,21 @@ def mertens_product(q: int, k: int) -> MertensResult:
 
     Accumulated exactly as a ratio of integers, prod_j (q^j / (q^j - 1))^pi_j,
     and rendered to a double only at the end; returned with its ratio to
-    e^gamma * k.
+    e^gamma * k.  The numerator has log2(q) sum_j j pi_j bits: a (q, k) above
+    `MERTENS_BITS_LIMIT` is refused with ValueError before it is formed.
     """
     if q < 2 or factor_integer(q).omega != 1:
         raise ValueError(f"q = {q} is not a prime power")
     if k < 1:
         raise ValueError("k must be >= 1")
+    pis = [monic_irreducible_count(q, j) for j in range(1, k + 1)]
+    bits = math.log2(q) * sum(j * pj for j, pj in enumerate(pis, start=1))
+    if bits > MERTENS_BITS_LIMIT:
+        raise ValueError(
+            f"the exact product for q = {q}, k = {k} has about {bits:.3g} bits, above the limit {MERTENS_BITS_LIMIT}"
+        )
     num, den = 1, 1
-    for j in range(1, k + 1):
-        pj = monic_irreducible_count(q, j)
+    for j, pj in enumerate(pis, start=1):
         num *= (q**j) ** pj
         den *= (q**j - 1) ** pj
     product = _big_ratio_to_float(num, den)

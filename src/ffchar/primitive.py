@@ -20,10 +20,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .algebra import Field, Poly
+from .algebra import Poly
 from .characters import dual_group_sums, unit_dlog_histogram
 from .intfact import FactoredInteger, factor_integer, mobius
-from .residue import Modulus, is_primitive
+from .residue import Modulus, is_primitive, modulus_of
 from .smooth import dickman_rho
 
 __all__ = [
@@ -48,10 +48,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EpsilonBound:
-    """rho(d/r) q^(C2 d log d / r^2) + C3 n q^(-r/2), with its range flag."""
+    """rho(d/r) q^(C2 d log d / r^2) + C3 n q^(-r/2)."""
 
     value: float
-    in_range: bool  # 2 log_q n <= r <= d <= n
     q: int
     d: int
     r: int
@@ -66,7 +65,7 @@ def epsilon_bound(q: int, d: int, r: int, n: int, C2: float = 1.0, C3: float = 1
     logd = math.log(d) if d > 1 else 0.0
     main = dickman_rho(d / r) * q ** (C2 * d * logd / (r * r))
     tail = C3 * n * q ** (-r / 2.0)
-    return EpsilonBound(main + tail, in_theorem_range(q, d, r, n), q, d, r, n, C2, C3)
+    return EpsilonBound(main + tail, q, d, r, n, C2, C3)
 
 
 def in_theorem_range(q: int, d: int, r: int, n: int) -> bool:
@@ -221,16 +220,6 @@ def _sum_chi_m_principal(sums: np.ndarray, m: int) -> complex:
     return sum(sums[i * stride] for i in range(m))
 
 
-def _modulus_of(q: int, n: int, Q: Union[Poly, Modulus, None]) -> Modulus:
-    """The canonical degree-n modulus, or the given one (a built Modulus is reused)."""
-    if Q is None:
-        return Modulus.irreducible(Field.of_order(q), n)
-    modulus = Q if isinstance(Q, Modulus) else Modulus(Q)
-    if modulus.n != n:
-        raise ValueError("explicit Q must have degree n")
-    return modulus
-
-
 # ---------------------------------------------------------------------------
 # density experiment
 # ---------------------------------------------------------------------------
@@ -303,7 +292,7 @@ def density_experiment(
     indicator decomposition.  Q given as a Modulus shares its dlog table
     with the caller.
     """
-    modulus = _modulus_of(q, n, Q)
+    modulus = modulus_of(q, n, Q)
     order = q**n - 1
     fact = factor_integer(order)
     hist, _ = unit_dlog_histogram(modulus, d, workers)
@@ -403,7 +392,7 @@ def sieve_quantities(
     The sieve lower bound is evaluated only with caller-supplied constants.
     Q is taken as in `density_experiment`.
     """
-    modulus = _modulus_of(q, n, Q)
+    modulus = modulus_of(q, n, Q)
     order = q**n - 1
     fact = factor_integer(order)
     radical = fact.radical

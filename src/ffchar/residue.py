@@ -49,6 +49,7 @@ from .vecpoly import linear_map_table, linear_map_values, max_degree_profile_cac
 
 __all__ = [
     "Modulus",
+    "modulus_of",
     "UnitComponent",
     "UnitGroupView",
     "DlogTable",
@@ -91,10 +92,6 @@ class Modulus:
         """The canonical degree-n modulus: least monic irreducible."""
         return cls(lex_least_irreducible(field, n))
 
-    @classmethod
-    def from_text(cls, field: Field, text: str) -> "Modulus":
-        return cls(Poly.from_string(field, text))
-
     @property
     def is_irreducible(self) -> bool:
         return self.kind == "irreducible"
@@ -117,6 +114,19 @@ class Modulus:
         return f"Modulus(q={self.field.q}, Q={self.poly})"
 
 
+def modulus_of(q: int, n: int, Q: Union[Poly, Modulus, None] = None) -> Modulus:
+    """The canonical degree-n modulus over F_q, or the given Q, which must have degree n.
+
+    A built Modulus is reused, with its unit group and dlog table.
+    """
+    if Q is None:
+        return Modulus.irreducible(Field.of_order(q), n)
+    modulus = Q if isinstance(Q, Modulus) else Modulus(Q)
+    if modulus.n != n:
+        raise ValueError(f"Q = {modulus.poly} has degree {modulus.n}, not n = {n}")
+    return modulus
+
+
 @dataclass(frozen=True)
 class UnitComponent:
     """One cyclic factor: residues mod the irreducible Q_i."""
@@ -136,7 +146,6 @@ class UnitGroupView:
         self.components = components
         self.group_order = math.prod(c.order for c in components)
         self.component_orders = tuple(c.order for c in components)
-        self.exponent = math.lcm(*(max(c.order, 1) for c in components))
         self.generators = tuple(c.generator for c in components)
         # row-major strides: unit with component dlogs (x_i) has flat index sum x_i * s_i
         strides = [1] * len(components)

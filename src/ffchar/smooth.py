@@ -103,17 +103,18 @@ def smooth_count_by_enumeration(field: Field, d: int, r: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def smooth_dlog_histogram(modulus: Modulus, d: int, r: int) -> tuple[np.ndarray, int]:
+def smooth_dlog_histogram(modulus: Modulus, d: int, r: int, workers: int = 1) -> tuple[np.ndarray, int]:
     """(flattened-dlog histogram, non-unit count) over the r-smooth slice of A_d.
 
-    The slice of `dlog_histogram`, checked against the independent count
-    N(d, r) from the generating function; it plays the same role for P(d, r)
-    that `unit_dlog_histogram` plays for A_d, so the bulk DFT path applies.
+    The slice of `dlog_histogram`, with its `workers`, checked against the
+    independent count N(d, r) from the generating function; it plays the
+    same role for P(d, r) that `unit_dlog_histogram` plays for A_d, so the
+    bulk DFT path applies.
     """
     from .characters import dlog_histogram  # imported here: counting smooth polynomials needs no modulus
 
     expected = smooth_count(modulus.field.q, d, r)
-    hist, nonunits = dlog_histogram(modulus, d, r)
+    hist, nonunits = dlog_histogram(modulus, d, r, workers)
     if int(hist.sum()) + nonunits != expected:
         raise ArithmeticError(
             f"{r}-smooth slice of A_{d} holds {int(hist.sum())} units + {nonunits} non-units, "
@@ -122,11 +123,11 @@ def smooth_dlog_histogram(modulus: Modulus, d: int, r: int) -> tuple[np.ndarray,
     return hist, nonunits
 
 
-def all_smooth_char_sums(modulus: Modulus, d: int, r: int) -> np.ndarray:
-    """Smooth-slice sums for every chi_k, k-indexed as `character_by_index` (DFT bulk)."""
+def all_smooth_char_sums(modulus: Modulus, d: int, r: int, workers: int = 1) -> np.ndarray:
+    """Smooth-slice sums for every chi_k, k-indexed as `dual_group_sums` (DFT bulk)."""
     from .characters import dual_group_sums
 
-    hist, _ = smooth_dlog_histogram(modulus, d, r)
+    hist, _ = smooth_dlog_histogram(modulus, d, r, workers)
     return dual_group_sums(modulus, hist)
 
 
@@ -288,7 +289,6 @@ class SoundararajanReport:
     prediction: float
     ratio: float
     normalized_exponent: Optional[float]  # log_q(ratio) * r^2 / (d log d)
-    in_range: bool  # log_q(d log^2 d) <= r <= d
 
     CSV_HEADER = "d,r,N_exact,qd_rho,ratio,normalized_exponent"  # the columns of csv_row
 
@@ -308,6 +308,4 @@ def soundararajan_check(q: int, d: int, r: int, table: Optional[DickmanTable] = 
         norm = math.log(ratio, q) * r * r / (d * math.log(d))
     else:
         norm = None
-    lo = math.log(d * math.log(d) ** 2, q) if d >= 2 else float("-inf")
-    in_range = lo <= r <= d
-    return SoundararajanReport(q, d, r, n_exact, prediction, ratio, norm, in_range)
+    return SoundararajanReport(q, d, r, n_exact, prediction, ratio, norm)

@@ -6,6 +6,10 @@ second route, one character at a time, so the tests can compare the two:
 
 * discrete logs of single polynomials by scalar reduction mod each factor
   of Q and a lookup in that component's table (`dlog`, `flat_dlog`);
+* a character as its exponents, one per unit-group component, and chi_k,
+  the character whose exponents are k unravelled to the component orders
+  (`Character`, `character_by_index`), the index convention of every
+  spectrum;
 * a character's value at a unit is zeta_M^phase, M the unit-group exponent,
   with the integer phase computed exactly from the dlogs (`chi_eval`);
 * a sum over a dlog histogram folds its exact phase counts and renders them
@@ -17,8 +21,9 @@ second route, one character at a time, so the tests can compare the two:
   with their Weil classes one root at a time (`lpolynomial`, `verify_weil`),
   the oracle of `lfun.inverse_roots` and `lfun.weil_classes`;
 * the polynomials themselves one at a time: the monic stream of one degree
-  (`enumerate_monic`) and smoothness by factoring (`is_smooth`), for the
-  brute-force checks.
+  (`enumerate_monic`), a factorization multiplied back out
+  (`factorization_product`) and smoothness by factoring (`is_smooth`), for
+  the brute-force checks; and a modulus from its text (`modulus_from_text`).
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from ffchar.algebra import Field, Poly, max_factor_degree, monic_code_range
-from ffchar.characters import Character, character_by_index, unit_dlog_histogram
+from ffchar.algebra import Factorization, Field, Poly, factorize, monic_code_range
+from ffchar.characters import unit_dlog_histogram
 from ffchar.lfun import TRAILING_COEFF_TOL, lpolynomial_coeffs, prime_sum_bound
 from ffchar.residue import DlogTable, Modulus
 from ffchar.smooth import smooth_dlog_histogram
@@ -49,6 +54,23 @@ def enumerate_monic(field: Field, d: int, start: int = 0, stop: Optional[int] = 
     hi = r.stop if stop is None else r.start + stop
     for code in range(lo, hi):
         yield Poly.from_code(field, code)
+
+
+def modulus_from_text(field: Field, text: str) -> Modulus:
+    return Modulus(Poly.from_string(field, text))
+
+
+def factorization_product(fac: Factorization, field: Field) -> Poly:
+    """The unit times every factor to its multiplicity."""
+    out = Poly(field, (fac.unit,))
+    for f, mult in fac.factors:
+        out = out * f**mult
+    return out
+
+
+def max_factor_degree(f: Poly) -> int:
+    """Largest degree among the irreducible factors of nonzero f (0 for constants)."""
+    return max((g.degree for g, _ in factorize(f).factors), default=0)
 
 
 def is_smooth(f: Poly, r: int) -> bool:
@@ -96,9 +118,40 @@ def flat_dlog(table: DlogTable, f: Poly) -> int:
 # -- characters one at a time --------------------------------------------
 
 
+@dataclass(frozen=True)
+class Character:
+    """A multiplicative character mod Q, one exponent per unit-group component."""
+
+    modulus: Modulus
+    exponents: tuple[int, ...]
+
+    def __post_init__(self):
+        orders = self.modulus.unit_group.component_orders
+        if len(self.exponents) != len(orders):
+            raise ValueError("one exponent per unit-group component required")
+        for k, m in zip(self.exponents, orders):
+            if not 0 <= k < max(m, 1):
+                raise ValueError(f"exponent {k} out of range [0, {m})")
+
+    @property
+    def label(self) -> str:
+        return f"chi[{','.join(map(str, self.exponents))}]"
+
+
+def character_by_index(modulus: Modulus, k: int) -> Character:
+    """chi_k: the character whose exponents are k unravelled to the component orders."""
+    orders = modulus.unit_group.component_orders
+    return Character(modulus, tuple(int(x) for x in np.unravel_index(k, orders)))
+
+
+def unit_group_exponent(modulus: Modulus) -> int:
+    """The lcm of the component orders: every character value is a root of unity of this order."""
+    return math.lcm(*(max(m, 1) for m in modulus.unit_group.component_orders))
+
+
 def value_order(chi: Character) -> int:
     """M: all values of chi are M-th roots of unity (the unit-group exponent)."""
-    return chi.modulus.unit_group.exponent
+    return unit_group_exponent(chi.modulus)
 
 
 def is_principal(chi: Character) -> bool:
@@ -167,7 +220,7 @@ class CharValue:
 def flat_dlog_phases(chi: Character, flat: np.ndarray, power: int = 1) -> np.ndarray:
     """Exact phase index of chi at (the unit with each flat dlog index)^power."""
     units = chi.modulus.unit_group
-    M = units.exponent
+    M = unit_group_exponent(chi.modulus)
     total = np.zeros(flat.shape, dtype=np.int64)
     for k, m, s in zip(chi.exponents, units.component_orders, units.flat_strides):
         comp = ((flat // s) % max(m, 1)) * power % max(m, 1)

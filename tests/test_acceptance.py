@@ -141,7 +141,7 @@ def test_criterion_5_dickman():
 def main_grid(tmp_path_factory):
     base = tmp_path_factory.mktemp("grid")
     cfg = ExperimentConfig(
-        qs=(2,),
+        q=2,
         ns=(13,),
         ds=tuple(range(6, 11)),
         rs=tuple(range(4, 11)),

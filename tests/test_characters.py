@@ -8,7 +8,6 @@ from ffchar import characters
 from ffchar.algebra import Field, Poly
 from ffchar.characters import (
     all_char_sums_Ad,
-    character_by_index,
     character_labels,
     dlog_histogram,
     power_index,
@@ -20,12 +19,14 @@ from ffchar.vecpoly import max_degree_profile_cached
 from phase_oracle import (
     all_characters,
     char_order,
+    character_by_index,
     character_sum_Ad,
     chi_eval,
     dlog,
     enumerate_monic,
     flat_dlog,
     is_principal,
+    modulus_from_text,
     power,
 )
 
@@ -36,7 +37,7 @@ COMPOSITES = [(F2, "t^3+t^2+t"), (F3, "t^3+2t"), (F4, "t^2+t"), (F2, "t^5+t^4+t^
 
 
 def mkmod(field, text):
-    return Modulus.from_text(field, text)
+    return modulus_from_text(field, text)
 
 
 # -- dual group ----------------------------------------------------------

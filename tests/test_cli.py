@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ SRC = str(Path(ffchar.__file__).resolve().parents[1])
 GRID = ["main-thm", "--q", "2", "--n-list", "5", "--d", "3", "--r", "2"]
 
 
-def run_cli(argv: list[str], cwd) -> subprocess.CompletedProcess:
+def run_cli(argv: list[str], cwd, extra_env: Optional[dict] = None) -> subprocess.CompletedProcess:
     """python -m ffchar.cli in a fresh process, its stdout and stderr as bytes."""
-    env = dict(os.environ, PYTHONPATH=SRC)
+    env = {k: v for k, v in os.environ.items() if not k.startswith("FFCHAR_")}
+    env.update(extra_env or {}, PYTHONPATH=SRC)
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run([sys.executable, "-m", "ffchar.cli", *argv], cwd=cwd, env=env, capture_output=True)
 
@@ -176,25 +178,12 @@ def test_mertens_csv(tmp_path):
     assert len(lines) == 13
 
 
-def test_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("FFCHAR_FORMAT", "csv")
-    out = tmp_path / "w.csv"
-    assert main(["weil", "--q", "2", "--n", "3", "--out", str(out)]) == 0
-    assert out.read_text().startswith("chi,")
-
-
 def test_worker_flag_accepted(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     main(["density", "--q", "2", "--n", "6", "--d", "5", "--format", "json", "--out", str(a), "--workers", "1"])
     main(["density", "--q", "2", "--n", "6", "--d", "5", "--format", "json", "--out", str(b), "--workers", "8"])
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_malformed_env_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("FFCHAR_WORKERS", "two")
-    assert main(["weil", "--q", "2", "--n", "3"]) == 2
-    assert "FFCHAR_WORKERS" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("exc", [ArithmeticError, AssertionError])
@@ -227,12 +216,17 @@ def test_kernel_failure_exits_math_without_traceback(monkeypatch, capsys, exc):
         (["primes-bound", "--q", "2", "--n", "4", "--k", "0"], "k = 0"),
         (["mertens", "--q", "2", "--k", "0"], "k = 0"),
         (["primes-bound", "--q", "2", "--n", "4", "--k", "23"], "k = 23 has q^k = 8388608"),
-        (["density", "--q", "2", "--n", "5", "--d", "3", "--workers", "0"], "--workers (or FFCHAR_WORKERS) must be >= 1, got 0"),
-        (["smooth-count", "--q", "2", "--d", "3", "--workers", "-2"], "--workers (or FFCHAR_WORKERS) must be >= 1, got -2"),
-        (GRID + ["--workers", "0"], "--workers (or FFCHAR_WORKERS) must be >= 1, got 0"),
+        (["density", "--q", "2", "--n", "5", "--d", "3", "--workers", "0"], "--workers must be >= 1, got 0"),
+        (["smooth-count", "--q", "2", "--d", "3", "--workers", "-2"], "--workers must be >= 1, got -2"),
+        (GRID + ["--workers", "0"], "--workers must be >= 1, got 0"),
         (GRID + ["--policy", "sample-k", "--sample-k", "0"], "--sample-k must be >= 1, got 0"),
         (GRID + ["--policy", "sample-k", "--sample-k", "-1"], "--sample-k must be >= 1, got -1"),
         (["density", "--q", "2", "--n", "5", "--d", "63"], "q^d = 9223372036854775808 polynomials"),
+        (["weil", "--q", "2", "--n", "5", "--Q", "t^6+t^5+t^3+t"], "Q = t^6+t^5+t^3+t has degree 6, not n = 5"),
+        (["indicator", "--q", "2", "--n", "9", "--Q", "t^3+t+1"], "Q = t^3+t+1 has degree 3, not n = 9"),
+        (["primes-bound", "--q", "2", "--n", "9", "--Q", "t^3+t+1", "--k", "2"], "Q = t^3+t+1 has degree 3, not n = 9"),
+        (["mertens", "--q", "3"], "q = 3, k = 20 has about 8.29e+09 bits, above the limit 16777216"),
+        (["mertens", "--q", "2", "--k", "24"], "q = 2, k = 24 has about 3.35e+07 bits"),
     ],
 )
 def test_bad_input_is_usage_error_naming_the_value(capsys, argv, bad):
@@ -242,15 +236,36 @@ def test_bad_input_is_usage_error_naming_the_value(capsys, argv, bad):
     assert captured.err.startswith("error: ") and bad in captured.err
 
 
-@pytest.mark.parametrize("workers", ["0", "-2"])
-@pytest.mark.parametrize("argv", [["density", "--q", "2", "--n", "5", "--d", "3"], GRID])
-def test_workers_below_one_from_env_is_usage_error(monkeypatch, capsys, argv, workers):
-    # argparse applies no type check to a default, so the value from the environment is checked on its own
-    monkeypatch.setenv("FFCHAR_WORKERS", workers)
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: --workers (or FFCHAR_WORKERS) must be >= 1, got {workers}\n"
+def test_environment_does_not_change_output(tmp_path):
+    """The argv alone fixes the output: FFCHAR_* variables, once read as defaults, change no byte."""
+    env = {"FFCHAR_WORKERS": "0", "FFCHAR_FORMAT": "json", "FFCHAR_BUDGET": "1", "FFCHAR_TOL": "2.5", "FFCHAR_SEED": "9"}
+    grid = "main-thm --q 2 --n-list 5 --d 3..6 --r 2..6 --policy sample-k --sample-k 3 --out grid.csv"
+    for i, argv in enumerate(("density --q 3 --n 5 --d 8", "smooth-count --q 2 --d 1..6 --enum-check", grid)):
+        runs = []
+        for j, extra in enumerate(({}, env)):
+            workdir = tmp_path / f"{i}-{j}"
+            workdir.mkdir()
+            proc = run_cli(argv.split(), workdir, extra)
+            files = {p.name: p.read_bytes() for p in workdir.iterdir()}
+            runs.append((proc.returncode, proc.stdout, proc.stderr, files))
+        assert runs[0] == runs[1], argv
+        assert runs[0][0] == 0
+
+
+def test_mertens_refuses_a_large_product_before_forming_any(monkeypatch, capsys):
+    from ffchar import lfun
+
+    calls = []
+    real = lfun.mertens_product
+
+    def recorded(q, k):
+        calls.append((q, k))
+        return real(q, k)
+
+    monkeypatch.setattr(lfun, "mertens_product", recorded)
+    assert main(["mertens", "--q", "3"]) == 2
+    assert calls == [(3, 20)]
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize(
@@ -622,3 +637,209 @@ def test_closed_stdout_exits_141_quietly(tmp_path):
     assert header == b"q,n,Q,chi,d,r,lhs,bound_core,implied_constant,short_norm,eps,flags\n"
     assert code == 141
     assert (tmp_path / "err").read_bytes() == b""
+
+
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"  # sha256 of no bytes
+
+# every subcommand in every format, the grid's three --out files with and without --resume, a
+# composite Q, q = 4 and q = 9: (exit code, sha256 of stdout, sha256 of stderr, then "file:sha256"
+# for each file the runs wrote), recorded before the FFCHAR_* defaults and the members no
+# subcommand read left src/
+ARGV_DIGESTS = {
+    "weil --q 2 --n 5": (0, "62ce6769dccf27b68027b95553b38f7a8b20b50c4222654e2312e64e9ea7028f", EMPTY),
+    "weil --q 2 --n 5 --format json": (0, "45c6c86c3b3fcf47607bc60521fdc6dc86107c7ac6133a4f9785581fba3677a1", EMPTY),
+    "weil --q 2 --n 5 --format csv": (0, "a53d20354084b40a1841dbcd259cd23848911c5b7fd27bd955e3a0e36a6c0c79", EMPTY),
+    "weil --q 2 --n 5 --format csv --out w.csv": (
+        0, EMPTY, EMPTY,
+        "w.csv:a53d20354084b40a1841dbcd259cd23848911c5b7fd27bd955e3a0e36a6c0c79",
+    ),
+    "weil --q 3 --n 3 --Q t^3+2t": (0, "6faad64b17409befa582cb610fb122825d4f2b9a251f32a2bbdfda325df57d81", EMPTY),
+    "weil --q 4 --n 2 --format json": (0, "3af6675c52d9ae42daa9ac2e2c57be82f6deae726898ce85b3d7d76c0876fa20", EMPTY),
+    "weil --q 9 --n 2": (0, "2e9cd50c28299278741365c9ab2b31113f819b26a1b7846f638c64701b48aef8", EMPTY),
+    "primes-bound --q 2 --n 5 --k 5 --identity": (
+        0, "30022539526aa33faa82f7abd4d3f0775fcca20da87c0713470b9a9c4e3168f4", EMPTY,
+    ),
+    "primes-bound --q 2 --n 5 --k 5 --identity --format json": (
+        0, "54f44d24077a1ed5129ed66896fac3f3ef46541f54512cae8d7864352b1a8ccc", EMPTY,
+    ),
+    "primes-bound --q 2 --n 5 --k 5 --format csv": (
+        0, "067ca96f4a462e68f8c883a4c05444f5a0ae6cc45a05f028568c26b727fbb080", EMPTY,
+    ),
+    "primes-bound --q 2 --n 6 --Q t^6+t^5+t^3+t --k 4 --identity": (
+        0, "64add10545e432e94992113ced3c718094a368434b28bd95447aadb1ea15b4df", EMPTY,
+    ),
+    "primes-bound --q 4 --n 2 --k 3 --identity --format csv": (
+        0, "b3b0858ca241099756dfd1d163533d733493f72f851fa8f1d9ef2d0fcafd6f97", EMPTY,
+    ),
+    "primes-bound --q 9 --n 2 --k 2 --format json --out pb.json": (
+        0, EMPTY, EMPTY,
+        "pb.json:4e95c4212ac57989bb4bb4e8c81929f012364994a2180fdf11857ae197f496b9",
+    ),
+    "smooth-count --q 2 --d 1..8 --enum-check": (
+        0, "a9e5655409a7b7f4986dac1812d57d12ac2d8ee94fb2c82e71c13905449e2cfd", EMPTY,
+    ),
+    "smooth-count --q 2 --d 1..8 --enum-check --format json": (
+        0, "c28e9572c0f4e3549ff9cc3ae135db69f6f195675adc0f1d0bca4a8c6ba52251", EMPTY,
+    ),
+    "smooth-count --q 3 --d 1..6 --r 1..3 --format csv": (
+        0, "fce0174d17f326a26530430276cfcf5451e8862e54e4cbb0b54555a69194752e", EMPTY,
+    ),
+    "smooth-count --q 4 --d 1..4 --enum-check --format csv": (
+        0, "7c93acb8fd693f8f37155b0dacd4957921cfc4b2e5b2a0b3422e0b1c62b04d0f", EMPTY,
+    ),
+    "smooth-count --q 9 --d 1..3 --format csv --out sc.csv": (
+        0, EMPTY, EMPTY,
+        "sc.csv:ec0a49e74705ebecc2aaa5bb00278fd65a42dfe64d52037eafe4e0d1b7ed2edf",
+    ),
+    "dickman --u-max 12": (0, "4e284eec5ed6e71a6c44b9bc2ea14d26aba732e1fae81c116b6072fdcec82e05", EMPTY),
+    "dickman --u-max 30 --format json": (0, "007fd095104590655294a935502cfb9f556a7704c3395145bef84c7934515008", EMPTY),
+    "dickman --u-max 8 --format csv": (0, "c7e1392681948b07652595df9d57052e1e442de04fbaec0a5a600150e8fc3626", EMPTY),
+    "main-thm --q 2 --n-list 5 --d 3..6 --r 2..6": (
+        0, "6b7b4c9f81e914826b2fb595688bc9cb68fe43441b27a99ea3402cb8dff3c017", "507be4367a6507e8359e0c182591c1ae42ed7f9e1592eb9bb12bcd3d32ad8981",
+    ),
+    "main-thm --q 2 --n-list 5 --d 3..6 --r 2..6 --format json": (
+        0, "3aa73ae0bdedf43b999778772a6e535700ee2291340e2b43c64595093d6c0485", EMPTY,
+    ),
+    "main-thm --q 2 --n-list 5 --d 3..6 --r 2..6 --format csv": (
+        0, "6b7b4c9f81e914826b2fb595688bc9cb68fe43441b27a99ea3402cb8dff3c017", EMPTY,
+    ),
+    "main-thm --q 2 --n-list 5 --d 3..6 --r 2..6 --format csv --out g.csv": (
+        0, EMPTY, EMPTY,
+        "g.csv:6b7b4c9f81e914826b2fb595688bc9cb68fe43441b27a99ea3402cb8dff3c017",
+        "g.csv.ckpt:92daa1c735eb35059de47708ea72f05310384ecb5618e525f217dc0a58ed0bb7",
+        "g.csv.jsonl:3aa73ae0bdedf43b999778772a6e535700ee2291340e2b43c64595093d6c0485",
+    ),
+    "main-thm --q 2 --n-list 5 --d 3 --r 2 --format csv --out g.csv && main-thm --q 2 --n-list 5 --d 3..6 --r 2..6 --format csv --out g.csv --resume": (
+        0, EMPTY, EMPTY,
+        "g.csv:6b7b4c9f81e914826b2fb595688bc9cb68fe43441b27a99ea3402cb8dff3c017",
+        "g.csv.ckpt:92daa1c735eb35059de47708ea72f05310384ecb5618e525f217dc0a58ed0bb7",
+        "g.csv.jsonl:3aa73ae0bdedf43b999778772a6e535700ee2291340e2b43c64595093d6c0485",
+    ),
+    "main-thm --q 2 --n-list 5 --d 3..6 --r 2..6 --format csv --out g.csv && main-thm --q 2 --n-list 5 --d 3..6 --r 2..6 --format csv --out g.csv --resume": (
+        0, EMPTY, EMPTY,
+        "g.csv:6b7b4c9f81e914826b2fb595688bc9cb68fe43441b27a99ea3402cb8dff3c017",
+        "g.csv.ckpt:92daa1c735eb35059de47708ea72f05310384ecb5618e525f217dc0a58ed0bb7",
+        "g.csv.jsonl:3aa73ae0bdedf43b999778772a6e535700ee2291340e2b43c64595093d6c0485",
+    ),
+    "main-thm --q 2 --n-list 5,6 --d 4..7 --r 3..7 --policy sample-k --sample-k 3 --seed 7 --format csv": (
+        0, "ecb2660616939eaec2e8e78244c9c3357c407c5959f14229bf679f617bf9b309", EMPTY,
+    ),
+    "main-thm --q 2 --n-list 6 --d 4..7 --r 3..7 --policy worst-case --format json": (
+        0, "feebfbb369e0535829e2d5d5887f3eb5dea225e471a9324d4c5364141abd54a6", EMPTY,
+    ),
+    "main-thm --q 2 --n-list 5 --d 3..6 --r 2..6 --strict-range": (
+        0, "422862d174b2221d501351605850b7c0e9e42f7eb5f124e85c1ddc0cd3a9bee0", "f58fa3003f0dd26c95f2071b805657dd5af7aa308e8c2f278eacb09ec981a7be",
+    ),
+    "main-thm --q 2 --n-list 5 --d 4 --r 2 --budget 3": (
+        3, "99be82426b919a76222178f252e099898ccebc1186cd0e815c1f0c5ac6c3de62", "fa3933657621822e51830bb669119c9e4f9123f1a1020f7fbf0a4c09330c0b40",
+    ),
+    "main-thm --q 2 --n-list 5 --d 7..9 --r 5..9 --format csv": (
+        0, "2a1a332c71ff43f23310c34ad8df8202a844ea03f2b41352993d627a0c79f402", EMPTY,
+    ),
+    "main-thm --q 4 --n-list 3 --d 2..4 --r 1..4 --format csv --out g.csv": (
+        0, EMPTY, EMPTY,
+        "g.csv:8aef35c4a1af82de4c0e91fa622e5951ea923a463829a9a30fd693c47ee6941a",
+        "g.csv.ckpt:0a89c46cee23cda875b7765f7b37c263188632a7f50915f6ad84c8d2ea36eafb",
+        "g.csv.jsonl:175b3b6dbcf1697209b527fb231d4923f2648fcb34f608be88bae61c14b0eccf",
+    ),
+    "main-thm --q 9 --n-list 2 --d 1..3 --r 1..3 --format json": (
+        0, "8083d833a03cb5ff36cc3ffd6b9c46adfdb0cad2d7cf7d6bad970783ae4aef57", EMPTY,
+    ),
+    "corollary --q 2 --n-list 5,6 --d 3..6 --r 2..6": (
+        0, "2e236a51ccc1ae44cfd1aacd7d1cc8bc4b40b722e73a43022d52f721bae7185e", "a5e9d82a3f07d34956ba8a921c5e936ac83ca9100d7a6dbab58640ef7e046693",
+    ),
+    "corollary --q 2 --n-list 5,6 --d 3..6 --r 2..6 --format json": (
+        0, "78f2f230c3728c0c3f368f8992d25b6cbbc20fe6ee4d5d2bf20dbc3be23a4d97", EMPTY,
+    ),
+    "corollary --q 2 --n-list 5,6 --d 3..6 --r 2..6 --format csv --out c.csv": (
+        0, EMPTY, EMPTY,
+        "c.csv:2e236a51ccc1ae44cfd1aacd7d1cc8bc4b40b722e73a43022d52f721bae7185e",
+        "c.csv.ckpt:65b857b47070c2cc71f2257e112549b09ce3a6cc9c5045693a1233b231d4f21e",
+        "c.csv.jsonl:78f2f230c3728c0c3f368f8992d25b6cbbc20fe6ee4d5d2bf20dbc3be23a4d97",
+    ),
+    "corollary --q 3 --n-list 3 --d 2..4 --r 1..4 --format csv": (
+        0, "0ea25ac457e350efcd2cecd9db4e86c01bcb2897a7cd0ace8cd88739657d5d72", EMPTY,
+    ),
+    "density --q 2 --n 6 --d 5": (0, "d3db3b452fb75def275fb547984b67e4980ce08e975422e9c019835faa18ab4f", EMPTY),
+    "density --q 2 --n 6 --d 5 --format json": (
+        0, "a35cfdd2c8d6e0e14126d5d3f19c8c55062a689b67771f70a66a83e0e2c56428", EMPTY,
+    ),
+    "density --q 2 --n 6 --d 5 --format csv": (
+        0, "fae3f04f5c677fc5e074bd64a7f44ab48f460cebff3774f95f7378556e591be2", EMPTY,
+    ),
+    "density --q 3 --n 5 --d 8 --format json": (
+        0, "1994dfa372d42835b49c57613feefa5574cf1b9512ac06f5bb37f72ed1a7304d", EMPTY,
+    ),
+    "density --q 4 --n 3 --d 4 --format csv": (
+        0, "21372474fc37fca0de06ea3b96d2a41f0cdcb73f0f7929b2f2a1106c3a95db07", EMPTY,
+    ),
+    "density --q 9 --n 2 --d 3": (0, "b13aa1047d1093290f344ed727194bb9a47f6eb0d0ba9342159f1cea27da740b", EMPTY),
+    "density --q 2 --n 6 --eps 0.05 --C 0.3": (
+        0, "63f095bfbcb0e5f26d928e1b4b8cf4a0f2c22e1c04d5bd725c125018a5a57a4c", "1e79724631d5646faa6b7fdce779d1d27e53624777a2147084247506254c5198",
+    ),
+    "density --q 2 --n 13 --d 12 --budget 100": (
+        3, EMPTY, "1e94e43e5a4719ca8a3394e3dce782ae2b9504e28e451787dd807d1427b0761b",
+    ),
+    "sieve --q 2 --n 8 --d 6 --c1 1 --c2 1": (
+        0, "b90ca3b6f4634932ec1ffc6521ef601a74749a35f55fde4df3572c15669a456f", EMPTY,
+    ),
+    "sieve --q 2 --n 8 --d 6 --format json": (
+        0, "f3ca7114aaff5eb42a7a2d4cec8348381b5cd867e01f994cb0d6d2bb82b9383c", EMPTY,
+    ),
+    "sieve --q 2 --n 8 --d 6 --format csv": (
+        0, "d2a9c8a9e44debad3f857207ef6f20b4ed63a7fb673e9a913750cb55885fbb9f", EMPTY,
+    ),
+    "sieve --q 4 --n 3 --d 3 --format json": (
+        0, "027ca4be902a7eb0a1dccdff5e0d2715581a5162c9ed6a8a7868fb9faeb13b20", EMPTY,
+    ),
+    "sieve --q 9 --n 2 --d 2 --format csv": (
+        0, "818c5beecc68e3e6c00df7392221e198a6c12ff610145a0f790d1c4feff033a9", EMPTY,
+    ),
+    "mertens --q 2 --k 12": (0, "d3db48860ad1913a33d0abad8e05442e5e28ac43b2949626e48fd64d7aedcfd3", EMPTY),
+    "mertens --q 2 --k 12 --format json": (
+        0, "e09a0c59fbef1c3c471208f3c1b644fef8836b80c39cd7817e6045c3927f07fd", EMPTY,
+    ),
+    "mertens --q 2 --k 20 --format csv": (0, "852c2762809adbcbae7a239f67bb2525ae58f312cf1585c78ed7f356878c6a12", EMPTY),
+    "mertens --q 4 --k 8": (0, "7eca44b506577075e1e30d72cd105a8b589a1d4c6b3902bf737e72971570a2f9", EMPTY),
+    "mertens --q 9 --k 5 --format json": (0, "44f8802cf571d589eb3fda91baa451f695a9485439f29f064b3c20b704973632", EMPTY),
+    "indicator --q 2 --n 6 --d 5": (0, "80327daeda942ea3ece6fca404e03ebcb55b936d78eb9318c4ba4a59a037b4fd", EMPTY),
+    "indicator --q 2 --n 6 --d 5 --format json": (
+        0, "7ecd3862708ddfa551d56fba2e515c344cd9beb439b5b2febc10c444cf97d267", EMPTY,
+    ),
+    "indicator --q 2 --n 5 --format csv": (
+        0, "32724172aa2b74f1b49853de1c961ef25b63a1d6bb241a930ea7991e6d0f34e7", EMPTY,
+    ),
+    "indicator --q 4 --n 2 --d 3 --format json": (
+        0, "9c063fcb823c8123892099a2f1819adbba5153c48d5d640c4d7334f0700bccb3", EMPTY,
+    ),
+    "indicator --q 9 --n 2 --d 2": (0, "44f062db7ee2c988888c6210bf3ff1d512cb98da79d7615a946f7103487c72f0", EMPTY),
+    "indicator --q 2 --n 3 --Q t^3+t+1 --d 2": (
+        0, "15eb850b791b7e8ce2b1f196a6f8eea9cd352b7c5d43a96c78b6f3f227c5c4ba", EMPTY,
+    ),
+    "weil --q 2 --n 4 --Q t^4+t^2": (2, EMPTY, "11c3650a0a2182a765faea0a80188863c8ce5a8be28c4a061dfe61f452b0e0c3"),
+    "indicator --q 2 --n 3 --Q t^3+t^2+t": (
+        2, EMPTY, "b9a8265eb160a5ec58f74bb8d34c5ad35375f095dfb8ae7f386be75b60950e62",
+    ),
+    "density --q 2 --n 5 --d 0": (2, EMPTY, "ac28281104694c903f72622199036411644bd9858ed8bd8fbc86e67a0b0a9885"),
+    "mertens --q 6 --k 3": (2, EMPTY, "4d1ac28106ea8254b8598b84c9d901c8091f7ac388bf389fac2d59b42a665920"),
+    "main-thm --q 2 --n-list 5 --d 3 --r 0": (
+        2, EMPTY, "ef547f1d7a795db259dd5e9e46d8ca908732db3b779040143a6993d4ed99a7c2",
+    ),
+}
+
+
+def argv_digest(runs: str, capsys) -> tuple:
+    """The ARGV_DIGESTS entry of runs, " && "-joined argv run in order in the working directory."""
+    import hashlib
+
+    for argv in runs.split(" && "):
+        code = main(argv.split())
+        out, err = capsys.readouterr()
+    files = tuple(f"{p.name}:{hashlib.sha256(p.read_bytes()).hexdigest()}" for p in sorted(Path().iterdir()))
+    return (code, hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(err.encode()).hexdigest()) + files
+
+
+@pytest.mark.parametrize("runs", list(ARGV_DIGESTS))
+def test_output_bytes_match_recorded_digests(tmp_path, monkeypatch, capsys, runs):
+    monkeypatch.chdir(tmp_path)
+    assert argv_digest(runs, capsys) == ARGV_DIGESTS[runs]

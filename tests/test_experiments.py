@@ -9,7 +9,6 @@ import pytest
 
 from ffchar import experiments
 from ffchar.algebra import Field, Poly, irreducibles_up_to
-from ffchar.characters import character_by_index
 from ffchar.cli import main
 from ffchar.experiments import (
     CSV_HEADER,
@@ -21,7 +20,7 @@ from ffchar.experiments import (
 from ffchar.residue import Modulus
 from ffchar.smooth import smooth_count
 from grid_rows import jsonl_records
-from phase_oracle import character_sum_Ad, chi_eval, prime_char_sum, smooth_char_sum
+from phase_oracle import character_by_index, character_sum_Ad, chi_eval, prime_char_sum, smooth_char_sum
 
 F2 = Field.get(2)
 
@@ -121,7 +120,7 @@ def joined(chunks) -> tuple[str, str]:
 
 def small_cfg(tmp_path=None, **kw):
     base = dict(
-        qs=(2,),
+        q=2,
         ns=(5,),
         ds=(3, 4, 5),
         rs=(2, 3, 4, 5),
@@ -345,12 +344,12 @@ def test_lmn_first_nontrivial_coefficient():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ExperimentConfig(qs=(), ns=(5,), ds=(3,), rs=(2,)).validate()
+        ExperimentConfig(q=2, ns=(), ds=(3,), rs=(2,)).validate()
     with pytest.raises(ValueError):
-        ExperimentConfig(qs=(2,), ns=(5,), ds=(3,), rs=(2,), char_policy="bogus").validate()
+        ExperimentConfig(q=2, ns=(5,), ds=(3,), rs=(2,), char_policy="bogus").validate()
     for k in (0, -1):
         with pytest.raises(ValueError, match="--sample-k"):
-            ExperimentConfig(qs=(2,), ns=(5,), ds=(3,), rs=(2,), char_policy="sample-k", sample_k=k).validate()
+            ExperimentConfig(q=2, ns=(5,), ds=(3,), rs=(2,), char_policy="sample-k", sample_k=k).validate()
 
 
 # -- columnar persistence -------------------------------------------------------
@@ -563,7 +562,7 @@ def test_modulus_text_formatted_once_per_modulus(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("policy", ["worst-case", "corollary"])
 def test_selection_ranks_on_persisted_values(monkeypatch, policy):
-    cfg = small_cfg(None, qs=(3,), ns=(4,), ds=(2, 3, 4, 5), rs=(1, 2, 3))
+    cfg = small_cfg(None, q=3, ns=(4,), ds=(2, 3, 4, 5), rs=(1, 2, 3))
     every = run_blocks(run_main_theorem_grid, cfg, monkeypatch)
     if policy == "corollary":
         chosen = run_blocks(run_corollary_grid, cfg, monkeypatch)

@@ -9,6 +9,7 @@ from ffchar.primitive import (
     best_epsilon_bound,
     density_experiment,
     epsilon_bound,
+    in_theorem_range,
     primitivity_indicator_check,
     schedule_degree,
     sieve_quantities,
@@ -36,9 +37,9 @@ def test_epsilon_monotone_decreasing_in_r():
 
 
 def test_epsilon_range_flag():
-    assert epsilon_bound(2, 10, 8, 13).in_range  # 2 log_2 13 = 7.4 <= 8 <= 10 <= 13
-    assert not epsilon_bound(2, 10, 4, 13).in_range
-    assert not epsilon_bound(2, 14, 8, 13).in_range  # d > n
+    assert in_theorem_range(2, 10, 8, 13)  # 2 log_2 13 = 7.4 <= 8 <= 10 <= 13
+    assert not in_theorem_range(2, 10, 4, 13)
+    assert not in_theorem_range(2, 14, 8, 13)  # d > n
 
 
 def test_best_epsilon_bound_is_min():

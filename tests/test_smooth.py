@@ -9,8 +9,8 @@ import pytest
 
 import ffchar
 from ffchar import dickman_panels, smooth, vecpoly
-from ffchar.algebra import Field, irreducibles_up_to, max_factor_degree
-from ffchar.characters import character_by_index, unit_dlog_histogram
+from ffchar.algebra import Field, irreducibles_up_to
+from ffchar.characters import unit_dlog_histogram
 from ffchar.cli import main
 from ffchar.residue import Modulus
 from ffchar.smooth import (
@@ -28,11 +28,14 @@ from ffchar.smooth import (
 from phase_oracle import (
     NotAUnitError,
     all_characters,
+    character_by_index,
     character_sum_Ad,
     chi_eval,
     dlog,
     enumerate_monic,
     is_smooth,
+    max_factor_degree,
+    modulus_from_text,
     smooth_char_sum,
 )
 
@@ -205,7 +208,7 @@ def test_smooth_histogram_matches_scalar_path():
 def test_smooth_histogram_matches_walker_q3_and_composites():
     # q=3 with d >= n reduces the vector dlogs through base-p digit addition;
     # the composites take the scalar flat-dlog route
-    moduli = [Modulus.irreducible(F3, 4)] + [Modulus.from_text(f, text) for f, text in COMPOSITES]
+    moduli = [Modulus.irreducible(F3, 4)] + [modulus_from_text(f, text) for f, text in COMPOSITES]
     for m in moduli:
         for d in range(7):
             for r in range(1, d + 2):
@@ -214,7 +217,7 @@ def test_smooth_histogram_matches_walker_q3_and_composites():
 
 def test_smooth_sum_composite_matches_brute_force():
     for field, text in COMPOSITES:
-        m = Modulus.from_text(field, text)
+        m = modulus_from_text(field, text)
         chars = list(all_characters(m))
         for d in range(7):
             polys = list(enumerate_monic(field, d))
@@ -228,13 +231,38 @@ def test_smooth_sum_composite_matches_brute_force():
 
 
 def test_smooth_histogram_is_whole_histogram_when_r_geq_d():
-    for m in (Modulus.irreducible(F2, 5), Modulus.irreducible(F3, 3), Modulus.from_text(F3, "t^3+2t")):
+    for m in (Modulus.irreducible(F2, 5), Modulus.irreducible(F3, 3), modulus_from_text(F3, "t^3+2t")):
         for d in range(7):
             whole_hist, whole_nonunits = unit_dlog_histogram(m, d)
             for r in range(max(d, 1), d + 3):
                 hist, nonunits = smooth_dlog_histogram(m, d, r)
                 assert np.array_equal(hist, whole_hist)
                 assert nonunits == whole_nonunits
+
+
+def test_grid_smooth_histogram_runs_its_chunks_on_the_workers(monkeypatch, capsys):
+    """At d >= deg Q only the r-smooth slice enumerates: its chunks run --workers at a time, to the same bytes."""
+    from ffchar import characters
+
+    seen = []
+    real = characters._run_chunks
+
+    def recorded(work, starts, workers):
+        seen.append((len(starts), workers))
+        return real(work, starts, workers)
+
+    # A_9 mod a degree-5 Q takes the closed form; its 5-smooth slice spans 2^9 / 64 = 8 chunks
+    monkeypatch.setattr(characters, "HIST_CHUNK", 64)
+    monkeypatch.setattr(characters, "_run_chunks", recorded)
+    m = Modulus.irreducible(F2, 5)
+    one, two = smooth_dlog_histogram(m, 9, 5), smooth_dlog_histogram(m, 9, 5, workers=2)
+    assert np.array_equal(one[0], two[0]) and one[1] == two[1]
+    outs = []
+    for workers in ("1", "2"):
+        assert main("main-thm --q 2 --n-list 5 --d 9 --r 5 --format csv --workers".split() + [workers]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert seen == [(8, 1), (8, 2), (8, 1), (8, 2)]
 
 
 def _corrupt_profile(monkeypatch, field, d):
@@ -268,7 +296,7 @@ def test_bulk_smooth_sums_match_per_character():
 
 def test_bulk_smooth_sums_match_per_character_on_composites():
     for field, text in COMPOSITES:
-        m = Modulus.from_text(field, text)
+        m = modulus_from_text(field, text)
         chars = list(all_characters(m))
         for d in range(7):
             for r in range(1, d + 1):
@@ -482,8 +510,3 @@ def test_soundararajan_reports_finite_exponent():
     assert rep.normalized_exponent is not None
     assert math.isfinite(rep.normalized_exponent)
     assert rep.prediction == pytest.approx(2**10 * dickman_rho(2.0), rel=1e-12)
-
-
-def test_soundararajan_range_flag():
-    assert soundararajan_check(2, 10, 5).in_range is False  # log_2(10 ln^2 10) ~ 5.7
-    assert soundararajan_check(2, 10, 8).in_range is True
