@@ -421,12 +421,9 @@ def cmd_sieve(args) -> int:
 
 def cmd_mertens(args) -> int:
     """Partial Euler product over deg P <= k against e^gamma k."""
-    from .lfun import mertens_product
+    from .lfun import mertens_products
 
-    degrees = _prime_degrees(args.k)
-    # largest k first: a k whose exact product is too large is refused before any product is formed
-    got = {k: mertens_product(args.q, k) for k in reversed(degrees)}
-    rows = ["k,product,ratio"] + [f"{k},{got[k].product!r},{got[k].ratio!r}" for k in degrees]
+    rows = ["k,product,ratio"] + [f"{m.k},{m.product!r},{m.ratio!r}" for m in mertens_products(args.q, args.k)]
     if args.format in ("csv", "human"):
         _emit(rows, args.out)
     else:
@@ -443,7 +440,7 @@ def cmd_indicator(args) -> int:
     ok = rep.max_unit_deviation <= 1e-9
     if args.d is not None:
         ok = ok and rep.decomposition_error <= 1e-6
-    if args.format == "json":
+    if args.format in ("json", "csv"):
         j = {
             "q": rep.q,
             "n": rep.n,
@@ -461,7 +458,10 @@ def cmd_indicator(args) -> int:
                 main_term=str(rep.main_term),
                 correction=rep.correction,
             )
-        _emit([json.dumps(j, sort_keys=True)], args.out)
+        if args.format == "json":
+            _emit([json.dumps(j, sort_keys=True)], args.out)
+        else:
+            _emit([",".join(j), ",".join(str(v) for v in j.values())], args.out)
     else:
         lines = [
             f"q={rep.q} n={rep.n}: unit group order {rep.group_order}, phi = {rep.phi}",

@@ -15,7 +15,7 @@ live only until the combo is written; the run keeps just its totals
 (`GridRunResult`).  A block is written in chunks of at most `ROW_CHUNK`
 rows: each chunk is one append to the CSV and one to the JSONL file, and
 the combo's key is appended to the checkpoint only after its last chunk.
-So no text of a whole combo is ever held in memory, and a run killed at
+So no row text of a whole combo is ever held in memory, and a run killed at
 any point leaves every checkpointed combo complete in both files, followed
 by at most some rows of one unfinished combo, the last of them possibly
 torn.  `--resume` cuts the checkpoint back to its last complete key and
@@ -25,15 +25,25 @@ place of a CSV or JSONL path gets the same chunks, as each combo finishes.
 
 Every float is written as its repr, the shortest text that reads back to
 the same double (JSON spells nan and the infinities NaN and Infinity).
-orjson writes a whole numpy column with those digits in one call; the few
+orjson writes a whole numpy array with those digits in one call; the few
 values whose repr takes exponent form or is not finite take repr itself
-(`float_texts`).  Each column is formatted once per combo, and a column
-that repeats the previous combo's bytes (the character indices, say) is
-not formatted again.  A block's rows come from one row layout
-(`row_chunks`): the text that is the same on every row of the block (q, n,
-Q, d, r, the bound, eps and, outside the corollary, the flags) is merged
-and laid out once for a chunk's worth of rows; each chunk copies that
-layout, fills in only the per-row columns and joins once.
+(`float_texts`).  Each float is formatted once, and column texts live no
+longer than their reuse needs:
+
+- one chunk: the columns of one combo alone (lhs, the implied constant
+  and, off the r = d diagonal, the smooth sums) are formatted a chunk of
+  rows at a time, all of them in one `float_texts` call (`_ChunkTexts`);
+- one block: the row layout (`row_chunks`).  The text that is the same on
+  every row of the block (q, n, Q, d, r, the bound, eps and, outside the
+  corollary, the flags) is merged and laid out once for a chunk's worth
+  of rows; each chunk copies that layout, fills in only the per-row
+  columns and joins once;
+- across blocks: the columns a later combo can repeat, the character
+  indices (the same in every combo of a modulus) and the short sums and
+  their norms (the same for every r of one d), formatted once per block.
+  A block keeps the previous block's texts it repeats and drops the rest
+  before it formats anything (`_TextMemo`), so at most four columns of
+  one block live across blocks.
 
 All heavy number crunching reduces to integer dlog histograms (worker count
 cannot change them) followed by DFTs, so worker counts never change any
@@ -143,45 +153,89 @@ def float_texts(col: np.ndarray) -> tuple[list[str], list[str]]:
 
 
 class _TextMemo:
-    """Column texts keyed by the column's dtype and bytes, kept for one block.
+    """Texts of the columns a later combo can repeat, keyed by dtype and bytes, kept for one block.
 
-    Consecutive blocks often repeat a column bit for bit: every combo of a
-    modulus writes the same character indices, A(d, chi), and so the short
-    norms, are the same for every r of one d, and on the diagonal r = d the
-    smooth sums equal them.  Each such column is formatted once.  A float
-    column gets its repr and JSON texts (`float_texts`), an integer column
-    its str texts, the same list twice.
+    Every combo of a modulus writes the same character indices, and A(d, chi),
+    and so the short norms, are the same for every r of one d: a block asks
+    for its chi, short, a.real and a.imag texts (`__call__`), and a column
+    whose key the previous block also asked for is not formatted again.  A
+    float column gets its repr and JSON texts (`float_texts`), an integer
+    column its str texts, the same list twice.
+
+    What lives how long: these texts live across blocks, from one block's
+    call to the next one's, which drops every text it does not repeat
+    before it formats anything, so at most four columns of one block are
+    kept.  The row layout lives for one block (`row_chunks`).  The columns
+    of one combo alone (lhs, implied and, off the diagonal, s) never enter
+    the memo: their texts live for one chunk (`_ChunkTexts`).
     """
 
     def __init__(self):
-        self.prev: dict[tuple[str, bytes], tuple[list[str], list[str]]] = {}
-        self.cur: dict[tuple[str, bytes], tuple[list[str], list[str]]] = {}
+        self.texts: dict[tuple[str, bytes], tuple[list[str], list[str]]] = {}
 
-    def next_block(self):
-        self.prev, self.cur = self.cur, {}
-
-    def __call__(self, col: np.ndarray) -> tuple[list[str], list[str]]:
+    def __call__(self, *cols: np.ndarray) -> list[tuple[list[str], list[str]]]:
         # equal bytes need not be equal values: an int64 and a float64 column can share them
-        key = (col.dtype.str, col.tobytes())
-        hit = self.cur.get(key) or self.prev.get(key)
-        if hit is None:
-            if col.dtype.kind == "f":
-                hit = float_texts(col)
-            else:
-                texts = list(map(str, col.tolist()))
-                hit = texts, texts
-        self.cur[key] = hit
-        return hit
+        keys = [(col.dtype.str, col.tobytes()) for col in cols]
+        hits = [self.texts.get(key) for key in keys]
+        # the previous block's other texts go before any column is formatted
+        self.texts = {}
+        out = []
+        for col, key, hit in zip(cols, keys, hits):
+            hit = hit or self.texts.get(key)
+            if hit is None:
+                if col.dtype.kind == "f":
+                    hit = float_texts(col)
+                else:
+                    texts = list(map(str, col.tolist()))
+                    hit = texts, texts
+            self.texts[key] = hit
+            out.append(hit)
+        return out
+
+
+class _ChunkTexts:
+    """Texts of one combo's own float columns, formatted one chunk of rows at a time.
+
+    `column(c)` is the c-th column's texts (its JSON spelling with json=True)
+    as a list that row_chunks slices by a chunk's rows.  The first slice of a
+    chunk puts every column's rows into one array, one column after another,
+    and makes one float_texts call on it; each column reads its texts back
+    from its own stretch.  Only the latest chunk's texts are kept.
+    """
+
+    class _Column:
+        def __init__(self, owner: "_ChunkTexts", c: int, spelling: int):
+            self.owner, self.c, self.spelling = owner, c, spelling
+
+        def __getitem__(self, rows: slice) -> list[str]:
+            m = rows.stop - rows.start
+            return self.owner.of(rows)[self.spelling][self.c * m : (self.c + 1) * m]
+
+    def __init__(self, cols: list[np.ndarray]):
+        self.cols = cols
+        self.rows: Optional[slice] = None
+        self.texts: tuple[list[str], list[str]] = ([], [])
+
+    def of(self, rows: slice) -> tuple[list[str], list[str]]:
+        if rows != self.rows:
+            self.texts = ([], [])  # the previous chunk's texts go before these are made
+            self.texts = float_texts(np.concatenate([col[rows] for col in self.cols]))
+            self.rows = rows
+        return self.texts
+
+    def column(self, c: int, json: bool = False) -> "_ChunkTexts._Column":
+        return self._Column(self, c, int(json))
 
 
 def row_chunks(cols: tuple, n: int) -> Iterator[str]:
     """Rows 0..n-1 of the given columns in order, at most ROW_CHUNK rows per text.
 
-    A str column is the same text on every row; a list column holds one text
-    per row.  Adjacent str columns are merged, and one chunk's worth of rows
-    is laid out once with the str texts in place; each chunk copies that
-    layout, fills the list columns by slice assignment and joins once.  No
-    columns give one "" per chunk.
+    A str column is the same text on every row; any other column gives a
+    chunk's texts when sliced by the chunk's rows (a list holds one text per
+    row).  Adjacent str columns are merged, and one chunk's worth of rows is
+    laid out once with the str texts in place; each chunk copies that layout,
+    fills the other columns by slice assignment and joins once.  No columns
+    give one "" per chunk.
     """
     merged: list = []
     for col in cols:
@@ -252,27 +306,30 @@ class ComboBlock:
 
         Each pair covers the same rows ("" for a format not asked for), and
         their concatenation in order is the whole block.  Each per-row float
-        is formatted once per block and shared by both texts; pass the
-        previous block's memo to reuse the columns the two share.  JSONL keys
-        follow the sorted order of json.dumps(..., sort_keys=True).
+        is formatted once and shared by both texts.  The columns of this
+        combo alone (lhs, implied and, off the diagonal, s) are formatted a
+        chunk at a time (`_ChunkTexts`); chi, short and a go through the
+        memo, so pass the previous block's memo to reuse the columns the two
+        share.  On the diagonal s has a's bytes and takes a's texts.  JSONL
+        keys follow the sorted order of json.dumps(..., sort_keys=True).
         """
-        texts_of = memo if memo is not None else _TextMemo()
-        texts_of.next_block()
-        chis = texts_of(self.chi)[0]
+        shared = [self.chi, self.short] + ([self.a.imag, self.a.real] if jsonl else [])
+        (chis, _), (sn, sn_j), *a_texts = (memo if memo is not None else _TextMemo())(*shared)
+        # bytes, not values: s = 0.0 against a = -0.0 is equal but writes differently
+        diagonal = self.s is self.a or (self.s.dtype == self.a.dtype and self.s.tobytes() == self.a.tobytes())
+        own = _ChunkTexts([self.lhs, self.implied] + ([self.s.imag, self.s.real] if jsonl and not diagonal else []))
         # one flags text for the whole block, a constant of the row layout, unless rows differ
         flags = self.row_flags() if self.corollary else self.flags
-        lhs, lhs_j = texts_of(self.lhs)
-        ic, ic_j = texts_of(self.implied)
-        sn, sn_j = texts_of(self.short)
         csv_cols = jsonl_cols = ()
         if csv:
             bc, ep = repr(self.bound_core), repr(self.eps)
             csv_cols = (
-                f"{self.q},{self.n},{self.Q},chi[", chis, f"],{self.d},{self.r},", lhs,
-                f",{bc},", ic, ",", sn, f",{ep},", flags, "\n",
+                f"{self.q},{self.n},{self.Q},chi[", chis, f"],{self.d},{self.r},", own.column(0),
+                f",{bc},", own.column(1), ",", sn, f",{ep},", flags, "\n",
             )
         if jsonl:
-            a_im, a_re, s_im, s_re = (texts_of(col)[1] for col in (self.a.imag, self.a.real, self.s.imag, self.s.real))
+            a_im, a_re = (texts[1] for texts in a_texts)
+            s_im, s_re = (a_im, a_re) if diagonal else (own.column(2, json=True), own.column(3, json=True))
             if self.corollary:
                 flag_json = {f: json.dumps(f) for f in set(flags)}
                 flags_j = [flag_json[f] for f in flags]
@@ -282,7 +339,7 @@ class ComboBlock:
                 f'{{"Q": {self.Q_json}, "a_im": ', a_im, ', "a_re": ', a_re,
                 f', "bound_core": {json.dumps(self.bound_core)}, "chi": "chi[', chis,
                 f']", "d": {self.d}, "eps": {json.dumps(self.eps)}, "flags": ', flags_j,
-                ', "implied_constant": ', ic_j, ', "lhs": ', lhs_j,
+                ', "implied_constant": ', own.column(1, json=True), ', "lhs": ', own.column(0, json=True),
                 f', "n": {self.n}, "q": {self.q}, "r": {self.r}, "s_im": ', s_im, ', "s_re": ', s_re,
                 ', "short_norm": ', sn_j, "}\n",
             )

@@ -46,7 +46,7 @@ __all__ = [
     "prime_sum_bound",
     "prime_sum_spectrum",
     "von_mangoldt_spectrum",
-    "mertens_product",
+    "mertens_products",
     "TRAILING_COEFF_TOL",
 ]
 
@@ -217,27 +217,31 @@ class MertensResult:
     ratio: float  # product / (e^gamma * k)
 
 
-def mertens_product(q: int, k: int) -> MertensResult:
-    """prod over irreducible P with deg P <= k of (1 - q^(-deg P))^(-1).
+def mertens_products(q: int, k: int) -> list[MertensResult]:
+    """prod over irreducible P with deg P <= j of (1 - q^(-deg P))^(-1), for j = 1..k.
 
-    Accumulated exactly as a ratio of integers, prod_j (q^j / (q^j - 1))^pi_j,
-    and rendered to a double only at the end; returned with its ratio to
-    e^gamma * k.  The numerator has log2(q) sum_j j pi_j bits: a (q, k) above
-    `MERTENS_BITS_LIMIT` is refused with ValueError before it is formed.
+    Accumulated exactly as a ratio of integers, prod_i (q^i / (q^i - 1))^pi_i,
+    in one pass that carries the numerator and denominator from j to j + 1;
+    each j's ratio is rendered to a double and returned with its ratio to
+    e^gamma * j.  The numerator has log2(q) sum_i i pi_i bits: a (q, k) whose
+    last product is above `MERTENS_BITS_LIMIT` is refused with ValueError
+    before any product is formed.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got k = {k}")
     if q < 2 or factor_integer(q).omega != 1:
         raise ValueError(f"q = {q} is not a prime power")
-    if k < 1:
-        raise ValueError("k must be >= 1")
     pis = [monic_irreducible_count(q, j) for j in range(1, k + 1)]
     bits = math.log2(q) * sum(j * pj for j, pj in enumerate(pis, start=1))
     if bits > MERTENS_BITS_LIMIT:
         raise ValueError(
             f"the exact product for q = {q}, k = {k} has about {bits:.3g} bits, above the limit {MERTENS_BITS_LIMIT}"
         )
+    out = []
     num, den = 1, 1
     for j, pj in enumerate(pis, start=1):
         num *= (q**j) ** pj
         den *= (q**j - 1) ** pj
-    product = _big_ratio_to_float(num, den)
-    return MertensResult(q, k, product, product / (math.exp(_EULER_GAMMA) * k))
+        product = _big_ratio_to_float(num, den)
+        out.append(MertensResult(q, j, product, product / (math.exp(_EULER_GAMMA) * j)))
+    return out

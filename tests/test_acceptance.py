@@ -19,7 +19,7 @@ from ffchar.lfun import (
     WEIL_CLASSES,
     inverse_roots,
     lpolynomial_coeffs,
-    mertens_product,
+    mertens_products,
     prime_sum_bound,
     prime_sum_spectrum,
     von_mangoldt_spectrum,
@@ -227,7 +227,7 @@ def test_criterion_9_sieve_cross_check():
 
 
 def test_criterion_10_mertens_trend():
-    ratios = {k: mertens_product(2, k).ratio for k in range(10, 21)}
+    ratios = {got.k: got.ratio for got in mertens_products(2, 20)[9:]}
     in_window = all(0.85 <= r <= 1.15 for r in ratios.values())
     ks = np.array(sorted(ratios))
     dist = np.array([abs(ratios[k] - 1.0) for k in ks])

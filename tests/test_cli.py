@@ -156,6 +156,18 @@ def test_indicator(capsys):
     assert main(["indicator", "--q", "2", "--n", "4", "--d", "3"]) == 0
 
 
+@pytest.mark.parametrize("extra", [[], ["--d", "5"], ["--Q", "t^6+t+1", "--d", "4"]])
+def test_indicator_csv_is_a_header_and_one_row_of_the_json_fields(capsys, extra):
+    argv = ["indicator", "--q", "2", "--n", "6", *extra]
+    code = main(argv + ["--format", "json"])
+    want = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--format", "csv"]) == code
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert len(rows) == 2
+    assert sorted(rows[0]) == sorted(want)
+    assert dict(zip(*rows)) == {k: str(v) for k, v in want.items()}
+
+
 def test_density_schedule_from_eps(capsys):
     # the asymptotic schedule prescribes d = 38 >= n: the A_d histogram is a
     # closed form, nothing is enumerated, so the budget does not apply
@@ -255,17 +267,28 @@ def test_environment_does_not_change_output(tmp_path):
 def test_mertens_refuses_a_large_product_before_forming_any(monkeypatch, capsys):
     from ffchar import lfun
 
-    calls = []
-    real = lfun.mertens_product
+    calls, rendered = [], []
+    real_products, real_render = lfun.mertens_products, lfun._big_ratio_to_float
 
     def recorded(q, k):
         calls.append((q, k))
-        return real(q, k)
+        return real_products(q, k)
 
-    monkeypatch.setattr(lfun, "mertens_product", recorded)
+    def render(num, den):
+        rendered.append(num.bit_length())
+        return real_render(num, den)
+
+    monkeypatch.setattr(lfun, "mertens_products", recorded)
+    monkeypatch.setattr(lfun, "_big_ratio_to_float", render)
     assert main(["mertens", "--q", "3"]) == 2
+    # one pass asked for k = 1..20, refused on k = 20's bit count before any product is formed
     assert calls == [(3, 20)]
+    assert rendered == []
     assert capsys.readouterr().out == ""
+    # within the limit the same pass forms and renders one product per k
+    assert main(["mertens", "--q", "3", "--k", "4"]) == 0
+    assert calls[1:] == [(3, 4)] and len(rendered) == 4
+    assert capsys.readouterr().out.count("\n") == 5
 
 
 @pytest.mark.parametrize(
@@ -807,7 +830,7 @@ ARGV_DIGESTS = {
         0, "7ecd3862708ddfa551d56fba2e515c344cd9beb439b5b2febc10c444cf97d267", EMPTY,
     ),
     "indicator --q 2 --n 5 --format csv": (
-        0, "32724172aa2b74f1b49853de1c961ef25b63a1d6bb241a930ea7991e6d0f34e7", EMPTY,
+        0, "312fbf79c8a2f09074234330ad908aea7ab531292b513a5822372c93382af766", EMPTY,
     ),
     "indicator --q 4 --n 2 --d 3 --format json": (
         0, "9c063fcb823c8123892099a2f1819adbba5153c48d5d640c4d7334f0700bccb3", EMPTY,

@@ -461,17 +461,85 @@ def test_text_memo_keys_int_and_float_columns_apart():
     ints = np.arange(1, 9, dtype=np.int64)
     floats = ints.view(np.float64)  # the same bytes: subnormals 5e-324, 1e-323, ...
     memo = experiments._TextMemo()
-    memo.next_block()
-    assert memo(ints) == ([str(k) for k in range(1, 9)],) * 2
-    assert memo(floats) == ([repr(x) for x in floats.tolist()],) * 2
-    memo.next_block()
-    assert memo(floats)[0] == [repr(x) for x in floats.tolist()]
-    assert memo(ints)[0] == [str(k) for k in range(1, 9)]
+    int_texts, float_texts = [str(k) for k in range(1, 9)], [repr(x) for x in floats.tolist()]
+    # within one block, and in the next block with the two columns in turn
+    assert memo(ints, floats) == [(int_texts,) * 2, (float_texts,) * 2]
+    assert memo(floats, ints) == [(float_texts,) * 2, (int_texts,) * 2]
     # blocks in turn whose chi column has the bytes of the other block's float columns
     n = 40
     chi = np.arange(1, n + 1, dtype=np.int64)
     for block in (vals_block(chi.view(np.float64), chi), vals_block(chi.view(np.float64).copy(), chi + 0)) * 2:
         assert joined(block.chunks(memo=memo)) == oracle_texts(block)
+
+
+def sums_block(a: np.ndarray, s: np.ndarray, chi: np.ndarray, d: int = 10) -> ComboBlock:
+    """A block of raw sums a and s, with lhs and short derived from them as the grid derives them."""
+    Q = "t^13+t^4+t^3+t+1"
+    diff = a - s
+    return ComboBlock(
+        q=2, n=13, Q=Q, Q_json=json.dumps(Q), d=d, r=4, flags="", corollary=False, bound_core=3.5, eps=0.25,
+        chi=chi, a=a, s=s, lhs=np.hypot(diff.real, diff.imag), short=np.hypot(a.real, a.imag) / 2.0**d,
+    )
+
+
+def memo_keys(*cols: np.ndarray) -> set:
+    return {(col.dtype.str, col.tobytes()) for col in cols}
+
+
+def test_text_memo_holds_only_the_repeatable_columns_of_the_last_block():
+    """chi, short and a live across blocks; lhs, implied and s never enter the memo."""
+    R = experiments.ROW_CHUNK
+    n = R + 9
+    rng = np.random.default_rng(2014)
+    chi = np.arange(1, n + 1, dtype=np.int64)
+
+    def sums():
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    a1 = sums()
+    # the same d for two r (a repeats, s differs), then a new d (every float column differs)
+    blocks = [sums_block(a1, sums(), chi), sums_block(a1.copy(), sums(), chi), sums_block(sums(), sums(), chi, d=9)]
+    memo = experiments._TextMemo()
+    kept = []
+    for block in blocks:
+        assert joined(block.chunks(memo=memo)) == oracle_texts(block)
+        assert set(memo.texts) == memo_keys(block.chi, block.short, block.a.imag, block.a.real)
+        own = memo_keys(block.lhs, block.implied, block.s.imag, block.s.real)
+        assert not own & set(memo.texts)
+        kept.append(memo.texts)
+    # the second block reused the first one's texts; the third holds nothing of the second
+    assert all(kept[1][key] is kept[0][key] for key in kept[0])
+    earlier = set().union(
+        *(memo_keys(b.chi, b.short, b.a.imag, b.a.real, b.lhs, b.implied, b.s.imag, b.s.real) for b in blocks[:2])
+    )
+    assert set(kept[2]) & earlier == memo_keys(chi)
+
+
+def test_diagonal_reuses_a_texts_only_for_equal_bytes(monkeypatch):
+    """s = a by value but not by bytes (-0.0 against 0.0) formats s; s with a's bytes takes a's texts."""
+    vals = np.array([0.0, -0.0, 1.5, 0.0, -2.25, 1e-7, 0.0])
+    a = np.empty(vals.size, dtype=np.complex128)
+    a.real, a.imag = vals, vals[::-1]
+    s = a.copy()
+    s.real[vals == 0] = -s.real[vals == 0]  # 0.0 <-> -0.0: the same values, other bytes
+    s.imag[vals[::-1] == 0] = -s.imag[vals[::-1] == 0]
+    assert np.array_equal(s, a) and s.tobytes() != a.tobytes()
+    chi = np.arange(1, vals.size + 1)
+    own_columns = []
+    real_chunk_texts = experiments._ChunkTexts
+
+    def recorded(cols):
+        own_columns.append(len(cols))
+        return real_chunk_texts(cols)
+
+    monkeypatch.setattr(experiments, "_ChunkTexts", recorded)
+    memo = experiments._TextMemo()
+    for block in (sums_block(a, a.copy(), chi), sums_block(a, s, chi), sums_block(a, a, chi), sums_block(a, s, chi)):
+        assert joined(block.chunks(memo=memo)) == oracle_texts(block)
+        assert joined(block.chunks()) == oracle_texts(block)
+    # lhs and implied per chunk, plus s.imag and s.real where s is not a's bytes
+    assert own_columns == [2, 2, 4, 4, 2, 2, 4, 4]
+    assert '"s_re": -0.0' in oracle_texts(sums_block(a, s, chi))[1]
 
 
 def test_short_block_after_full_blocks_matches_oracle():

@@ -9,7 +9,7 @@ from ffchar.lfun import (
     WEIL_CLASSES,
     inverse_roots,
     lpolynomial_coeffs,
-    mertens_product,
+    mertens_products,
     prime_sum_spectrum,
     von_mangoldt_spectrum,
     weil_classes,
@@ -312,14 +312,28 @@ def test_von_mangoldt_degree_one_structure():
 
 
 def test_mertens_small_exact():
-    got = mertens_product(2, 1)
+    (got,) = mertens_products(2, 1)
     assert got.product == pytest.approx(4.0, abs=1e-12)  # (1 - 1/2)^(-2)
 
 
 def test_mertens_ratio_window_and_monotone():
     prev = 0.0
-    for k in range(1, 21):
-        got = mertens_product(2, k)
+    rows = mertens_products(2, 20)
+    assert [got.k for got in rows] == list(range(1, 21))
+    for got in rows:
         assert got.product > prev  # extra factors all exceed 1
         prev = got.product
-    assert 0.9 <= mertens_product(2, 20).ratio <= 1.1
+    assert 0.9 <= rows[-1].ratio <= 1.1
+
+
+def test_mertens_one_pass_matches_each_product_from_scratch():
+    """Row k of the one pass renders the product over deg P <= k formed on its own, to the bit."""
+    from ffchar.algebra import monic_irreducible_count
+
+    for q, k in ((2, 12), (3, 6), (4, 5), (9, 3)):
+        for got in mertens_products(q, k):
+            pis = [(q**j, monic_irreducible_count(q, j)) for j in range(1, got.k + 1)]
+            num, den = math.prod(qj**pj for qj, pj in pis), math.prod((qj - 1) ** pj for qj, pj in pis)
+            assert abs(got.product - num / den) <= 1e-15 * got.product
+            assert got.product == ffchar.lfun._big_ratio_to_float(num, den)
+            assert got.ratio == got.product / (math.exp(float(np.euler_gamma)) * got.k)
