@@ -13,8 +13,6 @@ term varies fastest.  "Least" polynomial always means least code.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -25,12 +23,10 @@ from .intfact import factor_integer, is_prime, mobius
 __all__ = [
     "Field",
     "Poly",
-    "Factorization",
     "monic_code_range",
     "is_irreducible",
     "irreducibles_up_to",
     "monic_irreducible_count",
-    "factorize",
     "lex_least_irreducible",
     "digit_sum_table",
 ]
@@ -78,7 +74,7 @@ class Field:
             raise ValueError(f"q = {p}**{e} exceeds the supported bound 2^16")
         key = (p, e)
         if key not in cls._registry:
-            mod = _least_irreducible_codes(cls.get(p, 1), e) if e > 1 else None
+            mod = lex_least_irreducible(cls.get(p, 1), e).coeffs if e > 1 else None
             cls._registry[key] = cls(p, e, mod, _token=cls._registry)
         return cls._registry[key]
 
@@ -401,9 +397,6 @@ class Poly:
         inv = self.field.inv(self.coeffs[-1])
         return self._wrap(tuple(self.field.mul(c, inv) for c in self.coeffs))
 
-    def derivative(self) -> "Poly":
-        return self._wrap(_derivative(self.field, self.coeffs))
-
     def powmod(self, n: int, modulus: "Poly") -> "Poly":
         return self._wrap(_ppowmod(self.field, self.coeffs, n, modulus.coeffs))
 
@@ -530,17 +523,13 @@ def is_irreducible(f: Poly) -> bool:
     return h == _X
 
 
-def _least_irreducible_codes(field: Field, d: int) -> tuple[int, ...]:
+def lex_least_irreducible(field: Field, d: int) -> Poly:
+    """The least-code monic irreducible of degree d (deterministic pick)."""
     for code in monic_code_range(field, d):
         f = Poly.from_code(field, code)
         if is_irreducible(f):
-            return f.coeffs
+            return f
     raise AssertionError("no irreducible found")  # impossible: pi_d > 0
-
-
-def lex_least_irreducible(field: Field, d: int) -> Poly:
-    """The least-code monic irreducible of degree d (deterministic pick)."""
-    return Poly(field, _least_irreducible_codes(field, d))
 
 
 def irreducibles_up_to(field: Field, r: int) -> list[list[Poly]]:
@@ -559,146 +548,3 @@ def irreducibles_up_to(field: Field, r: int) -> list[list[Poly]]:
         slots = np.flatnonzero(max_degree_profile_cached(field, k) == k)
         out.append([Poly.from_code(field, field.q**k + int(j)) for j in slots])
     return out
-
-
-# ---------------------------------------------------------------------------
-# factorization
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Multiset of monic irreducible factors with multiplicities, plus the unit."""
-
-    factors: tuple[tuple[Poly, int], ...]  # sorted by (degree, code)
-    unit: int  # code of the leading coefficient
-
-
-def factorize(f: Poly) -> Factorization:
-    """Complete factorization into monic irreducibles; rejects the zero polynomial."""
-    if f.is_zero:
-        raise ValueError("cannot factor the zero polynomial")
-    F = f.field
-    unit = f.coeffs[-1]
-    work = f.monic().coeffs
-    raw = _factor_monic(F, work)
-    polys = sorted(((Poly(F, c), m) for c, m in raw.items()), key=lambda t: (t[0].degree, t[0].code()))
-    return Factorization(tuple(polys), unit)
-
-
-def _factor_monic(F: Field, m: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    out: dict[tuple[int, ...], int] = {}
-    stack: list[tuple[tuple[int, ...], int]] = [(m, 1)]
-    while stack:
-        g, mult = stack.pop()
-        dg = len(g) - 1
-        if dg == 0:
-            continue
-        if dg == 1:
-            out[g] = out.get(g, 0) + mult
-            continue
-        der = _derivative(F, g)
-        if not der:
-            root = _pth_root(F, g)
-            stack.append((root, mult * F.p))
-            continue
-        gc = _pgcd(F, g, der)
-        if len(gc) - 1 > 0:
-            quo, rem = _pdivmod(F, g, gc)
-            _check_exact(rem, g, gc)
-            stack.append((gc, mult))
-            stack.append((quo, mult))
-            continue
-        for irr, cnt in _factor_squarefree(F, g).items():
-            out[irr] = out.get(irr, 0) + cnt * mult
-    return out
-
-
-def _check_exact(rem, num, den) -> None:
-    """Raise unless den divided num exactly (rem is the remainder)."""
-    if rem:
-        raise ArithmeticError(f"factorization step: {den} does not divide {num} (remainder {rem})")
-
-
-def _derivative(F: Field, g):
-    # i mod p is an F_p scalar; scalar codes 0..p-1 embed as field codes
-    out = [F.mul(c, i % F.p) for i, c in enumerate(g) if i >= 1]
-    return _trim(out)
-
-
-def _pth_root(F: Field, g):
-    """For g with g' = 0: g = h(x^p)^... actually g = (p-th root)(x)^p; return that root."""
-    p, e, q = F.p, F.e, F.q
-    root = []
-    for i in range(0, len(g), p):
-        c = g[i]
-        # c^(p^(e-1)) is the p-th root of c in F_q
-        root.append(F.pow(c, p ** (e - 1)) if e > 1 else c)
-    return _trim(root)
-
-
-def _factor_squarefree(F: Field, m) -> dict[tuple[int, ...], int]:
-    """Distinct-degree then equal-degree splitting of squarefree monic m."""
-    out: dict[tuple[int, ...], int] = {}
-    rem = m
-    k = 0
-    h = _X
-    while len(rem) - 1 > 0:
-        k += 1
-        if 2 * k > len(rem) - 1:
-            out[rem] = 1
-            break
-        h = _ppowmod(F, h, F.q, rem)
-        g = _pgcd(F, _psub(F, h, _X), rem)
-        if len(g) - 1 > 0:
-            for irr in _equal_degree_split(F, g, k):
-                out[irr] = 1
-            quo, r0 = _pdivmod(F, rem, g)
-            _check_exact(r0, rem, g)
-            rem = quo
-            h = _pmod(F, h, rem)
-    return out
-
-
-def _equal_degree_split(F: Field, g, k: int) -> list[tuple[int, ...]]:
-    """Split squarefree g (all factors of degree k) into its irreducibles.
-
-    Deterministic: splitting candidates are enumerated in code order, so
-    factorizations are reproducible run to run.
-    """
-    parts = [g]
-    done: list[tuple[int, ...]] = []
-    q = F.q
-    while parts:
-        m = parts.pop()
-        dm = len(m) - 1
-        if dm == k:
-            done.append(m)
-            continue
-        split = None
-        for cand_code in itertools.count(q):  # degree >= 1 candidates
-            c = Poly.from_code(F, cand_code).coeffs
-            if F.p == 2:
-                tr = _trace_map(F, c, m, k)
-            else:
-                tr = _psub(F, _ppowmod(F, c, (q**k - 1) // 2, m), (1,))
-            gcd = _pgcd(F, tr, m)
-            if 0 < len(gcd) - 1 < dm:
-                split = gcd
-                break
-        quo, r0 = _pdivmod(F, m, split)
-        _check_exact(r0, m, split)
-        parts.append(split)
-        parts.append(quo)
-    return done
-
-
-def _trace_map(F: Field, c, m, k: int):
-    """Absolute trace sum c + c^2 + ... + c^(2^(k*e - 1)) mod m (char 2 splitter)."""
-    total = _pmod(F, c, m)
-    cur = total
-    for _ in range(k * F.e - 1):
-        cur = _pmulmod(F, cur, cur, m)
-        total = _padd(F, total, cur)
-    return total
-

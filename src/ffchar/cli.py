@@ -28,7 +28,7 @@ import json
 import math
 import os
 import sys
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -56,6 +56,16 @@ def _emit_texts(texts: Iterable[str], out: Optional[str]):
     else:
         for text in texts:
             sys.stdout.write(text)
+
+
+def _json_rows(row_texts: Iterable[str]) -> Iterator[str]:
+    """{"rows": [...]} with every line of row_texts as a JSON string, a text at a time."""
+    yield '{"rows": ['
+    sep = ""
+    for text in row_texts:
+        yield sep + ", ".join(map(json.dumps, text.splitlines()))
+        sep = ", "
+    yield "]}\n"
 
 
 def _csv_label(label: str) -> str:
@@ -195,7 +205,7 @@ def cmd_primes_bound(args) -> int:
     if args.format == "csv":
         _emit_texts(itertools.chain(["chi,k,abs_sum,bound,ratio,identity_err\n"], row_texts()), args.out)
     elif args.format == "json":
-        _emit([json.dumps({"rows": [row for text in row_texts() for row in text.splitlines()]})], args.out)
+        _emit_texts(_json_rows(row_texts()), args.out)
     else:
         lines = [
             f"q={args.q} n={modulus.n}: prime-degree sums for {order - 1} characters, k <= {args.k}",

@@ -6,6 +6,16 @@ components, one per irreducible factor Q_i, of order q^(deg Q_i) - 1.  Each
 component gets a deterministic generator (least residue code that generates)
 and a discrete-log table, a full lookup array over every residue code.
 
+The factors Q_i come from trial division (`_distinct_factors`).  An
+irreducible Q is its own factor; otherwise Q is divided by the sieve's monic
+irreducibles of degree <= n/2 in (degree, code) order, and what is left once
+2 deg P exceeds the degree of the rest is irreducible.  A Q with q^n above 16
+times `FULL_TABLE_LIMIT` is refused before any division: over every
+squarefree factor pattern of degree n, q^n / prod (q^(n_i) - 1) stays below
+2^3.4 (an exact knapsack over the irreducible counts for n < 60; beyond that
+every factor but t and t+1 over F_2 has q^k - 1 >= q^(k/2)), so such a unit
+group is above the limit anyway, and the divisors never exceed degree 13.
+
 Every table, histogram and character-sum spectrum built from these logs is a
 dense array: over residue codes, over the whole unit group, or over the q^k
 monic polynomials of one degree.  One limit, `FULL_TABLE_LIMIT`, bounds them
@@ -43,7 +53,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .algebra import Field, Poly, factorize, lex_least_irreducible
+from .algebra import Field, Poly, irreducibles_up_to, is_irreducible, lex_least_irreducible
 from .intfact import FactoredInteger, factor_integer
 from .vecpoly import linear_map_table, linear_map_values, max_degree_profile_cached, vadd_poly_codes
 
@@ -65,24 +75,23 @@ FULL_TABLE_LIMIT = 1 << 22  # the most entries a dense table, histogram or spect
 
 
 class Modulus:
-    """A squarefree modulus Q with its factor structure."""
+    """A squarefree modulus Q with its factor structure.
+
+    Q is made monic; its distinct irreducible factors, sorted by (degree,
+    code), come from `_distinct_factors`, which refuses a Q with q^n above
+    16 times `FULL_TABLE_LIMIT` before any division and a Q with a repeated
+    factor.
+    """
 
     def __init__(self, poly: Poly):
         if poly.is_zero or poly.degree < 1:
             raise ValueError("modulus must have degree >= 1")
         if not poly.is_monic:
             poly = poly.monic()
-        fac = factorize(poly)
-        bad = [(str(p), m) for p, m in fac.factors if m > 1]
-        if bad:
-            raise ValueError(
-                f"modulus {poly} is not squarefree (repeated factors: {bad}); "
-                "only irreducible or squarefree-composite moduli are supported"
-            )
         self.field: Field = poly.field
         self.poly: Poly = poly
         self.n: int = poly.degree
-        self.irreducible_factors: tuple[Poly, ...] = tuple(p for p, _ in fac.factors)
+        self.irreducible_factors: tuple[Poly, ...] = _distinct_factors(poly)
         self.kind: str = (
             "irreducible" if len(self.irreducible_factors) == 1 else "squarefree-composite"
         )
@@ -125,6 +134,43 @@ def modulus_of(q: int, n: int, Q: Union[Poly, Modulus, None] = None) -> Modulus:
     if modulus.n != n:
         raise ValueError(f"Q = {modulus.poly} has degree {modulus.n}, not n = {n}")
     return modulus
+
+
+def _distinct_factors(Q: Poly) -> tuple[Poly, ...]:
+    """The distinct monic irreducible factors of the monic Q, sorted by (degree, code).
+
+    Trial division by the sieve's irreducibles of degree <= n/2 (module
+    docstring).  ValueError for q^n above 16 times `FULL_TABLE_LIMIT`, read
+    at call time and checked before any division, and for a repeated factor.
+    """
+    field, n = Q.field, Q.degree
+    size = field.q**n
+    if size > 16 * FULL_TABLE_LIMIT:
+        raise ValueError(
+            f"modulus {Q} has q^n = {size} residues, above 16 times the dense table limit {FULL_TABLE_LIMIT}, "
+            "so its unit group is above the limit too"
+        )
+    if is_irreducible(Q):
+        return (Q,)
+    factors, bad, rest = [], [], Q
+    for P in (P for level in irreducibles_up_to(field, n // 2) for P in level):
+        if 2 * P.degree > rest.degree:
+            break
+        m = 0
+        while (rest % P).is_zero:
+            rest, m = rest // P, m + 1
+        if m:
+            factors.append(P)
+        if m > 1:
+            bad.append((str(P), m))
+    if bad:
+        raise ValueError(
+            f"modulus {Q} is not squarefree (repeated factors: {bad}); "
+            "only irreducible or squarefree-composite moduli are supported"
+        )
+    if rest.degree >= 1:
+        factors.append(rest)
+    return tuple(factors)
 
 
 @dataclass(frozen=True)

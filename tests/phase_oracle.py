@@ -21,9 +21,11 @@ second route, one character at a time, so the tests can compare the two:
   with their Weil classes one root at a time (`lpolynomial`, `verify_weil`),
   the oracle of `lfun.inverse_roots` and `lfun.weil_classes`;
 * the polynomials themselves one at a time: the monic stream of one degree
-  (`enumerate_monic`), a factorization multiplied back out
-  (`factorization_product`) and smoothness by factoring (`is_smooth`), for
-  the brute-force checks; and a modulus from its text (`modulus_from_text`).
+  (`enumerate_monic`), a factorization by trial division over every monic
+  polynomial (`trial_factor`), which leans on neither the sieve nor
+  `Modulus`, multiplied back out (`factorization_product`), and smoothness
+  by factoring (`is_smooth`), for the brute-force checks; and a modulus
+  from its text (`modulus_from_text`).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from ffchar.algebra import Factorization, Field, Poly, factorize, monic_code_range
+from ffchar.algebra import Field, Poly, monic_code_range
 from ffchar.characters import unit_dlog_histogram
 from ffchar.lfun import TRAILING_COEFF_TOL, lpolynomial_coeffs, prime_sum_bound
 from ffchar.residue import DlogTable, Modulus
@@ -60,17 +62,41 @@ def modulus_from_text(field: Field, text: str) -> Modulus:
     return Modulus(Poly.from_string(field, text))
 
 
-def factorization_product(fac: Factorization, field: Field) -> Poly:
+def trial_factor(f: Poly) -> tuple[tuple[Poly, int], ...]:
+    """The monic irreducible factors of nonzero f with their multiplicities, sorted by (degree, code).
+
+    Divides by every monic polynomial of degree 1, 2, ... in code order.
+    Once the factors of lower degree are out, a monic divisor of the least
+    degree left is irreducible; once 2 deg g exceeds the degree of the rest,
+    the rest is irreducible (or 1).
+    """
+    if f.is_zero:
+        raise ValueError("cannot factor the zero polynomial")
+    rest, factors, d = f.monic(), [], 1
+    while 2 * d <= rest.degree:
+        for g in enumerate_monic(f.field, d):
+            m = 0
+            while (rest % g).is_zero:
+                rest, m = rest // g, m + 1
+            if m:
+                factors.append((g, m))
+        d += 1
+    if rest.degree >= 1:
+        factors.append((rest, 1))
+    return tuple(factors)
+
+
+def factorization_product(factors, field: Field, unit: int = 1) -> Poly:
     """The unit times every factor to its multiplicity."""
-    out = Poly(field, (fac.unit,))
-    for f, mult in fac.factors:
+    out = Poly(field, (unit,))
+    for f, mult in factors:
         out = out * f**mult
     return out
 
 
 def max_factor_degree(f: Poly) -> int:
     """Largest degree among the irreducible factors of nonzero f (0 for constants)."""
-    return max((g.degree for g, _ in factorize(f).factors), default=0)
+    return max((g.degree for g, _ in trial_factor(f)), default=0)
 
 
 def is_smooth(f: Poly, r: int) -> bool:

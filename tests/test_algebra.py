@@ -1,17 +1,19 @@
 import random
+import re
 
 import pytest
 
 from ffchar.algebra import (
     Field,
     Poly,
-    factorize,
     irreducibles_up_to,
     is_irreducible,
     lex_least_irreducible,
     monic_irreducible_count,
 )
-from phase_oracle import enumerate_monic, factorization_product, is_smooth, max_factor_degree
+from ffchar import residue
+from ffchar.residue import Modulus
+from phase_oracle import enumerate_monic, factorization_product, is_smooth, max_factor_degree, trial_factor
 
 F2 = Field.get(2)
 F3 = Field.get(3)
@@ -259,34 +261,43 @@ def test_lex_least_irreducible_is_first_in_stream():
                 break
 
 
-# -- factorization ------------------------------------------------------
+# -- factors of a modulus --------------------------------------------------
 
 
-def test_factorize_obvious_split():
-    fac = factorize(Poly.from_string(F2, "t^2+t"))
-    assert [(str(p), m) for p, m in fac.factors] == [("t", 1), ("t+1", 1)]
+def repeated(pairs) -> str:
+    """The regex of Modulus's message for a Q with these repeated factors."""
+    return re.escape(f"(repeated factors: {[(str(g), m) for g, m in pairs]})")
 
 
-def test_factorize_irreducible_identity():
+def test_modulus_factors_obvious_split():
+    m = Modulus(Poly.from_string(F2, "t^2+t"))
+    assert [str(p) for p in m.irreducible_factors] == ["t", "t+1"]
+    assert m.kind == "squarefree-composite"
+
+
+def test_modulus_factors_irreducible_identity():
     f = Poly.from_string(F2, "t^3+t+1")
-    fac = factorize(f)
-    assert fac.factors == ((f, 1),)
+    assert Modulus(f).irreducible_factors == (f,)
 
 
-def test_factorize_square():
+def test_modulus_refuses_a_square():
     g = Poly.from_string(F2, "t^2+t+1")
     sq = schoolbook_mul(g, g)
-    fac = factorize(sq)
-    assert fac.factors == ((g, 2),)
-    assert factorization_product(fac, F2) == sq
+    with pytest.raises(ValueError, match=repeated([(g, 2)])):
+        Modulus(sq)
+    assert trial_factor(sq) == ((g, 2),)
+    assert factorization_product(trial_factor(sq), F2) == sq
 
 
-def test_factorize_rejects_zero():
+def test_modulus_and_trial_factor_reject_zero():
+    with pytest.raises(ValueError, match="degree >= 1"):
+        Modulus(Poly(F2, ()))
     with pytest.raises(ValueError):
-        factorize(Poly(F2, ()))
+        trial_factor(Poly(F2, ()))
 
 
-def test_factorize_roundtrip_random_multisets():
+def test_modulus_factors_of_random_multisets():
+    """Products of known irreducibles with known multiplicities: the factors, or the repeated ones in the refusal."""
     rng = random.Random(11)
     for F in ALL_FIELDS:
         irr = irreducibles_up_to(F, 3)
@@ -299,21 +310,30 @@ def test_factorize_roundtrip_random_multisets():
                 prod = prod * f**m
             unit = rng.randrange(1, F.q)
             prod = Poly(F, [F.mul(c, unit) for c in prod.coeffs])
-            fac = factorize(prod)
-            assert factorization_product(fac, F) == prod
             expected = {}
             for f, m in zip(chosen, mults):
                 expected[f] = expected.get(f, 0) + m
-            assert dict(fac.factors) == expected
-            assert all(is_irreducible(p) for p, _ in fac.factors)
+            ordered = sorted(expected.items(), key=lambda fm: (fm[0].degree, fm[0].code()))
+            if F.q**prod.degree > 16 * residue.FULL_TABLE_LIMIT:
+                with pytest.raises(ValueError, match="16 times the dense table limit"):
+                    Modulus(prod)
+            elif max(expected.values()) > 1:
+                with pytest.raises(ValueError, match=repeated((g, m) for g, m in ordered if m > 1)):
+                    Modulus(prod)
+            else:
+                m = Modulus(prod)
+                assert m.poly == prod.monic()
+                assert m.irreducible_factors == tuple(g for g, _ in ordered)
 
 
-def test_factorize_inseparable_power():
-    # derivative vanishes: (t^2+t+1)^2 over F_2 exercised via the p-th root path
+def test_modulus_refuses_an_inseparable_power():
+    # every odd coefficient of (t^2+t+1)^4 over F_2 is zero, so its derivative vanishes
     g = Poly.from_string(F2, "t^2+t+1")
     f = g**4
-    assert f.derivative().is_zero
-    assert factorize(f).factors == ((g, 4),)
+    assert not any(f.coeffs[1::2])
+    with pytest.raises(ValueError, match=repeated([(g, 4)])):
+        Modulus(f)
+    assert trial_factor(f) == ((g, 4),)
 
 
 # -- smoothness ---------------------------------------------------------

@@ -576,6 +576,26 @@ def test_weil_rows_across_block_and_chunk_edges(tmp_path, monkeypatch, capsys, f
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ROOT_DIGESTS[argv]
 
 
+def test_primes_bound_json_across_block_and_chunk_edges(tmp_path, monkeypatch, capsys):
+    """The JSON rows are written a chunk at a time, with the same bytes as one json.dumps of them all."""
+    import hashlib
+
+    from ffchar import cli, experiments
+
+    argv = "primes-bound --q 2 --n 6 --Q t^6+t^5+t^3+t --k 6 --identity --format json"
+    # 14 characters x 6 degrees in blocks of 3 characters, written 4 rows at a time
+    monkeypatch.setattr(cli, "CHAR_BLOCK", 3)
+    monkeypatch.setattr(experiments, "ROW_CHUNK", 4)
+    assert main(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == ROOT_DIGESTS[argv]
+    out = tmp_path / "pb.json"
+    assert main(argv.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ROOT_DIGESTS[argv]
+    # no character: an empty list
+    assert main("primes-bound --q 2 --n 1 --k 3 --format json".split()) == 0
+    assert capsys.readouterr().out == '{"rows": []}\n'
+
+
 # recorded when `sieve` still built its modulus once per report
 SIEVE_Q2_N12_D9_JSON = (
     '{"A": 512, "B_observed": "88/3", "B_observed_float": 29.333333333333332, "B_within_eps": true, '
@@ -840,6 +860,12 @@ ARGV_DIGESTS = {
         0, "15eb850b791b7e8ce2b1f196a6f8eea9cd352b7c5d43a96c78b6f3f227c5c4ba", EMPTY,
     ),
     "weil --q 2 --n 4 --Q t^4+t^2": (2, EMPTY, "11c3650a0a2182a765faea0a80188863c8ce5a8be28c4a061dfe61f452b0e0c3"),
+    # (t+2)(t^2+3t+1) over F_4: the factor order fixes the generators and the character labels
+    "weil --q 4 --n 3 --Q t^3+t^2+2 --format csv": (
+        0, "ed726cb3621f879e22230309531f035bb5dd469e701d890abaff302692168781", EMPTY,
+    ),
+    # (t^2+t+3)^2 over F_4, whose derivative is zero
+    "weil --q 4 --n 4 --Q t^4+t^2+2": (2, EMPTY, "94ba99fda4b4babaf6add599688f4ab91e8d83a23921295ffac67c3017dee37c"),
     "indicator --q 2 --n 3 --Q t^3+t^2+t": (
         2, EMPTY, "b9a8265eb160a5ec58f74bb8d34c5ad35375f095dfb8ae7f386be75b60950e62",
     ),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ffchar.lfun
-from ffchar.algebra import Field, Poly, factorize, irreducibles_up_to
+from ffchar.algebra import Field, Poly, irreducibles_up_to
 from ffchar.lfun import (
     WEIL_CLASSES,
     inverse_roots,
@@ -29,6 +29,7 @@ from phase_oracle import (
     is_principal,
     modulus_from_text,
     prime_char_sum,
+    trial_factor,
     verify_weil,
     von_mangoldt_sum,
 )
@@ -279,7 +280,7 @@ def test_von_mangoldt_literal_oracle():
         for k in range(1, 7):
             brute = 0j
             for f in enumerate_monic(F2, k):
-                fac = factorize(f).factors
+                fac = trial_factor(f)
                 if len(fac) == 1:
                     P, _ = fac[0]
                     brute += P.degree * chi_eval(chi, f).to_complex()

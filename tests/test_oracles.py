@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -19,8 +20,8 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 from sympy.polys.domains import ZZ  # noqa: E402
 from sympy.polys.galoistools import gf_factor, gf_irreducible_p  # noqa: E402
 
-from ffchar import experiments  # noqa: E402
-from ffchar.algebra import Field, Poly, factorize, is_irreducible  # noqa: E402
+from ffchar import experiments, residue  # noqa: E402
+from ffchar.algebra import Field, Poly, is_irreducible  # noqa: E402
 from ffchar.experiments import (  # noqa: E402
     CSV_HEADER,
     ExperimentConfig,
@@ -29,7 +30,7 @@ from ffchar.experiments import (  # noqa: E402
     run_main_theorem_grid,
 )
 from ffchar.residue import Modulus  # noqa: E402
-from phase_oracle import dlog, enumerate_monic, factorization_product  # noqa: E402
+from phase_oracle import dlog, enumerate_monic, factorization_product, trial_factor  # noqa: E402
 
 
 def _oracle_polys(q: int) -> list[Poly]:
@@ -50,15 +51,33 @@ def _galois(f: Poly) -> list[int]:
     return list(reversed(f.coeffs))
 
 
+def modulus_or_refusal(f: Poly, factors) -> None:
+    """Modulus(f) against the monic irreducible factors of f with multiplicities, sorted by (degree, code).
+
+    Above 16 times the dense table limit Modulus refuses f; with a repeated
+    factor it names every repeated one; otherwise it keeps the factors.
+    """
+    if f.field.q**f.degree > 16 * residue.FULL_TABLE_LIMIT:
+        with pytest.raises(ValueError, match="16 times the dense table limit"):
+            Modulus(f)
+    elif any(m > 1 for _, m in factors):
+        bad = [(str(g), m) for g, m in factors if m > 1]
+        with pytest.raises(ValueError, match=re.escape(f"(repeated factors: {bad})")):
+            Modulus(f)
+    else:
+        m = Modulus(f)
+        assert m.poly == f.monic()
+        assert m.irreducible_factors == tuple(g for g, _ in factors), str(f)
+
+
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
-def test_factorize_matches_sympy_gf_factor(q):
+def test_modulus_factors_match_sympy_gf_factor(q):
+    F = Field.get(q)
     for f in _oracle_polys(q):
         lc, factors = gf_factor(_galois(f), q, ZZ)
-        got = factorize(f)
-        assert got.unit == int(lc) % q
-        assert sorted((_galois(g), m) for g, m in got.factors) == sorted(
-            ([int(c) % q for c in g], m) for g, m in factors
-        ), str(f)
+        assert int(lc) % q == f.coeffs[-1]
+        polys = [(Poly(F, [int(c) % q for c in reversed(g)]), m) for g, m in factors]
+        modulus_or_refusal(f, sorted(polys, key=lambda gm: (gm[0].degree, gm[0].code())))
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
@@ -91,20 +110,26 @@ def _poly(F: Field, data, max_degree: int) -> Poly:
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([4, 8, 9, 16, 25, 27]), st.data())
-def test_factorization_round_trip_over_extension_fields(q, data):
-    """factorize(f) multiplies back out to f, with distinct monic irreducible factors sorted by (degree, code).
+def test_modulus_factors_over_extension_fields_match_trial_division(q, data):
+    """Modulus(f) against trial division by every monic polynomial, whose factors multiply back out to f.
 
     f = a * b^k with k in {1, 2, p}, so repeated factors and p-th powers
-    (the derivative-free branch) come up as well as squarefree f.
+    (polynomials whose derivative is zero) come up as well as squarefree f.
+    Trial division runs only where Modulus does not refuse f outright.
     """
     F = Field.of_order(q)
     k = data.draw(st.sampled_from([1, 2, F.p]))
     f = _poly(F, data, 6) * _poly(F, data, 2) ** k
-    fac = factorize(f)
-    assert factorization_product(fac, F) == f
-    assert all(g.is_monic and is_irreducible(g) for g, _ in fac.factors)
-    keys = [(g.degree, g.code()) for g, _ in fac.factors]
-    assert keys == sorted(set(keys))
+    if q**f.degree > 16 * residue.FULL_TABLE_LIMIT:
+        factors = ()
+    else:
+        factors = trial_factor(f)
+        assert factorization_product(factors, F, f.coeffs[-1]) == f
+        assert all(g.is_monic and is_irreducible(g) for g, _ in factors)
+        keys = [(g.degree, g.code()) for g, _ in factors]
+        assert keys == sorted(set(keys))
+    if f.degree >= 1:
+        modulus_or_refusal(f, factors)
 
 
 # any float64 at all, and the values whose text is special

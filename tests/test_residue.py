@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ffchar import residue
-from ffchar.algebra import Field, Poly, irreducibles_up_to
+from ffchar import algebra, residue
+from ffchar.algebra import Field, Poly, irreducibles_up_to, monic_irreducible_count
 from ffchar.cli import main
 from ffchar.intfact import factor_integer
 from ffchar.residue import (
@@ -12,6 +12,7 @@ from ffchar.residue import (
     Modulus,
     UnitComponent,
     UnitGroupView,
+    dense_group_order,
     find_generator,
     is_primitive,
     power_tables,
@@ -311,3 +312,57 @@ def test_both_primitivity_tests_agree_exhaustively():
                 assert a == b
                 total += a
             assert total == fact.phi
+
+
+def least_unit_group_orders(q: int, n_max: int) -> list[int]:
+    """[m_0, ..., m_n_max]: m_n is the least prod (q^(n_i) - 1) over squarefree factor patterns of degree n.
+
+    A bounded knapsack over the degrees k: at most pi_k factors of degree k,
+    each contributing q^k - 1.
+    """
+    best = [1] + [None] * n_max
+    for k in range(1, n_max + 1):
+        new = list(best)
+        for j, prod in enumerate(best):
+            if prod is None:
+                continue
+            for c in range(1, min(monic_irreducible_count(q, k), (n_max - j) // k) + 1):
+                prod *= q**k - 1
+                if new[j + c * k] is None or prod < new[j + c * k]:
+                    new[j + c * k] = prod
+        best = new
+    return best
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 257])
+def test_refused_moduli_have_unit_groups_above_the_limit(q):
+    """q^n > 16 L implies that every squarefree Q of degree n has a unit group above L, for n < 60.
+
+    So refusing Q on q^n alone turns away no Q whose dlog table fits.
+    """
+    least = least_unit_group_orders(q, 59)
+    limit = residue.FULL_TABLE_LIMIT
+    for n in range(1, 60):
+        assert q**n <= 2**3.4 * least[n], (q, n)  # the ratio the module docstring states
+        if q**n > 16 * limit:
+            assert least[n] > limit, (q, n)
+
+
+def test_refusal_edges_over_F2(monkeypatch, capsys):
+    # 2^26 = 16 L: t * (t+1) * (t^4+t^3+t^2+t+1) * (t^20+t^15+t^10+t^5+1) is factored, then refused for its order
+    m = modulus_from_text(F2, "t^26+t")
+    assert [P.degree for P in m.irreducible_factors] == [1, 1, 4, 20]
+    with pytest.raises(ValueError, match="has order 15728625, above the dense table limit 4194304"):
+        dense_group_order(m)
+
+    # 2^27 > 16 L: refused before any polynomial division
+    def no_division(*args):
+        raise AssertionError("a polynomial division ran")
+
+    monkeypatch.setattr(algebra, "_pdivmod", no_division)
+    with pytest.raises(ValueError, match="q\\^n = 134217728 residues, above 16 times the dense table limit 4194304"):
+        modulus_from_text(F2, "t^27+t")
+    assert main(["weil", "--q", "2", "--n", "27", "--Q", "t^27+t^2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: modulus t^27+t^2 has q^n = 134217728 residues")
