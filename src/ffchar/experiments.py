@@ -12,16 +12,21 @@ completed combos.
 
 Each combo's selected characters become numpy columns (`ComboBlock`) that
 live only until the combo is written; the run keeps just its totals
-(`GridRunResult`).  A block is written in chunks of at most `ROW_CHUNK`
-rows: each chunk is one append to the CSV and one to the JSONL file, and
-the combo's key is appended to the checkpoint only after its last chunk.
-So no row text of a whole combo is ever held in memory, and a run killed at
-any point leaves every checkpointed combo complete in both files, followed
-by at most some rows of one unfinished combo, the last of them possibly
-torn.  `--resume` cuts the checkpoint back to its last complete key and
-both files back to the rows of checkpointed combos, so the resumed run
-ends with byte-identical files.  An open text stream (stdout, say) in
-place of a CSV or JSONL path gets the same chunks, as each combo finishes.
+(`GridRunResult`).  The sink (`_Sink`) opens each output path once when the
+run starts, after `--resume` has cut it, and closes them all when the run
+ends, also when it raises.  A block is written in chunks of at most
+`ROW_CHUNK` rows: each chunk is one write point to the CSV and one to the
+JSONL file, and the combo's key is one to the checkpoint, only after its
+last chunk.  A write point (`_append`) is one write to the path's open
+handle, flushed at once, so a killed process has handed every finished
+write to the OS.  So no row text of a whole combo is ever held in memory,
+and a run killed at any point leaves every checkpointed combo complete in
+both files, followed by at most some rows of one unfinished combo, the last
+of them possibly torn.  `--resume` cuts the checkpoint back to its last
+complete key and both files back to the rows of checkpointed combos, so the
+resumed run ends with byte-identical files.  An open text stream (stdout,
+say) in place of a CSV or JSONL path gets the same chunks, as each combo
+finishes.
 
 Every float is written as its repr, the shortest text that reads back to
 the same double (JSON spells nan and the infinities NaN and Infinity).
@@ -63,9 +68,8 @@ import numpy as np
 
 from .algebra import Field
 from .characters import all_char_sums_Ad, check_int64_counts
-from .primitive import epsilon_bound, in_theorem_range
 from .residue import Modulus, dense_group_order
-from .smooth import all_smooth_char_sums, smooth_count
+from .smooth import all_smooth_char_sums, epsilon_bound, in_theorem_range, smooth_count
 
 __all__ = [
     "CSV_HEADER",
@@ -380,9 +384,16 @@ def _jsonl_row_key(line: str) -> str:
     return _combo_key(row["q"], row["n"], row["d"], row["r"])
 
 
+# the running grid's open output files by path, from `_Sink.__enter__` to `_Sink.__exit__`;
+# kept at module level so that `_append(path, text)` stays the one write point
+_handles: dict[str, TextIO] = {}
+
+
 def _append(path: str, text: str) -> None:
-    with open(path, "a") as fh:
-        fh.write(text)
+    """A write point: text to the run's open handle of path, flushed at once."""
+    fh = _handles[path]
+    fh.write(text)
+    fh.flush()
 
 
 def _is_stream(target) -> bool:
@@ -426,11 +437,18 @@ def _cut_to_done(path: str, start: int, done: set[str], row_key: Callable[[str],
 class _Sink:
     """Row persistence: per combo, its chunks to CSV and JSONL, then its checkpoint key.
 
-    Each chunk goes to each output with one write.  The key goes to the
-    checkpoint only after the combo's last chunk, so a checkpointed combo
-    is complete in both files and `--resume` can cut everything else.  A
-    stream output is written afresh: the CSV header, then the rows of every
-    combo this run computes.
+    Building the sink only cuts: with `resume` it cuts the checkpoint back
+    to its last complete key and both files back to the rows of checkpointed
+    combos, and leaves no file open.  Entering it (`with _Sink(cfg) as
+    sink`) opens each path output once for the run, afresh (the CSV with its
+    header) unless resumed, and leaving it closes them all, also when a combo
+    raises.  Each chunk goes to each output with one write point (`_append`:
+    one write to the open handle, then a flush), so the OS gets each write
+    as it is made, in the order it is made.
+    The key goes to the checkpoint only after the combo's last chunk, so a
+    checkpointed combo is complete in both files and `--resume` can cut
+    everything else.  A stream output is written afresh: the CSV header,
+    then the rows of every combo this run computes.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -440,25 +458,46 @@ class _Sink:
         if cfg.resume and cfg.checkpoint and os.path.exists(cfg.checkpoint):
             self.done = _cut_checkpoint(cfg.checkpoint)
         fresh = not self.done
-        if _is_stream(cfg.out_csv):
-            cfg.out_csv.write(CSV_HEADER + "\n")
-        elif cfg.out_csv:
+        # each path output's open mode: "w" starts it afresh, "a" appends to what the cut kept.
+        # The checkpoint opens first, so a fresh run killed while opening leaves no key over cut files
+        self.modes: dict[str, str] = {}
+        if cfg.checkpoint:
+            self.modes[cfg.checkpoint] = "w" if fresh else "a"
+        if cfg.out_csv and not _is_stream(cfg.out_csv):
             if fresh or not os.path.exists(cfg.out_csv):
-                with open(cfg.out_csv, "w") as fh:
-                    fh.write(CSV_HEADER + "\n")
+                self.modes[cfg.out_csv] = "w"
             else:
                 with open(cfg.out_csv) as fh:
                     head = fh.readline()
                 if head.rstrip("\n") != CSV_HEADER:
                     raise ValueError(f"existing CSV {cfg.out_csv} has a different header")
                 _cut_to_done(cfg.out_csv, len(head.encode()), self.done, _csv_row_key)
+                self.modes[cfg.out_csv] = "a"
         if cfg.out_json and not _is_stream(cfg.out_json):
-            if fresh:
-                open(cfg.out_json, "w").close()
-            elif os.path.exists(cfg.out_json):
+            if not fresh and os.path.exists(cfg.out_json):
                 _cut_to_done(cfg.out_json, 0, self.done, _jsonl_row_key)
-        if cfg.checkpoint and fresh:
-            open(cfg.checkpoint, "w").close()
+            self.modes[cfg.out_json] = "w" if fresh else "a"
+
+    def __enter__(self) -> "_Sink":
+        try:
+            for path, mode in self.modes.items():
+                _handles[path] = open(path, mode)
+        except BaseException:
+            self.__exit__()
+            raise
+        csv = self.cfg.out_csv
+        if _is_stream(csv):
+            csv.write(CSV_HEADER + "\n")
+        elif self.modes.get(csv) == "w":
+            _handles[csv].write(CSV_HEADER + "\n")
+            _handles[csv].flush()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for path in self.modes:
+            fh = _handles.pop(path, None)
+            if fh is not None:
+                fh.close()
 
     def combo_done(self, key: str) -> bool:
         return key in self.done
@@ -505,64 +544,64 @@ def _grid_run(cfg: ExperimentConfig, corollary: bool) -> GridRunResult:
         for d in cfg.ds:
             if any(r <= d and _combo_work(q, n, d, r) <= cfg.budget for r in cfg.rs):
                 check_int64_counts(q, d)
-    sink = _Sink(cfg)
     result = GridRunResult()
-    for n in cfg.ns:
-        modulus = moduli[n]
-        Q = str(modulus.poly)
-        Q_json = json.dumps(Q)
-        order = q**n - 1
-        for d in cfg.ds:
-            a_sums = None  # A(d, chi) for every chi, once per d and only if a combo of d runs
-            for r in cfg.rs:
-                if r > d:
-                    continue
-                key = _combo_key(q, n, d, r)
-                if sink.combo_done(key):
-                    result.resumed.append(key)
-                    continue
-                flags = "" if in_theorem_range(q, d, r, n) else "out_of_range"
-                if flags and not cfg.allow_out_of_range:
-                    print(f"skipping {key}: out of theorem range", file=sys.stderr)
-                    result.skipped.append((key, "out_of_range"))
-                    continue
-                work = _combo_work(q, n, d, r)
-                if work > cfg.budget:
-                    print(f"skipping {key}: work estimate {work} exceeds budget {cfg.budget}", file=sys.stderr)
-                    result.skipped.append((key, "budget"))
-                    continue
-                if a_sums is None:
-                    a_sums = all_char_sums_Ad(modulus, d, cfg.workers)
-                # every f in A_d is r-smooth when r >= d: the same histogram, so the same sums
-                s_sums = a_sums if r >= d else all_smooth_char_sums(modulus, d, r, cfg.workers)
-                # np.hypot, not np.abs: it matches Python's abs(complex) to
-                # the last digit, so lhs is reproducible from the raw sums
-                diff = a_sums - s_sums
-                lhs_all = np.hypot(diff.real, diff.imag)
-                short_all = np.hypot(a_sums.real, a_sums.imag) / float(q**d)
-                if corollary:
-                    sel = np.array([np.argmax(short_all[1:]) + 1], dtype=np.int64)
-                else:
-                    sel = _select_indices(cfg, order, key, lhs_all)
-                block = ComboBlock(
-                    q=q,
-                    n=n,
-                    Q=Q,
-                    Q_json=Q_json,
-                    d=d,
-                    r=r,
-                    flags=flags,
-                    corollary=corollary,
-                    bound_core=n * q ** (-r / 2.0) * float(q**d),
-                    eps=epsilon_bound(q, d, r, n).value,
-                    chi=sel,
-                    a=a_sums[sel],
-                    s=s_sums[sel],
-                    lhs=lhs_all[sel],
-                    short=short_all[sel],
-                )
-                sink.write_combo(key, block)
-                result.add(block)
+    with _Sink(cfg) as sink:
+        for n in cfg.ns:
+            modulus = moduli[n]
+            Q = str(modulus.poly)
+            Q_json = json.dumps(Q)
+            order = q**n - 1
+            for d in cfg.ds:
+                a_sums = None  # A(d, chi) for every chi, once per d and only if a combo of d runs
+                for r in cfg.rs:
+                    if r > d:
+                        continue
+                    key = _combo_key(q, n, d, r)
+                    if sink.combo_done(key):
+                        result.resumed.append(key)
+                        continue
+                    flags = "" if in_theorem_range(q, d, r, n) else "out_of_range"
+                    if flags and not cfg.allow_out_of_range:
+                        print(f"skipping {key}: out of theorem range", file=sys.stderr)
+                        result.skipped.append((key, "out_of_range"))
+                        continue
+                    work = _combo_work(q, n, d, r)
+                    if work > cfg.budget:
+                        print(f"skipping {key}: work estimate {work} exceeds budget {cfg.budget}", file=sys.stderr)
+                        result.skipped.append((key, "budget"))
+                        continue
+                    if a_sums is None:
+                        a_sums = all_char_sums_Ad(modulus, d, cfg.workers)
+                    # every f in A_d is r-smooth when r >= d: the same histogram, so the same sums
+                    s_sums = a_sums if r >= d else all_smooth_char_sums(modulus, d, r, cfg.workers)
+                    # np.hypot, not np.abs: it matches Python's abs(complex) to
+                    # the last digit, so lhs is reproducible from the raw sums
+                    diff = a_sums - s_sums
+                    lhs_all = np.hypot(diff.real, diff.imag)
+                    short_all = np.hypot(a_sums.real, a_sums.imag) / float(q**d)
+                    if corollary:
+                        sel = np.array([np.argmax(short_all[1:]) + 1], dtype=np.int64)
+                    else:
+                        sel = _select_indices(cfg, order, key, lhs_all)
+                    block = ComboBlock(
+                        q=q,
+                        n=n,
+                        Q=Q,
+                        Q_json=Q_json,
+                        d=d,
+                        r=r,
+                        flags=flags,
+                        corollary=corollary,
+                        bound_core=n * q ** (-r / 2.0) * float(q**d),
+                        eps=epsilon_bound(q, d, r, n).value,
+                        chi=sel,
+                        a=a_sums[sel],
+                        s=s_sums[sel],
+                        lhs=lhs_all[sel],
+                        short=short_all[sel],
+                    )
+                    sink.write_combo(key, block)
+                    result.add(block)
     return result
 
 

@@ -24,7 +24,7 @@ from .algebra import Poly
 from .characters import dual_group_sums, unit_dlog_histogram
 from .intfact import FactoredInteger, factor_integer, mobius
 from .residue import Modulus, is_primitive, modulus_of
-from .smooth import dickman_rho
+from .smooth import EpsilonBound, epsilon_bound, in_theorem_range
 
 __all__ = [
     "EpsilonBound",
@@ -42,35 +42,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# epsilon bound and the degree schedule
+# the best epsilon bound over r and the degree schedule (the bound is `smooth`'s)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EpsilonBound:
-    """rho(d/r) q^(C2 d log d / r^2) + C3 n q^(-r/2)."""
-
-    value: float
-    q: int
-    d: int
-    r: int
-    n: int
-    C2: float
-    C3: float
-
-
-def epsilon_bound(q: int, d: int, r: int, n: int, C2: float = 1.0, C3: float = 1.0) -> EpsilonBound:
-    if d < 1 or r < 1:
-        raise ValueError("need d >= 1 and r >= 1")
-    logd = math.log(d) if d > 1 else 0.0
-    main = dickman_rho(d / r) * q ** (C2 * d * logd / (r * r))
-    tail = C3 * n * q ** (-r / 2.0)
-    return EpsilonBound(main + tail, q, d, r, n, C2, C3)
-
-
-def in_theorem_range(q: int, d: int, r: int, n: int) -> bool:
-    """2 log_q n <= r <= d <= n: the range of the main theorem."""
-    return 2 * math.log(n, q) <= r <= d <= n
 
 
 def best_epsilon_bound(q: int, d: int, n: int, C2: float = 1.0, C3: float = 1.0) -> EpsilonBound:

@@ -15,6 +15,8 @@ squarefree factor pattern of degree n, q^n / prod (q^(n_i) - 1) stays below
 2^3.4 (an exact knapsack over the irreducible counts for n < 60; beyond that
 every factor but t and t+1 over F_2 has q^k - 1 >= q^(k/2)), so such a unit
 group is above the limit anyway, and the divisors never exceed degree 13.
+The canonical modulus (`Modulus.irreducible`) is refused on q^n alone,
+before the search for the least irreducible of degree n.
 
 Every table, histogram and character-sum spectrum built from these logs is a
 dense array: over residue codes, over the whole unit group, or over the q^k
@@ -98,7 +100,12 @@ class Modulus:
 
     @classmethod
     def irreducible(cls, field: Field, n: int) -> "Modulus":
-        """The canonical degree-n modulus: least monic irreducible."""
+        """The canonical degree-n modulus: least monic irreducible.
+
+        q^n above 16 times `FULL_TABLE_LIMIT` is refused, as `_distinct_factors`
+        refuses it, before the search for Q.
+        """
+        _check_residue_count(field, n)
         return cls(lex_least_irreducible(field, n))
 
     @property
@@ -136,6 +143,20 @@ def modulus_of(q: int, n: int, Q: Union[Poly, Modulus, None] = None) -> Modulus:
     return modulus
 
 
+def _check_residue_count(field: Field, n: int, Q: Optional[Poly] = None) -> None:
+    """ValueError when q^n exceeds 16 times `FULL_TABLE_LIMIT`, read at call time (module docstring).
+
+    The message names Q, or the degree and the field when Q is not known yet.
+    """
+    size = field.q**n
+    if size > 16 * FULL_TABLE_LIMIT:
+        what = f"the degree-{n} modulus over F_{field.q}" if Q is None else f"modulus {Q}"
+        raise ValueError(
+            f"{what} has q^n = {size} residues, above 16 times the dense table limit {FULL_TABLE_LIMIT}, "
+            "so its unit group is above the limit too"
+        )
+
+
 def _distinct_factors(Q: Poly) -> tuple[Poly, ...]:
     """The distinct monic irreducible factors of the monic Q, sorted by (degree, code).
 
@@ -144,12 +165,7 @@ def _distinct_factors(Q: Poly) -> tuple[Poly, ...]:
     at call time and checked before any division, and for a repeated factor.
     """
     field, n = Q.field, Q.degree
-    size = field.q**n
-    if size > 16 * FULL_TABLE_LIMIT:
-        raise ValueError(
-            f"modulus {Q} has q^n = {size} residues, above 16 times the dense table limit {FULL_TABLE_LIMIT}, "
-            "so its unit group is above the limit too"
-        )
+    _check_residue_count(field, n, Q)
     if is_irreducible(Q):
         return (Q,)
     factors, bad, rest = [], [], Q

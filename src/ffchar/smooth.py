@@ -24,13 +24,19 @@ working precision sized to u_max: each panel end multiplies relative error
 by roughly rho(m)/rho(m+1), so a double-precision march is garbage long
 before u = 30 (verified: negative values by u = 20).  Evaluation reads the
 finished panel coefficients as doubles, which keeps it cheap and accurate to
-~1e-14 relative.
+~1e-14 relative: Clenshaw's recurrence on Python floats, in the operation
+order of numpy's `chebval`, so its values are chebval's bit for bit without
+importing `numpy.polynomial`.
 
 The default table (u_max = 30) serves every u <= 30 and is a fixed
 constant: its panels ship in `dickman_panels`, bit for bit what the march
 gives, so no process marches them or imports mpmath.  A table beyond u = 30
 marches all its panels once, at construction; callers build one table for
 the largest u they need.
+
+The epsilon bound of the main theorem, rho(d/r) q^(C2 d log d / r^2) +
+C3 n q^(-r/2), and the theorem's range live here too, next to rho, their one
+dependency: the grid reads them without loading `primitive`.
 """
 
 from __future__ import annotations
@@ -56,6 +62,9 @@ __all__ = [
     "DickmanTable",
     "march_dickman_panels",
     "dickman_rho",
+    "EpsilonBound",
+    "epsilon_bound",
+    "in_theorem_range",
     "default_dickman_table",
     "dickman_residual",
     "soundararajan_check",
@@ -224,7 +233,13 @@ class DickmanTable:
         # table's size
         m = min(math.ceil(u) - 1 if u >= dickman_panels.U_MAX else math.floor(u), self.u_max - 1)
         x = 2.0 * (u - m) - 1.0
-        return float(np.polynomial.chebyshev.chebval(x, self._panels[m]))
+        # Clenshaw's recurrence in the operation order of numpy's chebval, so bit for bit its value
+        c = self._panels[m].tolist()
+        x2 = 2.0 * x
+        c0, c1 = c[-2], c[-1]
+        for ck in reversed(c[:-2]):
+            c0, c1 = ck - c1, c0 + c1 * x2
+        return c0 + c1 * x
 
     def rho_many(self, us) -> np.ndarray:
         return np.array([self.rho(float(u)) for u in np.atleast_1d(us)])
@@ -249,6 +264,38 @@ def dickman_rho(u: float, table: Optional[DickmanTable] = None) -> float:
     if table is None:
         table = default_dickman_table(int(math.ceil(u)) if u > 30 else 30)
     return table.rho(u)
+
+
+# ---------------------------------------------------------------------------
+# epsilon bound
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class EpsilonBound:
+    """rho(d/r) q^(C2 d log d / r^2) + C3 n q^(-r/2)."""
+
+    value: float
+    q: int
+    d: int
+    r: int
+    n: int
+    C2: float
+    C3: float
+
+
+def epsilon_bound(q: int, d: int, r: int, n: int, C2: float = 1.0, C3: float = 1.0) -> EpsilonBound:
+    if d < 1 or r < 1:
+        raise ValueError("need d >= 1 and r >= 1")
+    logd = math.log(d) if d > 1 else 0.0
+    main = dickman_rho(d / r) * q ** (C2 * d * logd / (r * r))
+    tail = C3 * n * q ** (-r / 2.0)
+    return EpsilonBound(main + tail, q, d, r, n, C2, C3)
+
+
+def in_theorem_range(q: int, d: int, r: int, n: int) -> bool:
+    """2 log_q n <= r <= d <= n: the range of the main theorem."""
+    return 2 * math.log(n, q) <= r <= d <= n
 
 
 def dickman_residual(table: DickmanTable, u: float, npts: int = 64) -> float:

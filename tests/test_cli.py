@@ -339,6 +339,22 @@ def test_density_budget_counts_only_enumerated_polynomials(capsys):
     assert "q^d = 6561 exceeds the work budget 1000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv", ["weil --q 2 --n 100", "main-thm --q 2 --n-list 100 --d 3 --r 2"], ids=["weil", "main-thm"]
+)
+def test_canonical_modulus_above_limit_refused_before_its_search(monkeypatch, capsys, argv):
+    from ffchar import algebra
+
+    def no_search(f):
+        raise AssertionError(f"searched for the degree-100 modulus: is_irreducible({f})")
+
+    monkeypatch.setattr(algebra, "is_irreducible", no_search)
+    assert main(argv.split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: the degree-100 modulus over F_2 has q^n = {2**100} residues, ")
+    assert "above 16 times the dense table limit 4194304" in err
+
+
 def test_grid_budget_charges_only_enumerated_polynomials(capsys):
     """A d >= n, r = d combo takes the closed-form histogram and enumerates nothing, so it is charged nothing."""
     assert main("main-thm --q 2 --n-list 5 --d 24 --r 24 --format csv".split()) == 0

@@ -718,3 +718,71 @@ def test_resume_cuts_rows_of_unfinished_combo(tmp_path, monkeypatch):
     assert (tmp_path / "grid.ckpt").read_text() == "q=2;n=5;d=3;r=2\n"
     assert (tmp_path / "grid.csv").read_text().splitlines() == csv_lines[: 1 + 30]
     assert len((tmp_path / "grid.jsonl").read_text().splitlines()) == 30
+
+
+def _count_opens(monkeypatch) -> list:
+    """Every file object `ffchar.experiments` opens from now on, in order."""
+    opened = []
+
+    def counting_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    monkeypatch.setattr(experiments, "open", counting_open, raising=False)
+    return opened
+
+
+@pytest.mark.parametrize("row_chunk", [7, 512])
+def test_grid_opens_each_output_once_however_many_chunks(tmp_path, monkeypatch, row_chunk):
+    monkeypatch.setattr(experiments, "ROW_CHUNK", row_chunk)
+    writes = []
+    real = experiments._append
+    monkeypatch.setattr(experiments, "_append", lambda path, text: (writes.append(path), real(path, text)))
+    opened = _count_opens(monkeypatch)
+    out = tmp_path / "grid.csv"
+    argv = ["main-thm", "--q", "2", "--n-list", "7", "--d", "4..6", "--r", "2..6", "--format", "csv"]
+    assert main(argv + ["--out", str(out)]) == 0
+    # 12 combos of 126 rows: per combo one write per chunk to each file, then the key
+    assert len(writes) == 12 * (2 * math.ceil(126 / row_chunk) + 1)
+    assert sorted(fh.name for fh in opened) == [str(out), f"{out}.ckpt", f"{out}.jsonl"]
+    assert all(fh.closed for fh in opened) and experiments._handles == {}
+
+
+def test_no_handle_stays_open_after_a_run_a_kill_or_a_cut(tmp_path, monkeypatch):
+    opened = _count_opens(monkeypatch)
+    run_main_theorem_grid(small_cfg(tmp_path))
+    assert len(opened) == 3 and all(fh.closed for fh in opened) and experiments._handles == {}
+    opened.clear()
+    # killed half way through the second combo's JSONL write, its handle still open
+    _run_killed_at(small_cfg(tmp_path), monkeypatch, writes=4, half=True)
+    assert len(opened) == 3 and all(fh.closed for fh in opened) and experiments._handles == {}
+    opened.clear()
+    # a sink built only to cut opens, cuts and closes each file, and keeps none open
+    experiments._Sink(small_cfg(tmp_path, resume=True))
+    assert opened and all(fh.closed for fh in opened) and experiments._handles == {}
+    assert (tmp_path / "grid.ckpt").read_text() == "q=2;n=5;d=3;r=2\n"
+
+
+@pytest.mark.parametrize("opens", [1, 2])
+def test_fresh_run_killed_while_opening_resumes_to_identical_files(tmp_path, monkeypatch, opens):
+    run_main_theorem_grid(small_cfg(tmp_path))
+    want = {name: (tmp_path / name).read_bytes() for name in ("grid.csv", "grid.jsonl", "grid.ckpt")}
+    real = open
+
+    def dying_open(*args, **kwargs):
+        if not opens_left:
+            raise _Killed
+        opens_left.pop()
+        return real(*args, **kwargs)
+
+    # a fresh run over the finished files dies after `opens` of its three opens
+    opens_left = [None] * opens
+    with monkeypatch.context() as mp:
+        mp.setattr(experiments, "open", dying_open, raising=False)
+        with pytest.raises(_Killed):
+            run_main_theorem_grid(small_cfg(tmp_path))
+    assert experiments._handles == {}
+    run_main_theorem_grid(small_cfg(tmp_path, resume=True))
+    for name, data in want.items():
+        assert (tmp_path / name).read_bytes() == data, name

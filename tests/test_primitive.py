@@ -42,6 +42,14 @@ def test_epsilon_range_flag():
     assert not in_theorem_range(2, 14, 8, 13)  # d > n
 
 
+def test_epsilon_bound_is_smooths_and_still_primitives():
+    from ffchar import primitive, smooth
+
+    for name in ("EpsilonBound", "epsilon_bound", "in_theorem_range"):
+        assert getattr(primitive, name) is getattr(smooth, name)
+        assert name in primitive.__all__ and name in smooth.__all__
+
+
 def test_best_epsilon_bound_is_min():
     eb = best_epsilon_bound(2, 10, 13)
     assert eb.value == min(epsilon_bound(2, 10, r, 13).value for r in range(1, 11))

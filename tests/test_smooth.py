@@ -483,6 +483,38 @@ def test_rho_up_to_thirty_runs_without_mpmath():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_grid_process_loads_no_primitive_fractions_or_numpy_polynomial(tmp_path):
+    # the grid reads the epsilon bound and the theorem range from smooth, and rho needs no chebval
+    code = (
+        "import sys\n"
+        "import ffchar.cli\n"
+        "assert ffchar.cli.main(['main-thm', '--q', '2', '--n-list', '7', '--d', '4..6', '--r', '2..6',\n"
+        f"                        '--format', 'csv', '--out', {str(tmp_path / 'grid.csv')!r}]) == 0\n"
+        "loaded = {'ffchar.primitive', 'fractions', 'decimal', 'numpy.polynomial'}\n"
+        "assert not loaded & set(sys.modules), loaded & set(sys.modules)\n"
+        "assert 'ffchar.experiments' in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "grid.csv.ckpt").read_text().count("\n") == 12  # the combos with r <= d
+
+
+def test_rho_is_chebval_bit_for_bit():
+    """Clenshaw on Python floats against numpy's chebval on every panel, its edges and u = 30."""
+    from numpy.polynomial.chebyshev import chebval
+
+    table = DickmanTable()
+    edges = np.arange(1.0, 31.0)
+    us = np.concatenate(
+        [np.linspace(1.0, 30.0, 100_001), edges, np.nextafter(edges, 0.0), np.nextafter(edges[:-1], 31.0)]
+    )
+    for u in us[us > 1.0].tolist():
+        m = min(math.ceil(u) - 1 if u >= 30 else math.floor(u), table.u_max - 1)
+        want = float(chebval(2.0 * (u - m) - 1.0, table.panel(m)))
+        assert table.rho(u) == want, u
+
+
 def test_dickman_table_rejects_u_max_below_one():
     for u_max in (0, -3):
         with pytest.raises(ValueError, match=f"got {u_max}"):
