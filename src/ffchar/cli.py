@@ -40,9 +40,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_PIPE = 141
 
-CHAR_BLOCK = 4096  # characters whose weil or primes-bound rows are formatted together
-
-
 def _emit(lines: list[str], out: Optional[str]):
     _emit_texts(["\n".join(lines) + ("\n" if lines else "")], out)
 
@@ -105,7 +102,7 @@ def _modulus(args):
 def cmd_weil(args) -> int:
     """Root-modulus dichotomy |alpha| in {1, sqrt q} for every non-principal chi."""
     from .characters import character_labels
-    from .experiments import float_texts, row_chunks
+    from .experiments import ChunkTexts, float_texts, row_chunks
     from .lfun import WEIL_CLASSES, inverse_roots, lpolynomial_coeffs, weil_classes
 
     modulus = _modulus(args)
@@ -114,24 +111,21 @@ def cmd_weil(args) -> int:
     mod, cls, dev = weil_classes(roots, args.q, args.tol)
     ok = not (cls == WEIL_CLASSES.index("violation")).any()
     labels = character_labels(modulus)[1:]
-    starts = np.concatenate(([0], np.cumsum(L.degree))).tolist()  # labels[c]'s roots: starts[c]:starts[c + 1]
 
     def csv_rows():
-        """The CSV rows, a block of characters at a time, so only one block's column texts are alive."""
+        """The CSV rows; the roots' float columns are formatted one chunk of rows at a time."""
         label_texts = np.array([_csv_label(label) + "," for label in labels], dtype=object)
         class_texts = np.array([f",{c}," for c in WEIL_CLASSES], dtype=object)
         residual_texts = np.array([t + "\n" for t in float_texts(L.residual)[0]], dtype=object)
-        for lo in range(0, len(labels), CHAR_BLOCK):
-            hi = min(lo + CHAR_BLOCK, len(labels))
-            part, degs = slice(starts[lo], starts[hi]), L.degree[lo:hi]
-            cols = (
-                np.repeat(label_texts[lo:hi], degs).tolist(), float_texts(roots.real[part])[0], ",",
-                float_texts(roots.imag[part])[0], ",", float_texts(mod[part])[0], class_texts[cls[part]].tolist(),
-                np.repeat(residual_texts[lo:hi], degs).tolist(),
-            )
-            yield from row_chunks(cols, part.stop - part.start)
+        own = ChunkTexts([roots.real, roots.imag, mod])
+        cols = (
+            np.repeat(label_texts, L.degree), own.column(0), ",", own.column(1), ",", own.column(2),
+            class_texts[cls], np.repeat(residual_texts, L.degree),
+        )
+        return row_chunks(cols, len(roots))
 
     def json_lines():
+        starts = np.concatenate(([0], np.cumsum(L.degree))).tolist()  # labels[c]'s roots: starts[c]:starts[c + 1]
         pairs = np.stack([L.coeffs.real, L.coeffs.imag], axis=-1).tolist()
         res, re, im, md, cl = (col.tolist() for col in (L.residual, roots.real, roots.imag, mod, cls))
         for c, label in enumerate(labels):
@@ -160,7 +154,7 @@ def cmd_weil(args) -> int:
 def cmd_primes_bound(args) -> int:
     """|sum over irreducibles of degree k of chi(P)| vs (n+1) q^(k/2) / k."""
     from .characters import character_labels
-    from .experiments import float_texts, row_chunks
+    from .experiments import ChunkTexts, row_chunks
     from .lfun import inverse_roots, lpolynomial_coeffs, prime_sum_bound, prime_sum_spectrum, von_mangoldt_spectrum
 
     degrees = _prime_degrees(args.k)
@@ -187,20 +181,17 @@ def cmd_primes_bound(args) -> int:
         ok = ok and not (errs > 1e-6).any()
 
     def row_texts():
-        """The CSV rows, a block of characters at a time, so only one block's column texts are alive."""
-        labels = [_csv_label(label) + "," for label in character_labels(modulus)[1:]]
+        """The CSV rows; the float columns are formatted one chunk of rows at a time."""
+        labels = np.array([_csv_label(label) + "," for label in character_labels(modulus)[1:]], dtype=object)
         # the degree and its bound cycle with the row
-        k_texts = [f"{k}," for k in degrees]
-        bound_texts = [f",{b!r}," for b in bounds.tolist()]
-        for lo in range(0, order - 1, CHAR_BLOCK):
-            hi = min(lo + CHAR_BLOCK, order - 1)
-            part = slice(lo * len(degrees), hi * len(degrees))
-            cols = (
-                [label for label in labels[lo:hi] for _ in degrees], k_texts * (hi - lo),
-                float_texts(mags[part])[0], bound_texts * (hi - lo), float_texts(ratios[part])[0], ",",
-                "" if errs is None else float_texts(errs[part])[0], "\n",
-            )
-            yield from row_chunks(cols, part.stop - part.start)
+        k_texts = np.array([f"{k}," for k in degrees], dtype=object)
+        bound_texts = np.array([f",{b!r}," for b in bounds.tolist()], dtype=object)
+        own = ChunkTexts([mags, ratios] + ([errs] if args.identity else []))
+        cols = (
+            np.repeat(labels, len(degrees)), np.tile(k_texts, order - 1), own.column(0),
+            np.tile(bound_texts, order - 1), own.column(1), ",", own.column(2) if args.identity else "", "\n",
+        )
+        return row_chunks(cols, len(mags))
 
     if args.format == "csv":
         _emit_texts(itertools.chain(["chi,k,abs_sum,bound,ratio,identity_err\n"], row_texts()), args.out)
@@ -244,7 +235,7 @@ def cmd_smooth_count(args) -> int:
     if args.format == "csv":
         _emit(rows, args.out)
     elif args.format == "json":
-        _emit([json.dumps({"rows": rows[1:]})], args.out)
+        _emit_texts(_json_rows(rows[1:]), args.out)
     else:
         _emit(rows, args.out)  # the table is the human output too
     return EXIT_OK if ok else EXIT_MATH
@@ -437,7 +428,7 @@ def cmd_mertens(args) -> int:
     if args.format in ("csv", "human"):
         _emit(rows, args.out)
     else:
-        _emit([json.dumps({"rows": rows[1:]})], args.out)
+        _emit_texts(_json_rows(rows[1:]), args.out)
     return EXIT_OK
 
 

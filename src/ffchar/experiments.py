@@ -37,7 +37,9 @@ longer than their reuse needs:
 
 - one chunk: the columns of one combo alone (lhs, the implied constant
   and, off the r = d diagonal, the smooth sums) are formatted a chunk of
-  rows at a time, all of them in one `float_texts` call (`_ChunkTexts`);
+  rows at a time, all of them in one `float_texts` call (`ChunkTexts`).
+  The same chunk formatter serves the float columns of the `weil` and
+  `primes-bound` tables, whose rows also go through `row_chunks`;
 - one block: the row layout (`row_chunks`).  The text that is the same on
   every row of the block (q, n, Q, d, r, the bound, eps and, outside the
   corollary, the flags) is merged and laid out once for a chunk's worth
@@ -76,6 +78,7 @@ __all__ = [
     "ROW_CHUNK",
     "ExperimentConfig",
     "ComboBlock",
+    "ChunkTexts",
     "GridRunResult",
     "float_texts",
     "row_chunks",
@@ -171,7 +174,7 @@ class _TextMemo:
     before it formats anything, so at most four columns of one block are
     kept.  The row layout lives for one block (`row_chunks`).  The columns
     of one combo alone (lhs, implied and, off the diagonal, s) never enter
-    the memo: their texts live for one chunk (`_ChunkTexts`).
+    the memo: their texts live for one chunk (`ChunkTexts`).
     """
 
     def __init__(self):
@@ -197,9 +200,11 @@ class _TextMemo:
         return out
 
 
-class _ChunkTexts:
-    """Texts of one combo's own float columns, formatted one chunk of rows at a time.
+class ChunkTexts:
+    """Texts of float columns, formatted one chunk of rows at a time.
 
+    The one per-chunk float formatter: a grid combo's own columns, the
+    roots of `weil` and the sums of `primes-bound` all go through it.
     `column(c)` is the c-th column's texts (its JSON spelling with json=True)
     as a list that row_chunks slices by a chunk's rows.  The first slice of a
     chunk puts every column's rows into one array, one column after another,
@@ -208,7 +213,7 @@ class _ChunkTexts:
     """
 
     class _Column:
-        def __init__(self, owner: "_ChunkTexts", c: int, spelling: int):
+        def __init__(self, owner: "ChunkTexts", c: int, spelling: int):
             self.owner, self.c, self.spelling = owner, c, spelling
 
         def __getitem__(self, rows: slice) -> list[str]:
@@ -227,7 +232,7 @@ class _ChunkTexts:
             self.rows = rows
         return self.texts
 
-    def column(self, c: int, json: bool = False) -> "_ChunkTexts._Column":
+    def column(self, c: int, json: bool = False) -> "ChunkTexts._Column":
         return self._Column(self, c, int(json))
 
 
@@ -235,11 +240,11 @@ def row_chunks(cols: tuple, n: int) -> Iterator[str]:
     """Rows 0..n-1 of the given columns in order, at most ROW_CHUNK rows per text.
 
     A str column is the same text on every row; any other column gives a
-    chunk's texts when sliced by the chunk's rows (a list holds one text per
-    row).  Adjacent str columns are merged, and one chunk's worth of rows is
-    laid out once with the str texts in place; each chunk copies that layout,
-    fills the other columns by slice assignment and joins once.  No columns
-    give one "" per chunk.
+    chunk's texts when sliced by the chunk's rows (a list or an object array
+    holds one text per row).  Adjacent str columns are merged, and one
+    chunk's worth of rows is laid out once with the str texts in place; each
+    chunk copies that layout, fills the other columns by slice assignment
+    and joins once.  No columns give one "" per chunk.
     """
     merged: list = []
     for col in cols:
@@ -312,7 +317,7 @@ class ComboBlock:
         their concatenation in order is the whole block.  Each per-row float
         is formatted once and shared by both texts.  The columns of this
         combo alone (lhs, implied and, off the diagonal, s) are formatted a
-        chunk at a time (`_ChunkTexts`); chi, short and a go through the
+        chunk at a time (`ChunkTexts`); chi, short and a go through the
         memo, so pass the previous block's memo to reuse the columns the two
         share.  On the diagonal s has a's bytes and takes a's texts.  JSONL
         keys follow the sorted order of json.dumps(..., sort_keys=True).
@@ -321,7 +326,7 @@ class ComboBlock:
         (chis, _), (sn, sn_j), *a_texts = (memo if memo is not None else _TextMemo())(*shared)
         # bytes, not values: s = 0.0 against a = -0.0 is equal but writes differently
         diagonal = self.s is self.a or (self.s.dtype == self.a.dtype and self.s.tobytes() == self.a.tobytes())
-        own = _ChunkTexts([self.lhs, self.implied] + ([self.s.imag, self.s.real] if jsonl and not diagonal else []))
+        own = ChunkTexts([self.lhs, self.implied] + ([self.s.imag, self.s.real] if jsonl and not diagonal else []))
         # one flags text for the whole block, a constant of the row layout, unless rows differ
         flags = self.row_flags() if self.corollary else self.flags
         csv_cols = jsonl_cols = ()

@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra import Poly
 from .characters import dual_group_sums, unit_dlog_histogram
-from .intfact import FactoredInteger, factor_integer, mobius
+from .intfact import factor_integer, mobius
 from .residue import Modulus, is_primitive, modulus_of
 from .smooth import EpsilonBound, epsilon_bound, in_theorem_range
 
@@ -117,15 +117,13 @@ def primitivity_indicator_check(modulus: Modulus, d: Optional[int] = None, worke
         raise ValueError("the indicator decomposition needs an irreducible modulus")
     field = modulus.field
     order = modulus.unit_group.group_order  # N - 1
-    fact = factor_integer(order) if order > 1 else FactoredInteger(1, ())
+    fact = factor_integer(order)
     sfd = fact.squarefree_divisors()
     # rhs over every unit, indexed by dlog j: sum_m mu(m)/m sum_{i<m} zeta^(j i (N-1)/m)
     js = np.arange(order, dtype=np.int64)
     rhs = np.zeros(order, dtype=np.complex128)
     for m in sfd:
         mu = mobius(factor_integer(m))
-        if mu == 0:
-            continue
         inner = np.zeros(order, dtype=np.complex128)
         stride = order // m
         for i in range(m):
@@ -145,7 +143,7 @@ def primitivity_indicator_check(modulus: Modulus, d: Optional[int] = None, worke
         q=field.q,
         n=modulus.n,
         group_order=order,
-        phi=fact.phi if order > 1 else 1,
+        phi=fact.phi,
         max_unit_deviation=max_dev,
         primitive_count_units=prim_units,
     )
@@ -159,8 +157,6 @@ def primitivity_indicator_check(modulus: Modulus, d: Optional[int] = None, worke
     correction = 0j  # nonprincipal character contributions only
     for m in sfd:
         mu = mobius(factor_integer(m))
-        if mu == 0:
-            continue
         inner = _sum_chi_m_principal(sums, m)
         total += (mu / m) * inner
         if m > 1:

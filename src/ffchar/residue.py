@@ -289,7 +289,7 @@ def find_generator(modulus: Modulus) -> UnitGroupView:
     for Qi in modulus.irreducible_factors:
         ni = Qi.degree
         order = q**ni - 1
-        fact = factor_integer(order) if order > 1 else FactoredInteger(1, ())
+        fact = factor_integer(order)
         comps.append(UnitComponent(Qi, ni, order, fact, least_generator(Qi, fact)))
     return UnitGroupView(modulus, tuple(comps))
 

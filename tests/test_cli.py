@@ -510,19 +510,18 @@ def primes_bound_rows(q: int, Q: str, k: int, identity: bool) -> str:
 
 @pytest.mark.parametrize("identity", [False, True])
 def test_primes_bound_csv_matches_per_row_oracle(tmp_path, monkeypatch, capsys, identity):
-    from ffchar import cli, experiments
+    from ffchar import experiments
 
     argv = ["primes-bound", "--q", "3", "--n", "3", "--Q", "t^3+2t", "--k", "6", "--format", "csv"]
     argv += ["--identity"] * identity
     want = primes_bound_rows(3, "t^3+2t", 6, identity)
     assert '"chi[0,0,1]",1,' in want
-    # 7 characters x 6 degrees in blocks of 3 characters, written 5 rows at a time
-    for block, chunk in ((cli.CHAR_BLOCK, experiments.ROW_CHUNK), (3, 5)):
-        monkeypatch.setattr(cli, "CHAR_BLOCK", block)
+    # 7 characters x 6 degrees, all in one chunk, then 5 rows at a time: a character's degrees straddle chunks
+    for chunk in (experiments.ROW_CHUNK, 5):
         monkeypatch.setattr(experiments, "ROW_CHUNK", chunk)
         assert main(argv) == 0
         assert capsys.readouterr().out == want
-        out = tmp_path / f"pb{block}.csv"
+        out = tmp_path / f"pb{chunk}.csv"
         assert main(argv + ["--out", str(out)]) == 0
         assert out.read_text() == want
 
@@ -579,11 +578,10 @@ def test_weil_and_identity_stdout_digests(capsys, argv):
 def test_weil_rows_across_block_and_chunk_edges(tmp_path, monkeypatch, capsys, fmt):
     import hashlib
 
-    from ffchar import cli, experiments
+    from ffchar import experiments
 
     argv = f"weil --q 2 --n 6 --Q t^6+t^5+t^3+t --format {fmt}"
-    # 14 characters of 5 roots in blocks of 3 characters, written 4 rows at a time
-    monkeypatch.setattr(cli, "CHAR_BLOCK", 3)
+    # 14 characters of 5 roots, written 4 rows at a time: a character's roots straddle chunks
     monkeypatch.setattr(experiments, "ROW_CHUNK", 4)
     assert main(argv.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == ROOT_DIGESTS[argv]
@@ -596,11 +594,10 @@ def test_primes_bound_json_across_block_and_chunk_edges(tmp_path, monkeypatch, c
     """The JSON rows are written a chunk at a time, with the same bytes as one json.dumps of them all."""
     import hashlib
 
-    from ffchar import cli, experiments
+    from ffchar import experiments
 
     argv = "primes-bound --q 2 --n 6 --Q t^6+t^5+t^3+t --k 6 --identity --format json"
-    # 14 characters x 6 degrees in blocks of 3 characters, written 4 rows at a time
-    monkeypatch.setattr(cli, "CHAR_BLOCK", 3)
+    # 14 characters x 6 degrees, written 4 rows at a time: a character's degrees straddle chunks
     monkeypatch.setattr(experiments, "ROW_CHUNK", 4)
     assert main(argv.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == ROOT_DIGESTS[argv]
@@ -610,6 +607,32 @@ def test_primes_bound_json_across_block_and_chunk_edges(tmp_path, monkeypatch, c
     # no character: an empty list
     assert main("primes-bound --q 2 --n 1 --k 3 --format json".split()) == 0
     assert capsys.readouterr().out == '{"rows": []}\n'
+    # smooth-count with no r <= d writes the same empty list
+    assert main("smooth-count --q 2 --d 3 --r 5 --format json".split()) == 0
+    assert capsys.readouterr().out == '{"rows": []}\n'
+
+
+def test_weil_and_primes_bound_format_one_chunk_per_float_texts_call(monkeypatch, capsys):
+    """Each float_texts call formats at most one chunk of rows, but weil's one call on its residuals."""
+    from ffchar import experiments
+
+    sizes = []
+    real = experiments.float_texts
+
+    def recorded(col):
+        sizes.append(len(col))
+        return real(col)
+
+    monkeypatch.setattr(experiments, "float_texts", recorded)
+    monkeypatch.setattr(experiments, "ROW_CHUNK", 4)
+    # 14 characters, 70 roots: the residuals, then re, im and modulus 4 rows at a time
+    assert main("weil --q 2 --n 6 --Q t^6+t^5+t^3+t --format csv".split()) == 0
+    assert sizes[0] == 14 and max(sizes[1:]) == 4 * 3 and sum(sizes[1:]) == 70 * 3
+    sizes.clear()
+    # 14 characters x 6 degrees: abs_sum, ratio and identity_err 4 rows at a time
+    assert main("primes-bound --q 2 --n 6 --Q t^6+t^5+t^3+t --k 6 --identity --format csv".split()) == 0
+    assert max(sizes) == 4 * 3 and sum(sizes) == 84 * 3
+    capsys.readouterr()
 
 
 # recorded when `sieve` still built its modulus once per report

@@ -526,13 +526,13 @@ def test_diagonal_reuses_a_texts_only_for_equal_bytes(monkeypatch):
     assert np.array_equal(s, a) and s.tobytes() != a.tobytes()
     chi = np.arange(1, vals.size + 1)
     own_columns = []
-    real_chunk_texts = experiments._ChunkTexts
+    real_chunk_texts = experiments.ChunkTexts
 
     def recorded(cols):
         own_columns.append(len(cols))
         return real_chunk_texts(cols)
 
-    monkeypatch.setattr(experiments, "_ChunkTexts", recorded)
+    monkeypatch.setattr(experiments, "ChunkTexts", recorded)
     memo = experiments._TextMemo()
     for block in (sums_block(a, a.copy(), chi), sums_block(a, s, chi), sums_block(a, a, chi), sums_block(a, s, chi)):
         assert joined(block.chunks(memo=memo)) == oracle_texts(block)
