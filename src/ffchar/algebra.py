@@ -95,8 +95,9 @@ class Field:
         mod = Poly(Field.get(self.p), self.defining_poly)
         pw, self._log = power_tables(mod, least_generator(mod, factor_integer(self.q - 1)), self.q - 1)
         self._exp = np.concatenate([pw, pw]).astype(np.int32)
-        g, self._add_table = digit_sum_table(self.p)  # p <= 256 whenever e > 1, so the table exists
-        self._add_step = self.p**g
+        if self.p > 2:  # characteristic 2 adds by xor
+            g, self._add_table = digit_sum_table(self.p)  # p <= 256 whenever e > 1, so the table exists
+            self._add_step = self.p**g
 
     # -- scalar arithmetic on codes --------------------------------------
 
@@ -161,15 +162,23 @@ def digit_sum_table(p: int) -> tuple[int, Optional[np.ndarray]]:
 
     (1, None) when p > 256: digits are then added one at a time.  The one
     digit-add table behind `Field.add` and `vecpoly.vadd_poly_codes`.
+
+    T is built one digit position at a time, each position's term an int16
+    (p^g, p^g) array added in place, so no temporary is larger than T: a
+    digit sum is below 2p - 1 and its weighted value below p^g <= 256.  T
+    itself stays int64: `vadd_poly_codes` multiplies its entries by Python
+    int shifts that outgrow any narrower dtype.
     """
     g = 0
     while p ** (g + 1) <= 256:
         g += 1
     if g == 0:
         return 1, None
-    weights = p ** np.arange(g, dtype=np.int64)
-    digits = (np.arange(p**g, dtype=np.int64)[:, None] // weights) % p
-    table = ((digits[:, None, :] + digits[None, :, :]) % p) @ weights
+    codes = np.arange(p**g, dtype=np.int16)
+    table = np.zeros((p**g, p**g), dtype=np.int64)
+    for w in (p**k for k in range(g)):
+        digits = codes // w % p
+        table += np.add.outer(digits, digits) % p * w
     table.flags.writeable = False
     return g, table
 

@@ -23,6 +23,7 @@ every output file is closed and every worker thread joined by then.
 from __future__ import annotations
 
 import argparse
+import bisect
 import itertools
 import json
 import math
@@ -102,7 +103,7 @@ def _modulus(args):
 def cmd_weil(args) -> int:
     """Root-modulus dichotomy |alpha| in {1, sqrt q} for every non-principal chi."""
     from .characters import character_labels
-    from .experiments import ChunkTexts, float_texts, row_chunks
+    from .experiments import ROW_CHUNK, ChunkTexts, float_texts, row_chunks
     from .lfun import WEIL_CLASSES, inverse_roots, lpolynomial_coeffs, weil_classes
 
     modulus = _modulus(args)
@@ -125,15 +126,21 @@ def cmd_weil(args) -> int:
         return row_chunks(cols, len(roots))
 
     def json_lines():
+        """One JSON line per character; the arrays become lists one block of characters at a time."""
         starts = np.concatenate(([0], np.cumsum(L.degree))).tolist()  # labels[c]'s roots: starts[c]:starts[c + 1]
-        pairs = np.stack([L.coeffs.real, L.coeffs.imag], axis=-1).tolist()
-        res, re, im, md, cl = (col.tolist() for col in (L.residual, roots.real, roots.imag, mod, cls))
-        for c, label in enumerate(labels):
-            recs = [
-                {"re": re[i], "im": im[i], "modulus": md[i], "class": WEIL_CLASSES[cl[i]]}
-                for i in range(starts[c], starts[c + 1])
-            ]
-            yield json.dumps({"chi": label, "coeffs": pairs[c], "residuals": res[c], "roots": recs}, sort_keys=True) + "\n"
+        # a block ends before the first character whose roots start at or after a multiple of ROW_CHUNK
+        cuts = sorted({0, len(labels), *(bisect.bisect_left(starts, i) for i in range(0, starts[-1], ROW_CHUNK))})
+        for c0, c1 in zip(cuts, cuts[1:]):
+            lo, hi = starts[c0], starts[c1]
+            pairs = np.stack([L.coeffs[c0:c1].real, L.coeffs[c0:c1].imag], axis=-1).tolist()
+            res = L.residual[c0:c1].tolist()
+            cols = (col[lo:hi].tolist() for col in (roots.real, roots.imag, mod, cls))
+            recs = [{"re": r, "im": i, "modulus": m, "class": WEIL_CLASSES[k]} for r, i, m, k in zip(*cols)]
+            rows = (
+                {"chi": labels[c], "coeffs": pairs[c - c0], "residuals": res[c - c0], "roots": recs[starts[c] - lo : starts[c + 1] - lo]}
+                for c in range(c0, c1)
+            )
+            yield "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
     if args.format == "csv":
         _emit_texts(itertools.chain(["chi,re,im,modulus,class,residual\n"], csv_rows()), args.out)

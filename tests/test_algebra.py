@@ -1,11 +1,14 @@
 import random
 import re
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from ffchar.algebra import (
     Field,
     Poly,
+    digit_sum_table,
     irreducibles_up_to,
     is_irreducible,
     lex_least_irreducible,
@@ -116,6 +119,13 @@ def test_mul_mod_rejects_zero_modulus():
         (Poly.one(F2) * Poly.one(F2)) % Poly(F2, ())
 
 
+def broadcast_digit_sum_table(p: int, g: int) -> np.ndarray:
+    """Oracle digit-add table: every digit position of every (x, y) pair summed in one broadcast."""
+    weights = p ** np.arange(g, dtype=np.int64)
+    digits = (np.arange(p**g, dtype=np.int64)[:, None] // weights) % p
+    return ((digits[:, None, :] + digits[None, :, :]) % p) @ weights
+
+
 # -- field axioms -------------------------------------------------------
 
 
@@ -130,6 +140,39 @@ def test_field_axioms_random_triples():
             assert F.add(a, F.neg(a)) == 0
             if a:
                 assert F.mul(a, F.inv(a)) == 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 251])
+def test_digit_sum_table_matches_broadcast_oracle(p):
+    g, table = digit_sum_table(p)
+    assert p**g <= 256 < p ** (g + 1)
+    assert table.dtype == np.int64 and not table.flags.writeable
+    assert np.array_equal(table, broadcast_digit_sum_table(p, g))
+
+
+def test_digit_sum_table_absent_above_256():
+    assert digit_sum_table(257) == (1, None)
+    assert digit_sum_table(65521) == (1, None)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 251])
+def test_digit_sum_table_build_peak_within_twice_the_table(p):
+    """Built one digit position at a time, no temporary outgrows the table (uncached: a fresh build)."""
+    tracemalloc.start()
+    try:
+        _, table = digit_sum_table.__wrapped__(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * table.nbytes + 64 * 1024
+
+
+def test_only_odd_characteristic_extension_fields_hold_the_add_table():
+    """Characteristic 2 adds by xor, so F_16 builds no digit-add table; F_9 shares the cached one."""
+    F16 = Field.get(2, 4)
+    assert not hasattr(F16, "_add_table") and not hasattr(F16, "_add_step")
+    assert all(F16.add(a, b) == a ^ b for a in range(16) for b in range(16))
+    assert F9._add_table is digit_sum_table(3)[1] and F9._add_step == 243
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 49])

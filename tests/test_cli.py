@@ -590,6 +590,33 @@ def test_weil_rows_across_block_and_chunk_edges(tmp_path, monkeypatch, capsys, f
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ROOT_DIGESTS[argv]
 
 
+@pytest.mark.parametrize("chunk", [1, 4, 7, 100_000])
+@pytest.mark.parametrize(
+    "argv",
+    ["weil --q 2 --n 6 --Q t^6+t^5+t^3+t --format json", "weil --q 3 --n 3 --Q t^3+2t --format json", "weil --q 2 --n 8 --format json"],
+)
+def test_weil_json_converts_one_block_of_characters_at_a_time(monkeypatch, capsys, argv, chunk):
+    """Blocks are cut at every chunk roots: the same bytes, and no block holds more than a chunk plus one character."""
+    import hashlib
+
+    from ffchar import cli, experiments
+
+    texts = []
+    emit = cli._emit_texts
+
+    def recorded(lines, out):
+        texts.extend(lines)
+        emit(texts, out)
+
+    monkeypatch.setattr(experiments, "ROW_CHUNK", chunk)
+    monkeypatch.setattr(cli, "_emit_texts", recorded)
+    assert main(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == ROOT_DIGESTS[argv]
+    n = int(argv.split()[4])  # every character has at most n - 1 roots
+    assert all(text.count('"re": ') < chunk + n for text in texts)
+    assert (len(texts) == 1) == (chunk == 100_000)
+
+
 def test_primes_bound_json_across_block_and_chunk_edges(tmp_path, monkeypatch, capsys):
     """The JSON rows are written a chunk at a time, with the same bytes as one json.dumps of them all."""
     import hashlib
