@@ -163,11 +163,12 @@ def digit_sum_table(p: int) -> tuple[int, Optional[np.ndarray]]:
     (1, None) when p > 256: digits are then added one at a time.  The one
     digit-add table behind `Field.add` and `vecpoly.vadd_poly_codes`.
 
-    T is built one digit position at a time, each position's term an int16
-    (p^g, p^g) array added in place, so no temporary is larger than T: a
-    digit sum is below 2p - 1 and its weighted value below p^g <= 256.  T
-    itself stays int64: `vadd_poly_codes` multiplies its entries by Python
-    int shifts that outgrow any narrower dtype.
+    T is int16, since every entry is below p^g <= 256.  It is built one
+    digit position at a time: each position's term, its digit sum mod p
+    times p^k, is made in place on one int16 temporary and added to T, so
+    no temporary is larger than T.  A caller that scales entries by a digit
+    group's shift multiplies by an int64 (`vadd_poly_codes`): NumPy 2 wraps
+    an int16 array times a Python int that fits int16.
     """
     g = 0
     while p ** (g + 1) <= 256:
@@ -175,10 +176,14 @@ def digit_sum_table(p: int) -> tuple[int, Optional[np.ndarray]]:
     if g == 0:
         return 1, None
     codes = np.arange(p**g, dtype=np.int16)
-    table = np.zeros((p**g, p**g), dtype=np.int64)
+    table = np.zeros((p**g, p**g), dtype=np.int16)
+    term = np.empty_like(table)
     for w in (p**k for k in range(g)):
         digits = codes // w % p
-        table += np.add.outer(digits, digits) % p * w
+        np.add.outer(digits, digits, out=term)
+        term %= p
+        term *= w
+        table += term
     table.flags.writeable = False
     return g, table
 

@@ -28,6 +28,12 @@ resumed run ends with byte-identical files.  An open text stream (stdout,
 say) in place of a CSV or JSONL path gets the same chunks, as each combo
 finishes.
 
+Under the policy "all" a block's columns are views [1:] of its degree's
+and its combo's arrays (A(d, chi), the smooth sums, lhs and the short
+norms), not copies; those arrays are made read-only before any view is
+taken, so nothing can change a later combo's rows through a view.  The
+other policies gather their handful of rows.
+
 Every float is written as its repr, the shortest text that reads back to
 the same double (JSON spells nan and the infinities NaN and Infinity).
 orjson writes a whole numpy array with those digits in one call; the few
@@ -584,10 +590,16 @@ def _grid_run(cfg: ExperimentConfig, corollary: bool) -> GridRunResult:
                     diff = a_sums - s_sums
                     lhs_all = np.hypot(diff.real, diff.imag)
                     short_all = np.hypot(a_sums.real, a_sums.imag) / float(q**d)
+                    # the block's columns may view these arrays, so nothing writes to them from here on
+                    for col in (a_sums, s_sums, lhs_all, short_all):
+                        col.flags.writeable = False
                     if corollary:
                         sel = np.array([np.argmax(short_all[1:]) + 1], dtype=np.int64)
                     else:
                         sel = _select_indices(cfg, order, key, lhs_all)
+                    # every non-principal index is the slice [1:]: views, where a handful of rows is gathered
+                    rows = slice(1, None) if not corollary and cfg.char_policy == "all" else sel
+                    a = a_sums[rows]
                     block = ComboBlock(
                         q=q,
                         n=n,
@@ -600,10 +612,11 @@ def _grid_run(cfg: ExperimentConfig, corollary: bool) -> GridRunResult:
                         bound_core=n * q ** (-r / 2.0) * float(q**d),
                         eps=epsilon_bound(q, d, r, n).value,
                         chi=sel,
-                        a=a_sums[sel],
-                        s=s_sums[sel],
-                        lhs=lhs_all[sel],
-                        short=short_all[sel],
+                        a=a,
+                        # the same view when s is a's sums: the diagonal then needs no byte compare
+                        s=a if s_sums is a_sums else s_sums[rows],
+                        lhs=lhs_all[rows],
+                        short=short_all[rows],
                     )
                     sink.write_combo(key, block)
                     result.add(block)

@@ -127,7 +127,7 @@ def vadd_poly_codes(field: Field, codes: np.ndarray, c, width: int) -> np.ndarra
     for lo in range(0, width * field.e, g):
         step = p ** min(g, width * field.e - lo)
         a, b = rem % step, cc % step
-        out += (table[a, b] if table is not None else (a + b) % p) * shift
+        out += (table[a, b] if table is not None else (a + b) % p) * np.int64(shift)
         rem, cc = rem // step, cc // step
         shift *= step
     return out

@@ -146,7 +146,7 @@ def test_field_axioms_random_triples():
 def test_digit_sum_table_matches_broadcast_oracle(p):
     g, table = digit_sum_table(p)
     assert p**g <= 256 < p ** (g + 1)
-    assert table.dtype == np.int64 and not table.flags.writeable
+    assert table.dtype == np.int16 and not table.flags.writeable
     assert np.array_equal(table, broadcast_digit_sum_table(p, g))
 
 

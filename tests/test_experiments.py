@@ -258,6 +258,34 @@ def test_worst_case_policy_single_record_per_combo(tmp_path):
     assert len(records) == len(keys) == res.n_records
 
 
+def test_policy_all_blocks_view_read_only_sums(monkeypatch):
+    """Under "all" a block's columns are views [1:] of its degree's arrays, and none of them can be written."""
+    blocks = run_blocks(run_main_theorem_grid, small_cfg(None, ns=(7,), ds=(4, 5, 6), rs=(2, 3, 4, 5, 6)), monkeypatch)
+    assert len(blocks) == 12
+    for block in blocks:
+        assert block.chi.tolist() == list(range(1, 2**7 - 1))
+        for name in ("a", "s", "lhs", "short"):
+            col = getattr(block, name)
+            assert col.base is not None and not col.flags.writeable
+            with pytest.raises(ValueError):
+                col[0] = 0
+        # at r = d the smooth sums are A(d, chi) itself: one view for both
+        assert (block.s is block.a) == (block.r == block.d)
+
+
+def test_sample_policy_blocks_gather_their_own_rows(monkeypatch):
+    cfg = small_cfg(None, ns=(7,), ds=(4, 5), rs=(2, 3, 4, 5), char_policy="sample-k", sample_k=5)
+    blocks = run_blocks(run_main_theorem_grid, cfg, monkeypatch)
+    every = run_blocks(run_main_theorem_grid, small_cfg(None, ns=(7,), ds=(4, 5), rs=(2, 3, 4, 5)), monkeypatch)
+    assert len(blocks) == len(every) == 7
+    for block, full in zip(blocks, every):
+        assert len(block) == 5
+        for name in ("a", "s", "lhs", "short"):
+            col = getattr(block, name)
+            assert col.base is None and col.flags.owndata
+            assert np.array_equal(col, getattr(full, name)[block.chi - 1])
+
+
 def test_corollary_grid(tmp_path):
     cfg = small_cfg(tmp_path, ds=(4, 5, 6, 7), rs=(3, 4, 5))
     run_corollary_grid(cfg)

@@ -101,13 +101,18 @@ def test_vadd_poly_codes_matches_poly_add():
             assert int(got) == want
 
 
-@pytest.mark.parametrize("q,width", [(2, 5), (3, 7), (4, 4), (5, 4), (9, 3), (25, 2), (257, 2)])
+@pytest.mark.parametrize(
+    "q,width", [(2, 5), (3, 7), (3, 10), (3, 11), (3, 16), (4, 4), (5, 4), (9, 3), (9, 6), (25, 2), (257, 2)]
+)
 def test_vadd_poly_codes_with_array_operand(q, width):
-    # digit groups per table lookup differ by p, and p = 257 adds one digit at a time
+    # digit groups per table lookup differ by p, and p = 257 adds one digit at a time.
+    # From 10 base-3 digits on, int16 table entries up to 242 are scaled by 243 (an
+    # int16 product would wrap past 2^15 silently) and then by 3^10 and more
     F = Field.of_order(q)
     rng = np.random.default_rng(q)
     codes = rng.integers(0, F.q**width, size=200, dtype=np.int64)
     cs = rng.integers(0, F.q**width, size=200, dtype=np.int64)
+    codes[0] = cs[0] = F.q**width - 1  # every digit p - 1: the largest entry in every digit group
     out = vadd_poly_codes(F, codes, cs, width)
     for a, b, got in zip(codes, cs, out):
         assert int(got) == (Poly.from_code(F, int(a)) + Poly.from_code(F, int(b))).code()
