@@ -134,10 +134,13 @@ def dual_group_sums(modulus: Modulus, hist: np.ndarray) -> np.ndarray:
     with the unit of flat dlog j through zeta^(sum_i k_i j_i / m_i); so the
     sums are the conjugate n-dimensional DFT of the histogram reshaped to
     the component orders.  Flat index k is the character whose exponents
-    are k unravelled to the component orders.
+    are k unravelled to the component orders.  The sums are read-only, and
+    so is every view of them.
     """
     orders = modulus.unit_group.component_orders
-    return np.conj(np.fft.fftn(hist.astype(np.float64).reshape(orders))).ravel()
+    sums = np.conj(np.fft.fftn(hist.astype(np.float64).reshape(orders)))
+    sums.flags.writeable = False
+    return sums.ravel()
 
 
 def all_char_sums_Ad(modulus: Modulus, d: int, workers: int = 1) -> np.ndarray:

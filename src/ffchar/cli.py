@@ -220,11 +220,13 @@ def cmd_smooth_count(args) -> int:
     """Exact N(d, r) with the q^d rho(d/r) prediction; optional enumeration check."""
     from .smooth import SoundararajanReport, default_dickman_table, smooth_count_by_enumeration, soundararajan_check
 
+    rs = None if args.r is None else _parse_range(args.r)
+    # refused before the Dickman table is built for u = d/r
+    if rs and min(rs) < 1:
+        raise ValueError(f"r must be >= 1, got {min(rs)}")
     rows = [SoundararajanReport.CSV_HEADER]
     ok = True
-    cells = [
-        (d, r) for d in _parse_range(args.d) for r in (range(1, d + 1) if args.r is None else _parse_range(args.r)) if r <= d
-    ]
+    cells = [(d, r) for d in _parse_range(args.d) for r in (range(1, d + 1) if rs is None else rs) if r <= d]
     if cells:
         # one table for the largest u = d/r: a table grown one u at a time re-marches from panel 0
         default_dickman_table(max(math.ceil(d / r) for d, r in cells))
@@ -356,7 +358,7 @@ def cmd_corollary(args) -> int:
 
 def cmd_density(args) -> int:
     """Primitive density in A_d vs phi(N-1)/(N-1) with exact bound checks."""
-    from .primitive import density_experiment, schedule_degree
+    from .primitive import density_experiment, report_json, schedule_degree
 
     d = args.d
     if d is None:
@@ -371,9 +373,9 @@ def cmd_density(args) -> int:
         return EXIT_BUDGET
     rep = density_experiment(args.q, args.n, d, C2=args.C2, C3=args.C3, workers=args.workers)
     if args.format == "json":
-        _emit([json.dumps(rep.to_json(), sort_keys=True)], args.out)
+        _emit([json.dumps(report_json(rep), sort_keys=True)], args.out)
     elif args.format == "csv":
-        j = rep.to_json()
+        j = report_json(rep)
         keys = list(j)
         _emit([",".join(keys), ",".join(str(j[k]) for k in keys)], args.out)
     else:
@@ -395,12 +397,12 @@ def cmd_density(args) -> int:
 
 def cmd_sieve(args) -> int:
     """S_m congruence counts, T, and the character identity cross-check."""
-    from .primitive import sieve_quantities
+    from .primitive import report_json, sieve_quantities
 
     rep = sieve_quantities(args.q, args.n, args.d, c1=args.c1, c2=args.c2, workers=args.workers)
     ok = rep.T == rep.primitive_count_direct and rep.char_identity_max_err <= 1e-6
     if args.format == "json":
-        _emit([json.dumps(rep.to_json(), sort_keys=True)], args.out)
+        _emit([json.dumps(report_json(rep), sort_keys=True)], args.out)
     elif args.format == "csv":
         rows = ["m,S_m,A_over_m"]
         for m, v in sorted(rep.S.items()):

@@ -12,27 +12,31 @@ completed combos.
 
 Each combo's selected characters become numpy columns (`ComboBlock`) that
 live only until the combo is written; the run keeps just its totals
-(`GridRunResult`).  The sink (`_Sink`) opens each output path once when the
+(`GridRunResult`).  One rule picks them (`_select_indices`); the corollary
+takes its worst case ranked by the short norms, so a corollary block holds
+one row, whose flags say whether its short norm exceeds eps.  The sink
+(`_Sink`) owns the run's outputs: it opens each output path once when the
 run starts, after `--resume` has cut it, and closes them all when the run
-ends, also when it raises.  A block is written in chunks of at most
-`ROW_CHUNK` rows: each chunk is one write point to the CSV and one to the
-JSONL file, and the combo's key is one to the checkpoint, only after its
-last chunk.  A write point (`_append`) is one write to the path's open
-handle, flushed at once, so a killed process has handed every finished
-write to the OS.  So no row text of a whole combo is ever held in memory,
-and a run killed at any point leaves every checkpointed combo complete in
-both files, followed by at most some rows of one unfinished combo, the last
-of them possibly torn.  `--resume` cuts the checkpoint back to its last
-complete key and both files back to the rows of checkpointed combos, so the
-resumed run ends with byte-identical files.  An open text stream (stdout,
-say) in place of a CSV or JSONL path gets the same chunks, as each combo
-finishes.
+ends, also when it raises; an open text stream (stdout, say) in place of a
+path is its own handle and is never closed.  Every text goes out through
+one write point (`_Sink.append`): one write, flushed at once, so a killed
+process has handed every finished write to the OS and a stream shows each
+chunk as it is made.  The write points are the CSV header, then per combo
+its chunks of at most `ROW_CHUNK` rows, one to the CSV and one to the JSONL
+output each, then the combo's key to the checkpoint.  So no row text of a
+whole combo is ever held in memory, and a run killed at any point leaves
+every checkpointed combo complete in both files, followed by at most some
+rows of one unfinished combo, the last of them possibly torn.  `--resume`
+cuts the checkpoint back to its last complete key and both files back to
+the rows of checkpointed combos, so the resumed run ends with
+byte-identical files.
 
 Under the policy "all" a block's columns are views [1:] of its degree's
 and its combo's arrays (A(d, chi), the smooth sums, lhs and the short
-norms), not copies; those arrays are made read-only before any view is
-taken, so nothing can change a later combo's rows through a view.  The
-other policies gather their handful of rows.
+norms), not copies; those arrays are read-only before any view is taken
+(the sums as `characters.dual_group_sums` returns them), so nothing can
+change a later combo's rows through a view.  The other policies gather
+their handful of rows.
 
 Every float is written as its repr, the shortest text that reads back to
 the same double (JSON spells nan and the infinities NaN and Infinity).
@@ -47,8 +51,8 @@ longer than their reuse needs:
   The same chunk formatter serves the float columns of the `weil` and
   `primes-bound` tables, whose rows also go through `row_chunks`;
 - one block: the row layout (`row_chunks`).  The text that is the same on
-  every row of the block (q, n, Q, d, r, the bound, eps and, outside the
-  corollary, the flags) is merged and laid out once for a chunk's worth
+  every row of the block (q, n, Q, d, r, the bound, eps and the flags) is
+  merged and laid out once for a chunk's worth
   of rows; each chunk copies that layout, fills in only the per-row
   columns and joins once;
 - across blocks: the columns a later combo can repeat, the character
@@ -107,7 +111,7 @@ class ExperimentConfig:
 
     out_csv and out_json each take a path, which the run appends to (and
     `resume` cuts back to the checkpoint), or an open text stream, which
-    gets the rows as each combo finishes.
+    gets the same chunks, each flushed as it is written.
     """
 
     q: int
@@ -282,7 +286,8 @@ class ComboBlock:
     Row i is the comparison for character chi[chi[i]]: raw sums a[i] (short)
     and s[i] (smooth), lhs[i] = |a[i] - s[i]| and short[i] = |a[i]| / q^d.
     Q and Q_json are the modulus text and its JSON spelling, computed once
-    per modulus.
+    per modulus.  s is a itself whenever the smooth sums are A's sums (at
+    r >= d), and then takes a's texts.
     """
 
     q: int
@@ -291,8 +296,7 @@ class ComboBlock:
     Q_json: str
     d: int
     r: int
-    flags: str  # "" or "out_of_range", shared by every row
-    corollary: bool  # rows whose short norm exceeds eps get "exceeds_eps"
+    flags: str  # "", "out_of_range", "exceeds_eps" or both joined by ";", shared by every row
     bound_core: float
     eps: float
     chi: np.ndarray
@@ -308,12 +312,6 @@ class ComboBlock:
     def implied(self) -> np.ndarray:
         return self.lhs / self.bound_core
 
-    def row_flags(self) -> list[str]:
-        if not self.corollary:
-            return [self.flags] * len(self)
-        exceeds = (self.flags + ";" if self.flags else "") + "exceeds_eps"
-        return [exceeds if x else self.flags for x in (self.short > self.eps).tolist()]
-
     def chunks(
         self, csv: bool = True, jsonl: bool = True, memo: Optional[_TextMemo] = None
     ) -> Iterator[tuple[str, str]]:
@@ -325,35 +323,27 @@ class ComboBlock:
         combo alone (lhs, implied and, off the diagonal, s) are formatted a
         chunk at a time (`ChunkTexts`); chi, short and a go through the
         memo, so pass the previous block's memo to reuse the columns the two
-        share.  On the diagonal s has a's bytes and takes a's texts.  JSONL
+        share.  An s that is a takes a's texts.  JSONL
         keys follow the sorted order of json.dumps(..., sort_keys=True).
         """
         shared = [self.chi, self.short] + ([self.a.imag, self.a.real] if jsonl else [])
         (chis, _), (sn, sn_j), *a_texts = (memo if memo is not None else _TextMemo())(*shared)
-        # bytes, not values: s = 0.0 against a = -0.0 is equal but writes differently
-        diagonal = self.s is self.a or (self.s.dtype == self.a.dtype and self.s.tobytes() == self.a.tobytes())
+        diagonal = self.s is self.a
         own = ChunkTexts([self.lhs, self.implied] + ([self.s.imag, self.s.real] if jsonl and not diagonal else []))
-        # one flags text for the whole block, a constant of the row layout, unless rows differ
-        flags = self.row_flags() if self.corollary else self.flags
         csv_cols = jsonl_cols = ()
         if csv:
             bc, ep = repr(self.bound_core), repr(self.eps)
             csv_cols = (
                 f"{self.q},{self.n},{self.Q},chi[", chis, f"],{self.d},{self.r},", own.column(0),
-                f",{bc},", own.column(1), ",", sn, f",{ep},", flags, "\n",
+                f",{bc},", own.column(1), ",", sn, f",{ep},{self.flags}\n",
             )
         if jsonl:
             a_im, a_re = (texts[1] for texts in a_texts)
             s_im, s_re = (a_im, a_re) if diagonal else (own.column(2, json=True), own.column(3, json=True))
-            if self.corollary:
-                flag_json = {f: json.dumps(f) for f in set(flags)}
-                flags_j = [flag_json[f] for f in flags]
-            else:
-                flags_j = json.dumps(flags)
             jsonl_cols = (
                 f'{{"Q": {self.Q_json}, "a_im": ', a_im, ', "a_re": ', a_re,
                 f', "bound_core": {json.dumps(self.bound_core)}, "chi": "chi[', chis,
-                f']", "d": {self.d}, "eps": {json.dumps(self.eps)}, "flags": ', flags_j,
+                f']", "d": {self.d}, "eps": {json.dumps(self.eps)}, "flags": {json.dumps(self.flags)}'
                 ', "implied_constant": ', own.column(1, json=True), ', "lhs": ', own.column(0, json=True),
                 f', "n": {self.n}, "q": {self.q}, "r": {self.r}, "s_im": ', s_im, ', "s_re": ', s_re,
                 ', "short_norm": ', sn_j, "}\n",
@@ -395,28 +385,8 @@ def _jsonl_row_key(line: str) -> str:
     return _combo_key(row["q"], row["n"], row["d"], row["r"])
 
 
-# the running grid's open output files by path, from `_Sink.__enter__` to `_Sink.__exit__`;
-# kept at module level so that `_append(path, text)` stays the one write point
-_handles: dict[str, TextIO] = {}
-
-
-def _append(path: str, text: str) -> None:
-    """A write point: text to the run's open handle of path, flushed at once."""
-    fh = _handles[path]
-    fh.write(text)
-    fh.flush()
-
-
 def _is_stream(target) -> bool:
     return hasattr(target, "write")
-
-
-def _write(target, text: str) -> None:
-    """Write text to an open stream, or append it to a path."""
-    if _is_stream(target):
-        target.write(text)
-    else:
-        _append(target, text)
 
 
 def _cut_checkpoint(path: str) -> set[str]:
@@ -451,12 +421,14 @@ class _Sink:
     Building the sink only cuts: with `resume` it cuts the checkpoint back
     to its last complete key and both files back to the rows of checkpointed
     combos, and leaves no file open.  Entering it (`with _Sink(cfg) as
-    sink`) opens each path output once for the run, afresh (the CSV with its
-    header) unless resumed, and leaving it closes them all, also when a combo
-    raises.  Each chunk goes to each output with one write point (`_append`:
-    one write to the open handle, then a flush), so the OS gets each write
-    as it is made, in the order it is made.
-    The key goes to the checkpoint only after the combo's last chunk, so a
+    sink`) opens each path output once for the run, afresh unless resumed,
+    into `handles`, where a stream output is its own handle; leaving it
+    closes every file it opened, also when a combo raises, and never a
+    stream.  Everything written goes through one write point (`append`: one
+    write to the output's handle, then a flush), so the OS, or the reader of
+    a stream, gets each write as it is made, in the order it is made: the
+    CSV header where the CSV starts afresh, each chunk to each output, and
+    the combo's key to the checkpoint only after its last chunk, so a
     checkpointed combo is complete in both files and `--resume` can cut
     everything else.  A stream output is written afresh: the CSV header,
     then the rows of every combo this run computes.
@@ -466,6 +438,7 @@ class _Sink:
         self.cfg = cfg
         self.memo = _TextMemo()
         self.done: set[str] = set()
+        self.handles: dict[Union[str, TextIO], TextIO] = {}
         if cfg.resume and cfg.checkpoint and os.path.exists(cfg.checkpoint):
             self.done = _cut_checkpoint(cfg.checkpoint)
         fresh = not self.done
@@ -492,23 +465,29 @@ class _Sink:
     def __enter__(self) -> "_Sink":
         try:
             for path, mode in self.modes.items():
-                _handles[path] = open(path, mode)
+                self.handles[path] = open(path, mode)
         except BaseException:
             self.__exit__()
             raise
         csv = self.cfg.out_csv
-        if _is_stream(csv):
-            csv.write(CSV_HEADER + "\n")
-        elif self.modes.get(csv) == "w":
-            _handles[csv].write(CSV_HEADER + "\n")
-            _handles[csv].flush()
+        for out in (csv, self.cfg.out_json):
+            if _is_stream(out):
+                self.handles[out] = out
+        if _is_stream(csv) or self.modes.get(csv) == "w":
+            self.append(csv, CSV_HEADER + "\n")
         return self
 
     def __exit__(self, *exc) -> None:
-        for path in self.modes:
-            fh = _handles.pop(path, None)
-            if fh is not None:
+        for out, fh in self.handles.items():
+            if fh is not out:
                 fh.close()
+        self.handles = {}
+
+    def append(self, out: Union[str, TextIO], text: str) -> None:
+        """The write point: text to the output's handle, flushed at once."""
+        fh = self.handles[out]
+        fh.write(text)
+        fh.flush()
 
     def combo_done(self, key: str) -> bool:
         return key in self.done
@@ -518,25 +497,28 @@ class _Sink:
         if cfg.out_csv or cfg.out_json:
             for csv_text, jsonl_text in block.chunks(bool(cfg.out_csv), bool(cfg.out_json), self.memo):
                 if cfg.out_csv:
-                    _write(cfg.out_csv, csv_text)
+                    self.append(cfg.out_csv, csv_text)
                 if cfg.out_json:
-                    _write(cfg.out_json, jsonl_text)
+                    self.append(cfg.out_json, jsonl_text)
         if cfg.checkpoint:
-            _append(cfg.checkpoint, key + "\n")
+            self.append(cfg.checkpoint, key + "\n")
         self.done.add(key)
 
 
-def _select_indices(cfg: ExperimentConfig, order: int, key: str, ranking: np.ndarray) -> np.ndarray:
-    """Character indices for a combo under the configured policy, ascending int64.
+def _select_indices(cfg: ExperimentConfig, policy: str, key: str, ranking: np.ndarray) -> np.ndarray:
+    """Character indices for a combo under the policy, ascending int64.
 
-    "all": every non-principal index.  "worst-case": the argmax of the
-    ranking vector (exact, the dual group is fully enumerated at this
-    scale).  "sample-k": a seeded deterministic sample.
+    ranking holds one value per character, the principal one first.  "all":
+    every non-principal index.  "worst-case": the first argmax of the
+    ranking over them (exact, the dual group is fully enumerated at this
+    scale), none when there are none.  "sample-k": a seeded deterministic
+    sample.
     """
-    if cfg.char_policy == "all":
+    order = len(ranking)
+    if policy == "all":
         return np.arange(1, order, dtype=np.int64)
-    if cfg.char_policy == "worst-case":
-        return np.array([np.argmax(ranking[1:]) + 1], dtype=np.int64)
+    if policy == "worst-case":
+        return np.array([np.argmax(ranking[1:]) + 1] if order > 1 else [], dtype=np.int64)
     rng = random.Random(f"{cfg.seed}|{key}")
     count = min(cfg.sample_k, order - 1)
     return np.array(sorted(rng.sample(range(1, order), count)), dtype=np.int64)
@@ -561,7 +543,6 @@ def _grid_run(cfg: ExperimentConfig, corollary: bool) -> GridRunResult:
             modulus = moduli[n]
             Q = str(modulus.poly)
             Q_json = json.dumps(Q)
-            order = q**n - 1
             for d in cfg.ds:
                 a_sums = None  # A(d, chi) for every chi, once per d and only if a combo of d runs
                 for r in cfg.rs:
@@ -590,15 +571,16 @@ def _grid_run(cfg: ExperimentConfig, corollary: bool) -> GridRunResult:
                     diff = a_sums - s_sums
                     lhs_all = np.hypot(diff.real, diff.imag)
                     short_all = np.hypot(a_sums.real, a_sums.imag) / float(q**d)
-                    # the block's columns may view these arrays, so nothing writes to them from here on
-                    for col in (a_sums, s_sums, lhs_all, short_all):
-                        col.flags.writeable = False
-                    if corollary:
-                        sel = np.array([np.argmax(short_all[1:]) + 1], dtype=np.int64)
-                    else:
-                        sel = _select_indices(cfg, order, key, lhs_all)
+                    # the block's columns may view these arrays, so nothing writes to them from
+                    # here on (the sums come read-only)
+                    lhs_all.flags.writeable = short_all.flags.writeable = False
+                    policy, ranking = ("worst-case", short_all) if corollary else (cfg.char_policy, lhs_all)
+                    sel = _select_indices(cfg, policy, key, ranking)
                     # every non-principal index is the slice [1:]: views, where a handful of rows is gathered
-                    rows = slice(1, None) if not corollary and cfg.char_policy == "all" else sel
+                    rows = slice(1, None) if policy == "all" else sel
+                    eps = epsilon_bound(q, d, r, n).value
+                    if corollary and (short_all[sel] > eps).any():
+                        flags = ";".join(filter(None, (flags, "exceeds_eps")))
                     a = a_sums[rows]
                     block = ComboBlock(
                         q=q,
@@ -608,12 +590,11 @@ def _grid_run(cfg: ExperimentConfig, corollary: bool) -> GridRunResult:
                         d=d,
                         r=r,
                         flags=flags,
-                        corollary=corollary,
                         bound_core=n * q ** (-r / 2.0) * float(q**d),
-                        eps=epsilon_bound(q, d, r, n).value,
+                        eps=eps,
                         chi=sel,
                         a=a,
-                        # the same view when s is a's sums: the diagonal then needs no byte compare
+                        # the same view when s is a's sums, so that s takes a's texts
                         s=a if s_sums is a_sums else s_sums[rows],
                         lhs=lhs_all[rows],
                         short=short_all[rows],
@@ -641,7 +622,8 @@ def run_main_theorem_grid(cfg: ExperimentConfig) -> GridRunResult:
 def run_corollary_grid(cfg: ExperimentConfig) -> GridRunResult:
     """Per combo: the worst normalized short sum against the epsilon bound.
 
-    Combos where the observation exceeds the bound are flagged (expected
-    whenever the unknown O-constants exceed 1), never failed.
+    The worst-case rule ranked by the short norms picks the row; a combo
+    where it exceeds the bound is flagged "exceeds_eps" (expected whenever
+    the unknown O-constants exceed 1), never failed.
     """
     return _grid_run(cfg, corollary=True)

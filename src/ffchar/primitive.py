@@ -14,7 +14,7 @@ only through character-sum magnitudes and the epsilon bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -38,6 +38,7 @@ __all__ = [
     "density_experiment",
     "SieveReport",
     "sieve_quantities",
+    "report_json",
 ]
 
 
@@ -189,6 +190,26 @@ def _sum_chi_m_principal(sums: np.ndarray, m: int) -> complex:
     return sum(sums[i * stride] for i in range(m))
 
 
+def report_json(rep) -> dict:
+    """A density or sieve report as its JSON document, one key per field in field order.
+
+    Q_text is written as "Q"; a Fraction as "num/den", followed by its float
+    under "<name>_float"; dict keys as str.
+    """
+    doc = {}
+    for f in fields(rep):
+        value = getattr(rep, f.name)
+        name = "Q" if f.name == "Q_text" else f.name
+        if isinstance(value, Fraction):
+            doc[name] = f"{value.numerator}/{value.denominator}"
+            doc[f"{name}_float"] = float(value)
+        elif isinstance(value, dict):
+            doc[name] = {str(k): v for k, v in value.items()}
+        else:
+            doc[name] = value
+    return doc
+
+
 # ---------------------------------------------------------------------------
 # density experiment
 # ---------------------------------------------------------------------------
@@ -219,29 +240,6 @@ class DensityReport:
     max_char_norm: float  # max over nonprincipal chi of |A(d, chi)| / q^d
     char_bound: float  # 2^omega * max_char_norm
     char_bound_holds: bool
-
-    def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "n": self.n,
-            "d": self.d,
-            "Q": self.Q_text,
-            "count": self.count,
-            "unit_count": self.unit_count,
-            "density": f"{self.density.numerator}/{self.density.denominator}",
-            "density_float": float(self.density),
-            "target": f"{self.target.numerator}/{self.target.denominator}",
-            "target_float": float(self.target),
-            "deviation": f"{self.deviation.numerator}/{self.deviation.denominator}",
-            "deviation_float": float(self.deviation),
-            "omega": self.omega,
-            "eps": self.eps,
-            "eps_r": self.eps_r,
-            "predicted_bound": self.predicted_bound,
-            "max_char_norm": self.max_char_norm,
-            "char_bound": self.char_bound,
-            "char_bound_holds": self.char_bound_holds,
-        }
 
 
 def density_experiment(
@@ -320,26 +318,6 @@ class SieveReport:
     eps_B: float  # q^d * eps
     B_within_eps: bool
     lower_bound: Optional[float] = None  # c1 A/(log l + 1)^2 - c2 l^2 B, if constants given
-
-    def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "n": self.n,
-            "d": self.d,
-            "Q": self.Q_text,
-            "radical": self.radical,
-            "S": {str(m): v for m, v in self.S.items()},
-            "T": self.T,
-            "primitive_count_direct": self.primitive_count_direct,
-            "A": self.A,
-            "B_observed": f"{self.B_observed.numerator}/{self.B_observed.denominator}",
-            "B_observed_float": float(self.B_observed),
-            "char_identity_max_err": self.char_identity_max_err,
-            "eps": self.eps,
-            "eps_B": self.eps_B,
-            "B_within_eps": self.B_within_eps,
-            "lower_bound": self.lower_bound,
-        }
 
 
 def sieve_quantities(

@@ -230,6 +230,8 @@ def test_kernel_failure_exits_math_without_traceback(monkeypatch, capsys, exc):
         (["primes-bound", "--q", "2", "--n", "4", "--k", "23"], "k = 23 has q^k = 8388608"),
         (["density", "--q", "2", "--n", "5", "--d", "3", "--workers", "0"], "--workers must be >= 1, got 0"),
         (["smooth-count", "--q", "2", "--d", "3", "--workers", "-2"], "--workers must be >= 1, got -2"),
+        (["smooth-count", "--q", "2", "--d", "3", "--r", "0"], "r must be >= 1, got 0"),
+        (["smooth-count", "--q", "2", "--d", "3", "--r", "-1"], "r must be >= 1, got -1"),
         (GRID + ["--workers", "0"], "--workers must be >= 1, got 0"),
         (GRID + ["--policy", "sample-k", "--sample-k", "0"], "--sample-k must be >= 1, got 0"),
         (GRID + ["--policy", "sample-k", "--sample-k", "-1"], "--sample-k must be >= 1, got -1"),
@@ -386,6 +388,17 @@ def test_grid_refuses_r_below_one_before_output(tmp_path, monkeypatch, capsys, d
         assert main(argv + out) == 2
         assert capsys.readouterr() == ("", "error: r must be >= 1\n")
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "cmd", ["corollary", "main-thm --policy worst-case", "main-thm --policy all", "main-thm --policy sample-k"]
+)
+def test_trivial_unit_group_selects_no_character(capsys, cmd):
+    # mod t over F_2 the unit group has order 1: no non-principal character, so no row under any rule
+    assert main(f"{cmd} --q 2 --n-list 1 --d 1..2 --r 1 --format csv".split()) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "q,n,Q,chi,d,r,lhs,bound_core,implied_constant,short_norm,eps,flags\n"
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("budget", [[], ["--budget", str(10**24)]])

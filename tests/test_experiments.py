@@ -18,7 +18,7 @@ from ffchar.experiments import (
     run_main_theorem_grid,
 )
 from ffchar.residue import Modulus
-from ffchar.smooth import smooth_count
+from ffchar.smooth import in_theorem_range, smooth_count
 from grid_rows import jsonl_records
 from phase_oracle import character_by_index, character_sum_Ad, chi_eval, prime_char_sum, smooth_char_sum
 
@@ -71,16 +71,15 @@ def block_records(block) -> list[SimpleNamespace]:
             implied_constant=i,
             short_norm=s,
             eps=block.eps,
-            flags=f,
+            flags=block.flags,
             a_sum=a,
             s_sum=sm,
         )
-        for k, x, i, s, f, a, sm in zip(
+        for k, x, i, s, a, sm in zip(
             block.chi.tolist(),
             block.lhs.tolist(),
             block.implied.tolist(),
             block.short.tolist(),
-            block.row_flags(),
             block.a.tolist(),
             block.s.tolist(),
         )
@@ -269,6 +268,9 @@ def test_policy_all_blocks_view_read_only_sums(monkeypatch):
             assert col.base is not None and not col.flags.writeable
             with pytest.raises(ValueError):
                 col[0] = 0
+            # nor can the guard be switched back off through the view
+            with pytest.raises(ValueError):
+                col.flags.writeable = True
         # at r = d the smooth sums are A(d, chi) itself: one view for both
         assert (block.s is block.a) == (block.r == block.d)
 
@@ -299,6 +301,18 @@ def test_corollary_grid(tmp_path):
         assert abs(rec.short_norm - best / 2**rec.d) < 1e-9
         if rec.d >= 5:  # d >= n: short sums vanish
             assert rec.short_norm < 1e-9
+
+
+def test_corollary_flags_a_combo_whose_worst_short_norm_exceeds_eps(tmp_path, monkeypatch):
+    # the paper's eps stays above every short norm of a grid this small, so a smaller one stands in
+    monkeypatch.setattr(experiments, "epsilon_bound", lambda q, d, r, n: SimpleNamespace(value=0.2))
+    run_corollary_grid(small_cfg(tmp_path, q=3, ds=(2, 3, 4, 5, 6), rs=(2, 3, 4, 5)))
+    records = written_records(tmp_path)
+    for rec in records:
+        want = [] if in_theorem_range(3, rec.d, rec.r, 5) else ["out_of_range"]
+        want += ["exceeds_eps"] if rec.short_norm > rec.eps else []
+        assert rec.flags == ";".join(want) and rec.eps == 0.2
+    assert {rec.flags for rec in records} == {"", "exceeds_eps", "out_of_range", "out_of_range;exceeds_eps"}
 
 
 # -- L = M * N: the full series is the smooth series times the rough one ----------
@@ -410,29 +424,27 @@ def test_block_texts_special_floats(bound_core, eps):
     a = np.empty(vals.size, dtype=np.complex128)
     a.real, a.imag = vals, vals[::-1]
     Q = "t^5+t^2+1"
-    for corollary in (False, True):
-        for flags in ("", "out_of_range"):
-            block = ComboBlock(
-                q=2,
-                n=5,
-                Q=Q,
-                Q_json=json.dumps(Q),
-                d=4,
-                r=3,
-                flags=flags,
-                corollary=corollary,
-                bound_core=bound_core,
-                eps=eps,
-                chi=np.arange(1, 10),
-                a=a,
-                s=np.conj(a[::-1]),
-                lhs=vals,
-                short=vals[::-1].copy(),
-            )
-            with np.errstate(all="ignore"):
-                assert joined(block.chunks()) == oracle_texts(block)
-                assert joined(block.chunks(csv=False)) == ("", oracle_texts(block)[1])
-                assert joined(block.chunks(jsonl=False)) == (oracle_texts(block)[0], "")
+    for flags in ("", "out_of_range", "exceeds_eps", "out_of_range;exceeds_eps"):
+        block = ComboBlock(
+            q=2,
+            n=5,
+            Q=Q,
+            Q_json=json.dumps(Q),
+            d=4,
+            r=3,
+            flags=flags,
+            bound_core=bound_core,
+            eps=eps,
+            chi=np.arange(1, 10),
+            a=a,
+            s=np.conj(a[::-1]),
+            lhs=vals,
+            short=vals[::-1].copy(),
+        )
+        with np.errstate(all="ignore"):
+            assert joined(block.chunks()) == oracle_texts(block)
+            assert joined(block.chunks(csv=False)) == ("", oracle_texts(block)[1])
+            assert joined(block.chunks(jsonl=False)) == (oracle_texts(block)[0], "")
 
 
 def test_block_chunks_split_at_row_chunk_edges():
@@ -448,7 +460,7 @@ def test_block_chunks_split_at_row_chunk_edges():
     a = np.empty(n, dtype=np.complex128)
     a.real, a.imag = vals, vals[::-1]
     Q = "t^13+t^4+t^3+t+1"
-    for corollary in (False, True):
+    for flags in ("", "out_of_range;exceeds_eps"):
         block = ComboBlock(
             q=2,
             n=13,
@@ -456,8 +468,7 @@ def test_block_chunks_split_at_row_chunk_edges():
             Q_json=json.dumps(Q),
             d=10,
             r=4,
-            flags="out_of_range" if corollary else "",
-            corollary=corollary,
+            flags=flags,
             bound_core=1e-5,
             eps=math.inf,
             chi=np.arange(1, n + 1),
@@ -474,14 +485,14 @@ def test_block_chunks_split_at_row_chunk_edges():
         assert all(c.endswith("\n") and j.endswith("\n") for c, j in chunks)
 
 
-def vals_block(vals: np.ndarray, chi: np.ndarray, corollary: bool = False, flags: str = "") -> ComboBlock:
+def vals_block(vals: np.ndarray, chi: np.ndarray, flags: str = "") -> ComboBlock:
     """A block whose float columns are all drawn from vals."""
     a = np.empty(vals.size, dtype=np.complex128)
     a.real, a.imag = vals, vals[::-1]
     Q = "t^13+t^4+t^3+t+1"
     return ComboBlock(
-        q=2, n=13, Q=Q, Q_json=json.dumps(Q), d=10, r=4, flags=flags, corollary=corollary,
-        bound_core=3.5, eps=0.25, chi=chi, a=a, s=np.conj(a[::-1]), lhs=vals, short=vals[::-1].copy(),
+        q=2, n=13, Q=Q, Q_json=json.dumps(Q), d=10, r=4, flags=flags, bound_core=3.5, eps=0.25,
+        chi=chi, a=a, s=np.conj(a[::-1]), lhs=vals, short=vals[::-1].copy(),
     )
 
 
@@ -505,7 +516,7 @@ def sums_block(a: np.ndarray, s: np.ndarray, chi: np.ndarray, d: int = 10) -> Co
     Q = "t^13+t^4+t^3+t+1"
     diff = a - s
     return ComboBlock(
-        q=2, n=13, Q=Q, Q_json=json.dumps(Q), d=d, r=4, flags="", corollary=False, bound_core=3.5, eps=0.25,
+        q=2, n=13, Q=Q, Q_json=json.dumps(Q), d=d, r=4, flags="", bound_core=3.5, eps=0.25,
         chi=chi, a=a, s=s, lhs=np.hypot(diff.real, diff.imag), short=np.hypot(a.real, a.imag) / 2.0**d,
     )
 
@@ -543,8 +554,8 @@ def test_text_memo_holds_only_the_repeatable_columns_of_the_last_block():
     assert set(kept[2]) & earlier == memo_keys(chi)
 
 
-def test_diagonal_reuses_a_texts_only_for_equal_bytes(monkeypatch):
-    """s = a by value but not by bytes (-0.0 against 0.0) formats s; s with a's bytes takes a's texts."""
+def test_equal_but_distinct_sums_write_what_the_same_sums_write(monkeypatch):
+    """Only an s that is a takes a's texts; an s equal to a, by bytes or by value only, formats its own."""
     vals = np.array([0.0, -0.0, 1.5, 0.0, -2.25, 1e-7, 0.0])
     a = np.empty(vals.size, dtype=np.complex128)
     a.real, a.imag = vals, vals[::-1]
@@ -565,8 +576,10 @@ def test_diagonal_reuses_a_texts_only_for_equal_bytes(monkeypatch):
     for block in (sums_block(a, a.copy(), chi), sums_block(a, s, chi), sums_block(a, a, chi), sums_block(a, s, chi)):
         assert joined(block.chunks(memo=memo)) == oracle_texts(block)
         assert joined(block.chunks()) == oracle_texts(block)
-    # lhs and implied per chunk, plus s.imag and s.real where s is not a's bytes
-    assert own_columns == [2, 2, 4, 4, 2, 2, 4, 4]
+    # lhs and implied per chunk, plus s.imag and s.real where s is not a itself
+    assert own_columns == [4, 4, 4, 4, 2, 2, 4, 4]
+    # a copy of a writes a's bytes; 0.0 and -0.0 write apart
+    assert joined(sums_block(a, a.copy(), chi).chunks()) == joined(sums_block(a, a, chi).chunks())
     assert '"s_re": -0.0' in oracle_texts(sums_block(a, s, chi))[1]
 
 
@@ -577,8 +590,8 @@ def test_short_block_after_full_blocks_matches_oracle():
     memo = experiments._TextMemo()
     for n in (R, R, R - 1, 2 * R + 5, 3, 3, R + 1, 1):
         vals = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 6, n)
-        for corollary, flags in ((False, ""), (True, "out_of_range"), (False, "out_of_range")):
-            block = vals_block(vals, np.arange(1, n + 1, dtype=np.int64), corollary, flags)
+        for flags in ("", "exceeds_eps", "out_of_range"):
+            block = vals_block(vals, np.arange(1, n + 1, dtype=np.int64), flags)
             chunks = list(block.chunks(memo=memo))
             assert joined(chunks) == oracle_texts(block)
             rows = [min(R, n - lo) for lo in range(0, n, R)]
@@ -679,24 +692,32 @@ class _Killed(Exception):
     pass
 
 
+def _log_write_points(monkeypatch) -> list[str]:
+    """The output of every write point from now on, in order."""
+    writes = []
+    real = experiments._Sink.append
+    monkeypatch.setattr(experiments._Sink, "append", lambda sink, out, text: (writes.append(out), real(sink, out, text)))
+    return writes
+
+
 def _run_killed_at(cfg, monkeypatch, writes: int, half: bool) -> list[str]:
-    """Run the grid, dying before write number `writes` (after half of it if `half`).
+    """Run the grid, dying before write point number `writes` (after half of it if `half`).
 
     Returns the paths of the writes completed before the kill.
     """
-    real = experiments._append
+    real = experiments._Sink.append
     done = []
 
-    def append(path, text):
+    def append(sink, path, text):
         if len(done) == writes:
             if half:
-                real(path, text[: len(text) // 2])
+                real(sink, path, text[: len(text) // 2])
             raise _Killed
         done.append(path)
-        real(path, text)
+        real(sink, path, text)
 
     with monkeypatch.context() as mp:
-        mp.setattr(experiments, "_append", append)
+        mp.setattr(experiments._Sink, "append", append)
         with pytest.raises(_Killed):
             run_main_theorem_grid(cfg)
     return done
@@ -705,10 +726,8 @@ def _run_killed_at(cfg, monkeypatch, writes: int, half: bool) -> list[str]:
 def _check_resume_after_kill_at_every_write_point(tmp_path, monkeypatch):
     full_dir = tmp_path / "full"
     full_dir.mkdir()
-    writes = []
-    real = experiments._append
     with monkeypatch.context() as mp:
-        mp.setattr(experiments, "_append", lambda path, text: (writes.append(path), real(path, text)))
+        writes = _log_write_points(mp)
         run_main_theorem_grid(small_cfg(full_dir))
     want = {name: (full_dir / name).read_bytes() for name in ("grid.csv", "grid.jsonl", "grid.ckpt")}
     for kill in range(len(writes)):
@@ -726,20 +745,21 @@ def _check_resume_after_kill_at_every_write_point(tmp_path, monkeypatch):
 
 def test_resume_after_kill_at_every_write_point(tmp_path, monkeypatch):
     writes = _check_resume_after_kill_at_every_write_point(tmp_path, monkeypatch)
-    # 30 rows per combo fit one chunk: a CSV write, a JSONL write, the key
-    assert len(writes) == 3 * writes.count(str(tmp_path / "full" / "grid.ckpt"))
+    # the header, then per combo (30 rows fit one chunk) a CSV write, a JSONL write, the key
+    assert writes[0] == str(tmp_path / "full" / "grid.csv")
+    assert len(writes) == 1 + 3 * writes.count(str(tmp_path / "full" / "grid.ckpt"))
 
 
 def test_resume_after_kill_between_chunks_of_a_combo(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "ROW_CHUNK", 7)
     writes = _check_resume_after_kill_at_every_write_point(tmp_path, monkeypatch)
-    # 30 rows per combo: five chunks of at most 7 rows to each file, then the key
-    assert len(writes) == 11 * writes.count(str(tmp_path / "full" / "grid.ckpt"))
+    # the header, then per combo of 30 rows five chunks of at most 7 rows to each file, then the key
+    assert len(writes) == 1 + 11 * writes.count(str(tmp_path / "full" / "grid.ckpt"))
 
 
 def test_resume_cuts_rows_of_unfinished_combo(tmp_path, monkeypatch):
-    # killed after the second combo's CSV and JSONL blocks, before its key
-    _run_killed_at(small_cfg(tmp_path), monkeypatch, writes=5, half=False)
+    # killed after the header and the second combo's CSV and JSONL blocks, before its key
+    _run_killed_at(small_cfg(tmp_path), monkeypatch, writes=6, half=False)
     csv_lines = (tmp_path / "grid.csv").read_text().splitlines()
     assert len(csv_lines) == 1 + 2 * 30  # 30 non-principal characters mod a degree-5 Q
     experiments._Sink(small_cfg(tmp_path, resume=True))
@@ -761,35 +781,87 @@ def _count_opens(monkeypatch) -> list:
     return opened
 
 
+def _track_sinks(monkeypatch) -> list:
+    """Every sink the grid enters from now on, in order."""
+    sinks = []
+    real = experiments._Sink.__enter__
+
+    def enter(sink):
+        sinks.append(sink)
+        return real(sink)
+
+    monkeypatch.setattr(experiments._Sink, "__enter__", enter)
+    return sinks
+
+
 @pytest.mark.parametrize("row_chunk", [7, 512])
 def test_grid_opens_each_output_once_however_many_chunks(tmp_path, monkeypatch, row_chunk):
     monkeypatch.setattr(experiments, "ROW_CHUNK", row_chunk)
-    writes = []
-    real = experiments._append
-    monkeypatch.setattr(experiments, "_append", lambda path, text: (writes.append(path), real(path, text)))
+    writes = _log_write_points(monkeypatch)
     opened = _count_opens(monkeypatch)
+    sinks = _track_sinks(monkeypatch)
     out = tmp_path / "grid.csv"
     argv = ["main-thm", "--q", "2", "--n-list", "7", "--d", "4..6", "--r", "2..6", "--format", "csv"]
     assert main(argv + ["--out", str(out)]) == 0
-    # 12 combos of 126 rows: per combo one write per chunk to each file, then the key
-    assert len(writes) == 12 * (2 * math.ceil(126 / row_chunk) + 1)
+    # the header, then 12 combos of 126 rows: per combo one write per chunk to each file, then the key
+    assert len(writes) == 1 + 12 * (2 * math.ceil(126 / row_chunk) + 1)
     assert sorted(fh.name for fh in opened) == [str(out), f"{out}.ckpt", f"{out}.jsonl"]
-    assert all(fh.closed for fh in opened) and experiments._handles == {}
+    assert all(fh.closed for fh in opened) and len(sinks) == 1 and sinks[0].handles == {}
 
 
 def test_no_handle_stays_open_after_a_run_a_kill_or_a_cut(tmp_path, monkeypatch):
     opened = _count_opens(monkeypatch)
+    sinks = _track_sinks(monkeypatch)
     run_main_theorem_grid(small_cfg(tmp_path))
-    assert len(opened) == 3 and all(fh.closed for fh in opened) and experiments._handles == {}
+    assert len(opened) == 3 and all(fh.closed for fh in opened) and sinks[-1].handles == {}
     opened.clear()
     # killed half way through the second combo's JSONL write, its handle still open
-    _run_killed_at(small_cfg(tmp_path), monkeypatch, writes=4, half=True)
-    assert len(opened) == 3 and all(fh.closed for fh in opened) and experiments._handles == {}
+    _run_killed_at(small_cfg(tmp_path), monkeypatch, writes=5, half=True)
+    assert len(opened) == 3 and all(fh.closed for fh in opened) and sinks[-1].handles == {}
     opened.clear()
     # a sink built only to cut opens, cuts and closes each file, and keeps none open
-    experiments._Sink(small_cfg(tmp_path, resume=True))
-    assert opened and all(fh.closed for fh in opened) and experiments._handles == {}
+    sink = experiments._Sink(small_cfg(tmp_path, resume=True))
+    assert opened and all(fh.closed for fh in opened) and sink.handles == {}
     assert (tmp_path / "grid.ckpt").read_text() == "q=2;n=5;d=3;r=2\n"
+
+
+class _CountingStream(io.StringIO):
+    """A text stream that counts its flushes."""
+
+    flushes = 0
+
+    def flush(self):
+        self.flushes += 1
+        super().flush()
+
+
+def test_stream_output_gets_the_path_write_points_and_is_never_closed(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "ROW_CHUNK", 7)
+    texts = {}
+    real = experiments._Sink.append
+
+    def logged(sink, out, text):
+        texts.setdefault(out if isinstance(out, str) else "stream", []).append(text)
+        real(sink, out, text)
+
+    monkeypatch.setattr(experiments._Sink, "append", logged)
+    sinks = _track_sinks(monkeypatch)
+    files = tmp_path / "files"
+    files.mkdir()
+    run_main_theorem_grid(small_cfg(files))
+    stream = _CountingStream()
+    run_main_theorem_grid(small_cfg(tmp_path, out_csv=stream))
+    # the header and the same chunks, each flushed as it is written
+    assert texts["stream"] == texts[str(files / "grid.csv")] and len(texts["stream"]) > 2
+    assert stream.getvalue() == (files / "grid.csv").read_text()
+    assert stream.flushes == len(texts["stream"])
+    for name in ("grid.jsonl", "grid.ckpt"):
+        assert (tmp_path / name).read_bytes() == (files / name).read_bytes()
+    assert not stream.closed and sinks[-1].handles == {}
+    # a run killed part way closes its files, and not the stream
+    stream = _CountingStream()
+    _run_killed_at(small_cfg(tmp_path, out_csv=stream), monkeypatch, writes=4, half=True)
+    assert not stream.closed and stream.getvalue() and sinks[-1].handles == {}
 
 
 @pytest.mark.parametrize("opens", [1, 2])
@@ -806,11 +878,12 @@ def test_fresh_run_killed_while_opening_resumes_to_identical_files(tmp_path, mon
 
     # a fresh run over the finished files dies after `opens` of its three opens
     opens_left = [None] * opens
+    sinks = _track_sinks(monkeypatch)
     with monkeypatch.context() as mp:
         mp.setattr(experiments, "open", dying_open, raising=False)
         with pytest.raises(_Killed):
             run_main_theorem_grid(small_cfg(tmp_path))
-    assert experiments._handles == {}
+    assert sinks[-1].handles == {}
     run_main_theorem_grid(small_cfg(tmp_path, resume=True))
     for name, data in want.items():
         assert (tmp_path / name).read_bytes() == data, name

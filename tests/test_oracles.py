@@ -166,9 +166,10 @@ def _grid_files(root: str, resume: bool = False, **grid) -> ExperimentConfig:
 def test_resume_after_a_crash_at_any_byte_is_byte_identical(data):
     """A run cut at any byte of its writes, then resumed, leaves the files of an uninterrupted run.
 
-    The grid writes each combo as a CSV block, a JSONL block and a checkpoint
-    key, in that order, so a crash leaves every file cut where the stream of
-    writes was cut; the last write may be torn at any byte.
+    The grid writes the CSV header, then each combo as a CSV block, a JSONL
+    block and a checkpoint key, in that order, so a crash leaves every file
+    cut where the stream of writes was cut; the last write may be torn at
+    any byte.
     """
     q = data.draw(st.sampled_from([2, 3]))
     n = data.draw(st.integers(2, 6 if q == 2 else 4))
@@ -185,20 +186,20 @@ def test_resume_after_a_crash_at_any_byte_is_byte_identical(data):
     )
     run = data.draw(st.sampled_from([run_main_theorem_grid, run_corollary_grid]))
     writes = []
-    real = experiments._append
+    real = experiments._Sink.append
 
-    def logged(path, text):
+    def logged(sink, path, text):
         writes.append((os.path.basename(path), text.encode()))
-        real(path, text)
+        real(sink, path, text)
 
     with tempfile.TemporaryDirectory() as full, tempfile.TemporaryDirectory() as cut:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(experiments, "_append", logged)
+            mp.setattr(experiments._Sink, "append", logged)
             run(_grid_files(full, **grid))
+        assert writes[0] == ("grid.csv", (CSV_HEADER + "\n").encode())
         want = {name: Path(full, name).read_bytes() for name in GRID_FILES}
         left = data.draw(st.integers(0, sum(len(text) for _, text in writes)))
         files = dict.fromkeys(GRID_FILES, b"")
-        files["grid.csv"] = (CSV_HEADER + "\n").encode()  # written before any combo
         for name, text in writes:
             files[name] += text[:left]
             left -= min(left, len(text))

@@ -474,7 +474,7 @@ def test_rho_up_to_thirty_runs_without_mpmath():
         "assert 'mpmath' in sys.modules\n"
         "from ffchar.experiments import ComboBlock\n"
         "col = np.array([0.5])\n"
-        "list(ComboBlock(2, 5, 't^5+t^2+1', '\"t^5+t^2+1\"', 4, 3, '', False, 1.0, 0.5,\n"
+        "list(ComboBlock(2, 5, 't^5+t^2+1', '\"t^5+t^2+1\"', 4, 3, '', 1.0, 0.5,\n"
         "                np.array([1]), col + 0j, col + 0j, col, col).chunks())\n"
         "assert 'orjson' in sys.modules\n"
     )
