@@ -23,7 +23,6 @@ every output file is closed and every worker thread joined by then.
 from __future__ import annotations
 
 import argparse
-import bisect
 import itertools
 import json
 import math
@@ -128,9 +127,10 @@ def cmd_weil(args) -> int:
     def json_lines():
         """One JSON line per character; the arrays become lists one block of characters at a time."""
         starts = np.concatenate(([0], np.cumsum(L.degree))).tolist()  # labels[c]'s roots: starts[c]:starts[c + 1]
-        # a block ends before the first character whose roots start at or after a multiple of ROW_CHUNK
-        cuts = sorted({0, len(labels), *(bisect.bisect_left(starts, i) for i in range(0, starts[-1], ROW_CHUNK))})
-        for c0, c1 in zip(cuts, cuts[1:]):
+        # every character has at most roots.shape[1] roots (none at n = 1), so a block holds at most ROW_CHUNK
+        step = max(1, ROW_CHUNK // max(1, L.roots.shape[1]))
+        for c0 in range(0, len(labels), step):
+            c1 = min(c0 + step, len(labels))
             lo, hi = starts[c0], starts[c1]
             pairs = np.stack([L.coeffs[c0:c1].real, L.coeffs[c0:c1].imag], axis=-1).tolist()
             res = L.residual[c0:c1].tolist()
@@ -300,38 +300,26 @@ def cmd_dickman(args) -> int:
     return EXIT_OK if ok else EXIT_MATH
 
 
-def _grid_cfg(args):
+def _grid_cfg(args, **select):
     from .experiments import ExperimentConfig
 
-    out_csv = out_json = checkpoint = None
-    if args.out:
-        out_csv = args.out
-        out_json = args.out + ".jsonl"
-        checkpoint = args.out + ".ckpt"
-    elif args.format == "json":
-        out_json = sys.stdout
-    else:
-        out_csv = sys.stdout
     return ExperimentConfig(
         q=args.q,
         ns=_parse_range(args.n_list),
         ds=_parse_range(args.d),
         rs=_parse_range(args.r),
-        char_policy=args.policy,
-        sample_k=args.sample_k,
-        seed=args.seed,
         workers=args.workers,
         budget=args.budget,
         allow_out_of_range=not args.strict_range,
-        out_csv=out_csv,
-        out_json=out_json,
-        checkpoint=checkpoint,
+        out=args.out or sys.stdout,
+        jsonl=args.format == "json",
         resume=args.resume,
+        **select,
     )
 
 
-def _grid_common(args, runner, label: str) -> int:
-    res = runner(_grid_cfg(args))
+def _grid_common(args, runner, label: str, **select) -> int:
+    res = runner(_grid_cfg(args, **select))
     if args.format == "human":
         K = res.max_implied_constant
         print(f"{label}: {res.n_records} records, max implied constant {K!r}", file=sys.stderr)
@@ -346,7 +334,8 @@ def cmd_main_thm(args) -> int:
     """Short sum vs smooth sum with the n q^(-r/2) q^d error scale."""
     from .experiments import run_main_theorem_grid
 
-    return _grid_common(args, run_main_theorem_grid, "main comparison grid")
+    select = dict(char_policy=args.policy, sample_k=args.sample_k, seed=args.seed)
+    return _grid_common(args, run_main_theorem_grid, "main comparison grid", **select)
 
 
 def cmd_corollary(args) -> int:
@@ -550,9 +539,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-list", type=str, required=True, help="modulus degree(s), e.g. 13 or 4..6")
         p.add_argument("--d", type=str, required=True, help="degrees, e.g. 6..10")
         p.add_argument("--r", type=str, required=True, help="smoothness bounds, e.g. 4..10")
-        p.add_argument("--policy", choices=("all", "worst-case", "sample-k"), default="all")
-        p.add_argument("--sample-k", type=int, default=8)
-        p.add_argument("--seed", type=int, default=0)
+        if name == "main-thm":  # the corollary always takes the worst case ranked by the short norms
+            p.add_argument("--policy", choices=("all", "worst-case", "sample-k"), default="all")
+            p.add_argument("--sample-k", type=int, default=8)
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget", type=int, default=10**7)
         p.add_argument("--strict-range", action="store_true", help="skip combos outside the theorem range")
         p.add_argument("--resume", action="store_true")

@@ -14,22 +14,29 @@ Each combo's selected characters become numpy columns (`ComboBlock`) that
 live only until the combo is written; the run keeps just its totals
 (`GridRunResult`).  One rule picks them (`_select_indices`); the corollary
 takes its worst case ranked by the short norms, so a corollary block holds
-one row, whose flags say whether its short norm exceeds eps.  The sink
-(`_Sink`) owns the run's outputs: it opens each output path once when the
-run starts, after `--resume` has cut it, and closes them all when the run
-ends, also when it raises; an open text stream (stdout, say) in place of a
-path is its own handle and is never closed.  Every text goes out through
+one row, whose flags say whether its short norm exceeds eps.
+
+The run has one output, `ExperimentConfig.out`, in one of two shapes.  A
+path names three files: the CSV at `out`, its JSONL mirror at
+`out + ".jsonl"` and the checkpoint at `out + ".ckpt"`.  An open text
+stream (stdout, say) gets one table, the CSV or the mirror.  The sink
+(`_Sink`) opens each file once when the run starts, after `--resume` has
+cut it, and closes them all when the run ends, also when it raises; a
+stream is its own handle and is never closed.  Every text goes out through
 one write point (`_Sink.append`): one write, flushed at once, so a killed
 process has handed every finished write to the OS and a stream shows each
 chunk as it is made.  The write points are the CSV header, then per combo
-its chunks of at most `ROW_CHUNK` rows, one to the CSV and one to the JSONL
-output each, then the combo's key to the checkpoint.  So no row text of a
+its chunks of at most `ROW_CHUNK` rows, one to the CSV and one to the
+mirror each, then the combo's key to the checkpoint.  So no row text of a
 whole combo is ever held in memory, and a run killed at any point leaves
 every checkpointed combo complete in both files, followed by at most some
 rows of one unfinished combo, the last of them possibly torn.  `--resume`
-cuts the checkpoint back to its last complete key and both files back to
-the rows of checkpointed combos, so the resumed run ends with
-byte-identical files.
+cuts the checkpoint back to its last complete key and the CSV back to the
+rows of checkpointed combos, R rows; every combo writes as many rows to
+both files, in the same order, so the mirror is cut to its first R
+complete lines, counted, never parsed.  A missing CSV or mirror, or a
+mirror of fewer than R lines, raises ValueError before any file is cut;
+else the resumed run ends with byte-identical files.
 
 Under the policy "all" a block's columns are views [1:] of its degree's
 and its combo's arrays (A(d, chi), the smooth sums, lhs and the short
@@ -69,6 +76,7 @@ output byte.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import random
@@ -109,9 +117,12 @@ ROW_CHUNK = 512
 class ExperimentConfig:
     """Grid parameters plus execution and persistence knobs.
 
-    out_csv and out_json each take a path, which the run appends to (and
-    `resume` cuts back to the checkpoint), or an open text stream, which
-    gets the same chunks, each flushed as it is written.
+    `out` is None (nothing written), a path or an open text stream.  A path
+    gets the CSV at `out`, its JSONL mirror at `out + ".jsonl"` and the
+    checkpoint at `out + ".ckpt"`, whatever `jsonl` says; `resume` cuts the
+    three back to the checkpointed combos and appends.  A stream gets one
+    table, the CSV, or the JSONL mirror when `jsonl` is set, each chunk
+    flushed as it is written.
     """
 
     q: int
@@ -124,9 +135,8 @@ class ExperimentConfig:
     workers: int = 1
     budget: int = 10**7  # max enumerated polynomials per combo
     allow_out_of_range: bool = True
-    out_csv: Union[str, TextIO, None] = None
-    out_json: Union[str, TextIO, None] = None
-    checkpoint: Optional[str] = None
+    out: Union[str, TextIO, None] = None
+    jsonl: bool = False
     resume: bool = False
 
     def validate(self):
@@ -373,65 +383,72 @@ def _combo_key(q: int, n: int, d: int, r: int) -> str:
     return f"q={q};n={n};d={d};r={r}"
 
 
-def _csv_row_key(line: str) -> str:
-    # Q holds no comma, so the nine fields after it split off from the right
-    head, _chi, d, r = line.rsplit(",", 9)[:4]
-    q, n = head.split(",", 2)[:2]
-    return _combo_key(int(q), int(n), int(d), int(r))
-
-
-def _jsonl_row_key(line: str) -> str:
-    row = json.loads(line)
-    return _combo_key(row["q"], row["n"], row["d"], row["r"])
+def _csv_row_key(line: bytes) -> Optional[str]:
+    """The combo key of a CSV row, None for a malformed one."""
+    try:
+        # Q holds no comma, so the nine fields after it split off from the right
+        head, _chi, d, r = line.decode().rsplit(",", 9)[:4]
+        q, n = head.split(",", 2)[:2]
+        return _combo_key(int(q), int(n), int(d), int(r))
+    except ValueError:
+        return None
 
 
 def _is_stream(target) -> bool:
     return hasattr(target, "write")
 
 
-def _cut_checkpoint(path: str) -> set[str]:
-    """Drop a torn last key from the checkpoint; return the complete keys."""
-    with open(path, "rb+") as fh:
-        data = fh.read()
-        data = data[: data.rfind(b"\n") + 1]
-        fh.truncate(len(data))
-    return {line.strip() for line in data.decode().splitlines() if line.strip()}
+def _kept_lines(lines: Iterator[bytes], keep: Callable[[bytes], bool] = lambda line: True) -> tuple[int, int]:
+    """Bytes and number of the longest run of complete lines that `keep` accepts."""
+    end = count = 0
+    for line in lines:
+        if not line.endswith(b"\n") or not keep(line):
+            break
+        end += len(line)
+        count += 1
+    return end, count
 
 
-def _cut_to_done(path: str, start: int, done: set[str], row_key: Callable[[str], str]) -> None:
-    """Keep the longest run of complete rows after byte `start` whose combo is done."""
-    keep = start
-    with open(path, "rb+") as fh:
-        fh.seek(start)
-        for line in fh:
-            if not line.endswith(b"\n"):
-                break
-            try:
-                if row_key(line.decode()) not in done:
-                    break
-            except (ValueError, KeyError, TypeError):
-                break
-            keep += len(line)
-        fh.truncate(keep)
+def _cut_to_checkpoint(csv: str, mirror: str, checkpoint: str) -> set[str]:
+    """Cut an interrupted run's files back to its checkpointed combos (module docstring); return their keys.
+
+    Every check comes before the first cut, so a refused resume leaves the
+    files as they were.  A checkpoint without a complete key cuts nothing.
+    """
+    with open(checkpoint, "rb") as fh:
+        keys = fh.read()
+    keys = keys[: keys.rfind(b"\n") + 1]
+    done = set(keys.decode().split())
+    if not done:
+        return done
+    for path in (csv, mirror):
+        if not os.path.exists(path):
+            raise ValueError(f"cannot resume: {path} is missing")
+    with open(csv, "rb") as fh:
+        head = fh.readline()
+        if head != (CSV_HEADER + "\n").encode():
+            raise ValueError(f"existing CSV {csv} has a different header")
+        csv_end, rows = _kept_lines(fh, lambda line: _csv_row_key(line) in done)
+    with open(mirror, "rb") as fh:
+        mirror_end, lines = _kept_lines(itertools.islice(fh, rows))
+    if lines < rows:
+        raise ValueError(f"cannot resume: {mirror} holds {lines} complete lines, fewer than the {rows} rows of {csv}")
+    for path, end in ((checkpoint, len(keys)), (csv, len(head) + csv_end), (mirror, mirror_end)):
+        os.truncate(path, end)
+    return done
 
 
 class _Sink:
-    """Row persistence: per combo, its chunks to CSV and JSONL, then its checkpoint key.
+    """Row persistence: per combo, its chunks to the CSV and the mirror, then its checkpoint key.
 
-    Building the sink only cuts: with `resume` it cuts the checkpoint back
-    to its last complete key and both files back to the rows of checkpointed
-    combos, and leaves no file open.  Entering it (`with _Sink(cfg) as
-    sink`) opens each path output once for the run, afresh unless resumed,
-    into `handles`, where a stream output is its own handle; leaving it
-    closes every file it opened, also when a combo raises, and never a
-    stream.  Everything written goes through one write point (`append`: one
-    write to the output's handle, then a flush), so the OS, or the reader of
-    a stream, gets each write as it is made, in the order it is made: the
-    CSV header where the CSV starts afresh, each chunk to each output, and
-    the combo's key to the checkpoint only after its last chunk, so a
-    checkpointed combo is complete in both files and `--resume` can cut
-    everything else.  A stream output is written afresh: the CSV header,
-    then the rows of every combo this run computes.
+    Building the sink only cuts: with `resume` it cuts the three files of a
+    path `out` back to the checkpointed combos (`_cut_to_checkpoint`) and
+    leaves no file open.  Entering it (`with _Sink(cfg) as sink`) opens each
+    file once for the run, afresh unless resumed, into `handles`, where a
+    stream is its own handle; leaving it closes every file it opened, also
+    when a combo raises, and never a stream.  Every text goes out through
+    one write point (`append`: one write, then a flush), the combo's key
+    only after its last chunk.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -439,28 +456,18 @@ class _Sink:
         self.memo = _TextMemo()
         self.done: set[str] = set()
         self.handles: dict[Union[str, TextIO], TextIO] = {}
-        if cfg.resume and cfg.checkpoint and os.path.exists(cfg.checkpoint):
-            self.done = _cut_checkpoint(cfg.checkpoint)
-        fresh = not self.done
-        # each path output's open mode: "w" starts it afresh, "a" appends to what the cut kept.
-        # The checkpoint opens first, so a fresh run killed while opening leaves no key over cut files
+        # each path's open mode: "w" starts it afresh, "a" appends to what the cut kept
         self.modes: dict[str, str] = {}
-        if cfg.checkpoint:
-            self.modes[cfg.checkpoint] = "w" if fresh else "a"
-        if cfg.out_csv and not _is_stream(cfg.out_csv):
-            if fresh or not os.path.exists(cfg.out_csv):
-                self.modes[cfg.out_csv] = "w"
-            else:
-                with open(cfg.out_csv) as fh:
-                    head = fh.readline()
-                if head.rstrip("\n") != CSV_HEADER:
-                    raise ValueError(f"existing CSV {cfg.out_csv} has a different header")
-                _cut_to_done(cfg.out_csv, len(head.encode()), self.done, _csv_row_key)
-                self.modes[cfg.out_csv] = "a"
-        if cfg.out_json and not _is_stream(cfg.out_json):
-            if not fresh and os.path.exists(cfg.out_json):
-                _cut_to_done(cfg.out_json, 0, self.done, _jsonl_row_key)
-            self.modes[cfg.out_json] = "w" if fresh else "a"
+        self.csv = self.mirror = self.checkpoint = None
+        out = cfg.out
+        if _is_stream(out):
+            self.csv, self.mirror = (None, out) if cfg.jsonl else (out, None)
+        elif out:
+            # the checkpoint opens first, so a fresh run killed while opening leaves no key over cut files
+            self.checkpoint, self.csv, self.mirror = out + ".ckpt", out, out + ".jsonl"
+            if cfg.resume and os.path.exists(self.checkpoint):
+                self.done = _cut_to_checkpoint(self.csv, self.mirror, self.checkpoint)
+            self.modes = dict.fromkeys((self.checkpoint, self.csv, self.mirror), "a" if self.done else "w")
 
     def __enter__(self) -> "_Sink":
         try:
@@ -469,12 +476,10 @@ class _Sink:
         except BaseException:
             self.__exit__()
             raise
-        csv = self.cfg.out_csv
-        for out in (csv, self.cfg.out_json):
-            if _is_stream(out):
-                self.handles[out] = out
-        if _is_stream(csv) or self.modes.get(csv) == "w":
-            self.append(csv, CSV_HEADER + "\n")
+        if _is_stream(self.cfg.out):
+            self.handles[self.cfg.out] = self.cfg.out
+        if self.csv is not None and not self.done:
+            self.append(self.csv, CSV_HEADER + "\n")
         return self
 
     def __exit__(self, *exc) -> None:
@@ -493,15 +498,15 @@ class _Sink:
         return key in self.done
 
     def write_combo(self, key: str, block: ComboBlock):
-        cfg = self.cfg
-        if cfg.out_csv or cfg.out_json:
-            for csv_text, jsonl_text in block.chunks(bool(cfg.out_csv), bool(cfg.out_json), self.memo):
-                if cfg.out_csv:
-                    self.append(cfg.out_csv, csv_text)
-                if cfg.out_json:
-                    self.append(cfg.out_json, jsonl_text)
-        if cfg.checkpoint:
-            self.append(cfg.checkpoint, key + "\n")
+        csv, mirror = self.csv, self.mirror
+        if csv is not None or mirror is not None:
+            for csv_text, jsonl_text in block.chunks(csv is not None, mirror is not None, self.memo):
+                if csv is not None:
+                    self.append(csv, csv_text)
+                if mirror is not None:
+                    self.append(mirror, jsonl_text)
+        if self.checkpoint:
+            self.append(self.checkpoint, key + "\n")
         self.done.add(key)
 
 

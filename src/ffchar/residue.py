@@ -196,7 +196,6 @@ class UnitComponent:
     poly: Poly
     degree: int
     order: int
-    order_factorization: FactoredInteger
     generator: Poly
 
 
@@ -290,7 +289,7 @@ def find_generator(modulus: Modulus) -> UnitGroupView:
         ni = Qi.degree
         order = q**ni - 1
         fact = factor_integer(order)
-        comps.append(UnitComponent(Qi, ni, order, fact, least_generator(Qi, fact)))
+        comps.append(UnitComponent(Qi, ni, order, least_generator(Qi, fact)))
     return UnitGroupView(modulus, tuple(comps))
 
 

@@ -147,11 +147,9 @@ def main_grid(tmp_path_factory):
         rs=tuple(range(4, 11)),
         char_policy="all",
         workers=1,
-        out_csv=str(base / "main.csv"),
-        out_json=str(base / "main.jsonl"),
-        checkpoint=str(base / "main.ckpt"),
+        out=str(base / "main.csv"),
     )
-    return run_main_theorem_grid(cfg), jsonl_records((base / "main.jsonl").read_text())
+    return run_main_theorem_grid(cfg), jsonl_records((base / "main.csv.jsonl").read_text())
 
 
 def test_criterion_6_main_theorem_grid(main_grid):

@@ -33,6 +33,11 @@ def test_weil_exit_zero(capsys):
 def test_weil_degree_one_modulus(capsys):
     # q=7, n=1: unit group of order 6, every L-polynomial has degree 0
     assert main(["weil", "--q", "7", "--n", "1"]) == 0
+    capsys.readouterr()
+    # no roots at all: the JSON lines still come out, one per character
+    assert main(["weil", "--q", "7", "--n", "1", "--format", "json"]) == 0
+    recs = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+    assert len(recs) == 5 and all(rec["roots"] == [] for rec in recs)
 
 
 def test_malformed_Q_usage_error(capsys):
@@ -401,6 +406,15 @@ def test_trivial_unit_group_selects_no_character(capsys, cmd):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("flag", ["--policy all", "--sample-k 3", "--seed 7"])
+def test_corollary_takes_no_selection_flags(capsys, flag):
+    # the corollary always takes the worst case ranked by the short norms
+    with pytest.raises(SystemExit) as exc:
+        main(f"corollary --q 2 --n-list 5 --d 3 --r 2 {flag}".split())
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("budget", [[], ["--budget", str(10**24)]])
 def test_grid_refuses_int64_overflow_before_output(tmp_path, monkeypatch, capsys, budget):
     monkeypatch.chdir(tmp_path)
@@ -609,7 +623,7 @@ def test_weil_rows_across_block_and_chunk_edges(tmp_path, monkeypatch, capsys, f
     ["weil --q 2 --n 6 --Q t^6+t^5+t^3+t --format json", "weil --q 3 --n 3 --Q t^3+2t --format json", "weil --q 2 --n 8 --format json"],
 )
 def test_weil_json_converts_one_block_of_characters_at_a_time(monkeypatch, capsys, argv, chunk):
-    """Blocks are cut at every chunk roots: the same bytes, and no block holds more than a chunk plus one character."""
+    """Blocks of chunk // (n - 1) characters: the same bytes, and no block holds more roots than a chunk or one character."""
     import hashlib
 
     from ffchar import cli, experiments
@@ -626,7 +640,7 @@ def test_weil_json_converts_one_block_of_characters_at_a_time(monkeypatch, capsy
     assert main(argv.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == ROOT_DIGESTS[argv]
     n = int(argv.split()[4])  # every character has at most n - 1 roots
-    assert all(text.count('"re": ') < chunk + n for text in texts)
+    assert all(text.count('"re": ') <= max(chunk, n - 1) for text in texts)
     assert (len(texts) == 1) == (chunk == 100_000)
 
 

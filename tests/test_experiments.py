@@ -108,13 +108,16 @@ def run_blocks(runner, cfg, monkeypatch) -> list[ComboBlock]:
 
 def written_records(tmp_path) -> list[SimpleNamespace]:
     """The records of the run whose files small_cfg(tmp_path) named."""
-    return jsonl_records((tmp_path / "grid.jsonl").read_text())
+    return jsonl_records((tmp_path / "grid.csv.jsonl").read_text())
 
 
 def joined(chunks) -> tuple[str, str]:
     """The whole CSV and JSONL texts of (csv, jsonl) chunk pairs."""
     pairs = list(chunks)
     return "".join(c for c, _ in pairs), "".join(j for _, j in pairs)
+
+
+GRID_FILES = ("grid.csv", "grid.csv.jsonl", "grid.csv.ckpt")
 
 
 def small_cfg(tmp_path=None, **kw):
@@ -127,11 +130,7 @@ def small_cfg(tmp_path=None, **kw):
         workers=1,
     )
     if tmp_path is not None:
-        base.update(
-            out_csv=str(tmp_path / "grid.csv"),
-            out_json=str(tmp_path / "grid.jsonl"),
-            checkpoint=str(tmp_path / "grid.ckpt"),
-        )
+        base.update(out=str(tmp_path / "grid.csv"))
     base.update(kw)
     return ExperimentConfig(**base)
 
@@ -174,7 +173,7 @@ def test_csv_format_and_json_mirror(tmp_path):
     lines = (tmp_path / "grid.csv").read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 1 + res.n_records
-    jrecs = [json.loads(ln) for ln in (tmp_path / "grid.jsonl").read_text().splitlines()]
+    jrecs = [json.loads(ln) for ln in (tmp_path / "grid.csv.jsonl").read_text().splitlines()]
     assert len(jrecs) == res.n_records
     # lhs recomputed from the persisted raw sums matches to the last digit
     for jr in jrecs:
@@ -196,7 +195,7 @@ def test_resume_produces_identical_bytes(tmp_path):
     res = run_main_theorem_grid(cfg_resume)
     assert res.resumed  # the d=3 combos were skipped
     assert (full_dir / "grid.csv").read_bytes() == (part_dir / "grid.csv").read_bytes()
-    assert (full_dir / "grid.jsonl").read_bytes() == (part_dir / "grid.jsonl").read_bytes()
+    assert (full_dir / "grid.csv.jsonl").read_bytes() == (part_dir / "grid.csv.jsonl").read_bytes()
 
 
 def test_worker_count_does_not_change_bytes(tmp_path):
@@ -207,7 +206,7 @@ def test_worker_count_does_not_change_bytes(tmp_path):
     run_main_theorem_grid(small_cfg(d1, workers=1))
     run_main_theorem_grid(small_cfg(d8, workers=8))
     assert (d1 / "grid.csv").read_bytes() == (d8 / "grid.csv").read_bytes()
-    assert (d1 / "grid.jsonl").read_bytes() == (d8 / "grid.jsonl").read_bytes()
+    assert (d1 / "grid.csv.jsonl").read_bytes() == (d8 / "grid.csv.jsonl").read_bytes()
 
 
 def test_budget_skips_with_notice(tmp_path, capsys):
@@ -241,7 +240,7 @@ def test_out_of_range_flagging(tmp_path):
 def test_sample_policy_deterministic(tmp_path):
     def streamed_chis(seed):
         out = io.StringIO()
-        run_main_theorem_grid(small_cfg(None, char_policy="sample-k", sample_k=5, seed=seed, out_json=out))
+        run_main_theorem_grid(small_cfg(None, char_policy="sample-k", sample_k=5, seed=seed, out=out, jsonl=True))
         return [r.chi for r in jsonl_records(out.getvalue())]
 
     run_main_theorem_grid(small_cfg(tmp_path, char_policy="sample-k", sample_k=5, seed=42))
@@ -413,7 +412,7 @@ def test_block_texts_match_per_record_oracle(tmp_path, monkeypatch, runner):
         assert joined(block.chunks()) == oracle_texts(block)
     csv_want = CSV_HEADER + "\n" + "".join(oracle_texts(b)[0] for b in blocks)
     assert (tmp_path / "grid.csv").read_text() == csv_want
-    assert (tmp_path / "grid.jsonl").read_text() == "".join(oracle_texts(b)[1] for b in blocks)
+    assert (tmp_path / "grid.csv.jsonl").read_text() == "".join(oracle_texts(b)[1] for b in blocks)
 
 
 @pytest.mark.parametrize(
@@ -729,15 +728,17 @@ def _check_resume_after_kill_at_every_write_point(tmp_path, monkeypatch):
     with monkeypatch.context() as mp:
         writes = _log_write_points(mp)
         run_main_theorem_grid(small_cfg(full_dir))
-    want = {name: (full_dir / name).read_bytes() for name in ("grid.csv", "grid.jsonl", "grid.ckpt")}
+    want = {name: (full_dir / name).read_bytes() for name in GRID_FILES}
     for kill in range(len(writes)):
         for half in (False, True):
             run_dir = tmp_path / f"kill{kill}{'h' if half else ''}"
             run_dir.mkdir()
             done = _run_killed_at(small_cfg(run_dir), monkeypatch, kill, half)
-            resumed = run_main_theorem_grid(small_cfg(run_dir, resume=True))
+            with monkeypatch.context() as mp:
+                _refuse_json_loads(mp)
+                resumed = run_main_theorem_grid(small_cfg(run_dir, resume=True))
             # the combos resumed are those whose checkpoint key was written in full
-            assert len(resumed.resumed) == done.count(str(run_dir / "grid.ckpt"))
+            assert len(resumed.resumed) == done.count(str(run_dir / "grid.csv.ckpt"))
             for name, data in want.items():
                 assert (run_dir / name).read_bytes() == data, (kill, half, name)
     return writes
@@ -747,14 +748,14 @@ def test_resume_after_kill_at_every_write_point(tmp_path, monkeypatch):
     writes = _check_resume_after_kill_at_every_write_point(tmp_path, monkeypatch)
     # the header, then per combo (30 rows fit one chunk) a CSV write, a JSONL write, the key
     assert writes[0] == str(tmp_path / "full" / "grid.csv")
-    assert len(writes) == 1 + 3 * writes.count(str(tmp_path / "full" / "grid.ckpt"))
+    assert len(writes) == 1 + 3 * writes.count(str(tmp_path / "full" / "grid.csv.ckpt"))
 
 
 def test_resume_after_kill_between_chunks_of_a_combo(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "ROW_CHUNK", 7)
     writes = _check_resume_after_kill_at_every_write_point(tmp_path, monkeypatch)
     # the header, then per combo of 30 rows five chunks of at most 7 rows to each file, then the key
-    assert len(writes) == 1 + 11 * writes.count(str(tmp_path / "full" / "grid.ckpt"))
+    assert len(writes) == 1 + 11 * writes.count(str(tmp_path / "full" / "grid.csv.ckpt"))
 
 
 def test_resume_cuts_rows_of_unfinished_combo(tmp_path, monkeypatch):
@@ -763,9 +764,9 @@ def test_resume_cuts_rows_of_unfinished_combo(tmp_path, monkeypatch):
     csv_lines = (tmp_path / "grid.csv").read_text().splitlines()
     assert len(csv_lines) == 1 + 2 * 30  # 30 non-principal characters mod a degree-5 Q
     experiments._Sink(small_cfg(tmp_path, resume=True))
-    assert (tmp_path / "grid.ckpt").read_text() == "q=2;n=5;d=3;r=2\n"
+    assert (tmp_path / "grid.csv.ckpt").read_text() == "q=2;n=5;d=3;r=2\n"
     assert (tmp_path / "grid.csv").read_text().splitlines() == csv_lines[: 1 + 30]
-    assert len((tmp_path / "grid.jsonl").read_text().splitlines()) == 30
+    assert len((tmp_path / "grid.csv.jsonl").read_text().splitlines()) == 30
 
 
 def _count_opens(monkeypatch) -> list:
@@ -822,7 +823,7 @@ def test_no_handle_stays_open_after_a_run_a_kill_or_a_cut(tmp_path, monkeypatch)
     # a sink built only to cut opens, cuts and closes each file, and keeps none open
     sink = experiments._Sink(small_cfg(tmp_path, resume=True))
     assert opened and all(fh.closed for fh in opened) and sink.handles == {}
-    assert (tmp_path / "grid.ckpt").read_text() == "q=2;n=5;d=3;r=2\n"
+    assert (tmp_path / "grid.csv.ckpt").read_text() == "q=2;n=5;d=3;r=2\n"
 
 
 class _CountingStream(io.StringIO):
@@ -835,7 +836,8 @@ class _CountingStream(io.StringIO):
         super().flush()
 
 
-def test_stream_output_gets_the_path_write_points_and_is_never_closed(tmp_path, monkeypatch):
+@pytest.mark.parametrize("jsonl", [False, True])
+def test_stream_output_gets_one_table_of_the_path_write_points_and_is_never_closed(tmp_path, monkeypatch, jsonl):
     monkeypatch.setattr(experiments, "ROW_CHUNK", 7)
     texts = {}
     real = experiments._Sink.append
@@ -846,28 +848,72 @@ def test_stream_output_gets_the_path_write_points_and_is_never_closed(tmp_path, 
 
     monkeypatch.setattr(experiments._Sink, "append", logged)
     sinks = _track_sinks(monkeypatch)
+    # a path writes its three files whatever jsonl says
     files = tmp_path / "files"
     files.mkdir()
     run_main_theorem_grid(small_cfg(files))
-    stream = _CountingStream()
-    run_main_theorem_grid(small_cfg(tmp_path, out_csv=stream))
-    # the header and the same chunks, each flushed as it is written
-    assert texts["stream"] == texts[str(files / "grid.csv")] and len(texts["stream"]) > 2
-    assert stream.getvalue() == (files / "grid.csv").read_text()
-    assert stream.flushes == len(texts["stream"])
-    for name in ("grid.jsonl", "grid.ckpt"):
+    run_main_theorem_grid(small_cfg(tmp_path, jsonl=True))
+    for name in GRID_FILES:
         assert (tmp_path / name).read_bytes() == (files / name).read_bytes()
-    assert not stream.closed and sinks[-1].handles == {}
-    # a run killed part way closes its files, and not the stream
+    table = files / GRID_FILES[int(jsonl)]
     stream = _CountingStream()
-    _run_killed_at(small_cfg(tmp_path, out_csv=stream), monkeypatch, writes=4, half=True)
+    texts.pop("stream", None)
+    run_main_theorem_grid(small_cfg(None, out=stream, jsonl=jsonl))
+    # the table's write points, the CSV header among them (the mirror has none), each flushed as it is written
+    assert texts["stream"] == texts[str(table)] and len(texts["stream"]) > 2
+    assert texts["stream"][0].startswith(CSV_HEADER if not jsonl else '{"Q": ')
+    assert stream.getvalue() == table.read_text()
+    assert stream.flushes == len(texts["stream"])
+    assert not stream.closed and sinks[-1].handles == {}
+    # a run killed part way leaves the stream open
+    stream = _CountingStream()
+    _run_killed_at(small_cfg(None, out=stream, jsonl=jsonl), monkeypatch, writes=2, half=True)
     assert not stream.closed and stream.getvalue() and sinks[-1].handles == {}
+
+
+def _refuse_json_loads(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.loads called")
+
+    monkeypatch.setattr(json, "loads", refuse)
+
+
+def test_resuming_a_finished_grid_changes_no_byte_and_parses_no_json(tmp_path, monkeypatch):
+    run_main_theorem_grid(small_cfg(tmp_path))
+    want = {name: (tmp_path / name).read_bytes() for name in GRID_FILES}
+    _refuse_json_loads(monkeypatch)
+    res = run_main_theorem_grid(small_cfg(tmp_path, resume=True))
+    assert res.n_records == 0 and len(res.resumed) == 9
+    for name, data in want.items():
+        assert (tmp_path / name).read_bytes() == data, name
+
+
+@pytest.mark.parametrize("fault", ["no csv", "no mirror", "short mirror"])
+def test_resume_refuses_files_short_of_the_checkpointed_rows_and_changes_none(tmp_path, monkeypatch, capsys, fault):
+    # killed half way through the second combo's key: each file has rows or a key the cut would drop
+    _run_killed_at(small_cfg(tmp_path), monkeypatch, writes=6, half=True)
+    csv, mirror, _ = (tmp_path / name for name in GRID_FILES)
+    if fault == "short mirror":
+        # 29 complete lines and a torn one, where the first combo's 30 rows are checkpointed
+        lines = mirror.read_bytes().splitlines(keepends=True)
+        mirror.write_bytes(b"".join(lines[:29]) + lines[29][:10])
+    else:
+        (csv if fault == "no csv" else mirror).unlink()
+    bad = csv if fault == "no csv" else mirror
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(ValueError, match=f"cannot resume: {bad}"):
+        run_main_theorem_grid(small_cfg(tmp_path, resume=True))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    argv = f"main-thm --q 2 --n-list 5 --d 3..5 --r 2..5 --format csv --out {csv} --resume".split()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot resume: {bad}")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 @pytest.mark.parametrize("opens", [1, 2])
 def test_fresh_run_killed_while_opening_resumes_to_identical_files(tmp_path, monkeypatch, opens):
     run_main_theorem_grid(small_cfg(tmp_path))
-    want = {name: (tmp_path / name).read_bytes() for name in ("grid.csv", "grid.jsonl", "grid.ckpt")}
+    want = {name: (tmp_path / name).read_bytes() for name in GRID_FILES}
     real = open
 
     def dying_open(*args, **kwargs):

@@ -157,8 +157,7 @@ GRID_FILES = ("grid.csv", "grid.csv.jsonl", "grid.csv.ckpt")
 
 
 def _grid_files(root: str, resume: bool = False, **grid) -> ExperimentConfig:
-    out = os.path.join(root, GRID_FILES[0])
-    return ExperimentConfig(out_csv=out, out_json=out + ".jsonl", checkpoint=out + ".ckpt", resume=resume, **grid)
+    return ExperimentConfig(out=os.path.join(root, GRID_FILES[0]), resume=resume, **grid)
 
 
 @settings(max_examples=40, deadline=None)

@@ -228,7 +228,7 @@ def test_full_table_rejects_a_non_generator():
     # but its powers reach only 5 of the 15 units
     m = modulus_from_text(F2, "t^4+t+1")
     g = Poly.from_string(F2, "t^3")
-    comp = UnitComponent(m.poly, 4, 15, factor_integer(15), g)
+    comp = UnitComponent(m.poly, 4, 15, g)
     m.__dict__["unit_group"] = UnitGroupView(m, (comp,))
     with pytest.raises(ArithmeticError, match="not a generator"):
         DlogTable(m)
