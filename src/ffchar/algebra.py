@@ -106,8 +106,6 @@ class Field:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        if self.q <= self._add_step:
-            return int(self._add_table[a, b])
         step, table = self._add_step, self._add_table
         out, shift = 0, 1
         while a or b:

@@ -34,8 +34,11 @@ rows of one unfinished combo, the last of them possibly torn.  `--resume`
 cuts the checkpoint back to its last complete key and the CSV back to the
 rows of checkpointed combos, R rows; every combo writes as many rows to
 both files, in the same order, so the mirror is cut to its first R
-complete lines, counted, never parsed.  A missing CSV or mirror, or a
-mirror of fewer than R lines, raises ValueError before any file is cut;
+complete lines, counted, never parsed.  A row's key is its q, n, d and r
+fields compared as bytes with the checkpoint's keys, parsed once.  A
+missing CSV or mirror, a CSV with no row of some checkpointed combo (every
+combo writes rows, but for q = 2, n = 1, whose unit group has order 1) or
+a mirror of fewer than R lines raises ValueError before any file is cut;
 else the resumed run ends with byte-identical files.
 
 Under the policy "all" a block's columns are views [1:] of its degree's
@@ -383,17 +386,6 @@ def _combo_key(q: int, n: int, d: int, r: int) -> str:
     return f"q={q};n={n};d={d};r={r}"
 
 
-def _csv_row_key(line: bytes) -> Optional[str]:
-    """The combo key of a CSV row, None for a malformed one."""
-    try:
-        # Q holds no comma, so the nine fields after it split off from the right
-        head, _chi, d, r = line.decode().rsplit(",", 9)[:4]
-        q, n = head.split(",", 2)[:2]
-        return _combo_key(int(q), int(n), int(d), int(r))
-    except ValueError:
-        return None
-
-
 def _is_stream(target) -> bool:
     return hasattr(target, "write")
 
@@ -418,24 +410,38 @@ def _cut_to_checkpoint(csv: str, mirror: str, checkpoint: str) -> set[str]:
     with open(checkpoint, "rb") as fh:
         keys = fh.read()
     keys = keys[: keys.rfind(b"\n") + 1]
-    done = set(keys.decode().split())
+    # each key's q, n, d and r as a CSV row spells them, "q=2;n=5;d=3;r=2" -> (b"2", b"5", b"3", b"2")
+    done = {tuple(part.partition("=")[2].encode() for part in key.split(";")): key for key in keys.decode().split()}
     if not done:
-        return done
+        return set()
     for path in (csv, mirror):
         if not os.path.exists(path):
             raise ValueError(f"cannot resume: {path} is missing")
+    seen = set()
+
+    def checkpointed(line: bytes) -> bool:
+        # Q holds no comma, so the nine fields after it split off from the right
+        fields = line.rsplit(b",", 9)
+        key = done.get((*fields[0].split(b",", 2)[:2], *fields[2:4]))
+        seen.add(key)
+        return key is not None
+
     with open(csv, "rb") as fh:
         head = fh.readline()
         if head != (CSV_HEADER + "\n").encode():
             raise ValueError(f"existing CSV {csv} has a different header")
-        csv_end, rows = _kept_lines(fh, lambda line: _csv_row_key(line) in done)
+        csv_end, rows = _kept_lines(fh, checkpointed)
+    # every checkpointed combo wrote rows, but for q = 2, n = 1, whose unit group has order 1
+    lost = [key for fields, key in done.items() if key not in seen and fields[:2] != (b"2", b"1")]
+    if lost:
+        raise ValueError(f"cannot resume: {csv} holds no row of the checkpointed combo {lost[0]}")
     with open(mirror, "rb") as fh:
         mirror_end, lines = _kept_lines(itertools.islice(fh, rows))
     if lines < rows:
         raise ValueError(f"cannot resume: {mirror} holds {lines} complete lines, fewer than the {rows} rows of {csv}")
     for path, end in ((checkpoint, len(keys)), (csv, len(head) + csv_end), (mirror, mirror_end)):
         os.truncate(path, end)
-    return done
+    return set(done.values())
 
 
 class _Sink:

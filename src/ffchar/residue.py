@@ -43,7 +43,11 @@ the same search and walk over F_p.
 Reducing the monic degree-d stream mod Q_i is linear in the same way: the
 code of f is t^d + hi * t^n + lo, and the reduced head (t^d + hi * t^n) mod
 Q_i is computed for every block index hi of a slice in one pass per base-p
-digit of hi, then added to lo.
+digit of hi, then added to lo.  This is the one route from a slice to its
+dlogs (`DlogTable.dlogs_of_monic_degree`), and its result is a fresh array.
+Below deg Q_i every hi is 0 and the head is t^d, so f mod Q_i = lo + t^d;
+the flat dlog sums each component's dlog times its stride, and a unit group
+of one component is the stride-1 case.
 """
 
 from __future__ import annotations
@@ -313,7 +317,9 @@ class DlogTable:
     Every component gets a full table, g^i -> i for the whole component: a
     numpy int64 array indexed by residue code, -1 at zero (`power_tables`).
     A unit group above `FULL_TABLE_LIMIT` is refused with ValueError before
-    any table is built (`dense_group_order`).
+    any table is built (`dense_group_order`).  Every slice of the monic
+    stream takes the one affine route (module docstring), whatever its degree
+    and the number of components, and is a fresh array, never a table view.
     """
 
     def __init__(self, modulus: Modulus):
@@ -323,21 +329,30 @@ class DlogTable:
         self.logs = [power_tables(c.poly, c.generator, c.order)[1] for c in self.units.components]
 
     def dlogs_of_monic_degree(self, d: int, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
-        """Flat dlog of (f mod Q) for the monic degree-d stream slice [start, stop).
+        """Flat dlog of (f mod Q) for the monic degree-d stream slice [start, stop), a fresh array.
 
         Non-units (f sharing a factor Q_i with Q) come back as -1.
         """
-        total = self.modulus.field.q**d
+        field = self.modulus.field
+        q = field.q
+        total = q**d
         if stop is None:
             stop = total
         if not 0 <= start <= stop <= total:
             raise ValueError("bad slice")
-        if len(self.logs) == 1:
-            return self._component_dlogs(0, d, start, stop)
         flat = np.zeros(stop - start, dtype=np.int64)
         nonunit = np.zeros(stop - start, dtype=bool)
-        for i, s in enumerate(self.units.flat_strides):
-            x = self._component_dlogs(i, d, start, stop)
+        for table, c, s in zip(self.logs, self.units.components, self.units.flat_strides):
+            Qi, n = c.poly, c.degree
+            # f = t^d + hi * t^n + lo with lo < q^n, so f mod Q_i = lo + head(hi), where
+            # head(hi) = (t^d + hi * t^n) mod Q_i is affine in the base-p digits of hi
+            block = q**n
+            hi, lo = np.divmod(np.arange(start, stop, dtype=np.int64), block)
+            hi0 = start // block
+            images = [(Poly.from_code(field, field.p**k * block) % Qi).code() for k in range((d - n) * field.e)]
+            his = np.arange(hi0, (stop - 1) // block + 1, dtype=np.int64)
+            heads = linear_map_values(field, his, images, n, (Poly.from_code(field, total) % Qi).code())
+            x = table[vadd_poly_codes(field, lo, heads[hi - hi0], n)]
             nonunit |= x < 0
             flat += x * s
         flat[nonunit] = -1
@@ -360,25 +375,6 @@ class DlogTable:
             )
         profile = max_degree_profile_cached(self.modulus.field, k)
         return self.dlogs_of_monic_degree(k)[profile == k]
-
-    def _component_dlogs(self, idx: int, d: int, start: int, stop: int) -> np.ndarray:
-        """Component-idx dlog of (f mod Q_i) over the slice, -1 where Q_i divides f."""
-        table = self.logs[idx]
-        Qi = self.units.components[idx].poly
-        field = self.modulus.field
-        q, n = field.q, Qi.degree
-        if d < n:
-            base = q**d
-            return table[base + start : base + stop]
-        # f = t^d + hi * t^n + lo with lo < q^n, so f mod Q_i = lo + head(hi), where
-        # head(hi) = (t^d + hi * t^n) mod Q_i is affine in the base-p digits of hi
-        block = q**n
-        hi, lo = np.divmod(np.arange(start, stop, dtype=np.int64), block)
-        hi0 = start // block
-        images = [(Poly.from_code(field, field.p**k * block) % Qi).code() for k in range((d - n) * field.e)]
-        his = np.arange(hi0, (stop - 1) // block + 1, dtype=np.int64)
-        heads = linear_map_values(field, his, images, n, (Poly.from_code(field, q**d) % Qi).code())
-        return table[vadd_poly_codes(field, lo, heads[hi - hi0], n)]
 
 
 def is_primitive(x: Union[Poly, int], modulus: Modulus, fact: Optional[FactoredInteger] = None) -> bool:

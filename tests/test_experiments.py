@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -908,6 +909,34 @@ def test_resume_refuses_files_short_of_the_checkpointed_rows_and_changes_none(tm
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot resume: {bad}")
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_resume_refuses_a_csv_that_lost_a_checkpointed_combo_and_changes_none(tmp_path, capsys):
+    csv = tmp_path / "grid.csv"
+    assert main(f"main-thm --q 2 --n-list 5 --d 3 --r 2..3 --format csv --out {csv}".split()) == 0
+    # the header and the first combo's 30 rows: the rows of d = 3, r = 3 are gone, its key is not
+    csv.write_bytes(b"".join(csv.read_bytes().splitlines(keepends=True)[:31]))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    refusal = f"cannot resume: {csv} holds no row of the checkpointed combo q=2;n=5;d=3;r=3"
+    with pytest.raises(ValueError, match=re.escape(refusal)):
+        run_main_theorem_grid(small_cfg(tmp_path, ds=(3, 4), rs=(2, 3, 4), resume=True))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    capsys.readouterr()
+    assert main(f"main-thm --q 2 --n-list 5 --d 3..4 --r 2..4 --format csv --out {csv} --resume".split()) == 2
+    assert capsys.readouterr().err.startswith(f"error: {refusal}")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_resume_keeps_the_combos_of_a_trivial_unit_group_which_write_no_row(tmp_path):
+    # mod t over F_2 the unit group has order 1: its combos are checkpointed without a row
+    run_main_theorem_grid(small_cfg(tmp_path, ns=(1,), ds=(1, 2), rs=(1,)))
+    assert (tmp_path / "grid.csv").read_text() == CSV_HEADER + "\n"
+    run_main_theorem_grid(small_cfg(tmp_path, ns=(1, 3), ds=(1, 2), rs=(1,), resume=True))
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    run_main_theorem_grid(small_cfg(fresh, ns=(1, 3), ds=(1, 2), rs=(1,)))
+    for name in GRID_FILES:
+        assert (tmp_path / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("opens", [1, 2])

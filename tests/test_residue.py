@@ -170,6 +170,18 @@ def test_vector_dlogs_slicing():
     assert np.array_equal(whole, parts)
 
 
+def test_slices_below_the_modulus_degree_are_fresh_arrays():
+    # an irreducible modulus (one component) and a composite one (three)
+    for F, text in [(F2, "t^7+t+1"), (F2, "t^3+t^2+t")]:
+        t = modulus_from_text(F, text).dlog_table
+        before = [log.copy() for log in t.logs]
+        for d in range(t.modulus.n):
+            vec = t.dlogs_of_monic_degree(d)
+            assert not any(np.shares_memory(vec, log) for log in t.logs), (text, d)
+            vec[:] = 999
+        assert all(np.array_equal(log, old) for log, old in zip(t.logs, before)), text
+
+
 COMPOSITES = [(F2, "t^3+t^2+t"), (F3, "t^3+2t"), (F4, "t^2+t")]
 
 
