@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .intfact import factor_integer, is_prime, mobius
+from .intfact import factor_integer, is_prime, mobius, prime_power
 
 __all__ = [
     "Field",
@@ -66,12 +66,12 @@ class Field:
 
     @classmethod
     def get(cls, p: int, e: int = 1) -> "Field":
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
         if e < 1:
             raise ValueError("extension degree must be >= 1")
         if p**e > _EXTENSION_TABLE_LIMIT:
             raise ValueError(f"q = {p}**{e} exceeds the supported bound 2^16")
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
         key = (p, e)
         if key not in cls._registry:
             mod = lex_least_irreducible(cls.get(p, 1), e).coeffs if e > 1 else None
@@ -81,11 +81,7 @@ class Field:
     @classmethod
     def of_order(cls, q: int) -> "Field":
         """Field with q elements; q must be a prime power."""
-        fi = factor_integer(q)
-        if fi.omega != 1:
-            raise ValueError(f"q = {q} is not a prime power")
-        p, e = fi.prime_powers[0]
-        return cls.get(p, e)
+        return cls.get(*prime_power(q))
 
     # -- extension-field tables ------------------------------------------
 
@@ -378,12 +374,6 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         return self._wrap(_padd(self.field, self.coeffs, other.coeffs))
 
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self._wrap(_psub(self.field, self.coeffs, other.coeffs))
-
-    def __neg__(self) -> "Poly":
-        return self._wrap(tuple(self.field.neg(c) for c in self.coeffs))
-
     def __mul__(self, other: "Poly") -> "Poly":
         return self._wrap(_pmul(self.field, self.coeffs, other.coeffs))
 
@@ -399,9 +389,6 @@ class Poly:
 
     def __mod__(self, other: "Poly") -> "Poly":
         return self._wrap(_pmod(self.field, self.coeffs, other.coeffs))
-
-    def gcd(self, other: "Poly") -> "Poly":
-        return self._wrap(_pgcd(self.field, self.coeffs, other.coeffs))
 
     def monic(self) -> "Poly":
         if self.is_zero or self.is_monic:
@@ -423,9 +410,6 @@ class Poly:
 
     def __hash__(self):
         return hash((id(self.field), self.coeffs))
-
-    def __lt__(self, other: "Poly"):
-        return self.code() < other.code()
 
     def __str__(self):
         return _poly_to_str(self)

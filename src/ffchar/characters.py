@@ -94,6 +94,7 @@ def dlog_histogram(modulus: Modulus, d: int, r: Optional[int] = None, workers: i
     nonunits = 0
     for h, nu in _run_chunks(work, range(0, total, HIST_CHUNK), workers):
         hist += h
+        del h  # else this chunk's order-sized bincount lives on while the next chunk is reduced
         nonunits += nu
     return hist, nonunits
 
@@ -135,10 +136,14 @@ def dual_group_sums(modulus: Modulus, hist: np.ndarray) -> np.ndarray:
     sums are the conjugate n-dimensional DFT of the histogram reshaped to
     the component orders.  Flat index k is the character whose exponents
     are k unravelled to the component orders.  The sums are read-only, and
-    so is every view of them.
+    so is every view of them.  Every float the grid writes derives from
+    these sums, so a non-finite sum raises ArithmeticError here; one sum
+    over them all, a reduction with no group-sized temporary, finds it.
     """
     orders = modulus.unit_group.component_orders
     sums = np.conj(np.fft.fftn(hist.astype(np.float64).reshape(orders)))
+    if not np.isfinite(sums.sum()):
+        raise ArithmeticError("the character sums of a dlog histogram are not all finite")
     sums.flags.writeable = False
     return sums.ravel()
 

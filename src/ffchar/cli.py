@@ -116,7 +116,7 @@ def cmd_weil(args) -> int:
         """The CSV rows; the roots' float columns are formatted one chunk of rows at a time."""
         label_texts = np.array([_csv_label(label) + "," for label in labels], dtype=object)
         class_texts = np.array([f",{c}," for c in WEIL_CLASSES], dtype=object)
-        residual_texts = np.array([t + "\n" for t in float_texts(L.residual)[0]], dtype=object)
+        residual_texts = np.array([t + "\n" for t in float_texts(L.residual)], dtype=object)
         own = ChunkTexts([roots.real, roots.imag, mod])
         cols = (
             np.repeat(label_texts, L.degree), own.column(0), ",", own.column(1), ",", own.column(2),

@@ -49,11 +49,13 @@ change a later combo's rows through a view.  The other policies gather
 their handful of rows.
 
 Every float is written as its repr, the shortest text that reads back to
-the same double (JSON spells nan and the infinities NaN and Infinity).
-orjson writes a whole numpy array with those digits in one call; the few
-values whose repr takes exponent form or is not finite take repr itself
-(`float_texts`).  Each float is formatted once, and column texts live no
-longer than their reuse needs:
+the same double, in both formats.  Every float the grid writes is finite:
+`characters.dual_group_sums` refuses non-finite character sums, and every
+other float column is an absolute value of those sums or their
+differences, or one divided by a positive finite constant.  orjson writes
+a whole numpy array with those digits in one call; the few values whose
+repr takes exponent form take repr itself (`float_texts`).  Each float is
+formatted once, and column texts live no longer than their reuse needs:
 
 - one chunk: the columns of one combo alone (lhs, the implied constant
   and, off the r = d diagonal, the smooth sums) are formatted a chunk of
@@ -157,12 +159,8 @@ class ExperimentConfig:
             raise ValueError(f"--sample-k must be >= 1, got {self.sample_k}")
 
 
-# JSON spells the non-finite floats differently from repr
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def float_texts(col: np.ndarray) -> tuple[list[str], list[str]]:
-    """repr of every value of a float column, and the same text as JSON spells it.
+def float_texts(col: np.ndarray) -> list[str]:
+    """repr of every value of a float column.
 
     orjson writes the whole column in one call with the shortest digits that
     round-trip, the digits repr picks.  Its layout differs from repr only for
@@ -174,12 +172,10 @@ def float_texts(col: np.ndarray) -> tuple[list[str], list[str]]:
     col = np.ascontiguousarray(col)
     out = orjson.dumps(col, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
     texts = out.decode().split(",") if out else []
-    finite, mag = np.isfinite(col), np.abs(col)
-    for i in np.flatnonzero(~finite | (mag >= 1e16) | ((mag < 1e-4) & (mag != 0))).tolist():
+    mag = np.abs(col)
+    for i in np.flatnonzero(~np.isfinite(col) | (mag >= 1e16) | ((mag < 1e-4) & (mag != 0))).tolist():
         texts[i] = repr(float(col[i]))
-    if finite.all():
-        return texts, texts
-    return texts, [_JSON_NONFINITE.get(t, t) for t in texts]
+    return texts
 
 
 class _TextMemo:
@@ -189,8 +185,8 @@ class _TextMemo:
     and so the short norms, are the same for every r of one d: a block asks
     for its chi, short, a.real and a.imag texts (`__call__`), and a column
     whose key the previous block also asked for is not formatted again.  A
-    float column gets its repr and JSON texts (`float_texts`), an integer
-    column its str texts, the same list twice.
+    float column gets its repr texts (`float_texts`), an integer column its
+    str texts.
 
     What lives how long: these texts live across blocks, from one block's
     call to the next one's, which drops every text it does not repeat
@@ -201,9 +197,9 @@ class _TextMemo:
     """
 
     def __init__(self):
-        self.texts: dict[tuple[str, bytes], tuple[list[str], list[str]]] = {}
+        self.texts: dict[tuple[str, bytes], list[str]] = {}
 
-    def __call__(self, *cols: np.ndarray) -> list[tuple[list[str], list[str]]]:
+    def __call__(self, *cols: np.ndarray) -> list[list[str]]:
         # equal bytes need not be equal values: an int64 and a float64 column can share them
         keys = [(col.dtype.str, col.tobytes()) for col in cols]
         hits = [self.texts.get(key) for key in keys]
@@ -211,13 +207,9 @@ class _TextMemo:
         self.texts = {}
         out = []
         for col, key, hit in zip(cols, keys, hits):
-            hit = hit or self.texts.get(key)
+            hit = self.texts.get(key, hit)  # [] is a hit too
             if hit is None:
-                if col.dtype.kind == "f":
-                    hit = float_texts(col)
-                else:
-                    texts = list(map(str, col.tolist()))
-                    hit = texts, texts
+                hit = float_texts(col) if col.dtype.kind == "f" else list(map(str, col.tolist()))
             self.texts[key] = hit
             out.append(hit)
         return out
@@ -228,35 +220,35 @@ class ChunkTexts:
 
     The one per-chunk float formatter: a grid combo's own columns, the
     roots of `weil` and the sums of `primes-bound` all go through it.
-    `column(c)` is the c-th column's texts (its JSON spelling with json=True)
-    as a list that row_chunks slices by a chunk's rows.  The first slice of a
-    chunk puts every column's rows into one array, one column after another,
-    and makes one float_texts call on it; each column reads its texts back
-    from its own stretch.  Only the latest chunk's texts are kept.
+    `column(c)` is the c-th column's texts as a list that row_chunks slices
+    by a chunk's rows.  The first slice of a chunk puts every column's rows
+    into one array, one column after another, and makes one float_texts call
+    on it; each column reads its texts back from its own stretch.  Only the
+    latest chunk's texts are kept.
     """
 
     class _Column:
-        def __init__(self, owner: "ChunkTexts", c: int, spelling: int):
-            self.owner, self.c, self.spelling = owner, c, spelling
+        def __init__(self, owner: "ChunkTexts", c: int):
+            self.owner, self.c = owner, c
 
         def __getitem__(self, rows: slice) -> list[str]:
             m = rows.stop - rows.start
-            return self.owner.of(rows)[self.spelling][self.c * m : (self.c + 1) * m]
+            return self.owner.of(rows)[self.c * m : (self.c + 1) * m]
 
     def __init__(self, cols: list[np.ndarray]):
         self.cols = cols
         self.rows: Optional[slice] = None
-        self.texts: tuple[list[str], list[str]] = ([], [])
+        self.texts: list[str] = []
 
-    def of(self, rows: slice) -> tuple[list[str], list[str]]:
+    def of(self, rows: slice) -> list[str]:
         if rows != self.rows:
-            self.texts = ([], [])  # the previous chunk's texts go before these are made
+            self.texts = []  # the previous chunk's texts go before these are made
             self.texts = float_texts(np.concatenate([col[rows] for col in self.cols]))
             self.rows = rows
         return self.texts
 
-    def column(self, c: int, json: bool = False) -> "ChunkTexts._Column":
-        return self._Column(self, c, int(json))
+    def column(self, c: int) -> "ChunkTexts._Column":
+        return self._Column(self, c)
 
 
 def row_chunks(cols: tuple, n: int) -> Iterator[str]:
@@ -340,7 +332,7 @@ class ComboBlock:
         keys follow the sorted order of json.dumps(..., sort_keys=True).
         """
         shared = [self.chi, self.short] + ([self.a.imag, self.a.real] if jsonl else [])
-        (chis, _), (sn, sn_j), *a_texts = (memo if memo is not None else _TextMemo())(*shared)
+        chis, sn, *a_texts = (memo if memo is not None else _TextMemo())(*shared)
         diagonal = self.s is self.a
         own = ChunkTexts([self.lhs, self.implied] + ([self.s.imag, self.s.real] if jsonl and not diagonal else []))
         csv_cols = jsonl_cols = ()
@@ -351,15 +343,15 @@ class ComboBlock:
                 f",{bc},", own.column(1), ",", sn, f",{ep},{self.flags}\n",
             )
         if jsonl:
-            a_im, a_re = (texts[1] for texts in a_texts)
-            s_im, s_re = (a_im, a_re) if diagonal else (own.column(2, json=True), own.column(3, json=True))
+            a_im, a_re = a_texts
+            s_im, s_re = (a_im, a_re) if diagonal else (own.column(2), own.column(3))
             jsonl_cols = (
                 f'{{"Q": {self.Q_json}, "a_im": ', a_im, ', "a_re": ', a_re,
                 f', "bound_core": {json.dumps(self.bound_core)}, "chi": "chi[', chis,
                 f']", "d": {self.d}, "eps": {json.dumps(self.eps)}, "flags": {json.dumps(self.flags)}'
-                ', "implied_constant": ', own.column(1, json=True), ', "lhs": ', own.column(0, json=True),
+                ', "implied_constant": ', own.column(1), ', "lhs": ', own.column(0),
                 f', "n": {self.n}, "q": {self.q}, "r": {self.r}, "s_im": ', s_im, ', "s_re": ', s_re,
-                ', "short_norm": ', sn_j, "}\n",
+                ', "short_norm": ', sn, "}\n",
             )
         n = len(self)
         yield from zip(row_chunks(csv_cols, n), row_chunks(jsonl_cols, n))
@@ -370,14 +362,13 @@ class GridRunResult:
     """A run's totals; its rows went to the configured outputs as each combo finished."""
 
     n_records: int = 0
-    max_implied_constant: float = 0.0  # over the finite implied constants written
+    max_implied_constant: float = 0.0  # over the implied constants written, all finite
     skipped: list[tuple[str, str]] = field(default_factory=list)
     resumed: list[str] = field(default_factory=list)
 
     def add(self, block: ComboBlock) -> None:
         self.n_records += len(block)
         ic = block.implied
-        ic = ic[np.isfinite(ic)]
         if ic.size:
             self.max_implied_constant = max(self.max_implied_constant, float(ic.max()))
 

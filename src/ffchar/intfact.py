@@ -1,93 +1,42 @@
 """Integer-side arithmetic: factorization, Euler phi, omega, Mobius.
 
-Everything here is deterministic.  Primality is decided by Miller-Rabin with
-a fixed witness set that is exact for all inputs below 3.3 * 10^24, far above
-the q^n - 1 sizes this package enumerates.  Factorization is trial division
-up to 10^6 followed by Brent-cycle Pollard rho with an incrementing
-polynomial offset, so repeated runs always split composites the same way.
+Factorization is trial division by 2 and the odd numbers up to the square
+root of what is left; a cofactor above 1 that survives it is prime, and
+`is_prime` reads that factorization.  `factor_integer` refuses m >= 2^40
+(`FACTOR_LIMIT`) before it divides, which caps a call at 2^19 divisors,
+about 64 ms.  The package itself factors nothing above 2^26: a q^n above
+16 times `residue.FULL_TABLE_LIMIT` = 2^26 is refused before its unit
+group is factored, an extension field's q - 1 is below 2^16, and every
+other integer it factors divides one of these or is a degree.  Only a q
+given on the command line can be larger (`prime_power`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
-# Exact for n < 3_317_044_064_679_887_385_961_981 (about 1.7 * 2^80).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_LIMIT = 3_317_044_064_679_887_385_961_981
-
-_TRIAL_LIMIT = 10**6
+FACTOR_LIMIT = 1 << 40  # factor_integer refuses m >= FACTOR_LIMIT
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n below ~1.7 * 2^80."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    if n >= _MR_LIMIT:
-        raise ValueError(f"primality test witness set not proven for n={n}")
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Whether n is prime, read off its factorization (n < `FACTOR_LIMIT`)."""
+    return n >= 2 and factor_integer(n).prime_powers == ((n, 1),)
 
 
-def _pollard_brent(n: int, c: int) -> int:
-    """One Brent-cycle rho attempt on n with x -> x^2 + c; returns a factor or n."""
-    if n % 2 == 0:
-        return 2
-    y, m = 2, 128
-    g, r, q = 1, 1, 1
-    x = ys = y
-    while g == 1:
-        x = y
-        for _ in range(r):
-            y = (y * y + c) % n
-        k = 0
-        while k < r and g == 1:
-            ys = y
-            for _ in range(min(m, r - k)):
-                y = (y * y + c) % n
-                q = q * abs(x - y) % n
-            g = math.gcd(q, n)
-            k += m
-        r *= 2
-    if g == n:
-        # backtrack one step at a time
-        g = 1
-        while g == 1:
-            ys = (ys * ys + c) % n
-            g = math.gcd(abs(x - ys), n)
-    return g
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with q = p^e, p prime and e >= 1; ValueError when q is not a prime power.
 
-
-def _split(n: int) -> int:
-    """Return a nontrivial factor of composite n, deterministically."""
-    if n % 2 == 0:
-        return 2
-    r = math.isqrt(n)
-    if r * r == n:
-        return r
-    for c in range(1, 64):
-        g = _pollard_brent(n, c)
-        if 1 < g < n:
-            return g
-    raise ArithmeticError(f"could not split composite {n}: rho offsets exhausted")
+    The one check that a field size is a prime power, for `Field.of_order`,
+    `smooth.smooth_count` and `lfun.mertens_products`.  q < 2 is refused
+    before anything is factored; q >= `FACTOR_LIMIT` is refused by
+    `factor_integer`.
+    """
+    if q >= 2:
+        fi = factor_integer(q)
+        if fi.omega == 1:
+            return fi.prime_powers[0]
+    raise ValueError(f"q = {q} is not a prime power")
 
 
 @dataclass(frozen=True)
@@ -142,29 +91,22 @@ class FactoredInteger:
 
 
 def factor_integer(m: int) -> FactoredInteger:
-    """Complete factorization of m >= 1; loud failure on unsplittable cofactors."""
+    """Complete factorization of 1 <= m < `FACTOR_LIMIT` by trial division (module docstring)."""
     if m < 1:
         raise ValueError(f"factor_integer requires m >= 1, got {m}")
+    if m >= FACTOR_LIMIT:
+        raise ValueError(f"{m} is not below the factoring bound 2^40")
     left = m
     powers: dict[int, int] = {}
     p = 2
-    while p <= _TRIAL_LIMIT and p * p <= left:
+    while p * p <= left:
         while left % p == 0:
             powers[p] = powers.get(p, 0) + 1
             left //= p
         p += 1 if p == 2 else 2
-    stack = [left] if left > 1 else []
-    while stack:
-        n = stack.pop()
-        if n == 1:
-            continue
-        if is_prime(n):
-            powers[n] = powers.get(n, 0) + 1
-            continue
-        g = _split(n)
-        stack.append(g)
-        stack.append(n // g)
-    return FactoredInteger(m, tuple(sorted(powers.items())))
+    if left > 1:
+        powers[left] = 1
+    return FactoredInteger(m, tuple(powers.items()))  # ascending: p grows, and left is the largest
 
 
 def mobius(m: Union[int, FactoredInteger]) -> int:

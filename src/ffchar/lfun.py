@@ -33,7 +33,7 @@ import numpy as np
 
 from .algebra import monic_irreducible_count
 from .characters import all_char_sums_Ad, dual_group_sums, power_index
-from .intfact import factor_integer
+from .intfact import prime_power
 from .residue import Modulus
 
 __all__ = [
@@ -229,8 +229,7 @@ def mertens_products(q: int, k: int) -> list[MertensResult]:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got k = {k}")
-    if q < 2 or factor_integer(q).omega != 1:
-        raise ValueError(f"q = {q} is not a prime power")
+    prime_power(q)  # ValueError unless q is a prime power
     pis = [monic_irreducible_count(q, j) for j in range(1, k + 1)]
     bits = math.log2(q) * sum(j * pj for j, pj in enumerate(pis, start=1))
     if bits > MERTENS_BITS_LIMIT:

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import dickman_panels
 from .algebra import Field, monic_irreducible_count
-from .intfact import factor_integer
+from .intfact import prime_power
 from .vecpoly import max_degree_profile_cached
 
 if TYPE_CHECKING:
@@ -79,8 +79,7 @@ __all__ = [
 
 def smooth_count(q: int, d: int, r: int) -> int:
     """Exact N(d, r) via integer power-series coefficient extraction."""
-    if q < 2 or factor_integer(q).omega != 1:
-        raise ValueError(f"q = {q} is not a prime power")
+    prime_power(q)  # ValueError unless q is a prime power
     if d < 0:
         raise ValueError("d must be >= 0")
     if r < 1:

@@ -312,6 +312,36 @@ def test_histograms_chunk_and_worker_invariant(monkeypatch):
             assert got[1] == want[1]
 
 
+def test_histogram_holds_one_chunk_bincount_at_a_time(monkeypatch):
+    """Across chunks the peak is the histogram, one chunk's bincount and that chunk's arrays."""
+    import tracemalloc
+
+    m = Modulus.irreducible(F2, 16)
+    m.dlog_table  # built before tracing
+    order_bytes = m.unit_group.group_order * 8
+    monkeypatch.setattr(characters, "HIST_CHUNK", 1 << 12)  # A_15 spans 8 chunks
+    want = unit_dlog_histogram(m, 15)
+    tracemalloc.start()
+    try:
+        got = unit_dlog_histogram(m, 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    # a previous chunk's bincount kept alive while the next chunk is reduced adds one order_bytes
+    assert peak < 2.5 * order_bytes
+
+
+def test_dual_group_sums_refuse_non_finite_sums():
+    m = Modulus.irreducible(F2, 5)
+    hist = np.ones(m.unit_group.group_order)
+    assert np.isfinite(characters.dual_group_sums(m, hist)).all()
+    for bad in (np.nan, np.inf):
+        hist[3] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError, match="not all finite"):
+            characters.dual_group_sums(m, hist)
+
+
 # -- closed form at d >= deg Q against enumeration ------------------------
 
 

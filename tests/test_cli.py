@@ -246,6 +246,9 @@ def test_kernel_failure_exits_math_without_traceback(monkeypatch, capsys, exc):
         (["primes-bound", "--q", "2", "--n", "9", "--Q", "t^3+t+1", "--k", "2"], "Q = t^3+t+1 has degree 3, not n = 9"),
         (["mertens", "--q", "3"], "q = 3, k = 20 has about 8.29e+09 bits, above the limit 16777216"),
         (["mertens", "--q", "2", "--k", "24"], "q = 2, k = 24 has about 3.35e+07 bits"),
+        # a field size at or above 2^40 is refused before it is factored, prime or not
+        (["smooth-count", "--q", "1099511627776", "--d", "1..2"], "1099511627776 is not below the factoring bound"),
+        (["mertens", "--q", "1000000000000000003", "--k", "1"], "1000000000000000003 is not below the factoring bound"),
     ],
 )
 def test_bad_input_is_usage_error_naming_the_value(capsys, argv, bad):
@@ -964,6 +967,10 @@ ARGV_DIGESTS = {
     ),
     "density --q 2 --n 5 --d 0": (2, EMPTY, "ac28281104694c903f72622199036411644bd9858ed8bd8fbc86e67a0b0a9885"),
     "mertens --q 6 --k 3": (2, EMPTY, "4d1ac28106ea8254b8598b84c9d901c8091f7ac388bf389fac2d59b42a665920"),
+    # a prime q above the 2^16 Field bound: smooth-count needs no Field
+    "smooth-count --q 65537 --d 1..3 --format csv": (
+        0, "6202ba0d91931f071557d04c904d8c5c0db84643fcd8a15420786abb3f1b1d53", EMPTY,
+    ),
     "main-thm --q 2 --n-list 5 --d 3 --r 0": (
         2, EMPTY, "ef547f1d7a795db259dd5e9e46d8ca908732db3b779040143a6993d4ed99a7c2",
     ),

@@ -1,9 +1,11 @@
-import math
 import random
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ffchar.intfact import FactoredInteger, factor_integer, is_prime, mobius
+from ffchar.intfact import FACTOR_LIMIT, FactoredInteger, factor_integer, is_prime, mobius, prime_power
 
 
 def naive_factor(n):
@@ -48,10 +50,53 @@ def test_factor_matches_naive_small():
 
 
 def test_factor_large_composites():
-    for n in (2**64 - 1, 2**45 - 1, 3**30 - 1, 10**18 + 9):
-        fi = factor_integer(n)
-        assert math.prod(p**e for p, e in fi.prime_powers) == n
-        assert all(is_prime(p) for p, _ in fi.prime_powers)
+    """Integers at or above 2^40 are refused before any division, primes or not."""
+    for n in (2**64 - 1, 2**45 - 1, 3**30 - 1, 10**18 + 9, 2**40):
+        with pytest.raises(ValueError, match="factoring bound 2\\^40"):
+            factor_integer(n)
+    assert FACTOR_LIMIT == 2**40
+    with pytest.raises(ValueError, match="factoring bound"):
+        is_prime(10**18 + 3)
+
+
+def check_against_sympy(m: int):
+    assert list(factor_integer(m).prime_powers) == sorted(sympy.factorint(m).items())
+    assert is_prime(m) == sympy.isprime(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, FACTOR_LIMIT - 1))
+def test_factor_matches_sympy_below_the_bound(m):
+    check_against_sympy(m)
+
+
+# two primes above 2^16 whose product is below 2^40: trial division runs to the smaller one
+PRIMES_ABOVE_2_16 = st.integers(2**16, 2**20 - 4).map(sympy.nextprime)
+
+
+@settings(max_examples=40, deadline=None)
+@given(PRIMES_ABOVE_2_16, PRIMES_ABOVE_2_16)
+def test_factor_products_of_two_large_primes(p, r):
+    check_against_sympy(p * r)
+
+
+def test_factor_edge_cases_match_sympy():
+    # 1000003^2, a square of a prime above 2^16; the largest prime below 2^40; its
+    # largest semiprime of two primes below 2^20; 2^40 - 1; the largest m the package itself factors
+    for m in (1000003**2, sympy.prevprime(2**40), 1048571 * 1048573, 2**40 - 1, 2**26 - 1, 2**26 - 5):
+        check_against_sympy(m)
+
+
+def test_prime_power():
+    assert prime_power(2) == (2, 1)
+    assert prime_power(65536) == (2, 16)
+    assert prime_power(65537) == (65537, 1)
+    assert prime_power(3**25) == (3, 25)
+    for q in (-3, 0, 1, 6, 2**20 * 3, 1000003 * 1000033):
+        with pytest.raises(ValueError, match=f"q = {q} is not a prime power"):
+            prime_power(q)
+    with pytest.raises(ValueError, match="factoring bound"):
+        prime_power(2**40)
 
 
 def test_is_prime_against_sieve():

@@ -1,6 +1,5 @@
 """Independent oracles from installed packages: sympy's galoistools, hypothesis and Python's repr."""
 
-import json
 import os
 import random
 import re
@@ -143,14 +142,12 @@ FLOATS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(arrays(np.float64, st.integers(0, 40), elements=FLOATS), st.booleans())
 def test_float_texts_match_repr(col, strided):
-    """Each float's CSV text is its repr, and its JSON text is json.dumps of it, for any column layout."""
+    """Each float's text is its repr, for any column layout."""
     if strided:
         c = np.empty(col.size, dtype=np.complex128)
         c.imag = col
         col = c.imag
-    texts, json_texts = float_texts(col)
-    assert texts == list(map(repr, col.tolist()))
-    assert json_texts == [json.dumps(x) for x in col.tolist()]
+    assert float_texts(col) == list(map(repr, col.tolist()))
 
 
 GRID_FILES = ("grid.csv", "grid.csv.jsonl", "grid.csv.ckpt")
