@@ -80,7 +80,9 @@ class Field:
 
     @classmethod
     def of_order(cls, q: int) -> "Field":
-        """Field with q elements; q must be a prime power."""
+        """Field with q elements; q must be a prime power, refused above 2^16 before it is factored."""
+        if q > _EXTENSION_TABLE_LIMIT:
+            raise ValueError(f"q = {q} exceeds the supported bound 2^16")
         return cls.get(*prime_power(q))
 
     # -- extension-field tables ------------------------------------------

@@ -142,7 +142,9 @@ def dual_group_sums(modulus: Modulus, hist: np.ndarray) -> np.ndarray:
     """
     orders = modulus.unit_group.component_orders
     sums = np.conj(np.fft.fftn(hist.astype(np.float64).reshape(orders)))
-    if not np.isfinite(sums.sum()):
+    with np.errstate(invalid="ignore"):  # inf + -inf is nan, and nan is what the check looks for
+        total = sums.sum()
+    if not np.isfinite(total):
         raise ArithmeticError("the character sums of a dlog histogram are not all finite")
     sums.flags.writeable = False
     return sums.ravel()

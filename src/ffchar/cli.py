@@ -432,6 +432,9 @@ def cmd_mertens(args) -> int:
 
 def cmd_indicator(args) -> int:
     """Character decomposition of the primitivity indicator, pointwise and over A_d."""
+    from dataclasses import asdict
+    from fractions import Fraction
+
     from .primitive import primitivity_indicator_check
 
     m = _modulus(args)
@@ -440,23 +443,8 @@ def cmd_indicator(args) -> int:
     if args.d is not None:
         ok = ok and rep.decomposition_error <= 1e-6
     if args.format in ("json", "csv"):
-        j = {
-            "q": rep.q,
-            "n": rep.n,
-            "group_order": rep.group_order,
-            "phi": rep.phi,
-            "max_unit_deviation": rep.max_unit_deviation,
-            "primitive_count_units": rep.primitive_count_units,
-        }
-        if args.d is not None:
-            j.update(
-                d=rep.d,
-                total_over_Ad=rep.total_over_Ad,
-                direct_count_Ad=rep.direct_count_Ad,
-                unit_count_Ad=rep.unit_count_Ad,
-                main_term=str(rep.main_term),
-                correction=rep.correction,
-            )
+        # the report's fields in order, the A_d ones only with d; main_term as its str
+        j = {k: str(v) if isinstance(v, Fraction) else v for k, v in asdict(rep).items() if v is not None}
         if args.format == "json":
             _emit([json.dumps(j, sort_keys=True)], args.out)
         else:

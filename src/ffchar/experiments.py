@@ -625,7 +625,9 @@ def run_corollary_grid(cfg: ExperimentConfig) -> GridRunResult:
     """Per combo: the worst normalized short sum against the epsilon bound.
 
     The worst-case rule ranked by the short norms picks the row; a combo
-    where it exceeds the bound is flagged "exceeds_eps" (expected whenever
-    the unknown O-constants exceed 1), never failed.
+    where it exceeds the bound is flagged "exceeds_eps", never failed.  At
+    every size the dense limit allows, eps (C2 = C3 = 1) is at least 0.917
+    below d = n, and from d = n on the short sums vanish, so no grid run
+    sets the flag; only a smaller, stubbed eps does.
     """
     return _grid_run(cfg, corollary=True)

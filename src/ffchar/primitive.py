@@ -1,5 +1,12 @@
 """Primitive-element densities in F_q[t]/(Q) and the sieve quantities.
 
+A unit of the cyclic group (F_q[t]/(Q))^* of order N-1 is primitive iff
+its discrete logarithm j to the canonical generator is prime to N-1, so
+every primitive count here reads the dlog histogram through the one mask
+gcd(j, N-1) = 1 (`_primitive_dlogs`); the generator itself is certified by
+the power test in `residue`.  Q must be irreducible: a composite Q has no
+primitive element, and all three entry points refuse it (`_irreducible`).
+
 The indicator of primitivity on the unit group decomposes over characters:
 f(x) = sum over squarefree m | N-1 of mu(m)/m times the sum of chi(x) over
 the m characters with chi^m principal.  Summing it over A_d splits the
@@ -23,7 +30,7 @@ import numpy as np
 from .algebra import Poly
 from .characters import dual_group_sums, unit_dlog_histogram
 from .intfact import factor_integer, mobius
-from .residue import Modulus, is_primitive, modulus_of
+from .residue import Modulus, modulus_of
 from .smooth import EpsilonBound, epsilon_bound, in_theorem_range
 
 __all__ = [
@@ -110,12 +117,11 @@ def primitivity_indicator_check(modulus: Modulus, d: Optional[int] = None, worke
     """Verify f(x) = sum_{m | N-1} mu(m)/m sum_{chi^m principal} chi(x) pointwise.
 
     The right side is summed as honest complex numbers (roots of unity from
-    exact phases); the left side is the power-test primitivity predicate.
-    With d given, the same decomposition is summed over A_d and compared to
-    the direct primitive count.
+    exact phases); the left side is the dlog predicate gcd(j, N-1) = 1 on
+    the unit of dlog j.  With d given, the same decomposition is summed over
+    A_d and compared to the direct primitive count.
     """
-    if not modulus.is_irreducible:
-        raise ValueError("the indicator decomposition needs an irreducible modulus")
+    _irreducible(modulus, "the indicator decomposition")
     field = modulus.field
     order = modulus.unit_group.group_order  # N - 1
     fact = factor_integer(order)
@@ -131,14 +137,8 @@ def primitivity_indicator_check(modulus: Modulus, d: Optional[int] = None, worke
             phases = (js * (i * stride)) % order
             inner += np.exp(2j * np.pi * phases / order)
         rhs += (mu / m) * inner
-    # direct predicate through the independent power test
-    indicator = np.zeros(order, dtype=np.float64)
-    gen = modulus.unit_group.generators[0]
-    cur = Poly.one(field)
-    for j in range(order):
-        indicator[j] = 1.0 if is_primitive(cur, modulus, fact) else 0.0
-        cur = (cur * gen) % modulus.poly
-    max_dev = float(np.max(np.abs(rhs - indicator))) if order else 0.0
+    indicator = _primitive_dlogs(order)
+    max_dev = float(np.max(np.abs(rhs - indicator)))
     prim_units = int(indicator.sum())
     rep = IndicatorReport(
         q=field.q,
@@ -172,10 +172,21 @@ def primitivity_indicator_check(modulus: Modulus, d: Optional[int] = None, worke
     return rep
 
 
+def _irreducible(modulus: Modulus, what: str) -> Modulus:
+    """The modulus itself; ValueError when it is composite, since then no unit is primitive."""
+    if not modulus.is_irreducible:
+        raise ValueError(f"{what} needs an irreducible modulus")
+    return modulus
+
+
+def _primitive_dlogs(order: int) -> np.ndarray:
+    """The mask over dlogs j < order in a cyclic group: g^j generates iff gcd(j, order) = 1."""
+    return np.gcd(np.arange(order, dtype=np.int64), order) == 1
+
+
 def _primitive_count(hist: np.ndarray) -> int:
     """|Q(d)|: the units a dlog histogram of a cyclic group counts at dlogs prime to its order."""
-    order = len(hist)
-    return int(hist[np.gcd(np.arange(order, dtype=np.int64), order) == 1].sum())
+    return int(hist[_primitive_dlogs(len(hist))].sum())
 
 
 def _congruence_counts(hist: np.ndarray, divisors: list[int]) -> dict[int, int]:
@@ -259,7 +270,7 @@ def density_experiment(
     indicator decomposition.  Q given as a Modulus shares its dlog table
     with the caller.
     """
-    modulus = modulus_of(q, n, Q)
+    modulus = _irreducible(modulus_of(q, n, Q), "the density experiment")
     order = q**n - 1
     fact = factor_integer(order)
     hist, _ = unit_dlog_histogram(modulus, d, workers)
@@ -339,7 +350,7 @@ def sieve_quantities(
     The sieve lower bound is evaluated only with caller-supplied constants.
     Q is taken as in `density_experiment`.
     """
-    modulus = modulus_of(q, n, Q)
+    modulus = _irreducible(modulus_of(q, n, Q), "the sieve")
     order = q**n - 1
     fact = factor_integer(order)
     radical = fact.radical

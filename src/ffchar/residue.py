@@ -1,4 +1,4 @@
-"""The quotient ring F_q[t]/(Q): unit group, discrete logs, primitivity.
+"""The quotient ring F_q[t]/(Q): unit group, generators, discrete logs.
 
 Q must be squarefree (irreducible or a squarefree composite); anything else
 is rejected at Modulus construction.  The unit group is a product of cyclic
@@ -36,9 +36,8 @@ against a scalar power, that the powers fill every unit slot and that the
 walk closes, g^N = 1 through the tabulated map.
 
 The generator search (`least_generator`), its power test (`generates`) and
-the walk take Q_i, g and N, not a `Modulus`: `is_primitive` runs the same
-power test, and `Field` builds the exp/log tables of F_q = F_p[u]/(f) with
-the same search and walk over F_p.
+the walk take Q_i, g and N, not a `Modulus`: `Field` builds the exp/log
+tables of F_q = F_p[u]/(f) with the same search and walk over F_p.
 
 Reducing the monic degree-d stream mod Q_i is linear in the same way: the
 code of f is t^d + hi * t^n + lo, and the reduced head (t^d + hi * t^n) mod
@@ -74,7 +73,6 @@ __all__ = [
     "generates",
     "least_generator",
     "power_tables",
-    "is_primitive",
 ]
 
 FULL_TABLE_LIMIT = 1 << 22  # the most entries a dense table, histogram or spectrum may hold
@@ -211,7 +209,6 @@ class UnitGroupView:
         self.components = components
         self.group_order = math.prod(c.order for c in components)
         self.component_orders = tuple(c.order for c in components)
-        self.generators = tuple(c.generator for c in components)
         # row-major strides: unit with component dlogs (x_i) has flat index sum x_i * s_i
         strides = [1] * len(components)
         for i in range(len(components) - 2, -1, -1):
@@ -376,22 +373,3 @@ class DlogTable:
         profile = max_degree_profile_cached(self.modulus.field, k)
         return self.dlogs_of_monic_degree(k)[profile == k]
 
-
-def is_primitive(x: Union[Poly, int], modulus: Modulus, fact: Optional[FactoredInteger] = None) -> bool:
-    """Power test: x generates the full unit group of the irreducible modulus.
-
-    True iff x is nonzero mod Q and x^((N-1)/p) != 1 for every prime p
-    dividing N-1 = q^n - 1.  The zero residue is simply non-primitive.
-    """
-    if not modulus.is_irreducible:
-        raise ValueError("primitivity is defined for irreducible moduli")
-    f = Poly.from_code(modulus.field, x) if isinstance(x, int) else x
-    r = f % modulus.poly
-    if r.is_zero:
-        return False
-    order = modulus.field.q**modulus.n - 1
-    if fact is None:
-        fact = factor_integer(order)
-    if fact.value != order:
-        raise ValueError("fact must factor q^n - 1")
-    return generates(r, modulus.poly, fact)

@@ -25,7 +25,9 @@ second route, one character at a time, so the tests can compare the two:
   polynomial (`trial_factor`), which leans on neither the sieve nor
   `Modulus`, multiplied back out (`factorization_product`), and smoothness
   by factoring (`is_smooth`), for the brute-force checks; and a modulus
-  from its text (`modulus_from_text`).
+  from its text (`modulus_from_text`);
+* primitivity by the power test alone, with no dlog (`is_primitive`): the
+  oracle of the dlog mask gcd(j, N-1) = 1 that production counts with.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ import numpy as np
 
 from ffchar.algebra import Field, Poly, monic_code_range
 from ffchar.characters import unit_dlog_histogram
+from ffchar.intfact import FactoredInteger, factor_integer
 from ffchar.lfun import TRAILING_COEFF_TOL, lpolynomial_coeffs, prime_sum_bound
-from ffchar.residue import DlogTable, Modulus
+from ffchar.residue import DlogTable, Modulus, generates
 from ffchar.smooth import smooth_dlog_histogram
 
 # -- polynomials one at a time --------------------------------------------
@@ -106,6 +109,22 @@ def is_smooth(f: Poly, r: int) -> bool:
     if not f.is_monic:
         raise ValueError("is_smooth requires a monic polynomial")
     return max_factor_degree(f) <= r
+
+
+# -- primitivity by the power test ----------------------------------------
+
+
+def is_primitive(f: Poly, modulus: Modulus, fact: Optional[FactoredInteger] = None) -> bool:
+    """f mod the irreducible Q generates all N-1 units: x^((N-1)/l) != 1 for every prime l | N-1.
+
+    The zero residue is not primitive.  fact, when given, must factor N-1.
+    """
+    r = f % modulus.poly
+    if r.is_zero:
+        return False
+    if fact is None:
+        fact = factor_integer(modulus.field.q**modulus.n - 1)
+    return generates(r, modulus.poly, fact)
 
 
 # -- discrete logs of single polynomials ---------------------------------

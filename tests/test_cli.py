@@ -249,6 +249,8 @@ def test_kernel_failure_exits_math_without_traceback(monkeypatch, capsys, exc):
         # a field size at or above 2^40 is refused before it is factored, prime or not
         (["smooth-count", "--q", "1099511627776", "--d", "1..2"], "1099511627776 is not below the factoring bound"),
         (["mertens", "--q", "1000000000000000003", "--k", "1"], "1000000000000000003 is not below the factoring bound"),
+        # a subcommand that builds F_q refuses q above 2^16 before factoring it
+        (["density", "--q", "1000000000000000003", "--n", "2", "--d", "2"], "exceeds the supported bound 2^16"),
     ],
 )
 def test_bad_input_is_usage_error_naming_the_value(capsys, argv, bad):

@@ -14,10 +14,12 @@ from ffchar.primitive import (
     schedule_degree,
     sieve_quantities,
 )
-from ffchar.residue import Modulus, is_primitive
-from phase_oracle import dlog, enumerate_monic
+from ffchar.residue import Modulus
+from phase_oracle import dlog, enumerate_monic, is_primitive
 
 F2 = Field.get(2)
+F3 = Field.get(3)
+F4 = Field.of_order(4)
 
 
 # -- epsilon bound -------------------------------------------------------
@@ -78,7 +80,7 @@ def test_indicator_matches_predicate_small():
 def test_indicator_generator_and_one():
     m = Modulus.irreducible(F2, 4)
     fact = factor_integer(15)
-    g = m.unit_group.generators[0]
+    g = m.unit_group.components[0].generator
     assert is_primitive(g, m, fact)
     assert not is_primitive(Poly.one(F2), m, fact)
 
@@ -102,12 +104,26 @@ def test_indicator_qd_form_below_n():
 
 
 def test_indicator_direct_count_against_bruteforce():
-    m = Modulus.irreducible(F2, 4)
-    fact = factor_integer(15)
-    for d in (2, 4, 5):
-        rep = primitivity_indicator_check(m, d=d)
-        brute = sum(1 for f in enumerate_monic(F2, d) if is_primitive(f, m, fact))
-        assert rep.direct_count_Ad == brute
+    # the dlog mask against the power test over A_d, below, at and above n
+    for F, n, ds in [(F2, 4, (2, 4, 5)), (F3, 3, (2, 3, 5)), (F3, 2, (1, 4)), (F4, 2, (1, 2, 4)), (F4, 3, (2, 3))]:
+        m = Modulus.irreducible(F, n)
+        fact = factor_integer(F.q**n - 1)
+        for d in ds:
+            rep = primitivity_indicator_check(m, d=d)
+            brute = sum(1 for f in enumerate_monic(F, d) if is_primitive(f, m, fact))
+            assert rep.direct_count_Ad == brute, (F.q, n, d)
+            assert rep.primitive_count_units == fact.phi
+
+
+def test_composite_modulus_is_refused_by_every_primitivity_route():
+    # t^4+t^2+t = t (t^3+t+1): units of order 7, no element of order 15
+    Q = Poly.from_string(F2, "t^4+t^2+t")
+    with pytest.raises(ValueError, match="^the density experiment needs an irreducible modulus$"):
+        density_experiment(2, 4, 3, Q=Q)
+    with pytest.raises(ValueError, match="^the sieve needs an irreducible modulus$"):
+        sieve_quantities(2, 4, 3, Q=Modulus(Q))
+    with pytest.raises(ValueError, match="^the indicator decomposition needs an irreducible modulus$"):
+        primitivity_indicator_check(Modulus(Q), d=3)
 
 
 # -- density experiment --------------------------------------------------

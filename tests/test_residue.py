@@ -14,10 +14,9 @@ from ffchar.residue import (
     UnitGroupView,
     dense_group_order,
     find_generator,
-    is_primitive,
     power_tables,
 )
-from phase_oracle import NotAUnitError, dlog, enumerate_monic, flat_dlog, modulus_from_text
+from phase_oracle import NotAUnitError, dlog, enumerate_monic, flat_dlog, is_primitive, modulus_from_text
 
 F2 = Field.get(2)
 F3 = Field.get(3)
@@ -34,9 +33,8 @@ def scalar_dlog_table(field, comp):
     return table
 
 
-def is_primitive_via_dlog(x, modulus, fact=None):
-    """Oracle for `is_primitive` through the dlog: x != 0 mod Q and gcd(dlog(x), N-1) = 1."""
-    f = Poly.from_code(modulus.field, x) if isinstance(x, int) else x
+def is_primitive_via_dlog(f, modulus):
+    """The dlog side of the power-test oracle: f != 0 mod Q and gcd(dlog(f), N-1) = 1."""
     if (f % modulus.poly).is_zero:
         return False
     order = modulus.field.q**modulus.n - 1
@@ -46,7 +44,7 @@ def is_primitive_via_dlog(x, modulus, fact=None):
 def test_generator_smallest_case():
     m = modulus_from_text(F2, "t^2+t+1")
     view = find_generator(m)
-    g = view.generators[0]
+    g = view.components[0].generator
     assert g == Poly(F2, (0, 1))
     # powering oracle: t^3 = 1 and t != 1 mod Q
     assert g.powmod(3, m.poly) == Poly.one(F2)
@@ -58,14 +56,14 @@ def test_generator_trivial_group():
     m = modulus_from_text(F2, "t")
     view = m.unit_group
     assert view.group_order == 1
-    assert view.generators[0] == Poly.one(F2)
+    assert view.components[0].generator == Poly.one(F2)
 
 
 def test_generator_q3_linear():
     m = modulus_from_text(F3, "t")
     view = m.unit_group
     assert view.group_order == 2
-    assert view.generators[0] == Poly(F3, (2,))
+    assert view.components[0].generator == Poly(F3, (2,))
     # oracle: 2^2 = 1 and 2 != 1 in F_3
     assert F3.mul(2, 2) == 1
 
@@ -73,7 +71,7 @@ def test_generator_q3_linear():
 def test_generator_order_verified_exhaustively():
     for F, n in [(F2, 4), (F3, 3)]:
         m = Modulus.irreducible(F, n)
-        g = m.unit_group.generators[0]
+        g = m.unit_group.components[0].generator
         order = F.q**n - 1
         seen = set()
         cur = Poly.one(F)
@@ -98,7 +96,7 @@ def test_modulus_kinds():
 def test_dlog_basics():
     m = Modulus.irreducible(F2, 4)  # order 15
     table = m.dlog_table
-    g = m.unit_group.generators[0]
+    g = m.unit_group.components[0].generator
     assert dlog(table, Poly.one(F2)) == 0
     assert dlog(table, g) == 1
     assert dlog(table, g.powmod(5, m.poly)) == 5
@@ -267,7 +265,7 @@ def test_doubling_table_matches_scalar_walk_on_composite_components():
 
 def test_table_build_checks_the_tabulated_map(monkeypatch):
     m = Modulus.irreducible(F2, 6)
-    g, N = m.unit_group.generators[0], 63
+    g, N = m.unit_group.components[0].generator, 63
     real = residue.linear_map_table
 
     def corrupted(code, calls=None):
@@ -299,7 +297,7 @@ def test_table_build_checks_the_tabulated_map(monkeypatch):
 def test_primitivity_generator_and_one():
     m = Modulus.irreducible(F2, 4)
     fact = factor_integer(15)
-    g = m.unit_group.generators[0]
+    g = m.unit_group.components[0].generator
     assert is_primitive(g, m, fact)
     assert not is_primitive(Poly.one(F2), m, fact)
     assert not is_primitive(Poly(F2, ()), m, fact)
@@ -313,15 +311,16 @@ def test_primitive_count_is_phi():
 
 
 def test_both_primitivity_tests_agree_exhaustively():
-    for F, ns in [(F2, range(2, 9)), (F3, range(2, 6))]:
+    # power test vs dlog, over prime fields and the extension field F_4
+    for F, ns in [(F2, range(2, 9)), (F3, range(2, 6)), (F4, range(1, 5))]:
         for n in ns:
             m = Modulus.irreducible(F, n)
             fact = factor_integer(F.q**n - 1)
             total = 0
             for c in range(F.q**n):
                 a = is_primitive(Poly.from_code(F, c), m, fact)
-                b = is_primitive_via_dlog(Poly.from_code(F, c), m, fact)
-                assert a == b
+                b = is_primitive_via_dlog(Poly.from_code(F, c), m)
+                assert a == b, (F.q, n, c)
                 total += a
             assert total == fact.phi
 
