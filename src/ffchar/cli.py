@@ -86,12 +86,20 @@ def _prime_degrees(k: int) -> range:
     return range(1, k + 1)
 
 
-def _modulus(args):
-    """The modulus of --q and --n, or the --Q polynomial, which must have degree --n."""
-    from .residue import modulus_of
+def _modulus(q: int, n: int, Q: Optional[str] = None):
+    """The one place --q, --n and --Q become the `Modulus` a subcommand measures.
 
-    Q = Poly.from_string(Field.of_order(args.q), args.Q) if args.Q else None
-    return modulus_of(args.q, args.n, Q)
+    The --Q polynomial, which must have degree n; without it the canonical one, the least monic irreducible.
+    """
+    from .residue import Modulus
+
+    field = Field.of_order(q)
+    if not Q:
+        return Modulus.irreducible(field, n)
+    modulus = Modulus(Poly.from_string(field, Q))
+    if modulus.n != n:
+        raise ValueError(f"Q = {modulus.poly} has degree {modulus.n}, not n = {n}")
+    return modulus
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +113,7 @@ def cmd_weil(args) -> int:
     from .experiments import ROW_CHUNK, ChunkTexts, float_texts, row_chunks
     from .lfun import WEIL_CLASSES, inverse_roots, lpolynomial_coeffs, weil_classes
 
-    modulus = _modulus(args)
+    modulus = _modulus(args.q, args.n, args.Q)
     L = inverse_roots(lpolynomial_coeffs(modulus, args.workers))
     roots = L.flat_roots()
     mod, cls, dev = weil_classes(roots, args.q, args.tol)
@@ -165,7 +173,7 @@ def cmd_primes_bound(args) -> int:
     from .lfun import inverse_roots, lpolynomial_coeffs, prime_sum_bound, prime_sum_spectrum, von_mangoldt_spectrum
 
     degrees = _prime_degrees(args.k)
-    modulus = _modulus(args)
+    modulus = _modulus(args.q, args.n, args.Q)
     order = modulus.unit_group.group_order
     roots = inverse_roots(lpolynomial_coeffs(modulus, args.workers)) if args.identity else None
     # one DFT per degree, largest first: a degree above the dense limit is refused before any is built
@@ -227,6 +235,13 @@ def cmd_smooth_count(args) -> int:
     rows = [SoundararajanReport.CSV_HEADER]
     ok = True
     cells = [(d, r) for d in _parse_range(args.d) for r in (range(1, d + 1) if rs is None else rs) if r <= d]
+    if args.enum_check and cells:
+        # refused before the Dickman table or any factor-degree profile is built
+        field = Field.of_order(args.q)
+        over = next((d for d, _ in cells if args.q**d > args.budget), None)
+        if over is not None:
+            print(f"--enum-check at d = {over}: q^d = {args.q**over} exceeds the work budget {args.budget}", file=sys.stderr)
+            return EXIT_BUDGET
     if cells:
         # one table for the largest u = d/r: a table grown one u at a time re-marches from panel 0
         default_dickman_table(max(math.ceil(d / r) for d, r in cells))
@@ -234,10 +249,7 @@ def cmd_smooth_count(args) -> int:
         rep = soundararajan_check(args.q, d, r)
         rows.append(rep.csv_row())
         if args.enum_check:
-            if args.q**d > args.budget:
-                print(f"enum check skipped for d={d}: q^d exceeds budget", file=sys.stderr)
-                return EXIT_BUDGET
-            got = smooth_count_by_enumeration(Field.of_order(args.q), d, r)
+            got = smooth_count_by_enumeration(field, d, r)
             if got != rep.n_exact:
                 print(f"MISMATCH at d={d}, r={r}: series {rep.n_exact} vs enumeration {got}", file=sys.stderr)
                 ok = False
@@ -360,7 +372,7 @@ def cmd_density(args) -> int:
     if d < args.n and args.q**d > args.budget:
         print(f"q^d = {args.q**d} exceeds the work budget {args.budget}", file=sys.stderr)
         return EXIT_BUDGET
-    rep = density_experiment(args.q, args.n, d, C2=args.C2, C3=args.C3, workers=args.workers)
+    rep = density_experiment(_modulus(args.q, args.n), d, C2=args.C2, C3=args.C3, workers=args.workers)
     if args.format == "json":
         _emit([json.dumps(report_json(rep), sort_keys=True)], args.out)
     elif args.format == "csv":
@@ -388,7 +400,7 @@ def cmd_sieve(args) -> int:
     """S_m congruence counts, T, and the character identity cross-check."""
     from .primitive import report_json, sieve_quantities
 
-    rep = sieve_quantities(args.q, args.n, args.d, c1=args.c1, c2=args.c2, workers=args.workers)
+    rep = sieve_quantities(_modulus(args.q, args.n), args.d, c1=args.c1, c2=args.c2, workers=args.workers)
     ok = rep.T == rep.primitive_count_direct and rep.char_identity_max_err <= 1e-6
     if args.format == "json":
         _emit([json.dumps(report_json(rep), sort_keys=True)], args.out)
@@ -437,8 +449,7 @@ def cmd_indicator(args) -> int:
 
     from .primitive import primitivity_indicator_check
 
-    m = _modulus(args)
-    rep = primitivity_indicator_check(m, d=args.d, workers=args.workers)
+    rep = primitivity_indicator_check(_modulus(args.q, args.n, args.Q), d=args.d, workers=args.workers)
     ok = rep.max_unit_deviation <= 1e-9
     if args.d is not None:
         ok = ok and rep.decomposition_error <= 1e-6

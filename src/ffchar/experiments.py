@@ -529,15 +529,15 @@ def _select_indices(cfg: ExperimentConfig, policy: str, key: str, ranking: np.nd
 def _grid_run(cfg: ExperimentConfig, corollary: bool) -> GridRunResult:
     cfg.validate()
     # a q that is not a prime power, an n with no modulus, a unit group above
-    # the dense limit or a combo within budget whose q^d int64 counts cannot
-    # hold raises ValueError here, before the sink writes anything
+    # the dense limit or a combo that runs (`_skip`) whose q^d int64 counts
+    # cannot hold raises ValueError here, before the sink writes anything
     q = cfg.q
     field = Field.of_order(q)
     moduli = {n: Modulus.irreducible(field, n) for n in cfg.ns}
     for n, modulus in moduli.items():
         dense_group_order(modulus)
         for d in cfg.ds:
-            if any(r <= d and _combo_work(q, n, d, r) <= cfg.budget for r in cfg.rs):
+            if any(r <= d and _skip(cfg, n, d, r) is None for r in cfg.rs):
                 check_int64_counts(q, d)
     result = GridRunResult()
     with _Sink(cfg) as sink:
@@ -554,16 +554,13 @@ def _grid_run(cfg: ExperimentConfig, corollary: bool) -> GridRunResult:
                     if sink.combo_done(key):
                         result.resumed.append(key)
                         continue
+                    skip = _skip(cfg, n, d, r)
+                    if skip:
+                        reason, why = skip
+                        print(f"skipping {key}: {why}", file=sys.stderr)
+                        result.skipped.append((key, reason))
+                        continue
                     flags = "" if in_theorem_range(q, d, r, n) else "out_of_range"
-                    if flags and not cfg.allow_out_of_range:
-                        print(f"skipping {key}: out of theorem range", file=sys.stderr)
-                        result.skipped.append((key, "out_of_range"))
-                        continue
-                    work = _combo_work(q, n, d, r)
-                    if work > cfg.budget:
-                        print(f"skipping {key}: work estimate {work} exceeds budget {cfg.budget}", file=sys.stderr)
-                        result.skipped.append((key, "budget"))
-                        continue
                     if a_sums is None:
                         a_sums = all_char_sums_Ad(modulus, d, cfg.workers)
                     # every f in A_d is r-smooth when r >= d: the same histogram, so the same sums
@@ -606,14 +603,22 @@ def _grid_run(cfg: ExperimentConfig, corollary: bool) -> GridRunResult:
     return result
 
 
-def _combo_work(q: int, n: int, d: int, r: int) -> int:
-    """Polynomials a combo is charged for: q^d + N(d, r) at r < d, where the r-smooth slice is enumerated.
+def _skip(cfg: ExperimentConfig, n: int, d: int, r: int) -> Optional[tuple[str, str]]:
+    """(reason, why) when the combo (n, d, r <= d) is skipped, None when it runs; the int64 pre-check asks it too.
 
-    At r >= d the slice is A_d itself: q^d below deg Q, nothing at d >= n (the closed form).
+    Skipped out of the theorem range under `allow_out_of_range = False`, else
+    over the work budget.  A combo is charged the polynomials it enumerates:
+    q^d + N(d, r) at r < d, where the r-smooth slice is enumerated; at r >= d
+    the slice is A_d itself, q^d below deg Q and nothing at d >= n (the
+    closed form).
     """
-    if r >= d:
-        return q**d if d < n else 0
-    return q**d + smooth_count(q, d, r)
+    q = cfg.q
+    if not cfg.allow_out_of_range and not in_theorem_range(q, d, r, n):
+        return "out_of_range", "out of theorem range"
+    work = q**d + smooth_count(q, d, r) if r < d else (q**d if d < n else 0)
+    if work > cfg.budget:
+        return "budget", f"work estimate {work} exceeds budget {cfg.budget}"
+    return None
 
 
 def run_main_theorem_grid(cfg: ExperimentConfig) -> GridRunResult:

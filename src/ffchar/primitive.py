@@ -4,8 +4,12 @@ A unit of the cyclic group (F_q[t]/(Q))^* of order N-1 is primitive iff
 its discrete logarithm j to the canonical generator is prime to N-1, so
 every primitive count here reads the dlog histogram through the one mask
 gcd(j, N-1) = 1 (`_primitive_dlogs`); the generator itself is certified by
-the power test in `residue`.  Q must be irreducible: a composite Q has no
-primitive element, and all three entry points refuse it (`_irreducible`).
+the power test in `residue`.  Each entry point takes the `Modulus` it
+measures first, with its unit group and dlog table.  Q must be irreducible:
+a composite Q has no primitive element, and all three entry points refuse it
+through `_factored_order`, which hands them N-1 factored.  They share the
+A_d histogram with its character sums (`_spectrum`) and one (m, mu(m)) walk
+over the squarefree divisors of N-1 (`_mobius_walk`).
 
 The indicator of primitivity on the unit group decomposes over characters:
 f(x) = sum over squarefree m | N-1 of mu(m)/m times the sum of chi(x) over
@@ -23,14 +27,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .algebra import Poly
 from .characters import dual_group_sums, unit_dlog_histogram
-from .intfact import factor_integer, mobius
-from .residue import Modulus, modulus_of
+from .intfact import FactoredInteger, factor_integer
+from .residue import Modulus
 from .smooth import EpsilonBound, epsilon_bound, in_theorem_range
 
 __all__ = [
@@ -121,16 +124,13 @@ def primitivity_indicator_check(modulus: Modulus, d: Optional[int] = None, worke
     the unit of dlog j.  With d given, the same decomposition is summed over
     A_d and compared to the direct primitive count.
     """
-    _irreducible(modulus, "the indicator decomposition")
-    field = modulus.field
-    order = modulus.unit_group.group_order  # N - 1
-    fact = factor_integer(order)
-    sfd = fact.squarefree_divisors()
+    fact = _factored_order(modulus, "the indicator decomposition")
+    order = fact.value  # N - 1
+    walk = _mobius_walk(fact)
     # rhs over every unit, indexed by dlog j: sum_m mu(m)/m sum_{i<m} zeta^(j i (N-1)/m)
     js = np.arange(order, dtype=np.int64)
     rhs = np.zeros(order, dtype=np.complex128)
-    for m in sfd:
-        mu = mobius(factor_integer(m))
+    for m, mu in walk:
         inner = np.zeros(order, dtype=np.complex128)
         stride = order // m
         for i in range(m):
@@ -141,7 +141,7 @@ def primitivity_indicator_check(modulus: Modulus, d: Optional[int] = None, worke
     max_dev = float(np.max(np.abs(rhs - indicator)))
     prim_units = int(indicator.sum())
     rep = IndicatorReport(
-        q=field.q,
+        q=modulus.field.q,
         n=modulus.n,
         group_order=order,
         phi=fact.phi,
@@ -151,13 +151,11 @@ def primitivity_indicator_check(modulus: Modulus, d: Optional[int] = None, worke
     if d is None:
         return rep
     # decomposition summed over A_d
-    hist, _ = unit_dlog_histogram(modulus, d, workers)
-    sums = dual_group_sums(modulus, hist)
+    hist, sums = _spectrum(modulus, d, workers)
     unit_count = int(hist.sum())
     total = 0j
     correction = 0j  # nonprincipal character contributions only
-    for m in sfd:
-        mu = mobius(factor_integer(m))
+    for m, mu in walk:
         inner = _sum_chi_m_principal(sums, m)
         total += (mu / m) * inner
         if m > 1:
@@ -172,11 +170,25 @@ def primitivity_indicator_check(modulus: Modulus, d: Optional[int] = None, worke
     return rep
 
 
-def _irreducible(modulus: Modulus, what: str) -> Modulus:
-    """The modulus itself; ValueError when it is composite, since then no unit is primitive."""
+def _factored_order(modulus: Modulus, what: str) -> FactoredInteger:
+    """N-1, the order of the unit group mod Q, factored; ValueError when Q is composite, since then no unit is primitive."""
     if not modulus.is_irreducible:
         raise ValueError(f"{what} needs an irreducible modulus")
-    return modulus
+    return factor_integer(modulus.unit_group.group_order)
+
+
+def _spectrum(modulus: Modulus, d: int, workers: int) -> tuple[np.ndarray, np.ndarray]:
+    """(hist, sums): the unit dlog histogram of A_d and A(d, chi) for every chi, from that one histogram."""
+    hist, _ = unit_dlog_histogram(modulus, d, workers)
+    return hist, dual_group_sums(modulus, hist)
+
+
+def _mobius_walk(fact: FactoredInteger) -> list[tuple[int, int]]:
+    """(m, mu(m)) for every squarefree m dividing fact.value, ascending m, built from its primes."""
+    walk = [(1, 1)]
+    for p in fact.primes:
+        walk += [(m * p, -mu) for m, mu in walk]
+    return sorted(walk)
 
 
 def _primitive_dlogs(order: int) -> np.ndarray:
@@ -253,33 +265,22 @@ class DensityReport:
     char_bound_holds: bool
 
 
-def density_experiment(
-    q: int,
-    n: int,
-    d: int,
-    Q: Union[Poly, Modulus, None] = None,
-    C2: float = 1.0,
-    C3: float = 1.0,
-    workers: int = 1,
-) -> DensityReport:
-    """Count primitive f in A_d mod the canonical (or given) irreducible Q.
+def density_experiment(modulus: Modulus, d: int, C2: float = 1.0, C3: float = 1.0, workers: int = 1) -> DensityReport:
+    """Count primitive f in A_d mod the irreducible Q of `modulus`.
 
     The density and its target phi(N-1)/(N-1) stay exact rationals; the
     report pairs the observed deviation with the epsilon bound and with the
     exact character-sum bound 2^omega max |A(d, chi)| / q^d from the
-    indicator decomposition.  Q given as a Modulus shares its dlog table
-    with the caller.
+    indicator decomposition.
     """
-    modulus = _irreducible(modulus_of(q, n, Q), "the density experiment")
-    order = q**n - 1
-    fact = factor_integer(order)
-    hist, _ = unit_dlog_histogram(modulus, d, workers)
+    fact = _factored_order(modulus, "the density experiment")
+    q, n, order = modulus.field.q, modulus.n, fact.value
+    hist, sums = _spectrum(modulus, d, workers)
     count = _primitive_count(hist)
     unit_count = int(hist.sum())
     density = Fraction(count, q**d)
     target = Fraction(fact.phi, order)
     deviation = abs(density - target)
-    sums = dual_group_sums(modulus, hist)
     max_norm = float(np.max(np.abs(sums[1:])) / q**d) if order > 1 else 0.0
     eb = best_epsilon_bound(q, d, n, C2, C3)
     omega = fact.omega
@@ -332,13 +333,7 @@ class SieveReport:
 
 
 def sieve_quantities(
-    q: int,
-    n: int,
-    d: int,
-    Q: Union[Poly, Modulus, None] = None,
-    c1: Optional[float] = None,
-    c2: Optional[float] = None,
-    workers: int = 1,
+    modulus: Modulus, d: int, c1: Optional[float] = None, c2: Optional[float] = None, workers: int = 1
 ) -> SieveReport:
     """Exact S_m for every m dividing the radical of N-1, plus T, A, B.
 
@@ -347,32 +342,32 @@ def sieve_quantities(
     must equal the direct primitive count, the units at dlogs prime to N-1
     in the same histogram; each S_m is also checked against the character
     identity S_m = (1/m) sum over chi with chi^m principal of A(d, chi).
-    The sieve lower bound is evaluated only with caller-supplied constants.
-    Q is taken as in `density_experiment`.
+    The sieve lower bound is evaluated only with caller-supplied constants,
+    and refused before the histogram when N-1 = 1 has no prime factor.
     """
-    modulus = _irreducible(modulus_of(q, n, Q), "the sieve")
-    order = q**n - 1
-    fact = factor_integer(order)
-    radical = fact.radical
-    hist, _ = unit_dlog_histogram(modulus, d, workers)
-    S = _congruence_counts(hist, fact.squarefree_divisors())
+    fact = _factored_order(modulus, "the sieve")
+    q, n, ell = modulus.field.q, modulus.n, fact.omega
+    with_bound = c1 is not None and c2 is not None
+    if with_bound and ell == 0:
+        raise ValueError(f"the sieve lower bound takes log omega(N-1), and N-1 = {fact.value} has no prime factor")
+    walk = _mobius_walk(fact)
+    hist, sums = _spectrum(modulus, d, workers)
+    S = _congruence_counts(hist, [m for m, _ in walk])
     # inclusion-exclusion: the units whose dlog no prime of the radical divides
-    T = sum(mobius(factor_integer(m)) * S[m] for m in S)
+    T = sum(mu * S[m] for m, mu in walk)
     A = q**d
     B_obs = max(abs(Fraction(A, m) - S[m]) for m in S)
-    sums = dual_group_sums(modulus, hist)
     max_err = max(abs(_sum_chi_m_principal(sums, m) / m - S[m]) for m in S)
     eb = best_epsilon_bound(q, d, n)
     lower = None
-    if c1 is not None and c2 is not None:
-        ell = fact.omega
+    if with_bound:
         lower = c1 * A / (math.log(ell) + 1) ** 2 - c2 * ell * ell * float(A) * eb.value
     return SieveReport(
         q=q,
         n=n,
         d=d,
         Q_text=str(modulus.poly),
-        radical=radical,
+        radical=fact.radical,
         S=S,
         T=T,
         primitive_count_direct=_primitive_count(hist),

@@ -54,7 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -64,7 +64,6 @@ from .vecpoly import linear_map_table, linear_map_values, max_degree_profile_cac
 
 __all__ = [
     "Modulus",
-    "modulus_of",
     "UnitComponent",
     "UnitGroupView",
     "DlogTable",
@@ -130,19 +129,6 @@ class Modulus:
 
     def __repr__(self):
         return f"Modulus(q={self.field.q}, Q={self.poly})"
-
-
-def modulus_of(q: int, n: int, Q: Union[Poly, Modulus, None] = None) -> Modulus:
-    """The canonical degree-n modulus over F_q, or the given Q, which must have degree n.
-
-    A built Modulus is reused, with its unit group and dlog table.
-    """
-    if Q is None:
-        return Modulus.irreducible(Field.of_order(q), n)
-    modulus = Q if isinstance(Q, Modulus) else Modulus(Q)
-    if modulus.n != n:
-        raise ValueError(f"Q = {modulus.poly} has degree {modulus.n}, not n = {n}")
-    return modulus
 
 
 def _check_residue_count(field: Field, n: int, Q: Optional[Poly] = None) -> None:

@@ -200,7 +200,7 @@ def test_criterion_7_primitivity_indicator():
 def test_criterion_8_density_bound():
     worst = 0.0
     for d in range(6, 11):
-        rep = density_experiment(2, 13, d)
+        rep = density_experiment(Modulus.irreducible(Field.get(2), 13), d)
         bound = 2.0 * rep.max_char_norm
         dev = float(rep.deviation)
         if bound == 0:
@@ -215,8 +215,8 @@ def test_criterion_9_sieve_cross_check():
     worst_ident = 0.0
     for n in (4, 6):
         for d in range(1, 9):
-            sv = sieve_quantities(2, n, d)
-            de = density_experiment(2, n, d)
+            sv = sieve_quantities(Modulus.irreducible(Field.get(2), n), d)
+            de = density_experiment(Modulus.irreducible(Field.get(2), n), d)
             if sv.T != de.count:
                 report(9, False, f"n={n} d={d}: T={sv.T} != |Q(d)|={de.count}")
             worst_ident = max(worst_ident, sv.char_identity_max_err)

@@ -432,6 +432,47 @@ def test_grid_refuses_int64_overflow_before_output(tmp_path, monkeypatch, capsys
         assert list(tmp_path.iterdir()) == []
 
 
+def test_strict_range_grid_skips_an_int64_overflow_combo(tmp_path, monkeypatch, capsys):
+    # d = 70 > n is out of the theorem range, so --strict-range skips it before its counts are checked
+    monkeypatch.chdir(tmp_path)
+    argv = "main-thm --q 2 --n-list 5 --d 70 --r 70 --strict-range --format csv".split()
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "q,n,Q,chi,d,r,lhs,bound_core,implied_constant,short_norm,eps,flags\n"
+    assert captured.err == "skipping q=2;n=5;d=70;r=70: out of theorem range\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sieve_lower_bound_refuses_a_group_order_without_primes(monkeypatch, capsys):
+    # q = 2, n = 1: N-1 = 1, so omega(N-1) = 0 and the bound's log omega is undefined
+    from ffchar import primitive
+
+    def no_histogram(*args, **kwargs):
+        raise AssertionError("the histogram was built")
+
+    monkeypatch.setattr(primitive, "unit_dlog_histogram", no_histogram)
+    assert main("sieve --q 2 --n 1 --d 1 --c1 1 --c2 1".split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the sieve lower bound takes log omega(N-1), and N-1 = 1 has no prime factor\n"
+    )
+
+
+def test_smooth_count_enum_check_refuses_its_budget_before_any_profile(monkeypatch, capsys):
+    from ffchar import smooth, vecpoly
+
+    def refused(*args, **kwargs):
+        raise AssertionError("built before the budget was checked")
+
+    monkeypatch.setattr(vecpoly, "max_factor_degree_profile", refused)
+    monkeypatch.setattr(smooth, "default_dickman_table", refused)
+    assert main("smooth-count --q 3 --d 1..15 --enum-check".split()) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "--enum-check at d = 15: q^d = 14348907 exceeds the work budget 10000000\n"
+
+
 @pytest.mark.parametrize(
     "argv,q,d",
     [
@@ -488,6 +529,7 @@ def test_primitive_subcommands_pass_workers_to_the_histogram(monkeypatch, capsys
 def test_sieve_fails_when_a_congruence_count_is_off(monkeypatch, capsys):
     """T is inclusion-exclusion over the S_m, so one wrong S_m shows up against the direct primitive count."""
     from ffchar import primitive
+    from ffchar.residue import Modulus
 
     real = primitive._congruence_counts
 
@@ -497,7 +539,7 @@ def test_sieve_fails_when_a_congruence_count_is_off(monkeypatch, capsys):
         return S
 
     monkeypatch.setattr(primitive, "_congruence_counts", off_by_one)
-    rep = primitive.sieve_quantities(2, 8, 6)
+    rep = primitive.sieve_quantities(Modulus.irreducible(Field.get(2), 8), 6)
     assert rep.T == rep.primitive_count_direct - 1  # S_3 enters T with mu(3) = -1
     assert main("sieve --q 2 --n 8 --d 6".split()) == 1
     assert "FAIL" in capsys.readouterr().out

@@ -2,9 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ffchar import primitive
 from ffchar.algebra import Field, Poly
-from ffchar.intfact import factor_integer
+from ffchar.intfact import factor_integer, mobius
 from ffchar.primitive import (
     best_epsilon_bound,
     density_experiment,
@@ -119,18 +122,38 @@ def test_composite_modulus_is_refused_by_every_primitivity_route():
     # t^4+t^2+t = t (t^3+t+1): units of order 7, no element of order 15
     Q = Poly.from_string(F2, "t^4+t^2+t")
     with pytest.raises(ValueError, match="^the density experiment needs an irreducible modulus$"):
-        density_experiment(2, 4, 3, Q=Q)
+        density_experiment(Modulus(Q), 3)
     with pytest.raises(ValueError, match="^the sieve needs an irreducible modulus$"):
-        sieve_quantities(2, 4, 3, Q=Modulus(Q))
+        sieve_quantities(Modulus(Q), 3)
     with pytest.raises(ValueError, match="^the indicator decomposition needs an irreducible modulus$"):
         primitivity_indicator_check(Modulus(Q), d=3)
+
+
+@pytest.mark.parametrize("F,Q", [(F2, "t^4+t^3+1"), (F3, "t^3+2t^2+1")])
+def test_every_primitivity_route_counts_the_same_for_a_non_canonical_modulus(F, Q):
+    m = Modulus(Poly.from_string(F, Q))
+    assert m.is_irreducible and m != Modulus.irreducible(F, m.n)
+    fact = factor_integer(F.q**m.n - 1)
+    for d in (m.n - 1, m.n, m.n + 2):
+        count = density_experiment(m, d).count
+        sieve = sieve_quantities(m, d)
+        assert count == sieve.T == sieve.primitive_count_direct, d
+        assert count == primitivity_indicator_check(m, d=d).direct_count_Ad, d
+        assert count == sum(1 for f in enumerate_monic(F, d) if is_primitive(f, m, fact)), d
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2**26))
+def test_mobius_walk_is_mobius_over_the_squarefree_divisors(value):
+    fact = factor_integer(value)
+    assert primitive._mobius_walk(fact) == [(m, mobius(m)) for m in fact.squarefree_divisors()]
 
 
 # -- density experiment --------------------------------------------------
 
 
 def test_density_q2_n4_d4():
-    rep = density_experiment(2, 4, 4)
+    rep = density_experiment(Modulus.irreducible(F2, 4), 4)
     assert rep.count == 8  # every residue hit once; phi(15) = 8
     assert rep.density == Fraction(8, 16)
     assert rep.target == Fraction(8, 15)
@@ -142,7 +165,7 @@ def test_density_counts_match_bruteforce():
     m = Modulus.irreducible(F2, 4)
     fact = factor_integer(15)
     for d in (2, 3, 5, 6):
-        rep = density_experiment(2, 4, d)
+        rep = density_experiment(m, d)
         brute = sum(1 for f in enumerate_monic(F2, d) if is_primitive(f, m, fact))
         assert rep.count == brute
 
@@ -151,43 +174,41 @@ def test_density_deviation_within_char_bound():
     # the triangle-inequality bound holds exactly at exhaustive scale
     for n in (3, 4, 6):
         for d in range(2, 7):
-            rep = density_experiment(2, n, d)
+            rep = density_experiment(Modulus.irreducible(F2, n), d)
             assert rep.char_bound_holds, (n, d)
 
 
 def test_density_exact_rationals():
-    rep = density_experiment(2, 3, 5)
+    rep = density_experiment(Modulus.irreducible(F2, 3), 5)
     assert rep.density == Fraction(rep.count, 32)
     assert rep.target == Fraction(factor_integer(7).phi, 7)
 
 
 def test_density_explicit_Q():
-    rep = density_experiment(2, 4, 3, Q=Poly.from_string(F2, "t^4+t^3+1"))
+    rep = density_experiment(Modulus(Poly.from_string(F2, "t^4+t^3+1")), 3)
     assert rep.Q_text == "t^4+t^3+1"
-    with pytest.raises(ValueError):
-        density_experiment(2, 4, 3, Q=Poly.from_string(F2, "t^3+t+1"))
 
 
 # -- sieve ----------------------------------------------------------------
 
 
 def test_sieve_S1_is_qd():
-    rep = sieve_quantities(2, 4, 3)
+    rep = sieve_quantities(Modulus.irreducible(F2, 4), 3)
     assert rep.S[1] == 2**3  # every unit's dlog is 0 mod 1; d < n: all units
 
 
 def test_sieve_T_equals_primitive_count():
     for n in (4, 6):
         for d in range(1, 9):
-            rep = sieve_quantities(2, n, d)
-            dens = density_experiment(2, n, d)
+            rep = sieve_quantities(Modulus.irreducible(F2, n), d)
+            dens = density_experiment(Modulus.irreducible(F2, n), d)
             assert rep.T == dens.count, (n, d)
 
 
 def test_sieve_char_identity():
     for n in (4, 6):
         for d in range(1, 9):
-            rep = sieve_quantities(2, n, d)
+            rep = sieve_quantities(Modulus.irreducible(F2, n), d)
             assert rep.char_identity_max_err < 1e-6, (n, d)
 
 
@@ -195,7 +216,7 @@ def test_sieve_exhaustive_oracle_n4_d3():
     # direct S_m recomputation from per-polynomial dlogs
     m = Modulus.irreducible(F2, 4)
     table = m.dlog_table
-    rep = sieve_quantities(2, 4, 3)
+    rep = sieve_quantities(m, 3)
     for mm in (1, 3, 5, 15):
         brute = 0
         for f in enumerate_monic(F2, 3):
@@ -205,9 +226,9 @@ def test_sieve_exhaustive_oracle_n4_d3():
 
 
 def test_sieve_lower_bound_only_with_constants():
-    rep = sieve_quantities(2, 4, 3)
+    rep = sieve_quantities(Modulus.irreducible(F2, 4), 3)
     assert rep.lower_bound is None
-    rep2 = sieve_quantities(2, 4, 3, c1=1.0, c2=1.0)
+    rep2 = sieve_quantities(Modulus.irreducible(F2, 4), 3, c1=1.0, c2=1.0)
     assert rep2.lower_bound is not None
 
 
