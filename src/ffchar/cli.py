@@ -71,10 +71,12 @@ def _csv_label(label: str) -> str:
 
 
 def _parse_range(text: str) -> tuple[int, ...]:
-    """"4..8" or "4,5,8" or "6" -> tuple of ints."""
+    """"4..8" or "4,5,8" or "6" -> tuple of ints; an empty range a..b, b < a, is refused."""
     text = text.strip()
     if ".." in text:
         lo, hi = text.split("..", 1)
+        if int(hi) < int(lo):
+            raise ValueError(f"range {text} is empty: {hi} is below {lo}")
         return tuple(range(int(lo), int(hi) + 1))
     return tuple(int(tok) for tok in text.split(","))
 
@@ -228,13 +230,16 @@ def cmd_smooth_count(args) -> int:
     """Exact N(d, r) with the q^d rho(d/r) prediction; optional enumeration check."""
     from .smooth import SoundararajanReport, default_dickman_table, smooth_count_by_enumeration, soundararajan_check
 
+    ds = _parse_range(args.d)
     rs = None if args.r is None else _parse_range(args.r)
     # refused before the Dickman table is built for u = d/r
+    if min(ds) < 0:
+        raise ValueError(f"d must be >= 0, got {min(ds)}")
     if rs and min(rs) < 1:
         raise ValueError(f"r must be >= 1, got {min(rs)}")
     rows = [SoundararajanReport.CSV_HEADER]
     ok = True
-    cells = [(d, r) for d in _parse_range(args.d) for r in (range(1, d + 1) if rs is None else rs) if r <= d]
+    cells = [(d, r) for d in ds for r in (range(1, d + 1) if rs is None else rs) if r <= d]
     if args.enum_check and cells:
         # refused before the Dickman table or any factor-degree profile is built
         field = Field.of_order(args.q)
@@ -482,10 +487,9 @@ def cmd_indicator(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, n_required=True):
+def _add_common(p):
     p.add_argument("--q", type=int, required=True, help="field size (prime power)")
-    if n_required:
-        p.add_argument("--n", type=int, required=True, help="modulus degree")
+    p.add_argument("--n", type=int, required=True, help="modulus degree")
     p.add_argument("--Q", type=str, default=None, help="explicit modulus polynomial (text form)")
     p.add_argument("--tol", type=float, default=1e-6)
     _add_exec(p)

@@ -17,10 +17,12 @@ Also here: character sums over the irreducibles of degree k, with their
 (n+1) q^(k/2) / k bound, and von Mangoldt weighted sums (the logarithmic
 derivative route to the same bound).  Both are read off spectra: the
 degree-k spectrum is one DFT of the histogram of the dlogs of I_k, giving
-the prime sum of every character.  The von Mangoldt sum of chi over A_k is
-sum_{l | k} l * S_l(chi^(k/l)), with chi^(k/l) found by exact index
-arithmetic, so it needs no DFT of its own.  And the Mertens-style partial
-product over primes of bounded degree, accumulated in exact rational
+the prime sum of every character.  A monic f of degree k is irreducible
+exactly when it is not (k-1)-smooth, so that histogram is A_k's less its
+(k-1)-smooth slice's, both chunked and count-checked.  The von Mangoldt sum
+of chi over A_k is sum_{l | k} l * S_l(chi^(k/l)), with chi^(k/l) found by
+exact index arithmetic, so it needs no DFT of its own.  And the Mertens-style
+partial product over primes of bounded degree, accumulated in exact rational
 arithmetic.
 """
 
@@ -31,8 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import residue
 from .algebra import monic_irreducible_count
-from .characters import all_char_sums_Ad, dual_group_sums, power_index
+from .characters import all_char_sums_Ad, dual_group_sums, power_index, unit_dlog_histogram
 from .intfact import prime_power
 from .residue import Modulus
 
@@ -163,11 +166,24 @@ def prime_sum_bound(modulus: Modulus, k: int) -> float:
 def prime_sum_spectrum(modulus: Modulus, k: int) -> np.ndarray:
     """sum_{P in I_k} chi_j(P) for every character j, j-indexed as `dual_group_sums`.
 
-    One DFT of the histogram of the unit dlogs of the monic irreducibles of
-    degree k; a P dividing Q has chi(P) = 0 and is left out.
+    One DFT of the unit dlog histogram of I_k, A_k's less its (k-1)-smooth
+    slice's (module docstring); a P dividing Q has chi(P) = 0 and is left
+    out.  A unit group, then a q^k, above `residue.FULL_TABLE_LIMIT` (read at
+    call time) is refused before either histogram is built.
     """
-    flat = modulus.dlog_table.irreducible_dlogs(k)
-    hist = np.bincount(flat[flat >= 0], minlength=modulus.unit_group.group_order)
+    residue.dense_group_order(modulus)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got k = {k}")
+    size = modulus.field.q**k
+    if size > residue.FULL_TABLE_LIMIT:
+        raise ValueError(
+            f"degree k = {k} has q^k = {size} monic polynomials, above the dense table limit {residue.FULL_TABLE_LIMIT}"
+        )
+    from .smooth import smooth_dlog_histogram  # imported here: `weil` and `mertens` never load `smooth`
+
+    hist, _ = unit_dlog_histogram(modulus, k)
+    if k > 1:  # every monic linear f is irreducible
+        hist -= smooth_dlog_histogram(modulus, k, k - 1)[0]
     return dual_group_sums(modulus, hist)
 
 

@@ -342,12 +342,14 @@ def sieve_quantities(
     must equal the direct primitive count, the units at dlogs prime to N-1
     in the same histogram; each S_m is also checked against the character
     identity S_m = (1/m) sum over chi with chi^m principal of A(d, chi).
-    The sieve lower bound is evaluated only with caller-supplied constants,
-    and refused before the histogram when N-1 = 1 has no prime factor.
+    The sieve lower bound takes caller-supplied c1 and c2, both or neither;
+    one alone, or both when N-1 = 1 has no prime factor, is refused first.
     """
+    if (c1 is None) != (c2 is None):
+        raise ValueError("the sieve lower bound takes both constants c1 and c2, or neither")
     fact = _factored_order(modulus, "the sieve")
     q, n, ell = modulus.field.q, modulus.n, fact.omega
-    with_bound = c1 is not None and c2 is not None
+    with_bound = c1 is not None
     if with_bound and ell == 0:
         raise ValueError(f"the sieve lower bound takes log omega(N-1), and N-1 = {fact.value} has no prime factor")
     walk = _mobius_walk(fact)

@@ -19,11 +19,11 @@ The canonical modulus (`Modulus.irreducible`) is refused on q^n alone,
 before the search for the least irreducible of degree n.
 
 Every table, histogram and character-sum spectrum built from these logs is a
-dense array: over residue codes, over the whole unit group, or over the q^k
-monic polynomials of one degree.  One limit, `FULL_TABLE_LIMIT`, bounds them
-all.  `dense_group_order` refuses a unit group above it (each component
-order is at most the group order), and `DlogTable.irreducible_dlogs` refuses
-a degree k with q^k above it, before anything is allocated.
+dense array over residue codes or over the whole unit group.  One limit,
+`FULL_TABLE_LIMIT`, bounds them all, and two sites enforce it, each reading
+it at call time before anything is allocated: `dense_group_order` refuses a
+unit group above it (each component order is at most the group order), and
+`lfun.prime_sum_spectrum` refuses a prime degree k with q^k above it.
 
 The full table is built by digit doubling (`power_tables`).  Multiplication
 by g mod Q_i is F_p-linear on the base-p digits of residue codes, so it is
@@ -60,7 +60,7 @@ import numpy as np
 
 from .algebra import Field, Poly, irreducibles_up_to, is_irreducible, lex_least_irreducible
 from .intfact import FactoredInteger, factor_integer
-from .vecpoly import linear_map_table, linear_map_values, max_degree_profile_cached, vadd_poly_codes
+from .vecpoly import linear_map_table, linear_map_values, vadd_poly_codes
 
 __all__ = [
     "Modulus",
@@ -340,22 +340,3 @@ class DlogTable:
             flat += x * s
         flat[nonunit] = -1
         return flat
-
-    def irreducible_dlogs(self, k: int) -> np.ndarray:
-        """Flat dlogs of the monic irreducibles of degree k, in code order; -1 where P divides Q.
-
-        I_k is the slots where the degree-k factor-degree profile holds k
-        (`vecpoly.max_degree_profile_cached`).  A degree whose q^k monic
-        polynomials exceed `FULL_TABLE_LIMIT` is refused before the profile
-        or the dlog stream is allocated.
-        """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got k = {k}")
-        size = self.modulus.field.q**k
-        if size > FULL_TABLE_LIMIT:
-            raise ValueError(
-                f"degree k = {k} has q^k = {size} monic polynomials, above the dense table limit {FULL_TABLE_LIMIT}"
-            )
-        profile = max_degree_profile_cached(self.modulus.field, k)
-        return self.dlogs_of_monic_degree(k)[profile == k]
-

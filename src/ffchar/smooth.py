@@ -256,13 +256,9 @@ def default_dickman_table(u_max: int = 30) -> DickmanTable:
     return _default_table
 
 
-def dickman_rho(u: float, table: Optional[DickmanTable] = None) -> float:
-    """rho(u) from the default (or given) panel table; grows the table on demand."""
-    if u < 0:
-        raise ValueError("rho is defined for u >= 0")
-    if table is None:
-        table = default_dickman_table(int(math.ceil(u)) if u > 30 else 30)
-    return table.rho(u)
+def dickman_rho(u: float) -> float:
+    """rho(u) from the default panel table; grows the table on demand.  ValueError for u < 0."""
+    return default_dickman_table(int(math.ceil(u)) if u > 30 else 30).rho(u)
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +293,8 @@ def in_theorem_range(q: int, d: int, r: int, n: int) -> bool:
     return 2 * math.log(n, q) <= r <= d <= n
 
 
-def dickman_residual(table: DickmanTable, u: float, npts: int = 64) -> float:
-    """|u rho(u) - int_{u-1}^u rho| via independent Gauss-Legendre quadrature.
+def dickman_residual(table: DickmanTable, u: float) -> float:
+    """|u rho(u) - int_{u-1}^u rho| via independent 64-node Gauss-Legendre quadrature.
 
     The quadrature splits at integer points: rho is analytic inside unit
     panels but loses derivatives at the panel joints, which would stall a
@@ -306,7 +302,7 @@ def dickman_residual(table: DickmanTable, u: float, npts: int = 64) -> float:
     """
     if u <= 1:
         return 0.0
-    nodes, weights = np.polynomial.legendre.leggauss(npts)
+    nodes, weights = np.polynomial.legendre.leggauss(64)
     cuts = [u - 1.0]
     cuts += [float(j) for j in range(math.ceil(u - 1.0), math.floor(u) + 1) if u - 1.0 < j < u]
     cuts.append(u)
@@ -343,11 +339,11 @@ class SoundararajanReport:
         return f"{self.d},{self.r},{self.n_exact},{self.prediction!r},{self.ratio!r},{ne}"
 
 
-def soundararajan_check(q: int, d: int, r: int, table: Optional[DickmanTable] = None) -> SoundararajanReport:
+def soundararajan_check(q: int, d: int, r: int) -> SoundararajanReport:
     if d < 1 or r < 1:
         raise ValueError("need d >= 1 and r >= 1")
     n_exact = smooth_count(q, d, r)
-    rho = dickman_rho(d / r, table)
+    rho = dickman_rho(d / r)
     prediction = float(q**d) * rho
     ratio = float(n_exact) / prediction
     if d >= 2:

@@ -16,7 +16,9 @@ second route, one character at a time, so the tests can compare the two:
   once, with compensated (Kahan) summation in a fixed phase order, next to a
   bound on the rendering error (`histogram_char_sum`);
 * from it: A(d, chi), smooth-slice sums, prime and von Mangoldt sums, and
-  L-polynomials, each for one character;
+  L-polynomials, each for one character; the prime sums read I_k off
+  `irreducibles_up_to` and take one scalar `flat_dlog` per irreducible
+  (`irreducible_flat_dlogs`), not the production dlog stream;
 * an L-polynomial's inverse roots by `np.roots`, one character at a time,
   with their Weil classes one root at a time (`lpolynomial`, `verify_weil`),
   the oracle of `lfun.inverse_roots` and `lfun.weil_classes`;
@@ -32,13 +34,14 @@ second route, one character at a time, so the tests can compare the two:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from ffchar.algebra import Field, Poly, monic_code_range
+from ffchar.algebra import Field, Poly, irreducibles_up_to, monic_code_range
 from ffchar.characters import unit_dlog_histogram
 from ffchar.intfact import FactoredInteger, factor_integer
 from ffchar.lfun import TRAILING_COEFF_TOL, lpolynomial_coeffs, prime_sum_bound
@@ -373,9 +376,21 @@ class PrimeCharSum:
     err_bound: float
 
 
+@functools.lru_cache(maxsize=None)
+def irreducible_flat_dlogs(modulus: Modulus, k: int) -> np.ndarray:
+    """Flat dlogs of the monic irreducibles of degree k, in code order, one scalar `flat_dlog` each; -1 where P divides Q.
+
+    Kept per (modulus, k), read-only: every character of a modulus reads the same dlogs.
+    """
+    table = modulus.dlog_table
+    flat = np.array([flat_dlog(table, P) for P in irreducibles_up_to(modulus.field, k)[k - 1]], dtype=np.int64)
+    flat.flags.writeable = False
+    return flat
+
+
 def prime_char_sum(chi: Character, k: int) -> PrimeCharSum:
     modulus = chi.modulus
-    flat = modulus.dlog_table.irreducible_dlogs(k)
+    flat = irreducible_flat_dlogs(modulus, k)
     units = flat[flat >= 0]
     M = value_order(chi)
     phases = flat_dlog_phases(chi, units)
@@ -400,7 +415,7 @@ def von_mangoldt_sum(chi: Character, k: int) -> CharSum:
     for ell in range(1, k + 1):
         if k % ell:
             continue
-        flat = modulus.dlog_table.irreducible_dlogs(ell)
+        flat = irreducible_flat_dlogs(modulus, ell)
         units = flat[flat >= 0]
         phases = flat_dlog_phases(chi, units, power=k // ell)
         np.add.at(counts, phases, ell)

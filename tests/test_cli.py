@@ -237,6 +237,13 @@ def test_kernel_failure_exits_math_without_traceback(monkeypatch, capsys, exc):
         (["smooth-count", "--q", "2", "--d", "3", "--workers", "-2"], "--workers must be >= 1, got -2"),
         (["smooth-count", "--q", "2", "--d", "3", "--r", "0"], "r must be >= 1, got 0"),
         (["smooth-count", "--q", "2", "--d", "3", "--r", "-1"], "r must be >= 1, got -1"),
+        (["smooth-count", "--q", "2", "--d", "-1"], "d must be >= 0, got -1"),
+        # an empty range a..b, b < a, is refused wherever a range is read
+        (["smooth-count", "--q", "2", "--d", "3..1"], "range 3..1 is empty: 1 is below 3"),
+        (["smooth-count", "--q", "2", "--d", "4", "--r", "3..1"], "range 3..1 is empty: 1 is below 3"),
+        (["main-thm", "--q", "2", "--n-list", "5", "--d", "3..1", "--r", "2"], "range 3..1 is empty: 1 is below 3"),
+        (["sieve", "--q", "2", "--n", "6", "--d", "4", "--c1", "1"], "takes both constants c1 and c2, or neither"),
+        (["sieve", "--q", "2", "--n", "6", "--d", "4", "--c2", "1"], "takes both constants c1 and c2, or neither"),
         (GRID + ["--workers", "0"], "--workers must be >= 1, got 0"),
         (GRID + ["--policy", "sample-k", "--sample-k", "0"], "--sample-k must be >= 1, got 0"),
         (GRID + ["--policy", "sample-k", "--sample-k", "-1"], "--sample-k must be >= 1, got -1"),
@@ -546,18 +553,42 @@ def test_sieve_fails_when_a_congruence_count_is_off(monkeypatch, capsys):
 
 
 def test_primes_bound_reads_each_degree_once(monkeypatch, capsys):
+    """One A_k histogram and one (k-1)-smooth slice per prime degree k, the slice only from k = 2."""
+    from ffchar import lfun, smooth
+
+    units, slices = [], []
+    real_units, real_slice = lfun.unit_dlog_histogram, smooth.smooth_dlog_histogram
+
+    def counted_units(modulus, d, workers=1):
+        units.append(d)
+        return real_units(modulus, d, workers)
+
+    def counted_slice(modulus, d, r, workers=1):
+        slices.append((d, r))
+        return real_slice(modulus, d, r, workers)
+
+    monkeypatch.setattr(lfun, "unit_dlog_histogram", counted_units)
+    monkeypatch.setattr(smooth, "smooth_dlog_histogram", counted_slice)
+    assert main("primes-bound --q 2 --n 6 --k 6 --identity --format csv".split()) == 0
+    assert sorted(units) == [1, 2, 3, 4, 5, 6]
+    assert sorted(slices) == [(2, 1), (3, 2), (4, 3), (5, 4), (6, 5)]
+
+
+def test_primes_bound_count_checks_its_dlog_stream(monkeypatch, capsys):
+    """A dlog stream that loses a polynomial fails the q^k count check of the prime histogram: exit 1."""
     from ffchar.residue import DlogTable
 
-    degrees = []
-    real = DlogTable.irreducible_dlogs
+    real = DlogTable.dlogs_of_monic_degree
 
-    def counted(self, k):
-        degrees.append(k)
-        return real(self, k)
+    def short(self, d, start=0, stop=None):
+        return real(self, d, start, stop)[:-1]
 
-    monkeypatch.setattr(DlogTable, "irreducible_dlogs", counted)
-    assert main("primes-bound --q 2 --n 6 --k 6 --identity --format csv".split()) == 0
-    assert sorted(degrees) == [1, 2, 3, 4, 5, 6]
+    monkeypatch.setattr(DlogTable, "dlogs_of_monic_degree", short)
+    # k = 4 < n: A_4 is enumerated, not read off the closed form
+    assert main("primes-bound --q 2 --n 6 --k 4 --format csv".split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: A_4 histogram holds 15 units + 0 non-units, not q^d = 16\n"
 
 
 def primes_bound_rows(q: int, Q: str, k: int, identity: bool) -> str:

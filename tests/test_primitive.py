@@ -232,6 +232,18 @@ def test_sieve_lower_bound_only_with_constants():
     assert rep2.lower_bound is not None
 
 
+@pytest.mark.parametrize("constants", [dict(c1=1.0), dict(c2=1.0)])
+def test_sieve_refuses_a_lone_constant_before_the_histogram(monkeypatch, constants):
+    from ffchar import primitive
+
+    def no_histogram(*args, **kwargs):
+        raise AssertionError("the histogram was built")
+
+    monkeypatch.setattr(primitive, "unit_dlog_histogram", no_histogram)
+    with pytest.raises(ValueError, match="both constants c1 and c2, or neither"):
+        sieve_quantities(Modulus.irreducible(F2, 4), 3, **constants)
+
+
 def test_phi_ratio_identity():
     # phi(N-1)/(N-1) = prod (1 - 1/p) exactly in rational arithmetic
     for n in (4, 6, 13):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ffchar import algebra, residue
-from ffchar.algebra import Field, Poly, irreducibles_up_to, monic_irreducible_count
+from ffchar.algebra import Field, Poly, monic_irreducible_count
 from ffchar.cli import main
 from ffchar.intfact import factor_integer
 from ffchar.residue import (
@@ -16,7 +16,15 @@ from ffchar.residue import (
     find_generator,
     power_tables,
 )
-from phase_oracle import NotAUnitError, dlog, enumerate_monic, flat_dlog, is_primitive, modulus_from_text
+from phase_oracle import (
+    NotAUnitError,
+    dlog,
+    enumerate_monic,
+    flat_dlog,
+    irreducible_flat_dlogs,
+    is_primitive,
+    modulus_from_text,
+)
 
 F2 = Field.get(2)
 F3 = Field.get(3)
@@ -199,15 +207,27 @@ def test_vector_flat_dlogs_match_scalar_on_composites():
 IRREDUCIBLES = [(F2, "t^4+t+1"), (F3, "t^3+2t+1"), (F4, "t^2+t+2")]
 
 
-def test_irreducible_dlogs_match_scalar_route():
+def test_prime_histogram_matches_scalar_route(monkeypatch):
+    """The histogram the prime spectrum transforms, A_k less its (k-1)-smooth slice, is that of the scalar dlogs of I_k."""
+    from ffchar import lfun
+    from ffchar.characters import dual_group_sums
+
+    seen = []
+
+    def recorded(modulus, hist):
+        seen.append(hist.copy())
+        return dual_group_sums(modulus, hist)
+
+    monkeypatch.setattr(lfun, "dual_group_sums", recorded)
     # k from 1 to deg Q + 3: below, at and above the degree of the modulus
     for F, text in COMPOSITES + IRREDUCIBLES:
         m = modulus_from_text(F, text)
-        t = m.dlog_table
-        irr = irreducibles_up_to(F, m.n + 3)
         for k in range(1, m.n + 4):
-            got = t.irreducible_dlogs(k)
-            assert got.tolist() == [flat_dlog(t, P) for P in irr[k - 1]], (text, k)
+            flat = irreducible_flat_dlogs(m, k)
+            want = np.bincount(flat[flat >= 0], minlength=m.unit_group.group_order)
+            got = lfun.prime_sum_spectrum(m, k)
+            assert np.array_equal(seen.pop(), want), (text, k)
+            assert np.array_equal(got, dual_group_sums(m, want)), (text, k)
 
 
 def test_table_above_the_limit_is_refused(monkeypatch, capsys):

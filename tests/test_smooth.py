@@ -332,15 +332,13 @@ def test_mobius_like_m_series_identity():
 
 
 def test_rho_is_one_below_one():
-    tab = default_dickman_table()
     for u in (0.0, 0.25, 0.5, 0.99, 1.0):
-        assert dickman_rho(u, tab) == pytest.approx(1.0, abs=1e-12)
+        assert dickman_rho(u) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rho_log_branch():
-    tab = default_dickman_table()
     for u in np.linspace(1.0, 2.0, 101):
-        assert abs(dickman_rho(float(u), tab) - (1 - math.log(u) if u > 1 else 1.0)) < 1e-9
+        assert abs(dickman_rho(float(u)) - (1 - math.log(u) if u > 1 else 1.0)) < 1e-9
 
 
 def test_rho_at_three_dual_method():
