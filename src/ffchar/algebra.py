@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .intfact import factor_integer, is_prime, mobius, prime_power
+from .intfact import factor_integer, is_prime, prime_power
 
 __all__ = [
     "Field",
@@ -485,10 +485,8 @@ def monic_irreducible_count(q: int, k: int) -> int:
     """pi_k by the necklace formula (1/k) sum_{e|k} mu(e) q^(k/e)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    total = 0
-    for e in range(1, k + 1):
-        if k % e == 0:
-            total += mobius(e) * q ** (k // e)
+    # mu(e) vanishes off the squarefree e | k
+    total = sum(mu * q ** (k // e) for e, mu in factor_integer(k).mobius_walk())
     if total % k:
         raise ArithmeticError(f"necklace sum {total} for q = {q} is not divisible by k = {k}")
     return total // k

@@ -59,10 +59,10 @@ def dlog_histogram(modulus: Modulus, d: int, r: Optional[int] = None, workers: i
     unit with flat dlog j.  All of A_d with d >= deg Q is q^(d - deg Q)
     complete residue systems mod Q, so that histogram is the closed form
     q^(d - deg Q) in every entry.  Otherwise A_d is enumerated, cut into
-    chunks of at most `HIST_CHUNK` polynomials; each chunk's dlogs are kept
-    where the factor-degree profile is <= r and bincounted.  `workers`
-    chunks run at once, and their histograms are added in chunk order as
-    they finish.  Exact integers, so the chunking and the worker count
+    chunks of at most `HIST_CHUNK` polynomials; each chunk's dlogs, one per
+    polynomial (ArithmeticError otherwise), are kept where the factor-degree
+    profile is <= r and bincounted.  `workers` chunks run at once, and their
+    histograms are added in chunk order as they finish.  Exact integers, so the chunking and the worker count
     cannot change the result.  Nothing is kept: a caller that needs the
     histogram twice passes it on.
     """
@@ -85,6 +85,8 @@ def dlog_histogram(modulus: Modulus, d: int, r: Optional[int] = None, workers: i
     def work(start):
         stop = min(start + HIST_CHUNK, total)
         vec = table.dlogs_of_monic_degree(d, start, stop)
+        if len(vec) != stop - start:
+            raise ArithmeticError(f"A_{d} slice {start}:{stop} has {len(vec)} dlogs, not {stop - start}")
         if profile is not None:
             vec = vec[profile[start:stop] <= r]
         nonunit = int((vec < 0).sum())

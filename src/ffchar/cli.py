@@ -96,7 +96,7 @@ def _modulus(q: int, n: int, Q: Optional[str] = None):
     from .residue import Modulus
 
     field = Field.of_order(q)
-    if not Q:
+    if Q is None:
         return Modulus.irreducible(field, n)
     modulus = Modulus(Poly.from_string(field, Q))
     if modulus.n != n:
@@ -112,7 +112,7 @@ def _modulus(q: int, n: int, Q: Optional[str] = None):
 def cmd_weil(args) -> int:
     """Root-modulus dichotomy |alpha| in {1, sqrt q} for every non-principal chi."""
     from .characters import character_labels
-    from .experiments import ROW_CHUNK, ChunkTexts, float_texts, row_chunks
+    from .experiments import ROW_CHUNK, float_texts, row_chunks
     from .lfun import WEIL_CLASSES, inverse_roots, lpolynomial_coeffs, weil_classes
 
     modulus = _modulus(args.q, args.n, args.Q)
@@ -127,12 +127,11 @@ def cmd_weil(args) -> int:
         label_texts = np.array([_csv_label(label) + "," for label in labels], dtype=object)
         class_texts = np.array([f",{c}," for c in WEIL_CLASSES], dtype=object)
         residual_texts = np.array([t + "\n" for t in float_texts(L.residual)], dtype=object)
-        own = ChunkTexts([roots.real, roots.imag, mod])
         cols = (
-            np.repeat(label_texts, L.degree), own.column(0), ",", own.column(1), ",", own.column(2),
+            np.repeat(label_texts, L.degree), roots.real, ",", roots.imag, ",", mod,
             class_texts[cls], np.repeat(residual_texts, L.degree),
         )
-        return row_chunks(cols, len(roots))
+        return (text for text, in row_chunks([cols], len(roots)))
 
     def json_lines():
         """One JSON line per character; the arrays become lists one block of characters at a time."""
@@ -171,7 +170,7 @@ def cmd_weil(args) -> int:
 def cmd_primes_bound(args) -> int:
     """|sum over irreducibles of degree k of chi(P)| vs (n+1) q^(k/2) / k."""
     from .characters import character_labels
-    from .experiments import ChunkTexts, row_chunks
+    from .experiments import row_chunks
     from .lfun import inverse_roots, lpolynomial_coeffs, prime_sum_bound, prime_sum_spectrum, von_mangoldt_spectrum
 
     degrees = _prime_degrees(args.k)
@@ -203,12 +202,11 @@ def cmd_primes_bound(args) -> int:
         # the degree and its bound cycle with the row
         k_texts = np.array([f"{k}," for k in degrees], dtype=object)
         bound_texts = np.array([f",{b!r}," for b in bounds.tolist()], dtype=object)
-        own = ChunkTexts([mags, ratios] + ([errs] if args.identity else []))
         cols = (
-            np.repeat(labels, len(degrees)), np.tile(k_texts, order - 1), own.column(0),
-            np.tile(bound_texts, order - 1), own.column(1), ",", own.column(2) if args.identity else "", "\n",
+            np.repeat(labels, len(degrees)), np.tile(k_texts, order - 1), mags,
+            np.tile(bound_texts, order - 1), ratios, ",", errs if args.identity else "", "\n",
         )
-        return row_chunks(cols, len(mags))
+        return (text for text, in row_chunks([cols], len(mags)))
 
     if args.format == "csv":
         _emit_texts(itertools.chain(["chi,k,abs_sum,bound,ratio,identity_err\n"], row_texts()), args.out)
@@ -602,6 +600,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = build_parser().parse_args(argv)
         if args.workers < 1:
             raise ValueError(f"--workers must be >= 1, got {args.workers}")
+        # a nan or inf tolerance, bound constant or sieve constant would print a bound no check can read
+        for name in ("tol", "C2", "C3", "c1", "c2"):
+            value = getattr(args, name, None)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"--{name} must be finite, got {value}")
+        if getattr(args, "tol", 0.0) < 0:
+            raise ValueError(f"--tol must be >= 0, got {args.tol}")
         return args.fn(args)
     except BrokenPipeError:
         _silence_stdout()

@@ -59,9 +59,10 @@ formatted once, and column texts live no longer than their reuse needs:
 
 - one chunk: the columns of one combo alone (lhs, the implied constant
   and, off the r = d diagonal, the smooth sums) are formatted a chunk of
-  rows at a time, all of them in one `float_texts` call (`ChunkTexts`).
-  The same chunk formatter serves the float columns of the `weil` and
-  `primes-bound` tables, whose rows also go through `row_chunks`;
+  rows at a time, all of them in one `float_texts` call, by `row_chunks`,
+  which lays out the CSV and the JSONL rows of a chunk together.  The
+  float columns of the `weil` and `primes-bound` tables go through the
+  same `row_chunks`;
 - one block: the row layout (`row_chunks`).  The text that is the same on
   every row of the block (q, n, Q, d, r, the bound, eps and the flags) is
   merged and laid out once for a chunk's worth
@@ -101,7 +102,6 @@ __all__ = [
     "ROW_CHUNK",
     "ExperimentConfig",
     "ComboBlock",
-    "ChunkTexts",
     "GridRunResult",
     "float_texts",
     "row_chunks",
@@ -152,7 +152,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown character policy {self.char_policy!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        # r = 0 is refused here, before the sink opens, for every d
+        # d < 0 and r = 0 are refused here, before the sink opens
+        if min(self.ds) < 0:
+            raise ValueError(f"d must be >= 0, got {min(self.ds)}")
         if min(self.rs) < 1:
             raise ValueError("r must be >= 1")
         if self.char_policy == "sample-k" and self.sample_k < 1:
@@ -193,7 +195,7 @@ class _TextMemo:
     before it formats anything, so at most four columns of one block are
     kept.  The row layout lives for one block (`row_chunks`).  The columns
     of one combo alone (lhs, implied and, off the diagonal, s) never enter
-    the memo: their texts live for one chunk (`ChunkTexts`).
+    the memo: `row_chunks` formats them, and their texts live for one chunk.
     """
 
     def __init__(self):
@@ -215,73 +217,54 @@ class _TextMemo:
         return out
 
 
-class ChunkTexts:
-    """Texts of float columns, formatted one chunk of rows at a time.
+def row_chunks(layouts: list[tuple], n: int) -> Iterator[tuple[str, ...]]:
+    """Rows 0..n-1 of each layout, one text per layout per chunk of at most ROW_CHUNK rows.
 
-    The one per-chunk float formatter: a grid combo's own columns, the
-    roots of `weil` and the sums of `primes-bound` all go through it.
-    `column(c)` is the c-th column's texts as a list that row_chunks slices
-    by a chunk's rows.  The first slice of a chunk puts every column's rows
-    into one array, one column after another, and makes one float_texts call
-    on it; each column reads its texts back from its own stretch.  Only the
-    latest chunk's texts are kept.
+    A layout is a tuple of columns over the same n rows.  A str column is
+    the same text on every row; a float array gives its values' repr texts,
+    formatted a chunk of rows at a time: every float array of a chunk goes
+    into one `float_texts` call, an array object that several columns hold
+    once, and only the latest chunk's texts are kept.  Any other column (a
+    list or an object array of texts) gives a chunk's texts when sliced by
+    the chunk's rows.  Adjacent str columns are merged, and one chunk's
+    worth of rows of each layout is laid out once with the str texts in
+    place; each chunk copies that layout, fills the other columns by slice
+    assignment and joins once.  An empty layout gives one "" per chunk.
     """
-
-    class _Column:
-        def __init__(self, owner: "ChunkTexts", c: int):
-            self.owner, self.c = owner, c
-
-        def __getitem__(self, rows: slice) -> list[str]:
-            m = rows.stop - rows.start
-            return self.owner.of(rows)[self.c * m : (self.c + 1) * m]
-
-    def __init__(self, cols: list[np.ndarray]):
-        self.cols = cols
-        self.rows: Optional[slice] = None
-        self.texts: list[str] = []
-
-    def of(self, rows: slice) -> list[str]:
-        if rows != self.rows:
-            self.texts = []  # the previous chunk's texts go before these are made
-            self.texts = float_texts(np.concatenate([col[rows] for col in self.cols]))
-            self.rows = rows
-        return self.texts
-
-    def column(self, c: int) -> "ChunkTexts._Column":
-        return self._Column(self, c)
-
-
-def row_chunks(cols: tuple, n: int) -> Iterator[str]:
-    """Rows 0..n-1 of the given columns in order, at most ROW_CHUNK rows per text.
-
-    A str column is the same text on every row; any other column gives a
-    chunk's texts when sliced by the chunk's rows (a list or an object array
-    holds one text per row).  Adjacent str columns are merged, and one
-    chunk's worth of rows is laid out once with the str texts in place; each
-    chunk copies that layout, fills the other columns by slice assignment
-    and joins once.  No columns give one "" per chunk.
-    """
-    merged: list = []
-    for col in cols:
-        if isinstance(col, str) and merged and isinstance(merged[-1], str):
-            merged[-1] += col
-        else:
-            merged.append(col)
-    k = len(merged)
     rows = min(n, ROW_CHUNK)
-    layout = [""] * (k * rows)
-    fills = []
-    for j, col in enumerate(merged):
-        if isinstance(col, str):
-            layout[j::k] = [col] * rows
-        else:
-            fills.append((j, col))
+    floats: dict[int, np.ndarray] = {}  # the float arrays by id, in the order they first appear
+    plans = []
+    for cols in layouts:
+        merged: list = []
+        for col in cols:
+            if isinstance(col, str) and merged and isinstance(merged[-1], str):
+                merged[-1] += col
+            else:
+                merged.append(col)
+        k = len(merged)
+        layout = [""] * (k * rows)
+        fills = []
+        for j, col in enumerate(merged):
+            if isinstance(col, str):
+                layout[j::k] = [col] * rows
+            else:
+                if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+                    floats.setdefault(id(col), col)
+                fills.append((j, col))
+        plans.append((k, layout, fills))
     for lo in range(0, n, ROW_CHUNK):
         hi = min(lo + ROW_CHUNK, n)
-        parts = layout.copy() if hi - lo == rows else layout[: k * (hi - lo)]
-        for j, col in fills:
-            parts[j::k] = col[lo:hi]
-        yield "".join(parts)
+        m = hi - lo
+        texts = float_texts(np.concatenate([col[lo:hi] for col in floats.values()])) if floats else []
+        own = {key: texts[i * m : (i + 1) * m] for i, key in enumerate(floats)}
+        out = []
+        for k, layout, fills in plans:
+            parts = layout.copy() if m == rows else layout[: k * m]
+            for j, col in fills:
+                parts[j::k] = own[id(col)] if id(col) in own else col[lo:hi]
+            out.append("".join(parts))
+        del texts, own  # this chunk's texts go before the next chunk's are made
+        yield tuple(out)
 
 
 @dataclass
@@ -324,37 +307,35 @@ class ComboBlock:
 
         Each pair covers the same rows ("" for a format not asked for), and
         their concatenation in order is the whole block.  Each per-row float
-        is formatted once and shared by both texts.  The columns of this
-        combo alone (lhs, implied and, off the diagonal, s) are formatted a
-        chunk at a time (`ChunkTexts`); chi, short and a go through the
-        memo, so pass the previous block's memo to reuse the columns the two
-        share.  An s that is a takes a's texts.  JSONL
-        keys follow the sorted order of json.dumps(..., sort_keys=True).
+        is formatted once and shared by both texts: both layouts go to one
+        `row_chunks` call, which formats the columns of this combo alone
+        (lhs, implied and, off the diagonal, s) a chunk at a time; chi,
+        short and a go through the memo, so pass the previous block's memo
+        to reuse the columns the two share.  An s that is a takes a's texts.
+        JSONL keys follow the sorted order of json.dumps(..., sort_keys=True).
         """
         shared = [self.chi, self.short] + ([self.a.imag, self.a.real] if jsonl else [])
         chis, sn, *a_texts = (memo if memo is not None else _TextMemo())(*shared)
-        diagonal = self.s is self.a
-        own = ChunkTexts([self.lhs, self.implied] + ([self.s.imag, self.s.real] if jsonl and not diagonal else []))
+        implied = self.implied  # one array object, so both layouts' columns format it once per chunk
         csv_cols = jsonl_cols = ()
         if csv:
             bc, ep = repr(self.bound_core), repr(self.eps)
             csv_cols = (
-                f"{self.q},{self.n},{self.Q},chi[", chis, f"],{self.d},{self.r},", own.column(0),
-                f",{bc},", own.column(1), ",", sn, f",{ep},{self.flags}\n",
+                f"{self.q},{self.n},{self.Q},chi[", chis, f"],{self.d},{self.r},", self.lhs,
+                f",{bc},", implied, ",", sn, f",{ep},{self.flags}\n",
             )
         if jsonl:
             a_im, a_re = a_texts
-            s_im, s_re = (a_im, a_re) if diagonal else (own.column(2), own.column(3))
+            s_im, s_re = (a_im, a_re) if self.s is self.a else (self.s.imag, self.s.real)
             jsonl_cols = (
                 f'{{"Q": {self.Q_json}, "a_im": ', a_im, ', "a_re": ', a_re,
                 f', "bound_core": {json.dumps(self.bound_core)}, "chi": "chi[', chis,
                 f']", "d": {self.d}, "eps": {json.dumps(self.eps)}, "flags": {json.dumps(self.flags)}'
-                ', "implied_constant": ', own.column(1), ', "lhs": ', own.column(0),
+                ', "implied_constant": ', implied, ', "lhs": ', self.lhs,
                 f', "n": {self.n}, "q": {self.q}, "r": {self.r}, "s_im": ', s_im, ', "s_re": ', s_re,
                 ', "short_norm": ', sn, "}\n",
             )
-        n = len(self)
-        yield from zip(row_chunks(csv_cols, n), row_chunks(jsonl_cols, n))
+        yield from row_chunks([csv_cols, jsonl_cols], len(self))
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Integer-side arithmetic: factorization, Euler phi, omega, Mobius.
+"""Integer-side arithmetic: factorization, Euler phi, omega, the Mobius walk.
 
 Factorization is trial division by 2 and the odd numbers up to the square
 root of what is left; a cofactor above 1 that survives it is prime, and
@@ -14,7 +14,6 @@ given on the command line can be larger (`prime_power`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 FACTOR_LIMIT = 1 << 40  # factor_integer refuses m >= FACTOR_LIMIT
 
@@ -79,15 +78,12 @@ class FactoredInteger:
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.prime_powers)
 
-    def is_squarefree(self) -> bool:
-        return all(e == 1 for _, e in self.prime_powers)
-
-    def squarefree_divisors(self) -> list[int]:
-        """All divisors of the radical, ascending."""
-        divs = [1]
+    def mobius_walk(self) -> list[tuple[int, int]]:
+        """(m, mu(m)) for every squarefree m dividing the value, ascending m, built from its primes."""
+        walk = [(1, 1)]
         for p in self.primes:
-            divs += [d * p for d in divs]
-        return sorted(divs)
+            walk += [(m * p, -mu) for m, mu in walk]
+        return sorted(walk)
 
 
 def factor_integer(m: int) -> FactoredInteger:
@@ -107,11 +103,3 @@ def factor_integer(m: int) -> FactoredInteger:
     if left > 1:
         powers[left] = 1
     return FactoredInteger(m, tuple(powers.items()))  # ascending: p grows, and left is the largest
-
-
-def mobius(m: Union[int, FactoredInteger]) -> int:
-    """Mobius function: (-1)^omega on squarefree m, else 0."""
-    fi = m if isinstance(m, FactoredInteger) else factor_integer(m)
-    if not fi.is_squarefree():
-        return 0
-    return -1 if fi.omega % 2 else 1

@@ -9,7 +9,7 @@ measures first, with its unit group and dlog table.  Q must be irreducible:
 a composite Q has no primitive element, and all three entry points refuse it
 through `_factored_order`, which hands them N-1 factored.  They share the
 A_d histogram with its character sums (`_spectrum`) and one (m, mu(m)) walk
-over the squarefree divisors of N-1 (`_mobius_walk`).
+over the squarefree divisors of N-1 (`FactoredInteger.mobius_walk`).
 
 The indicator of primitivity on the unit group decomposes over characters:
 f(x) = sum over squarefree m | N-1 of mu(m)/m times the sum of chi(x) over
@@ -72,11 +72,13 @@ def best_epsilon_bound(q: int, d: int, n: int, C2: float = 1.0, C3: float = 1.0)
 def schedule_degree(q: int, n: int, eps: float, C: float) -> int:
     """The degree d = (2 log_q n + 2 log_q(1/eps)) C log(1/eps)/loglog(1/eps).
 
-    C is a caller-supplied constant (no default is asserted); eps must be
-    below 1/e so the iterated logarithm is positive.
+    C is a caller-supplied constant (no default is asserted), finite and
+    positive; eps must be below 1/e so the iterated logarithm is positive.
     """
     if not 0 < eps < 1 / math.e:
         raise ValueError("eps must lie in (0, 1/e)")
+    if not 0 < C < math.inf:
+        raise ValueError(f"C must be finite and > 0, got {C}")
     L = math.log(1 / eps)
     d = (2 * math.log(n, q) + 2 * math.log(1 / eps, q)) * C * L / math.log(L)
     return max(1, math.ceil(d))
@@ -126,7 +128,7 @@ def primitivity_indicator_check(modulus: Modulus, d: Optional[int] = None, worke
     """
     fact = _factored_order(modulus, "the indicator decomposition")
     order = fact.value  # N - 1
-    walk = _mobius_walk(fact)
+    walk = fact.mobius_walk()
     # rhs over every unit, indexed by dlog j: sum_m mu(m)/m sum_{i<m} zeta^(j i (N-1)/m)
     js = np.arange(order, dtype=np.int64)
     rhs = np.zeros(order, dtype=np.complex128)
@@ -181,14 +183,6 @@ def _spectrum(modulus: Modulus, d: int, workers: int) -> tuple[np.ndarray, np.nd
     """(hist, sums): the unit dlog histogram of A_d and A(d, chi) for every chi, from that one histogram."""
     hist, _ = unit_dlog_histogram(modulus, d, workers)
     return hist, dual_group_sums(modulus, hist)
-
-
-def _mobius_walk(fact: FactoredInteger) -> list[tuple[int, int]]:
-    """(m, mu(m)) for every squarefree m dividing fact.value, ascending m, built from its primes."""
-    walk = [(1, 1)]
-    for p in fact.primes:
-        walk += [(m * p, -mu) for m, mu in walk]
-    return sorted(walk)
 
 
 def _primitive_dlogs(order: int) -> np.ndarray:
@@ -352,7 +346,7 @@ def sieve_quantities(
     with_bound = c1 is not None
     if with_bound and ell == 0:
         raise ValueError(f"the sieve lower bound takes log omega(N-1), and N-1 = {fact.value} has no prime factor")
-    walk = _mobius_walk(fact)
+    walk = fact.mobius_walk()
     hist, sums = _spectrum(modulus, d, workers)
     S = _congruence_counts(hist, [m for m, _ in walk])
     # inclusion-exclusion: the units whose dlog no prime of the radical divides

@@ -103,9 +103,11 @@ class Modulus:
     def irreducible(cls, field: Field, n: int) -> "Modulus":
         """The canonical degree-n modulus: least monic irreducible.
 
-        q^n above 16 times `FULL_TABLE_LIMIT` is refused, as `_distinct_factors`
-        refuses it, before the search for Q.
+        n < 1, and q^n above 16 times `FULL_TABLE_LIMIT` as `_distinct_factors`
+        refuses it, are refused before the search for Q.
         """
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
         _check_residue_count(field, n)
         return cls(lex_least_irreducible(field, n))
 

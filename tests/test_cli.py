@@ -258,6 +258,25 @@ def test_kernel_failure_exits_math_without_traceback(monkeypatch, capsys, exc):
         (["mertens", "--q", "1000000000000000003", "--k", "1"], "1000000000000000003 is not below the factoring bound"),
         # a subcommand that builds F_q refuses q above 2^16 before factoring it
         (["density", "--q", "1000000000000000003", "--n", "2", "--d", "2"], "exceeds the supported bound 2^16"),
+        # a nan or inf constant or tolerance, or a negative tolerance, is refused before any modulus is built
+        (["density", "--q", "2", "--n", "5", "--d", "3", "--C2", "nan"], "--C2 must be finite, got nan"),
+        (["density", "--q", "2", "--n", "5", "--d", "3", "--C3", "inf"], "--C3 must be finite, got inf"),
+        (["sieve", "--q", "2", "--n", "5", "--d", "3", "--c1", "nan", "--c2", "1"], "--c1 must be finite, got nan"),
+        (["sieve", "--q", "2", "--n", "5", "--d", "3", "--c1", "1", "--c2", "inf"], "--c2 must be finite, got inf"),
+        (["weil", "--q", "2", "--n", "3", "--tol", "nan"], "--tol must be finite, got nan"),
+        (["weil", "--q", "2", "--n", "3", "--tol", "-1"], "--tol must be >= 0, got -1.0"),
+        (["primes-bound", "--q", "2", "--n", "4", "--k", "3", "--tol", "nan"], "--tol must be finite, got nan"),
+        (["density", "--q", "2", "--n", "5", "--eps", "0.01", "--C", "0"], "C must be finite and > 0, got 0.0"),
+        (["density", "--q", "2", "--n", "5", "--eps", "0.01", "--C", "-1"], "C must be finite and > 0, got -1.0"),
+        (["density", "--q", "2", "--n", "5", "--eps", "0.01", "--C", "nan"], "C must be finite and > 0, got nan"),
+        (["density", "--q", "2", "--n", "5", "--eps", "0.5", "--C", "nan"], "eps must lie in (0, 1/e)"),
+        # an empty --Q is an empty polynomial, not the canonical modulus
+        (["weil", "--q", "2", "--n", "3", "--Q", ""], "empty polynomial text"),
+        # a degree below 1 is refused by name, for every subcommand that builds the canonical modulus
+        (["weil", "--q", "2", "--n", "0"], "n must be >= 1, got 0"),
+        (["weil", "--q", "2", "--n", "-3"], "n must be >= 1, got -3"),
+        (["main-thm", "--q", "2", "--n-list", "0", "--d", "3", "--r", "2"], "n must be >= 1, got 0"),
+        (["main-thm", "--q", "2", "--n-list", "5", "--d", "-1", "--r", "2"], "d must be >= 0, got -1"),
     ],
 )
 def test_bad_input_is_usage_error_naming_the_value(capsys, argv, bad):
@@ -265,6 +284,22 @@ def test_bad_input_is_usage_error_naming_the_value(capsys, argv, bad):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and bad in captured.err
+
+
+def test_a_dlog_stream_of_the_wrong_length_is_a_math_error(monkeypatch, capsys):
+    """The same check on the smooth slice, whose profile mask raised IndexError on a short stream: exit 1."""
+    from ffchar import residue
+
+    real = residue.DlogTable.dlogs_of_monic_degree
+
+    def dropped(self, d, start=0, stop=None):
+        return real(self, d, start, stop)[1:]
+
+    monkeypatch.setattr(residue.DlogTable, "dlogs_of_monic_degree", dropped)
+    assert main(["primes-bound", "--q", "2", "--n", "3", "--k", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: A_4 slice 0:16 has 15 dlogs, not 16\n"
 
 
 def test_environment_does_not_change_output(tmp_path):
@@ -575,7 +610,7 @@ def test_primes_bound_reads_each_degree_once(monkeypatch, capsys):
 
 
 def test_primes_bound_count_checks_its_dlog_stream(monkeypatch, capsys):
-    """A dlog stream that loses a polynomial fails the q^k count check of the prime histogram: exit 1."""
+    """A dlog stream that loses a polynomial fails the length check of its chunk: exit 1."""
     from ffchar.residue import DlogTable
 
     real = DlogTable.dlogs_of_monic_degree
@@ -588,7 +623,7 @@ def test_primes_bound_count_checks_its_dlog_stream(monkeypatch, capsys):
     assert main("primes-bound --q 2 --n 6 --k 4 --format csv".split()) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: A_4 histogram holds 15 units + 0 non-units, not q^d = 16\n"
+    assert captured.err == "error: A_4 slice 0:16 has 15 dlogs, not 16\n"
 
 
 def primes_bound_rows(q: int, Q: str, k: int, identity: bool) -> str:

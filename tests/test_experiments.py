@@ -392,6 +392,10 @@ def test_config_validation():
     for k in (0, -1):
         with pytest.raises(ValueError, match="--sample-k"):
             ExperimentConfig(q=2, ns=(5,), ds=(3,), rs=(2,), char_policy="sample-k", sample_k=k).validate()
+    # d = 0 runs, as in smooth-count
+    ExperimentConfig(q=2, ns=(5,), ds=(0, 3), rs=(2,)).validate()
+    with pytest.raises(ValueError, match="^d must be >= 0, got -1$"):
+        ExperimentConfig(q=2, ns=(5,), ds=(3, -1), rs=(2,)).validate()
 
 
 # -- columnar persistence -------------------------------------------------------
@@ -525,6 +529,19 @@ def sums_block(a: np.ndarray, s: np.ndarray, chi: np.ndarray, d: int = 10) -> Co
     )
 
 
+def record_float_texts(monkeypatch) -> list[int]:
+    """The length of the column of every float_texts call from now on, in call order."""
+    sizes = []
+    real = experiments.float_texts
+
+    def recorded(col):
+        sizes.append(len(col))
+        return real(col)
+
+    monkeypatch.setattr(experiments, "float_texts", recorded)
+    return sizes
+
+
 def memo_keys(*cols: np.ndarray) -> set:
     return {(col.dtype.str, col.tobytes()) for col in cols}
 
@@ -569,17 +586,14 @@ def test_equal_but_distinct_sums_write_what_the_same_sums_write(monkeypatch):
     assert np.array_equal(s, a) and s.tobytes() != a.tobytes()
     chi = np.arange(1, vals.size + 1)
     own_columns = []
-    real_chunk_texts = experiments.ChunkTexts
-
-    def recorded(cols):
-        own_columns.append(len(cols))
-        return real_chunk_texts(cols)
-
-    monkeypatch.setattr(experiments, "ChunkTexts", recorded)
+    sizes = record_float_texts(monkeypatch)
     memo = experiments._TextMemo()
     for block in (sums_block(a, a.copy(), chi), sums_block(a, s, chi), sums_block(a, a, chi), sums_block(a, s, chi)):
-        assert joined(block.chunks(memo=memo)) == oracle_texts(block)
-        assert joined(block.chunks()) == oracle_texts(block)
+        for block_memo in (memo, None):
+            sizes.clear()
+            assert joined(block.chunks(memo=block_memo)) == oracle_texts(block)
+            # one chunk: its float_texts call comes after the memo's, and holds each of its columns once
+            own_columns.append(sizes[-1] // len(block))
     # lhs and implied per chunk, plus s.imag and s.real where s is not a itself
     assert own_columns == [4, 4, 4, 4, 2, 2, 4, 4]
     # a copy of a writes a's bytes; 0.0 and -0.0 write apart
@@ -606,10 +620,49 @@ def test_row_chunks_layout():
     R = experiments.ROW_CHUNK
     n = R + 2
     texts = [str(i) for i in range(n)]
-    chunks = list(experiments.row_chunks(("<", "", texts, "|", "-", texts, ">\n"), n))
-    assert chunks == ["".join(f"<{i}|-{i}>\n" for i in range(lo, min(lo + R, n))) for lo in (0, R)]
-    assert list(experiments.row_chunks((), n)) == ["", ""]
-    assert list(experiments.row_chunks(("x\n",), 0)) == []
+    chunks = list(experiments.row_chunks([("<", "", texts, "|", "-", texts, ">\n")], n))
+    assert chunks == [("".join(f"<{i}|-{i}>\n" for i in range(lo, min(lo + R, n))),) for lo in (0, R)]
+    assert list(experiments.row_chunks([(), ("x",)], n)) == [("", "x" * R), ("", "xx")]
+    assert list(experiments.row_chunks([("x\n",)], 0)) == []
+
+
+def test_row_chunks_format_a_float_array_that_two_layouts_hold_once_per_chunk(monkeypatch):
+    R = experiments.ROW_CHUNK
+    n = R + 3
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 17, n)
+    y = rng.standard_normal(n)
+    labels = np.array([f"c{i}" for i in range(n)], dtype=object)
+    sizes = record_float_texts(monkeypatch)
+    chunks = list(experiments.row_chunks([(labels, ",", x, ",", y, "\n"), ("[", x, "]\n")], n))
+    xs, ys = list(map(repr, x.tolist())), list(map(repr, y.tolist()))
+    want = [
+        ("".join(f"c{i},{xs[i]},{ys[i]}\n" for i in rows), "".join(f"[{xs[i]}]\n" for i in rows))
+        for rows in (range(R), range(R, n))
+    ]
+    assert chunks == want
+    # one call per chunk, x in it once though both layouts hold it; the object array is sliced, not formatted
+    assert sizes == [2 * R, 2 * 3]
+
+
+def test_grid_block_float_texts_calls(monkeypatch):
+    """short, a.imag and a.real through the memo, then one call per chunk: lhs, implied and, off the diagonal, s."""
+    R = experiments.ROW_CHUNK
+    n = 2 * R + 5
+    rng = np.random.default_rng(33)
+    a, s = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
+    chi = np.arange(1, n + 1, dtype=np.int64)
+    sizes = record_float_texts(monkeypatch)
+    cases = [
+        (sums_block(a, s, chi), {}, [n, n, n, 4 * R, 4 * R, 4 * 5]),
+        (sums_block(a, a, chi), {}, [n, n, n, 2 * R, 2 * R, 2 * 5]),
+        (sums_block(a, s, chi), {"jsonl": False}, [n, 2 * R, 2 * R, 2 * 5]),
+        (sums_block(a, s, chi), {"csv": False}, [n, n, n, 4 * R, 4 * R, 4 * 5]),
+    ]
+    for block, formats, want in cases:
+        sizes.clear()
+        list(block.chunks(**formats))
+        assert sizes == want, formats
 
 
 def check_float_texts(col: np.ndarray):

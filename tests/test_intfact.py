@@ -5,7 +5,15 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffchar.intfact import FACTOR_LIMIT, FactoredInteger, factor_integer, is_prime, mobius, prime_power
+from ffchar.intfact import FACTOR_LIMIT, FactoredInteger, factor_integer, is_prime, prime_power
+
+
+def mobius(m) -> int:
+    """Mobius function, the oracle of `FactoredInteger.mobius_walk`: (-1)^omega on squarefree m, else 0."""
+    fi = m if isinstance(m, FactoredInteger) else factor_integer(m)
+    if any(e > 1 for _, e in fi.prime_powers):
+        return 0
+    return -1 if fi.omega % 2 else 1
 
 
 def naive_factor(n):
@@ -122,7 +130,15 @@ def test_mobius_values():
 def test_squarefree_divisors():
     fi = factor_integer(60)  # radical 30
     assert fi.radical == 30
-    assert fi.squarefree_divisors() == [1, 2, 3, 5, 6, 10, 15, 30]
+    assert [m for m, _ in fi.mobius_walk()] == [1, 2, 3, 5, 6, 10, 15, 30]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2**26))
+def test_mobius_walk_is_mobius_over_the_squarefree_divisors(value):
+    fact = factor_integer(value)
+    # the squarefree divisors are the divisors of the radical, ascending
+    assert fact.mobius_walk() == [(m, mobius(m)) for m in sympy.divisors(fact.radical)]
 
 
 def test_bad_inputs():

@@ -2,12 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ffchar import primitive
 from ffchar.algebra import Field, Poly
-from ffchar.intfact import factor_integer, mobius
+from ffchar.intfact import factor_integer
 from ffchar.primitive import (
     best_epsilon_bound,
     density_experiment,
@@ -140,13 +138,6 @@ def test_every_primitivity_route_counts_the_same_for_a_non_canonical_modulus(F, 
         assert count == sieve.T == sieve.primitive_count_direct, d
         assert count == primitivity_indicator_check(m, d=d).direct_count_Ad, d
         assert count == sum(1 for f in enumerate_monic(F, d) if is_primitive(f, m, fact)), d
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 2**26))
-def test_mobius_walk_is_mobius_over_the_squarefree_divisors(value):
-    fact = factor_integer(value)
-    assert primitive._mobius_walk(fact) == [(m, mobius(m)) for m in fact.squarefree_divisors()]
 
 
 # -- density experiment --------------------------------------------------
