@@ -25,6 +25,7 @@ with compensated summation, is kept only as the tests' oracle.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -60,11 +61,12 @@ def dlog_histogram(modulus: Modulus, d: int, r: Optional[int] = None, workers: i
     complete residue systems mod Q, so that histogram is the closed form
     q^(d - deg Q) in every entry.  Otherwise A_d is enumerated, cut into
     chunks of at most `HIST_CHUNK` polynomials; each chunk's dlogs, one per
-    polynomial (ArithmeticError otherwise), are kept where the factor-degree
-    profile is <= r and bincounted.  `workers` chunks run at once, and their
-    histograms are added in chunk order as they finish.  Exact integers, so the chunking and the worker count
-    cannot change the result.  Nothing is kept: a caller that needs the
-    histogram twice passes it on.
+    polynomial and each -1 or below the group order (ArithmeticError
+    otherwise), are kept where the factor-degree profile is <= r and
+    bincounted.  `workers` chunks run at once, and their histograms are
+    added in chunk order as they finish.  Exact integers, so the chunking
+    and the worker count cannot change the result.  Nothing is kept: a
+    caller that needs the histogram twice passes it on.
     """
     if d < 0:
         raise ValueError(f"degree must be >= 0, got d = {d}")
@@ -87,6 +89,8 @@ def dlog_histogram(modulus: Modulus, d: int, r: Optional[int] = None, workers: i
         vec = table.dlogs_of_monic_degree(d, start, stop)
         if len(vec) != stop - start:
             raise ArithmeticError(f"A_{d} slice {start}:{stop} has {len(vec)} dlogs, not {stop - start}")
+        if not -1 <= vec.min() <= vec.max() < order:
+            raise ArithmeticError(f"A_{d} slice {start}:{stop} has a dlog outside -1..{order - 1}")
         if profile is not None:
             vec = vec[profile[start:stop] <= r]
         nonunit = int((vec < 0).sum())
@@ -120,13 +124,18 @@ def _run_chunks(work, starts: range, workers: int):
 
 
 def unit_dlog_histogram(modulus: Modulus, d: int, workers: int = 1) -> tuple[np.ndarray, int]:
-    """`dlog_histogram` over all of A_d, checked to account for all q^d polynomials."""
+    """`dlog_histogram` over all of A_d, its non-unit count checked against the closed form.
+
+    A monic f of degree d is a non-unit iff some Q_i divides it, and q^(d -
+    deg Q_S) such f are divisible by Q_S = prod_{i in S} Q_i: inclusion-
+    exclusion over the nonempty S with deg Q_S <= d counts the non-units.
+    """
     hist, nonunits = dlog_histogram(modulus, d, workers=workers)
-    total = modulus.field.q**d
-    if int(hist.sum()) + nonunits != total:
-        raise ArithmeticError(
-            f"A_{d} histogram holds {int(hist.sum())} units + {nonunits} non-units, not q^d = {total}"
-        )
+    degs = [f.degree for f in modulus.irreducible_factors]
+    subsets = (S for size in range(1, len(degs) + 1) for S in combinations(degs, size) if sum(S) <= d)
+    expected = sum((-1) ** (len(S) + 1) * modulus.field.q ** (d - sum(S)) for S in subsets)
+    if nonunits != expected:
+        raise ArithmeticError(f"A_{d} histogram counts {nonunits} non-units, not the {expected} Q's factors give")
     return hist, nonunits
 
 

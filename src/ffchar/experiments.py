@@ -228,8 +228,8 @@ def row_chunks(layouts: list[tuple], n: int) -> Iterator[tuple[str, ...]]:
     list or an object array of texts) gives a chunk's texts when sliced by
     the chunk's rows.  Adjacent str columns are merged, and one chunk's
     worth of rows of each layout is laid out once with the str texts in
-    place; each chunk copies that layout, fills the other columns by slice
-    assignment and joins once.  An empty layout gives one "" per chunk.
+    place; each chunk fills the other columns in that layout (a slice of it
+    when shorter) and joins once.  An empty layout gives one "" per chunk.
     """
     rows = min(n, ROW_CHUNK)
     floats: dict[int, np.ndarray] = {}  # the float arrays by id, in the order they first appear
@@ -259,7 +259,7 @@ def row_chunks(layouts: list[tuple], n: int) -> Iterator[tuple[str, ...]]:
         own = {key: texts[i * m : (i + 1) * m] for i, key in enumerate(floats)}
         out = []
         for k, layout, fills in plans:
-            parts = layout.copy() if m == rows else layout[: k * m]
+            parts = layout if m == rows else layout[: k * m]
             for j, col in fills:
                 parts[j::k] = own[id(col)] if id(col) in own else col[lo:hi]
             out.append("".join(parts))

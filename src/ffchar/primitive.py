@@ -13,10 +13,12 @@ over the squarefree divisors of N-1 (`FactoredInteger.mobius_walk`).
 
 The indicator of primitivity on the unit group decomposes over characters:
 f(x) = sum over squarefree m | N-1 of mu(m)/m times the sum of chi(x) over
-the m characters with chi^m principal.  Summing it over A_d splits the
-primitive count into the main term q^d phi(N-1)/(N-1) plus character-sum
-corrections, which is exactly what `density_experiment` measures; the sieve
-route recomputes the same count from congruence classes of discrete logs.
+the m characters with chi^m principal, the chi_k with (N-1)/m | k.  It is
+read by index: chi_k(g^j) from one table of roots of unity, the sums of the
+m characters over A_d as a stride-(N-1)/m slice of the spectrum, and S_m
+(units with m | dlog) as a stride-m slice of the histogram.  Summed over
+A_d, f is the main term q^d phi(N-1)/(N-1) plus character-sum corrections,
+which `density_experiment` measures; the sieve recounts it from the S_m.
 
 Densities and targets are carried as exact rationals; floating point enters
 only through character-sum magnitudes and the epsilon bound.
@@ -129,15 +131,14 @@ def primitivity_indicator_check(modulus: Modulus, d: Optional[int] = None, worke
     fact = _factored_order(modulus, "the indicator decomposition")
     order = fact.value  # N - 1
     walk = fact.mobius_walk()
-    # rhs over every unit, indexed by dlog j: sum_m mu(m)/m sum_{i<m} zeta^(j i (N-1)/m)
+    # rhs[j] adds chi_k(g^j) = roots[j k mod (N-1)] for k = 0, (N-1)/m, 2 (N-1)/m, ... in order, in reused buffers
     js = np.arange(order, dtype=np.int64)
-    rhs = np.zeros(order, dtype=np.complex128)
+    roots = np.exp(2j * np.pi * js / order)
+    rhs, term, idx = np.zeros(order, dtype=np.complex128), np.empty(order, dtype=np.complex128), np.empty_like(js)
     for m, mu in walk:
         inner = np.zeros(order, dtype=np.complex128)
-        stride = order // m
-        for i in range(m):
-            phases = (js * (i * stride)) % order
-            inner += np.exp(2j * np.pi * phases / order)
+        for k in range(0, order, order // m):
+            inner += roots.take(np.remainder(np.multiply(js, k, out=idx), order, out=idx), out=term)
         rhs += (mu / m) * inner
     indicator = _primitive_dlogs(order)
     max_dev = float(np.max(np.abs(rhs - indicator)))
@@ -197,14 +198,12 @@ def _primitive_count(hist: np.ndarray) -> int:
 
 def _congruence_counts(hist: np.ndarray, divisors: list[int]) -> dict[int, int]:
     """S_m for each m: the units a dlog histogram counts at dlogs divisible by m."""
-    js = np.arange(len(hist), dtype=np.int64)
-    return {m: int(hist[js % m == 0].sum()) for m in divisors}
+    return {m: int(hist[::m].sum()) for m in divisors}
 
 
 def _sum_chi_m_principal(sums: np.ndarray, m: int) -> complex:
-    """`sums` over the m characters with chi^m principal (m | N-1): indices i (N-1)/m, i < m, left to right."""
-    stride = len(sums) // m
-    return sum(sums[i * stride] for i in range(m))
+    """`sums` over the m characters with chi^m principal, indices i (N-1)/m, i < m, left to right, not pairwise."""
+    return sum(sums[:: len(sums) // m])
 
 
 def report_json(rep) -> dict:

@@ -394,6 +394,19 @@ def test_closed_form_histogram_equals_enumeration(monkeypatch, workers):
                 assert np.array_equal(s_hist, hist) and s_nonunits == nonunits
 
 
+def test_non_unit_count_is_its_closed_form_below_at_and_above_n():
+    """The inclusion-exclusion count `unit_dlog_histogram` checks, against Euclid's gcd for every f in A_d."""
+    for m in hist_moduli():
+        for d in range(m.n + 3):
+            want = 0
+            for f in enumerate_monic(m.field, d):
+                g, h = m.poly, f
+                while not h.is_zero:
+                    g, h = h, g % h
+                want += g.degree > 0
+            assert unit_dlog_histogram(m, d)[1] == want, (str(m.poly), d)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_smooth_slices_at_and_above_n_match_enumeration(monkeypatch, workers):
     # r < d still enumerates: chunks of 7 cut across the blocks of q^n codes.

@@ -626,6 +626,43 @@ def test_primes_bound_count_checks_its_dlog_stream(monkeypatch, capsys):
     assert captured.err == "error: A_4 slice 0:16 has 15 dlogs, not 16\n"
 
 
+@pytest.mark.parametrize("bad", [10**6, 63, -2])
+def test_a_dlog_outside_the_group_is_a_math_error(monkeypatch, capsys, bad):
+    """A dlog at or above the group order (63 mod a sextic over F_2) or below -1 fails its chunk's range check: exit 1."""
+    from ffchar.residue import DlogTable
+
+    real = DlogTable.dlogs_of_monic_degree
+
+    def corrupted(self, d, start=0, stop=None):
+        vec = real(self, d, start, stop)
+        vec[-1] = bad
+        return vec
+
+    monkeypatch.setattr(DlogTable, "dlogs_of_monic_degree", corrupted)
+    assert main("primes-bound --q 2 --n 6 --k 4 --format csv".split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: A_4 slice 0:16 has a dlog outside -1..62\n"
+
+
+def test_a_unit_read_as_a_non_unit_fails_the_non_unit_count(monkeypatch, capsys):
+    """Every f in A_4 is a unit mod an irreducible sextic, so one unit streamed as -1 is caught: exit 1."""
+    from ffchar.residue import DlogTable
+
+    real = DlogTable.dlogs_of_monic_degree
+
+    def mislabelled(self, d, start=0, stop=None):
+        vec = real(self, d, start, stop)
+        vec[1] = -1
+        return vec
+
+    monkeypatch.setattr(DlogTable, "dlogs_of_monic_degree", mislabelled)
+    assert main("density --q 2 --n 6 --d 4 --format json".split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: A_4 histogram counts 1 non-units, not the 0 Q's factors give\n"
+
+
 def primes_bound_rows(q: int, Q: str, k: int, identity: bool) -> str:
     """The primes-bound CSV one row at a time: per character, per degree, each value formatted on its own."""
     from ffchar.characters import character_labels

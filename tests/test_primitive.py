@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ffchar import primitive
@@ -138,6 +139,42 @@ def test_every_primitivity_route_counts_the_same_for_a_non_canonical_modulus(F, 
         assert count == sieve.T == sieve.primitive_count_direct, d
         assert count == primitivity_indicator_check(m, d=d).direct_count_Ad, d
         assert count == sum(1 for f in enumerate_monic(F, d) if is_primitive(f, m, fact)), d
+
+
+# -- index arithmetic against the per-term oracles ----------------------
+
+
+def per_term_indicator(order, walk):
+    """Oracle: the decomposition at every dlog j, one complex exp over all units per character term."""
+    js = np.arange(order, dtype=np.int64)
+    rhs = np.zeros(order, dtype=np.complex128)
+    for m, mu in walk:
+        inner = np.zeros(order, dtype=np.complex128)
+        stride = order // m
+        for i in range(m):
+            phases = (js * (i * stride)) % order
+            inner += np.exp(2j * np.pi * phases / order)
+        rhs += (mu / m) * inner
+    return rhs
+
+
+# N-1 = 8191 prime; 4095, 728 and 1023 composite; 1
+@pytest.mark.parametrize("F,n,d", [(F2, 13, 8), (F2, 12, 8), (F3, 6, 5), (F4, 5, 4), (F2, 1, 3)])
+def test_index_arithmetic_is_bit_for_bit_the_per_term_oracles(F, n, d):
+    m = Modulus.irreducible(F, n)
+    fact = factor_integer(F.q**n - 1)
+    order, walk = fact.value, fact.mobius_walk()
+    indicator = np.gcd(np.arange(order), order) == 1
+    want = float(np.max(np.abs(per_term_indicator(order, walk) - indicator)))
+    assert primitivity_indicator_check(m).max_unit_deviation == want
+    hist, sums = primitive._spectrum(m, d, 1)
+    js = np.arange(order, dtype=np.int64)
+    S = primitive._congruence_counts(hist, [k for k, _ in walk])
+    assert S == {k: int(hist[js % k == 0].sum()) for k, _ in walk}
+    for k, _ in walk:
+        stride = order // k
+        want_sum = sum(sums[i * stride] for i in range(k))
+        assert primitive._sum_chi_m_principal(sums, k).tobytes() == want_sum.tobytes(), k
 
 
 # -- density experiment --------------------------------------------------
