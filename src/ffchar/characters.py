@@ -1,11 +1,13 @@
-"""Multiplicative characters modulo Q and their sums over dlog histograms.
+"""Multiplicative characters of a finite abelian group and their sums over dlog histograms.
 
 A character is determined by one exponent per cyclic component of the unit
 group: chi_k sends the unit with component dlogs (j_i) to
 zeta^(sum_i k_i j_i / m_i), m_i the component orders.  A character's
 index is its exponents raveled to the component orders (row-major, as
 `np.ravel_multi_index`), and chi_k^e has the index of the exponents times e
-mod the component orders (`power_index`): exact integer arithmetic.
+mod the component orders (`power_index`): exact integer arithmetic.  These
+and the DFT take only the shape, the component orders, so they serve any
+product of cyclic groups, (Z/p)^* included.
 
 Every sum starts from one integer histogram over flat dlog indices,
 `dlog_histogram`: for all of A_d, or for its r-smooth slice, which keeps
@@ -139,19 +141,19 @@ def unit_dlog_histogram(modulus: Modulus, d: int, workers: int = 1) -> tuple[np.
     return hist, nonunits
 
 
-def dual_group_sums(modulus: Modulus, hist: np.ndarray) -> np.ndarray:
+def dual_group_sums(orders: tuple[int, ...], hist: np.ndarray) -> np.ndarray:
     """sum of chi_k over the units a flat dlog histogram counts, for every k.
 
-    The dual group of prod_i Z/m_i is prod_i Z/m_i again, and chi_k pairs
-    with the unit of flat dlog j through zeta^(sum_i k_i j_i / m_i); so the
-    sums are the conjugate n-dimensional DFT of the histogram reshaped to
-    the component orders.  Flat index k is the character whose exponents
-    are k unravelled to the component orders.  The sums are read-only, and
-    so is every view of them.  Every float the grid writes derives from
-    these sums, so a non-finite sum raises ArithmeticError here; one sum
-    over them all, a reduction with no group-sized temporary, finds it.
+    The histogram is over prod_i Z/m_i, m_i the component `orders`.  Its
+    dual group is prod_i Z/m_i again, and chi_k pairs with the unit of flat
+    dlog j through zeta^(sum_i k_i j_i / m_i); so the sums are the conjugate
+    n-dimensional DFT of the histogram reshaped to the orders.  Flat index
+    k is the character whose exponents are k unravelled to the orders.  The
+    sums are read-only, and so is every view of them.  Every float the grid
+    writes derives from these sums, so a non-finite sum raises
+    ArithmeticError here; one sum over them all, a reduction with no
+    group-sized temporary, finds it.
     """
-    orders = modulus.unit_group.component_orders
     sums = np.conj(np.fft.fftn(hist.astype(np.float64).reshape(orders)))
     with np.errstate(invalid="ignore"):  # inf + -inf is nan, and nan is what the check looks for
         total = sums.sum()
@@ -167,22 +169,20 @@ def all_char_sums_Ad(modulus: Modulus, d: int, workers: int = 1) -> np.ndarray:
     Entry 0 is the principal sum, i.e. the number of units in A_d.
     """
     hist, _ = unit_dlog_histogram(modulus, d, workers)
-    return dual_group_sums(modulus, hist)
+    return dual_group_sums(modulus.unit_group.component_orders, hist)
 
 
-def character_labels(modulus: Modulus) -> list[str]:
-    """The label chi[k_1,...,k_s] of every index k, its exponents unravelled, in one pass."""
-    orders = modulus.unit_group.component_orders
-    exps = np.unravel_index(np.arange(modulus.unit_group.group_order), orders)
+def character_labels(orders: tuple[int, ...]) -> list[str]:
+    """The label chi[k_1,...,k_s] of every index k over the component orders, its exponents unravelled, in one pass."""
+    exps = np.indices(orders).reshape(len(orders), -1)  # row-major, as np.unravel_index
     return [f"chi[{','.join(map(str, e))}]" for e in zip(*(x.tolist() for x in exps))]
 
 
-def power_index(modulus: Modulus, k: int | np.ndarray, e: int) -> int | np.ndarray:
-    """The index of chi_k^e, for an index or an array of indices k.
+def power_index(orders: tuple[int, ...], k: int | np.ndarray, e: int) -> int | np.ndarray:
+    """The index of chi_k^e over the component orders, for an index or an array of indices k.
 
     chi_k^e has the exponents of chi_k times e, mod the component orders;
-    for irreducible Q this is (e * k) mod (q^n - 1).
+    for one component of order m this is (e * k) mod m.
     """
-    orders = modulus.unit_group.component_orders
     exps = np.unravel_index(k, orders)
     return np.ravel_multi_index(tuple(x * e % m for x, m in zip(exps, orders)), orders)

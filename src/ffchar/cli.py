@@ -120,7 +120,7 @@ def cmd_weil(args) -> int:
     roots = L.flat_roots()
     mod, cls, dev = weil_classes(roots, args.q, args.tol)
     ok = not (cls == WEIL_CLASSES.index("violation")).any()
-    labels = character_labels(modulus)[1:]
+    labels = character_labels(modulus.unit_group.component_orders)[1:]
 
     def csv_rows():
         """The CSV rows; the roots' float columns are formatted one chunk of rows at a time."""
@@ -175,7 +175,7 @@ def cmd_primes_bound(args) -> int:
 
     degrees = _prime_degrees(args.k)
     modulus = _modulus(args.q, args.n, args.Q)
-    order = modulus.unit_group.group_order
+    orders, order = modulus.unit_group.component_orders, modulus.unit_group.group_order
     roots = inverse_roots(lpolynomial_coeffs(modulus, args.workers)) if args.identity else None
     # one DFT per degree, largest first: a degree above the dense limit is refused before any is built
     spectra = {k: prime_sum_spectrum(modulus, k) for k in reversed(degrees)}
@@ -189,7 +189,7 @@ def cmd_primes_bound(args) -> int:
     errs = None
     if args.identity:
         errs = np.stack(
-            [von_mangoldt_spectrum(modulus, k, spectra)[1:] + roots.power_sums(k) for k in degrees], axis=1
+            [von_mangoldt_spectrum(orders, k, spectra)[1:] + roots.power_sums(k) for k in degrees], axis=1
         ).ravel()
         # np.hypot, not np.abs: it matches Python's abs(complex) to the last digit
         errs = np.hypot(errs.real, errs.imag)
@@ -198,7 +198,7 @@ def cmd_primes_bound(args) -> int:
 
     def row_texts():
         """The CSV rows; the float columns are formatted one chunk of rows at a time."""
-        labels = np.array([_csv_label(label) + "," for label in character_labels(modulus)[1:]], dtype=object)
+        labels = np.array([_csv_label(label) + "," for label in character_labels(orders)[1:]], dtype=object)
         # the degree and its bound cycle with the row
         k_texts = np.array([f"{k}," for k in degrees], dtype=object)
         bound_texts = np.array([f",{b!r}," for b in bounds.tolist()], dtype=object)

@@ -184,25 +184,26 @@ def prime_sum_spectrum(modulus: Modulus, k: int) -> np.ndarray:
     hist, _ = unit_dlog_histogram(modulus, k)
     if k > 1:  # every monic linear f is irreducible
         hist -= smooth_dlog_histogram(modulus, k, k - 1)[0]
-    return dual_group_sums(modulus, hist)
+    return dual_group_sums(modulus.unit_group.component_orders, hist)
 
 
-def von_mangoldt_spectrum(modulus: Modulus, k: int, spectra: dict[int, np.ndarray]) -> np.ndarray:
+def von_mangoldt_spectrum(orders: tuple[int, ...], k: int, spectra: dict[int, np.ndarray]) -> np.ndarray:
     """sum over monic f of degree k of Lambda(f) chi_j(f), for every character j.
 
     Lambda is supported on prime powers, so the sum runs over P^(k/l) for
     l | k, P in I_l, each weighted by l = deg P.  chi(P^e) = chi^e(P), so
     the l-term is l times the degree-l spectrum read at the index of
-    chi^(k/l).  spectra[l] must be `prime_sum_spectrum(modulus, l)` for
-    every l dividing k.
+    chi^(k/l), found from the unit group's component `orders` alone.
+    spectra[l] must be `prime_sum_spectrum(modulus, l)` for every l
+    dividing k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    idx = np.arange(modulus.unit_group.group_order)
+    idx = np.arange(math.prod(orders))
     out = np.zeros(idx.size, dtype=np.complex128)
     for ell in range(1, k + 1):
         if k % ell == 0:
-            out += ell * spectra[ell][power_index(modulus, idx, k // ell)]
+            out += ell * spectra[ell][power_index(orders, idx, k // ell)]
     return out
 
 

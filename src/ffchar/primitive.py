@@ -183,7 +183,7 @@ def _factored_order(modulus: Modulus, what: str) -> FactoredInteger:
 def _spectrum(modulus: Modulus, d: int, workers: int) -> tuple[np.ndarray, np.ndarray]:
     """(hist, sums): the unit dlog histogram of A_d and A(d, chi) for every chi, from that one histogram."""
     hist, _ = unit_dlog_histogram(modulus, d, workers)
-    return hist, dual_group_sums(modulus, hist)
+    return hist, dual_group_sums(modulus.unit_group.component_orders, hist)
 
 
 def _primitive_dlogs(order: int) -> np.ndarray:

@@ -44,9 +44,10 @@ code of f is t^d + hi * t^n + lo, and the reduced head (t^d + hi * t^n) mod
 Q_i is computed for every block index hi of a slice in one pass per base-p
 digit of hi, then added to lo.  This is the one route from a slice to its
 dlogs (`DlogTable.dlogs_of_monic_degree`), and its result is a fresh array.
-Below deg Q_i every hi is 0 and the head is t^d, so f mod Q_i = lo + t^d;
-the flat dlog sums each component's dlog times its stride, and a unit group
-of one component is the stride-1 case.
+Below deg Q_i every hi is 0 and the head is t^d, so f mod Q_i = lo + t^d.
+The flat dlog is the component dlogs read by Horner over the component
+orders, flat = flat * m_i + x_i: the row-major index `np.ravel_multi_index`
+gives, and for a unit group of one component the dlog itself.
 """
 
 from __future__ import annotations
@@ -197,11 +198,6 @@ class UnitGroupView:
         self.components = components
         self.group_order = math.prod(c.order for c in components)
         self.component_orders = tuple(c.order for c in components)
-        # row-major strides: unit with component dlogs (x_i) has flat index sum x_i * s_i
-        strides = [1] * len(components)
-        for i in range(len(components) - 2, -1, -1):
-            strides[i] = strides[i + 1] * max(self.component_orders[i + 1], 1)
-        self.flat_strides = tuple(strides)
 
     def __repr__(self):
         return f"UnitGroupView({self.modulus!r}, order={self.group_order})"
@@ -327,7 +323,7 @@ class DlogTable:
             raise ValueError("bad slice")
         flat = np.zeros(stop - start, dtype=np.int64)
         nonunit = np.zeros(stop - start, dtype=bool)
-        for table, c, s in zip(self.logs, self.units.components, self.units.flat_strides):
+        for table, c in zip(self.logs, self.units.components):
             Qi, n = c.poly, c.degree
             # f = t^d + hi * t^n + lo with lo < q^n, so f mod Q_i = lo + head(hi), where
             # head(hi) = (t^d + hi * t^n) mod Q_i is affine in the base-p digits of hi
@@ -339,6 +335,7 @@ class DlogTable:
             heads = linear_map_values(field, his, images, n, (Poly.from_code(field, total) % Qi).code())
             x = table[vadd_poly_codes(field, lo, heads[hi - hi0], n)]
             nonunit |= x < 0
-            flat += x * s
+            flat *= c.order
+            flat += x
         flat[nonunit] = -1
         return flat

@@ -136,7 +136,7 @@ def all_smooth_char_sums(modulus: Modulus, d: int, r: int, workers: int = 1) -> 
     from .characters import dual_group_sums
 
     hist, _ = smooth_dlog_histogram(modulus, d, r, workers)
-    return dual_group_sums(modulus, hist)
+    return dual_group_sums(modulus.unit_group.component_orders, hist)
 
 
 # ---------------------------------------------------------------------------

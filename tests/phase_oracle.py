@@ -153,14 +153,14 @@ def dlog(table: DlogTable, x: Union[Poly, int]) -> Union[int, tuple[int, ...]]:
 
 
 def flat_dlog(table: DlogTable, f: Poly) -> int:
-    """Flattened dlog index of the unit f (see `UnitGroupView.flat_strides`); -1 for non-units."""
+    """Flattened dlog index of the unit f, its component dlogs raveled row-major to the component orders; -1 for non-units."""
     try:
         dl = dlog(table, f)
     except NotAUnitError:
         return -1
     if isinstance(dl, int):
         return dl
-    return sum(x * s for x, s in zip(dl, table.units.flat_strides))
+    return int(np.ravel_multi_index(dl, table.units.component_orders))
 
 
 # -- characters one at a time --------------------------------------------
@@ -270,9 +270,9 @@ def flat_dlog_phases(chi: Character, flat: np.ndarray, power: int = 1) -> np.nda
     units = chi.modulus.unit_group
     M = unit_group_exponent(chi.modulus)
     total = np.zeros(flat.shape, dtype=np.int64)
-    for k, m, s in zip(chi.exponents, units.component_orders, units.flat_strides):
-        comp = ((flat // s) % max(m, 1)) * power % max(m, 1)
-        total += (k * (M // m)) * comp
+    comps = np.unravel_index(flat, units.component_orders)
+    for k, m, comp in zip(chi.exponents, units.component_orders, comps):
+        total += (k * (M // m)) * (comp * power % m)
     return total % M
 
 

@@ -84,7 +84,7 @@ def test_criterion_3_prime_sum_bound_and_identity(moduli, lpolys):
     for (q, n), m in moduli.items():
         order = m.unit_group.group_order
         spectra = {k: prime_sum_spectrum(m, k) for k in range(1, 11)}
-        vm = {k: von_mangoldt_spectrum(m, k, spectra) for k in spectra}
+        vm = {k: von_mangoldt_spectrum(m.unit_group.component_orders, k, spectra) for k in spectra}
         power_sums = {k: lpolys[(q, n)].power_sums(k) for k in spectra}
         for k_idx in range(1, order):
             for k in range(1, 11):

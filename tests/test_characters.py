@@ -1,3 +1,6 @@
+import cmath
+import itertools
+import math
 import random
 import warnings
 
@@ -284,11 +287,11 @@ def test_power_index_is_the_oracle_power():
         order = m.unit_group.group_order
         idx = np.arange(order)
         for e in list(range(order + 2)) + [5 * order + 3]:
-            got = power_index(m, idx, e)
+            got = power_index(m.unit_group.component_orders, idx, e)
             for j in range(order):
                 want = power(character_by_index(m, j), e)
                 assert character_by_index(m, int(got[j])) == want, (text, j, e)
-                assert power_index(m, j, e) == got[j]
+                assert power_index(m.unit_group.component_orders, j, e) == got[j]
 
 
 def test_bulk_fft_sums_match_exact_phase_path_on_composites():
@@ -336,14 +339,59 @@ def test_histogram_holds_one_chunk_bincount_at_a_time(monkeypatch):
 def test_dual_group_sums_refuse_non_finite_sums():
     m = Modulus.irreducible(F2, 5)
     hist = np.ones(m.unit_group.group_order)
-    assert np.isfinite(characters.dual_group_sums(m, hist)).all()
+    assert np.isfinite(characters.dual_group_sums(m.unit_group.component_orders, hist)).all()
     for bad in (np.nan, np.inf):
         hist[3] = bad
         # an inf sum holds inf and -inf, whose reduction warns unless the check silences it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ArithmeticError, match="not all finite"):
-                characters.dual_group_sums(m, hist)
+                characters.dual_group_sums(m.unit_group.component_orders, hist)
+
+
+# (Z/101)^*, the cyclic group of the integer case, and Z/4 x Z/6: shapes no Modulus has
+BARE_SHAPES = [(100,), (4, 6)]
+
+
+def _row_major_exponents(orders):
+    """Every exponent tuple in flat-index order: the lexicographic order of the orders' product."""
+    return list(itertools.product(*(range(m) for m in orders)))
+
+
+def _pairing(orders, k, j):
+    """sum_i k_i j_i L / m_i mod L, L = lcm of the orders: chi_k(j) = exp(2 pi i pairing / L), exactly."""
+    L = math.lcm(*orders)
+    return sum(a * b * (L // m) for a, b, m in zip(k, j, orders)) % L
+
+
+@pytest.mark.parametrize("orders", BARE_SHAPES)
+def test_dual_group_sums_of_a_bare_shape_are_the_direct_sums(orders):
+    rng = np.random.default_rng(sum(orders))
+    exps = _row_major_exponents(orders)
+    L = math.lcm(*orders)
+    for _ in range(3):
+        hist = rng.integers(0, 50, size=len(exps))
+        got = characters.dual_group_sums(orders, hist)
+        assert got.shape == (len(exps),)
+        for flat_k, k in enumerate(exps):
+            want = sum(int(h) * cmath.exp(2j * math.pi * _pairing(orders, k, j) / L) for h, j in zip(hist, exps))
+            assert abs(got[flat_k] - want) < 1e-9 * hist.sum(), (orders, k)
+
+
+@pytest.mark.parametrize("orders", BARE_SHAPES)
+def test_power_index_and_labels_of_a_bare_shape(orders):
+    exps = _row_major_exponents(orders)
+    L = math.lcm(*orders)
+    assert character_labels(orders) == [f"chi[{','.join(map(str, k))}]" for k in exps]
+    idx = np.arange(len(exps))
+    for e in (0, 1, 2, 3, 5, 7, len(exps) + 1):
+        got = power_index(orders, idx, e)
+        for flat_k, k in enumerate(exps):
+            # chi_k^e takes every unit j to chi_k(j)^e
+            assert [_pairing(orders, exps[got[flat_k]], j) for j in exps] == [
+                e * _pairing(orders, k, j) % L for j in exps
+            ], (orders, k, e)
+            assert power_index(orders, flat_k, e) == got[flat_k]
 
 
 # -- closed form at d >= deg Q against enumeration ------------------------
@@ -427,4 +475,4 @@ def test_smooth_slices_at_and_above_n_match_enumeration(monkeypatch, workers):
 def test_character_labels_match_character_by_index(q, Q):
     m = Modulus(Poly.from_string(Field.get(q), Q))
     order = m.unit_group.group_order
-    assert character_labels(m) == [character_by_index(m, k).label for k in range(order)]
+    assert character_labels(m.unit_group.component_orders) == [character_by_index(m, k).label for k in range(order)]

@@ -674,13 +674,13 @@ def primes_bound_rows(q: int, Q: str, k: int, identity: bool) -> str:
     spectra = {j: prime_sum_spectrum(modulus, j) for j in range(1, k + 1)}
     ls = build_all_lpolynomials(modulus) if identity else {}
     lines = ["chi,k,abs_sum,bound,ratio,identity_err"]
-    for c, label in enumerate(character_labels(modulus)[1:], start=1):
+    for c, label in enumerate(character_labels(modulus.unit_group.component_orders)[1:], start=1):
         field = f'"{label}"' if "," in label else label
         for j in range(1, k + 1):
             mag, bound = float(np.abs(spectra[j][c])), prime_sum_bound(modulus, j)
             err = ""
             if identity:
-                err = repr(abs(complex(von_mangoldt_spectrum(modulus, j, spectra)[c]) + inverse_root_power_sum(ls[c], j)))
+                err = repr(abs(complex(von_mangoldt_spectrum(modulus.unit_group.component_orders, j, spectra)[c]) + inverse_root_power_sum(ls[c], j)))
             lines.append(f"{field},{j},{mag!r},{bound!r},{mag / bound!r},{err}")
     return "\n".join(lines) + "\n"
 

@@ -267,7 +267,7 @@ def test_prime_and_von_mangoldt_spectra_match_the_phase_oracle():
         ks = range(1, m.n + 4)
         spectra = {k: prime_sum_spectrum(m, k) for k in ks}
         for k in ks:
-            vm = von_mangoldt_spectrum(m, k, spectra)
+            vm = von_mangoldt_spectrum(m.unit_group.component_orders, k, spectra)
             for j, chi in enumerate(all_characters(m)):
                 assert abs(spectra[k][j] - prime_char_sum(chi, k).value) < 1e-9, (text, k, j)
                 assert abs(vm[j] - von_mangoldt_sum(chi, k).value) < 1e-9, (text, k, j)

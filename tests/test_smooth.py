@@ -76,7 +76,7 @@ def walker_histogram(modulus, d, r):
         i, budget, acc, unit = stack.pop()
         if budget == 0:
             if unit:
-                hist[sum(x * s for x, s in zip(acc, units.flat_strides))] += 1
+                hist[np.ravel_multi_index(acc, orders)] += 1
             else:
                 nonunits += 1
             continue
