@@ -2,10 +2,12 @@
 
 Exit codes: 0 all checks passed, 1 a mathematical check exceeded its
 tolerance (a genuine anomaly at these scales) or an internal invariant
-failed, 2 usage error (an --out path that cannot be written among them),
-3 work budget exceeded, 141 (128 + SIGPIPE, what a shell reports for a
-process a closed pipe killed) the reader closed stdout early, as `| head`
-does; the rest of the output is dropped and nothing goes to stderr.
+failed, among them an |A(n-1, chi)|^2 off the q^(deg c - 1 - e) of chi's
+conductor and weil root-class counts off the conductor's, 2 usage error
+(an --out path that cannot be written among them), 3 work budget
+exceeded, 141 (128 + SIGPIPE, what a shell reports for a process a
+closed pipe killed) the reader closed stdout early, as `| head` does;
+the rest of the output is dropped and nothing goes to stderr.
 Human output prints bound vs observed side by side with their ratio;
 csv/json are machine-readable and contain no timestamps, so repeated runs
 are byte-identical regardless of --workers.
@@ -110,16 +112,17 @@ def _modulus(q: int, n: int, Q: Optional[str] = None):
 
 
 def cmd_weil(args) -> int:
-    """Root-modulus dichotomy |alpha| in {1, sqrt q} for every non-principal chi."""
+    """Root-modulus dichotomy |alpha| in {1, sqrt q} for every non-principal chi, counted as its conductor predicts."""
     from .characters import character_labels
     from .experiments import ROW_CHUNK, float_texts, row_chunks
-    from .lfun import WEIL_CLASSES, inverse_roots, lpolynomial_coeffs, weil_classes
+    from .lfun import WEIL_CLASSES, inverse_roots, lpolynomial_coeffs, weil_classes, weil_counts_match
 
+    if args.q > 1 and 2 * args.tol >= math.sqrt(args.q) - 1:  # the bands about 1 and sqrt(q) would overlap
+        raise ValueError(f"--tol must be below (sqrt(q) - 1)/2 = {(math.sqrt(args.q) - 1) / 2:.6g}, got {args.tol}")
     modulus = _modulus(args.q, args.n, args.Q)
     L = inverse_roots(lpolynomial_coeffs(modulus, args.workers))
-    roots = L.flat_roots()
-    mod, cls, dev = weil_classes(roots, args.q, args.tol)
-    ok = not (cls == WEIL_CLASSES.index("violation")).any()
+    mod, cls, dev = weil_classes(L.roots, args.q, args.tol)  # a row of n - 1 roots per character
+    ok = weil_counts_match(modulus, cls)
     labels = character_labels(modulus.unit_group.component_orders)[1:]
 
     def csv_rows():
@@ -127,27 +130,24 @@ def cmd_weil(args) -> int:
         label_texts = np.array([_csv_label(label) + "," for label in labels], dtype=object)
         class_texts = np.array([f",{c}," for c in WEIL_CLASSES], dtype=object)
         residual_texts = np.array([t + "\n" for t in float_texts(L.residual)], dtype=object)
+        roots, D = L.flat_roots(), L.roots.shape[1]
         cols = (
-            np.repeat(label_texts, L.degree), roots.real, ",", roots.imag, ",", mod,
-            class_texts[cls], np.repeat(residual_texts, L.degree),
+            np.repeat(label_texts, D), roots.real, ",", roots.imag, ",", mod.ravel(),
+            class_texts[cls.ravel()], np.repeat(residual_texts, D),
         )
         return (text for text, in row_chunks([cols], len(roots)))
 
     def json_lines():
         """One JSON line per character; the arrays become lists one block of characters at a time."""
-        starts = np.concatenate(([0], np.cumsum(L.degree))).tolist()  # labels[c]'s roots: starts[c]:starts[c + 1]
-        # every character has at most roots.shape[1] roots (none at n = 1), so a block holds at most ROW_CHUNK
-        step = max(1, ROW_CHUNK // max(1, L.roots.shape[1]))
+        step = max(1, ROW_CHUNK // max(1, L.roots.shape[1]))  # a block holds at most ROW_CHUNK roots
         for c0 in range(0, len(labels), step):
-            c1 = min(c0 + step, len(labels))
-            lo, hi = starts[c0], starts[c1]
-            pairs = np.stack([L.coeffs[c0:c1].real, L.coeffs[c0:c1].imag], axis=-1).tolist()
-            res = L.residual[c0:c1].tolist()
-            cols = (col[lo:hi].tolist() for col in (roots.real, roots.imag, mod, cls))
-            recs = [{"re": r, "im": i, "modulus": m, "class": WEIL_CLASSES[k]} for r, i, m, k in zip(*cols)]
+            block = slice(c0, c0 + step)
+            cols = (L.coeffs.real, L.coeffs.imag, L.residual, L.roots.real, L.roots.imag, mod, cls)
             rows = (
-                {"chi": labels[c], "coeffs": pairs[c - c0], "residuals": res[c - c0], "roots": recs[starts[c] - lo : starts[c + 1] - lo]}
-                for c in range(c0, c1)
+                {"chi": chi, "coeffs": list(zip(re, im)), "residuals": res, "roots": [
+                    {"re": r, "im": i, "modulus": m, "class": WEIL_CLASSES[k]} for r, i, m, k in zip(*root)
+                ]}
+                for chi, re, im, res, *root in zip(labels[block], *(col[block].tolist() for col in cols))
             )
             yield "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
@@ -272,9 +272,7 @@ def cmd_dickman(args) -> int:
     table = default_dickman_table(args.u_max)
     us = np.linspace(1.0, 2.0, 1000)
     log_err = max(abs(table.rho(float(u)) - (1 - math.log(u))) for u in us)
-    res_err = max(
-        dickman_residual(table, float(u)) for u in np.linspace(1.5, float(args.u_max), 2 * args.u_max)
-    )
+    res_err = max(dickman_residual(table, float(u)) for u in np.linspace(1.5, float(args.u_max), 2 * args.u_max))
     decay_ok = all(
         table.rho(float(u)) <= math.exp(-u * math.log(u))
         for u in np.linspace(10.0, float(args.u_max), 41)
@@ -288,20 +286,8 @@ def cmd_dickman(args) -> int:
     if args.format == "csv":
         _emit(rows, args.out)
     elif args.format == "json":
-        _emit(
-            [
-                json.dumps(
-                    {
-                        "u_max": args.u_max,
-                        "log_branch_err": log_err,
-                        "max_residual": res_err,
-                        "decay_bound_ok": decay_ok,
-                    },
-                    sort_keys=True,
-                )
-            ],
-            args.out,
-        )
+        j = {"u_max": args.u_max, "log_branch_err": log_err, "max_residual": res_err, "decay_bound_ok": decay_ok}
+        _emit([json.dumps(j, sort_keys=True)], args.out)
     else:
         _emit(
             [

@@ -1,15 +1,18 @@
 """L-polynomials of non-principal characters and related prime sums.
 
-The generating polynomial sum_m A(m, chi) z^m of a non-principal character
-mod Q (deg Q = n) has degree at most n-1; its inverse roots alpha_i, defined
-by the product form prod (1 - alpha_i z), all have modulus 1 or sqrt(q).
+For a non-principal chi mod a squarefree Q of degree n, let c be its
+conductor, the product of the factors Q_i where chi is non-trivial, and
+e = 1 if chi is trivial on F_q^*, else 0.  Then sum_m A(m, chi) z^m has
+degree n - 1, with n - deg c + e inverse roots of modulus 1 and
+deg c - 1 - e of modulus sqrt(q), so |A(n-1, chi)|^2 = q^(deg c - 1 - e)
+(Rosen, Number Theory in Function Fields, ch. 4; `conductor_profile`).
 Every non-principal L-polynomial is one row of a single coefficient array,
-whose column m is the DFT of the A_m histogram (`lpolynomial_coeffs`).  The
-rows are grouped by numerical degree; each group's inverse roots are the
-eigenvalues of its stacked companion matrices, one `np.linalg.eigvals` per
-degree (in blocks of `ROOT_BLOCK` rows), polished by one Newton step
-(`inverse_roots`).  `weil_classes` sorts the root moduli into 1, sqrt(q)
-and violations, and the root power sums feed the log-derivative identity.
+whose column m is the DFT of the A_m histogram (`lpolynomial_coeffs`, which
+checks the last column).  The inverse roots of each row are the eigenvalues
+of its companion matrix, one `np.linalg.eigvals` per block of `ROOT_BLOCK`
+rows, polished by one Newton step (`inverse_roots`).  `weil_classes` sorts
+the root moduli into 1, sqrt(q) and violations, `weil_counts_match` checks
+each row's counts, and the root power sums feed the log-derivative identity.
 No object is built per character: the per-character `np.roots` route is
 kept only as the tests' oracle.
 
@@ -43,86 +46,93 @@ __all__ = [
     "InverseRoots",
     "MertensResult",
     "WEIL_CLASSES",
+    "conductor_profile",
     "lpolynomial_coeffs",
     "inverse_roots",
     "weil_classes",
+    "weil_counts_match",
     "prime_sum_bound",
     "prime_sum_spectrum",
     "von_mangoldt_spectrum",
     "mertens_products",
-    "TRAILING_COEFF_TOL",
 ]
 
-TRAILING_COEFF_TOL = 1e-9  # |A(m, chi)| below this counts as an exact zero
 # rows whose companion matrices one eigvals call takes: 2048 of degree 13 stack to 5.5 MB
 ROOT_BLOCK = 2048
 
 
+def conductor_profile(modulus: Modulus) -> tuple[np.ndarray, np.ndarray]:
+    """(deg c, e) of every non-principal chi_k, in row k-1 (module docstring).
+
+    deg c adds the degrees of the components where chi_k's exponent is
+    nonzero.  F_q^* is the order-(q - 1) subgroup of each component, so a
+    constant's dlog there is a multiple of s_i = m_i / (q - 1), and e = 1
+    iff sum_i k_i log_i(a) / s_i = 0 mod q - 1 at a constant a generating F_q^*.
+    """
+    units, q, logs = modulus.unit_group, modulus.field.q, modulus.dlog_table.logs
+    exps = np.unravel_index(np.arange(1, units.group_order), units.component_orders)
+    deg_c = sum(c.degree * (k != 0) for c, k in zip(units.components, exps))
+    steps = [c.order // (q - 1) for c in units.components]
+    a = 1 + int(np.argmax(np.gcd(logs[0][1:q] // steps[0], q - 1) == 1))  # constant codes are 1..q-1
+    phase = sum(k * (log[a] // s) for k, log, s in zip(exps, logs, steps))
+    return deg_c, (phase % (q - 1) == 0).astype(np.int64)
+
+
 def lpolynomial_coeffs(modulus: Modulus, workers: int = 1) -> np.ndarray:
-    """A(m, chi_k) in row k-1, column m, for every non-principal chi_k and m < n = deg Q: one DFT per m."""
-    return np.stack([all_char_sums_Ad(modulus, m, workers)[1:] for m in range(modulus.n)], axis=1)
+    """A(m, chi_k) in row k-1, column m, for every non-principal chi_k and m < n = deg Q: one DFT per m.
+
+    An |A(n-1, chi)|^2 off q^(deg c - 1 - e) by a relative 1e-9 raises ArithmeticError.
+    """
+    coeffs = np.stack([all_char_sums_Ad(modulus, m, workers)[1:] for m in range(modulus.n)], axis=1)
+    deg_c, even = conductor_profile(modulus)
+    want, lead = float(modulus.field.q) ** (deg_c - 1 - even), np.abs(coeffs[:, -1]) ** 2
+    bad = ~(np.abs(lead - want) <= 1e-9 * want)
+    if bad.any():
+        k = int(bad.argmax())
+        raise ArithmeticError(f"|A({modulus.n - 1}, chi_{k + 1})|^2 = {lead[k]!r}, not q^(deg c - 1 - e) = {want[k]!r}")
+    return coeffs
 
 
 @dataclass(frozen=True)
 class InverseRoots:
-    """The inverse roots of a stack of L-polynomials, one row each.
-
-    Row i of `coeffs` has numerical degree degree[i]; its roots are
-    roots[i, :degree[i]] (the rest of the row is 0) and its residual, max
-    |L(1/alpha)| over them, is residual[i] (0.0 without roots).
-    """
+    """Roots of a stack of L-polynomials of degree D = n - 1: row i's roots[i] and residual[i], max |L(1/alpha)|."""
 
     coeffs: np.ndarray
-    degree: np.ndarray
     roots: np.ndarray
     residual: np.ndarray
 
     def flat_roots(self) -> np.ndarray:
         """Every row's roots, row after row."""
-        return self.roots[np.arange(self.roots.shape[1]) < self.degree[:, None]]
+        return self.roots.ravel()
 
     def power_sums(self, k: int) -> np.ndarray:
-        """sum_i alpha_i^k over each row's roots, 0 where it has none."""
-        out = np.zeros(len(self.degree), dtype=np.complex128)
-        for D, rows in _degree_groups(self.degree):
-            # the live roots only: padding zeros would regroup numpy's pairwise sum and move last bits
-            out[rows] = (self.roots[rows, :D] ** k).sum(axis=1)
-        return out
-
-
-def _degree_groups(degree: np.ndarray):
-    """(D, rows of degree D) for each positive degree D present, ascending, at most ROOT_BLOCK rows at a time."""
-    for D in np.unique(degree[degree > 0]).tolist():
-        rows = np.flatnonzero(degree == D)
-        for lo in range(0, len(rows), ROOT_BLOCK):
-            yield D, rows[lo : lo + ROOT_BLOCK]
+        """sum_i alpha_i^k over each row's roots, 0 at D = 0."""
+        return (self.roots**k).sum(axis=1)
 
 
 def inverse_roots(coeffs: np.ndarray) -> InverseRoots:
     """Inverse roots of each row sum_m c_m z^m (c_0 = 1), with one Newton step of polish.
 
-    Trimmed to its numerical degree D (trailing coefficients under
-    `TRAILING_COEFF_TOL` dropped), a row's inverse roots are the roots of
-    the reversed polynomial R(w) = sum_m c_m w^(D-m), the eigenvalues of its
-    companion matrix: one stacked `np.linalg.eigvals` per degree, in blocks
-    of at most `ROOT_BLOCK` rows to bound memory.  The Newton step and the
-    residual evaluate R and R' by Horner's rule, row by row.
+    Every row has degree D = n - 1, the width less one (module docstring):
+    its inverse roots are the roots of R(w) = sum_m c_m w^(D-m), the
+    eigenvalues of its companion matrix, one stacked `np.linalg.eigvals` per
+    block of `ROOT_BLOCK` rows.  The Newton step and the residual evaluate
+    R and R' by Horner's rule, row by row.
     """
-    live = ~(np.hypot(coeffs.real, coeffs.imag) < TRAILING_COEFF_TOL)
-    degree = (live * np.arange(coeffs.shape[1])).max(axis=1, initial=0)
-    roots = np.zeros((len(coeffs), max(coeffs.shape[1] - 1, 0)), dtype=np.complex128)
+    D = coeffs.shape[1] - 1
+    roots = np.zeros((len(coeffs), D), dtype=np.complex128)
     residual = np.zeros(len(coeffs))
-    for D, rows in _degree_groups(degree):
-        rev = coeffs[rows, : D + 1]  # highest w power first
-        companion = np.zeros((len(rows), D, D), dtype=np.complex128)
+    for lo in range(0, len(coeffs) if D else 0, ROOT_BLOCK):
+        rev = coeffs[lo : lo + ROOT_BLOCK]  # highest w power first
+        companion = np.zeros((len(rev), D, D), dtype=np.complex128)
         companion[:, 0, :] = -rev[:, 1:] / rev[:, :1]
         companion[:, np.arange(1, D), np.arange(D - 1)] = 1
         r = np.linalg.eigvals(companion)
         vals, dvals = _horner(rev, r), _horner(rev[:, :-1] * np.arange(D, 0, -1), r)
         r = r - np.where(np.abs(dvals) > 1e-12, vals / np.where(dvals == 0, 1, dvals), 0)
         lvals = np.abs(_horner(rev, r)) / np.maximum(np.abs(r) ** D, 1e-300)
-        roots[rows, :D], residual[rows] = r, lvals.max(axis=1)
-    return InverseRoots(coeffs, degree, roots, residual)
+        roots[lo : lo + ROOT_BLOCK], residual[lo : lo + ROOT_BLOCK] = r, lvals.max(axis=1)
+    return InverseRoots(coeffs, roots, residual)
 
 
 def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -137,19 +147,24 @@ WEIL_CLASSES = ("unit", "sqrt_q", "violation")
 
 
 def weil_classes(roots: np.ndarray, q: int, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(modulus, class, deviation) of each inverse root.
+    """(modulus, class, deviation) of each inverse root, in the shape of roots.
 
     The class indexes `WEIL_CLASSES`: within tol of 1, else within tol of
-    sqrt(q), else a violation.  Violations are reported, never raised: at
-    these scales they would signal numerical failure of the root
-    extraction, not of the mathematics.  The deviation is the distance to
-    the nearer of 1 and sqrt(q).  np.hypot, not np.abs: it matches Python's
+    sqrt(q), else a violation.  The deviation is the distance to the nearer
+    of 1 and sqrt(q).  np.hypot, not np.abs: it matches Python's
     abs(complex) to the last digit.
     """
     mod = np.hypot(roots.real, roots.imag)
     off_one, off_sqrt_q = np.abs(mod - 1.0), np.abs(mod - math.sqrt(q))
     cls = np.where(off_one <= tol, 0, np.where(off_sqrt_q <= tol, 1, 2))
     return mod, cls, np.minimum(off_one, off_sqrt_q)
+
+
+def weil_counts_match(modulus: Modulus, cls: np.ndarray) -> bool:
+    """True iff row k-1 of cls, chi_k's `weil_classes`, has deg c - 1 - e sqrt(q)s and the rest units."""
+    deg_c, even = conductor_profile(modulus)
+    sqrt_q = deg_c - 1 - even
+    return bool(((cls == 1).sum(axis=1) == sqrt_q).all() and ((cls == 0).sum(axis=1) == cls.shape[1] - sqrt_q).all())
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +174,7 @@ def weil_classes(roots: np.ndarray, q: int, tol: float) -> tuple[np.ndarray, np.
 
 def prime_sum_bound(modulus: Modulus, k: int) -> float:
     """(n+1) q^(k/2) / k, the proven bound on |sum_{P in I_k} chi(P)| for non-principal chi."""
-    q, n = modulus.field.q, modulus.n
-    return (n + 1) * q ** (k / 2.0) / k
+    return (modulus.n + 1) * modulus.field.q ** (k / 2.0) / k
 
 
 def prime_sum_spectrum(modulus: Modulus, k: int) -> np.ndarray:

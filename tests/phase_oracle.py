@@ -20,8 +20,11 @@ second route, one character at a time, so the tests can compare the two:
   `irreducibles_up_to` and take one scalar `flat_dlog` per irreducible
   (`irreducible_flat_dlogs`), not the production dlog stream;
 * an L-polynomial's inverse roots by `np.roots`, one character at a time,
-  with their Weil classes one root at a time (`lpolynomial`, `verify_weil`),
-  the oracle of `lfun.inverse_roots` and `lfun.weil_classes`;
+  its degree found numerically, with their Weil classes one root at a time
+  (`lpolynomial`, `verify_weil`), the oracle of `lfun.inverse_roots` and
+  `lfun.weil_classes`; and a character's conductor degree and whether it
+  is trivial on the constants, by brute force over the residues
+  (`conductor`), the oracle of `lfun.conductor_profile`;
 * the polynomials themselves one at a time: the monic stream of one degree
   (`enumerate_monic`), a factorization by trial division over every monic
   polynomial (`trial_factor`), which leans on neither the sieve nor
@@ -44,7 +47,7 @@ import numpy as np
 from ffchar.algebra import Field, Poly, irreducibles_up_to, monic_code_range
 from ffchar.characters import unit_dlog_histogram
 from ffchar.intfact import FactoredInteger, factor_integer
-from ffchar.lfun import TRAILING_COEFF_TOL, lpolynomial_coeffs, prime_sum_bound
+from ffchar.lfun import lpolynomial_coeffs, prime_sum_bound
 from ffchar.residue import DlogTable, Modulus, generates
 from ffchar.smooth import smooth_dlog_histogram
 
@@ -447,9 +450,14 @@ class LPolynomial:
         return acc
 
 
+# |A(m, chi)| below this counts as an exact zero: the oracle finds each degree numerically, so it checks
+# independently that every non-principal L-polynomial has degree n - 1, which `lfun.inverse_roots` assumes
+ZERO_COEFF_TOL = 1e-9
+
+
 def _numerical_degree(coeffs: np.ndarray) -> int:
     d = len(coeffs) - 1
-    while d > 0 and abs(coeffs[d]) < TRAILING_COEFF_TOL:
+    while d > 0 and abs(coeffs[d]) < ZERO_COEFF_TOL:
         d -= 1
     return d
 
@@ -496,6 +504,25 @@ def build_lpolynomial(chi: Character, workers: int = 1) -> LPolynomial:
     for m in range(n):
         coeffs[m] = character_sum_Ad(chi, m, workers).value
     return lpolynomial(chi, coeffs)
+
+
+def conductor(chi: Character) -> tuple[int, int]:
+    """(deg c, e) of chi by brute force over every residue mod Q, none of it read off the exponents.
+
+    chi is non-trivial on the component of the factor Q_i exactly when some
+    unit f = 1 mod Q / Q_i has chi(f) != 1; its conductor c is the product
+    of those Q_i.  e is 1 when chi(a) = 1 at every constant a = 1..q-1.
+    """
+    m = chi.modulus
+    one = Poly.one(m.field)
+    residues = [Poly.from_code(m.field, code) for code in range(m.field.q**m.n)]
+    phases = [chi_eval(chi, f).phase for f in residues]
+    deg_c = 0
+    for Qi in m.irreducible_factors:
+        rest = m.poly // Qi
+        if any(ph not in (None, 0) for f, ph in zip(residues, phases) if f % rest == one % rest):
+            deg_c += Qi.degree
+    return deg_c, int(all(ph == 0 for ph in phases[1 : m.field.q]))  # codes 1..q-1 are the constants
 
 
 @dataclass

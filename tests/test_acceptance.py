@@ -24,6 +24,7 @@ from ffchar.lfun import (
     prime_sum_spectrum,
     von_mangoldt_spectrum,
     weil_classes,
+    weil_counts_match,
 )
 from ffchar.primitive import density_experiment, primitivity_indicator_check, sieve_quantities
 from ffchar.residue import Modulus
@@ -57,13 +58,15 @@ def test_criterion_1_weil_roots(moduli, lpolys):
     worst = 0.0
     count = 0
     for (q, n), L in lpolys.items():
-        _, cls, dev = weil_classes(L.flat_roots(), q, 1e-6)
+        _, cls, dev = weil_classes(L.roots, q, 1e-6)
         worst = max(worst, float(dev.max(initial=0.0)))
-        count += len(L.degree)
-        # the character index of each root, kept where the root is a violation
-        bad = np.repeat(np.arange(1, len(L.degree) + 1), L.degree)[cls == WEIL_CLASSES.index("violation")]
+        count += len(L.roots)
+        # the index of each character with a violation among its roots
+        bad = np.flatnonzero((cls == WEIL_CLASSES.index("violation")).any(axis=1)) + 1
         if bad.size:
             report(1, False, f"violation at {(q, n)}, chi index {int(bad[0])}")
+        if not weil_counts_match(moduli[(q, n)], cls):
+            report(1, False, f"root classes at {(q, n)} off the counts the conductors predict")
     report(1, worst <= 1e-6, f"{count} characters, max root-modulus deviation {worst:.3e} (tol 1e-6)")
 
 

@@ -216,6 +216,76 @@ def test_kernel_failure_exits_math_without_traceback(monkeypatch, capsys, exc):
     assert capsys.readouterr().err == "error: invariant broken\n"
 
 
+def test_weil_refuses_overlapping_bands_before_any_modulus(monkeypatch, capsys):
+    from ffchar import cli
+
+    def built(*args):
+        raise AssertionError("a modulus was built")
+
+    assert main(["weil", "--q", "9", "--n", "2", "--tol", "0.999"]) == 0  # just below (sqrt(9) - 1)/2 = 1
+    assert "PASS" in capsys.readouterr().out
+    monkeypatch.setattr(cli, "_modulus", built)
+    assert main(["weil", "--q", "2", "--n", "4", "--tol", "0.5"]) == 2
+    assert capsys.readouterr().err.startswith("error: --tol must be below")
+
+
+def _scale_first_leading_coefficient(monkeypatch):
+    """A(n-1, chi_1) times 1 + 1e-6 wherever `lfun` reads the A_d sums."""
+    import ffchar.lfun
+
+    real = ffchar.lfun.all_char_sums_Ad
+
+    def scaled(modulus, d, workers=1):
+        sums = real(modulus, d, workers)
+        if d == modulus.n - 1:
+            sums = sums.copy()
+            sums[1] *= 1 + 1e-6
+        return sums
+
+    monkeypatch.setattr(ffchar.lfun, "all_char_sums_Ad", scaled)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["weil --q 3 --n 3", "weil --q 2 --n 6 --Q t^6+t^5+t^3+t --format csv", "primes-bound --q 3 --n 3 --k 4 --identity"],
+)
+def test_a_leading_coefficient_off_its_conductor_is_a_math_error(monkeypatch, capsys, argv):
+    """|A(n-1, chi)|^2 must be q^(deg c - 1 - e): a relative 2e-6 off exits 1 before any output."""
+    _scale_first_leading_coefficient(monkeypatch)
+    assert main(argv.split()) == 1
+    out, err = capsys.readouterr()
+    n = int(argv.split()[4])
+    assert out == "" and err.startswith(f"error: |A({n - 1}, chi_1)|^2 = ") and "Traceback" not in err
+
+
+def test_primes_bound_without_identity_builds_no_lpolynomial(monkeypatch, capsys):
+    _scale_first_leading_coefficient(monkeypatch)
+    assert main("primes-bound --q 3 --n 3 --k 4".split()) == 0
+
+
+@pytest.mark.parametrize("fmt", ["human", "csv"])
+def test_weil_fails_a_sqrt_q_root_moved_onto_the_unit_circle(monkeypatch, capsys, fmt):
+    """No root is a violation, but one character has a unit too many: its conductor's counts fail it."""
+    import ffchar.lfun
+
+    real = ffchar.lfun.inverse_roots
+
+    def moved(coeffs):
+        L = real(coeffs)
+        i, j = np.argwhere(np.abs(np.abs(L.roots) - 3**0.5) < 1e-9)[0]
+        L.roots[i, j] /= 3**0.5
+        return L
+
+    monkeypatch.setattr(ffchar.lfun, "inverse_roots", moved)
+    assert main(["weil", "--q", "3", "--n", "3", "--format", fmt]) == 1
+    out = capsys.readouterr().out
+    if fmt == "csv":
+        assert {row.split(",")[4] for row in out.splitlines()[1:]} == {"unit", "sqrt_q"}
+    else:
+        dev = float(out.split("max deviation observed: ")[1].split()[0])
+        assert dev < 1e-6 and out.rstrip().endswith("FAIL")
+
+
 @pytest.mark.parametrize(
     "argv,bad",
     [
@@ -265,6 +335,9 @@ def test_kernel_failure_exits_math_without_traceback(monkeypatch, capsys, exc):
         (["sieve", "--q", "2", "--n", "5", "--d", "3", "--c1", "1", "--c2", "inf"], "--c2 must be finite, got inf"),
         (["weil", "--q", "2", "--n", "3", "--tol", "nan"], "--tol must be finite, got nan"),
         (["weil", "--q", "2", "--n", "3", "--tol", "-1"], "--tol must be >= 0, got -1.0"),
+        # from (sqrt(q) - 1)/2 on the bands about 1 and sqrt(q) overlap, so a sqrt(q) root could pass as a unit
+        (["weil", "--q", "2", "--n", "4", "--tol", "0.5"], "--tol must be below (sqrt(q) - 1)/2 = 0.207107, got 0.5"),
+        (["weil", "--q", "9", "--n", "2", "--tol", "1"], "--tol must be below (sqrt(q) - 1)/2 = 1, got 1.0"),
         (["primes-bound", "--q", "2", "--n", "4", "--k", "3", "--tol", "nan"], "--tol must be finite, got nan"),
         (["density", "--q", "2", "--n", "5", "--eps", "0.01", "--C", "0"], "C must be finite and > 0, got 0.0"),
         (["density", "--q", "2", "--n", "5", "--eps", "0.01", "--C", "-1"], "C must be finite and > 0, got -1.0"),

@@ -7,12 +7,14 @@ import ffchar.lfun
 from ffchar.algebra import Field, Poly, irreducibles_up_to
 from ffchar.lfun import (
     WEIL_CLASSES,
+    conductor_profile,
     inverse_roots,
     lpolynomial_coeffs,
     mertens_products,
     prime_sum_spectrum,
     von_mangoldt_spectrum,
     weil_classes,
+    weil_counts_match,
 )
 from ffchar.residue import Modulus
 from phase_oracle import (
@@ -24,6 +26,7 @@ from phase_oracle import (
     character_by_index,
     character_sum_Ad,
     chi_eval,
+    conductor,
     enumerate_monic,
     inverse_root_power_sum,
     is_principal,
@@ -79,9 +82,9 @@ def test_principal_rejected():
 
 
 def weil_verdict(m: Modulus) -> tuple[bool, float]:
-    """(no violation, max deviation) of every inverse root of every non-principal chi mod m."""
-    _, cls, dev = weil_classes(inverse_roots(lpolynomial_coeffs(m)).flat_roots(), m.field.q, 1e-6)
-    return not (cls == WEIL_CLASSES.index("violation")).any(), float(dev.max(initial=0.0))
+    """(class counts as the conductors predict, max deviation) of every inverse root of every non-principal chi mod m."""
+    _, cls, dev = weil_classes(inverse_roots(lpolynomial_coeffs(m)).roots, m.field.q, 1e-6)
+    return weil_counts_match(m, cls), float(dev.max(initial=0.0))
 
 
 def test_weil_q2_degree4():
@@ -94,12 +97,17 @@ def test_weil_q3_degree3():
     assert weil_verdict(Modulus.irreducible(F3, 3))[0]
 
 
-def test_weil_vacuous_on_degree_zero():
-    L = inverse_roots(np.array([[1.0 + 0j, 1e-12, 0j]]))
-    assert L.degree.tolist() == [0] and L.roots.tolist() == [[0j, 0j]]
-    assert L.flat_roots().size == 0 and L.residual.tolist() == [0.0] and L.power_sums(3).tolist() == [0j]
-    mod, cls, dev = weil_classes(L.flat_roots(), 2, 1e-6)
-    assert mod.size == cls.size == dev.size == 0
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+def test_weil_on_degree_one_moduli(q):
+    # n = 1: q - 2 non-principal characters, each L-polynomial the constant 1, D = 0 and no roots
+    m = Modulus.irreducible(Field.of_order(q), 1)
+    L = inverse_roots(lpolynomial_coeffs(m))
+    assert L.coeffs.tolist() == [[1 + 0j]] * (q - 2) and L.roots.shape == (q - 2, 0)
+    assert L.flat_roots().size == 0 and L.residual.tolist() == [0.0] * (q - 2)
+    assert L.power_sums(3).tolist() == [0j] * (q - 2)
+    mod, cls, dev = weil_classes(L.roots, q, 1e-6)
+    assert mod.shape == cls.shape == dev.shape == (q - 2, 0)
+    assert weil_counts_match(m, cls)
 
 
 def test_weil_classes_match_the_per_root_oracle():
@@ -131,11 +139,10 @@ def test_bulk_lpolynomials_match_per_character_on_composites():
         coeffs = lpolynomial_coeffs(m)
         chars = list(all_characters(m))
         assert len(coeffs) == len(chars) - 1
-        degrees = inverse_roots(coeffs).degree
         for k in range(1, len(chars)):
             single = build_lpolynomial(chars[k])
             assert np.allclose(coeffs[k - 1], single.coeffs, atol=1e-9)
-            assert degrees[k - 1] == single.degree
+            assert single.degree == m.n - 1  # found numerically by the oracle: the degree production assumes
         assert weil_verdict(m)[0]
 
 
@@ -150,12 +157,11 @@ def test_inverse_roots_bit_identical_to_the_per_character_oracle(field, text, n)
     m = modulus_from_text(field, text) if text else Modulus.irreducible(field, n)
     oracle = build_all_lpolynomials(m)
     L = inverse_roots(lpolynomial_coeffs(m))
-    flat, residual = L.flat_roots(), L.residual
-    starts = np.concatenate(([0], np.cumsum(L.degree)))
-    assert len(oracle) == len(L.degree) == m.unit_group.group_order - 1
+    flat, residual, D = L.flat_roots(), L.residual, m.n - 1
+    assert len(oracle) == len(L.roots) == m.unit_group.group_order - 1
     for k, single in oracle.items():
-        assert L.degree[k - 1] == single.degree
-        assert flat[starts[k - 1] : starts[k]].tobytes() == single.inverse_roots.tobytes()
+        assert single.degree == D
+        assert flat[(k - 1) * D : k * D].tobytes() == single.inverse_roots.tobytes()
         assert residual[k - 1 : k].tobytes() == np.float64(single.root_residual).tobytes()
     for j in range(1, 7):
         want = np.array([inverse_root_power_sum(oracle[k], j) for k in sorted(oracle)], dtype=np.complex128)
@@ -163,27 +169,41 @@ def test_inverse_roots_bit_identical_to_the_per_character_oracle(field, text, n)
 
 
 @pytest.mark.parametrize("block", [2048, 7])
-def test_inverse_roots_group_mixed_degrees_bit_identically(monkeypatch, block):
-    # synthetic rows of every numerical degree 0..8, their tails below the zero threshold;
-    # blocks of 7 rows split every degree group
+def test_inverse_roots_bit_identical_across_blocks(monkeypatch, block):
+    # q = 2, n = 8: 254 rows of degree 7, in one block or in 37 blocks of at most 7 rows
     monkeypatch.setattr(ffchar.lfun, "ROOT_BLOCK", block)
-    rng = np.random.default_rng(7)
-    n, rows = 9, 300
-    coeffs = rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))
-    coeffs[:, 0] = 1
-    degree = np.arange(rows) % n
-    for i, d in enumerate(degree.tolist()):
-        coeffs[i, d + 1 :] *= 1e-11
+    coeffs = lpolynomial_coeffs(Modulus.irreducible(F2, 8))
     L = inverse_roots(coeffs)
-    assert L.degree.tolist() == degree.tolist()
-    flat, residual = L.flat_roots(), L.residual
-    starts = np.concatenate(([0], np.cumsum(degree)))
+    assert L.roots.shape == (254, 7)
     sums = L.power_sums(5)
-    for i, d in enumerate(degree.tolist()):
-        roots, res = _extract_inverse_roots(coeffs[i, : d + 1])
-        assert flat[starts[i] : starts[i + 1]].tobytes() == roots.tobytes()
-        assert residual[i] == res
-        assert sums[i] == (complex((roots**5).sum()) if d else 0j)
+    for i, row in enumerate(coeffs):
+        roots, res = _extract_inverse_roots(row)
+        assert L.roots[i].tobytes() == roots.tobytes()
+        assert L.residual[i] == res
+        assert sums[i] == complex((roots**5).sum())
+
+
+# squarefree moduli over F_2..F_5: irreducible ones, the composites pinned by digests and CI, and factors of degree 1
+CONDUCTOR_MODULI = [
+    (F2, "t^4+t+1"), (F2, "t^3+t^2+t"), (F2, "t^5+t^4+t^3+t"), (F2, "t^6+t^5+t^3+t"),
+    (F3, "t^3+2t+1"), (F3, "t^3+2t"), (F3, "t^4+t^3+t"),
+    (F4, "t^2+t+2"), (F4, "t^2+t"), (F4, "t^3+t^2+2"),
+    (Field.get(5), "t^2+2"), (Field.get(5), "t^3+4t"),
+]
+
+
+@pytest.mark.parametrize("field,text", CONDUCTOR_MODULI)
+def test_conductor_profile_matches_the_brute_force_oracle(field, text):
+    """deg c and e against residues, and the class counts they predict against each character's np.roots."""
+    m = modulus_from_text(field, text)
+    deg_c, even = conductor_profile(m)
+    want = [conductor(character_by_index(m, k)) for k in range(1, m.unit_group.group_order)]
+    assert list(zip(deg_c.tolist(), even.tolist())) == want
+    assert field.q == 2 or set(even.tolist()) == {0, 1}  # over F_2 every character is trivial on F_2^* = {1}
+    for k, L in build_all_lpolynomials(m).items():
+        classes = [r["class"] for r in verify_weil(L).roots]
+        d, e = want[k - 1]
+        assert (classes.count("unit"), classes.count("sqrt_q")) == (m.n - d + e, d - 1 - e)
 
 
 def test_coefficient_root_consistency():
@@ -191,11 +211,9 @@ def test_coefficient_root_consistency():
     for field, n in [(F2, 4), (F2, 6), (F3, 3)]:
         m = Modulus.irreducible(field, n)
         L = inverse_roots(lpolynomial_coeffs(m))
-        flat = L.flat_roots()
-        starts = np.concatenate(([0], np.cumsum(L.degree)))
         for i, coeffs in enumerate(L.coeffs):
             poly = np.array([1.0 + 0j])
-            for a in flat[starts[i] : starts[i + 1]]:
+            for a in L.roots[i]:
                 poly = np.convolve(poly, np.array([1.0, -a]))
             want = np.zeros(n, dtype=np.complex128)
             want[: len(poly)] = poly
